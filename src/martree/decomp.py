@@ -12,6 +12,14 @@ form trees; each tree root's parent (if any) is convex.  Fruits of a tree are
 the convex atoms hanging off it, and its leaf cylinders are the bottom-level
 atoms below a flat parent, so every tree root is partitioned by its fruits
 and leaves.
+
+``atom_increments`` gives the per-atom growth and mass that both the labels
+and the stepwise identity read.  The forest is built level by level, in time
+linear in the number of tree nodes: tree ids propagate from parents to flat
+children, and members, fruits and leaves are grouped by tree with one stable
+sort per level.  The per-tree checks run batched over all trees, with each
+tree's sums taken in the same order as a tree-by-tree loop would take them,
+so the reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtration import AtomId, Martingale, evaluate_all
-from .norms import (
-    lorentz_p1_from_distribution,
-    lp_norm_weighted,
-)
+from .filtration import AtomId, Martingale, evaluate, evaluate_all
+from .norms import lorentz_p1_segments, lp_norm_segments
 
 
 @dataclass
@@ -47,62 +52,82 @@ class FlatForest:
         return int(sum(mask.sum() for mask in self.convex))
 
 
-def classify_atoms(F: Martingale, epsilon: float) -> FlatForest:
-    """Label every internal atom convex or flat and assemble the flat forest."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    spec = F.spec
-    m = spec.m
-    levels = evaluate_all(F)
-    mags = [np.linalg.norm(v, axis=1) for v in levels]
-    convex = []
-    increments = []
-    level_masses = []
-    for n in range(spec.depth):
+def atom_increments(
+    F: Martingale,
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Per level n < N and atom omega: the growth E(|F_{n+1}| - |F_n|) chi_omega,
+    the mass E|F_n| chi_omega, and the mean of |F_{n+1}| over omega's children."""
+    m = F.spec.m
+    mags = [np.linalg.norm(v, axis=1) for v in evaluate_all(F)]
+    increments, level_masses, child_means = [], [], []
+    for n in range(F.spec.depth):
         weight = float(m) ** (-n)
         child_mean = mags[n + 1].reshape(-1, m).mean(axis=1)
-        inc = weight * (child_mean - mags[n])
-        base = weight * mags[n]
-        is_convex = (inc >= epsilon * base) & (child_mean > 0)
-        convex.append(is_convex)
-        increments.append(inc)
-        level_masses.append(base)
+        increments.append(weight * (child_mean - mags[n]))
+        level_masses.append(weight * mags[n])
+        child_means.append(child_mean)
+    return increments, level_masses, child_means
 
-    # Sweep top-down: a flat atom joins its parent's tree when the parent is
-    # flat, otherwise it roots a new tree.
+
+def _children(atoms: np.ndarray, m: int) -> np.ndarray:
+    return (atoms[:, None] * m + np.arange(m)).ravel()
+
+
+def _group(keys: np.ndarray, values: np.ndarray):
+    """Yield (key, values with that key) in ascending key order; each group
+    keeps the order it had in ``values``."""
+    if keys.size == 0:
+        return []
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    bounds = np.flatnonzero(np.diff(keys)) + 1
+    return zip(keys[np.append(0, bounds)].tolist(), np.split(values, bounds))
+
+
+def classify_atoms(F: Martingale, epsilon: float) -> FlatForest:
+    """Label every internal atom convex or flat and assemble the flat forest.
+
+    The forest is built level by level: a flat atom takes its parent's tree
+    id, the other flat atoms root new trees numbered in index order, and each
+    level's members, fruits and leaves are grouped by tree with one stable
+    sort, so the work is linear in the number of atoms.
+    """
+    if not np.isfinite(epsilon) or epsilon <= 0:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    spec = F.spec
+    m = spec.m
+    increments, level_masses, child_means = atom_increments(F)
+    convex = [
+        (inc >= epsilon * base) & (child_mean > 0)
+        for inc, base, child_mean in zip(increments, level_masses, child_means)
+    ]
+
     trees: list[FlatTree] = []
     tree_of: list[np.ndarray] = []
     for n in range(spec.depth):
-        flat_idx = np.flatnonzero(~convex[n])
+        flat = ~convex[n]
         ids = np.full(spec.atoms_at(n), -1, dtype=np.int64)
-        for i in flat_idx:
-            parent_tree = -1
-            if n > 0:
-                parent_tree = tree_of[n - 1][i // m]
-            if parent_tree >= 0:
-                ids[i] = parent_tree
-                trees[parent_tree].members.setdefault(n, []).append(i)
-            else:
-                ids[i] = len(trees)
-                trees.append(FlatTree(root=AtomId(n, int(i)), members={n: [i]}))
+        if n > 0:
+            ids[flat] = np.repeat(tree_of[n - 1], m)[flat]
+        new_roots = np.flatnonzero(flat & (ids < 0))
+        ids[new_roots] = len(trees) + np.arange(new_roots.size)
+        trees.extend(FlatTree(root=AtomId(n, i), members={}) for i in new_roots.tolist())
+        flat_idx = np.flatnonzero(flat)
+        for t, members in _group(ids[flat_idx], flat_idx):
+            trees[t].members[n] = members
         tree_of.append(ids)
-
-    for tree in trees:
-        tree.members = {lvl: np.asarray(sorted(idx), dtype=np.int64) for lvl, idx in tree.members.items()}
 
     # Fruits: convex atoms whose parent is flat.  Leaves: bottom atoms whose
     # parent is flat.
     for n in range(1, spec.depth):
         conv_idx = np.flatnonzero(convex[n])
-        for i in conv_idx:
-            t = tree_of[n - 1][i // m]
-            if t >= 0:
-                trees[t].fruits.append(AtomId(n, int(i)))
-    bottom_parent = tree_of[spec.depth - 1]
-    leaf_indices = np.arange(spec.leaves)
-    parent_tree = bottom_parent[leaf_indices // m]
-    for t, tree in enumerate(trees):
-        tree.leaf_atoms = leaf_indices[parent_tree == t]
+        parent = tree_of[n - 1][conv_idx // m]
+        for t, fruits in _group(parent[parent >= 0], conv_idx[parent >= 0]):
+            trees[t].fruits.extend(AtomId(n, i) for i in fruits.tolist())
+    bottom = tree_of[spec.depth - 1]
+    bottom_idx = np.flatnonzero(bottom >= 0)
+    for t, atoms in _group(bottom[bottom_idx], bottom_idx):
+        trees[t].leaf_atoms = _children(atoms, m)
 
     return FlatForest(
         epsilon=epsilon,
@@ -143,12 +168,11 @@ def verify_stepwise_identity(F: Martingale) -> StepwiseReport:
     when F_0 = 0; the report carries E|F_0| so either convention can be read
     off.  Every atom increment is nonnegative because blocks sum to zero.
     """
-    forest = classify_atoms(F, epsilon=1.0)  # labels unused; reuse the sums
-    increment_sum = float(sum(inc.sum() for inc in forest.increments))
-    levels = evaluate_all(F)
-    final_l1 = float(np.linalg.norm(levels[-1], axis=1).mean())
+    increments = atom_increments(F)[0]
+    increment_sum = float(sum(inc.sum() for inc in increments))
+    final_l1 = float(np.linalg.norm(evaluate(F, F.spec.depth), axis=1).mean())
     initial_l1 = float(np.linalg.norm(F.f0))
-    min_atom = float(min(inc.min() for inc in forest.increments))
+    min_atom = float(min(inc.min() for inc in increments))
     return StepwiseReport(
         increment_sum=increment_sum,
         final_l1=final_l1,
@@ -199,6 +223,72 @@ def verify_convex_lemma(F: Martingale, forest: FlatForest) -> ConvexLemmaReport:
     )
 
 
+def members_by_level(forest: FlatForest, depth: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per level n < N: the trees with members at n (ascending ids), their
+    member counts, and the members themselves concatenated in that order."""
+    ids: list[list[int]] = [[] for _ in range(depth)]
+    parts: list[list[np.ndarray]] = [[] for _ in range(depth)]
+    for t, tree in enumerate(forest.trees):
+        for n, members in tree.members.items():
+            ids[n].append(t)
+            parts[n].append(members)
+    return [
+        (
+            np.array(ids[n], dtype=np.int64),
+            np.array([len(p) for p in parts[n]], dtype=np.int64),
+            np.concatenate(parts[n]) if parts[n] else np.zeros(0, dtype=np.int64),
+        )
+        for n in range(depth)
+    ]
+
+
+def tree_roots(forest: FlatForest) -> tuple[np.ndarray, np.ndarray]:
+    """Level and index of every tree root, in tree order."""
+    level = np.array([t.root.level for t in forest.trees], dtype=np.int64)
+    index = np.array([t.root.index for t in forest.trees], dtype=np.int64)
+    return level, index
+
+
+def root_norms(levels: list[np.ndarray], forest: FlatForest) -> np.ndarray:
+    """|F_{n_0}| at each tree root omega_0, in tree order.
+
+    The norm of a single vector is a dot product, whose rounding can differ
+    from a row of a batched norm, so each root keeps its own call.
+    """
+    return np.array([np.linalg.norm(levels[t.root.level][t.root.index]) for t in forest.trees])
+
+
+def tree_leaf_values(F: Martingale, forest: FlatForest, scales=None):
+    """F_T = sum_n scales[n] f_{n+1} chi_{T cap A_n} on the leaves, where A_n
+    is the set of level-n atoms, for all trees at once, one root level at a
+    time.
+
+    Yields ``(level, ids, values)``: the ids of the trees rooted at ``level``
+    (ascending) and an (m^N, ell) array that holds F_T on the cylinder of each
+    such tree's root and zero elsewhere.  Trees rooted at one level have
+    disjoint cylinders, so they share the array; the same array is refilled
+    for the next level, so read it before advancing.  Each leaf receives its
+    terms in ascending level order.  ``scales`` defaults to all ones.
+    """
+    spec = F.spec
+    m, ell = spec.m, spec.ell
+    by_level = members_by_level(forest, spec.depth)
+    root_level, _ = tree_roots(forest)
+    values = np.empty((spec.leaves, ell))
+    for level in np.unique(root_level).tolist():
+        rooted_here = root_level == level
+        values.fill(0.0)
+        for n in range(level, spec.depth):
+            ids, counts, atoms = by_level[n]
+            atoms = atoms[np.repeat(rooted_here[ids], counts)]
+            block = F.diffs[n][atoms].reshape(-1, 1, ell)
+            if scales is not None:
+                block = scales[n] * block
+            rep = m ** (spec.depth - n - 1)
+            values.reshape(-1, rep, ell)[_children(atoms, m)] += block
+        yield level, np.flatnonzero(rooted_here), values
+
+
 @dataclass
 class TreeGrowthReport:
     alpha: float
@@ -215,23 +305,27 @@ def verify_flat_tree_growth(
     m = spec.m
     alpha = kappa_at_inv_p + alpha_margin
     levels = evaluate_all(F)
+    root_level, _ = tree_roots(forest)
+    level_weight = np.array([float(m) ** (-n / p) for n in range(spec.depth + 1)])
+    root_norm = level_weight[root_level] * root_norms(levels, forest)
+    envelope = np.array([np.exp(alpha * k) for k in range(spec.depth + 1)])
+    rows: list[list] = [[] for _ in forest.trees]
     max_ratio = 0.0
-    per_tree = []
-    for tree in forest.trees:
-        n0 = tree.root.level
-        root_norm = float(m) ** (-n0 / p) * np.linalg.norm(levels[n0][tree.root.index])
-        rows = []
-        if root_norm == 0.0:
-            per_tree.append({"root": tree.root, "ratios": rows, "degenerate": True})
+    for n, (ids, counts, atoms) in enumerate(members_by_level(forest, spec.depth)):
+        live = root_norm[ids] != 0.0
+        ids, counts, atoms = ids[live], counts[live], atoms[np.repeat(live, counts)]
+        if ids.size == 0:
             continue
-        for n, members in sorted(tree.members.items()):
-            child_idx = (members[:, None] * m + np.arange(m)[None, :]).ravel()
-            mags = np.linalg.norm(levels[n + 1][child_idx], axis=1)
-            lhs = lp_norm_weighted(mags, np.full(mags.shape, float(m) ** (-(n + 1))), p)
-            ratio = lhs / (np.exp(alpha * (n - n0)) * root_norm)
-            rows.append((n, float(ratio)))
-            max_ratio = max(max_ratio, float(ratio))
-        per_tree.append({"root": tree.root, "ratios": rows, "degenerate": False})
+        mags = np.linalg.norm(levels[n + 1][_children(atoms, m)], axis=1)
+        lhs = lp_norm_segments(mags, counts * m, float(m) ** (-(n + 1)), p)
+        ratios = lhs / (envelope[n - root_level[ids]] * root_norm[ids])
+        for t, ratio in zip(ids.tolist(), ratios.tolist()):
+            rows[t].append((n, ratio))
+        max_ratio = max(max_ratio, *ratios.tolist())
+    per_tree = [
+        {"root": tree.root, "ratios": tree_rows, "degenerate": bool(norm == 0.0)}
+        for tree, tree_rows, norm in zip(forest.trees, rows, root_norm.tolist())
+    ]
     return TreeGrowthReport(alpha=alpha, max_ratio=max_ratio, per_tree=per_tree)
 
 
@@ -250,39 +344,39 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     m = spec.m
     levels = evaluate_all(F)
     total_l1 = float(np.linalg.norm(levels[-1], axis=1).mean())
+    root_level, root_index = tree_roots(forest)
+    level_weight = np.array([float(m) ** (-n) for n in range(spec.depth + 1)])
+    root_mass = level_weight[root_level] * root_norms(levels, forest)
+
+    # Each tree's Lorentz sum accumulates in ascending level order.
+    lorentz_sum = np.zeros(len(forest.trees))
+    for n, (ids, counts, atoms) in enumerate(members_by_level(forest, spec.depth)):
+        if ids.size == 0:
+            continue
+        mags = np.linalg.norm(F.diffs[n][atoms].reshape(-1, spec.ell), axis=1)
+        norm = lorentz_p1_segments(mags, counts * m, float(m) ** (-(n + 1)), p)
+        lorentz_sum[ids] += float(m) ** (-(p - 1) / p * n) * norm
+
+    # ||F_T||_{L_1}: F_T is supported on the root cylinder.
+    ft_l1 = np.zeros(len(forest.trees))
+    for level, ids, values in tree_leaf_values(F, forest):
+        span = m ** (spec.depth - level)
+        leaf_norms = np.linalg.norm(values, axis=1).reshape(-1, span)
+        ft_l1[ids] = float(m) ** (-spec.depth) * leaf_norms[root_index[ids]].sum(axis=1)
+
     max_lorentz = 0.0
     max_stopping = 0.0
     per_tree = []
-    for tree in forest.trees:
-        n0 = tree.root.level
-        root_mass = float(m) ** (-n0) * float(np.linalg.norm(levels[n0][tree.root.index]))
-        lorentz_sum = 0.0
-        # F_T at the bottom, accumulated only inside the root cylinder.
-        span = m ** (spec.depth - n0)
-        base = tree.root.index * span
-        leaf_vals = np.zeros((span, spec.ell))
-        for n, members in sorted(tree.members.items()):
-            block = F.diffs[n][members].reshape(-1, spec.ell)
-            mags = np.linalg.norm(block, axis=1)
-            norm = lorentz_p1_from_distribution(
-                mags, np.full(mags.shape, float(m) ** (-(n + 1))), p
-            )
-            lorentz_sum += float(m) ** (-(p - 1) / p * n) * norm
-            rep = m ** (spec.depth - n - 1)
-            child_idx = (members[:, None] * m + np.arange(m)[None, :]).ravel()
-            offsets = child_idx * rep - base
-            for off, val in zip(offsets, block):
-                leaf_vals[off : off + rep] += val
-        ft_l1 = float(m) ** (-spec.depth) * float(np.linalg.norm(leaf_vals, axis=1).sum())
-        entry = {"root": tree.root, "lorentz_sum": lorentz_sum, "root_mass": root_mass, "ft_l1": ft_l1}
-        if root_mass > 0:
-            entry["lorentz_ratio"] = lorentz_sum / root_mass
+    for tree, lsum, mass, ft in zip(forest.trees, lorentz_sum.tolist(), root_mass.tolist(), ft_l1.tolist()):
+        entry = {"root": tree.root, "lorentz_sum": lsum, "root_mass": mass, "ft_l1": ft}
+        if mass > 0:
+            entry["lorentz_ratio"] = lsum / mass
             max_lorentz = max(max_lorentz, entry["lorentz_ratio"])
-        elif lorentz_sum > 1e-13:
+        elif lsum > 1e-13:
             entry["lorentz_ratio"] = np.inf
             max_lorentz = np.inf
         if total_l1 > 0:
-            max_stopping = max(max_stopping, ft_l1 / total_l1)
+            max_stopping = max(max_stopping, ft / total_l1)
         per_tree.append(entry)
     return TreeSummationReport(
         p=p,

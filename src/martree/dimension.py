@@ -136,13 +136,6 @@ def antichain_score(mu: TreeMeasure, antichain, beta: float, lam: float) -> floa
     )
 
 
-def _mass_cost(mu: TreeMeasure, antichain, beta: float) -> tuple[float, float]:
-    weights = _node_weights(mu)
-    mass = sum(weights[n][i] for n, i in antichain)
-    cost = sum(float(mu.spec.m) ** (-n * beta) for n, _ in antichain)
-    return float(mass), float(cost)
-
-
 @dataclass
 class FrostmanCertificate:
     beta: float

@@ -93,6 +93,66 @@ def lorentz_p1_from_distribution(mags: np.ndarray, weights: np.ndarray, p: float
     return float(p * np.sum(cum ** (1.0 / p) * drops))
 
 
+def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive segment of ``values``, bit for bit as ``np.sum``
+    of the segment alone.
+
+    numpy sums a 1-D array pairwise, so the rounding depends on the length.
+    Segments of one length are gathered as the rows of a 2-D array, which
+    numpy reduces row by row with the same pairwise scheme.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    out = np.zeros(lengths.size)
+    order = np.argsort(lengths, kind="stable")
+    bounds = np.flatnonzero(np.diff(lengths[order])) + 1
+    for group in np.split(order, bounds):
+        if group.size == 0 or lengths[group[0]] == 0:
+            continue
+        rows = starts[group, None] + np.arange(lengths[group[0]])
+        out[group] = values[rows].sum(axis=1)
+    return out
+
+
+def lorentz_p1_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p: float) -> np.ndarray:
+    """``lorentz_p1_from_distribution`` of each consecutive segment of
+    ``mags``, every atom of mass ``weight``; bit for bit, in one pass."""
+    if p <= 1:
+        raise ValueError(f"Lorentz L_(p,1) requires p > 1, got {p}")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    segment = np.repeat(np.arange(lengths.size), lengths)
+    keep = mags > 0
+    vals, segment = mags[keep], segment[keep]
+    vals = vals[np.lexsort((-vals, segment))]  # descending within each segment
+    counts = np.bincount(segment, minlength=lengths.size)
+    ends = np.cumsum(counts)
+    rank = np.arange(vals.size) - np.repeat(ends - counts, counts)
+    # the cumulative masses of equal atoms are prefixes of one running sum
+    cum = np.cumsum(np.full(int(counts.max(initial=0)), float(weight)))[rank]
+    following = np.append(vals[1:], 0.0)
+    following[ends[counts > 0] - 1] = 0.0
+    drops = vals - following
+    return p * segment_sums(cum ** (1.0 / p) * drops, counts)
+
+
+def lp_norm_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p: float) -> np.ndarray:
+    """``lp_norm_weighted`` of each consecutive segment of ``mags``, every atom
+    of mass ``weight > 0``; bit for bit, in one pass."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if p == np.inf:
+        out = np.zeros(lengths.size)
+        nonempty = lengths > 0
+        starts = np.cumsum(lengths) - lengths
+        if np.any(nonempty):
+            out[nonempty] = np.maximum.reduceat(mags, starts[nonempty])
+        return out
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    sums = segment_sums(weight * mags**p, lengths)
+    # one scalar power per segment, the libm pow of the single-segment form
+    return np.array([s ** (1.0 / p) for s in sums.tolist()])
+
+
 def weak_lp_from_distribution(mags: np.ndarray, weights: np.ndarray, p: float) -> float:
     """sup_s s * mu{|g|>s}^{1/p}; the sup sits just below one of the values."""
     if p < 1:

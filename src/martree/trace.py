@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import classify_atoms
+from .decomp import classify_atoms, members_by_level, root_norms, tree_leaf_values, tree_roots
 from .filtration import (
     FiltrationSpec,
     Martingale,
@@ -207,35 +207,32 @@ def _per_tree_checks(F, nu, nu_levels, alpha, epsilon, p, c_frostman):
     m = spec.m
     q = p / (p - 1.0)
     forest = classify_atoms(F, epsilon)
-    levels = evaluate_all(F)
-    leaf_nu = nu.leaf_mass
-    tree_constants = []
+    root_level, root_index = tree_roots(forest)
+
+    # ||I_alpha[F_T]||_{L_1(nu)} for every tree, one root level at a time.
+    l1_nu = np.zeros(len(forest.trees))
+    scales = [float(m) ** (-alpha * (n + 1)) for n in range(spec.depth)]
+    for level, ids, values in tree_leaf_values(F, forest, scales):
+        span = m ** (spec.depth - level)
+        weighted = (np.linalg.norm(values, axis=1) * nu.leaf_mass).reshape(-1, span)
+        l1_nu[ids] = weighted[root_index[ids]].sum(axis=1)
+    level_weight = np.array([float(m) ** (-n) for n in range(spec.depth + 1)])
+    denom = level_weight[root_level] * root_norms(evaluate_all(F), forest)
+    tree_constants = (l1_nu[denom > 0] / denom[denom > 0]).tolist()
+
+    # Interpolatory estimate of the restricted measure martingale: the nu
+    # density on the root cylinder at every level where the tree has members.
     interp_max = 0.0
-    for tree in forest.trees:
-        n0 = tree.root.level
-        root_value = float(np.linalg.norm(levels[n0][tree.root.index]))
-        span = m ** (spec.depth - n0)
-        base = tree.root.index * span
-        leaf_vals = np.zeros((span, spec.ell))
-        for n, members in sorted(tree.members.items()):
-            rep = m ** (spec.depth - n - 1)
-            block = (float(m) ** (-alpha * (n + 1))) * F.diffs[n][members].reshape(-1, spec.ell)
-            child_idx = (members[:, None] * m + np.arange(m)[None, :]).ravel()
-            offsets = child_idx * rep - base
-            for off, val in zip(offsets, block):
-                leaf_vals[off : off + rep] += val
-            # interpolatory estimate of the restricted measure martingale
-            idx_lo = tree.root.index * m ** (n - n0) if n >= n0 else None
-            dens = nu_levels[n][idx_lo : idx_lo + m ** (n - n0)] * float(m) ** n
-            if dens.size:
-                lhs = (float(m) ** (-n) * np.sum(dens**q)) ** (1.0 / q)
-                rhs = float(m) ** ((p - 1) / p * (alpha - 1) * n0 + alpha * n / p)
-                if rhs > 0:
+    for n, (tree_ids, _, _) in enumerate(members_by_level(forest, spec.depth)):
+        for n0 in np.unique(root_level[tree_ids]).tolist():
+            roots = root_index[tree_ids[root_level[tree_ids] == n0]]
+            dens = nu_levels[n].reshape(m**n0, m ** (n - n0))[roots] * float(m) ** n
+            sums = float(m) ** (-n) * (dens**q).sum(axis=1)
+            rhs = float(m) ** ((p - 1) / p * (alpha - 1) * n0 + alpha * n / p)
+            if rhs > 0:
+                for s in sums.tolist():
+                    lhs = s ** (1.0 / q)
                     interp_max = max(interp_max, lhs / (c_frostman * rhs) if c_frostman > 0 else 0.0)
-        l1_nu = float(np.sum(np.linalg.norm(leaf_vals, axis=1) * leaf_nu[base : base + span]))
-        denom = float(m) ** (-n0) * root_value
-        if denom > 0:
-            tree_constants.append(l1_nu / denom)
     return tree_constants, interp_max
 
 

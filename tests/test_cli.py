@@ -238,6 +238,11 @@ class TestExitCodes:
     def test_bad_norm_parameters(self, martingale_file, capsys):
         assert main(["norm", "--f", martingale_file, "--name", "lorentz", "--p", "1.0"]) == 2
 
+    @pytest.mark.parametrize("eps", ["0", "nan", "inf"])
+    def test_decompose_rejects_bad_eps(self, martingale_file, tmp_path, capsys, eps):
+        assert main(["--out", str(tmp_path), "decompose", "--f", martingale_file, "--eps", eps]) == 2
+        assert "epsilon" in capsys.readouterr().err
+
     def test_unknown_config_kind(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "does-not-exist"}))

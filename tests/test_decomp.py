@@ -3,23 +3,33 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from martree import trace
 from martree.decomp import (
+    FlatForest,
+    FlatTree,
+    atom_increments,
     classify_atoms,
     split_convex_flat,
+    tree_leaf_values,
     verify_convex_lemma,
     verify_flat_tree_growth,
     verify_stepwise_identity,
     verify_tree_summation,
 )
 from martree.filtration import (
+    AtomId,
     FiltrationSpec,
     Martingale,
     TreeMeasure,
     evaluate,
+    evaluate_all,
     measure_to_martingale,
 )
 from martree.kappa import kappa_of
-from martree.norms import lp_norm, martingale_level
+from martree.norms import lorentz_p1_from_distribution, lp_norm, lp_norm_weighted, martingale_level
 from martree.riesz import delta_martingale
 from martree.spacew import SubspaceW, delta_vector, random_w_martingale
 from tests.test_filtration import random_martingale
@@ -303,3 +313,297 @@ class TestTreeSummation:
         fl_l1 = lp_norm(martingale_level(F_fl, 4), 1.0)
         # triangle inequality across disjoint-rooted trees can only lose mass
         assert total_ft_l1 >= fl_l1 - 1e-12
+
+
+# ---------------------------------------------------------------- loop oracles
+#
+# Atom-by-atom and tree-by-tree reference implementations of the forest and
+# its per-tree checks.  The package builds the same objects level by level;
+# every summation happens in the same order, so results must agree bit for bit.
+
+
+def classify_atoms_oracle(F, epsilon):
+    spec = F.spec
+    m = spec.m
+    levels = evaluate_all(F)
+    mags = [np.linalg.norm(v, axis=1) for v in levels]
+    convex, increments, level_masses = [], [], []
+    for n in range(spec.depth):
+        weight = float(m) ** (-n)
+        child_mean = mags[n + 1].reshape(-1, m).mean(axis=1)
+        inc = weight * (child_mean - mags[n])
+        base = weight * mags[n]
+        convex.append((inc >= epsilon * base) & (child_mean > 0))
+        increments.append(inc)
+        level_masses.append(base)
+    trees, tree_of = [], []
+    for n in range(spec.depth):
+        ids = np.full(spec.atoms_at(n), -1, dtype=np.int64)
+        for i in np.flatnonzero(~convex[n]):
+            parent_tree = tree_of[n - 1][i // m] if n > 0 else -1
+            if parent_tree >= 0:
+                ids[i] = parent_tree
+                trees[parent_tree].members.setdefault(n, []).append(i)
+            else:
+                ids[i] = len(trees)
+                trees.append(FlatTree(root=AtomId(n, int(i)), members={n: [i]}))
+        tree_of.append(ids)
+    for tree in trees:
+        tree.members = {lvl: np.asarray(sorted(idx), dtype=np.int64) for lvl, idx in tree.members.items()}
+    for n in range(1, spec.depth):
+        for i in np.flatnonzero(convex[n]):
+            t = tree_of[n - 1][i // m]
+            if t >= 0:
+                trees[t].fruits.append(AtomId(n, int(i)))
+    leaf_indices = np.arange(spec.leaves)
+    parent_tree = tree_of[spec.depth - 1][leaf_indices // m]
+    for t, tree in enumerate(trees):
+        tree.leaf_atoms = leaf_indices[parent_tree == t]
+    return FlatForest(epsilon, convex, trees, increments, level_masses)
+
+
+def tree_summation_oracle(F, forest, p):
+    spec = F.spec
+    m = spec.m
+    levels = evaluate_all(F)
+    total_l1 = float(np.linalg.norm(levels[-1], axis=1).mean())
+    max_lorentz = max_stopping = 0.0
+    per_tree = []
+    for tree in forest.trees:
+        n0 = tree.root.level
+        root_mass = float(m) ** (-n0) * float(np.linalg.norm(levels[n0][tree.root.index]))
+        lorentz_sum = 0.0
+        span = m ** (spec.depth - n0)
+        base = tree.root.index * span
+        leaf_vals = np.zeros((span, spec.ell))
+        for n, members in sorted(tree.members.items()):
+            block = F.diffs[n][members].reshape(-1, spec.ell)
+            mags = np.linalg.norm(block, axis=1)
+            norm = lorentz_p1_from_distribution(mags, np.full(mags.shape, float(m) ** (-(n + 1))), p)
+            lorentz_sum += float(m) ** (-(p - 1) / p * n) * norm
+            rep = m ** (spec.depth - n - 1)
+            child_idx = (members[:, None] * m + np.arange(m)[None, :]).ravel()
+            for off, val in zip(child_idx * rep - base, block):
+                leaf_vals[off : off + rep] += val
+        ft_l1 = float(m) ** (-spec.depth) * float(np.linalg.norm(leaf_vals, axis=1).sum())
+        entry = {"root": tree.root, "lorentz_sum": lorentz_sum, "root_mass": root_mass, "ft_l1": ft_l1}
+        if root_mass > 0:
+            entry["lorentz_ratio"] = lorentz_sum / root_mass
+            max_lorentz = max(max_lorentz, entry["lorentz_ratio"])
+        elif lorentz_sum > 1e-13:
+            entry["lorentz_ratio"] = np.inf
+            max_lorentz = np.inf
+        if total_l1 > 0:
+            max_stopping = max(max_stopping, ft_l1 / total_l1)
+        per_tree.append(entry)
+    return max_lorentz, max_stopping, per_tree
+
+
+def flat_tree_growth_oracle(F, forest, p, alpha):
+    m = F.spec.m
+    levels = evaluate_all(F)
+    max_ratio = 0.0
+    per_tree = []
+    for tree in forest.trees:
+        n0 = tree.root.level
+        root_norm = float(m) ** (-n0 / p) * np.linalg.norm(levels[n0][tree.root.index])
+        rows = []
+        if root_norm == 0.0:
+            per_tree.append({"root": tree.root, "ratios": rows, "degenerate": True})
+            continue
+        for n, members in sorted(tree.members.items()):
+            child_idx = (members[:, None] * m + np.arange(m)[None, :]).ravel()
+            mags = np.linalg.norm(levels[n + 1][child_idx], axis=1)
+            lhs = lp_norm_weighted(mags, np.full(mags.shape, float(m) ** (-(n + 1))), p)
+            ratio = lhs / (np.exp(alpha * (n - n0)) * root_norm)
+            rows.append((n, float(ratio)))
+            max_ratio = max(max_ratio, float(ratio))
+        per_tree.append({"root": tree.root, "ratios": rows, "degenerate": False})
+    return max_ratio, per_tree
+
+
+def per_tree_checks_oracle(F, nu, nu_levels, alpha, epsilon, p, c_frostman):
+    spec = F.spec
+    m = spec.m
+    q = p / (p - 1.0)
+    forest = classify_atoms_oracle(F, epsilon)
+    levels = evaluate_all(F)
+    tree_constants = []
+    interp_max = 0.0
+    for tree in forest.trees:
+        n0 = tree.root.level
+        root_value = float(np.linalg.norm(levels[n0][tree.root.index]))
+        span = m ** (spec.depth - n0)
+        base = tree.root.index * span
+        leaf_vals = np.zeros((span, spec.ell))
+        for n, members in sorted(tree.members.items()):
+            rep = m ** (spec.depth - n - 1)
+            block = (float(m) ** (-alpha * (n + 1))) * F.diffs[n][members].reshape(-1, spec.ell)
+            child_idx = (members[:, None] * m + np.arange(m)[None, :]).ravel()
+            for off, val in zip(child_idx * rep - base, block):
+                leaf_vals[off : off + rep] += val
+            idx_lo = tree.root.index * m ** (n - n0)
+            dens = nu_levels[n][idx_lo : idx_lo + m ** (n - n0)] * float(m) ** n
+            lhs = (float(m) ** (-n) * np.sum(dens**q)) ** (1.0 / q)
+            rhs = float(m) ** ((p - 1) / p * (alpha - 1) * n0 + alpha * n / p)
+            if rhs > 0:
+                interp_max = max(interp_max, lhs / (c_frostman * rhs) if c_frostman > 0 else 0.0)
+        l1_nu = float(np.sum(np.linalg.norm(leaf_vals, axis=1) * nu.leaf_mass[base : base + span]))
+        denom = float(m) ** (-n0) * root_value
+        if denom > 0:
+            tree_constants.append(l1_nu / denom)
+    return tree_constants, interp_max
+
+
+def assert_forests_identical(ours, ref):
+    assert ours.epsilon == ref.epsilon
+    for a, b in zip(ours.convex + ours.increments + ours.level_masses, ref.convex + ref.increments + ref.level_masses):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert len(ours.trees) == len(ref.trees)
+    for t, r in zip(ours.trees, ref.trees):
+        assert t.root == r.root
+        assert list(t.members) == list(r.members)
+        for lvl in r.members:
+            assert t.members[lvl].dtype == r.members[lvl].dtype
+            assert np.array_equal(t.members[lvl], r.members[lvl])
+        assert t.fruits == r.fruits
+        assert t.leaf_atoms.dtype == r.leaf_atoms.dtype
+        assert np.array_equal(t.leaf_atoms, r.leaf_atoms)
+
+
+def assert_checks_identical(F, epsilon, p=2.0, alpha=0.9):
+    """Every batched check equals its loop oracle exactly (==, no tolerance)."""
+    forest = classify_atoms(F, epsilon)
+    ref = classify_atoms_oracle(F, epsilon)
+    assert_forests_identical(forest, ref)
+
+    summation = verify_tree_summation(F, forest, p)
+    assert (summation.max_lorentz_ratio, summation.max_stopping_ratio, summation.per_tree) == (
+        tree_summation_oracle(F, ref, p)
+    )
+    growth = verify_flat_tree_growth(F, forest, p, kappa_at_inv_p=0.2, alpha_margin=0.1)
+    assert (growth.max_ratio, growth.per_tree) == flat_tree_growth_oracle(F, ref, p, 0.2 + 0.1)
+
+    spec = F.spec
+    nu = trace.capped_cascade_measure(FiltrationSpec(spec.m, spec.depth, 1), alpha, 1.0, seed=spec.depth)
+    nu_levels = [nu.level_mass(n) for n in range(spec.depth + 1)]
+    c_frostman = trace.frostman_constant(nu, alpha, 1.0)
+    args = (F, nu, nu_levels, alpha, epsilon, p, c_frostman)
+    assert trace._per_tree_checks(*args) == per_tree_checks_oracle(*args)
+
+
+def growing_martingale(spec, seed, growth):
+    """Random blocks scaled by growth^n with F_0 = 0: growth > 1 makes atoms
+    convex, growth < 1 makes them flat."""
+    F = random_martingale(spec, seed)
+    diffs = [growth**n * d for n, d in enumerate(F.diffs)]
+    return Martingale(spec, np.zeros(spec.ell), diffs, validate=False)
+
+
+def sparse_martingale(spec, seed, keep):
+    """Random martingale with blocks zeroed at random, so zero atoms, ties and
+    degenerate tree roots occur."""
+    rng = np.random.default_rng(seed + 1000)
+    F = random_martingale(spec, seed)
+    diffs = [d * (rng.random(d.shape[0]) < keep)[:, None, None] for d in F.diffs]
+    f0 = F.f0 if rng.random() < 0.5 else np.zeros(spec.ell)
+    return Martingale(spec, f0, diffs, validate=False)
+
+
+class TestLoopOracles:
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.3, 1.0])
+    def test_random_martingales(self, m, depth, epsilon):
+        for seed in range(2):
+            assert_checks_identical(random_martingale(FiltrationSpec(m, depth, 2), seed), epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.5])
+    def test_deep_w_martingale(self, epsilon):
+        spec = FiltrationSpec(3, 7, 2)
+        W = SubspaceW.random(3, 2, 2, seed=4)
+        assert_checks_identical(random_w_martingale(W, spec, seed=5), epsilon)
+
+    def test_wide_values(self):
+        # ell >= 8 takes numpy's pairwise path inside each row norm
+        assert_checks_identical(random_martingale(FiltrationSpec(3, 4, 9), 6), 0.2)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_zero_martingale(self, m):
+        spec = FiltrationSpec(m, 4, 2)
+        assert_checks_identical(Martingale.zero(spec), 0.1)
+        assert len(classify_atoms(Martingale.zero(spec), 0.1).trees) == 1
+
+    def test_all_flat(self):
+        spec = FiltrationSpec(3, 6, 1)
+        F = measure_to_martingale(TreeMeasure(spec, np.random.default_rng(2).random(spec.leaves)))
+        assert classify_atoms(F, 0.05).n_convex() == 0
+        assert_checks_identical(F, 0.05)
+
+    def test_all_convex(self):
+        spec = FiltrationSpec(3, 5, 1)
+        diffs = [10.0**n * np.tile([2.0, -1.0, -1.0], (3**n, 1))[:, :, None] for n in range(spec.depth)]
+        F = Martingale(spec, np.zeros(1), diffs)
+        forest = classify_atoms(F, 1.0)
+        assert forest.n_convex() == sum(spec.atoms_at(n) for n in range(spec.depth))
+        assert forest.trees == []
+        assert_checks_identical(F, 1.0)
+
+    @pytest.mark.parametrize("growth", [0.3, 1.0, 3.0])
+    def test_level_scaled_martingales(self, growth):
+        for m in (3, 4):
+            assert_checks_identical(growing_martingale(FiltrationSpec(m, 5, 2), 7, growth), 0.2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(3, 4),
+        depth=st.integers(1, 5),
+        ell=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+        keep=st.floats(0.2, 1.0),
+        epsilon=st.floats(0.01, 3.0),
+        p=st.sampled_from([1.5, 2.0, 3.0]),
+    )
+    def test_random_sparse_martingales(self, m, depth, ell, seed, keep, epsilon, p):
+        F = sparse_martingale(FiltrationSpec(m, depth, ell), seed, keep)
+        assert_checks_identical(F, epsilon, p=p, alpha=0.8)
+
+
+class TestBatchedHelpers:
+    def test_tree_leaf_values_sum_to_flat_part(self):
+        # Summing F_T over every tree gives F_fl - F_0 on the leaves.
+        spec = FiltrationSpec(3, 5, 2)
+        F = random_martingale(spec, 21)
+        forest = classify_atoms(F, 0.2)
+        total = np.zeros((spec.leaves, spec.ell))
+        for _, _, values in tree_leaf_values(F, forest):
+            total += values
+        _, F_fl = split_convex_flat(F, forest)
+        expected = evaluate(F_fl, spec.depth) - F.f0
+        assert np.allclose(total, expected, atol=1e-12)
+
+    def test_atom_increments_are_the_forest_sums(self):
+        spec = FiltrationSpec(4, 4, 2)
+        F = random_martingale(spec, 22)
+        increments, level_masses, _ = atom_increments(F)
+        forest = classify_atoms(F, 0.3)
+        assert all(np.array_equal(a, b) for a, b in zip(increments, forest.increments))
+        assert all(np.array_equal(a, b) for a, b in zip(level_masses, forest.level_masses))
+
+    def test_stepwise_identity_matches_oracle(self):
+        spec = FiltrationSpec(3, 5, 2)
+        for seed in range(3):
+            F = random_martingale(spec, seed + 30)
+            ref = classify_atoms_oracle(F, 1.0)
+            increment_sum = float(sum(inc.sum() for inc in ref.increments))
+            final_l1 = float(np.linalg.norm(evaluate_all(F)[-1], axis=1).mean())
+            report = verify_stepwise_identity(F)
+            assert report.increment_sum == increment_sum
+            assert report.final_l1 == final_l1
+            assert report.min_atom_increment == float(min(inc.min() for inc in ref.increments))
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_epsilon_rejected(self, epsilon):
+        F = random_martingale(FiltrationSpec(3, 2, 1), 0)
+        with pytest.raises(ValueError, match="epsilon"):
+            classify_atoms(F, epsilon)

@@ -11,10 +11,15 @@ from martree.norms import (
     SimpleFunction,
     besov_norm,
     h1_norm,
+    lorentz_p1_from_distribution,
     lorentz_p1_norm,
+    lorentz_p1_segments,
     lp_norm,
+    lp_norm_segments,
+    lp_norm_weighted,
     lp_nu_norm,
     martingale_difference,
+    segment_sums,
     weak_lp_norm,
 )
 from tests.test_filtration import random_martingale
@@ -294,3 +299,37 @@ class TestLpNu:
         g = random_simple(spec, 1, 8)
         with pytest.raises(ValueError):
             lp_nu_norm(g, nu, 2.0)
+
+
+class TestSegmentNorms:
+    """The batched per-segment norms equal the single-segment ones bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 300), min_size=0, max_size=12),
+        seed=st.integers(0, 2**31 - 1),
+        p=st.sampled_from([1.25, 2.0, 3.0, np.inf]),
+    )
+    def test_match_single_segment_forms(self, lengths, seed, p):
+        rng = np.random.default_rng(seed)
+        total = sum(lengths)
+        # ties and zeros both occur: values are drawn from a short list
+        mags = rng.choice([0.0, 0.5, 1.0, 2.5, *rng.random(5) * 10], size=total)
+        starts = np.cumsum(lengths) - np.asarray(lengths, dtype=np.int64)
+        segments = [mags[s : s + n] for s, n in zip(starts, lengths)]
+        weight = 3.0 ** -rng.integers(1, 8)
+        sums = segment_sums(mags, lengths)
+        assert sums.tolist() == [float(np.sum(seg)) for seg in segments]
+        lp = lp_norm_segments(mags, lengths, weight, p)
+        assert lp.tolist() == [
+            lp_norm_weighted(seg, np.full(seg.shape, weight), p) for seg in segments
+        ]
+        if p > 1 and p != np.inf:
+            lorentz = lorentz_p1_segments(mags, lengths, weight, p)
+            assert lorentz.tolist() == [
+                lorentz_p1_from_distribution(seg, np.full(seg.shape, weight), p) for seg in segments
+            ]
+
+    def test_lorentz_segments_reject_p_one(self):
+        with pytest.raises(ValueError):
+            lorentz_p1_segments(np.ones(3), [3], 1.0, 1.0)
