@@ -461,6 +461,9 @@ CONFIG_KINDS = {
     "trace-sharpness",
 }
 
+# The params keys _cmd_run reads; any other key is rejected, not ignored.
+RUN_PARAMS = ("grid", "p", "q", "eps", "beta", "gamma", "alpha", "trials", "depths")
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -481,23 +484,42 @@ CONFIG_SCHEMA = {
         "measure_file": {"type": "string"},
         "martingale_file": {"type": "string"},
         "fibers_file": {"type": "string"},
-        "params": {"type": "object"},
+        "params": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {key: {} for key in RUN_PARAMS},
+        },
         "seed": {"type": "integer"},
         "out": {"type": "string"},
     },
 }
 
 
+def _check_keys(obj, schema, where):
+    """The schema's object and unknown-key rules, for use without jsonschema."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config rejected: {where} must be an object")
+    for key in obj:
+        if key not in schema["properties"]:
+            raise ConfigError(f"config rejected: unknown key {key!r} in {where}")
+
+
 def _validate_config(doc):
     try:
         import jsonschema
-
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except ImportError:  # pragma: no cover - jsonschema is a test convenience
-        if not isinstance(doc, dict) or "kind" not in doc:
+    except ImportError:
+        _check_keys(doc, CONFIG_SCHEMA, "config")
+        if "kind" not in doc:
             raise ConfigError("config must be an object with a 'kind'")
-    except Exception as exc:
-        raise ConfigError(f"config rejected: {exc}") from exc
+        for key in ("filtration", "params"):
+            if key in doc:
+                _check_keys(doc[key], CONFIG_SCHEMA["properties"][key], key)
+    else:
+        try:
+            jsonschema.validate(doc, CONFIG_SCHEMA)
+        except jsonschema.ValidationError as exc:
+            where = "/".join(str(part) for part in exc.absolute_path) or "config"
+            raise ConfigError(f"config rejected: {exc.message} in {where}") from exc
     if doc["kind"] not in CONFIG_KINDS:
         raise ConfigError(f"unknown experiment kind {doc['kind']!r}")
 

@@ -6,10 +6,19 @@ The Frostman-type certificate asks for the smallest K with
 
 over all antichains C of atoms.  The linearized functional
 mass(C) - lambda * cost(C) is maximized exactly by a bottom-up tree dynamic
-program, one run per lambda on a geometric grid; witnesses give certified
+program, one pass per lambda on a geometric grid; witnesses give certified
 lower bounds on the best ratio, the dual envelope gives the certified
 constant, and the verdict comes from the trend of the best ratio across
-depth prefixes, never from one depth alone.
+depth prefixes, never from one depth alone.  The full-depth scan is also the
+depth-D prefix (truncating at the full depth keeps every node weight and the
+grid), so only the prefixes 1..D-1 get scans of their own.
+
+A lambda scan needs only the root's value and witness (mass, cost), so its
+passes hold one level at a time; only ``antichain_max`` keeps the per-level
+tables for its witness walk.  Child sums add the strided slices a[j::m] left
+to right, which is bit for bit numpy's ``reshape(-1, m).sum(axis=1)`` for
+m <= 7 (numpy adds rows shorter than 8 in order); for m >= 8 numpy's row sum
+takes another order, so those m keep ``reshape(-1, m).sum(axis=1)`` itself.
 """
 
 from __future__ import annotations
@@ -76,29 +85,53 @@ def _node_weights(mu: TreeMeasure) -> list[np.ndarray]:
     return out
 
 
-def _antichain_dp(weights: list[np.ndarray], m: int, beta: float, lam: float):
-    """Bottom-up pass; returns the value/take tables plus the witness (mass, cost)."""
+def _child_sum(a: np.ndarray, m: int) -> np.ndarray:
+    """Sum of each run of m consecutive entries, as reshape(-1, m).sum(axis=1)."""
+    if m >= 8:
+        # numpy's row sum no longer adds rows this long left to right
+        return a.reshape(-1, m).sum(axis=1)
+    total = a[0::m] + a[1::m]
+    for j in range(2, m):
+        total += a[j::m]
+    return total
+
+
+def _antichain_dp(weights: list[np.ndarray], m: int, beta: float, lam: float, keep_tables: bool = False):
+    """Bottom-up pass; returns the root's value, its witness (mass, cost) and the tables.
+
+    value(omega) = max(score(omega), sum_children value(child)), floored at
+    zero; the witness mass and cost follow the same choice.  Only the current
+    level is held, and each level is updated in place.  With ``keep_tables``
+    the per-level value and take arrays come back as ``(values, take)``,
+    indexed by level, for the witness walk; otherwise the last item is None.
+    """
     depth = len(weights) - 1
-    scores = [weights[n] - lam * float(m) ** (-n * beta) for n in range(depth + 1)]
-    values = [None] * (depth + 1)
-    take = [None] * (depth + 1)
-    mass = [None] * (depth + 1)
-    cost = [None] * (depth + 1)
-    values[depth] = np.maximum(scores[depth], 0.0)
-    take[depth] = scores[depth] >= 0.0
-    active = values[depth] > 0.0
-    mass[depth] = np.where(active, weights[depth], 0.0)
-    cost[depth] = np.where(active, float(m) ** (-depth * beta), 0.0)
+    unit = [float(m) ** (-n * beta) for n in range(depth + 1)]
+    score = weights[depth] - lam * unit[depth]
+    takes = [score >= 0.0] if keep_tables else None
+    value = np.maximum(score, 0.0, out=score)
+    active = value > 0.0
+    mass = np.where(active, weights[depth], 0.0)
+    cost = np.where(active, unit[depth], 0.0)
+    values = [value] if keep_tables else None
     for n in range(depth - 1, -1, -1):
-        child_val = values[n + 1].reshape(-1, m).sum(axis=1)
-        take[n] = scores[n] >= child_val
-        values[n] = np.maximum(np.where(take[n], scores[n], child_val), 0.0)
-        active = values[n] > 0.0
-        child_mass = mass[n + 1].reshape(-1, m).sum(axis=1)
-        child_cost = cost[n + 1].reshape(-1, m).sum(axis=1)
-        mass[n] = np.where(active, np.where(take[n], weights[n], child_mass), 0.0)
-        cost[n] = np.where(active, np.where(take[n], float(m) ** (-n * beta), child_cost), 0.0)
-    return values, take, float(mass[0][0]), float(cost[0][0])
+        score = weights[n] - lam * unit[n]
+        value = _child_sum(value, m)
+        take = score >= value
+        np.copyto(value, score, where=take)
+        np.maximum(value, 0.0, out=value)
+        inactive = ~(value > 0.0)
+        mass = _child_sum(mass, m)
+        np.copyto(mass, weights[n], where=take)
+        np.copyto(mass, 0.0, where=inactive)
+        cost = _child_sum(cost, m)
+        np.copyto(cost, unit[n], where=take)
+        np.copyto(cost, 0.0, where=inactive)
+        if keep_tables:
+            values.append(value)
+            takes.append(take)
+    tables = (values[::-1], takes[::-1]) if keep_tables else None
+    return float(value[0]), float(mass[0]), float(cost[0]), tables
 
 
 def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list[tuple[int, int]]]:
@@ -115,7 +148,7 @@ def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list
     spec = mu.spec
     m = spec.m
     weights = _node_weights(mu)
-    values, take, _, _ = _antichain_dp(weights, m, beta, lam)
+    value, _, _, (values, take) = _antichain_dp(weights, m, beta, lam, keep_tables=True)
     witness: list[tuple[int, int]] = []
     stack = [(0, 0)]
     while stack:
@@ -126,7 +159,7 @@ def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list
             witness.append((n, int(i)))
         else:
             stack.extend((n + 1, m * i + j) for j in range(m))
-    return float(values[0][0]), witness
+    return value, witness
 
 
 def antichain_score(mu: TreeMeasure, antichain, beta: float, lam: float) -> float:
@@ -152,19 +185,22 @@ class FrostmanCertificate:
 
 
 def _lambda_scan(mu, beta, gamma, grid):
-    """One full-depth scan: witness ratios plus the dual envelope constant."""
+    """One full-depth scan: witness ratios plus the dual envelope constant.
+
+    Returns the DP value per lambda, the best witness ratio, the grid index of
+    the lambda that achieved it (None when no witness has positive cost) and
+    the certified constant.
+    """
     weights = _node_weights(mu)
-    values = []
+    values = np.empty(len(grid))
     witness_costs = []
-    best_ratio, best_lambda = 0.0, None
-    for lam in grid:
-        val, _, mass, cost = _antichain_dp(weights, mu.spec.m, beta, lam)
-        values.append(val[0][0])
+    best_ratio, best = 0.0, None
+    for i, lam in enumerate(grid):
+        values[i], mass, cost, _ = _antichain_dp(weights, mu.spec.m, beta, lam)
         if cost > 0:
             witness_costs.append(cost)
             if mass / cost**gamma > best_ratio:
-                best_ratio, best_lambda = mass / cost**gamma, lam
-    values = np.asarray(values, dtype=float)
+                best_ratio, best = mass / cost**gamma, i
     # Dual bound: every antichain obeys mass <= g(lam) + lam * cost for all
     # lam, hence ratio <= min_lam (g(lam) + lam c)/c^gamma at its own cost.
     # The c-grid carries the witness costs so achieved ratios are never
@@ -175,7 +211,7 @@ def _lambda_scan(mu, beta, gamma, grid):
     c_grid = np.unique(np.concatenate([np.geomspace(c_lo, c_hi, 257), witness_costs]))
     envelope = np.min(values[None, :] + np.outer(c_grid, grid), axis=1) / c_grid**gamma
     constant = float(max(envelope.max(), best_ratio))
-    return values, best_ratio, best_lambda, constant
+    return values, best_ratio, best, constant
 
 
 def frostman_certify(
@@ -190,10 +226,13 @@ def frostman_certify(
     m = spec.m
     span = float(m) ** (spec.depth * max(beta, 0.25))
     grid = np.geomspace(1.0 / span, span, lambda_grid_size)
-    values, witness_ratio, best_lambda, constant = _lambda_scan(mu, beta, gamma, grid)
+    values, witness_ratio, best, constant = _lambda_scan(mu, beta, gamma, grid)
 
+    # The depth-D prefix is mu itself on the same grid: its ratio is the
+    # full-depth witness ratio, so only the shorter prefixes are scanned.
     per_depth = np.zeros(spec.depth)
-    for d in range(1, spec.depth + 1):
+    per_depth[-1] = witness_ratio
+    for d in range(1, spec.depth):
         sub = mu.truncated(d)
         span_d = float(m) ** (d * max(beta, 0.25))
         grid_d = np.geomspace(1.0 / span_d, span_d, lambda_grid_size)
@@ -209,8 +248,8 @@ def frostman_certify(
         slope = float(np.polyfit(depths[keep], np.log(per_depth[keep]), 1)[0])
     violated = slope > SLOPE_FRACTION * gamma * np.log(m)
     witness = None
-    if violated and best_lambda is not None:
-        _, witness = antichain_max(mu, beta, best_lambda)
+    if violated and best is not None:
+        _, witness = antichain_max(mu, beta, grid[best])
     return FrostmanCertificate(
         beta=beta,
         gamma=gamma,
@@ -222,6 +261,9 @@ def frostman_certify(
         per_depth_ratio=per_depth,
         slope=slope,
         violating_antichain=witness,
+        # A best lambda on the first or last grid point means the optimum may
+        # lie outside the grid, so the witness ratio may understate the best.
+        details={"best_lambda_at_grid_edge": best in (0, lambda_grid_size - 1)},
     )
 
 
@@ -253,10 +295,7 @@ def build_sharpness_measure(
     diffs = [G.diffs[n][:, :, 0][:, :, None] * a[None, None, :] for n in range(spec.depth)]
     lifted = Martingale(lift_spec, a.copy(), diffs, validate=False)
     for n in range(spec.depth):
-        worst = max(
-            (W.distance(block) for block in lifted.diffs[n]),
-            default=0.0,
-        )
+        worst = float(W.residuals(lifted.diffs[n]).max(initial=0.0))
         scale = max(1.0, float(np.max(np.abs(lifted.diffs[n]))) if lifted.diffs[n].size else 1.0)
         if worst > 1e-12 * scale:
             raise ValueError(f"lifted blocks left W at level {n} (residual {worst:.2e})")

@@ -93,6 +93,26 @@ class SubspaceW:
         block = np.asarray(block, dtype=float)
         return float(np.linalg.norm(block - project(block, self)))
 
+    def residuals(self, blocks: np.ndarray) -> np.ndarray:
+        """Frobenius distance to W of every block in a (..., m, ell) array.
+
+        One batched residual, flat - (flat B^T) B, for the whole stack.  The
+        products run as stacked matmuls, so every block gets the very BLAS
+        calls ``distance`` makes (gemv or dot per block), and the results
+        equal ``distance`` bit for bit; a single (N, mell) @ (mell, k) gemm
+        rounds differently in the last bits.
+        """
+        blocks = np.asarray(blocks, dtype=float)
+        if blocks.shape[-2:] != (self.m, self.ell):
+            raise ValueError(f"blocks of shape {blocks.shape[-2:]} do not match {(self.m, self.ell)}")
+        flat = blocks.reshape(-1, self.m * self.ell)
+        if self.dim:
+            basis = self.basis.reshape(self.dim, -1)
+            coeffs = np.matmul(basis, flat[:, :, None])
+            flat = flat - np.matmul(coeffs.transpose(0, 2, 1), basis)[:, 0, :]
+        squares = np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]
+        return np.sqrt(squares).reshape(blocks.shape[:-2])
+
 
 def delta_vector(m: int, j: int = 0) -> np.ndarray:
     """m e_j - 1: the direction with m-1 equal coordinates."""

@@ -1,11 +1,12 @@
 """CLI surface: subcommands, file formats, exit codes, byte reproducibility."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from martree.cli import main
+from martree.cli import RUN_PARAMS, main
 from martree.fileio import (
     read_fibers,
     read_martingale,
@@ -255,6 +256,47 @@ class TestExitCodes:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
+
+    @pytest.fixture(params=["jsonschema", "fallback"])
+    def validator(self, request, monkeypatch):
+        """Run each config test with jsonschema and with the built-in fallback."""
+        if request.param == "jsonschema":
+            pytest.importorskip("jsonschema")
+        else:
+            monkeypatch.setitem(sys.modules, "jsonschema", None)
+        return request.param
+
+    def test_misspelt_param_is_rejected(self, validator, martingale_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "decompose", "martingale_file": martingale_file,
+                                   "params": {"epss": 0.5}, "out": str(out)}))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'epss'" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "kappa", "bogus_field": 1},
+        {"kind": "kappa", "filtration": {"m": 3, "depth": 4, "dpeth": 5}},
+        {"kind": "kappa", "params": {"trails": 5}},
+        {"kind": "kappa", "params": []},
+        ["kappa"],
+        {"params": {"grid": 5}},
+    ])
+    def test_malformed_configs_exit_two_with_one_line(self, validator, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_every_run_param_is_accepted(self, validator, martingale_file, tmp_path):
+        params = dict.fromkeys(RUN_PARAMS, 1.0)
+        params.update(eps=0.1, depths=[4, 4])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "decompose", "martingale_file": martingale_file,
+                                   "params": params, "out": str(tmp_path / "out")}))
+        assert main(["run", str(cfg)]) == 0
 
 
 class TestRunConfig:

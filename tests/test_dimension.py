@@ -1,9 +1,15 @@
 """Antichain DP, Frostman certificates, Eggleston formula, sharpness measures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import martree.dimension as dimension
 from martree.dimension import (
+    FrostmanCertificate,
+    _child_sum,
+    _node_weights,
     antichain_max,
     antichain_score,
     build_sharpness_measure,
@@ -60,6 +66,121 @@ def random_measure(depth, seed, m=3):
     mass = rng.random(spec.leaves)
     mass /= mass.sum()
     return TreeMeasure(spec, mass)
+
+
+# ---------------------------------------------------------------- oracles
+# The certificate as it was computed before the DP went root-only: a tabled
+# DP pass per lambda, and a scan of every depth prefix including the full
+# depth.  The library must reproduce every field of it exactly.
+
+
+def oracle_antichain_dp(weights, m, beta, lam):
+    depth = len(weights) - 1
+    scores = [weights[n] - lam * float(m) ** (-n * beta) for n in range(depth + 1)]
+    values = [None] * (depth + 1)
+    take = [None] * (depth + 1)
+    mass = [None] * (depth + 1)
+    cost = [None] * (depth + 1)
+    values[depth] = np.maximum(scores[depth], 0.0)
+    take[depth] = scores[depth] >= 0.0
+    active = values[depth] > 0.0
+    mass[depth] = np.where(active, weights[depth], 0.0)
+    cost[depth] = np.where(active, float(m) ** (-depth * beta), 0.0)
+    for n in range(depth - 1, -1, -1):
+        child_val = values[n + 1].reshape(-1, m).sum(axis=1)
+        take[n] = scores[n] >= child_val
+        values[n] = np.maximum(np.where(take[n], scores[n], child_val), 0.0)
+        active = values[n] > 0.0
+        child_mass = mass[n + 1].reshape(-1, m).sum(axis=1)
+        child_cost = cost[n + 1].reshape(-1, m).sum(axis=1)
+        mass[n] = np.where(active, np.where(take[n], weights[n], child_mass), 0.0)
+        cost[n] = np.where(active, np.where(take[n], float(m) ** (-n * beta), child_cost), 0.0)
+    return values, take, float(mass[0][0]), float(cost[0][0])
+
+
+def oracle_antichain_max(mu, beta, lam):
+    m = mu.spec.m
+    values, take, _, _ = oracle_antichain_dp(_node_weights(mu), m, beta, lam)
+    witness = []
+    stack = [(0, 0)]
+    while stack:
+        n, i = stack.pop()
+        if values[n][i] <= 0.0:
+            continue
+        if take[n][i]:
+            witness.append((n, int(i)))
+        else:
+            stack.extend((n + 1, m * i + j) for j in range(m))
+    return float(values[0][0]), witness
+
+
+def oracle_lambda_scan(mu, beta, gamma, grid):
+    weights = _node_weights(mu)
+    values = []
+    witness_costs = []
+    best_ratio, best_lambda = 0.0, None
+    for lam in grid:
+        val, _, mass, cost = oracle_antichain_dp(weights, mu.spec.m, beta, lam)
+        values.append(val[0][0])
+        if cost > 0:
+            witness_costs.append(cost)
+            if mass / cost**gamma > best_ratio:
+                best_ratio, best_lambda = mass / cost**gamma, lam
+    values = np.asarray(values, dtype=float)
+    n_leaves = mu.spec.leaves
+    c_lo = float(mu.spec.m) ** (-mu.spec.depth * beta)
+    c_hi = max(n_leaves * float(mu.spec.m) ** (-mu.spec.depth * beta), 1.0)
+    c_grid = np.unique(np.concatenate([np.geomspace(c_lo, c_hi, 257), witness_costs]))
+    envelope = np.min(values[None, :] + np.outer(c_grid, grid), axis=1) / c_grid**gamma
+    constant = float(max(envelope.max(), best_ratio))
+    return values, best_ratio, best_lambda, constant
+
+
+def oracle_frostman_certify(mu, beta, gamma, lambda_grid_size=64):
+    spec = mu.spec
+    m = spec.m
+    span = float(m) ** (spec.depth * max(beta, 0.25))
+    grid = np.geomspace(1.0 / span, span, lambda_grid_size)
+    values, witness_ratio, best_lambda, constant = oracle_lambda_scan(mu, beta, gamma, grid)
+    per_depth = np.zeros(spec.depth)
+    for d in range(1, spec.depth + 1):
+        sub = mu.truncated(d)
+        span_d = float(m) ** (d * max(beta, 0.25))
+        grid_d = np.geomspace(1.0 / span_d, span_d, lambda_grid_size)
+        _, ratio_d, _, _ = oracle_lambda_scan(sub, beta, gamma, grid_d)
+        per_depth[d - 1] = ratio_d
+    depths = np.arange(1, spec.depth + 1, dtype=float)
+    keep = (depths >= max(2, spec.depth // 2)) & (per_depth > 0)
+    slope = 0.0
+    if keep.sum() >= 2:
+        slope = float(np.polyfit(depths[keep], np.log(per_depth[keep]), 1)[0])
+    violated = slope > dimension.SLOPE_FRACTION * gamma * np.log(m)
+    witness = None
+    if violated and best_lambda is not None:
+        _, witness = oracle_antichain_max(mu, beta, best_lambda)
+    at_edge = best_lambda is not None and best_lambda in (grid[0], grid[-1])
+    return FrostmanCertificate(
+        beta=beta,
+        gamma=gamma,
+        lambda_grid=grid,
+        best_values=values,
+        verdict="VIOLATED" if violated else "CERTIFIED",
+        constant=constant,
+        witness_constant=witness_ratio,
+        per_depth_ratio=per_depth,
+        slope=slope,
+        violating_antichain=witness,
+        details={"best_lambda_at_grid_edge": at_edge},
+    )
+
+
+def assert_same_certificate(got, expected):
+    for f in dataclasses.fields(FrostmanCertificate):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 class TestAntichainMax:
@@ -175,6 +296,115 @@ class TestFrostmanCertify:
             frostman_certify(mu, beta=0.5, gamma=0.0)
 
 
+def skewed_measure(m, depth, seed, ell=1, zeros=0.0):
+    """Random cascade: i.i.d. Dirichlet branch weights, some exact zero leaves."""
+    rng = np.random.default_rng(seed)
+    spec = FiltrationSpec(m, depth, ell)
+    mass = np.ones(1)
+    for _ in range(depth):
+        mass = (mass[:, None] * rng.dirichlet(np.full(m, 0.4), size=mass.size)).ravel()
+    mass[rng.random(mass.size) < zeros] = 0.0
+    if ell > 1:
+        mass = mass[:, None] * rng.standard_normal((1, ell))
+    return TreeMeasure(spec, mass)
+
+
+class TestRootOnlyDP:
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_child_sum_matches_row_sum(self, m):
+        rng = np.random.default_rng(m)
+        for rows in (1, 2, 7, 8, 9, 100, 1000):
+            a = rng.standard_normal(rows * m) * np.exp(rng.uniform(-20, 20, rows * m))
+            a[rng.random(a.size) < 0.3] = 0.0
+            assert np.array_equal(_child_sum(a, m), a.reshape(-1, m).sum(axis=1))
+
+    @pytest.mark.parametrize("m, depth", [(3, 5), (4, 4), (5, 3), (7, 3), (8, 2), (9, 3)])
+    def test_pass_matches_tabled_oracle(self, m, depth):
+        mu = skewed_measure(m, depth, seed=m, zeros=0.2)
+        weights = _node_weights(mu)
+        rng = np.random.default_rng(m)
+        for lam in np.geomspace(1e-3, 1e3, 9):
+            beta = rng.uniform(0, 1)
+            values, take, mass, cost = oracle_antichain_dp(weights, m, beta, lam)
+            for keep in (False, True):
+                got = dimension._antichain_dp(weights, m, beta, lam, keep_tables=keep)
+                assert got[:3] == (values[0][0], mass, cost)
+                if keep:
+                    assert all(np.array_equal(a, b) for a, b in zip(got[3][0], values))
+                    assert all(np.array_equal(a, b) for a, b in zip(got[3][1], take))
+                else:
+                    assert got[3] is None
+            assert antichain_max(mu, beta, lam) == oracle_antichain_max(mu, beta, lam)
+
+
+class TestCertificateMatchesOracle:
+    @pytest.mark.parametrize("m, depth", [(3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)])
+    def test_scalar_measures(self, m, depth):
+        for seed, (beta, gamma) in enumerate(((0.2, 0.5), (0.6, 0.5), (0.95, 1.0))):
+            mu = skewed_measure(m, depth, seed=seed, zeros=0.1)
+            assert_same_certificate(
+                frostman_certify(mu, beta, gamma), oracle_frostman_certify(mu, beta, gamma)
+            )
+
+    def test_violated_certificates_carry_the_same_witness(self):
+        mu = skewed_measure(3, 7, seed=11)
+        cert = frostman_certify(mu, 0.9, 0.5)
+        assert cert.verdict == "VIOLATED" and cert.violating_antichain
+        assert_same_certificate(cert, oracle_frostman_certify(mu, 0.9, 0.5))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_vector_measures(self, m):
+        for seed in range(3):
+            mu = skewed_measure(m, 4, seed=seed, ell=2, zeros=0.2)
+            for beta in (0.3, 0.8):
+                assert_same_certificate(
+                    frostman_certify(mu, beta, 0.5), oracle_frostman_certify(mu, beta, 0.5)
+                )
+
+    def test_exact_zero_masses_of_the_delta_sharpness_measure(self):
+        W = SubspaceW.from_blocks([delta_vector(3)[:, None]], 3, 1)
+        mm, _ = build_sharpness_measure(W, FiltrationSpec(3, 7, 1))
+        assert np.count_nonzero(mm.measure.leaf_mass) == 1
+        for beta, gamma in ((0.05, 0.5), (0.5, 0.5), (1.0, 1.0)):
+            assert_same_certificate(
+                frostman_certify(mm.measure, beta, gamma),
+                oracle_frostman_certify(mm.measure, beta, gamma),
+            )
+
+    @pytest.mark.parametrize("m", [3, 5, 9])
+    def test_depth_one(self, m):
+        mu = skewed_measure(m, 1, seed=m)
+        for grid_size in (2, 64):
+            assert_same_certificate(
+                frostman_certify(mu, 0.5, 0.5, lambda_grid_size=grid_size),
+                oracle_frostman_certify(mu, 0.5, 0.5, lambda_grid_size=grid_size),
+            )
+
+
+class TestGridEdgeFlag:
+    def test_two_point_grid_puts_best_lambda_on_an_edge(self):
+        mu = random_measure(5, seed=2)
+        cert = frostman_certify(mu, beta=0.5, gamma=0.5, lambda_grid_size=2)
+        assert cert.witness_constant > 0
+        assert cert.details["best_lambda_at_grid_edge"] is True
+
+    def test_best_lambda_on_the_last_grid_point(self):
+        # grid (1/9, 9): the small lambda takes both heavy leaves (ratio
+        # 10.5 / (2/9)), the large one only the heaviest (ratio 10 / (1/9))
+        spec = FiltrationSpec(3, 2, 1)
+        mass = np.zeros(spec.leaves)
+        mass[:2] = 10.0, 0.5
+        cert = frostman_certify(TreeMeasure(spec, mass), beta=1.0, gamma=1.0, lambda_grid_size=2)
+        assert cert.witness_constant == pytest.approx(90.0)
+        assert cert.details["best_lambda_at_grid_edge"] is True
+
+    def test_interior_best_lambda(self):
+        spec = FiltrationSpec(3, 6, 1)
+        mm = multiplicative_measure(spec, np.array([1.0, -1.0, 0.0]))
+        cert = frostman_certify(mm.measure, beta=0.9, gamma=0.5)
+        assert cert.details["best_lambda_at_grid_edge"] is False
+
+
 class TestEggleston:
     def test_uniform_is_one(self):
         for m in (3, 4, 5):
@@ -229,6 +459,19 @@ class TestSharpnessMeasure:
         for n in range(3):
             for block in lifted.diffs[n]:
                 assert W.distance(block) <= 1e-10
+
+    def test_corrupted_lift_direction_is_rejected(self, monkeypatch):
+        spec = FiltrationSpec(3, 3, 2)
+        W = SubspaceW.from_blocks([np.outer(delta_vector(3, 1), [0.6, 0.8])], 3, 2)
+        real = dimension.kappa_prime_one
+
+        def turned(W, seed=0):
+            # a unit direction orthogonal to the true one: blocks leave W
+            return dataclasses.replace(real(W, seed=seed), a=np.array([0.8, -0.6]))
+
+        monkeypatch.setattr(dimension, "kappa_prime_one", turned)
+        with pytest.raises(ValueError, match="lifted blocks left W at level 0"):
+            build_sharpness_measure(W, spec)
 
 
 class TestDigitFrequencies:

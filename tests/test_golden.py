@@ -1,8 +1,10 @@
 """Frozen `martree run` outputs: re-running a golden config reproduces its bytes.
 
-``tests/golden`` holds the inputs (a depth-6 W-martingale, a capped cascade
-and the span subspace), one config per experiment kind, and the stdout and
-output files each config produced when it was frozen.  A change that alters
+``tests/golden`` holds the inputs (a depth-6 W-martingale, a capped cascade,
+the span subspace and its depth-6 sharpness measure), the configs, and the
+stdout and output files each config produced when it was frozen.  The two
+``frostman`` configs sit on either side of the span subspace's dimension
+bound (about 0.579): beta 0.53 is certified, beta 0.63 is violated.  A change that alters
 any of those bytes has changed the experiment's results.
 """
 
@@ -16,10 +18,13 @@ import pytest
 from martree import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-INPUTS = ("martingale.json", "cascade.json", "w_span.json")
+INPUTS = ("martingale.json", "cascade.json", "w_span.json", "span_measure.json")
 
 
-@pytest.mark.parametrize("name", ["decompose", "trace_embed_l1"])
+@pytest.mark.parametrize(
+    "name",
+    ["decompose", "trace_embed_l1", "dimension_sharpness", "frostman_below", "frostman_above"],
+)
 def test_run_reproduces_golden_bytes(name, tmp_path, monkeypatch):
     for filename in (*INPUTS, f"{name}.json"):
         shutil.copy(GOLDEN / filename, tmp_path / filename)

@@ -95,6 +95,62 @@ class TestSubspace:
             project(np.zeros((4, 2)), W)
 
 
+def distances_oracle(W, blocks):
+    """The per-block loop ``SubspaceW.residuals`` replaces: one W.distance each."""
+    blocks = np.asarray(blocks, dtype=float)
+    flat = blocks.reshape(-1, W.m, W.ell)
+    return np.array([W.distance(b) for b in flat], dtype=float).reshape(blocks.shape[:-2])
+
+
+def residual_cases(m, ell, seed):
+    """W = {0}, the whole of V^ell and random subspaces of every dimension between."""
+    rng = np.random.default_rng(seed)
+    spaces = [SubspaceW.zero(m, ell), SubspaceW.full_v(m, ell)]
+    spaces += [SubspaceW.random(m, ell, k, seed=int(rng.integers(1 << 30))) for k in range(1, (m - 1) * ell)]
+    for W in spaces:
+        generic = rng.standard_normal((40, m, ell)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1, 1))
+        yield W, generic
+        if W.dim:
+            # blocks inside W up to rounding, where the residual is all roundoff
+            inside = np.tensordot(rng.standard_normal((40, W.dim)), W.basis, axes=(1, 0))
+            yield W, inside + 1e-14 * generic
+
+
+class TestResiduals:
+    @pytest.mark.parametrize("m, ell", [(3, 1), (3, 2), (4, 2), (5, 3), (8, 1), (9, 2)])
+    def test_bit_identical_to_distance_loop(self, m, ell):
+        for W, blocks in residual_cases(m, ell, seed=m * 10 + ell):
+            assert np.array_equal(W.residuals(blocks), distances_oracle(W, blocks))
+
+    def test_zero_space_residual_is_the_block_norm(self):
+        rng = np.random.default_rng(0)
+        blocks = rng.standard_normal((25, 3, 2))
+        W = SubspaceW.zero(3, 2)
+        assert np.array_equal(W.residuals(blocks), distances_oracle(W, blocks))
+        assert np.allclose(W.residuals(blocks), np.linalg.norm(blocks, axis=(1, 2)), rtol=1e-15)
+
+    def test_full_space_leaves_v_blocks_alone(self):
+        rng = np.random.default_rng(1)
+        blocks = rng.standard_normal((30, 4, 2))
+        blocks -= blocks.mean(axis=1, keepdims=True)
+        W = SubspaceW.full_v(4, 2)
+        assert np.array_equal(W.residuals(blocks), distances_oracle(W, blocks))
+        assert W.residuals(blocks).max() < 1e-13
+
+    def test_shapes(self):
+        W = SubspaceW.random(3, 2, 2, seed=4)
+        rng = np.random.default_rng(4)
+        empty = W.residuals(np.zeros((0, 3, 2)))
+        assert empty.shape == (0,) and np.array_equal(empty, distances_oracle(W, np.zeros((0, 3, 2))))
+        nested = rng.standard_normal((2, 5, 3, 2))
+        assert np.array_equal(W.residuals(nested), distances_oracle(W, nested))
+        single = rng.standard_normal((3, 2))
+        assert W.residuals(single).shape == ()
+        assert float(W.residuals(single)) == W.distance(single)
+        with pytest.raises(ValueError):
+            W.residuals(np.zeros((4, 2, 3)))
+
+
 class TestRandomWMartingale:
     def test_zero_subspace_gives_zero_martingale(self):
         spec = FiltrationSpec(3, 3, 2)
