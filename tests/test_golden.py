@@ -1,8 +1,10 @@
 """Frozen `martree run` outputs: re-running a golden config reproduces its bytes.
 
 ``tests/golden`` holds the inputs (a depth-6 W-martingale, a capped cascade,
-the span subspace and its depth-6 sharpness measure), the configs, and the
-stdout and output files each config produced when it was frozen.  The two
+the span, delta and a random 2-dimensional subspace, the span subspace's
+depth-6 sharpness measure and a Z_4 fiber family), one config per kind, and
+the stdout and output files each config produced when it was frozen.
+``trace_constant`` only prints, so it has no output directory.  The two
 ``frostman`` configs sit on either side of the span subspace's dimension
 bound (about 0.579): beta 0.53 is certified, beta 0.63 is violated.  A change that alters
 any of those bytes has changed the experiment's results.
@@ -18,13 +20,36 @@ import pytest
 from martree import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-INPUTS = ("martingale.json", "cascade.json", "w_span.json", "span_measure.json")
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["decompose", "trace_embed_l1", "dimension_sharpness", "frostman_below", "frostman_above"],
+INPUTS = (
+    "martingale.json",
+    "cascade.json",
+    "w_span.json",
+    "w_delta.json",
+    "w_random.json",
+    "span_measure.json",
+    "fibers.json",
 )
+NAMES = (
+    "kappa",
+    "check_w",
+    "hls",
+    "delta_counterexample",
+    "main_inequality",
+    "decompose",
+    "frostman_below",
+    "frostman_above",
+    "dimension_sharpness",
+    "group_cancel",
+    "group_antisym",
+    "group_subgroup_bound",
+    "trace_constant",
+    "trace_embed_p",
+    "trace_embed_l1",
+    "trace_sharpness",
+)
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_run_reproduces_golden_bytes(name, tmp_path, monkeypatch):
     for filename in (*INPUTS, f"{name}.json"):
         shutil.copy(GOLDEN / filename, tmp_path / filename)
