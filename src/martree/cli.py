@@ -1,9 +1,13 @@
-"""Experiment runner: one subcommand per module plus config-driven batches.
+"""Experiment runner: one table of experiments behind ``run`` and its subcommands.
 
-Outputs are CSV/JSON files whose first lines echo the artifact version, the
-full parameter set, and (for ``run``) the sha256 of the canonical config, so
-re-running any configuration reproduces every output byte for byte.  Exit
-codes: 0 success, 2 invalid configuration or parameters, 3 numeric failure.
+``EXPERIMENTS`` maps each config kind to its handler and the config fields it
+reads, each typed and with one default.  ``martree run config.json`` rejects a
+field the kind does not read or a wrongly typed value, then runs the handler.
+Each kind is also a subcommand (``martree hls --p 2 --q 4``), one flag per
+field, that builds the same config and runs it the same way.  Outputs echo the
+version, the parameters and the sha256 of the canonical config, so a re-run
+reproduces them byte for byte.  Exit codes: 0 success, 2 invalid configuration
+or parameters, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,45 +17,14 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
-from .decomp import classify_atoms, verify_convex_lemma, verify_stepwise_identity
-from .dimension import build_sharpness_measure, eggleston_dimension, frostman_certify
-from .fileio import (
-    read_fibers,
-    read_martingale,
-    read_measure,
-    read_subspace,
-    write_measure,
-    write_subspace,
-)
+from . import __version__, decomp, dimension, fileio, groupfourier, kappa, norms, riesz, trace
 from .filtration import FiltrationSpec
-from .groupfourier import (
-    antisymmetry_subgroup_bound,
-    check_antisymmetry_fibers,
-    check_cancellation_fibers,
-)
-from .kappa import kappa_profile
-from .norms import (
-    besov_norm,
-    h1_norm,
-    lorentz_p1_norm,
-    lp_norm,
-    lp_nu_norm,
-    martingale_level,
-    weak_lp_norm,
-)
-from .riesz import delta_counterexample, hls_experiment, main_inequality_experiment
 from .spacew import SubspaceW, delta_vector, structural_report
-from .trace import (
-    build_sharpness_trace_measure,
-    capped_cascade_measure,
-    frostman_constant,
-    trace_experiment_l1,
-    trace_experiment_p,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,8 +44,7 @@ def _fmt(x) -> str:
 
 
 def _require_finite(values, label):
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
         raise NumericFailure(f"non-finite values in {label}")
 
 
@@ -107,173 +79,112 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _load_w(args) -> SubspaceW:
-    if getattr(args, "w", None):
-        return read_subspace(args.w)
-    raise ConfigError("this command needs --w <subspace file>")
-
-
-# ---------------------------------------------------------------- subcommands
-
-
-def _cmd_gen_w(args, out_dir):
-    if args.kind == "zero":
-        W = SubspaceW.zero(args.m, args.ell)
-    elif args.kind == "delta":
-        a = np.zeros(args.ell)
-        a[0] = 1.0
-        W = SubspaceW.from_blocks([np.outer(delta_vector(args.m, 0), a)], args.m, args.ell)
-    elif args.kind == "span":
-        v = np.zeros(args.m)
-        v[0], v[1] = 1.0, -1.0
-        a = np.zeros(args.ell)
-        a[0] = 1.0
-        W = SubspaceW.from_blocks([np.outer(v, a)], args.m, args.ell)
-    elif args.kind == "random":
-        W = SubspaceW.random(args.m, args.ell, args.dim, seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown generator kind {args.kind}")
-    write_subspace(args.out, W)
-    print(f"wrote {args.out} (dim {W.dim})")
-    return EXIT_OK
-
-
-def _cmd_norm(args, out_dir):
-    F = read_martingale(args.f)
-    name = args.name
-    if name == "lp":
-        value = lp_norm(martingale_level(F, F.spec.depth), args.p)
-    elif name == "lorentz":
-        value = lorentz_p1_norm(martingale_level(F, F.spec.depth), args.p)
-    elif name == "weak":
-        value = weak_lp_norm(martingale_level(F, F.spec.depth), args.p)
-    elif name == "besov":
-        value = besov_norm(F, args.beta, args.p)
-    elif name == "h1":
-        value = h1_norm(F)
-    elif name == "lpnu":
-        if not args.nu:
-            raise ConfigError("norm lpnu needs --nu <measure file>")
-        value = lp_nu_norm(martingale_level(F, F.spec.depth), read_measure(args.nu), args.p)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown norm {name}")
-    _require_finite([value], f"norm {name}")
-    print(_fmt(value))
-    return EXIT_OK
-
-
-def _cmd_check_w(args, out_dir, meta=None):
-    W = _load_w(args)
-    report = structural_report(W, seed=args.seed)
-    doc = {
-        "second_condition": report.second_condition,
-        "second_witness": None
-        if report.second_witness is None
-        else {"j": report.second_witness[0], "a": report.second_witness[1]},
-        "first_condition": report.first_condition,
-        "first_witness": None
-        if report.first_witness is None
-        else {"v": report.first_witness[0], "a": report.first_witness[1]},
-        "residuals": report.residuals,
-    }
-    text = _json_text(doc)
+def _print_json(out_dir: Path, name: str, document) -> None:
+    text = _json_text(document)
     sys.stdout.write(text)
-    if meta is not None:
-        _write(out_dir, "check_w.json", text)
-    return EXIT_OK
+    _write(out_dir, name, text)
 
 
-def _cmd_kappa(args, out_dir, meta=None):
-    W = _load_w(args)
-    profile = kappa_profile(W, grid_size=args.grid, seed=args.seed)
-    _require_finite(profile.values, "kappa profile")
-    meta = dict(meta or {})
-    meta.update({"grid": args.grid, "seed": args.seed, "w": getattr(args, "w", "")})
-    rows = []
-    for theta, wit in zip(profile.theta_grid, profile.witnesses):
-        rows.append(
-            [theta, wit.value, wit.residual]
-            + list(wit.v)
-            + list(wit.a)
-        )
-    columns = (
-        ["theta", "kappa", "residual"]
-        + [f"v{i}" for i in range(W.m)]
-        + [f"a{i}" for i in range(W.ell)]
-    )
-    meta["kappa_prime_one"] = _fmt(profile.kappa_prime_one)
-    meta["dimension_bound"] = _fmt(profile.dimension_bound)
-    text = _csv(meta, columns, rows)
-    path = _write(out_dir, "kappa.csv", text)
-    print(f"kappa_prime_one={_fmt(profile.kappa_prime_one)}")
-    print(f"dimension_bound={_fmt(profile.dimension_bound)}")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _report_csv(report, meta, extra_meta) -> str:
-    meta = dict(meta)
-    meta.update(extra_meta)
-    meta["verdict"] = report.verdict
-    meta["slope"] = _fmt(report.slope)
-    meta["predicted_rate"] = _fmt(report.predicted_rate)
-    per_trial = report.details.get("per_trial")
-    rows = []
-    if per_trial is not None:
-        for i, depth in enumerate(report.depths):
-            for t in range(per_trial.shape[1]):
-                rows.append([str(depth), str(t), _fmt(per_trial[i, t])])
-        return _csv(meta, ["depth", "trial", "ratio"], rows)
-    for depth, value in zip(report.depths, report.ratios):
-        rows.append([str(depth), _fmt(value)])
-    return _csv(meta, ["depth", "ratio"], rows)
-
-
-def _cmd_embed(args, out_dir, meta=None):
-    spec = FiltrationSpec(args.m, max(args.depths), args.ell)
-    depths = list(range(args.depths[0], args.depths[1] + 1))
-    if args.mode == "hls":
-        if args.q is None:
-            raise ConfigError("hls mode needs --q")
-        report = hls_experiment(args.p, args.q, spec, trials=args.trials, seed=args.seed, depths=depths)
-        extra = {"mode": "hls", "p": args.p, "q": args.q}
-    elif args.mode == "delta":
-        report = delta_counterexample(args.p, spec, depths=depths)
-        extra = {"mode": "delta", "p": args.p}
-    elif args.mode == "main":
-        W = _load_w(args)
-        report = main_inequality_experiment(
-            W, args.p, spec, trials=args.trials, seed=args.seed, depths=depths
-        )
-        extra = {"mode": "main", "p": args.p, "w": args.w}
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown embed mode {args.mode}")
-    _require_finite(report.ratios, "embedding ratios")
-    text = _report_csv(report, meta or {}, extra)
-    path = _write(out_dir, f"embed_{args.mode}.csv", text)
-    print(f"verdict={report.verdict}")
-    print(f"wrote {path}")
-    return EXIT_OK
+def _write_table(out_dir: Path, name: str, meta: dict, columns, rows, *summary: str) -> None:
+    """Write a CSV, then print the summary lines and where the CSV went."""
+    path = _write(out_dir, name, _csv(meta, columns, rows))
+    print(*summary, f"wrote {path}", sep="\n")
 
 
 def _rle(mask: np.ndarray) -> list[list[int]]:
-    runs = []
-    start = 0
     values = mask.astype(int)
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] != values[start]:
-            runs.append([int(values[start]), i - start])
-            start = i
-    return runs
+    starts = np.flatnonzero(np.diff(values, prepend=-1))
+    return [[int(values[s]), int(n)] for s, n in zip(starts, np.diff(starts, append=len(values)))]
 
 
-def _cmd_decompose(args, out_dir, meta=None):
-    F = read_martingale(args.f)
-    forest = classify_atoms(F, args.eps)
-    stepwise = verify_stepwise_identity(F)
-    convex_lemma = verify_convex_lemma(F, forest)
+# ---------------------------------------------------------------- experiments
+# A handler receives the checked config as a namespace (each field under its
+# flag name: w, measure, m, depth, p, ...; depths as the list of depths), the
+# output directory, and the CSV metadata so far (config hash and kind).
+
+
+def _check_w(c, out_dir, meta):
+    """Structural conditions of a subspace, as JSON."""
+    report = structural_report(fileio.read_subspace(c.w), seed=c.seed)
+    second, first = report.second_witness, report.first_witness
     doc = {
-        "epsilon": args.eps,
+        "second_condition": report.second_condition,
+        "second_witness": None if second is None else {"j": second[0], "a": second[1]},
+        "first_condition": report.first_condition,
+        "first_witness": None if first is None else {"v": first[0], "a": first[1]},
+        "residuals": report.residuals,
+    }
+    _print_json(out_dir, "check_w.json", doc)
+
+
+def _kappa(c, out_dir, meta):
+    """kappa profile, kappa'(1) and the dimension bound."""
+    W = fileio.read_subspace(c.w)
+    profile = kappa.kappa_profile(W, grid_size=c.grid, seed=c.seed)
+    _require_finite(profile.values, "kappa profile")
+    rows = [
+        [theta, wit.value, wit.residual] + list(wit.v) + list(wit.a)
+        for theta, wit in zip(profile.theta_grid, profile.witnesses)
+    ]
+    columns = ["theta", "kappa", "residual"] + [f"v{i}" for i in range(W.m)]
+    columns += [f"a{i}" for i in range(W.ell)]
+    prime, bound = _fmt(profile.kappa_prime_one), _fmt(profile.dimension_bound)
+    meta.update(grid=c.grid, seed=c.seed, w=c.w, kappa_prime_one=prime, dimension_bound=bound)
+    summary = f"kappa_prime_one={prime}", f"dimension_bound={bound}"
+    _write_table(out_dir, "kappa.csv", meta, columns, rows, *summary)
+
+
+def _write_ratios(out_dir, name, meta, report, **extra):
+    """The per-trial (else per-depth) ratios of an embedding or trace report."""
+    _require_finite(report.ratios, "ratios")
+    meta.update(extra, verdict=report.verdict)
+    per_trial = report.details.get("per_trial")
+    if per_trial is not None:
+        columns = ["depth", "trial", "ratio"]
+        pairs = zip(report.depths, per_trial)
+        rows = [[str(d), str(t), _fmt(r)] for d, row in pairs for t, r in enumerate(row)]
+    else:
+        columns = ["depth", "ratio"]
+        rows = [[str(d), _fmt(r)] for d, r in zip(report.depths, report.ratios)]
+    _write_table(out_dir, name, meta, columns, rows, f"verdict={report.verdict}")
+
+
+def _write_embedding(out_dir, meta, mode, report, **extra):
+    trend = {"slope": _fmt(report.slope), "predicted_rate": _fmt(report.predicted_rate)}
+    _write_ratios(out_dir, f"embed_{mode}.csv", meta, report, mode=mode, **extra, **trend)
+
+
+def _hls(c, out_dir, meta):
+    """Hardy-Littlewood-Sobolev embedding ratios across depths."""
+    spec = FiltrationSpec(c.m, max(c.depths), c.ell)
+    report = riesz.hls_experiment(c.p, c.q, spec, trials=c.trials, seed=c.seed, depths=c.depths)
+    _write_embedding(out_dir, meta, "hls", report, p=c.p, q=c.q)
+
+
+def _delta_counterexample(c, out_dir, meta):
+    """Growth certificate of the delta construction."""
+    spec = FiltrationSpec(c.m, max(c.depths), c.ell)
+    report = riesz.delta_counterexample(c.p, spec, depths=c.depths)
+    _write_embedding(out_dir, meta, "delta", report, p=c.p)
+
+
+def _main_inequality(c, out_dir, meta):
+    """The main inequality's ratios for random W-martingales."""
+    W, spec = fileio.read_subspace(c.w), FiltrationSpec(c.m, max(c.depths), c.ell)
+    report = riesz.main_inequality_experiment(
+        W, c.p, spec, trials=c.trials, seed=c.seed, depths=c.depths
+    )
+    _write_embedding(out_dir, meta, "main", report, p=c.p, w=c.w)
+
+
+def _decompose(c, out_dir, meta):
+    """Convex/flat forest and its verification reports."""
+    F = fileio.read_martingale(c.martingale)
+    forest = decomp.classify_atoms(F, c.eps)
+    stepwise = decomp.verify_stepwise_identity(F)
+    lemma = decomp.verify_convex_lemma(F, forest)
+    doc = {
+        "epsilon": c.eps,
         "labels_rle": {str(n): _rle(mask) for n, mask in enumerate(forest.convex)},
         "n_convex": forest.n_convex(),
         "n_trees": len(forest.trees),
@@ -288,308 +199,282 @@ def _cmd_decompose(args, out_dir, meta=None):
             for t in forest.trees
         ],
     }
-    text = _json_text(doc)
-    _write(out_dir, "forest.json", text)
-    rows = [
-        ["increment_sum", _fmt(stepwise.increment_sum)],
-        ["final_l1", _fmt(stepwise.final_l1)],
-        ["initial_l1", _fmt(stepwise.initial_l1)],
-        ["identity_gap", _fmt(stepwise.identity_gap)],
-        ["min_atom_increment", _fmt(stepwise.min_atom_increment)],
-        ["convex_constant", _fmt(convex_lemma.constant)],
-        ["convex_max_atom_ratio", _fmt(convex_lemma.max_atom_ratio)],
-        ["besov_co", _fmt(convex_lemma.besov_co)],
-        ["telescoped_bound", _fmt(convex_lemma.telescoped_bound)],
-        ["convex_lemma_holds", str(convex_lemma.holds)],
+    _write(out_dir, "forest.json", _json_text(doc))
+    steps = ("increment_sum", "final_l1", "initial_l1", "identity_gap", "min_atom_increment")
+    rows = [[name, _fmt(getattr(stepwise, name))] for name in steps] + [
+        ["convex_constant", _fmt(lemma.constant)],
+        ["convex_max_atom_ratio", _fmt(lemma.max_atom_ratio)],
+        ["besov_co", _fmt(lemma.besov_co)],
+        ["telescoped_bound", _fmt(lemma.telescoped_bound)],
+        ["convex_lemma_holds", str(lemma.holds)],
     ]
-    text2 = _csv(dict(meta or {}, eps=args.eps, f=args.f), ["quantity", "value"], rows)
-    path = _write(out_dir, "decompose.csv", text2)
-    print(f"trees={len(forest.trees)} convex_atoms={forest.n_convex()}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    meta.update(eps=c.eps, f=c.martingale)
+    summary = f"trees={len(forest.trees)} convex_atoms={forest.n_convex()}"
+    _write_table(out_dir, "decompose.csv", meta, ["quantity", "value"], rows, summary)
 
 
-def _cmd_dimension(args, out_dir, meta=None):
-    meta = dict(meta or {})
-    if args.sharpness:
-        W = _load_w(args)
-        spec = FiltrationSpec(W.m, args.depth, W.ell)
-        mm, lifted = build_sharpness_measure(W, spec, seed=args.seed)
-        dim = eggleston_dimension(mm.weights)
-        from .kappa import dimension_bound as kappa_dim_bound
-
-        bound = kappa_dim_bound(W, seed=args.seed)
-        rows = [
-            ["eggleston_dimension", _fmt(dim)],
-            ["dimension_bound", _fmt(bound)],
-        ] + [[f"weight_{j}", _fmt(wj)] for j, wj in enumerate(mm.weights)]
-        text = _csv(dict(meta, w=args.w, depth=args.depth), ["quantity", "value"], rows)
-        path = _write(out_dir, "sharpness.csv", text)
-        write_measure(out_dir / "sharpness_measure.json", mm.measure)
-        print(f"eggleston_dimension={_fmt(dim)} dimension_bound={_fmt(bound)}")
-        print(f"wrote {path}")
-        return EXIT_OK
-    if not args.measure:
-        raise ConfigError("dimension needs --measure <file> or --w <file> --sharpness")
-    mu = read_measure(args.measure)
-    cert = frostman_certify(mu, beta=args.beta, gamma=args.gamma)
+def _frostman(c, out_dir, meta):
+    """Frostman certificate of a measure at exponent beta."""
+    cert = dimension.frostman_certify(fileio.read_measure(c.measure), beta=c.beta, gamma=c.gamma)
     rows = [[str(d + 1), _fmt(r)] for d, r in enumerate(cert.per_depth_ratio)]
-    meta.update(
-        {
-            "beta": args.beta,
-            "gamma": args.gamma,
-            "verdict": cert.verdict,
-            "constant": _fmt(cert.constant),
-            "witness_constant": _fmt(cert.witness_constant),
-            "slope": _fmt(cert.slope),
-        }
+    meta.update(beta=c.beta, gamma=c.gamma, verdict=cert.verdict, constant=_fmt(cert.constant))
+    meta.update(witness_constant=_fmt(cert.witness_constant), slope=_fmt(cert.slope))
+    summary = f"verdict={cert.verdict} constant={_fmt(cert.constant)}"
+    _write_table(out_dir, "frostman.csv", meta, ["depth", "best_ratio"], rows, summary)
+
+
+def _sharpness_spec(c, W: SubspaceW) -> FiltrationSpec:
+    """W's (m, ell) at the config's depth; a stated m or ell must match W's."""
+    for name in ("m", "ell"):
+        given, actual = getattr(c, name), getattr(W, name)
+        if given is not None and given != actual:
+            raise ConfigError(f"config rejected: filtration.{name}={given}, W has {name}={actual}")
+    return FiltrationSpec(W.m, c.depth, W.ell)
+
+
+def _dimension_sharpness(c, out_dir, meta):
+    """The extremal measure of the dimension bound and its Eggleston dimension."""
+    W = fileio.read_subspace(c.w)
+    mm, _ = dimension.build_sharpness_measure(W, _sharpness_spec(c, W), seed=c.seed)
+    dim = dimension.eggleston_dimension(mm.weights)
+    bound = kappa.dimension_bound(W, seed=c.seed)
+    rows = [["eggleston_dimension", _fmt(dim)], ["dimension_bound", _fmt(bound)]]
+    rows += [[f"weight_{j}", _fmt(wj)] for j, wj in enumerate(mm.weights)]
+    meta.update(w=c.w, depth=c.depth)
+    summary = f"eggleston_dimension={_fmt(dim)} dimension_bound={_fmt(bound)}"
+    _write_table(out_dir, "sharpness.csv", meta, ["quantity", "value"], rows, summary)
+    fileio.write_measure(out_dir / "sharpness_measure.json", mm.measure)
+
+
+def _group_cancel(c, out_dir, meta):
+    """Cancellation condition of a fiber family, as JSON."""
+    holds, witness = groupfourier.check_cancellation_fibers(fileio.read_fibers(c.fibers))
+    _print_json(out_dir, "group_check_cancel.json", {"cancellation": holds, "witness": witness})
+
+
+def _group_antisym(c, out_dir, meta):
+    """Antisymmetry condition of a fiber family, as JSON."""
+    holds, witness = groupfourier.check_antisymmetry_fibers(fileio.read_fibers(c.fibers))
+    witness = None if witness is None else {"gamma": witness[0], "a": witness[1]}
+    _print_json(out_dir, "group_check_antisym.json", {"antisymmetry": holds, "witness": witness})
+
+
+def _group_subgroup_bound(c, out_dir, meta):
+    """Dimension bound from the subgroups holding the antisymmetry sets, as JSON."""
+    bound, K, maximal = groupfourier.antisymmetry_subgroup_bound(fileio.read_fibers(c.fibers))
+    doc = {"bound": bound, "K": K, "maximal_sets": [list(t) for t in maximal]}
+    _print_json(out_dir, "group_subgroup_bound.json", doc)
+
+
+def _trace_constant(c, out_dir, meta):
+    """Print the Frostman constant of a measure; writes no file."""
+    print(_fmt(trace.frostman_constant(fileio.read_measure(c.measure), c.alpha, c.p)))
+
+
+def _trace_embed_p(c, out_dir, meta):
+    """Trace embedding ratios into L_p(nu) for random W-martingales."""
+    nu, W = fileio.read_measure(c.measure), fileio.read_subspace(c.w)
+    report = trace.trace_experiment_p(
+        nu, W, alpha=c.alpha, p=c.p, trials=c.trials, seed=c.seed, depths=c.depths
     )
-    text = _csv(meta, ["depth", "best_ratio"], rows)
-    path = _write(out_dir, "frostman.csv", text)
-    print(f"verdict={cert.verdict} constant={_fmt(cert.constant)}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    _write_ratios(out_dir, "trace_embed_p.csv", meta, report, alpha=report.alpha, p=report.p)
 
 
-def _cmd_group(args, out_dir, meta=None):
-    fibers = read_fibers(args.fibers)
-    if args.action == "check-cancel":
-        holds, witness = check_cancellation_fibers(fibers)
-        doc = {"cancellation": holds, "witness": None if witness is None else witness}
-    elif args.action == "check-antisym":
-        holds, witness = check_antisymmetry_fibers(fibers)
-        doc = {
-            "antisymmetry": holds,
-            "witness": None if witness is None else {"gamma": witness[0], "a": witness[1]},
-        }
-    elif args.action == "subgroup-bound":
-        bound, K, maximal = antisymmetry_subgroup_bound(fibers)
-        doc = {"bound": bound, "K": K, "maximal_sets": [list(t) for t in maximal]}
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown group action {args.action}")
-    text = _json_text(doc)
-    sys.stdout.write(text)
-    if meta is not None:
-        _write(out_dir, f"group_{args.action.replace('-', '_')}.json", text)
-    return EXIT_OK
+def _trace_embed_l1(c, out_dir, meta):
+    """The p = 1 trace experiment with its per-flat-tree checks."""
+    nu, W = fileio.read_measure(c.measure), fileio.read_subspace(c.w)
+    report = trace.trace_experiment_l1(
+        nu, W, alpha=c.alpha, trials=c.trials, seed=c.seed, depths=c.depths
+    )
+    _write_ratios(out_dir, "trace_embed_l1.csv", meta, report, alpha=report.alpha, p=report.p)
 
 
-def _cmd_trace(args, out_dir, meta=None):
-    meta = dict(meta or {})
-    if args.action == "constant":
-        nu = read_measure(args.nu)
-        value = frostman_constant(nu, args.alpha, args.p)
-        print(_fmt(value))
-        return EXIT_OK
-    if args.action == "sharpness":
-        W = _load_w(args)
-        spec = FiltrationSpec(W.m, args.depth, W.ell)
-        depths = list(range(args.depths[0], args.depths[1] + 1))
-        nu, G, report = build_sharpness_trace_measure(W, args.gamma, spec, seed=args.seed, depths=depths)
-        rows = [
-            [str(d), _fmt(c), _fmt(s), _fmt(e)]
-            for d, c, s, e in zip(
-                report.depths, report.frostman_constants, report.partial_sums, report.exact_l1_nu
-            )
-        ]
-        meta.update(
-            {
-                "gamma": args.gamma,
-                "alpha": _fmt(report.alpha),
-                "derived_constant": _fmt(report.derived_constant),
-                "slope": _fmt(report.slope),
-            }
-        )
-        text = _csv(meta, ["depth", "frostman_constant", "partial_sum", "l1_nu"], rows)
-        path = _write(out_dir, "trace_sharpness.csv", text)
-        write_measure(out_dir / "trace_sharpness_measure.json", nu)
-        print(f"alpha={_fmt(report.alpha)} slope={_fmt(report.slope)}")
-        print(f"wrote {path}")
-        return EXIT_OK
-    nu = read_measure(args.nu)
-    W = _load_w(args)
-    depths = list(range(args.depths[0], args.depths[1] + 1))
-    if args.action == "embed-p":
-        report = trace_experiment_p(
-            nu, W, alpha=args.alpha, p=args.p, trials=args.trials, seed=args.seed, depths=depths
-        )
-    elif args.action == "embed-l1":
-        report = trace_experiment_l1(
-            nu, W, alpha=args.alpha, trials=args.trials, seed=args.seed, depths=depths
-        )
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown trace action {args.action}")
-    _require_finite(report.ratios, "trace ratios")
-    meta.update({"alpha": args.alpha, "p": report.p, "verdict": report.verdict})
-    per_trial = report.details["per_trial"]
-    rows = []
-    for i, d in enumerate(report.depths):
-        for t in range(per_trial.shape[1]):
-            rows.append([str(d), str(t), _fmt(per_trial[i, t])])
-    text = _csv(meta, ["depth", "trial", "ratio"], rows)
-    path = _write(out_dir, f"trace_{args.action.replace('-', '_')}.csv", text)
-    print(f"verdict={report.verdict}")
-    print(f"wrote {path}")
-    return EXIT_OK
+def _trace_sharpness(c, out_dir, meta):
+    """The divergent (nu, F) pair of the linear-kappa trace construction."""
+    W = fileio.read_subspace(c.w)
+    nu, _, report = trace.build_sharpness_trace_measure(
+        W, c.gamma, _sharpness_spec(c, W), seed=c.seed, depths=c.depths
+    )
+    columns = ["depth", "frostman_constant", "partial_sum", "l1_nu"]
+    values = zip(report.frostman_constants, report.partial_sums, report.exact_l1_nu)
+    rows = [[str(d), _fmt(k), _fmt(s), _fmt(e)] for d, (k, s, e) in zip(report.depths, values)]
+    alpha, slope, derived = _fmt(report.alpha), _fmt(report.slope), _fmt(report.derived_constant)
+    meta.update(gamma=c.gamma, alpha=alpha, slope=slope, derived_constant=derived)
+    summary = f"alpha={alpha} slope={slope}"
+    _write_table(out_dir, "trace_sharpness.csv", meta, columns, rows, summary)
+    fileio.write_measure(out_dir / "trace_sharpness_measure.json", nu)
 
 
-def _cmd_cascade(args, out_dir):
-    spec = FiltrationSpec(args.m, args.depth, 1)
-    nu = capped_cascade_measure(spec, alpha=args.alpha, p=args.p, seed=args.seed)
-    write_measure(args.out, nu)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+# ---------------------------------------------------------------- the table
 
 
-# ---------------------------------------------------------------- run config
+REQUIRED = "required"
 
-CONFIG_KINDS = {
-    "kappa",
-    "check-w",
-    "hls",
-    "delta-counterexample",
-    "main-inequality",
-    "decompose",
-    "frostman",
-    "dimension-sharpness",
-    "group-cancel",
-    "group-antisym",
-    "group-subgroup-bound",
-    "trace-constant",
-    "trace-embed-p",
-    "trace-embed-l1",
-    "trace-sharpness",
+
+class Field(NamedTuple):
+    type: type             # str, int, float, or list: a [lo, hi] pair of ints
+    default: object = REQUIRED
+    shown: str = ""        # the default as help states it, when not its value
+
+
+class Experiment(NamedTuple):
+    handler: Callable
+    fields: dict           # "w_file", "seed", "filtration.m", "params.p", ... -> Field
+
+
+SEED = {"seed": Field(int, None, "--seed")}
+SUBSPACE = {"w_file": Field(str), **SEED}
+MEASURE = {"measure_file": Field(str)}
+FIBERS = {"fibers_file": Field(str)}
+DEPTH = {"filtration.depth": Field(int, 8)}
+P = {"params.p": Field(float, 2.0)}
+TRIALS = {"params.trials": Field(int, 20)}
+DEPTHS = {"params.depths": Field(list, None, "[4, depth]")}
+EMBED = {"filtration.m": Field(int, 3), **DEPTH, "filtration.ell": Field(int, 1), **P, **DEPTHS}
+# The sharpness kinds build at W's m and ell; a config may only restate them.
+AS_W = Field(int, None, "W's")
+SHARPNESS = {**SUBSPACE, "filtration.m": AS_W, **DEPTH, "filtration.ell": AS_W}
+ALPHA = {"params.alpha": Field(float, 0.5)}
+TRACE = {**MEASURE, **SUBSPACE, **ALPHA, **TRIALS, **DEPTHS}
+
+EXPERIMENTS = {
+    "kappa": Experiment(_kappa, {**SUBSPACE, "params.grid": Field(int, 21)}),
+    "check-w": Experiment(_check_w, SUBSPACE),
+    "hls": Experiment(_hls, {**SEED, **EMBED, "params.q": Field(float), **TRIALS}),
+    "delta-counterexample": Experiment(_delta_counterexample, EMBED),
+    "main-inequality": Experiment(_main_inequality, {**SUBSPACE, **EMBED, **TRIALS}),
+    "decompose": Experiment(
+        _decompose, {"martingale_file": Field(str), "params.eps": Field(float, 0.1)}
+    ),
+    "frostman": Experiment(
+        _frostman, {**MEASURE, "params.beta": Field(float, 0.5), "params.gamma": Field(float, 0.5)}
+    ),
+    "dimension-sharpness": Experiment(_dimension_sharpness, SHARPNESS),
+    "group-cancel": Experiment(_group_cancel, FIBERS),
+    "group-antisym": Experiment(_group_antisym, FIBERS),
+    "group-subgroup-bound": Experiment(_group_subgroup_bound, FIBERS),
+    "trace-constant": Experiment(_trace_constant, {**MEASURE, **ALPHA, **P}),
+    "trace-embed-p": Experiment(_trace_embed_p, {**TRACE, **P}),
+    "trace-embed-l1": Experiment(_trace_embed_l1, TRACE),
+    "trace-sharpness": Experiment(
+        _trace_sharpness, {**SHARPNESS, "params.gamma": Field(float, 0.5), **DEPTHS}
+    ),
 }
 
-# The params keys _cmd_run reads; any other key is rejected, not ignored.
-RUN_PARAMS = ("grid", "p", "q", "eps", "beta", "gamma", "alpha", "trials", "depths")
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"type": "string"},
-        "filtration": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["m", "depth"],
-            "properties": {
-                "m": {"type": "integer", "minimum": 3},
-                "depth": {"type": "integer", "minimum": 1},
-                "ell": {"type": "integer", "minimum": 1},
-            },
-        },
-        "w_file": {"type": "string"},
-        "measure_file": {"type": "string"},
-        "martingale_file": {"type": "string"},
-        "fibers_file": {"type": "string"},
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {key: {} for key in RUN_PARAMS},
-        },
-        "seed": {"type": "integer"},
-        "out": {"type": "string"},
-    },
-}
+TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", list: "two integers"}
 
 
-def _check_keys(obj, schema, where):
-    """The schema's object and unknown-key rules, for use without jsonschema."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config rejected: {where} must be an object")
-    for key in obj:
-        if key not in schema["properties"]:
-            raise ConfigError(f"config rejected: unknown key {key!r} in {where}")
+def _well_typed(value, kind: type) -> bool:
+    """Exact JSON types: a bool is no number, a float no integer."""
+    if kind is list:
+        return isinstance(value, list) and [type(v) for v in value] == [int, int]
+    return type(value) in ((int, float) if kind is float else (kind,))
 
 
-def _validate_config(doc):
-    try:
-        import jsonschema
-    except ImportError:
-        _check_keys(doc, CONFIG_SCHEMA, "config")
-        if "kind" not in doc:
-            raise ConfigError("config must be an object with a 'kind'")
-        for key in ("filtration", "params"):
-            if key in doc:
-                _check_keys(doc[key], CONFIG_SCHEMA["properties"][key], key)
-    else:
-        try:
-            jsonschema.validate(doc, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            where = "/".join(str(part) for part in exc.absolute_path) or "config"
-            raise ConfigError(f"config rejected: {exc.message} in {where}") from exc
-    if doc["kind"] not in CONFIG_KINDS:
-        raise ConfigError(f"unknown experiment kind {doc['kind']!r}")
+def _resolve(doc) -> tuple[Experiment, SimpleNamespace]:
+    """Check a config document against its kind's entry; the handler's namespace."""
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ConfigError("config must be an object with a 'kind'")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    fields = {"out": Field(str, None), **EXPERIMENTS[kind].fields}
+    given = {}  # the config's fields by path: "w_file", "params.p", ...
+    for key, value in doc.items():
+        if key in ("filtration", "params"):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config rejected: {key} must be an object")
+            given.update((f"{key}.{k}", v) for k, v in value.items())
+        elif key != "kind":
+            given[key] = value
+    values = {}
+    for path, value in given.items():
+        section, _, key = path.rpartition(".")
+        if path not in fields:
+            raise ConfigError(f"config rejected: {kind} reads no {key!r} in {section or 'config'}")
+        if not _well_typed(value, fields[path].type):
+            expected = TYPE_NAMES[fields[path].type]
+            raise ConfigError(f"config rejected: {path} must be {expected}, got {value!r}")
+        values[key] = value
+    for path, field in fields.items():
+        key = path.rpartition(".")[2]
+        if key not in values and field.default is REQUIRED:
+            raise ConfigError(f"config rejected: {kind} needs {path}")
+        values.setdefault(key, field.default)
+    if "depths" in values:
+        lo, hi = values["depths"] or (4, values.get("depth", DEPTH["filtration.depth"].default))
+        if lo > hi:
+            raise ConfigError(f"config rejected: params.depths [{lo}, {hi}] runs backwards")
+        values["depths"] = list(range(lo, hi + 1))
+    namespace = {key.removesuffix("_file"): value for key, value in values.items()}
+    return EXPERIMENTS[kind], SimpleNamespace(**namespace)
 
 
-def _config_hash(doc) -> str:
+def _run_document(doc, args) -> None:
+    exp, c = _resolve(doc)
+    if getattr(c, "seed", 0) is None:
+        c.seed = args.seed
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    meta = {"config_hash": hashlib.sha256(blob).hexdigest(), "kind": doc["kind"]}
+    exp.handler(c, Path(c.out or args.out or "."), meta)
 
 
-def _cmd_run(args, _out_dir):
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+# ---------------------------------------------------------------- commands
+
+
+def _cmd_run(args):
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _validate_config(doc)
-    kind = doc["kind"]
-    params = doc.get("params", {})
-    seed = doc.get("seed", args.seed)
-    out_dir = Path(doc.get("out", args.out or "."))
-    meta = {"config_hash": _config_hash(doc), "kind": kind}
-    filt = doc.get("filtration", {})
-    ns = argparse.Namespace(
-        w=doc.get("w_file"),
-        f=doc.get("martingale_file"),
-        measure=doc.get("measure_file"),
-        nu=doc.get("measure_file"),
-        fibers=doc.get("fibers_file"),
-        seed=seed,
-        m=filt.get("m", 3),
-        ell=filt.get("ell", 1),
-        depth=filt.get("depth", 8),
-        grid=params.get("grid", 21),
-        p=params.get("p", 2.0),
-        q=params.get("q"),
-        eps=params.get("eps", 0.1),
-        beta=params.get("beta", 0.5),
-        gamma=params.get("gamma", 0.5),
-        alpha=params.get("alpha", 0.5),
-        trials=params.get("trials", 20),
-        depths=params.get("depths", [4, filt.get("depth", 8)]),
-        sharpness=True,
-    )
-    if kind == "kappa":
-        return _cmd_kappa(ns, out_dir, meta)
-    if kind == "check-w":
-        return _cmd_check_w(ns, out_dir, meta)
-    if kind in ("hls", "delta-counterexample", "main-inequality"):
-        ns.mode = {"hls": "hls", "delta-counterexample": "delta", "main-inequality": "main"}[kind]
-        return _cmd_embed(ns, out_dir, meta)
-    if kind == "decompose":
-        return _cmd_decompose(ns, out_dir, meta)
-    if kind == "frostman":
-        ns.sharpness = False
-        return _cmd_dimension(ns, out_dir, meta)
-    if kind == "dimension-sharpness":
-        return _cmd_dimension(ns, out_dir, meta)
-    if kind in ("group-cancel", "group-antisym", "group-subgroup-bound"):
-        ns.action = {
-            "group-cancel": "check-cancel",
-            "group-antisym": "check-antisym",
-            "group-subgroup-bound": "subgroup-bound",
-        }[kind]
-        return _cmd_group(ns, out_dir, meta)
-    if kind.startswith("trace-"):
-        ns.action = kind[len("trace-") :]
-        return _cmd_trace(ns, out_dir, meta)
-    raise ConfigError(f"unknown experiment kind {kind!r}")  # pragma: no cover
+    _run_document(doc, args)
+
+
+def _cmd_experiment(args):
+    """Build the config document the subcommand's flags spell, and run it."""
+    doc = {"kind": args.command}
+    for path in EXPERIMENTS[args.command].fields:
+        if f"field.{path}" in vars(args):
+            section, _, key = path.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[key] = vars(args)[f"field.{path}"]
+    _run_document(doc, args)
+
+
+def _cmd_gen_w(args):
+    if args.kind == "zero":
+        W = SubspaceW.zero(args.m, args.ell)
+    elif args.kind == "random":
+        W = SubspaceW.random(args.m, args.ell, args.dim, seed=args.seed)
+    else:
+        e = np.eye(args.m)
+        v = delta_vector(args.m, 0) if args.kind == "delta" else e[0] - e[1]
+        W = SubspaceW.from_blocks([np.outer(v, np.eye(args.ell)[0])], args.m, args.ell)
+    fileio.write_subspace(args.out, W)
+    print(f"wrote {args.out} (dim {W.dim})")
+
+
+def _cmd_norm(args):
+    if args.name == "lpnu" and not args.nu:
+        raise ConfigError("norm lpnu needs --nu <measure file>")
+    F = fileio.read_martingale(args.f)
+    g = norms.martingale_level(F, F.spec.depth)
+    value = {
+        "lp": lambda: norms.lp_norm(g, args.p),
+        "lorentz": lambda: norms.lorentz_p1_norm(g, args.p),
+        "weak": lambda: norms.weak_lp_norm(g, args.p),
+        "besov": lambda: norms.besov_norm(F, args.beta, args.p),
+        "h1": lambda: norms.h1_norm(F),
+        "lpnu": lambda: norms.lp_nu_norm(g, fileio.read_measure(args.nu), args.p),
+    }[args.name]()
+    _require_finite([value], f"norm {args.name}")
+    print(_fmt(value))
+
+
+def _cmd_cascade(args):
+    spec = FiltrationSpec(args.m, args.depth, 1)
+    nu = trace.capped_cascade_measure(spec, alpha=args.alpha, p=args.p, seed=args.seed)
+    fileio.write_measure(args.out, nu)
+    print(f"wrote {args.out}")
 
 
 # ---------------------------------------------------------------- entry point
@@ -605,6 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-w", help="write a subspace file")
+    p.set_defaults(handler=_cmd_gen_w)
     p.add_argument("--kind", choices=["zero", "delta", "span", "random"], required=True)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--ell", type=int, default=1)
@@ -612,57 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out", required=True)
 
     p = sub.add_parser("norm", help="evaluate one norm of a martingale file")
+    p.set_defaults(handler=_cmd_norm)
     p.add_argument("--f", required=True)
-    p.add_argument("--name", choices=["lp", "lorentz", "weak", "besov", "h1", "lpnu"], required=True)
+    p.add_argument("--name", choices="lp lorentz weak besov h1 lpnu".split(), required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--nu", type=str, default=None)
 
-    p = sub.add_parser("check-w", help="structural conditions of a subspace")
-    p.add_argument("--w", required=True)
-
-    p = sub.add_parser("kappa", help="kappa profile, kappa'(1), dimension bound")
-    p.add_argument("--w", required=True)
-    p.add_argument("--grid", type=int, default=21)
-
-    p = sub.add_parser("embed", help="embedding experiments")
-    p.add_argument("--mode", choices=["hls", "delta", "main"], required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--depths", type=int, nargs=2, default=[4, 10], metavar=("LO", "HI"))
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--w", type=str, default=None)
-
-    p = sub.add_parser("decompose", help="convex/flat forest and verification reports")
-    p.add_argument("--f", required=True)
-    p.add_argument("--eps", type=float, required=True)
-
-    p = sub.add_parser("dimension", help="Frostman certificates and sharpness measures")
-    p.add_argument("--measure", type=str, default=None)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--w", type=str, default=None)
-    p.add_argument("--sharpness", action="store_true")
-    p.add_argument("--depth", type=int, default=8)
-
-    p = sub.add_parser("group", help="shift-invariant fiber conditions")
-    p.add_argument("action", choices=["check-cancel", "check-antisym", "subgroup-bound"])
-    p.add_argument("--fibers", required=True)
-
-    p = sub.add_parser("trace", help="trace-embedding experiments")
-    p.add_argument("action", choices=["constant", "embed-p", "embed-l1", "sharpness"])
-    p.add_argument("--nu", type=str, default=None)
-    p.add_argument("--w", type=str, default=None)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--gamma", type=float, default=0.4)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--depths", type=int, nargs=2, default=[4, 10], metavar=("LO", "HI"))
-
     p = sub.add_parser("cascade", help="write a capped multiplicative cascade measure")
+    p.set_defaults(handler=_cmd_cascade)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--alpha", type=float, required=True)
@@ -670,36 +514,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out", required=True)
 
     p = sub.add_parser("run", help="run a config-file experiment")
+    p.set_defaults(handler=_cmd_run)
     p.add_argument("config")
 
+    for kind, exp in EXPERIMENTS.items():
+        p = sub.add_parser(kind, help=exp.handler.__doc__, argument_default=argparse.SUPPRESS)
+        p.set_defaults(handler=_cmd_experiment)
+        for path, field in exp.fields.items():
+            flag = path.rpartition(".")[2].removesuffix("_file")
+            pair = {"nargs": 2, "metavar": ("LO", "HI")} if field.type is list else {}
+            p.add_argument(
+                f"--{flag}",
+                dest=f"field.{path}",
+                type=int if field.type is list else field.type,
+                help=f"{path}; default: {field.shown or field.default}",
+                **({"metavar": flag.upper()} | pair),
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out_dir = Path(args.out)
-    handlers = {
-        "gen-w": lambda: _cmd_gen_w(args, out_dir),
-        "norm": lambda: _cmd_norm(args, out_dir),
-        "check-w": lambda: _cmd_check_w(args, out_dir),
-        "kappa": lambda: _cmd_kappa(args, out_dir),
-        "embed": lambda: _cmd_embed(args, out_dir),
-        "decompose": lambda: _cmd_decompose(args, out_dir),
-        "dimension": lambda: _cmd_dimension(args, out_dir),
-        "group": lambda: _cmd_group(args, out_dir),
-        "trace": lambda: _cmd_trace(args, out_dir),
-        "cascade": lambda: _cmd_cascade(args, out_dir),
-        "run": lambda: _cmd_run(args, out_dir),
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command]()
+        args.handler(args)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,10 +22,21 @@ def _dump(path, document):
     Path(path).write_text(json.dumps(document, indent=1) + "\n")
 
 
-def _load(path, expected_kind):
+def _require(obj, fields, path, what):
+    """ValueError naming the file and the first field ``obj`` lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected {what} as a JSON object, got {type(obj).__name__}")
+    for name in fields:
+        if name not in obj:
+            raise ValueError(f"{path}: {what} lacks the field {name!r}")
+
+
+def _load(path, expected_kind, fields):
     doc = json.loads(Path(path).read_text())
+    _require(doc, (), path, f"a {expected_kind} file")
     if doc.get("kind") != expected_kind:
         raise ValueError(f"{path}: expected kind {expected_kind!r}, got {doc.get('kind')!r}")
+    _require(doc, fields, path, f"the {expected_kind} file")
     return doc
 
 
@@ -44,7 +55,7 @@ def write_measure(path, mu: TreeMeasure) -> None:
 
 
 def read_measure(path) -> TreeMeasure:
-    doc = _load(path, "tree-measure")
+    doc = _load(path, "tree-measure", ("m", "depth", "ell", "leaf_mass"))
     spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
     return TreeMeasure(spec, np.asarray(doc["leaf_mass"], dtype=float))
 
@@ -69,11 +80,12 @@ def write_martingale(path, F: Martingale) -> None:
 
 
 def read_martingale(path) -> Martingale:
-    doc = _load(path, "martingale")
+    doc = _load(path, "martingale", ("m", "depth", "ell", "f0", "blocks"))
     spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
     F = Martingale.zero(spec)
     diffs = [d.copy() for d in F.diffs]
     for row in doc["blocks"]:
+        _require(row, ("level", "atom", "values"), path, "a blocks entry")
         diffs[row["level"]][row["atom"]] = np.asarray(row["values"], dtype=float)
     return Martingale(spec, np.asarray(doc["f0"], dtype=float), diffs)
 
@@ -92,7 +104,7 @@ def write_subspace(path, W: SubspaceW) -> None:
 
 
 def read_subspace(path) -> SubspaceW:
-    doc = _load(path, "subspace-w")
+    doc = _load(path, "subspace-w", ("m", "ell", "k", "basis"))
     basis = np.asarray(doc["basis"], dtype=float).reshape(doc["k"], doc["m"], doc["ell"])
     return SubspaceW(doc["m"], doc["ell"], basis)
 
@@ -113,7 +125,7 @@ def write_fibers(path, fibers: FiberFamily) -> None:
 
 
 def read_fibers(path) -> FiberFamily:
-    doc = _load(path, "fiber-family")
+    doc = _load(path, "fiber-family", ("factors", "ell", "fibers"))
     group = FiniteAbelianGroup(tuple(doc["factors"]))
     fibers = {}
     for key, rows in doc["fibers"].items():

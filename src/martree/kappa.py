@@ -94,7 +94,6 @@ class KappaProfile:
     kappa_prime_one: float
     prime_witness: KappaWitness
     dimension_bound: float
-    oracle_values: np.ndarray | None = None
 
 
 def rank_one_directions(W: SubspaceW, n_starts: int = 32, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -312,19 +311,12 @@ def ray_grid_oracle(u: np.ndarray, objective_many, maximize: bool, resolution: i
 
 
 def kappa_profile(W: SubspaceW, grid_size: int = 21, n_starts: int = 32, seed: int = 0) -> KappaProfile:
-    """kappa on a theta grid plus kappa'(1), with grid oracles when dim W = 1."""
+    """kappa on a theta grid plus kappa'(1) and the dimension bound."""
     thetas = np.linspace(0.0, 1.0, grid_size)
     directions = rank_one_directions(W, n_starts=n_starts, seed=seed)
     witnesses = [kappa_of(W, float(t), directions=directions) for t in thetas]
     values = np.array([w.value for w in witnesses])
     prime = kappa_prime_one(W, directions=directions)
-    oracle = None
-    if W.dim == 1 and directions:
-        u, _ = directions[0]
-        oracle = np.array(
-            [ray_grid_oracle(u, lambda V, t=float(t): kappa_v_many(V, t), True, resolution=20_001) for t in thetas]
-        )
-        oracle = np.maximum(oracle, 0.0)
     return KappaProfile(
         theta_grid=thetas,
         values=values,
@@ -332,5 +324,4 @@ def kappa_profile(W: SubspaceW, grid_size: int = 21, n_starts: int = 32, seed: i
         kappa_prime_one=prime.value,
         prime_witness=prime,
         dimension_bound=float(np.clip(1.0 + prime.value / np.log(W.m), 0.0, 1.0)),
-        oracle_values=oracle,
     )

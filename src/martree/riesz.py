@@ -50,25 +50,21 @@ def riesz_potential(F: Martingale, alpha: float) -> Martingale:
     return F.scaled(factors)
 
 
-def _fit_slope(depths, values):
-    depths = np.asarray(depths, dtype=float)
-    values = np.asarray(values, dtype=float)
-    keep = values > 0
-    if keep.sum() < 2:
-        return 0.0
-    return float(np.polyfit(depths[keep], np.log(values[keep]), 1)[0])
+def trend_verdict(depths, ratios) -> tuple[str, float, float]:
+    """(verdict, slope, predicted rate): the rule of every embedding and trace experiment.
 
-
-def _linear_growth_rate(depths) -> float:
-    """Slope of log N over the window: the signature of ratios growing like c*N."""
+    The slope fits log(ratio) against depth over the positive ratios (0 when
+    fewer than two); the predicted rate log(hi/lo)/(hi - lo) is the signature
+    of ratios growing like c*N.
+    """
     lo, hi = min(depths), max(depths)
-    return float(np.log(hi / lo) / (hi - lo))
-
-
-def _verdict(depths, ratios, predicted_rate):
-    slope = _fit_slope(depths, ratios)
-    growing = len(depths) >= 5 and slope > 0.5 * predicted_rate
-    return ("GROWING" if growing else "BOUNDED"), slope
+    predicted = float(np.log(hi / lo) / (hi - lo))
+    x = np.asarray(depths, dtype=float)
+    y = np.asarray(ratios, dtype=float)
+    keep = y > 0
+    slope = float(np.polyfit(x[keep], np.log(y[keep]), 1)[0]) if keep.sum() >= 2 else 0.0
+    growing = len(depths) >= 5 and slope > 0.5 * predicted
+    return ("GROWING" if growing else "BOUNDED"), slope, predicted
 
 
 def delta_martingale(spec: FiltrationSpec) -> Martingale:
@@ -103,8 +99,7 @@ def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> Embeddi
     l1_norms = np.array(
         [lp_norm(martingale_level(F.truncated(d), d), 1.0) for d in depths]
     )
-    predicted = _linear_growth_rate(depths)
-    verdict, slope = _verdict(depths, power_sums, predicted)
+    verdict, slope, predicted = trend_verdict(depths, power_sums)
     per_level_constant = float(m) ** (-p) * ((m - 1) ** p + (m - 1))
     return EmbeddingReport(
         depths=list(depths),
@@ -155,8 +150,7 @@ def hls_experiment(p: float, q: float, spec: FiltrationSpec, trials: int = 20, s
             if den > 0:
                 per_trial[i, t] = num / den
     ratios = per_trial.max(axis=1)
-    predicted = _linear_growth_rate(depths)
-    verdict, slope = _verdict(depths, ratios, predicted)
+    verdict, slope, predicted = trend_verdict(depths, ratios)
     return EmbeddingReport(
         depths=list(depths),
         lhs=ratios,
@@ -234,8 +228,7 @@ def main_inequality_experiment(
                 per_trial[i, t] = lhs / l1
                 per_depth_besov_max[i] = max(per_depth_besov_max[i], besov / l1)
     per_depth_ratio_max = per_trial.max(axis=1)
-    predicted = _linear_growth_rate(depths)
-    verdict, slope = _verdict(depths, per_depth_ratio_max, predicted)
+    verdict, slope, predicted = trend_verdict(depths, per_depth_ratio_max)
     return EmbeddingReport(
         depths=list(depths),
         lhs=per_depth_ratio_max,

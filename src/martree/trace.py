@@ -26,7 +26,7 @@ from .filtration import (
 )
 from .kappa import kappa_of, rank_one_directions
 from .norms import lp_nu_norm, martingale_level
-from .riesz import _fit_slope, _linear_growth_rate, riesz_potential
+from .riesz import riesz_potential, trend_verdict
 from .spacew import SubspaceW, random_w_martingale
 
 KAPPA_LINEARITY_TOL = 1e-6
@@ -86,13 +86,6 @@ class TraceReport:
     details: dict = field(default_factory=dict)
 
 
-def _ratio_verdict(depths, ratios):
-    predicted = _linear_growth_rate(depths)
-    slope = _fit_slope(depths, ratios)
-    growing = len(depths) >= 5 and slope > 0.5 * predicted
-    return ("GROWING" if growing else "BOUNDED"), slope
-
-
 def trace_experiment_p(
     nu: TreeMeasure,
     W: SubspaceW,
@@ -121,7 +114,7 @@ def trace_experiment_p(
             if den > 0:
                 per_trial[i, t] = num / den
     per_depth = per_trial.max(axis=1)
-    verdict, slope = _ratio_verdict(depths, per_depth)
+    verdict, slope, _ = trend_verdict(depths, per_depth)
     return TraceReport(
         alpha=alpha,
         p=p,
@@ -181,7 +174,7 @@ def trace_experiment_l1(
             interp_max_ratio = max(interp_max_ratio, interp_r)
             interp_ok = interp_ok and interp_r <= 1.0 + 1e-9
     per_depth = per_trial.max(axis=1)
-    verdict, slope = _ratio_verdict(depths, per_depth)
+    verdict, slope, _ = trend_verdict(depths, per_depth)
     return TraceReport(
         alpha=alpha,
         p=1.0,

@@ -1,12 +1,12 @@
 """CLI surface: subcommands, file formats, exit codes, byte reproducibility."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
 
-from martree.cli import RUN_PARAMS, main
+from martree import cli
+from martree.cli import main
 from martree.fileio import (
     read_fibers,
     read_martingale,
@@ -87,14 +87,77 @@ class TestFileRoundtrips:
             read_measure(path)
 
 
+def _write_sample(kind, path):
+    """A small valid file of each on-disk kind."""
+    if kind == "tree-measure":
+        write_measure(path, TreeMeasure(FiltrationSpec(3, 2, 1), np.full(9, 1 / 9)))
+    elif kind == "martingale":
+        write_martingale(path, random_martingale(FiltrationSpec(3, 2, 1), seed=0))
+    elif kind == "subspace-w":
+        write_subspace(path, SubspaceW.random(3, 1, 1, seed=0))
+    else:
+        G = FiniteAbelianGroup.cyclic(3)
+        write_fibers(path, FiberFamily(G, 1, {1: np.ones((1, 1), dtype=complex), 2: np.zeros((0, 1))}))
+
+
+READERS = [
+    (read_measure, "tree-measure", ["m", "depth", "ell", "leaf_mass"]),
+    (read_martingale, "martingale", ["m", "depth", "ell", "f0", "blocks"]),
+    (read_subspace, "subspace-w", ["m", "ell", "k", "basis"]),
+    (read_fibers, "fiber-family", ["factors", "ell", "fibers"]),
+]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("reader, kind, fields", READERS, ids=[r[1] for r in READERS])
+    def test_missing_field_names_file_and_field(self, reader, kind, fields, tmp_path):
+        path = tmp_path / "x.json"
+        _write_sample(kind, path)
+        reader(path)
+        for field in fields:
+            doc = json.loads(path.read_text())
+            del doc[field]
+            broken = tmp_path / f"no_{field}.json"
+            broken.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"no_{field}.json.*'{field}'"):
+                reader(broken)
+
+    @pytest.mark.parametrize("reader, kind, fields", READERS, ids=[r[1] for r in READERS])
+    def test_top_level_list_is_value_error(self, reader, kind, fields, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps([kind]))
+        with pytest.raises(ValueError, match="x.json.*JSON object, got list"):
+            reader(path)
+
+    def test_martingale_block_without_values(self, tmp_path):
+        path = tmp_path / "f.json"
+        _write_sample("martingale", path)
+        doc = json.loads(path.read_text())
+        del doc["blocks"][0]["values"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="f.json.*blocks entry lacks the field 'values'"):
+            read_martingale(path)
+
+    def test_check_w_without_k_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        _write_sample("subspace-w", path)
+        doc = json.loads(path.read_text())
+        del doc["k"]
+        path.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path / "out"), "check-w", "--w", str(path)]) == 2
+        assert "'k'" in capsys.readouterr().err
+
+
 class TestSubcommands:
     def test_gen_w_and_check_w(self, tmp_path, capsys):
         w_path = tmp_path / "w.json"
         assert main(["gen-w", "--kind", "delta", "--m", "3", "--ell", "1", "--out", str(w_path)]) == 0
         capsys.readouterr()
-        assert main(["check-w", "--w", str(w_path)]) == 0
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "check-w", "--w", str(w_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["second_condition"] is False
+        assert json.loads((out / "check_w.json").read_text()) == report
 
     def test_norm_prints_value(self, martingale_file, capsys):
         assert main(["norm", "--f", martingale_file, "--name", "lp", "--p", "2"]) == 0
@@ -115,7 +178,7 @@ class TestSubcommands:
     def test_embed_delta(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
-            ["--out", str(out), "embed", "--mode", "delta", "--p", "2", "--m", "3",
+            ["--out", str(out), "delta-counterexample", "--p", "2", "--m", "3",
              "--depths", "4", "9"]
         )
         assert code == 0
@@ -123,7 +186,7 @@ class TestSubcommands:
 
     def test_decompose(self, martingale_file, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["--out", str(out), "decompose", "--f", martingale_file, "--eps", "0.1"]) == 0
+        assert main(["--out", str(out), "decompose", "--martingale", martingale_file, "--eps", "0.1"]) == 0
         forest = json.loads((out / "forest.json").read_text())
         assert "labels_rle" in forest
         assert (out / "decompose.csv").exists()
@@ -135,7 +198,7 @@ class TestSubcommands:
         write_measure(mu_path, mu)
         out = tmp_path / "out"
         code = main(
-            ["--out", str(out), "dimension", "--measure", str(mu_path), "--beta", "0.9",
+            ["--out", str(out), "frostman", "--measure", str(mu_path), "--beta", "0.9",
              "--gamma", "0.5"]
         )
         assert code == 0
@@ -143,7 +206,7 @@ class TestSubcommands:
 
     def test_dimension_sharpness(self, w_file, tmp_path, capsys):
         out = tmp_path / "out"
-        code = main(["--out", str(out), "dimension", "--w", w_file, "--sharpness", "--depth", "6"])
+        code = main(["--out", str(out), "dimension-sharpness", "--w", w_file, "--depth", "6"])
         assert code == 0
         assert (out / "sharpness_measure.json").exists()
 
@@ -153,16 +216,19 @@ class TestSubcommands:
         fibers = FiberFamily(G, 2, {1: a[None, :], 2: a[None, :]})
         path = tmp_path / "fibers.json"
         write_fibers(path, fibers)
-        assert main(["group", "check-cancel", "--fibers", str(path)]) == 0
+        out = ["--out", str(tmp_path / "out")]
+        assert main([*out, "group-cancel", "--fibers", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cancellation"] is False
-        assert main(["group", "check-antisym", "--fibers", str(path)]) == 0
-        assert main(["group", "subgroup-bound", "--fibers", str(path)]) == 0
+        assert main([*out, "group-antisym", "--fibers", str(path)]) == 0
+        assert main([*out, "group-subgroup-bound", "--fibers", str(path)]) == 0
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["group_check_antisym.json", "group_check_cancel.json", "group_subgroup_bound.json"]
 
     def test_trace_sharpness(self, w_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
-            ["--out", str(out), "trace", "sharpness", "--w", w_file, "--gamma", "0.4",
+            ["--out", str(out), "trace-sharpness", "--w", w_file, "--gamma", "0.4",
              "--depth", "8", "--depths", "4", "8"]
         )
         assert code == 0
@@ -176,7 +242,7 @@ class TestSubcommands:
         assert main(["gen-w", "--kind", "span", "--m", "3", "--ell", "1", "--out", str(w_path)]) == 0
         out = tmp_path / "out"
         code = main(
-            ["--out", str(out), "trace", "embed-l1", "--nu", str(nu_path), "--w", str(w_path),
+            ["--out", str(out), "trace-embed-l1", "--measure", str(nu_path), "--w", str(w_path),
              "--alpha", "0.9", "--trials", "3", "--depths", "4", "7"]
         )
         assert code == 0
@@ -187,14 +253,14 @@ class TestSubcommands:
         assert main(["cascade", "--m", "3", "--depth", "7", "--alpha", "0.7", "--p", "2",
                      "--out", str(nu_path)]) == 0
         capsys.readouterr()
-        assert main(["trace", "constant", "--nu", str(nu_path), "--alpha", "0.7", "--p", "2"]) == 0
+        assert main(["trace-constant", "--measure", str(nu_path), "--alpha", "0.7", "--p", "2"]) == 0
         value = float(capsys.readouterr().out.strip())
         assert value <= 1.0 + 1e-9
         w_path = tmp_path / "w.json"
         main(["gen-w", "--kind", "random", "--m", "3", "--ell", "2", "--dim", "2", "--out", str(w_path)])
         out = tmp_path / "out"
         code = main(
-            ["--out", str(out), "trace", "embed-p", "--nu", str(nu_path), "--w", str(w_path),
+            ["--out", str(out), "trace-embed-p", "--measure", str(nu_path), "--w", str(w_path),
              "--alpha", "0.7", "--p", "2", "--trials", "3", "--depths", "4", "7"]
         )
         assert code == 0
@@ -241,7 +307,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("eps", ["0", "nan", "inf"])
     def test_decompose_rejects_bad_eps(self, martingale_file, tmp_path, capsys, eps):
-        assert main(["--out", str(tmp_path), "decompose", "--f", martingale_file, "--eps", eps]) == 2
+        assert main(["--out", str(tmp_path), "decompose", "--martingale", martingale_file, "--eps", eps]) == 2
         assert "epsilon" in capsys.readouterr().err
 
     def test_unknown_config_kind(self, tmp_path, capsys):
@@ -257,16 +323,7 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
 
-    @pytest.fixture(params=["jsonschema", "fallback"])
-    def validator(self, request, monkeypatch):
-        """Run each config test with jsonschema and with the built-in fallback."""
-        if request.param == "jsonschema":
-            pytest.importorskip("jsonschema")
-        else:
-            monkeypatch.setitem(sys.modules, "jsonschema", None)
-        return request.param
-
-    def test_misspelt_param_is_rejected(self, validator, martingale_file, tmp_path, capsys):
+    def test_misspelt_param_is_rejected(self, martingale_file, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "decompose", "martingale_file": martingale_file,
@@ -284,19 +341,76 @@ class TestExitCodes:
         ["kappa"],
         {"params": {"grid": 5}},
     ])
-    def test_malformed_configs_exit_two_with_one_line(self, validator, doc, tmp_path, capsys):
+    def test_malformed_configs_exit_two_with_one_line(self, doc, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
-    def test_every_run_param_is_accepted(self, validator, martingale_file, tmp_path):
-        params = dict.fromkeys(RUN_PARAMS, 1.0)
-        params.update(eps=0.1, depths=[4, 4])
+    @pytest.mark.parametrize("kind", sorted(cli.EXPERIMENTS))
+    def test_each_kind_accepts_its_params_only(self, kind, tmp_path, capsys):
+        # Every declared field, set to a value other than its default, reaches
+        # the handler unchanged; a param declared by another kind is rejected.
+        fields = cli.EXPERIMENTS[kind].fields
+        sample = {str: "x.json", int: 7, float: 0.25, list: [3, 5]}
+        doc = {"kind": kind}
+        for path, field in fields.items():
+            section, _, key = path.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[key] = sample[field.type]
+        _, c = cli._resolve(doc)
+        for path, field in fields.items():
+            key = path.rpartition(".")[2]
+            expected = [3, 4, 5] if field.type is list else sample[field.type]
+            assert getattr(c, key.removesuffix("_file")) == expected, path
+
+        every_param = {path for e in cli.EXPERIMENTS.values() for path in e.fields if "params." in path}
+        foreign = sorted(every_param - set(fields))
+        out = tmp_path / "out"
+        params = {**doc.get("params", {}), foreign[0].removeprefix("params."): 1}
+        doc = dict(doc, out=str(out), params=params)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "decompose", "martingale_file": martingale_file,
-                                   "params": params, "out": str(tmp_path / "out")}))
-        assert main(["run", str(cfg)]) == 0
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{foreign[0].removeprefix('params.')!r} in params" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "decompose", "martingale_file": "f.json", "params": {"eps": "0.1"}},
+         "params.eps must be a number"),
+        ({"kind": "kappa", "w_file": "w.json", "params": {"grid": 2.5}}, "params.grid must be an integer"),
+        ({"kind": "kappa", "w_file": "w.json", "params": {"grid": True}}, "params.grid must be an integer"),
+        ({"kind": "trace-embed-l1", "measure_file": "nu.json", "w_file": "w.json",
+          "params": {"trials": 2.0}}, "params.trials must be an integer"),
+        ({"kind": "frostman", "measure_file": "mu.json", "params": {"grid": 7}}, "'grid' in params"),
+        ({"kind": "kappa", "w_file": "w.json", "filtration": {"m": 3, "depth": 4}}, "'m' in filtration"),
+        ({"kind": "delta-counterexample", "seed": 3}, "'seed' in config"),
+        ({"kind": "hls", "params": {"p": 2.0}}, "needs params.q"),
+        ({"kind": "hls", "params": {"q": 4.0, "depths": [4, 5, 6]}}, "two integers"),
+        ({"kind": "hls", "params": {"q": 4.0, "depths": [6, 4]}}, "backwards"),
+        ({"kind": "dimension-sharpness", "w_file": "w.json", "filtration": {"m": 5, "depth": 4}},
+         "filtration.m=5, W has m=3"),
+        ({"kind": "trace-sharpness", "w_file": "w.json", "filtration": {"ell": 2, "depth": 4}},
+         "filtration.ell=2, W has ell=1"),
+        ({"kind": "check-w", "w_file": "w_no_k.json"}, "lacks the field 'k'"),
+    ])
+    def test_rejected_configs_write_nothing(self, doc, message, w_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        W = json.loads(open(w_file).read())
+        (tmp_path / "w.json").write_text(json.dumps(W))
+        del W["k"]
+        (tmp_path / "w_no_k.json").write_text(json.dumps(W))
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(doc, out="out")))
+        assert main(["run", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_sharpness_kinds_accept_their_w_filtration(self, w_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "dimension-sharpness", "--w", w_file, "--m", "3",
+                     "--ell", "1", "--depth", "4"]) == 0
+        assert (out / "sharpness.csv").exists()
 
 
 class TestRunConfig:

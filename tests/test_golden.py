@@ -8,10 +8,15 @@ the stdout and output files each config produced when it was frozen.
 ``frostman`` configs sit on either side of the span subspace's dimension
 bound (about 0.579): beta 0.53 is certified, beta 0.63 is violated.  A change that alters
 any of those bytes has changed the experiment's results.
+
+Each kind is also a subcommand; for one kind of each output shape (CSV, CSV
+plus a measure file, JSON, print-only) the subcommand must write the same
+bytes as ``martree run`` on a config holding the same fields.
 """
 
 import contextlib
 import io
+import json
 import shutil
 from pathlib import Path
 
@@ -66,3 +71,46 @@ def test_run_reproduces_golden_bytes(name, tmp_path, monkeypatch):
     assert produced == expected
     for rel in expected:
         assert (produced_dir / rel).read_bytes() == (expected_dir / rel).read_bytes(), rel
+
+
+# kind -> (config fields, the same fields as subcommand flags)
+SUBCOMMANDS = {
+    "hls": (
+        {"filtration": {"m": 3, "depth": 6, "ell": 2}, "seed": 5,
+         "params": {"p": 2.0, "q": 4.0, "trials": 3, "depths": [4, 6]}},
+        ["--m", "3", "--depth", "6", "--ell", "2", "--seed", "5",
+         "--p", "2", "--q", "4", "--trials", "3", "--depths", "4", "6"],
+    ),
+    "dimension-sharpness": (
+        {"w_file": "w_span.json", "filtration": {"depth": 6}},
+        ["--w", "w_span.json", "--depth", "6"],
+    ),
+    "group-antisym": ({"fibers_file": "fibers.json"}, ["--fibers", "fibers.json"]),
+    "trace-constant": (
+        {"measure_file": "cascade.json", "params": {"alpha": 0.9, "p": 1.0}},
+        ["--measure", "cascade.json", "--alpha", "0.9", "--p", "1"],
+    ),
+}
+
+
+def _run_in(directory: Path, argv: list[str], monkeypatch) -> tuple[str, dict]:
+    """Run ``martree <argv>`` in a copy of the inputs; its stdout and output files."""
+    directory.mkdir()
+    for filename in INPUTS:
+        shutil.copy(GOLDEN / filename, directory / filename)
+    monkeypatch.chdir(directory)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    out = directory / "out"
+    return stdout.getvalue(), {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("kind", SUBCOMMANDS)
+def test_subcommand_matches_run(kind, tmp_path, monkeypatch):
+    fields, flags = SUBCOMMANDS[kind]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": kind, **fields}))
+    via_run = _run_in(tmp_path / "run", ["--out", "out", "run", str(config)], monkeypatch)
+    via_flags = _run_in(tmp_path / "flags", ["--out", "out", kind, *flags], monkeypatch)
+    assert via_flags == via_run

@@ -14,6 +14,7 @@ from martree.kappa import (
     kappa_upper_bound,
     kappa_v,
     kappa_v_many,
+    rank_one_directions,
     ray_grid_oracle,
     strict_gap_check,
 )
@@ -204,8 +205,14 @@ class TestDerivedQuantities:
             # below the endpoint derivative kappa'(1)
             for theta, val in zip(prof.theta_grid[:-1], vals[:-1]):
                 assert val / (theta - 1) <= prof.kappa_prime_one + 1e-6
-            if prof.oracle_values is not None:
-                assert np.max(np.abs(prof.values - prof.oracle_values)) < 1e-6
+            directions = rank_one_directions(W, seed=2)
+            if W.dim == 1 and directions:
+                u, _ = directions[0]
+                oracle = [
+                    ray_grid_oracle(u, lambda V, t=float(t): kappa_v_many(V, t), True, resolution=20_001)
+                    for t in prof.theta_grid
+                ]
+                assert np.max(np.abs(prof.values - np.maximum(oracle, 0.0))) < 1e-6
 
 
 class TestOptimizerVsOracleSweep:
