@@ -44,7 +44,8 @@ def _fmt(x) -> str:
 
 
 def _require_finite(values, label):
-    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
         raise NumericFailure(f"non-finite values in {label}")
 
 
@@ -92,9 +93,14 @@ def _write_table(out_dir: Path, name: str, meta: dict, columns, rows, *summary: 
 
 
 def _rle(mask: np.ndarray) -> list[list[int]]:
+    runs = []
+    start = 0
     values = mask.astype(int)
-    starts = np.flatnonzero(np.diff(values, prepend=-1))
-    return [[int(values[s]), int(n)] for s, n in zip(starts, np.diff(starts, append=len(values)))]
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] != values[start]:
+            runs.append([int(values[start]), i - start])
+            start = i
+    return runs
 
 
 # ---------------------------------------------------------------- experiments
@@ -322,7 +328,7 @@ class Experiment(NamedTuple):
     fields: dict           # "w_file", "seed", "filtration.m", "params.p", ... -> Field
 
 
-SEED = {"seed": Field(int, None, "--seed")}
+SEED = {"seed": Field(int, None)}  # no subcommand flag: the global --seed sets it
 SUBSPACE = {"w_file": Field(str), **SEED}
 MEASURE = {"measure_file": Field(str)}
 FIBERS = {"fibers_file": Field(str)}
@@ -335,7 +341,7 @@ EMBED = {"filtration.m": Field(int, 3), **DEPTH, "filtration.ell": Field(int, 1)
 AS_W = Field(int, None, "W's")
 SHARPNESS = {**SUBSPACE, "filtration.m": AS_W, **DEPTH, "filtration.ell": AS_W}
 ALPHA = {"params.alpha": Field(float, 0.5)}
-TRACE = {**MEASURE, **SUBSPACE, **ALPHA, **TRIALS, **DEPTHS}
+TRACE = {**MEASURE, **SUBSPACE, **DEPTH, **ALPHA, **TRIALS, **DEPTHS}
 
 EXPERIMENTS = {
     "kappa": Experiment(_kappa, {**SUBSPACE, "params.grid": Field(int, 21)}),
@@ -385,6 +391,8 @@ def _resolve(doc) -> tuple[Experiment, SimpleNamespace]:
             if not isinstance(value, dict):
                 raise ConfigError(f"config rejected: {key} must be an object")
             given.update((f"{key}.{k}", v) for k, v in value.items())
+        elif "." in key:
+            raise ConfigError(f"config rejected: {kind} reads no {key!r} in config")
         elif key != "kind":
             given[key] = value
     values = {}
@@ -401,8 +409,12 @@ def _resolve(doc) -> tuple[Experiment, SimpleNamespace]:
         if key not in values and field.default is REQUIRED:
             raise ConfigError(f"config rejected: {kind} needs {path}")
         values.setdefault(key, field.default)
-    if "depths" in values:
-        lo, hi = values["depths"] or (4, values.get("depth", DEPTH["filtration.depth"].default))
+    if "depths" in values:  # every kind reading depths also reads depth, its default top
+        lo, hi = values["depths"] or (4, values["depth"])
+        if "filtration.depth" in given and hi != values["depth"]:
+            raise ConfigError(
+                f"config rejected: params.depths ends at {hi}, filtration.depth is {values['depth']}"
+            )
         if lo > hi:
             raise ConfigError(f"config rejected: params.depths [{lo}, {hi}] runs backwards")
         values["depths"] = list(range(lo, hi + 1))
@@ -443,30 +455,45 @@ def _cmd_experiment(args):
 def _cmd_gen_w(args):
     if args.kind == "zero":
         W = SubspaceW.zero(args.m, args.ell)
+    elif args.kind == "delta":
+        a = np.zeros(args.ell)
+        a[0] = 1.0
+        W = SubspaceW.from_blocks([np.outer(delta_vector(args.m, 0), a)], args.m, args.ell)
+    elif args.kind == "span":
+        v = np.zeros(args.m)
+        v[0], v[1] = 1.0, -1.0
+        a = np.zeros(args.ell)
+        a[0] = 1.0
+        W = SubspaceW.from_blocks([np.outer(v, a)], args.m, args.ell)
     elif args.kind == "random":
         W = SubspaceW.random(args.m, args.ell, args.dim, seed=args.seed)
-    else:
-        e = np.eye(args.m)
-        v = delta_vector(args.m, 0) if args.kind == "delta" else e[0] - e[1]
-        W = SubspaceW.from_blocks([np.outer(v, np.eye(args.ell)[0])], args.m, args.ell)
+    else:  # pragma: no cover - argparse restricts choices
+        raise ConfigError(f"unknown generator kind {args.kind}")
     fileio.write_subspace(args.out, W)
     print(f"wrote {args.out} (dim {W.dim})")
 
 
 def _cmd_norm(args):
-    if args.name == "lpnu" and not args.nu:
-        raise ConfigError("norm lpnu needs --nu <measure file>")
     F = fileio.read_martingale(args.f)
-    g = norms.martingale_level(F, F.spec.depth)
-    value = {
-        "lp": lambda: norms.lp_norm(g, args.p),
-        "lorentz": lambda: norms.lorentz_p1_norm(g, args.p),
-        "weak": lambda: norms.weak_lp_norm(g, args.p),
-        "besov": lambda: norms.besov_norm(F, args.beta, args.p),
-        "h1": lambda: norms.h1_norm(F),
-        "lpnu": lambda: norms.lp_nu_norm(g, fileio.read_measure(args.nu), args.p),
-    }[args.name]()
-    _require_finite([value], f"norm {args.name}")
+    name = args.name
+    if name == "lp":
+        value = norms.lp_norm(norms.martingale_level(F, F.spec.depth), args.p)
+    elif name == "lorentz":
+        value = norms.lorentz_p1_norm(norms.martingale_level(F, F.spec.depth), args.p)
+    elif name == "weak":
+        value = norms.weak_lp_norm(norms.martingale_level(F, F.spec.depth), args.p)
+    elif name == "besov":
+        value = norms.besov_norm(F, args.beta, args.p)
+    elif name == "h1":
+        value = norms.h1_norm(F)
+    elif name == "lpnu":
+        if not args.nu:
+            raise ConfigError("norm lpnu needs --nu <measure file>")
+        g = norms.martingale_level(F, F.spec.depth)
+        value = norms.lp_nu_norm(g, fileio.read_measure(args.nu), args.p)
+    else:  # pragma: no cover
+        raise ConfigError(f"unknown norm {name}")
+    _require_finite([value], f"norm {name}")
     print(_fmt(value))
 
 
@@ -521,6 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=exp.handler.__doc__, argument_default=argparse.SUPPRESS)
         p.set_defaults(handler=_cmd_experiment)
         for path, field in exp.fields.items():
+            if path == "seed":
+                continue
             flag = path.rpartition(".")[2].removesuffix("_file")
             pair = {"nargs": 2, "metavar": ("LO", "HI")} if field.type is list else {}
             p.add_argument(

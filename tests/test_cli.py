@@ -361,7 +361,7 @@ class TestExitCodes:
         # Every declared field, set to a value other than its default, reaches
         # the handler unchanged; a param declared by another kind is rejected.
         fields = cli.EXPERIMENTS[kind].fields
-        sample = {str: "x.json", int: 7, float: 0.25, list: [3, 5]}
+        sample = {str: "x.json", int: 7, float: 0.25, list: [3, 7]}
         doc = {"kind": kind}
         for path, field in fields.items():
             section, _, key = path.rpartition(".")
@@ -369,7 +369,7 @@ class TestExitCodes:
         _, c = cli._resolve(doc)
         for path, field in fields.items():
             key = path.rpartition(".")[2]
-            expected = [3, 4, 5] if field.type is list else sample[field.type]
+            expected = [3, 4, 5, 6, 7] if field.type is list else sample[field.type]
             assert getattr(c, key.removesuffix("_file")) == expected, path
 
         every_param = {path for e in cli.EXPERIMENTS.values() for path in e.fields if "params." in path}
@@ -397,6 +397,13 @@ class TestExitCodes:
         ({"kind": "hls", "params": {"p": 2.0}}, "needs params.q"),
         ({"kind": "hls", "params": {"q": 4.0, "depths": [4, 5, 6]}}, "two integers"),
         ({"kind": "hls", "params": {"q": 4.0, "depths": [6, 4]}}, "backwards"),
+        ({"kind": "delta-counterexample", "filtration": {"depth": 10}, "params": {"depths": [4, 6]}},
+         "params.depths ends at 6, filtration.depth is 10"),
+        ({"kind": "trace-embed-p", "measure_file": "nu.json", "w_file": "w.json",
+          "filtration": {"depth": 5}, "params": {"depths": [4, 6]}},
+         "params.depths ends at 6, filtration.depth is 5"),
+        ({"kind": "hls", "params.q": 4.0}, "'params.q' in config"),
+        ({"kind": "hls", "params": {"q": 4.0}, "filtration.depth": 6}, "'filtration.depth' in config"),
         ({"kind": "dimension-sharpness", "w_file": "w.json", "filtration": {"m": 5, "depth": 4}},
          "filtration.m=5, W has m=3"),
         ({"kind": "trace-sharpness", "w_file": "w.json", "filtration": {"ell": 2, "depth": 4}},
@@ -414,6 +421,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_depth_flag_must_end_depths(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "delta-counterexample", "--depth", "10", "--depths", "4", "6"]
+        assert main(argv) == 2
+        assert "filtration.depth is 10" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_embed_depth_is_the_default_top_depth(self, tmp_path, capsys):
+        nu_path, w_path = tmp_path / "nu.json", tmp_path / "w.json"
+        assert main(["cascade", "--m", "3", "--depth", "6", "--alpha", "0.9", "--p", "1",
+                     "--out", str(nu_path)]) == 0
+        assert main(["gen-w", "--kind", "span", "--m", "3", "--ell", "1", "--out", str(w_path)]) == 0
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "trace-embed-l1", "--measure", str(nu_path),
+                     "--w", str(w_path), "--trials", "2", "--depth", "6"]) == 0
+        lines = (out / "trace_embed_l1.csv").read_text().splitlines()
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        assert sorted({row.split(",")[0] for row in rows}) == ["4", "5", "6"]
 
     def test_sharpness_kinds_accept_their_w_filtration(self, w_file, tmp_path, capsys):
         out = tmp_path / "out"

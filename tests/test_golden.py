@@ -76,9 +76,9 @@ def test_run_reproduces_golden_bytes(name, tmp_path, monkeypatch):
 # kind -> (config fields, the same fields as subcommand flags)
 SUBCOMMANDS = {
     "hls": (
-        {"filtration": {"m": 3, "depth": 6, "ell": 2}, "seed": 5,
+        {"filtration": {"m": 3, "depth": 6, "ell": 2},
          "params": {"p": 2.0, "q": 4.0, "trials": 3, "depths": [4, 6]}},
-        ["--m", "3", "--depth", "6", "--ell", "2", "--seed", "5",
+        ["--m", "3", "--depth", "6", "--ell", "2",
          "--p", "2", "--q", "4", "--trials", "3", "--depths", "4", "6"],
     ),
     "dimension-sharpness": (
