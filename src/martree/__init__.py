@@ -89,7 +89,6 @@ from .groupfourier import (
     check_cancellation_fibers,
 )
 from .trace import (
-    TraceReport,
     build_sharpness_trace_measure,
     capped_cascade_measure,
     frostman_constant,

@@ -283,7 +283,7 @@ def _trace_embed_p(c, out_dir, meta):
     report = trace.trace_experiment_p(
         nu, W, alpha=c.alpha, p=c.p, trials=c.trials, seed=c.seed, depths=c.depths
     )
-    _write_ratios(out_dir, "trace_embed_p.csv", meta, report, alpha=report.alpha, p=report.p)
+    _write_ratios(out_dir, "trace_embed_p.csv", meta, report, alpha=c.alpha, p=c.p)
 
 
 def _trace_embed_l1(c, out_dir, meta):
@@ -292,7 +292,7 @@ def _trace_embed_l1(c, out_dir, meta):
     report = trace.trace_experiment_l1(
         nu, W, alpha=c.alpha, trials=c.trials, seed=c.seed, depths=c.depths
     )
-    _write_ratios(out_dir, "trace_embed_l1.csv", meta, report, alpha=report.alpha, p=report.p)
+    _write_ratios(out_dir, "trace_embed_l1.csv", meta, report, alpha=c.alpha, p=1.0)
 
 
 def _trace_sharpness(c, out_dir, meta):
@@ -403,6 +403,9 @@ def _resolve(doc) -> tuple[Experiment, SimpleNamespace]:
         if not _well_typed(value, fields[path].type):
             expected = TYPE_NAMES[fields[path].type]
             raise ConfigError(f"config rejected: {path} must be {expected}, got {value!r}")
+        if fields[path].type is float and not np.isfinite(value):
+            name = "epsilon" if key == "eps" else key  # as decompose's own check spells it
+            raise ConfigError(f"config rejected: {path} must be finite, got {name}={value!r}")
         values[key] = value
     for path, field in fields.items():
         key = path.rpartition(".")[2]

@@ -32,7 +32,12 @@ def _require(obj, fields, path, what):
 
 
 def _load(path, expected_kind, fields):
-    doc = json.loads(Path(path).read_text())
+    def constant(name):  # NaN names no value; an infinity loads and fails as a numeric failure
+        if name == "NaN":
+            raise ValueError(f"{path}: NaN is not a number")
+        return float(name)
+
+    doc = json.loads(Path(path).read_text(), parse_constant=constant)
     _require(doc, (), path, f"a {expected_kind} file")
     if doc.get("kind") != expected_kind:
         raise ValueError(f"{path}: expected kind {expected_kind!r}, got {doc.get('kind')!r}")

@@ -218,11 +218,6 @@ class TreeMeasure:
         t = self.leaf_mass.sum(axis=0)
         return float(t) if self.is_scalar else t
 
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        if not self.is_scalar:
-            return False
-        return bool(np.all(self.leaf_mass >= -tol) and abs(self.leaf_mass.sum() - 1.0) <= tol)
-
     def truncated(self, depth: int) -> "TreeMeasure":
         spec = self.spec.truncated(depth)
         return TreeMeasure(spec, self.level_mass(depth))

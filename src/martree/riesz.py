@@ -1,12 +1,15 @@
 """Riesz potential on martingales and the embedding experiments.
 
 I_alpha scales the difference f_n by m^{-alpha n} and leaves F_0 alone.  The
-experiments track ratios of norms across increasing depths and issue a
-BOUNDED or GROWING verdict; finite depths cannot observe true boundedness, so
-the verdict is a regression on at least five depth points, never a single
-depth.  GROWING requires the least-squares slope of log(ratio) against N to
-exceed half the predicted rate of the relevant divergence (for the linear
-divergences here: log(N_max/N_min)/(N_max - N_min) over the depth window).
+experiments here and in ``trace`` track ratios of norms across increasing
+depths: ``ratio_trials`` is their one loop over trials and depths, and
+``trend_verdict`` turns the per-depth ratios into the one report type,
+``EmbeddingReport``, with a BOUNDED or GROWING verdict.  Finite depths cannot
+observe true boundedness, so the verdict is a regression on at least five
+depth points, never a single depth.  GROWING requires the least-squares slope
+of log(ratio) against N to exceed half the predicted rate of the relevant
+divergence (for the linear divergences here: log(N_max/N_min)/(N_max - N_min)
+over the depth window).
 """
 
 from __future__ import annotations
@@ -15,13 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtration import (
-    FiltrationSpec,
-    Martingale,
-    evaluate,
-    multiplicative_martingale,
-)
+from .filtration import FiltrationSpec, Martingale, multiplicative_martingale
 from .norms import (
+    besov_norm,
     lorentz_p1_norm,
     lp_norm,
     martingale_difference,
@@ -33,9 +32,7 @@ from .spacew import SubspaceW, delta_vector, random_w_martingale
 @dataclass
 class EmbeddingReport:
     depths: list[int]
-    lhs: np.ndarray          # per depth (max over trials where applicable)
-    rhs: np.ndarray
-    ratios: np.ndarray
+    ratios: np.ndarray       # per depth (max over trials where applicable)
     verdict: str             # "BOUNDED" or "GROWING"
     slope: float             # least-squares slope of log(ratio) vs depth
     predicted_rate: float
@@ -50,8 +47,8 @@ def riesz_potential(F: Martingale, alpha: float) -> Martingale:
     return F.scaled(factors)
 
 
-def trend_verdict(depths, ratios) -> tuple[str, float, float]:
-    """(verdict, slope, predicted rate): the rule of every embedding and trace experiment.
+def trend_verdict(depths, ratios) -> EmbeddingReport:
+    """The report of every embedding and trace experiment, its details left to the caller.
 
     The slope fits log(ratio) against depth over the positive ratios (0 when
     fewer than two); the predicted rate log(hi/lo)/(hi - lo) is the signature
@@ -64,7 +61,19 @@ def trend_verdict(depths, ratios) -> tuple[str, float, float]:
     keep = y > 0
     slope = float(np.polyfit(x[keep], np.log(y[keep]), 1)[0]) if keep.sum() >= 2 else 0.0
     growing = len(depths) >= 5 and slope > 0.5 * predicted
-    return ("GROWING" if growing else "BOUNDED"), slope, predicted
+    return EmbeddingReport(list(depths), ratios, "GROWING" if growing else "BOUNDED", slope, predicted)
+
+
+def ratio_trials(depths, draws, parts) -> list[np.ndarray]:
+    """The loop of every ratio experiment: for each numerator, its ratios to the
+    denominator by depth (rows) and trial (columns).
+
+    ``draws`` yields one trial at a time and ``parts(trial, d)`` gives
+    (denominator, numerator, ...) at depth d; a ratio stays 0 where the
+    denominator is not positive.
+    """
+    den, *nums = np.array([[parts(trial, d) for d in depths] for trial in draws]).T
+    return [np.divide(num, den, out=np.zeros_like(den), where=den > 0) for num in nums]
 
 
 def delta_martingale(spec: FiltrationSpec) -> Martingale:
@@ -99,29 +108,20 @@ def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> Embeddi
     l1_norms = np.array(
         [lp_norm(martingale_level(F.truncated(d), d), 1.0) for d in depths]
     )
-    verdict, slope, predicted = trend_verdict(depths, power_sums)
-    per_level_constant = float(m) ** (-p) * ((m - 1) ** p + (m - 1))
-    return EmbeddingReport(
-        depths=list(depths),
-        lhs=power_sums,
-        rhs=l1_norms,
-        ratios=power_sums,
-        verdict=verdict,
-        slope=slope,
-        predicted_rate=predicted,
-        details={
-            "per_level_terms": terms,
-            "per_level_constant": per_level_constant,
-            "l1_bounded_by_two": bool(np.all(l1_norms <= 2.0 + 1e-12)),
-        },
+    report = trend_verdict(depths, power_sums)
+    report.details.update(
+        per_level_terms=terms,
+        per_level_constant=float(m) ** (-p) * ((m - 1) ** p + (m - 1)),
+        l1_bounded_by_two=bool(np.all(l1_norms <= 2.0 + 1e-12)),
     )
+    return report
 
 
-def _random_martingale(spec, seed, scale=1.0):
+def _random_martingale(spec, seed):
     rng = np.random.default_rng(seed)
     diffs = []
     for n in range(spec.depth):
-        block = rng.standard_normal((spec.m**n, spec.m, spec.ell)) * scale
+        block = rng.standard_normal((spec.m**n, spec.m, spec.ell))
         block -= block.mean(axis=1, keepdims=True)
         diffs.append(block)
     return Martingale(spec, np.zeros(spec.ell), diffs, validate=False)
@@ -140,27 +140,15 @@ def hls_experiment(p: float, q: float, spec: FiltrationSpec, trials: int = 20, s
     if depths is None:
         depths = list(range(4, spec.depth + 1))
     alpha = (q - p) / (q * p)
-    per_trial = np.zeros((len(depths), trials))
-    for i, d in enumerate(depths):
-        sub = spec.truncated(d)
-        for t in range(trials):
-            F = _random_martingale(sub, seed=[seed, d, t])
-            num = lp_norm(martingale_level(riesz_potential(F, alpha), d), q)
-            den = lp_norm(martingale_level(F, d), p)
-            if den > 0:
-                per_trial[i, t] = num / den
-    ratios = per_trial.max(axis=1)
-    verdict, slope, predicted = trend_verdict(depths, ratios)
-    return EmbeddingReport(
-        depths=list(depths),
-        lhs=ratios,
-        rhs=np.ones_like(ratios),
-        ratios=ratios,
-        verdict=verdict,
-        slope=slope,
-        predicted_rate=predicted,
-        details={"alpha": alpha, "trials": trials, "per_trial": per_trial},
-    )
+
+    def parts(t, d):  # a fresh martingale at every depth
+        F = _random_martingale(spec.truncated(d), seed=[seed, d, t])
+        return lp_norm(martingale_level(F, d), p), lp_norm(martingale_level(riesz_potential(F, alpha), d), q)
+
+    (per_trial,) = ratio_trials(depths, range(trials), parts)
+    report = trend_verdict(depths, per_trial.max(axis=1))
+    report.details.update(alpha=alpha, trials=trials, per_trial=per_trial)
+    return report
 
 
 def lorentz_sum_lhs(F: Martingale, p: float, depth: int | None = None) -> float:
@@ -186,61 +174,25 @@ def main_inequality_experiment(
     """Lorentz-sum left side against ||F||_{L_1} for W-martingales.
 
     With ``use_delta`` the delta construction is fed instead (for a
-    delta-containing W this is the growth example).  Also reports the Besov
+    delta-containing W this is the growth example).  Also reports the
     Besov-sum quantity ||I_{(p-1)/p} F||_{B_p^{0,1}}.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if depths is None:
         depths = list(range(4, spec.depth + 1))
-    m = spec.m
-    weight = lambda n: float(m) ** (-(p - 1) / p * n)
-
-    def ratios_for_martingale(F):
-        # One deep martingale, evaluated at all truncation depths: the level
-        # norms are shared, only the running sums and ||F_d||_1 differ.
-        lorentz_terms = [
-            weight(n) * lorentz_p1_norm(martingale_difference(F, n), p)
-            for n in range(1, spec.depth + 1)
-        ]
-        besov_terms = [
-            weight(n) * lp_norm(martingale_difference(F, n), p)
-            for n in range(1, spec.depth + 1)
-        ]
-        out = []
-        for d in depths:
-            lhs = sum(lorentz_terms[: d])
-            besov = sum(besov_terms[: d])
-            l1 = lp_norm(martingale_level(F.truncated(d), d), 1.0)
-            out.append((lhs, besov, l1))
-        return out
-
-    n_mart = 1 if use_delta else trials
-    per_trial = np.zeros((len(depths), n_mart))
-    per_depth_besov_max = np.zeros(len(depths))
-    for t in range(n_mart):
-        if use_delta:
-            F = delta_martingale(spec)
-        else:
-            F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
-        for i, (lhs, besov, l1) in enumerate(ratios_for_martingale(F)):
-            if l1 > 0:
-                per_trial[i, t] = lhs / l1
-                per_depth_besov_max[i] = max(per_depth_besov_max[i], besov / l1)
-    per_depth_ratio_max = per_trial.max(axis=1)
-    verdict, slope, predicted = trend_verdict(depths, per_depth_ratio_max)
-    return EmbeddingReport(
-        depths=list(depths),
-        lhs=per_depth_ratio_max,
-        rhs=np.ones_like(per_depth_ratio_max),
-        ratios=per_depth_ratio_max,
-        verdict=verdict,
-        slope=slope,
-        predicted_rate=predicted,
-        details={
-            "besov_ratios": per_depth_besov_max,
-            "trials": n_mart,
-            "p": p,
-            "per_trial": per_trial,
-        },
+    draws = [delta_martingale(spec)] if use_delta else (
+        random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t]) for t in range(trials)
     )
+
+    def parts(F, d):
+        Fd = F.truncated(d)
+        l1 = lp_norm(martingale_level(Fd, d), 1.0)
+        return l1, lorentz_sum_lhs(F, p, d), besov_norm(Fd, -(p - 1) / p, p)
+
+    per_trial, besov = ratio_trials(depths, draws, parts)
+    report = trend_verdict(depths, per_trial.max(axis=1))
+    report.details.update(
+        besov_ratios=besov.max(axis=1), trials=per_trial.shape[1], p=p, per_trial=per_trial
+    )
+    return report

@@ -5,12 +5,15 @@ the continuity of the Riesz potential from the constrained martingale space
 into L_p(nu).  This module computes the exact Frostman constant, generates
 capped multiplicative cascades that satisfy it by construction, runs the
 positive embedding experiments, and builds the divergent example
-nu = F_0 + I_gamma[F] available when the kappa profile is linear.
+nu = F_0 + I_gamma[F] available when the kappa profile is linear.  The two
+embedding experiments share one private loop, ``_trace_report``, built on
+``riesz.ratio_trials``, and return ``riesz.EmbeddingReport`` with ``alpha``,
+``p`` and the per-depth ``frostman_constants`` in its details.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .filtration import (
 )
 from .kappa import kappa_of, rank_one_directions
 from .norms import lp_nu_norm, martingale_level
-from .riesz import riesz_potential, trend_verdict
+from .riesz import EmbeddingReport, ratio_trials, riesz_potential, trend_verdict
 from .spacew import SubspaceW, random_w_martingale
 
 KAPPA_LINEARITY_TOL = 1e-6
@@ -74,16 +77,31 @@ def capped_cascade_measure(
     return TreeMeasure(spec, masses)
 
 
-@dataclass
-class TraceReport:
-    alpha: float
-    p: float
-    depths: list[int]
-    frostman_constants: np.ndarray
-    ratios: np.ndarray
-    verdict: str
-    slope: float
-    details: dict = field(default_factory=dict)
+def _trace_report(nu, W, alpha, p, trials, seed, depths, scale_profile) -> EmbeddingReport:
+    """||I_alpha F||_{L_p(nu)} / ||F||_{L_1} across depths for random W-martingales."""
+    if depths is None:
+        depths = list(range(4, nu.spec.depth + 1))
+    if max(depths) > nu.spec.depth:
+        raise ValueError(f"depths end at {max(depths)}, beyond the measure's depth {nu.spec.depth}")
+    spec = FiltrationSpec(nu.spec.m, max(depths), W.ell)
+    constants = np.array([frostman_constant(nu.truncated(d), alpha, p) for d in depths])
+    draws = (
+        random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
+        for t in range(trials)
+    )
+
+    def parts(F, d):
+        Fd = F.truncated(d)
+        img = martingale_level(riesz_potential(Fd, alpha), d)
+        den = float(np.linalg.norm(evaluate(Fd, d), axis=1).mean())
+        return den, lp_nu_norm(img, nu.truncated(d), p)
+
+    (per_trial,) = ratio_trials(depths, draws, parts)
+    report = trend_verdict(depths, per_trial.max(axis=1))
+    report.details.update(
+        alpha=alpha, p=p, frostman_constants=constants, trials=trials, per_trial=per_trial
+    )
+    return report
 
 
 def trace_experiment_p(
@@ -95,36 +113,11 @@ def trace_experiment_p(
     seed: int = 0,
     depths=None,
     scale_profile=None,
-) -> TraceReport:
+) -> EmbeddingReport:
     """||I_alpha F||_{L_p(nu)} / ||F||_{L_1} across depths for W-martingales."""
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    if depths is None:
-        depths = list(range(4, nu.spec.depth + 1))
-    spec = FiltrationSpec(nu.spec.m, max(depths), W.ell)
-    constants = np.array([frostman_constant(nu.truncated(d), alpha, p) for d in depths])
-    per_trial = np.zeros((len(depths), trials))
-    for t in range(trials):
-        F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
-        for i, d in enumerate(depths):
-            Fd = F.truncated(d)
-            img = martingale_level(riesz_potential(Fd, alpha), d)
-            num = lp_nu_norm(img, nu.truncated(d), p)
-            den = float(np.linalg.norm(evaluate(Fd, d), axis=1).mean())
-            if den > 0:
-                per_trial[i, t] = num / den
-    per_depth = per_trial.max(axis=1)
-    verdict, slope, _ = trend_verdict(depths, per_depth)
-    return TraceReport(
-        alpha=alpha,
-        p=p,
-        depths=list(depths),
-        frostman_constants=constants,
-        ratios=per_depth,
-        verdict=verdict,
-        slope=slope,
-        details={"trials": trials, "per_trial": per_trial},
-    )
+    return _trace_report(nu, W, alpha, p, trials, seed, depths, scale_profile)
 
 
 def trace_experiment_l1(
@@ -137,60 +130,36 @@ def trace_experiment_l1(
     scale_profile=None,
     epsilon: float = 0.1,
     interp_p: float = 2.0,
-) -> TraceReport:
+) -> EmbeddingReport:
     """The limiting p = 1 trace experiment plus the per-flat-tree controls.
 
-    Alongside the global ratios, each flat tree T is checked against
+    Alongside the global ratios, each flat tree T of the first three trials'
+    martingales is checked against
     ||I_alpha[F_T]||_{L_1(nu)} <= C m^{-n_0} |F_{n_0}(omega_0)| and the
     restricted measure martingale against the interpolatory bound with the
     Frostman constant, at the auxiliary exponent ``interp_p``.
     """
-    if depths is None:
-        depths = list(range(4, nu.spec.depth + 1))
-    spec = FiltrationSpec(nu.spec.m, max(depths), W.ell)
-    m = spec.m
-    constants = np.array([frostman_constant(nu.truncated(d), alpha, 1.0) for d in depths])
-    per_trial = np.zeros((len(depths), trials))
+    report = _trace_report(nu, W, alpha, 1.0, trials, seed, depths, scale_profile)
+    depth = max(report.depths)
+    spec = FiltrationSpec(nu.spec.m, depth, W.ell)
+    full_nu = nu.truncated(depth)
+    nu_levels = [full_nu.level_mass(n) for n in range(depth + 1)]
+    c_frostman = report.details["frostman_constants"][-1]
     tree_constants = []
-    interp_ok = True
     interp_max_ratio = 0.0
-    full_nu = nu.truncated(max(depths))
-    nu_levels = [full_nu.level_mass(n) for n in range(max(depths) + 1)]
-    c_frostman = constants[-1]
-    for t in range(trials):
+    for t in range(min(trials, 3)):  # the same draws as the trials above
         F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
-        for i, d in enumerate(depths):
-            Fd = F.truncated(d)
-            img = martingale_level(riesz_potential(Fd, alpha), d)
-            num = lp_nu_norm(img, nu.truncated(d), 1.0)
-            den = float(np.linalg.norm(evaluate(Fd, d), axis=1).mean())
-            if den > 0:
-                per_trial[i, t] = num / den
-        if t < 3:
-            tree_c, interp_r = _per_tree_checks(
-                F, full_nu, nu_levels, alpha, epsilon, interp_p, c_frostman
-            )
-            tree_constants.extend(tree_c)
-            interp_max_ratio = max(interp_max_ratio, interp_r)
-            interp_ok = interp_ok and interp_r <= 1.0 + 1e-9
-    per_depth = per_trial.max(axis=1)
-    verdict, slope, _ = trend_verdict(depths, per_depth)
-    return TraceReport(
-        alpha=alpha,
-        p=1.0,
-        depths=list(depths),
-        frostman_constants=constants,
-        ratios=per_depth,
-        verdict=verdict,
-        slope=slope,
-        details={
-            "trials": trials,
-            "tree_constants": tree_constants,
-            "interp_bound_holds": interp_ok,
-            "interp_max_ratio": interp_max_ratio,
-            "per_trial": per_trial,
-        },
+        tree_c, interp_r = _per_tree_checks(
+            F, full_nu, nu_levels, alpha, epsilon, interp_p, c_frostman
+        )
+        tree_constants.extend(tree_c)
+        interp_max_ratio = max(interp_max_ratio, interp_r)
+    report.details.update(
+        tree_constants=tree_constants,
+        interp_bound_holds=interp_max_ratio <= 1.0 + 1e-9,
+        interp_max_ratio=interp_max_ratio,
     )
+    return report
 
 
 def _per_tree_checks(F, nu, nu_levels, alpha, epsilon, p, c_frostman):

@@ -1,7 +1,7 @@
 """CLI surface: subcommands, file formats, exit codes, byte reproducibility."""
 
 import json
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +138,19 @@ class TestMalformedFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="f.json.*blocks entry lacks the field 'values'"):
             read_martingale(path)
+
+    @pytest.mark.parametrize("reader, kind, fields", READERS, ids=[r[1] for r in READERS])
+    def test_nan_names_file(self, reader, kind, fields, tmp_path):
+        path = tmp_path / "x.json"
+        _write_sample(kind, path)
+        doc = json.loads(path.read_text())
+        numbers = {"tree-measure": "leaf_mass", "martingale": "f0", "subspace-w": "basis",
+                   "fiber-family": "fibers"}[kind]
+        doc[numbers] = {"1": [[[float("nan"), 0.0]]]} if kind == "fiber-family" else [float("nan")]
+        broken = tmp_path / "nan.json"
+        broken.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="nan.json: NaN is not a number"):
+            reader(broken)
 
     def test_check_w_without_k_exits_two(self, tmp_path, capsys):
         path = tmp_path / "w.json"
@@ -324,15 +337,7 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
 
-    @pytest.fixture(params=["jsonschema", "fallback"])
-    def validator(self, request, monkeypatch):
-        """Run each config test as installed and with jsonschema hidden: the
-        experiment table's check must not depend on that package."""
-        if request.param == "fallback":
-            monkeypatch.setitem(sys.modules, "jsonschema", None)
-        return request.param
-
-    def test_misspelt_param_is_rejected(self, validator, martingale_file, tmp_path, capsys):
+    def test_misspelt_param_is_rejected(self, martingale_file, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "decompose", "martingale_file": martingale_file,
@@ -350,7 +355,7 @@ class TestExitCodes:
         ["kappa"],
         {"params": {"grid": 5}},
     ])
-    def test_malformed_configs_exit_two_with_one_line(self, validator, doc, tmp_path, capsys):
+    def test_malformed_configs_exit_two_with_one_line(self, doc, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg)]) == 2
@@ -409,11 +414,19 @@ class TestExitCodes:
         ({"kind": "trace-sharpness", "w_file": "w.json", "filtration": {"ell": 2, "depth": 4}},
          "filtration.ell=2, W has ell=1"),
         ({"kind": "check-w", "w_file": "w_no_k.json"}, "lacks the field 'k'"),
+        ({"kind": "trace-constant", "measure_file": "nu.json", "params": {"alpha": float("nan")}},
+         "params.alpha must be finite, got alpha=nan"),
+        ({"kind": "frostman", "measure_file": "mu.json", "params": {"beta": float("inf")}},
+         "params.beta must be finite, got beta=inf"),
+        ({"kind": "main-inequality", "w_file": "w.json", "params": {"p": float("-inf")}},
+         "params.p must be finite, got p=-inf"),
+        ({"kind": "check-w", "w_file": "w_nan.json"}, "w_nan.json: NaN is not a number"),
     ])
     def test_rejected_configs_write_nothing(self, doc, message, w_file, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         W = json.loads(open(w_file).read())
         (tmp_path / "w.json").write_text(json.dumps(W))
+        (tmp_path / "w_nan.json").write_text(json.dumps(dict(W, basis=[[[float("nan")]] * 3])))
         del W["k"]
         (tmp_path / "w_no_k.json").write_text(json.dumps(W))
         (tmp_path / "cfg.json").write_text(json.dumps(dict(doc, out="out")))
@@ -421,6 +434,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["trace-embed-p", "trace-embed-l1"])
+    def test_trace_depths_beyond_the_measure_exit_two(self, kind, tmp_path, capsys):
+        # the default depths [4, 8] against the depth-6 golden cascade
+        golden = Path(__file__).parent / "golden"
+        out = tmp_path / "out"
+        assert main(["--out", str(out), kind, "--measure", str(golden / "cascade.json"),
+                     "--w", str(golden / "w_span.json"), "--alpha", "0.9"]) == 2
+        err = capsys.readouterr().err
+        assert "depths end at 8, beyond the measure's depth 6" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_depth_flag_must_end_depths(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -12,6 +12,7 @@ from martree.norms import (
     weak_lp_norm,
 )
 from martree.riesz import (
+    _random_martingale,
     delta_counterexample,
     delta_martingale,
     hls_experiment,
@@ -199,3 +200,136 @@ class TestMainInequality:
         running_max = np.maximum.accumulate(report.ratios)
         # no new records at the deep end
         assert running_max[-1] <= running_max[2] * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------- parent oracles
+#
+# The experiments as they stood before they shared ``ratio_trials`` and
+# ``trend_verdict``, each with its own trial loop and report.  The shared
+# versions draw the same martingales and sum in the same order, so every
+# report field and every details entry must agree bit for bit.
+
+
+def trend_verdict_oracle(depths, ratios):
+    lo, hi = min(depths), max(depths)
+    predicted = float(np.log(hi / lo) / (hi - lo))
+    x = np.asarray(depths, dtype=float)
+    y = np.asarray(ratios, dtype=float)
+    keep = y > 0
+    slope = float(np.polyfit(x[keep], np.log(y[keep]), 1)[0]) if keep.sum() >= 2 else 0.0
+    growing = len(depths) >= 5 and slope > 0.5 * predicted
+    return ("GROWING" if growing else "BOUNDED"), slope, predicted
+
+
+def oracle_report(depths, ratios, details):
+    verdict, slope, predicted = trend_verdict_oracle(depths, ratios)
+    return {"depths": list(depths), "ratios": ratios, "verdict": verdict, "slope": slope,
+            "predicted_rate": predicted, "details": details}
+
+
+def hls_oracle(p, q, spec, trials=20, seed=0, depths=None):
+    if depths is None:
+        depths = list(range(4, spec.depth + 1))
+    alpha = (q - p) / (q * p)
+    per_trial = np.zeros((len(depths), trials))
+    for i, d in enumerate(depths):
+        sub = spec.truncated(d)
+        for t in range(trials):
+            F = _random_martingale(sub, seed=[seed, d, t])
+            num = lp_norm(martingale_level(riesz_potential(F, alpha), d), q)
+            den = lp_norm(martingale_level(F, d), p)
+            if den > 0:
+                per_trial[i, t] = num / den
+    ratios = per_trial.max(axis=1)
+    return oracle_report(depths, ratios, {"alpha": alpha, "trials": trials, "per_trial": per_trial})
+
+
+def main_inequality_oracle(W, p, spec, trials=20, seed=0, depths=None, scale_profile=None,
+                           use_delta=False):
+    if depths is None:
+        depths = list(range(4, spec.depth + 1))
+    m = spec.m
+    weight = lambda n: float(m) ** (-(p - 1) / p * n)
+
+    def ratios_for_martingale(F):
+        lorentz_terms = [
+            weight(n) * lorentz_p1_norm(martingale_difference(F, n), p)
+            for n in range(1, spec.depth + 1)
+        ]
+        besov_terms = [
+            weight(n) * lp_norm(martingale_difference(F, n), p)
+            for n in range(1, spec.depth + 1)
+        ]
+        out = []
+        for d in depths:
+            lhs = sum(lorentz_terms[: d])
+            besov = sum(besov_terms[: d])
+            l1 = lp_norm(martingale_level(F.truncated(d), d), 1.0)
+            out.append((lhs, besov, l1))
+        return out
+
+    n_mart = 1 if use_delta else trials
+    per_trial = np.zeros((len(depths), n_mart))
+    per_depth_besov_max = np.zeros(len(depths))
+    for t in range(n_mart):
+        if use_delta:
+            F = delta_martingale(spec)
+        else:
+            F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
+        for i, (lhs, besov, l1) in enumerate(ratios_for_martingale(F)):
+            if l1 > 0:
+                per_trial[i, t] = lhs / l1
+                per_depth_besov_max[i] = max(per_depth_besov_max[i], besov / l1)
+    per_depth_ratio_max = per_trial.max(axis=1)
+    details = {"besov_ratios": per_depth_besov_max, "trials": n_mart, "p": p, "per_trial": per_trial}
+    return oracle_report(depths, per_depth_ratio_max, details)
+
+
+def assert_report_matches(report, ref):
+    """Each field and details entry has the oracle's dtype, shape and bytes."""
+    assert report.depths == ref["depths"]
+    assert report.details.keys() == ref["details"].keys()
+    fields = [(name, getattr(report, name), ref[name])
+              for name in ("ratios", "verdict", "slope", "predicted_rate")]
+    fields += [(key, report.details[key], value) for key, value in ref["details"].items()]
+    for name, ours, theirs in fields:
+        a, b = np.asarray(ours), np.asarray(theirs)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def growing_profile(n):
+    return 1.6**n
+
+
+# m, ell, dim W, p, trials, depth, depths (None: the default), scale profile
+MAIN_CASES = [
+    (3, 1, 1, 1.5, 1, 7, range(2, 8), None),
+    (3, 2, 3, 2.0, 5, 7, None, None),
+    (3, 1, 2, 3.0, 2, 6, range(2, 7), growing_profile),
+    (4, 1, 2, 3.0, 2, 6, range(3, 7), None),
+    (4, 2, 4, 1.5, 5, 5, range(1, 6), growing_profile),
+    (5, 1, 3, 2.0, 2, 5, None, None),
+    (5, 2, 2, 3.0, 1, 4, range(2, 5), None),
+]
+
+
+class TestParentOracles:
+    @pytest.mark.parametrize("m, ell, dim, p, trials, depth, depths, profile", MAIN_CASES)
+    def test_main_inequality_random(self, m, ell, dim, p, trials, depth, depths, profile):
+        W, spec = SubspaceW.random(m, ell, dim, seed=m + ell), FiltrationSpec(m, depth, ell)
+        args = (W, p, spec, trials, 3, depths, profile)
+        assert_report_matches(main_inequality_experiment(*args), main_inequality_oracle(*args))
+
+    @pytest.mark.parametrize("m, depth", [(3, 8), (4, 6), (5, 5)])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_main_inequality_delta(self, m, depth, p):
+        W, spec = SubspaceW.from_blocks([delta_vector(m)[:, None]], m, 1), FiltrationSpec(m, depth, 1)
+        args = (W, p, spec, 7, 0, range(1, depth + 1), None, True)
+        assert_report_matches(main_inequality_experiment(*args), main_inequality_oracle(*args))
+
+    @pytest.mark.parametrize("m, ell, p, q, trials, depth", [
+        (3, 1, 1.5, 3.0, 1, 6), (3, 2, 2.0, 4.0, 5, 6), (4, 1, 3.0, 5.0, 2, 5), (5, 2, 2.0, 2.5, 2, 4),
+    ])
+    def test_hls(self, m, ell, p, q, trials, depth):
+        args = (p, q, FiltrationSpec(m, depth, ell), trials, 2, range(2, depth + 1))
+        assert_report_matches(hls_experiment(*args), hls_oracle(*args))

@@ -6,19 +6,22 @@ import pytest
 from martree.filtration import (
     FiltrationSpec,
     TreeMeasure,
+    evaluate,
     measure_to_martingale,
 )
 from martree.kappa import kappa_of
 from martree.norms import lp_norm, lp_nu_norm, martingale_level
 from martree.riesz import riesz_potential
-from martree.spacew import SubspaceW, check_second_condition, delta_vector
+from martree.spacew import SubspaceW, check_second_condition, delta_vector, random_w_martingale
 from martree.trace import (
+    _per_tree_checks,
     build_sharpness_trace_measure,
     capped_cascade_measure,
     frostman_constant,
     trace_experiment_l1,
     trace_experiment_p,
 )
+from tests.test_riesz import assert_report_matches, oracle_report
 
 
 def delta_w():
@@ -125,6 +128,14 @@ class TestTraceP:
         assert report.verdict == "BOUNDED"
 
 
+@pytest.mark.parametrize("experiment", [trace_experiment_p, trace_experiment_l1])
+def test_depths_beyond_the_measure_rejected(experiment):
+    nu = capped_cascade_measure(FiltrationSpec(3, 6, 1), alpha=0.9, p=2.0, seed=0)
+    kwargs = {"p": 2.0} if experiment is trace_experiment_p else {}
+    with pytest.raises(ValueError, match="depths end at 7, beyond the measure's depth 6"):
+        experiment(nu, span_w(), alpha=0.9, trials=1, depths=range(4, 8), **kwargs)
+
+
 class TestTraceL1:
     def test_zero_subspace_vacuous(self):
         spec = FiltrationSpec(3, 6, 1)
@@ -213,3 +224,107 @@ class TestSharpnessConstruction:
         assert report.exact_l1_nu[-1] > report.exact_l1_nu[0] * 1.5
         # nu is a genuine probability-sized positive measure
         assert nu.total() == pytest.approx(1.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------- parent oracles
+#
+# The two trace experiments as they stood before they shared one loop and
+# returned EmbeddingReport: their own trial loops, and trace_experiment_l1
+# running the per-tree checks inside its loop.  See tests/test_riesz.py.
+
+
+def trace_experiment_p_oracle(nu, W, alpha, p, trials=20, seed=0, depths=None, scale_profile=None):
+    if depths is None:
+        depths = list(range(4, nu.spec.depth + 1))
+    spec = FiltrationSpec(nu.spec.m, max(depths), W.ell)
+    constants = np.array([frostman_constant(nu.truncated(d), alpha, p) for d in depths])
+    per_trial = np.zeros((len(depths), trials))
+    for t in range(trials):
+        F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
+        for i, d in enumerate(depths):
+            Fd = F.truncated(d)
+            img = martingale_level(riesz_potential(Fd, alpha), d)
+            num = lp_nu_norm(img, nu.truncated(d), p)
+            den = float(np.linalg.norm(evaluate(Fd, d), axis=1).mean())
+            if den > 0:
+                per_trial[i, t] = num / den
+    per_depth = per_trial.max(axis=1)
+    details = {"alpha": alpha, "p": p, "frostman_constants": constants, "trials": trials,
+               "per_trial": per_trial}
+    return oracle_report(depths, per_depth, details)
+
+
+def trace_experiment_l1_oracle(nu, W, alpha, trials=20, seed=0, depths=None, scale_profile=None,
+                               epsilon=0.1, interp_p=2.0):
+    if depths is None:
+        depths = list(range(4, nu.spec.depth + 1))
+    spec = FiltrationSpec(nu.spec.m, max(depths), W.ell)
+    constants = np.array([frostman_constant(nu.truncated(d), alpha, 1.0) for d in depths])
+    per_trial = np.zeros((len(depths), trials))
+    tree_constants = []
+    interp_ok = True
+    interp_max_ratio = 0.0
+    full_nu = nu.truncated(max(depths))
+    nu_levels = [full_nu.level_mass(n) for n in range(max(depths) + 1)]
+    c_frostman = constants[-1]
+    for t in range(trials):
+        F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
+        for i, d in enumerate(depths):
+            Fd = F.truncated(d)
+            img = martingale_level(riesz_potential(Fd, alpha), d)
+            num = lp_nu_norm(img, nu.truncated(d), 1.0)
+            den = float(np.linalg.norm(evaluate(Fd, d), axis=1).mean())
+            if den > 0:
+                per_trial[i, t] = num / den
+        if t < 3:
+            tree_c, interp_r = _per_tree_checks(
+                F, full_nu, nu_levels, alpha, epsilon, interp_p, c_frostman
+            )
+            tree_constants.extend(tree_c)
+            interp_max_ratio = max(interp_max_ratio, interp_r)
+            interp_ok = interp_ok and interp_r <= 1.0 + 1e-9
+    per_depth = per_trial.max(axis=1)
+    details = {
+        "alpha": alpha,
+        "p": 1.0,
+        "frostman_constants": constants,
+        "trials": trials,
+        "tree_constants": tree_constants,
+        "interp_bound_holds": interp_ok,
+        "interp_max_ratio": interp_max_ratio,
+        "per_trial": per_trial,
+    }
+    return oracle_report(depths, per_depth, details)
+
+
+# m, ell, dim W, p, alpha, trials, depth, depths (None: the default)
+TRACE_CASES = [
+    (3, 1, 1, 1.5, 0.9, 1, 7, range(2, 8)),
+    (3, 2, 3, 2.0, 0.6, 5, 7, None),
+    (4, 1, 2, 3.0, 0.9, 2, 5, range(1, 6)),
+    (4, 2, 2, 1.5, 0.4, 5, 5, range(2, 5)),
+    (5, 1, 3, 2.0, 0.7, 2, 4, range(2, 5)),
+    (5, 2, 5, 3.0, 0.8, 1, 5, None),
+]
+
+
+class TestParentOracles:
+    @pytest.mark.parametrize("m, ell, dim, p, alpha, trials, depth, depths", TRACE_CASES)
+    def test_trace_experiment_p(self, m, ell, dim, p, alpha, trials, depth, depths):
+        nu = capped_cascade_measure(FiltrationSpec(m, depth, 1), alpha, p, seed=m)
+        W = SubspaceW.random(m, ell, dim, seed=ell)
+        args = (nu, W, alpha, p, trials, 1, depths)
+        assert_report_matches(trace_experiment_p(*args), trace_experiment_p_oracle(*args))
+
+    @pytest.mark.parametrize("m, ell, dim, p, alpha, trials, depth, depths", TRACE_CASES)
+    def test_trace_experiment_l1(self, m, ell, dim, p, alpha, trials, depth, depths):
+        nu = capped_cascade_measure(FiltrationSpec(m, depth, 1), alpha, 1.0, seed=m + 1)
+        W = SubspaceW.random(m, ell, dim, seed=ell + 1)
+        args = (nu, W, alpha, trials, 2, depths, None, 0.05 * m, 1.0 + 0.5 * ell)
+        assert_report_matches(trace_experiment_l1(*args), trace_experiment_l1_oracle(*args))
+
+    def test_span_w_l1_matches(self):
+        # the sharp example: flat trees and a Frostman constant near 1
+        nu = capped_cascade_measure(FiltrationSpec(3, 8, 1), alpha=0.9, p=1.0, seed=2)
+        args = (nu, span_w(), 0.9, 4, 1, range(3, 9))
+        assert_report_matches(trace_experiment_l1(*args), trace_experiment_l1_oracle(*args))
