@@ -321,6 +321,7 @@ class Field(NamedTuple):
     type: type             # str, int, float, or list: a [lo, hi] pair of ints
     default: object = REQUIRED
     shown: str = ""        # the default as help states it, when not its value
+    minimum: object = None  # the least value accepted, if any
 
 
 class Experiment(NamedTuple):
@@ -334,7 +335,7 @@ MEASURE = {"measure_file": Field(str)}
 FIBERS = {"fibers_file": Field(str)}
 DEPTH = {"filtration.depth": Field(int, 8)}
 P = {"params.p": Field(float, 2.0)}
-TRIALS = {"params.trials": Field(int, 20)}
+TRIALS = {"params.trials": Field(int, 20, minimum=1)}
 DEPTHS = {"params.depths": Field(list, None, "[4, depth]")}
 EMBED = {"filtration.m": Field(int, 3), **DEPTH, "filtration.ell": Field(int, 1), **P, **DEPTHS}
 # The sharpness kinds build at W's m and ell; a config may only restate them.
@@ -344,7 +345,7 @@ ALPHA = {"params.alpha": Field(float, 0.5)}
 TRACE = {**MEASURE, **SUBSPACE, **DEPTH, **ALPHA, **TRIALS, **DEPTHS}
 
 EXPERIMENTS = {
-    "kappa": Experiment(_kappa, {**SUBSPACE, "params.grid": Field(int, 21)}),
+    "kappa": Experiment(_kappa, {**SUBSPACE, "params.grid": Field(int, 21, minimum=2)}),
     "check-w": Experiment(_check_w, SUBSPACE),
     "hls": Experiment(_hls, {**SEED, **EMBED, "params.q": Field(float), **TRIALS}),
     "delta-counterexample": Experiment(_delta_counterexample, EMBED),
@@ -406,6 +407,8 @@ def _resolve(doc) -> tuple[Experiment, SimpleNamespace]:
         if fields[path].type is float and not np.isfinite(value):
             name = "epsilon" if key == "eps" else key  # as decompose's own check spells it
             raise ConfigError(f"config rejected: {path} must be finite, got {name}={value!r}")
+        if fields[path].minimum is not None and value < fields[path].minimum:
+            raise ConfigError(f"config rejected: {path} must be at least {fields[path].minimum}, got {value!r}")
         values[key] = value
     for path, field in fields.items():
         key = path.rpartition(".")[2]
@@ -559,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
                 f"--{flag}",
                 dest=f"field.{path}",
                 type=int if field.type is list else field.type,
-                help=f"{path}; default: {field.shown or field.default}",
+                help=f"{path}; default: {field.shown or field.default}"
+                + (f"; at least {field.minimum}" if field.minimum is not None else ""),
                 **({"metavar": flag.upper()} | pair),
             )
     return parser

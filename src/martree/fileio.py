@@ -19,7 +19,27 @@ from .spacew import SubspaceW
 
 
 def _dump(path, document):
-    Path(path).write_text(json.dumps(document, indent=1) + "\n")
+    Path(path).write_text(_encode(document, "") + "\n")
+
+
+def _encode(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=1)`` of a value nested at ``indent``, the same bytes.
+
+    Dicts (string keys) and lists are laid out as json lays them out; a flat
+    list of finite floats is written as one join of ``float.__repr__``, which
+    is what json writes for each, and everything else goes to json itself.
+    """
+    inner = indent + " "
+    if isinstance(obj, list) and obj:
+        if all(type(v) is float for v in obj):
+            text = f",\n{inner}".join(map(float.__repr__, obj))
+            if "n" not in text:  # no inf or nan, which json spells Infinity and NaN
+                return f"[\n{inner}{text}\n{indent}]"
+        return f"[\n{inner}" + f",\n{inner}".join(_encode(v, inner) for v in obj) + f"\n{indent}]"
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(key)}: {_encode(value, inner)}" for key, value in obj.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(obj)
 
 
 def _require(obj, fields, path, what):
@@ -62,7 +82,10 @@ def write_measure(path, mu: TreeMeasure) -> None:
 def read_measure(path) -> TreeMeasure:
     doc = _load(path, "tree-measure", ("m", "depth", "ell", "leaf_mass"))
     spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
-    return TreeMeasure(spec, np.asarray(doc["leaf_mass"], dtype=float))
+    leaf_mass = np.asarray(doc["leaf_mass"], dtype=float)
+    if not np.isfinite(leaf_mass).all():  # an infinite mass would pass for a certified measure
+        raise ValueError(f"{path}: leaf_mass holds a non-finite value")
+    return TreeMeasure(spec, leaf_mass)
 
 
 def write_martingale(path, F: Martingale) -> None:

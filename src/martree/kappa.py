@@ -100,44 +100,49 @@ def rank_one_directions(W: SubspaceW, n_starts: int = 32, seed: int = 0) -> list
     """Unit rank-one directions (u, a) with u (x) a numerically inside W.
 
     Alternating projection between W and the rank-one cone from random
-    starting elements of W; distinct limits are deduplicated.
+    starting elements of W; distinct limits are deduplicated.  All starts
+    iterate in lockstep on one stack of blocks, each leaving it when its own
+    stopping test fires; every stacked step (SVD, rank-one part, projection,
+    norm) rounds each block as the single-block step does, so the limits are
+    those of one start at a time, bit for bit.
     """
     if W.dim == 0:
         return []
     rng = np.random.default_rng(seed)
+    m, ell = W.m, W.ell
+    basis = W.basis.reshape(W.dim, -1)
+
+    def norms(flat):  # np.linalg.norm of each row: sqrt of its dot with itself
+        return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
+
+    coeffs = np.array([rng.standard_normal(W.dim) for _ in range(n_starts)]).reshape(n_starts, W.dim)
+    X = np.matmul(coeffs[:, None, :], basis)[:, 0, :]
+    norm = norms(X)
+    X = X[norm != 0] / norm[norm != 0, None]
+    running = np.arange(len(X))
+    for _ in range(200):
+        if not running.size:
+            break
+        U, s, Vt = np.linalg.svd(X[running].reshape(-1, m, ell))
+        R = s[:, 0, None, None] * (U[:, :, 0, None] * Vt[:, 0, None, :])
+        X_new = np.matmul(np.matmul(basis, R.reshape(-1, m * ell, 1)).transpose(0, 2, 1), basis)[:, 0, :]
+        norm = norms(X_new)
+        moved = ~(norm < 1e-14)
+        X_new = X_new[moved] / norm[moved, None]
+        still = ~(norms(X_new - X[running[moved]]) < 1e-15)
+        X[running[moved]] = X_new
+        running = running[moved][still]
+    X = X.reshape(-1, m, ell)
+    U, s, Vt = np.linalg.svd(X)
+    distances = W.residuals(X)
     found: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def register(u, a):
-        X = np.outer(u, a)
-        for u2, a2 in found:
-            if abs(np.sum(X * np.outer(u2, a2))) > 1.0 - 1e-8:
-                return
-        found.append((u, a))
-
-    for _ in range(n_starts):
-        coeffs = rng.standard_normal(W.dim)
-        X = W.combine(coeffs)
-        norm = np.linalg.norm(X)
-        if norm == 0:
-            continue
-        X /= norm
-        for _ in range(200):
-            U, s, Vt = np.linalg.svd(X)
-            R = s[0] * np.outer(U[:, 0], Vt[0])
-            X_new = project(R, W)
-            norm = np.linalg.norm(X_new)
-            if norm < 1e-14:
-                break
-            X_new /= norm
-            if np.linalg.norm(X_new - X) < 1e-15:
-                X = X_new
-                break
-            X = X_new
-        U, s, Vt = np.linalg.svd(X)
-        if s[0] > 0 and (s[1:] ** 2).sum() <= 1e-20 and W.distance(X) <= 1e-10:
-            u = U[:, 0]
-            if abs(u.sum()) < 1e-8:
-                register(u, Vt[0])
+    for i in range(len(X)):
+        if s[i, 0] > 0 and (s[i, 1:] ** 2).sum() <= 1e-20 and distances[i] <= 1e-10:
+            u, a = U[i, :, 0], Vt[i, 0]
+            if abs(u.sum()) < 1e-8 and all(
+                abs(np.sum(np.outer(u, a) * np.outer(u2, a2))) <= 1.0 - 1e-8 for u2, a2 in found
+            ):
+                found.append((u, a))
     return found
 
 
@@ -300,14 +305,6 @@ def strict_gap_check(W: SubspaceW, p: float, n_starts: int = 32, seed: int = 0) 
     witness = kappa_of(W, theta, n_starts=n_starts, seed=seed)
     margin = bound - witness.value
     return bool(margin > OPTIMIZER_TOL), float(margin)
-
-
-def ray_grid_oracle(u: np.ndarray, objective_many, maximize: bool, resolution: int = 100_000) -> float:
-    """Dense-grid optimum over one feasible ray; brute-force reference."""
-    t_lo, t_hi = feasible_interval(u)
-    ts = np.linspace(t_lo, t_hi, resolution)
-    vals = objective_many(ts[:, None] * np.asarray(u, dtype=float)[None, :])
-    return float(vals.max() if maximize else vals.min())
 
 
 def kappa_profile(W: SubspaceW, grid_size: int = 21, n_starts: int = 32, seed: int = 0) -> KappaProfile:

@@ -11,10 +11,10 @@ INCONCLUSIVE as an honest third outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .filtration import FiltrationSpec, Martingale
 
@@ -211,15 +211,100 @@ def check_second_condition(W: SubspaceW) -> tuple[bool, tuple[int, np.ndarray] |
     return True, None, diag
 
 
-def _second_singular_ratio(coeffs: np.ndarray, W: SubspaceW) -> float:
-    block = W.combine(coeffs)
-    sq = float(np.sum(block * block))
-    if sq == 0.0:
-        return 1.0
-    sigma = np.linalg.svd(block, compute_uv=False)
-    if sigma.size < 2:
-        return 0.0
-    return float(sigma[1] ** 2 / sq)
+def _second_singular_ratios(C: np.ndarray, W: SubspaceW) -> np.ndarray:
+    """sigma_2(w)^2 / ||w||^2 of w = W.combine(c) for every row c of C.
+
+    Every step is the stacked form of the single-block one, so each ratio is
+    bit for bit what one block alone gives: the combine runs as one gemv per
+    row, the squared norm as a pairwise row sum, and sigma_2 is squared by
+    libm pow, as a NumPy scalar's ``** 2`` does (the array ``** 2`` is x * x,
+    which differs from it in the last bit now and then).
+    """
+    basis = W.basis.reshape(W.dim, -1)
+    blocks = np.matmul(np.ascontiguousarray(C)[:, None, :], basis).reshape(-1, W.m, W.ell)
+    sq = (blocks * blocks).reshape(len(blocks), W.m * W.ell).sum(axis=1)
+    sigma = np.linalg.svd(blocks, compute_uv=False)[:, 1].tolist()
+    zero = sq == 0.0  # the zero block has ratio 1
+    return np.where(zero, 1.0, np.array([math.pow(s, 2) for s in sigma]) / np.where(zero, 1.0, sq))
+
+
+def _nelder_mead_lockstep(f, X0: np.ndarray, xatol: float, fatol: float, maxiter: int):
+    """scipy's Nelder-Mead (``optimize.minimize``, no bounds, maxfev unset)
+    from every row of X0 at once, one iteration at a time.
+
+    ``f`` maps a (P, N) stack of points to their P values, each row alone.
+    Every start's simplex goes through the very float operations of scipy
+    1.17's ``_minimize_neldermead``, so its result is scipy's bit for bit; a
+    start leaves the stack when its own stopping test fires.  Each iteration
+    makes one call for the reflection points of all running starts, one for
+    the expansion or contraction points of those that need one, and one for
+    the shrunk simplices.  Returns the per-start ``x``, ``fun``, ``nit`` and
+    ``nfev``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    # reflection, expansion, outside and inside contraction: a * xbar - b * worst
+    a = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi], dtype=float)[:, None]
+    b = np.array([rho, rho * chi, psi * rho, -psi], dtype=float)[:, None]
+    S, N = X0.shape
+    sim = np.repeat(np.asarray(X0, dtype=float)[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    y = sim[:, k + 1, k]
+    sim[:, k + 1, k] = np.where(y != 0, (1 + nonzdelt) * y, zdelt)
+    fsim = f(sim.reshape(-1, N)).reshape(S, N + 1)
+    rows = np.arange(S)[:, None]
+    for _ in range(2):  # scipy sorts twice; an unstable argsort may reorder ties again
+        ind = np.argsort(fsim, axis=1)
+        fsim, sim = fsim[rows, ind], sim[rows, ind]
+    x, fun = np.empty((S, N)), np.empty(S)
+    nit, nfev = np.empty(S, dtype=int), np.empty(S, dtype=int)
+    ids = np.arange(S)  # the starts still running, one row of sim, fsim and calls each
+    calls = np.full(S, N + 1)
+    iterations = 1
+
+    def finish(done):
+        x[ids[done]] = sim[done, 0]
+        fun[ids[done]] = fsim[done].min(axis=1)
+        nit[ids[done]], nfev[ids[done]] = iterations, calls[done]
+
+    while ids.size and iterations < maxiter:
+        done = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+        if done.any():
+            done &= np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+            if done.any():
+                finish(done)
+                ids, sim, fsim, calls = ids[~done], sim[~done], fsim[~done], calls[~done]
+                if not ids.size:
+                    break
+        P = ids.size
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        points = a * xbar[:, None, :] - b * sim[:, -1:, :]
+        fp = np.full((P, 4), np.nan)
+        fp[:, 0] = fxr = f(points[:, 0])
+        expand = fxr < fsim[:, 0]
+        contract = ~expand & ~(fxr < fsim[:, -2])
+        outside = contract & (fxr < fsim[:, -1])
+        inside = contract & ~outside
+        second = expand + 2 * outside + 3 * inside  # the point scipy evaluates next, if any
+        need = np.flatnonzero(second)
+        fp[need, second[need]] = f(points[need, second[need]])
+        choice = np.where(expand & ~(fp[:, 1] < fxr), 0, second)
+        shrink = (outside & ~(fp[:, 2] <= fxr)) | (inside & ~(fp[:, 3] < fsim[:, -1]))
+        calls += 1 + (second > 0) + N * shrink
+        shrinking = shrink.any()
+        if shrinking:
+            best = sim[shrink, :1]
+            shrunk = best + sigma * (sim[shrink, 1:] - best)
+        sim[:, -1] = points[rows[:P, 0], choice]
+        fsim[:, -1] = fp[rows[:P, 0], choice]
+        if shrinking:
+            sim[shrink, 1:] = shrunk
+            fsim[shrink, 1:] = f(shrunk.reshape(-1, N)).reshape(-1, N)
+        iterations += 1
+        ind = np.argsort(fsim, axis=1)
+        fsim, sim = fsim[rows[:P], ind], sim[rows[:P], ind]
+    finish(np.ones(ids.size, dtype=bool))
+    return x, fun, nit, nfev
 
 
 def check_first_condition(
@@ -240,21 +325,21 @@ def check_first_condition(
         u, s, vt = np.linalg.svd(block)
         return False, (u[:, 0] * s[0], vt[0]), {"min_ratio": 0.0, "starts": 0}
     rng = np.random.default_rng(seed)
+    X0 = np.empty((n_starts, W.dim))
+    for x0 in X0:
+        x0[:] = rng.standard_normal(W.dim)
+        x0 /= np.linalg.norm(x0)
+    # All starts run in lockstep; each ends as scipy's Nelder-Mead with
+    # options {"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000} would end.
+    xs, funs, _, _ = _nelder_mead_lockstep(
+        lambda C: _second_singular_ratios(C, W), X0, xatol=1e-12, fatol=1e-15, maxiter=2000
+    )
     best = np.inf
     best_coeffs = None
-    for _ in range(n_starts):
-        x0 = rng.standard_normal(W.dim)
-        x0 /= np.linalg.norm(x0)
-        res = optimize.minimize(
-            _second_singular_ratio,
-            x0,
-            args=(W,),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000},
-        )
-        if res.fun < best:
-            best = float(res.fun)
-            best_coeffs = res.x
+    for x, fun in zip(xs, funs):
+        if fun < best:
+            best = float(fun)
+            best_coeffs = x
     diag = {"min_ratio": best, "starts": n_starts}
     if best <= FIRST_CONDITION_VIOLATED:
         block = W.combine(best_coeffs)

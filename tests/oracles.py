@@ -1,0 +1,137 @@
+"""Reference implementations the tests compare the package against.
+
+Each is the plain, one-at-a-time form of a search the package now runs
+batched or replaced: the per-start scipy Nelder-Mead loop of
+``spacew.check_first_condition`` with its scalar objective, the per-start
+alternating projection of ``kappa.rank_one_directions``, and the dense ray
+grid that brute-forces one kappa ray.  The batched code must reproduce the
+first two bit for bit.  ``shift_w`` builds a subspace on which those
+searches meet tied values.
+"""
+
+import numpy as np
+from scipy import optimize
+
+from martree.groupfourier import FiberFamily, FiniteAbelianGroup, build_shift_invariant_w
+from martree.kappa import feasible_interval
+from martree.spacew import FIRST_CONDITION_HOLDS, FIRST_CONDITION_VIOLATED, SubspaceW, project
+
+
+def second_singular_ratio(coeffs: np.ndarray, W: SubspaceW) -> float:
+    """sigma_2(w)^2 / ||w||^2 of one w = W.combine(coeffs)."""
+    block = W.combine(coeffs)
+    sq = float(np.sum(block * block))
+    if sq == 0.0:
+        return 1.0
+    sigma = np.linalg.svd(block, compute_uv=False)
+    if sigma.size < 2:
+        return 0.0
+    return float(sigma[1] ** 2 / sq)
+
+
+def nelder_mead_starts(W: SubspaceW, n_starts: int = 24, seed: int = 0, maxiter: int = 2000) -> list:
+    """scipy's Nelder-Mead result from each start of the first-condition search."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(n_starts):
+        x0 = rng.standard_normal(W.dim)
+        x0 /= np.linalg.norm(x0)
+        results.append(optimize.minimize(
+            second_singular_ratio,
+            x0,
+            args=(W,),
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": maxiter},
+        ))
+    return results
+
+
+def check_first_condition(W: SubspaceW, n_starts: int = 24, seed: int = 0):
+    """The first-condition search with one scipy Nelder-Mead run per start."""
+    if W.dim == 0:
+        return True, None, {"min_ratio": np.inf, "starts": 0}
+    if min(W.m, W.ell) < 2:
+        block = W.basis[0]
+        u, s, vt = np.linalg.svd(block)
+        return False, (u[:, 0] * s[0], vt[0]), {"min_ratio": 0.0, "starts": 0}
+    best = np.inf
+    best_coeffs = None
+    for res in nelder_mead_starts(W, n_starts, seed):
+        if res.fun < best:
+            best = float(res.fun)
+            best_coeffs = res.x
+    diag = {"min_ratio": best, "starts": n_starts}
+    if best <= FIRST_CONDITION_VIOLATED:
+        block = W.combine(best_coeffs)
+        u, s, vt = np.linalg.svd(block)
+        v = u[:, 0] * s[0]
+        a = vt[0]
+        for _ in range(60):
+            block = project(np.outer(v, a), W)
+            u, s, vt = np.linalg.svd(block)
+            v, a = u[:, 0] * s[0], vt[0]
+        return False, (v, a), diag
+    if best > FIRST_CONDITION_HOLDS:
+        return True, None, diag
+    return None, None, diag
+
+
+def rank_one_directions(W: SubspaceW, n_starts: int = 32, seed: int = 0) -> list:
+    """Alternating projection between W and the rank-one cone, one start at a time."""
+    if W.dim == 0:
+        return []
+    rng = np.random.default_rng(seed)
+    found = []
+
+    def register(u, a):
+        X = np.outer(u, a)
+        for u2, a2 in found:
+            if abs(np.sum(X * np.outer(u2, a2))) > 1.0 - 1e-8:
+                return
+        found.append((u, a))
+
+    for _ in range(n_starts):
+        coeffs = rng.standard_normal(W.dim)
+        X = W.combine(coeffs)
+        norm = np.linalg.norm(X)
+        if norm == 0:
+            continue
+        X /= norm
+        for _ in range(200):
+            U, s, Vt = np.linalg.svd(X)
+            R = s[0] * np.outer(U[:, 0], Vt[0])
+            X_new = project(R, W)
+            norm = np.linalg.norm(X_new)
+            if norm < 1e-14:
+                break
+            X_new /= norm
+            if np.linalg.norm(X_new - X) < 1e-15:
+                X = X_new
+                break
+            X = X_new
+        U, s, Vt = np.linalg.svd(X)
+        if s[0] > 0 and (s[1:] ** 2).sum() <= 1e-20 and W.distance(X) <= 1e-10:
+            u = U[:, 0]
+            if abs(u.sum()) < 1e-8:
+                register(u, Vt[0])
+    return found
+
+
+def ray_grid_oracle(u: np.ndarray, objective_many, maximize: bool, resolution: int = 100_000) -> float:
+    """Dense-grid optimum over one feasible ray; brute-force reference."""
+    t_lo, t_hi = feasible_interval(u)
+    ts = np.linspace(t_lo, t_hi, resolution)
+    vals = objective_many(ts[:, None] * np.asarray(u, dtype=float)[None, :])
+    return float(vals.max() if maximize else vals.min())
+
+
+def shift_w():
+    """The Z_5 shift-invariant W with fibers at 1 and 2 (m 5, ell 2, dim 4).
+
+    Its second-singular ratio has plateaus at exactly 0.5, so Nelder-Mead
+    simplices hold tied values.
+    """
+    fibers = {gamma: np.zeros((0, 1), dtype=complex) for gamma in range(1, 5)}
+    fibers[1] = np.array([[1.0 + 0.0j]])
+    fibers[2] = np.array([[(0.6 + 0.8j)]])
+    return build_shift_invariant_w(FiberFamily(FiniteAbelianGroup.cyclic(5), 1, fibers)).realify()

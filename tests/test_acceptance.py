@@ -42,7 +42,6 @@ from martree.kappa import (
     kappa_prime_one,
     kappa_profile,
     kappa_v_many,
-    ray_grid_oracle,
 )
 from martree.norms import (
     SimpleFunction,
@@ -55,6 +54,8 @@ from martree.norms import (
 from martree.riesz import delta_counterexample, delta_martingale, main_inequality_experiment, riesz_potential
 from martree.spacew import SubspaceW, check_second_condition, delta_vector
 from martree.trace import build_sharpness_trace_measure, capped_cascade_measure, trace_experiment_l1
+
+from oracles import ray_grid_oracle
 
 LOG3 = np.log(3.0)
 

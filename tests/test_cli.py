@@ -153,6 +153,27 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match="nan.json: NaN is not a number"):
             reader(broken)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_leaf_mass_names_file(self, value, tmp_path):
+        doc = json.loads((Path(__file__).parent / "golden" / "cascade.json").read_text())
+        doc["leaf_mass"][5] = value
+        broken = tmp_path / "inf.json"
+        broken.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="inf.json: leaf_mass holds a non-finite value"):
+            read_measure(broken)
+
+    @pytest.mark.parametrize("kind", ["frostman", "trace-constant"])
+    def test_infinite_leaf_mass_exits_two(self, kind, tmp_path, capsys):
+        doc = json.loads((Path(__file__).parent / "golden" / "cascade.json").read_text())
+        doc["leaf_mass"][0] = float("inf")
+        broken = tmp_path / "inf.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), kind, "--measure", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "inf.json: leaf_mass holds a non-finite value" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_check_w_without_k_exits_two(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         _write_sample("subspace-w", path)
@@ -430,6 +451,11 @@ class TestExitCodes:
         ({"kind": "main-inequality", "w_file": "w.json", "params": {"p": float("-inf")}},
          "params.p must be finite, got p=-inf"),
         ({"kind": "check-w", "w_file": "w_nan.json"}, "w_nan.json: NaN is not a number"),
+        ({"kind": "trace-embed-p", "measure_file": "nu.json", "w_file": "w.json", "params": {"trials": 0}},
+         "params.trials must be at least 1, got 0"),
+        ({"kind": "hls", "params": {"q": 4.0, "trials": -2}}, "params.trials must be at least 1, got -2"),
+        ({"kind": "kappa", "w_file": "w.json", "params": {"grid": 0}}, "params.grid must be at least 2, got 0"),
+        ({"kind": "kappa", "w_file": "w.json", "params": {"grid": 1}}, "params.grid must be at least 2, got 1"),
     ])
     def test_rejected_configs_write_nothing(self, doc, message, w_file, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

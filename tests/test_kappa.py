@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martree.kappa import (
     dimension_bound,
@@ -15,10 +17,12 @@ from martree.kappa import (
     kappa_v,
     kappa_v_many,
     rank_one_directions,
-    ray_grid_oracle,
     strict_gap_check,
 )
 from martree.spacew import SubspaceW, delta_vector
+
+import oracles
+from oracles import ray_grid_oracle
 
 LOG3 = np.log(3.0)
 
@@ -265,3 +269,53 @@ class TestNonIntensiveInequality:
             if checked >= 10_000:
                 break
         assert checked >= 10_000
+
+
+def direction_cases():
+    """W of m 3-7, ell 1-4: dimensions 1 to (m-1) ell, planted rank-ones, the shift W."""
+    cases = []
+    rng = np.random.default_rng(7)
+    for m in range(3, 8):
+        for ell in range(1, 5):
+            top = (m - 1) * ell
+            for k in sorted({1, top // 2, top - 1} - {0}):
+                cases.append((f"random-{m}x{ell}-dim{k}", SubspaceW.random(m, ell, k, seed=100 * m + 10 * ell + k)))
+            cases.append((f"full-{m}x{ell}", SubspaceW.full_v(m, ell)))
+            v = rng.standard_normal(m)
+            planted = [np.outer(delta_vector(m, 1), rng.standard_normal(ell)), np.outer(v - v.mean(), rng.standard_normal(ell))]
+            cases.append((f"planted-{m}x{ell}", SubspaceW.from_blocks(planted, m, ell)))
+    cases.append(("shift-z5", oracles.shift_w()))
+    cases.append(("zero", SubspaceW.zero(3, 2)))
+    return cases
+
+
+DIRECTION_CASES = direction_cases()
+
+
+def assert_same_directions(W, n_starts, seed):
+    found = rank_one_directions(W, n_starts=n_starts, seed=seed)
+    expected = oracles.rank_one_directions(W, n_starts=n_starts, seed=seed)
+    assert len(found) == len(expected)
+    for (u, a), (u2, a2) in zip(found, expected):
+        assert (u.shape, a.shape) == (u2.shape, a2.shape)
+        assert u.tobytes() == u2.tobytes() and a.tobytes() == a2.tobytes()
+
+
+class TestLockstepDirections:
+    """rank_one_directions against its per-start alternating projection."""
+
+    @pytest.mark.parametrize("name, W", DIRECTION_CASES, ids=[name for name, _ in DIRECTION_CASES])
+    def test_directions_match_the_per_start_search(self, name, W):
+        assert_same_directions(W, n_starts=12, seed=W.dim)
+
+    def test_planted_cases_find_directions(self):
+        # the comparison above is not vacuous: planted W with m >= 4 give directions
+        planted = [W for name, W in DIRECTION_CASES if name.startswith("planted") and W.m >= 4]
+        assert all(rank_one_directions(W, seed=W.dim) for W in planted)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(3, 6), st.integers(1, 4), st.data())
+    def test_drawn_subspaces_match(self, m, ell, data):
+        k = data.draw(st.integers(1, (m - 1) * ell))
+        W = SubspaceW.random(m, ell, k, seed=data.draw(st.integers(0, 10_000)))
+        assert_same_directions(W, n_starts=data.draw(st.integers(0, 12)), seed=data.draw(st.integers(0, 100)))

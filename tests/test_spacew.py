@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martree.filtration import FiltrationSpec
 from martree.norms import lp_norm, martingale_difference
 from martree.spacew import (
     SubspaceW,
+    _nelder_mead_lockstep,
+    _second_singular_ratios,
     check_first_condition,
     check_second_condition,
     delta_vector,
@@ -14,6 +18,8 @@ from martree.spacew import (
     random_w_martingale,
     structural_report,
 )
+
+import oracles
 
 
 def rank_one_grid_min(W, resolution=200):
@@ -280,3 +286,90 @@ class TestFirstCondition:
         assert report.second_condition is False
         assert report.first_condition is not True
         assert "second" in report.residuals and "first" in report.residuals
+
+
+def oracle_cases():
+    """W of m 3-7, ell 2-4: dimensions 1 to (m-1) ell, planted rank-ones, the shift W."""
+    cases = []
+    for m in range(3, 8):
+        for ell in range(2, 5):
+            top = (m - 1) * ell
+            for k in sorted({1, top // 2, top - 1}):
+                cases.append((f"random-{m}x{ell}-dim{k}", SubspaceW.random(m, ell, k, seed=100 * m + 10 * ell + k)))
+            cases.append((f"full-{m}x{ell}", SubspaceW.full_v(m, ell)))
+    for m, ell, extra in ((3, 2, 1), (4, 3, 2), (6, 2, 3)):
+        cases.append((f"planted-{m}x{ell}+{extra}", planted_w(m, ell, extra=extra, seed=m + extra)))
+    cases.append(("shift-z5", oracles.shift_w()))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+def lockstep_starts(W, n_starts, seed, maxiter):
+    rng = np.random.default_rng(seed)
+    X0 = np.empty((n_starts, W.dim))
+    for x0 in X0:
+        x0[:] = rng.standard_normal(W.dim)
+        x0 /= np.linalg.norm(x0)
+    return _nelder_mead_lockstep(lambda C: _second_singular_ratios(C, W), X0, 1e-12, 1e-15, maxiter)
+
+
+def assert_same_starts(W, n_starts, seed, maxiter):
+    """Every start ends where scipy's Nelder-Mead ends it, bit for bit."""
+    x, fun, nit, nfev = lockstep_starts(W, n_starts, seed, maxiter)
+    for s, res in enumerate(oracles.nelder_mead_starts(W, n_starts, seed, maxiter)):
+        assert x[s].tobytes() == res.x.tobytes(), s
+        assert fun[s].tobytes() == np.float64(res.fun).tobytes(), s
+        assert (nit[s], nfev[s]) == (res.nit, res.nfev), s
+
+
+class TestLockstepAgainstScipy:
+    """The lockstep Nelder-Mead against scipy's, one start at a time."""
+
+    @pytest.mark.parametrize("name, W", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES])
+    def test_ratios_match_the_single_block_ratio(self, name, W):
+        rng = np.random.default_rng(W.dim)
+        C = rng.standard_normal((60, W.dim))
+        C[3] = 0.0  # the zero block has ratio 1
+        C[7] = C[5]
+        expected = [oracles.second_singular_ratio(c, W) for c in C]
+        assert _second_singular_ratios(C, W).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("name, W", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES])
+    def test_every_start_matches_scipy(self, name, W):
+        # maxiter 150 stops some starts by their tolerances and the rest by maxiter
+        assert_same_starts(W, n_starts=5, seed=W.dim, maxiter=150)
+
+    def test_tied_plateau_runs_to_the_end(self):
+        # full runs on the shift W: simplices with tied values at 0.5
+        assert_same_starts(oracles.shift_w(), n_starts=24, seed=0, maxiter=2000)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(3, 6), st.integers(2, 4), st.data())
+    def test_drawn_subspaces_match_scipy(self, m, ell, data):
+        k = data.draw(st.integers(1, (m - 1) * ell))
+        W = SubspaceW.random(m, ell, k, seed=data.draw(st.integers(0, 10_000)))
+        assert_same_starts(W, n_starts=3, seed=data.draw(st.integers(0, 100)), maxiter=60)
+
+    def test_no_starts(self):
+        x, fun, nit, nfev = lockstep_starts(SubspaceW.random(3, 2, 2, seed=0), 0, 0, 2000)
+        assert x.shape == (0, 2) and fun.shape == nit.shape == nfev.shape == (0,)
+
+    @pytest.mark.parametrize("W", [
+        planted_w(3, 2, extra=1, seed=4),
+        SubspaceW.random(3, 2, 2, seed=20),
+        SubspaceW.random(4, 2, 3, seed=5),
+        oracles.shift_w(),
+        SubspaceW.random(3, 1, 1, seed=0),
+        SubspaceW.zero(3, 2),
+    ], ids=["planted", "holds", "random-4x2", "shift-z5", "ell1", "zero"])
+    def test_check_first_condition_matches_the_per_start_search(self, W):
+        status, witness, diag = check_first_condition(W, seed=3)
+        expected_status, expected_witness, expected_diag = oracles.check_first_condition(W, seed=3)
+        assert status is expected_status
+        assert diag == expected_diag and type(diag["min_ratio"]) is type(expected_diag["min_ratio"])
+        if expected_witness is None:
+            assert witness is None
+        else:
+            assert [w.tobytes() for w in witness] == [w.tobytes() for w in expected_witness]
