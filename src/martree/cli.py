@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, decomp, dimension, fileio, groupfourier, kappa, norms, riesz, trace
 from .filtration import FiltrationSpec
-from .spacew import SubspaceW, delta_vector, structural_report
+from .spacew import SubspaceW, check_first_condition, check_second_condition, delta_vector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,14 +111,15 @@ def _rle(mask: np.ndarray) -> list[list[int]]:
 
 def _check_w(c, out_dir, meta):
     """Structural conditions of a subspace, as JSON."""
-    report = structural_report(fileio.read_subspace(c.w), seed=c.seed)
-    second, first = report.second_witness, report.first_witness
+    W = fileio.read_subspace(c.w)
+    second, second_wit, second_diag = check_second_condition(W)
+    first, first_wit, first_diag = check_first_condition(W, seed=c.seed)
     doc = {
-        "second_condition": report.second_condition,
-        "second_witness": None if second is None else {"j": second[0], "a": second[1]},
-        "first_condition": report.first_condition,
-        "first_witness": None if first is None else {"v": first[0], "a": first[1]},
-        "residuals": report.residuals,
+        "second_condition": second,
+        "second_witness": None if second_wit is None else {"j": second_wit[0], "a": second_wit[1]},
+        "first_condition": first,
+        "first_witness": None if first_wit is None else {"v": first_wit[0], "a": first_wit[1]},
+        "residuals": {"second": second_diag, "first": first_diag},
     }
     _print_json(out_dir, "check_w.json", doc)
 

@@ -134,6 +134,8 @@ def write_subspace(path, W: SubspaceW) -> None:
 def read_subspace(path) -> SubspaceW:
     doc = _load(path, "subspace-w", ("m", "ell", "k", "basis"))
     basis = np.asarray(doc["basis"], dtype=float).reshape(doc["k"], doc["m"], doc["ell"])
+    if not np.isfinite(basis).all():  # as read_measure does, name the file
+        raise ValueError(f"{path}: basis holds a non-finite value")
     return SubspaceW(doc["m"], doc["ell"], basis)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
-from .spacew import SubspaceW, project
+from .spacew import SubspaceW, _row_norms, project
 
 # A witness must land this close to W, relative to its size.
 WITNESS_DISTANCE_TOL = 1e-10
@@ -110,14 +110,9 @@ def rank_one_directions(W: SubspaceW, n_starts: int = 32, seed: int = 0) -> list
         return []
     rng = np.random.default_rng(seed)
     m, ell = W.m, W.ell
-    basis = W.basis.reshape(W.dim, -1)
-
-    def norms(flat):  # np.linalg.norm of each row: sqrt of its dot with itself
-        return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
-
     coeffs = np.array([rng.standard_normal(W.dim) for _ in range(n_starts)]).reshape(n_starts, W.dim)
-    X = np.matmul(coeffs[:, None, :], basis)[:, 0, :]
-    norm = norms(X)
+    X = W.combine(coeffs).reshape(n_starts, m * ell)
+    norm = _row_norms(X)
     X = X[norm != 0] / norm[norm != 0, None]
     running = np.arange(len(X))
     for _ in range(200):
@@ -125,11 +120,11 @@ def rank_one_directions(W: SubspaceW, n_starts: int = 32, seed: int = 0) -> list
             break
         U, s, Vt = np.linalg.svd(X[running].reshape(-1, m, ell))
         R = s[:, 0, None, None] * (U[:, :, 0, None] * Vt[:, 0, None, :])
-        X_new = np.matmul(np.matmul(basis, R.reshape(-1, m * ell, 1)).transpose(0, 2, 1), basis)[:, 0, :]
-        norm = norms(X_new)
+        X_new = project(R, W).reshape(-1, m * ell)
+        norm = _row_norms(X_new)
         moved = ~(norm < 1e-14)
         X_new = X_new[moved] / norm[moved, None]
-        still = ~(norms(X_new - X[running[moved]]) < 1e-15)
+        still = ~(_row_norms(X_new - X[running[moved]]) < 1e-15)
         X[running[moved]] = X_new
         running = running[moved][still]
     X = X.reshape(-1, m, ell)
@@ -223,12 +218,12 @@ def _snap_to_feasible_ray(W, v, a, objective, objective_many, maximize):
             break
         X = X_new
     U, s, Vt = np.linalg.svd(X)
-    if s[0] < 1e-12 or W.distance(X / s[0]) > WITNESS_DISTANCE_TOL:
+    if s[0] < 1e-12 or float(W.residuals(X / s[0])) > WITNESS_DISTANCE_TOL:
         return None
     u, a_hat = U[:, 0], Vt[0]
     value, t = _optimize_ray(u, objective, objective_many, maximize)
     v_best = t * u
-    residual = W.distance(np.outer(v_best, a_hat)) if t != 0 else 0.0
+    residual = float(W.residuals(np.outer(v_best, a_hat))) if t != 0 else 0.0
     return KappaWitness(v=v_best, a=a_hat, value=value, residual=residual)
 
 
@@ -244,7 +239,7 @@ def _optimize_over_rank_ones(W, objective, objective_many, maximize, n_starts, s
     for u, a in directions:
         value, t = _optimize_ray(u, objective, objective_many, maximize)
         witness = KappaWitness(v=t * u, a=a, value=value,
-                               residual=W.distance(np.outer(t * u, a)) if t else 0.0)
+                               residual=float(W.residuals(np.outer(t * u, a))) if t else 0.0)
         ray_optima.append(witness)
         if witness.residual <= WITNESS_DISTANCE_TOL and better(witness.value, best.value):
             best = witness

@@ -1,18 +1,22 @@
 """The constraint subspace W of difference blocks and its structural conditions.
 
 W is a subspace of V^ell, the m-by-ell blocks with zero column sums, stored as
-an orthonormal basis under the Frobenius inner product.  The two structural
-conditions ask whether W contains nonzero rank-one blocks v (x) a; the second
-restricts v to the delta directions m*e_j - 1.  The second condition is a pure
-linear-algebra question (one null-space problem per coordinate j); the first
-is a nonconvex feasibility problem answered by multi-start descent, with
-INCONCLUSIVE as an honest third outcome.
+an orthonormal basis under the Frobenius inner product.  ``project`` is the one
+orthogonal projection onto W: it takes a whole (..., m, ell) stack of blocks,
+one block included, and every other question about W (residuals, the
+structural conditions, the rank-one search of the kappa profile) is asked
+through it.  The two structural conditions ask whether W contains nonzero
+rank-one blocks v (x) a; the second restricts v to the delta directions
+m*e_j - 1.  The second condition is a pure linear-algebra question (one
+null-space problem per coordinate j); the first is a nonconvex feasibility
+problem answered by multi-start descent, with INCONCLUSIVE as an honest third
+outcome.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +43,13 @@ class SubspaceW:
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float).reshape(-1, self.m, self.ell)
         k = self.basis.shape[0]
-        if k:
+        if k:  # both checks are written so that NaN fails them
             colsums = np.abs(self.basis.sum(axis=1)).max()
-            if colsums > 1e-10:
+            if not colsums <= 1e-10:
                 raise ValueError(f"basis blocks leave V^ell (column sum {colsums:.3e})")
             flat = self.basis.reshape(k, -1)
             gram = flat @ flat.T
-            if np.abs(gram - np.eye(k)).max() > 1e-10:
+            if not np.abs(gram - np.eye(k)).max() <= 1e-10:
                 raise ValueError("basis is not orthonormal under the Frobenius product")
 
     @property
@@ -83,35 +87,26 @@ class SubspaceW:
         eye = np.eye(m * ell).reshape(m * ell, m, ell)
         return cls.from_blocks(eye, m, ell)
 
-    def coefficients(self, block: np.ndarray) -> np.ndarray:
-        return self.basis.reshape(self.dim, -1) @ np.asarray(block, dtype=float).reshape(-1)
-
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(coeffs, dtype=float), self.basis, axes=(0, 0))
+        """The block sum_i c_i B_i of every row c of a (..., k) stack of coefficients.
 
-    def distance(self, block: np.ndarray) -> float:
-        block = np.asarray(block, dtype=float)
-        return float(np.linalg.norm(block - project(block, self)))
+        One stacked matmul, a gemv per row, so each row gives the very block
+        it gives alone; a single (N, k) @ (k, m ell) gemm rounds differently.
+        """
+        coeffs = np.ascontiguousarray(coeffs, dtype=float)
+        flat = np.matmul(coeffs[..., None, :], self.basis.reshape(self.dim, self.m * self.ell))
+        return flat.reshape(coeffs.shape[:-1] + (self.m, self.ell))
 
     def residuals(self, blocks: np.ndarray) -> np.ndarray:
-        """Frobenius distance to W of every block in a (..., m, ell) array.
-
-        One batched residual, flat - (flat B^T) B, for the whole stack.  The
-        products run as stacked matmuls, so every block gets the very BLAS
-        calls ``distance`` makes (gemv or dot per block), and the results
-        equal ``distance`` bit for bit; a single (N, mell) @ (mell, k) gemm
-        rounds differently in the last bits.
-        """
+        """Frobenius distance to W of every block in a (..., m, ell) array."""
         blocks = np.asarray(blocks, dtype=float)
-        if blocks.shape[-2:] != (self.m, self.ell):
-            raise ValueError(f"blocks of shape {blocks.shape[-2:]} do not match {(self.m, self.ell)}")
-        flat = blocks.reshape(-1, self.m * self.ell)
-        if self.dim:
-            basis = self.basis.reshape(self.dim, -1)
-            coeffs = np.matmul(basis, flat[:, :, None])
-            flat = flat - np.matmul(coeffs.transpose(0, 2, 1), basis)[:, 0, :]
-        squares = np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]
-        return np.sqrt(squares).reshape(blocks.shape[:-2])
+        rest = blocks - project(blocks, self)
+        return _row_norms(rest.reshape(-1, self.m * self.ell)).reshape(blocks.shape[:-2])
+
+
+def _row_norms(flat: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a 2-D array, bit for bit: sqrt of its dot with itself."""
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
 
 
 def delta_vector(m: int, j: int = 0) -> np.ndarray:
@@ -121,14 +116,21 @@ def delta_vector(m: int, j: int = 0) -> np.ndarray:
     return v
 
 
-def project(block: np.ndarray, W: SubspaceW) -> np.ndarray:
-    """Orthogonal projection onto W; idempotent and self-adjoint."""
-    block = np.asarray(block, dtype=float)
-    if block.shape != (W.m, W.ell):
-        raise ValueError(f"block shape {block.shape} does not match {(W.m, W.ell)}")
+def project(blocks: np.ndarray, W: SubspaceW) -> np.ndarray:
+    """Orthogonal projection onto W of every block in a (..., m, ell) stack.
+
+    P_W x = sum_i <B_i, x> B_i: the coefficients and their combination each
+    run as one stacked matmul, a gemv per block, so every block of a stack is
+    projected bit for bit as it is alone.  Idempotent and self-adjoint.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    if blocks.shape[-2:] != (W.m, W.ell):
+        raise ValueError(f"block shape {blocks.shape} does not match {(W.m, W.ell)}")
     if W.dim == 0:
-        return np.zeros_like(block)
-    return W.combine(W.coefficients(block))
+        return np.zeros_like(blocks)
+    flat = blocks.reshape(-1, W.m * W.ell, 1)
+    coeffs = np.matmul(W.basis.reshape(W.dim, -1), flat)[:, :, 0]
+    return W.combine(coeffs).reshape(blocks.shape)
 
 
 def random_w_martingale(
@@ -166,21 +168,6 @@ def random_w_martingale(
     return Martingale(spec, np.zeros(spec.ell), diffs, validate=False)
 
 
-@dataclass
-class StructuralReport:
-    """Outcome of both structural checks plus optimization diagnostics.
-
-    ``first_condition`` is True (holds), False (violated) or None
-    (inconclusive); ``second_condition`` is exact.
-    """
-
-    second_condition: bool
-    second_witness: tuple[int, np.ndarray] | None
-    first_condition: bool | None
-    first_witness: tuple[np.ndarray, np.ndarray] | None
-    residuals: dict = field(default_factory=dict)
-
-
 def check_second_condition(W: SubspaceW) -> tuple[bool, tuple[int, np.ndarray] | None, dict]:
     """Exact test for delta-direction rank-ones (m e_j - 1) (x) a in W.
 
@@ -193,13 +180,10 @@ def check_second_condition(W: SubspaceW) -> tuple[bool, tuple[int, np.ndarray] |
         # the residual map is the identity on every delta direction
         diag["sigma_min"] = [1.0] * W.m
         return True, None, diag
-    flat_basis = W.basis.reshape(W.dim, -1)
     for j in range(W.m):
         v = delta_vector(W.m, j)
-        columns = np.empty((W.m * W.ell, W.ell))
-        for s in range(W.ell):
-            block = np.outer(v, np.eye(W.ell)[s]).reshape(-1)
-            columns[:, s] = block - flat_basis.T @ (flat_basis @ block)
+        blocks = v[:, None] * np.eye(W.ell)[:, None, :]  # blocks[s] = v (x) e_s
+        columns = (blocks - project(blocks, W)).reshape(W.ell, -1).T
         sigma = np.linalg.svd(columns, compute_uv=False)
         smin = float(sigma[-1]) / np.linalg.norm(v)
         diag["sigma_min"].append(smin)
@@ -220,8 +204,7 @@ def _second_singular_ratios(C: np.ndarray, W: SubspaceW) -> np.ndarray:
     libm pow, as a NumPy scalar's ``** 2`` does (the array ``** 2`` is x * x,
     which differs from it in the last bit now and then).
     """
-    basis = W.basis.reshape(W.dim, -1)
-    blocks = np.matmul(np.ascontiguousarray(C)[:, None, :], basis).reshape(-1, W.m, W.ell)
+    blocks = W.combine(C)
     sq = (blocks * blocks).reshape(len(blocks), W.m * W.ell).sum(axis=1)
     sigma = np.linalg.svd(blocks, compute_uv=False)[:, 1].tolist()
     zero = sq == 0.0  # the zero block has ratio 1
@@ -355,15 +338,3 @@ def check_first_condition(
     if best > FIRST_CONDITION_HOLDS:
         return True, None, diag
     return None, None, diag
-
-
-def structural_report(W: SubspaceW, n_starts: int = 24, seed: int = 0) -> StructuralReport:
-    second, second_wit, diag2 = check_second_condition(W)
-    first, first_wit, diag1 = check_first_condition(W, n_starts=n_starts, seed=seed)
-    return StructuralReport(
-        second_condition=second,
-        second_witness=second_wit,
-        first_condition=first,
-        first_witness=first_wit,
-        residuals={"second": diag2, "first": diag1},
-    )

@@ -1,12 +1,13 @@
 """Reference implementations the tests compare the package against.
 
-Each is the plain, one-at-a-time form of a search the package now runs
-batched or replaced: the per-start scipy Nelder-Mead loop of
-``spacew.check_first_condition`` with its scalar objective, the per-start
-alternating projection of ``kappa.rank_one_directions``, and the dense ray
-grid that brute-forces one kappa ray.  The batched code must reproduce the
-first two bit for bit.  ``shift_w`` builds a subspace on which those
-searches meet tied values.
+Each is the plain, one-at-a-time form of a computation the package now runs
+batched or replaced: the projection onto W of one block (its coefficients,
+their combination, the distance to W), the per-column second-condition test,
+the per-start scipy Nelder-Mead loop of ``spacew.check_first_condition`` with
+its scalar objective, the per-start alternating projection of
+``kappa.rank_one_directions``, and the dense ray grid that brute-forces one
+kappa ray.  The batched code must reproduce all but the last bit for bit.
+``shift_w`` builds a subspace on which those searches meet tied values.
 """
 
 import numpy as np
@@ -14,12 +15,66 @@ from scipy import optimize
 
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, build_shift_invariant_w
 from martree.kappa import feasible_interval
-from martree.spacew import FIRST_CONDITION_HOLDS, FIRST_CONDITION_VIOLATED, SubspaceW, project
+from martree.spacew import (
+    FIRST_CONDITION_HOLDS,
+    FIRST_CONDITION_VIOLATED,
+    SECOND_CONDITION_TOL,
+    SubspaceW,
+    delta_vector,
+)
+
+
+def coefficients(block: np.ndarray, W: SubspaceW) -> np.ndarray:
+    """Coordinates of one block in the basis of W."""
+    return W.basis.reshape(W.dim, -1) @ np.asarray(block, dtype=float).reshape(-1)
+
+
+def combine(coeffs: np.ndarray, W: SubspaceW) -> np.ndarray:
+    """The block of W with the given coordinates."""
+    return np.tensordot(np.asarray(coeffs, dtype=float), W.basis, axes=(0, 0))
+
+
+def project(block: np.ndarray, W: SubspaceW) -> np.ndarray:
+    """Orthogonal projection of one block onto W."""
+    block = np.asarray(block, dtype=float)
+    if W.dim == 0:
+        return np.zeros_like(block)
+    return combine(coefficients(block, W), W)
+
+
+def distance(block: np.ndarray, W: SubspaceW) -> float:
+    """Frobenius distance of one block to W."""
+    block = np.asarray(block, dtype=float)
+    return float(np.linalg.norm(block - project(block, W)))
+
+
+def check_second_condition(W: SubspaceW):
+    """The second-condition test with one projection per column of each residual map."""
+    diag = {"sigma_min": []}
+    if W.dim == 0:
+        diag["sigma_min"] = [1.0] * W.m
+        return True, None, diag
+    flat_basis = W.basis.reshape(W.dim, -1)
+    for j in range(W.m):
+        v = delta_vector(W.m, j)
+        columns = np.empty((W.m * W.ell, W.ell))
+        for s in range(W.ell):
+            block = np.outer(v, np.eye(W.ell)[s]).reshape(-1)
+            columns[:, s] = block - flat_basis.T @ (flat_basis @ block)
+        sigma = np.linalg.svd(columns, compute_uv=False)
+        smin = float(sigma[-1]) / np.linalg.norm(v)
+        diag["sigma_min"].append(smin)
+        if smin <= SECOND_CONDITION_TOL:
+            _, _, vt = np.linalg.svd(columns)
+            a = vt[-1]
+            a = a / np.linalg.norm(a)
+            return False, (j, a), diag
+    return True, None, diag
 
 
 def second_singular_ratio(coeffs: np.ndarray, W: SubspaceW) -> float:
-    """sigma_2(w)^2 / ||w||^2 of one w = W.combine(coeffs)."""
-    block = W.combine(coeffs)
+    """sigma_2(w)^2 / ||w||^2 of one w = combine(coeffs, W)."""
+    block = combine(coeffs, W)
     sq = float(np.sum(block * block))
     if sq == 0.0:
         return 1.0
@@ -62,7 +117,7 @@ def check_first_condition(W: SubspaceW, n_starts: int = 24, seed: int = 0):
             best_coeffs = res.x
     diag = {"min_ratio": best, "starts": n_starts}
     if best <= FIRST_CONDITION_VIOLATED:
-        block = W.combine(best_coeffs)
+        block = combine(best_coeffs, W)
         u, s, vt = np.linalg.svd(block)
         v = u[:, 0] * s[0]
         a = vt[0]
@@ -92,7 +147,7 @@ def rank_one_directions(W: SubspaceW, n_starts: int = 32, seed: int = 0) -> list
 
     for _ in range(n_starts):
         coeffs = rng.standard_normal(W.dim)
-        X = W.combine(coeffs)
+        X = combine(coeffs, W)
         norm = np.linalg.norm(X)
         if norm == 0:
             continue
@@ -110,7 +165,7 @@ def rank_one_directions(W: SubspaceW, n_starts: int = 32, seed: int = 0) -> list
                 break
             X = X_new
         U, s, Vt = np.linalg.svd(X)
-        if s[0] > 0 and (s[1:] ** 2).sum() <= 1e-20 and W.distance(X) <= 1e-10:
+        if s[0] > 0 and (s[1:] ** 2).sum() <= 1e-20 and distance(X, W) <= 1e-10:
             u = U[:, 0]
             if abs(u.sum()) < 1e-8:
                 register(u, Vt[0])

@@ -1,7 +1,6 @@
 """CLI surface: subcommands, file formats, exit codes, byte reproducibility."""
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +171,20 @@ class TestMalformedFiles:
         assert main(["--out", str(out), kind, "--measure", str(broken)]) == 2
         err = capsys.readouterr().err
         assert "inf.json: leaf_mass holds a non-finite value" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["check-w", "kappa"])
+    def test_infinite_basis_exits_two_naming_file(self, kind, tmp_path, capsys):
+        # inf - inf is NaN, which no tolerance comparison of SubspaceW used to catch
+        broken = tmp_path / "inf.json"
+        broken.write_text('{"kind":"subspace-w","m":3,"ell":2,"k":2,"basis":[[[Infinity,0.0],[-Infinity,0.0],'
+                          '[0.0,0.0]],[[0.0,0.5],[0.0,-0.5],[0.0,0.0]]]}')
+        with pytest.raises(ValueError, match="inf.json: basis holds a non-finite value"):
+            read_subspace(broken)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), kind, "--w", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "inf.json: basis holds a non-finite value" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_check_w_without_k_exits_two(self, tmp_path, capsys):
@@ -359,15 +372,7 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
 
-    @pytest.fixture(params=["jsonschema", "fallback"])
-    def validator(self, request, monkeypatch):
-        """Run each config test as installed and with jsonschema hidden: the
-        experiment table's check must not depend on that package."""
-        if request.param == "fallback":
-            monkeypatch.setitem(sys.modules, "jsonschema", None)
-        return request.param
-
-    def test_misspelt_param_is_rejected(self, validator, martingale_file, tmp_path, capsys):
+    def test_misspelt_param_is_rejected(self, martingale_file, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "decompose", "martingale_file": martingale_file,
@@ -385,7 +390,7 @@ class TestExitCodes:
         ["kappa"],
         {"params": {"grid": 5}},
     ])
-    def test_malformed_configs_exit_two_with_one_line(self, validator, doc, tmp_path, capsys):
+    def test_malformed_configs_exit_two_with_one_line(self, doc, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg)]) == 2
@@ -456,12 +461,14 @@ class TestExitCodes:
         ({"kind": "hls", "params": {"q": 4.0, "trials": -2}}, "params.trials must be at least 1, got -2"),
         ({"kind": "kappa", "w_file": "w.json", "params": {"grid": 0}}, "params.grid must be at least 2, got 0"),
         ({"kind": "kappa", "w_file": "w.json", "params": {"grid": 1}}, "params.grid must be at least 2, got 1"),
+        ({"kind": "check-w", "w_file": "w_inf.json"}, "w_inf.json: basis holds a non-finite value"),
     ])
     def test_rejected_configs_write_nothing(self, doc, message, w_file, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         W = json.loads(open(w_file).read())
         (tmp_path / "w.json").write_text(json.dumps(W))
         (tmp_path / "w_nan.json").write_text(json.dumps(dict(W, basis=[[[float("nan")]] * 3])))
+        (tmp_path / "w_inf.json").write_text(json.dumps(dict(W, basis=[[[float("inf")]], [[-float("inf")]], [[0.0]]])))
         del W["k"]
         (tmp_path / "w_no_k.json").write_text(json.dumps(W))
         (tmp_path / "cfg.json").write_text(json.dumps(dict(doc, out="out")))

@@ -167,7 +167,7 @@ class TestKappaPrimeOne:
                 assert wit.residual <= 1e-10
                 assert np.all(wit.v >= -1 - 1e-12)
                 if np.linalg.norm(wit.v) > 0:
-                    assert W.distance(np.outer(wit.v, wit.a)) <= 1e-10
+                    assert float(W.residuals(np.outer(wit.v, wit.a))) <= 1e-10
             wit = kappa_prime_one(W, seed=seed)
             assert wit.residual <= 1e-10
             assert np.all(wit.v >= -1 - 1e-12)

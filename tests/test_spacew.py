@@ -16,7 +16,6 @@ from martree.spacew import (
     delta_vector,
     project,
     random_w_martingale,
-    structural_report,
 )
 
 import oracles
@@ -31,15 +30,10 @@ def rank_one_grid_min(W, resolution=200):
     assert W.m == 3 and W.ell == 2
     v_basis = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
     v_basis /= np.linalg.norm(v_basis, axis=1, keepdims=True)
-    phis = np.linspace(0, np.pi, resolution, endpoint=False)
-    psis = np.linspace(0, np.pi, resolution, endpoint=False)
-    best = np.inf
-    for phi in phis:
-        v = np.cos(phi) * v_basis[0] + np.sin(phi) * v_basis[1]
-        for psi in psis:
-            a = np.array([np.cos(psi), np.sin(psi)])
-            best = min(best, W.distance(np.outer(v, a)))
-    return best
+    angles = np.linspace(0, np.pi, resolution, endpoint=False)
+    v = np.cos(angles)[:, None] * v_basis[0] + np.sin(angles)[:, None] * v_basis[1]
+    a = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return float(W.residuals(v[:, None, :, None] * a[None, :, None, :]).min())
 
 
 def planted_w(m, ell, extra, seed, direction=None):
@@ -95,6 +89,14 @@ class TestSubspace:
         assert np.allclose(project(px, W), px, atol=1e-12)
         assert np.sum(project(x, W) * y) == pytest.approx(np.sum(x * project(y, W)), abs=1e-12)
 
+    def test_non_finite_basis_rejected(self):
+        # inf - inf is NaN, in a column sum and in an overflowing Gram entry
+        with pytest.raises(ValueError, match="column sum nan"), np.errstate(invalid="ignore"):
+            SubspaceW(3, 2, [[[np.inf, 0.0], [-np.inf, 0.0], [0.0, 0.0]], [[0.0, 0.5], [0.0, -0.5], [0.0, 0.0]]])
+        huge = 1e200 * np.array([[[1.0, 1.0], [-1.0, -1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+        with pytest.raises(ValueError, match="not orthonormal"), np.errstate(over="ignore", invalid="ignore"):
+            SubspaceW(2, 2, huge)
+
     def test_shape_mismatch(self):
         W = SubspaceW.random(3, 2, 1, seed=6)
         with pytest.raises(ValueError):
@@ -102,10 +104,10 @@ class TestSubspace:
 
 
 def distances_oracle(W, blocks):
-    """The per-block loop ``SubspaceW.residuals`` replaces: one W.distance each."""
+    """The per-block loop ``SubspaceW.residuals`` replaces: one distance each."""
     blocks = np.asarray(blocks, dtype=float)
     flat = blocks.reshape(-1, W.m, W.ell)
-    return np.array([W.distance(b) for b in flat], dtype=float).reshape(blocks.shape[:-2])
+    return np.array([oracles.distance(b, W) for b in flat], dtype=float).reshape(blocks.shape[:-2])
 
 
 def residual_cases(m, ell, seed):
@@ -152,7 +154,7 @@ class TestResiduals:
         assert np.array_equal(W.residuals(nested), distances_oracle(W, nested))
         single = rng.standard_normal((3, 2))
         assert W.residuals(single).shape == ()
-        assert float(W.residuals(single)) == W.distance(single)
+        assert float(W.residuals(single)) == oracles.distance(single, W)
         with pytest.raises(ValueError):
             W.residuals(np.zeros((4, 2, 3)))
 
@@ -168,8 +170,7 @@ class TestRandomWMartingale:
         W = SubspaceW.random(3, 2, 2, seed=1)
         F = random_w_martingale(W, spec, seed=2)
         for n in range(spec.depth):
-            for block in F.diffs[n]:
-                assert W.distance(block) <= 1e-12
+            assert W.residuals(F.diffs[n]).max() <= 1e-12
 
     def test_scale_profile_controls_lp_growth(self):
         # With the profile m^{((p-1)/p) n} the mean level norms grow at that rate.
@@ -202,7 +203,7 @@ class TestSecondCondition:
         j, a_hat = witness
         assert j == 0
         direction = np.outer(delta_vector(3, 0), a_hat)
-        assert W.distance(direction) <= 1e-8 * np.linalg.norm(direction)
+        assert float(W.residuals(direction)) <= 1e-8 * np.linalg.norm(direction)
 
     def test_two_point_direction_is_fine(self):
         block = np.zeros((3, 1))
@@ -280,13 +281,6 @@ class TestFirstCondition:
             first, _, _ = check_first_condition(W, seed=seed)
             assert first is not True
 
-    def test_report_bundles_both(self):
-        W = planted_w(3, 2, extra=0, seed=0)
-        report = structural_report(W, n_starts=8, seed=0)
-        assert report.second_condition is False
-        assert report.first_condition is not True
-        assert "second" in report.residuals and "first" in report.residuals
-
 
 def oracle_cases():
     """W of m 3-7, ell 2-4: dimensions 1 to (m-1) ell, planted rank-ones, the shift W."""
@@ -304,6 +298,58 @@ def oracle_cases():
 
 
 ORACLE_CASES = oracle_cases()
+PROJECTION_CASES = ORACLE_CASES + [("zero-3x2", SubspaceW.zero(3, 2)), ("zero-5x3", SubspaceW.zero(5, 3))]
+
+
+@pytest.mark.parametrize("name, W", PROJECTION_CASES, ids=[name for name, _ in PROJECTION_CASES])
+class TestProjectionAgainstScalar:
+    """``project`` and what is built on it against the one-block reference, bit for bit."""
+
+    @staticmethod
+    def blocks(W):
+        """Generic blocks at three scales, and blocks of W up to rounding."""
+        rng = np.random.default_rng(W.m * W.ell + W.dim)
+        blocks = rng.standard_normal((2, 6, W.m, W.ell)) * rng.choice([1e-3, 1.0, 1e3], size=(2, 6, 1, 1))
+        if W.dim:
+            blocks[1] = np.tensordot(rng.standard_normal((6, W.dim)), W.basis, axes=(1, 0)) + 1e-14 * blocks[0]
+        return blocks
+
+    def test_project(self, name, W):
+        blocks = self.blocks(W)
+        expected = np.array([[oracles.project(b, W) for b in row] for row in blocks])
+        assert project(blocks, W).tobytes() == expected.tobytes()
+        assert project(blocks[1], W).tobytes() == expected[1].tobytes()
+        assert project(blocks.transpose(1, 0, 2, 3), W).tobytes() == expected.transpose(1, 0, 2, 3).tobytes()
+        for block, one in zip(blocks[0], expected[0]):
+            assert project(block, W).tobytes() == one.tobytes()
+        empty = project(np.zeros((0, W.m, W.ell)), W)
+        assert empty.shape == (0, W.m, W.ell)
+
+    def test_residuals(self, name, W):
+        blocks = self.blocks(W)
+        expected = np.array([[oracles.distance(b, W) for b in row] for row in blocks])
+        assert W.residuals(blocks).tobytes() == expected.tobytes()
+        assert float(W.residuals(blocks[0, 0])) == expected[0, 0]
+
+    def test_combine(self, name, W):
+        rng = np.random.default_rng(W.dim)
+        C = rng.standard_normal((3, 12, W.dim))
+        C[0, 3] = 0.0
+        expected = np.array([[oracles.combine(c, W) for c in row] for row in C])
+        assert W.combine(C).tobytes() == expected.tobytes()
+        assert W.combine(C[:, ::2]).tobytes() == expected[:, ::2].tobytes()
+        assert W.combine(C[1, 2]).tobytes() == expected[1, 2].tobytes()
+        assert W.combine(np.zeros((0, W.dim))).shape == (0, W.m, W.ell)
+
+    def test_second_condition(self, name, W):
+        holds, witness, diag = check_second_condition(W)
+        expected_holds, expected_witness, expected_diag = oracles.check_second_condition(W)
+        assert holds is expected_holds
+        assert np.array(diag["sigma_min"]).tobytes() == np.array(expected_diag["sigma_min"]).tobytes()
+        if expected_witness is None:
+            assert witness is None
+        else:
+            assert witness[0] == expected_witness[0] and witness[1].tobytes() == expected_witness[1].tobytes()
 
 
 def lockstep_starts(W, n_starts, seed, maxiter):
