@@ -6,19 +6,26 @@ The Frostman-type certificate asks for the smallest K with
 
 over all antichains C of atoms.  The linearized functional
 mass(C) - lambda * cost(C) is maximized exactly by a bottom-up tree dynamic
-program, one pass per lambda on a geometric grid; witnesses give certified
+program for every lambda of a geometric grid; witnesses give certified
 lower bounds on the best ratio, the dual envelope gives the certified
 constant, and the verdict comes from the trend of the best ratio across
 depth prefixes, never from one depth alone.  The full-depth scan is also the
 depth-D prefix (truncating at the full depth keeps every node weight and the
 grid), so only the prefixes 1..D-1 get scans of their own.
 
-A lambda scan needs only the root's value and witness (mass, cost), so its
-passes hold one level at a time; only ``antichain_max`` keeps the per-level
-tables for its witness walk.  Child sums add the strided slices a[j::m] left
-to right, which is bit for bit numpy's ``reshape(-1, m).sum(axis=1)`` for
-m <= 7 (numpy adds rows shorter than 8 in order); for m >= 8 numpy's row sum
-takes another order, so those m keep ``reshape(-1, m).sum(axis=1)`` itself.
+The DP runs over the support of the node weights: a node is kept iff some
+node of its subtree has a weight that is not <= 0.  Every other node has
+value = mass = cost = +0.0 for every lambda >= 0, so a pass visits the kept
+nodes only (13 of 797,161 for the depth-12 delta sharpness measure).
+A pass takes a slab of lambdas at once as (lambdas, kept nodes) arrays of at
+most SLAB_ELEMENTS entries a level: the whole grid on a sparse support, one
+lambda at a time on a dense depth-12 tree.  A lambda scan needs only the
+root's value and witness (mass, cost), so its passes hold one level at a
+time; only ``antichain_max`` keeps the per-level tables for its witness
+walk.  Every entry is bit for bit the dense one-lambda pass over all nodes
+(kept in tests/oracles.py): the kept children go into a zero slab, whose
+child sums add each parent's children in the dense order, left to right for
+m <= 7 and as numpy's ``reshape(-1, m).sum(axis=1)`` for m >= 8.
 """
 
 from __future__ import annotations
@@ -40,6 +47,12 @@ from .spacew import SubspaceW
 # flags a violation; half of the +-0.05 dimension slack used by the
 # sharpness experiments.
 SLOPE_FRACTION = 0.025
+
+# A DP pass holds (lambdas, kept nodes of a level) arrays, and the lambda grid
+# runs in slabs of at most this many entries per level: a sparse support takes
+# the whole grid in one pass, a dense depth-12 tree one lambda at a time, so
+# no pass is wider than a one-lambda dense pass.
+SLAB_ELEMENTS = 2**16
 
 
 @dataclass
@@ -85,53 +98,107 @@ def _node_weights(mu: TreeMeasure) -> list[np.ndarray]:
     return out
 
 
-def _child_sum(a: np.ndarray, m: int) -> np.ndarray:
-    """Sum of each run of m consecutive entries, as reshape(-1, m).sum(axis=1)."""
+@dataclass
+class _Support:
+    """The nodes a DP pass visits, level by level.
+
+    A node is kept iff some node of its subtree has a weight that is not
+    <= 0 (a NaN weight keeps it); the root is always kept.  ``nodes[n]`` holds
+    the kept indices of level n in order and ``weights[n]`` their weights.
+    ``slots[n]`` places the kept children of level n + 1 in the slab of the
+    kept parents of level n, m rows each; it is None when every child of a
+    kept parent is kept, as on a dense tree.
+    """
+
+    m: int
+    nodes: list[np.ndarray]
+    weights: list[np.ndarray]
+    slots: list[np.ndarray | None]
+
+
+def _support(weights: list[np.ndarray], m: int) -> _Support:
+    kept = ~(weights[-1] <= 0.0)
+    masks = [kept]
+    for w in weights[-2::-1]:
+        kept = ~(w <= 0.0) | kept.reshape(-1, m).any(axis=1)
+        masks.append(kept)
+    masks[-1][0] = True
+    nodes = [np.flatnonzero(mask) for mask in masks[::-1]]
+    kept_weights = [w if idx.size == w.size else w[idx] for w, idx in zip(weights, nodes)]
+    slots = []
+    for parents, children in zip(nodes, nodes[1:]):
+        full = children.size == parents.size * m
+        slots.append(None if full else np.searchsorted(parents, children // m) * m + children % m)
+    return _Support(m, nodes, kept_weights, slots)
+
+
+def _child_sum(a: np.ndarray, m: int, rows: int, slot: np.ndarray | None) -> np.ndarray:
+    """Per lambda and kept parent, the sum of its m children, as the dense child sum.
+
+    ``a`` is (lambdas, kept children).  Unkept children are +0.0, so the kept
+    ones are scattered into a zero (lambdas, rows * m) slab in which each
+    parent's m children sit side by side, and the slab adds them in the
+    dense pass's order: left to right for m <= 7, and for m >= 8 as numpy's
+    ``reshape(-1, m).sum(axis=1)``, which adds rows shorter than 8 in order
+    and longer rows in another order.
+    """
+    lams = a.shape[0]
+    if slot is not None:
+        slab = np.zeros((lams, rows * m))
+        slab[:, slot] = a
+        a = slab
+    a = a.reshape(lams, rows, m)
     if m >= 8:
-        # numpy's row sum no longer adds rows this long left to right
-        return a.reshape(-1, m).sum(axis=1)
-    total = a[0::m] + a[1::m]
+        return a.sum(axis=2)
+    total = a[:, :, 0] + a[:, :, 1]
     for j in range(2, m):
-        total += a[j::m]
+        total += a[:, :, j]
     return total
 
 
-def _antichain_dp(weights: list[np.ndarray], m: int, beta: float, lam: float, keep_tables: bool = False):
-    """Bottom-up pass; returns the root's value, its witness (mass, cost) and the tables.
+def _dp_pass(support: _Support, beta: float, lam: np.ndarray, keep_tables: bool = False):
+    """Bottom-up pass over the kept nodes for every lambda of ``lam`` at once.
 
     value(omega) = max(score(omega), sum_children value(child)), floored at
-    zero; the witness mass and cost follow the same choice.  Only the current
-    level is held, and each level is updated in place.  With ``keep_tables``
-    the per-level value and take arrays come back as ``(values, take)``,
-    indexed by level, for the witness walk; otherwise the last item is None.
+    zero; the witness mass and cost follow the same choice.  Each array is
+    (lambdas, kept nodes of the level) and is updated in place, with the
+    dense pass's operations in the dense pass's order, so every entry is bit
+    for bit the dense one.  Returns the root's value, witness mass and cost
+    per lambda and, with ``keep_tables``, the per-level value and take arrays
+    of the kept nodes as ``(values, take)`` indexed by level (else None).
     """
-    depth = len(weights) - 1
+    m = support.m
+    depth = len(support.nodes) - 1
     unit = [float(m) ** (-n * beta) for n in range(depth + 1)]
-    score = weights[depth] - lam * unit[depth]
+    lam = lam[:, None]
+    w = support.weights[depth]
+    score = w - lam * unit[depth]
     takes = [score >= 0.0] if keep_tables else None
     value = np.maximum(score, 0.0, out=score)
     active = value > 0.0
-    mass = np.where(active, weights[depth], 0.0)
+    mass = np.where(active, w, 0.0)
     cost = np.where(active, unit[depth], 0.0)
     values = [value] if keep_tables else None
     for n in range(depth - 1, -1, -1):
-        score = weights[n] - lam * unit[n]
-        value = _child_sum(value, m)
+        w = support.weights[n]
+        rows, slot = w.size, support.slots[n]
+        score = w - lam * unit[n]
+        value = _child_sum(value, m, rows, slot)
         take = score >= value
         np.copyto(value, score, where=take)
         np.maximum(value, 0.0, out=value)
         inactive = ~(value > 0.0)
-        mass = _child_sum(mass, m)
-        np.copyto(mass, weights[n], where=take)
+        mass = _child_sum(mass, m, rows, slot)
+        np.copyto(mass, w, where=take)
         np.copyto(mass, 0.0, where=inactive)
-        cost = _child_sum(cost, m)
+        cost = _child_sum(cost, m, rows, slot)
         np.copyto(cost, unit[n], where=take)
         np.copyto(cost, 0.0, where=inactive)
         if keep_tables:
             values.append(value)
             takes.append(take)
     tables = (values[::-1], takes[::-1]) if keep_tables else None
-    return float(value[0]), float(mass[0]), float(cost[0]), tables
+    return value[:, 0], mass[:, 0], cost[:, 0], tables
 
 
 def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list[tuple[int, int]]]:
@@ -139,34 +206,30 @@ def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list
 
     Bottom-up DP: value(omega) = max(score(omega), sum_children value(child))
     with empty choices floored at zero.  The witness is one optimal antichain
-    as (level, index) pairs.
+    as (level, index) pairs; its walk enters only nodes of positive value,
+    all of them kept.
     """
     if mu.is_scalar and np.any(np.asarray(mu.leaf_mass) < 0):
         raise ValueError("antichain DP requires a nonnegative measure")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    spec = mu.spec
-    m = spec.m
-    weights = _node_weights(mu)
-    value, _, _, (values, take) = _antichain_dp(weights, m, beta, lam, keep_tables=True)
+    m = mu.spec.m
+    support = _support(_node_weights(mu), m)
+    value, _, _, (values, take) = _dp_pass(support, beta, np.array([lam], dtype=float), keep_tables=True)
+    nodes = support.nodes
     witness: list[tuple[int, int]] = []
-    stack = [(0, 0)]
+    stack = [(0, 0)]  # (level, position among the kept nodes of that level)
     while stack:
-        n, i = stack.pop()
-        if values[n][i] <= 0.0:
+        n, k = stack.pop()
+        if values[n][0, k] <= 0.0:
             continue
-        if take[n][i]:
-            witness.append((n, int(i)))
+        i = int(nodes[n][k])
+        if take[n][0, k]:
+            witness.append((n, i))
         else:
-            stack.extend((n + 1, m * i + j) for j in range(m))
-    return value, witness
-
-
-def antichain_score(mu: TreeMeasure, antichain, beta: float, lam: float) -> float:
-    weights = _node_weights(mu)
-    return float(
-        sum(weights[n][i] - lam * float(mu.spec.m) ** (-n * beta) for n, i in antichain)
-    )
+            first, last = np.searchsorted(nodes[n + 1], (m * i, m * i + m))
+            stack.extend((n + 1, j) for j in range(first, last))
+    return float(value[0]), witness
 
 
 @dataclass
@@ -191,12 +254,13 @@ def _lambda_scan(mu, beta, gamma, grid):
     the lambda that achieved it (None when no witness has positive cost) and
     the certified constant.
     """
-    weights = _node_weights(mu)
-    values = np.empty(len(grid))
+    support = _support(_node_weights(mu), mu.spec.m)
+    step = max(1, SLAB_ELEMENTS // max(idx.size for idx in support.nodes))
+    roots = [_dp_pass(support, beta, grid[i : i + step])[:3] for i in range(0, len(grid), step)]
+    values, masses, costs = (np.concatenate(parts) for parts in zip(*roots))
     witness_costs = []
     best_ratio, best = 0.0, None
-    for i, lam in enumerate(grid):
-        values[i], mass, cost, _ = _antichain_dp(weights, mu.spec.m, beta, lam)
+    for i, (mass, cost) in enumerate(zip(masses.tolist(), costs.tolist())):
         if cost > 0:
             witness_costs.append(cost)
             if mass / cost**gamma > best_ratio:

@@ -26,10 +26,15 @@ def _encode(obj, indent: str) -> str:
     """``json.dumps(obj, indent=1)`` of a value nested at ``indent``, the same bytes.
 
     Dicts (string keys) and lists are laid out as json lays them out; a flat
-    list of finite floats is written as one join of ``float.__repr__``, which
-    is what json writes for each, and everything else goes to json itself.
+    float64 array is laid out as the list of its floats; a flat list of
+    finite floats is written as one join of ``float.__repr__``, which is what
+    json writes for each, and everything else goes to json itself.
     """
     inner = indent + " "
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
+            return f"[\n{inner}" + f",\n{inner}".join(_float_texts(obj)) + f"\n{indent}]"
+        return _encode(obj.tolist(), indent)
     if isinstance(obj, list) and obj:
         if all(type(v) is float for v in obj):
             text = f",\n{inner}".join(map(float.__repr__, obj))
@@ -40,6 +45,30 @@ def _encode(obj, indent: str) -> str:
         items = (f"{json.dumps(key)}: {_encode(value, inner)}" for key, value in obj.items())
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     return json.dumps(obj)
+
+
+# json's spelling of the floats that float.__repr__ spells inf, -inf and nan
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """json's text of each float of a flat float64 array.
+
+    Each distinct bit pattern (so 0.0 and -0.0 stay apart) is formatted once
+    and mapped back, which pays off on measures with few distinct masses;
+    when most values are distinct, each is formatted in place.
+    """
+    bits = values.view(np.uint64)
+    ordered = np.sort(bits)
+    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    in_place = 2 * distinct.size > bits.size
+    floats = values if in_place else distinct.view(np.float64)
+    texts = list(map(float.__repr__, floats.tolist()))
+    if not np.isfinite(floats).all():
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    if in_place:
+        return texts
+    return np.array(texts, dtype=object)[np.searchsorted(distinct, bits)].tolist()
 
 
 def _require(obj, fields, path, what):
@@ -74,7 +103,7 @@ def write_measure(path, mu: TreeMeasure) -> None:
             "depth": mu.spec.depth,
             "ell": mu.spec.ell,
             "scalar": mu.is_scalar,
-            "leaf_mass": mu.leaf_mass.tolist(),
+            "leaf_mass": mu.leaf_mass if mu.is_scalar else mu.leaf_mass.tolist(),
         },
     )
 
@@ -160,6 +189,8 @@ def read_fibers(path) -> FiberFamily:
     fibers = {}
     for key, rows in doc["fibers"].items():
         arr = np.asarray(rows, dtype=float)
+        if not np.isfinite(arr).all():  # as read_measure does, name the file
+            raise ValueError(f"{path}: fiber {key} holds a non-finite value")
         if arr.size == 0:
             fibers[int(key)] = np.zeros((0, doc["ell"]), dtype=complex)
         else:

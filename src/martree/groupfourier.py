@@ -121,7 +121,7 @@ class FiberFamily:
                 raise ValueError(f"fiber {gamma} must be (dim, {self.ell})")
             if basis.shape[0]:
                 gram = basis.conj() @ basis.T
-                if np.abs(gram - np.eye(basis.shape[0])).max() > 1e-9:
+                if not np.abs(gram - np.eye(basis.shape[0])).max() <= 1e-9:  # NaN fails too
                     raise ValueError(f"fiber {gamma} basis is not orthonormal")
             self.fibers[gamma] = basis
         if 0 in self.fibers:

@@ -5,14 +5,17 @@ batched or replaced: the projection onto W of one block (its coefficients,
 their combination, the distance to W), the per-column second-condition test,
 the per-start scipy Nelder-Mead loop of ``spacew.check_first_condition`` with
 its scalar objective, the per-start alternating projection of
-``kappa.rank_one_directions``, and the dense ray grid that brute-forces one
-kappa ray.  The batched code must reproduce all but the last bit for bit.
+``kappa.rank_one_directions``, the dense one-lambda antichain pass over
+every node of the tree with its child sum, and the dense ray grid that
+brute-forces one kappa ray.  The batched code must reproduce all but the
+last bit for bit.  ``antichain_score`` scores a given antichain.
 ``shift_w`` builds a subspace on which those searches meet tied values.
 """
 
 import numpy as np
 from scipy import optimize
 
+from martree.dimension import _node_weights
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, build_shift_invariant_w
 from martree.kappa import feasible_interval
 from martree.spacew import (
@@ -190,3 +193,50 @@ def shift_w():
     fibers[1] = np.array([[1.0 + 0.0j]])
     fibers[2] = np.array([[(0.6 + 0.8j)]])
     return build_shift_invariant_w(FiberFamily(FiniteAbelianGroup.cyclic(5), 1, fibers)).realify()
+
+
+def child_sum(a: np.ndarray, m: int) -> np.ndarray:
+    """Sum of each run of m consecutive entries, as reshape(-1, m).sum(axis=1)."""
+    if m >= 8:
+        # numpy's row sum no longer adds rows this long left to right
+        return a.reshape(-1, m).sum(axis=1)
+    total = a[0::m] + a[1::m]
+    for j in range(2, m):
+        total += a[j::m]
+    return total
+
+
+def antichain_dp(weights: list, m: int, beta: float, lam: float):
+    """One dense antichain pass for one lambda over every node, a level at a time.
+
+    Returns the root's value and its witness (mass, cost).
+    """
+    depth = len(weights) - 1
+    unit = [float(m) ** (-n * beta) for n in range(depth + 1)]
+    score = weights[depth] - lam * unit[depth]
+    value = np.maximum(score, 0.0, out=score)
+    active = value > 0.0
+    mass = np.where(active, weights[depth], 0.0)
+    cost = np.where(active, unit[depth], 0.0)
+    for n in range(depth - 1, -1, -1):
+        score = weights[n] - lam * unit[n]
+        value = child_sum(value, m)
+        take = score >= value
+        np.copyto(value, score, where=take)
+        np.maximum(value, 0.0, out=value)
+        inactive = ~(value > 0.0)
+        mass = child_sum(mass, m)
+        np.copyto(mass, weights[n], where=take)
+        np.copyto(mass, 0.0, where=inactive)
+        cost = child_sum(cost, m)
+        np.copyto(cost, unit[n], where=take)
+        np.copyto(cost, 0.0, where=inactive)
+    return float(value[0]), float(mass[0]), float(cost[0])
+
+
+def antichain_score(mu, antichain, beta: float, lam: float) -> float:
+    """sum over the antichain of (weight - lam m^{-n beta}), weights as the DP sees them."""
+    weights = _node_weights(mu)
+    return float(
+        sum(weights[n][i] - lam * float(mu.spec.m) ** (-n * beta) for n, i in antichain)
+    )

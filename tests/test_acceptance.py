@@ -13,7 +13,6 @@ from scipy import integrate
 from martree.decomp import classify_atoms, split_convex_flat, verify_convex_lemma, verify_stepwise_identity
 from martree.dimension import (
     antichain_max,
-    antichain_score,
     build_sharpness_measure,
     eggleston_dimension,
     frostman_certify,
@@ -55,7 +54,7 @@ from martree.riesz import delta_counterexample, delta_martingale, main_inequalit
 from martree.spacew import SubspaceW, check_second_condition, delta_vector
 from martree.trace import build_sharpness_trace_measure, capped_cascade_measure, trace_experiment_l1
 
-from oracles import ray_grid_oracle
+from oracles import antichain_score, ray_grid_oracle
 
 LOG3 = np.log(3.0)
 

@@ -188,6 +188,18 @@ class TestMalformedFiles:
         assert "inf.json: basis holds a non-finite value" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["group-cancel", "group-antisym", "group-subgroup-bound"])
+    def test_infinite_fiber_exits_two_naming_file(self, kind, tmp_path, capsys):
+        broken = tmp_path / "inf.json"
+        broken.write_text('{"kind":"fiber-family","factors":[3],"ell":1,"fibers":{"1":[[[Infinity,0.0]]],"2":[]}}')
+        with pytest.raises(ValueError, match="inf.json: fiber 1 holds a non-finite value"):
+            read_fibers(broken)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), kind, "--fibers", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "inf.json: fiber 1 holds a non-finite value" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_check_w_without_k_exits_two(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         _write_sample("subspace-w", path)

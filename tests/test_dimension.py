@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import martree.dimension as dimension
+import oracles
 from martree.dimension import (
     FrostmanCertificate,
     _child_sum,
+    _dp_pass,
     _node_weights,
+    _support,
     antichain_max,
-    antichain_score,
     build_sharpness_measure,
     digit_frequency_test,
     eggleston_dimension,
@@ -21,6 +23,7 @@ from martree.dimension import (
 from martree.filtration import FiltrationSpec, TreeMeasure
 from martree.kappa import dimension_bound
 from martree.spacew import SubspaceW, delta_vector
+from oracles import antichain_score
 
 
 def enumerate_antichains(m, depth, level=0, index=0):
@@ -309,32 +312,172 @@ def skewed_measure(m, depth, seed, ell=1, zeros=0.0):
     return TreeMeasure(spec, mass)
 
 
+def same_bytes(a, b):
+    """Equal dtype, shape and bytes: -0.0 and +0.0 differ, as do int and numpy int."""
+    if isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(b, float):
+        return type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+    return repr(a) == repr(b)
+
+
+def assert_same_certificate_bytes(got, expected):
+    for f in dataclasses.fields(FrostmanCertificate):
+        assert same_bytes(getattr(got, f.name), getattr(expected, f.name)), f.name
+
+
+def assert_pass_matches_oracle(weights, m, beta, lams):
+    """One engine pass over ``lams`` against one tabled oracle pass per lambda.
+
+    The roots and the kept nodes' tables are bit for bit the oracle's, and
+    every node the support leaves out has the oracle value +0.0.
+    """
+    support = _support(weights, m)
+    root_value, root_mass, root_cost, (values, take) = _dp_pass(support, beta, lams, keep_tables=True)
+    for j, lam in enumerate(lams):
+        expected_values, expected_take, mass, cost = oracle_antichain_dp(weights, m, beta, lam)
+        root = (float(root_value[j]), float(root_mass[j]), float(root_cost[j]))
+        assert same_bytes(root, (float(expected_values[0][0]), mass, cost))
+        for n, nodes in enumerate(support.nodes):
+            assert same_bytes(values[n][j], expected_values[n][nodes])
+            assert same_bytes(take[n][j], expected_take[n][nodes])
+            left_out = np.setdiff1d(np.arange(weights[n].size), nodes)
+            assert same_bytes(expected_values[n][left_out], np.zeros(left_out.size))
+
+
 class TestRootOnlyDP:
     @pytest.mark.parametrize("m", range(2, 14))
     def test_child_sum_matches_row_sum(self, m):
         rng = np.random.default_rng(m)
         for rows in (1, 2, 7, 8, 9, 100, 1000):
-            a = rng.standard_normal(rows * m) * np.exp(rng.uniform(-20, 20, rows * m))
-            a[rng.random(a.size) < 0.3] = 0.0
-            assert np.array_equal(_child_sum(a, m), a.reshape(-1, m).sum(axis=1))
+            a = rng.standard_normal((3, rows * m)) * np.exp(rng.uniform(-20, 20, (3, rows * m)))
+            a[:, rng.random(rows * m) < 0.3] = 0.0
+            expected = np.stack([row.reshape(-1, m).sum(axis=1) for row in a])
+            assert same_bytes(oracles.child_sum(a[0], m), expected[0])
+            # every child kept, and only the nonzero ones scattered into the slab
+            kept = np.flatnonzero(a[0])
+            for lams in (1, 3):
+                assert same_bytes(_child_sum(a[:lams], m, rows, None), expected[:lams])
+                assert same_bytes(_child_sum(a[:lams, kept], m, rows, kept), expected[:lams])
 
     @pytest.mark.parametrize("m, depth", [(3, 5), (4, 4), (5, 3), (7, 3), (8, 2), (9, 3)])
     def test_pass_matches_tabled_oracle(self, m, depth):
         mu = skewed_measure(m, depth, seed=m, zeros=0.2)
         weights = _node_weights(mu)
         rng = np.random.default_rng(m)
-        for lam in np.geomspace(1e-3, 1e3, 9):
+        grid = np.geomspace(1e-3, 1e3, 9)
+        for lam in grid:
             beta = rng.uniform(0, 1)
             values, take, mass, cost = oracle_antichain_dp(weights, m, beta, lam)
-            for keep in (False, True):
-                got = dimension._antichain_dp(weights, m, beta, lam, keep_tables=keep)
-                assert got[:3] == (values[0][0], mass, cost)
-                if keep:
-                    assert all(np.array_equal(a, b) for a, b in zip(got[3][0], values))
-                    assert all(np.array_equal(a, b) for a, b in zip(got[3][1], take))
-                else:
-                    assert got[3] is None
+            assert oracles.antichain_dp(weights, m, beta, lam) == (values[0][0], mass, cost)
+            assert_pass_matches_oracle(weights, m, beta, np.array([lam]))
             assert antichain_max(mu, beta, lam) == oracle_antichain_max(mu, beta, lam)
+        assert_pass_matches_oracle(weights, m, 0.5, grid)
+
+
+def cancelling_vector_measure(m, depth, seed):
+    """Vector leaf masses whose every level-(depth - 1) node sums to the zero vector."""
+    rng = np.random.default_rng(seed)
+    spec = FiltrationSpec(m, depth, 2)
+    mass = rng.standard_normal((spec.leaves // m, m, 2))
+    mass[:, -1] = -mass[:, :-1].sum(axis=1)
+    return TreeMeasure(spec, mass.reshape(-1, 2))
+
+
+def zero_pattern_weights(m, depth, seed):
+    """Node weights of a cascade with whole subtrees, single leaves and nodes zeroed."""
+    rng = np.random.default_rng(seed)
+    mass = np.ones(1)
+    for _ in range(depth):
+        mass = (mass[:, None] * rng.dirichlet(np.full(m, 0.4), size=mass.size)).ravel()
+    level = rng.integers(1, depth + 1)
+    dead = rng.random(m**level) < 0.6
+    mass[np.repeat(dead, m ** (depth - level))] = 0.0
+    mass[rng.random(mass.size) < 0.3] = 0.0
+    weights = [mass.reshape(m**n, -1).sum(axis=1) for n in range(depth + 1)]
+    cancelled = weights[rng.integers(depth)]  # internal weights of 0 over positive children
+    cancelled[rng.random(cancelled.size) < 0.5] = 0.0
+    return weights
+
+
+class TestSupportEngine:
+    """The support engine against the tabled oracle, bit for bit."""
+
+    def check_measure(self, mu, betas, gamma=0.5):
+        signed = mu.is_scalar and np.any(mu.leaf_mass < 0)
+        for beta in betas:
+            expected = oracle_frostman_certify(mu, beta, gamma)
+            if signed and expected.verdict == "VIOLATED":  # antichain_max refuses to find its witness
+                with pytest.raises(ValueError, match="nonnegative measure"):
+                    frostman_certify(mu, beta, gamma)
+            else:
+                assert_same_certificate_bytes(frostman_certify(mu, beta, gamma), expected)
+            for lam in () if signed else (0.0, 1e-3, 0.1, 1.0, 30.0):
+                assert same_bytes(antichain_max(mu, beta, lam), oracle_antichain_max(mu, beta, lam))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_measure(self, zero):
+        spec = FiltrationSpec(3, 4, 1)
+        mu = TreeMeasure(spec, np.full(spec.leaves, zero))
+        assert [nodes.size for nodes in _support(_node_weights(mu), 3).nodes] == [1, 0, 0, 0, 0]
+        self.check_measure(mu, (0.0, 0.5, 1.0))
+
+    def test_signed_zeros(self):
+        mu = skewed_measure(3, 5, seed=4, zeros=0.5)
+        mu.leaf_mass[mu.leaf_mass == 0.0] = -0.0
+        self.check_measure(mu, (0.3, 0.9))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_vector_measure_whose_node_masses_cancel(self, m):
+        mu = cancelling_vector_measure(m, 3, seed=m)
+        weights = _node_weights(mu)
+        assert np.all(weights[2] < 1e-12) and np.all(weights[3] > 0)
+        self.check_measure(mu, (0.2, 0.6, 1.0))
+
+    def test_negative_leaf_under_a_positive_sibling(self):
+        spec = FiltrationSpec(3, 4, 1)
+        mass = np.random.default_rng(0).random(spec.leaves)
+        mass[::3] *= -1.0
+        mass[1::9] = 0.0
+        mu = TreeMeasure(spec, mass)
+        self.check_measure(mu, (0.1, 0.5, 0.9))
+        for beta in (0.1, 0.9):
+            assert_pass_matches_oracle(_node_weights(mu), 3, beta, np.geomspace(1e-2, 1e2, 7))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 9])
+    def test_random_zero_patterns(self, m):
+        depth = {2: 7, 3: 5, 5: 3, 8: 3, 9: 2}[m]
+        for seed in range(6):
+            weights = zero_pattern_weights(m, depth, seed)
+            assert_pass_matches_oracle(weights, m, 0.4, np.geomspace(1e-3, 1e3, 11))
+            if m >= 3:  # a tree measure needs m >= 3
+                rng = np.random.default_rng(seed)
+                mass = weights[-1].copy()
+                mu = TreeMeasure(FiltrationSpec(m, depth, 1), mass)
+                self.check_measure(mu, (rng.uniform(0, 1),))
+
+    def test_nan_weights_stay_in_the_support(self):
+        weights = zero_pattern_weights(3, 4, seed=1)
+        weights[4][[0, 40]] = np.nan
+        weights[2][5] = np.nan  # over a subtree of zeros
+        weights[3][15:18] = 0.0
+        weights[4][45:54] = 0.0
+        assert_pass_matches_oracle(weights, 3, 0.6, np.geomspace(1e-2, 1e2, 5))
+
+    @pytest.mark.parametrize("which", ["delta", "span"])
+    def test_sharpness_measures_at_depth_nine(self, which):
+        v = delta_vector(3) if which == "delta" else np.array([1.0, -1.0, 0.0])
+        W = SubspaceW.from_blocks([v[:, None]], 3, 1)
+        mm, _ = build_sharpness_measure(W, FiltrationSpec(3, 9, 1))
+        bound = dimension_bound(W)
+        self.check_measure(mm.measure, [b for b in (bound - 0.05, bound + 0.05) if 0.0 <= b <= 1.0])
+
+    def test_lambda_slabs_of_any_width(self, monkeypatch):
+        mu = skewed_measure(4, 4, seed=2, zeros=0.5)
+        expected = oracle_frostman_certify(mu, 0.8, 0.5)
+        for elements in (1, 7, 100, 2**16):
+            monkeypatch.setattr(dimension, "SLAB_ELEMENTS", elements)
+            assert_same_certificate_bytes(frostman_certify(mu, 0.8, 0.5), expected)
 
 
 class TestCertificateMatchesOracle:

@@ -32,14 +32,50 @@ def documents(monkeypatch, tmp_path):
     return seen
 
 
+def listed(document):
+    """The document with every array replaced by its list form, as json takes it."""
+    if isinstance(document, np.ndarray):
+        return document.tolist()
+    if isinstance(document, dict):
+        return {key: listed(value) for key, value in document.items()}
+    if isinstance(document, list):
+        return [listed(value) for value in document]
+    return document
+
+
 def test_writers_match_json(monkeypatch, tmp_path):
     docs = documents(monkeypatch, tmp_path)
     monkeypatch.undo()
     assert len(docs) == 6
+    assert isinstance(docs[0]["leaf_mass"], np.ndarray)  # a scalar measure's masses go as they are
     for i, document in enumerate(docs):
         path = tmp_path / f"doc{i}.json"
         fileio._dump(path, document)
-        assert path.read_bytes() == (json.dumps(document, indent=1) + "\n").encode()
+        assert path.read_bytes() == (json.dumps(listed(document), indent=1) + "\n").encode()
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("values", [
+    [0.25] * 50 + [0.5] * 3 + [0.25],                           # few distinct values, repeated
+    [0.0, -0.0, -0.0, 0.0, 1.0, -0.0],                          # 0.0 and -0.0 apart
+    [5e-324, -5e-324, 1e-310, 5e-324, 2.2250738585072014e-308],  # subnormals and the least one
+    [INF, 1.0, -INF, NAN, INF, -NAN, 1.0],                      # json's Infinity and NaN
+    [INF, -INF, NAN],                                           # nothing finite, all distinct
+    [0.1],                                                      # length 1
+    [-0.0],
+    SPECIAL,                                                    # all distinct
+    np.random.default_rng(0).random(300).tolist(),
+    np.resize(np.array(SPECIAL + [INF]), 1000).tolist(),
+    [],
+])
+def test_float_arrays_match_json(values, tmp_path):
+    array = np.array(values, dtype=float)
+    for document in (array, {"leaf_mass": array}, [array, {"a": array[::-1]}]):
+        path = tmp_path / "doc.json"
+        fileio._dump(path, document)
+        assert path.read_bytes() == (json.dumps(listed(document), indent=1) + "\n").encode()
 
 
 @pytest.mark.parametrize("document", [

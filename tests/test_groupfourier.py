@@ -98,6 +98,11 @@ class TestBuildW:
         assert w.dim == 2
         assert shift_invariance_residual(w) <= 1e-10
 
+    def test_nan_fiber_fails_the_gram_check(self):
+        G = FiniteAbelianGroup.cyclic(3)
+        with pytest.raises(ValueError, match="fiber 1 basis is not orthonormal"):
+            FiberFamily(G, 1, {1: np.array([[np.nan + 0j]]), 2: np.zeros((0, 1))})
+
     def test_incomplete_fiber_family_rejected(self):
         G = FiniteAbelianGroup.cyclic(3)
         with pytest.raises(ValueError):
