@@ -17,9 +17,10 @@ The DP runs over the support of the node weights: a node is kept iff some
 node of its subtree has a weight that is not <= 0.  Every other node has
 value = mass = cost = +0.0 for every lambda >= 0, so a pass visits the kept
 nodes only (13 of 797,161 for the depth-12 delta sharpness measure).
-A pass takes a slab of lambdas at once as (lambdas, kept nodes) arrays of at
-most SLAB_ELEMENTS entries a level: the whole grid on a sparse support, one
-lambda at a time on a dense depth-12 tree.  A lambda scan needs only the
+A pass takes a slab of lambdas at once, as many as keep its widest array (a
+kept level, or the scatter slab of a child sum) within SLAB_ELEMENTS
+entries: the whole grid on a sparse support, one lambda at a time on a dense
+depth-12 tree.  A lambda scan needs only the
 root's value and witness (mass, cost), so its passes hold one level at a
 time; only ``antichain_max`` keeps the per-level tables for its witness
 walk.  Every entry is bit for bit the dense one-lambda pass over all nodes
@@ -48,10 +49,13 @@ from .spacew import SubspaceW
 # sharpness experiments.
 SLOPE_FRACTION = 0.025
 
-# A DP pass holds (lambdas, kept nodes of a level) arrays, and the lambda grid
-# runs in slabs of at most this many entries per level: a sparse support takes
-# the whole grid in one pass, a dense depth-12 tree one lambda at a time, so
-# no pass is wider than a one-lambda dense pass.
+# A DP pass holds (lambdas, kept nodes of a level) arrays and, where a kept
+# parent has a child left out, (lambdas, kept parents * m) scatter slabs.  The
+# lambda grid runs in slabs that keep each such array within this many
+# entries, one lambda at a time where one lambda's array alone is wider: a
+# sparse support takes the whole grid in one pass, a dense depth-12 tree one
+# lambda at a time, so no array exceeds the larger of this budget and the
+# widest level of the dense one-lambda pass.
 SLAB_ELEMENTS = 2**16
 
 
@@ -114,6 +118,12 @@ class _Support:
     nodes: list[np.ndarray]
     weights: list[np.ndarray]
     slots: list[np.ndarray | None]
+
+    @property
+    def width(self) -> int:
+        """Entries per lambda of the widest array a pass builds: a kept level or a scatter slab."""
+        slabs = [idx.size * self.m for idx, slot in zip(self.nodes, self.slots) if slot is not None]
+        return max([idx.size for idx in self.nodes] + slabs)
 
 
 def _support(weights: list[np.ndarray], m: int) -> _Support:
@@ -255,7 +265,7 @@ def _lambda_scan(mu, beta, gamma, grid):
     the certified constant.
     """
     support = _support(_node_weights(mu), mu.spec.m)
-    step = max(1, SLAB_ELEMENTS // max(idx.size for idx in support.nodes))
+    step = max(1, SLAB_ELEMENTS // support.width)
     roots = [_dp_pass(support, beta, grid[i : i + step])[:3] for i in range(0, len(grid), step)]
     values, masses, costs = (np.concatenate(parts) for parts in zip(*roots))
     witness_costs = []

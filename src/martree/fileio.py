@@ -55,20 +55,14 @@ def _float_texts(values: np.ndarray) -> list[str]:
     """json's text of each float of a flat float64 array.
 
     Each distinct bit pattern (so 0.0 and -0.0 stay apart) is formatted once
-    and mapped back, which pays off on measures with few distinct masses;
-    when most values are distinct, each is formatted in place.
+    and mapped back.
     """
-    bits = values.view(np.uint64)
-    ordered = np.sort(bits)
-    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    in_place = 2 * distinct.size > bits.size
-    floats = values if in_place else distinct.view(np.float64)
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    floats = distinct.view(np.float64)
     texts = list(map(float.__repr__, floats.tolist()))
     if not np.isfinite(floats).all():
         texts = [_NON_FINITE.get(t, t) for t in texts]
-    if in_place:
-        return texts
-    return np.array(texts, dtype=object)[np.searchsorted(distinct, bits)].tolist()
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _require(obj, fields, path, what):

@@ -464,20 +464,51 @@ class TestSupportEngine:
         weights[4][45:54] = 0.0
         assert_pass_matches_oracle(weights, 3, 0.6, np.geomspace(1e-2, 1e2, 5))
 
-    @pytest.mark.parametrize("which", ["delta", "span"])
-    def test_sharpness_measures_at_depth_nine(self, which):
+    @staticmethod
+    def sharpness_measure(which, depth):
         v = delta_vector(3) if which == "delta" else np.array([1.0, -1.0, 0.0])
         W = SubspaceW.from_blocks([v[:, None]], 3, 1)
-        mm, _ = build_sharpness_measure(W, FiltrationSpec(3, 9, 1))
+        mm, _ = build_sharpness_measure(W, FiltrationSpec(3, depth, 1))
         bound = dimension_bound(W)
-        self.check_measure(mm.measure, [b for b in (bound - 0.05, bound + 0.05) if 0.0 <= b <= 1.0])
+        return mm.measure, [b for b in (bound - 0.05, bound + 0.05) if 0.0 <= b <= 1.0]
+
+    @pytest.mark.parametrize("which", ["delta", "span"])
+    def test_sharpness_measures_at_depth_nine(self, which):
+        self.check_measure(*self.sharpness_measure(which, 9))
+
+    @pytest.mark.parametrize("which", ["delta", "span"])
+    def test_depth_twelve_passes_match_the_dense_pass(self, which):
+        """The full-depth scan's lambda slabs against one dense pass per lambda."""
+        mu, betas = self.sharpness_measure(which, 12)
+        weights = _node_weights(mu)
+        support = _support(weights, 3)
+        step = max(1, dimension.SLAB_ELEMENTS // support.width)
+        for beta in betas:
+            span = 3.0 ** (12 * max(beta, 0.25))
+            grid = np.geomspace(1.0 / span, span, 64)
+            for i in range(0, grid.size, step):
+                roots = _dp_pass(support, beta, grid[i : i + step])[:3]
+                for j, lam in enumerate(grid[i : i + step]):
+                    got = tuple(float(root[j]) for root in roots)
+                    assert same_bytes(got, oracles.antichain_dp(weights, 3, beta, lam))
 
     def test_lambda_slabs_of_any_width(self, monkeypatch):
         mu = skewed_measure(4, 4, seed=2, zeros=0.5)
         expected = oracle_frostman_certify(mu, 0.8, 0.5)
-        for elements in (1, 7, 100, 2**16):
+        width = _support(_node_weights(mu), 4).width
+        sizes = []  # entries of each child-sum input and scatter slab
+
+        def recording_child_sum(a, m, rows, slot):
+            sizes.extend((a.size, a.shape[0] * rows * m if slot is not None else 0))
+            return child_sum(a, m, rows, slot)
+
+        child_sum = dimension._child_sum
+        monkeypatch.setattr(dimension, "_child_sum", recording_child_sum)
+        for elements in (1, 7, 100, 300, 2**16):
             monkeypatch.setattr(dimension, "SLAB_ELEMENTS", elements)
+            sizes.clear()
             assert_same_certificate_bytes(frostman_certify(mu, 0.8, 0.5), expected)
+            assert 0 < max(sizes) <= max(elements, width)
 
 
 class TestCertificateMatchesOracle:
