@@ -20,13 +20,13 @@ nodes only (13 of 797,161 for the depth-12 delta sharpness measure).
 A pass takes a slab of lambdas at once, as many as keep its widest array (a
 kept level, or the scatter slab of a child sum) within SLAB_ELEMENTS
 entries: the whole grid on a sparse support, one lambda at a time on a dense
-depth-12 tree.  A lambda scan needs only the
-root's value and witness (mass, cost), so its passes hold one level at a
-time; only ``antichain_max`` keeps the per-level tables for its witness
-walk.  Every entry is bit for bit the dense one-lambda pass over all nodes
-(kept in tests/oracles.py): the kept children go into a zero slab, whose
-child sums add each parent's children in the dense order, left to right for
-m <= 7 and as numpy's ``reshape(-1, m).sum(axis=1)`` for m >= 8.
+depth-12 tree.  A lambda scan needs only the root's value and witness (mass,
+cost), so its passes hold one level at a time; only ``antichain_max`` keeps
+the per-level tables for its witness walk.  Every entry is bit for bit the
+dense one-lambda pass over all nodes (kept in tests/oracles.py): the kept
+children go into a zero slab, whose child sums add each parent's children in
+the dense order, left to right for m <= 7 and as numpy's
+``reshape(-1, m).sum(axis=1)`` for m >= 8.
 """
 
 from __future__ import annotations
