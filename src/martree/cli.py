@@ -4,10 +4,12 @@
 reads, each typed and with one default.  ``martree run config.json`` rejects a
 field the kind does not read or a wrongly typed value, then runs the handler.
 Each kind is also a subcommand (``martree hls --p 2 --q 4``), one flag per
-field, that builds the same config and runs it the same way.  Outputs echo the
-version, the parameters and the sha256 of the canonical config, so a re-run
-reproduces them byte for byte.  Exit codes: 0 success, 2 invalid configuration
-or parameters, 3 numeric failure.
+field, that builds the same config and runs it the same way; ``run`` is the
+only other subcommand.  The utilities are kinds too: ``gen-w`` and ``cascade``
+write the W or measure file they are given, and ``norm`` prints one norm.
+Outputs echo the version, the parameters and the sha256 of the canonical
+config, so a re-run reproduces them byte for byte.  Exit codes: 0 success, 2
+invalid configuration or parameters, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -312,6 +314,56 @@ def _trace_sharpness(c, out_dir, meta):
     fileio.write_measure(out_dir / "trace_sharpness_measure.json", nu)
 
 
+def _gen_w(c, out_dir, meta):
+    """Write a subspace file: zero, delta, span or random."""
+    a = np.eye(c.ell)[0]
+    if c.kind == "zero":
+        W = SubspaceW.zero(c.m, c.ell)
+    elif c.kind == "delta":
+        W = SubspaceW.from_blocks([np.outer(delta_vector(c.m, 0), a)], c.m, c.ell)
+    elif c.kind == "span":
+        W = SubspaceW.from_blocks([np.outer(np.eye(c.m)[0] - np.eye(c.m)[1], a)], c.m, c.ell)
+    elif c.kind == "random":
+        W = SubspaceW.random(c.m, c.ell, c.dim, seed=c.seed)
+    else:
+        raise ConfigError(f"config rejected: params.kind must be zero, delta, span or random, got {c.kind!r}")
+    fileio.write_subspace(c.w, W)
+    print(f"wrote {c.w} (dim {W.dim})")
+
+
+LEVEL_NORMS = {"lp": norms.lp_norm, "lorentz": norms.lorentz_p1_norm, "weak": norms.weak_lp_norm}
+NORMS = (*LEVEL_NORMS, "besov", "h1", "lpnu")
+
+
+def _norm(c, out_dir, meta):
+    """Print one norm of a martingale file: lp, lorentz, weak, besov, h1 or lpnu."""
+    if c.name not in NORMS:
+        raise ConfigError(f"config rejected: params.name must be one of {', '.join(NORMS)}, got {c.name!r}")
+    if c.name == "lpnu" and c.measure is None:
+        raise ConfigError("config rejected: norm lpnu needs measure_file")
+    if c.name != "lpnu" and c.measure is not None:
+        raise ConfigError(f"config rejected: norm {c.name} reads no measure_file")
+    F = fileio.read_martingale(c.martingale)
+    if c.name == "besov":
+        value = norms.besov_norm(F, c.beta, c.p)
+    elif c.name == "h1":
+        value = norms.h1_norm(F)
+    elif c.name == "lpnu":
+        nu = fileio.read_measure(c.measure)
+        value = norms.lp_nu_norm(norms.martingale_level(F, F.spec.depth), nu, c.p)
+    else:
+        value = LEVEL_NORMS[c.name](norms.martingale_level(F, F.spec.depth), c.p)
+    _require_finite([value], f"norm {c.name}")
+    print(_fmt(value))
+
+
+def _cascade(c, out_dir, meta):
+    """Write a capped multiplicative cascade measure."""
+    spec = FiltrationSpec(c.m, c.depth, 1)
+    fileio.write_measure(c.measure, trace.capped_cascade_measure(spec, alpha=c.alpha, p=c.p, seed=c.seed))
+    print(f"wrote {c.measure}")
+
+
 # ---------------------------------------------------------------- the table
 
 
@@ -367,6 +419,24 @@ EXPERIMENTS = {
     "trace-sharpness": Experiment(
         _trace_sharpness, {**SHARPNESS, "params.gamma": Field(float, 0.5), **DEPTHS}
     ),
+    "gen-w": Experiment(_gen_w, {
+        **SUBSPACE,
+        "params.kind": Field(str, shown="required: zero, delta, span or random"),
+        "filtration.m": Field(int, 3, minimum=2),
+        "filtration.ell": Field(int, 1, minimum=1),
+        "params.dim": Field(int, 1, minimum=1),
+    }),
+    "cascade": Experiment(_cascade, {
+        **MEASURE, **SEED, "filtration.m": Field(int, 3), **DEPTH,
+        "params.alpha": Field(float), "params.p": Field(float, 1.0),
+    }),
+    "norm": Experiment(_norm, {
+        "martingale_file": Field(str),
+        "params.name": Field(str, shown="required: lp, lorentz, weak, besov, h1 or lpnu"),
+        **P,
+        "params.beta": Field(float, 0.0),
+        "measure_file": Field(str, None, "none; lpnu needs one"),
+    }),
 }
 
 TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", list: "two integers"}
@@ -459,58 +529,6 @@ def _cmd_experiment(args):
     _run_document(doc, args)
 
 
-def _cmd_gen_w(args):
-    if args.kind == "zero":
-        W = SubspaceW.zero(args.m, args.ell)
-    elif args.kind == "delta":
-        a = np.zeros(args.ell)
-        a[0] = 1.0
-        W = SubspaceW.from_blocks([np.outer(delta_vector(args.m, 0), a)], args.m, args.ell)
-    elif args.kind == "span":
-        v = np.zeros(args.m)
-        v[0], v[1] = 1.0, -1.0
-        a = np.zeros(args.ell)
-        a[0] = 1.0
-        W = SubspaceW.from_blocks([np.outer(v, a)], args.m, args.ell)
-    elif args.kind == "random":
-        W = SubspaceW.random(args.m, args.ell, args.dim, seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown generator kind {args.kind}")
-    fileio.write_subspace(args.out, W)
-    print(f"wrote {args.out} (dim {W.dim})")
-
-
-def _cmd_norm(args):
-    F = fileio.read_martingale(args.f)
-    name = args.name
-    if name == "lp":
-        value = norms.lp_norm(norms.martingale_level(F, F.spec.depth), args.p)
-    elif name == "lorentz":
-        value = norms.lorentz_p1_norm(norms.martingale_level(F, F.spec.depth), args.p)
-    elif name == "weak":
-        value = norms.weak_lp_norm(norms.martingale_level(F, F.spec.depth), args.p)
-    elif name == "besov":
-        value = norms.besov_norm(F, args.beta, args.p)
-    elif name == "h1":
-        value = norms.h1_norm(F)
-    elif name == "lpnu":
-        if not args.nu:
-            raise ConfigError("norm lpnu needs --nu <measure file>")
-        g = norms.martingale_level(F, F.spec.depth)
-        value = norms.lp_nu_norm(g, fileio.read_measure(args.nu), args.p)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown norm {name}")
-    _require_finite([value], f"norm {name}")
-    print(_fmt(value))
-
-
-def _cmd_cascade(args):
-    spec = FiltrationSpec(args.m, args.depth, 1)
-    nu = trace.capped_cascade_measure(spec, alpha=args.alpha, p=args.p, seed=args.seed)
-    fileio.write_measure(args.out, nu)
-    print(f"wrote {args.out}")
-
-
 # ---------------------------------------------------------------- entry point
 
 
@@ -522,30 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument("--out", type=str, default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-w", help="write a subspace file")
-    p.set_defaults(handler=_cmd_gen_w)
-    p.add_argument("--kind", choices=["zero", "delta", "span", "random"], required=True)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--out", dest="out", required=True)
-
-    p = sub.add_parser("norm", help="evaluate one norm of a martingale file")
-    p.set_defaults(handler=_cmd_norm)
-    p.add_argument("--f", required=True)
-    p.add_argument("--name", choices="lp lorentz weak besov h1 lpnu".split(), required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--nu", type=str, default=None)
-
-    p = sub.add_parser("cascade", help="write a capped multiplicative cascade measure")
-    p.set_defaults(handler=_cmd_cascade)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--out", dest="out", required=True)
 
     p = sub.add_parser("run", help="run a config-file experiment")
     p.set_defaults(handler=_cmd_run)

@@ -11,7 +11,9 @@ lower bounds on the best ratio, the dual envelope gives the certified
 constant, and the verdict comes from the trend of the best ratio across
 depth prefixes, never from one depth alone.  The full-depth scan is also the
 depth-D prefix (truncating at the full depth keeps every node weight and the
-grid), so only the prefixes 1..D-1 get scans of their own.
+grid), so only the prefixes 1..D-1 get scans of their own.  A scalar
+measure with a negative mass is refused up front, by the certificate and by
+``antichain_max`` alike.
 
 The DP runs over the support of the node weights: a node is kept iff some
 node of its subtree has a weight that is not <= 0.  Every other node has
@@ -211,6 +213,11 @@ def _dp_pass(support: _Support, beta: float, lam: np.ndarray, keep_tables: bool 
     return value[:, 0], mass[:, 0], cost[:, 0], tables
 
 
+def _require_nonnegative(mu: TreeMeasure) -> None:
+    if mu.is_scalar and np.any(np.asarray(mu.leaf_mass) < 0):
+        raise ValueError("antichain DP requires a nonnegative measure")
+
+
 def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list[tuple[int, int]]]:
     """Exact max over antichains of sum (mu(omega) - lam m^{-n beta}) and a witness.
 
@@ -219,8 +226,7 @@ def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list
     as (level, index) pairs; its walk enters only nodes of positive value,
     all of them kept.
     """
-    if mu.is_scalar and np.any(np.asarray(mu.leaf_mass) < 0):
-        raise ValueError("antichain DP requires a nonnegative measure")
+    _require_nonnegative(mu)
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     m = mu.spec.m
@@ -296,6 +302,7 @@ def frostman_certify(
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    _require_nonnegative(mu)
     spec = mu.spec
     m = spec.m
     span = float(m) ** (spec.depth * max(beta, 0.25))

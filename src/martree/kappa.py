@@ -39,6 +39,9 @@ WITNESS_DISTANCE_TOL = 1e-10
 # treated as equality.
 OPTIMIZER_TOL = 1e-6
 
+# Points of the grid that brackets each ray's optimum before the bounded polish.
+RAY_GRID_POINTS = 4001
+
 
 def kappa_v(v: np.ndarray, theta: float) -> float:
     """log of the L_{1/theta} norm of 1 + v on m uniform points; theta in [0, 1]."""
@@ -151,18 +154,18 @@ def feasible_interval(u: np.ndarray) -> tuple[float, float]:
     return float(t_lo), float(t_hi)
 
 
-def _optimize_ray(u, objective, objective_many, maximize, grid_points=4001):
+def _optimize_ray(u, objective, objective_many, maximize):
     """Exact-ish optimum of objective(t * u) over the feasible t-interval."""
     t_lo, t_hi = feasible_interval(u)
     if not np.isfinite(t_lo) or not np.isfinite(t_hi):
         # u in V always has entries of both signs, so this cannot trigger for
         # genuine directions; guard anyway.
         t_lo, t_hi = max(t_lo, -1e6), min(t_hi, 1e6)
-    ts = np.linspace(t_lo, t_hi, grid_points)
+    ts = np.linspace(t_lo, t_hi, RAY_GRID_POINTS)
     vals = objective_many(ts[:, None] * u[None, :])
     best_idx = int(np.argmax(vals) if maximize else np.argmin(vals))
     lo = ts[max(best_idx - 1, 0)]
-    hi = ts[min(best_idx + 1, grid_points - 1)]
+    hi = ts[min(best_idx + 1, RAY_GRID_POINTS - 1)]
     sign = -1.0 if maximize else 1.0
     res = optimize.minimize_scalar(
         lambda t: sign * objective(t * u),
@@ -227,12 +230,12 @@ def _snap_to_feasible_ray(W, v, a, objective, objective_many, maximize):
     return KappaWitness(v=v_best, a=a_hat, value=value, residual=residual)
 
 
-def _optimize_over_rank_ones(W, objective, objective_many, maximize, n_starts, seed, directions=None):
+def _optimize_over_rank_ones(W, objective, objective_many, maximize, seed, directions=None):
     zero = KappaWitness(v=np.zeros(W.m), a=np.zeros(W.ell), value=objective(np.zeros(W.m)), residual=0.0)
     if W.dim == 0:
         return zero
     if directions is None:
-        directions = rank_one_directions(W, n_starts=n_starts, seed=seed)
+        directions = rank_one_directions(W, seed=seed)
     best = zero
     better = (lambda x, y: x > y) if maximize else (lambda x, y: x < y)
     ray_optima = []
@@ -256,7 +259,7 @@ def _optimize_over_rank_ones(W, objective, objective_many, maximize, n_starts, s
     return best
 
 
-def kappa_of(W: SubspaceW, theta: float, n_starts: int = 32, seed: int = 0, directions=None) -> KappaWitness:
+def kappa_of(W: SubspaceW, theta: float, seed: int = 0, directions=None) -> KappaWitness:
     """kappa(theta): supremum of kappa_v over the feasible rank-one slice of W.
 
     v = 0 is always feasible, so the value is >= 0.  The returned witness has
@@ -269,26 +272,25 @@ def kappa_of(W: SubspaceW, theta: float, n_starts: int = 32, seed: int = 0, dire
         lambda v: kappa_v(v, theta),
         lambda V: kappa_v_many(V, theta),
         maximize=True,
-        n_starts=n_starts,
         seed=seed,
         directions=directions,
     )
 
 
-def kappa_prime_one(W: SubspaceW, n_starts: int = 32, seed: int = 0, directions=None) -> KappaWitness:
+def kappa_prime_one(W: SubspaceW, seed: int = 0, directions=None) -> KappaWitness:
     """kappa'(1): infimum of the negative-entropy functional; value in [-log m, 0]."""
     return _optimize_over_rank_ones(
-        W, entropy_v, entropy_v_many, maximize=False, n_starts=n_starts, seed=seed, directions=directions
+        W, entropy_v, entropy_v_many, maximize=False, seed=seed, directions=directions
     )
 
 
-def dimension_bound(W: SubspaceW, n_starts: int = 32, seed: int = 0) -> float:
+def dimension_bound(W: SubspaceW, seed: int = 0) -> float:
     """1 + kappa'(1)/log m, the lower Hausdorff dimension bound; in [0, 1]."""
-    kp = kappa_prime_one(W, n_starts=n_starts, seed=seed)
+    kp = kappa_prime_one(W, seed=seed)
     return float(np.clip(1.0 + kp.value / np.log(W.m), 0.0, 1.0))
 
 
-def strict_gap_check(W: SubspaceW, p: float, n_starts: int = 32, seed: int = 0) -> tuple[bool, float]:
+def strict_gap_check(W: SubspaceW, p: float, seed: int = 0) -> tuple[bool, float]:
     """Whether kappa(1/p) sits strictly below ((p-1)/p) log m, with the margin.
 
     Numerically equivalent to the second structural condition.
@@ -297,15 +299,15 @@ def strict_gap_check(W: SubspaceW, p: float, n_starts: int = 32, seed: int = 0) 
         raise ValueError(f"p must exceed 1 (or be inf), got {p}")
     theta = 0.0 if p == np.inf else 1.0 / p
     bound = kappa_upper_bound(theta, W.m)
-    witness = kappa_of(W, theta, n_starts=n_starts, seed=seed)
+    witness = kappa_of(W, theta, seed=seed)
     margin = bound - witness.value
     return bool(margin > OPTIMIZER_TOL), float(margin)
 
 
-def kappa_profile(W: SubspaceW, grid_size: int = 21, n_starts: int = 32, seed: int = 0) -> KappaProfile:
+def kappa_profile(W: SubspaceW, grid_size: int = 21, seed: int = 0) -> KappaProfile:
     """kappa on a theta grid plus kappa'(1) and the dimension bound."""
     thetas = np.linspace(0.0, 1.0, grid_size)
-    directions = rank_one_directions(W, n_starts=n_starts, seed=seed)
+    directions = rank_one_directions(W, seed=seed)
     witnesses = [kappa_of(W, float(t), directions=directions) for t in thetas]
     values = np.array([w.value for w in witnesses])
     prime = kappa_prime_one(W, directions=directions)

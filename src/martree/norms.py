@@ -65,14 +65,6 @@ def lp_norm(g: SimpleFunction, p: float) -> float:
     return float((g.atom_weight * np.sum(mags**p)) ** (1.0 / p))
 
 
-def lp_norm_weighted(mags: np.ndarray, weights: np.ndarray, p: float) -> float:
-    if p == np.inf:
-        return float(np.max(mags[weights > 0])) if np.any(weights > 0) else 0.0
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float(np.sum(weights * mags**p) ** (1.0 / p))
-
-
 def lorentz_p1_from_distribution(mags: np.ndarray, weights: np.ndarray, p: float) -> float:
     """p * int mu{|g|>s}^{1/p} ds as a finite sum over the sorted values.
 
@@ -136,8 +128,9 @@ def lorentz_p1_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p:
 
 
 def lp_norm_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p: float) -> np.ndarray:
-    """``lp_norm_weighted`` of each consecutive segment of ``mags``, every atom
-    of mass ``weight > 0``; bit for bit, in one pass."""
+    """(sum weight * |mags|^p)^{1/p} of each consecutive segment of ``mags``,
+    every atom of mass ``weight > 0``; bit for bit as one segment alone, in
+    one pass."""
     lengths = np.asarray(lengths, dtype=np.int64)
     if p == np.inf:
         out = np.zeros(lengths.size)

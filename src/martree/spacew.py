@@ -30,6 +30,8 @@ SECOND_CONDITION_TOL = 1e-9
 # value certify a violation, minima above the second certify satisfaction.
 FIRST_CONDITION_VIOLATED = 1e-12
 FIRST_CONDITION_HOLDS = 1e-6
+# Random Nelder-Mead starts of that search.
+FIRST_CONDITION_STARTS = 24
 
 
 @dataclass
@@ -74,6 +76,8 @@ class SubspaceW:
 
     @classmethod
     def random(cls, m: int, ell: int, k: int, seed) -> "SubspaceW":
+        if not 0 <= k <= (m - 1) * ell:
+            raise ValueError(f"dimension {k} outside [0, (m-1)*ell] = [0, {(m - 1) * ell}]")
         rng = np.random.default_rng(seed)
         blocks = rng.standard_normal((k, m, ell))
         w = cls.from_blocks(blocks, m, ell)
@@ -291,7 +295,7 @@ def _nelder_mead_lockstep(f, X0: np.ndarray, xatol: float, fatol: float, maxiter
 
 
 def check_first_condition(
-    W: SubspaceW, n_starts: int = 24, seed: int = 0
+    W: SubspaceW, seed: int = 0
 ) -> tuple[bool | None, tuple[np.ndarray, np.ndarray] | None, dict]:
     """Multi-start search for any nonzero rank-one block inside W.
 
@@ -308,7 +312,7 @@ def check_first_condition(
         u, s, vt = np.linalg.svd(block)
         return False, (u[:, 0] * s[0], vt[0]), {"min_ratio": 0.0, "starts": 0}
     rng = np.random.default_rng(seed)
-    X0 = np.empty((n_starts, W.dim))
+    X0 = np.empty((FIRST_CONDITION_STARTS, W.dim))
     for x0 in X0:
         x0[:] = rng.standard_normal(W.dim)
         x0 /= np.linalg.norm(x0)
@@ -323,7 +327,7 @@ def check_first_condition(
         if fun < best:
             best = float(fun)
             best_coeffs = x
-    diag = {"min_ratio": best, "starts": n_starts}
+    diag = {"min_ratio": best, "starts": FIRST_CONDITION_STARTS}
     if best <= FIRST_CONDITION_VIOLATED:
         block = W.combine(best_coeffs)
         u, s, vt = np.linalg.svd(block)

@@ -34,6 +34,9 @@ from .spacew import SubspaceW, random_w_martingale
 
 KAPPA_LINEARITY_TOL = 1e-6
 
+# Dirichlet concentration of a capped cascade's raw branch weights.
+CASCADE_CONCENTRATION = 0.6
+
 
 def frostman_constant(nu: TreeMeasure, alpha: float, p: float) -> float:
     """Smallest C with nu(omega)^{1/p} <= C m^{(alpha-1)n} over all atoms; exact."""
@@ -50,7 +53,7 @@ def frostman_constant(nu: TreeMeasure, alpha: float, p: float) -> float:
 
 
 def capped_cascade_measure(
-    spec: FiltrationSpec, alpha: float, p: float, seed, concentration: float = 0.6
+    spec: FiltrationSpec, alpha: float, p: float, seed
 ) -> TreeMeasure:
     """Random multiplicative cascade obeying nu(omega) <= m^{(alpha-1)p n} exactly.
 
@@ -65,7 +68,7 @@ def capped_cascade_measure(
     masses = np.ones(1)
     for n in range(spec.depth):
         cap_next = float(m) ** ((alpha - 1.0) * p * (n + 1))
-        raw = rng.dirichlet(np.full(m, concentration), size=masses.size)
+        raw = rng.dirichlet(np.full(m, CASCADE_CONCENTRATION), size=masses.size)
         caps = cap_next / masses[:, None]  # per-child weight budget
         # lam mixes raw toward uniform: need lam*raw + (1-lam)/m <= caps
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,7 +8,8 @@ its scalar objective, the per-start alternating projection of
 ``kappa.rank_one_directions``, the dense one-lambda antichain pass over
 every node of the tree with its child sum, and the dense ray grid that
 brute-forces one kappa ray.  The batched code must reproduce all but the
-last bit for bit.  ``antichain_score`` scores a given antichain.
+last bit for bit.  ``antichain_score`` scores a given antichain, and
+``lp_norm_weighted`` is the one-segment form of ``norms.lp_norm_segments``.
 ``shift_w`` builds a subspace on which those searches meet tied values.
 """
 
@@ -240,3 +241,12 @@ def antichain_score(mu, antichain, beta: float, lam: float) -> float:
     return float(
         sum(weights[n][i] - lam * float(mu.spec.m) ** (-n * beta) for n, i in antichain)
     )
+
+
+def lp_norm_weighted(mags: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """(sum weights |mags|^p)^{1/p}; the max over positive weights for p = inf."""
+    if p == np.inf:
+        return float(np.max(mags[weights > 0])) if np.any(weights > 0) else 0.0
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    return float(np.sum(weights * mags**p) ** (1.0 / p))

@@ -1,7 +1,6 @@
 """CLI surface: subcommands, file formats, exit codes, byte reproducibility."""
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,8 @@ from martree.filtration import FiltrationSpec, TreeMeasure
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup
 from martree.spacew import SubspaceW, delta_vector
 from tests.test_filtration import random_martingale
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -213,7 +214,7 @@ class TestMalformedFiles:
 class TestSubcommands:
     def test_gen_w_and_check_w(self, tmp_path, capsys):
         w_path = tmp_path / "w.json"
-        assert main(["gen-w", "--kind", "delta", "--m", "3", "--ell", "1", "--out", str(w_path)]) == 0
+        assert main(["gen-w", "--kind", "delta", "--m", "3", "--ell", "1", "--w", str(w_path)]) == 0
         capsys.readouterr()
         out = tmp_path / "out"
         assert main(["--out", str(out), "check-w", "--w", str(w_path)]) == 0
@@ -222,7 +223,7 @@ class TestSubcommands:
         assert json.loads((out / "check_w.json").read_text()) == report
 
     def test_norm_prints_value(self, martingale_file, capsys):
-        assert main(["norm", "--f", martingale_file, "--name", "lp", "--p", "2"]) == 0
+        assert main(["norm", "--martingale", martingale_file, "--name", "lp", "--p", "2"]) == 0
         value = float(capsys.readouterr().out.strip())
         F = read_martingale(martingale_file)
         from martree.norms import lp_norm, martingale_level
@@ -299,9 +300,9 @@ class TestSubcommands:
     def test_cascade_and_trace_embed(self, tmp_path, capsys):
         nu_path = tmp_path / "nu.json"
         assert main(["cascade", "--m", "3", "--depth", "7", "--alpha", "0.9", "--p", "1",
-                     "--out", str(nu_path)]) == 0
+                     "--measure", str(nu_path)]) == 0
         w_path = tmp_path / "w.json"
-        assert main(["gen-w", "--kind", "span", "--m", "3", "--ell", "1", "--out", str(w_path)]) == 0
+        assert main(["gen-w", "--kind", "span", "--m", "3", "--ell", "1", "--w", str(w_path)]) == 0
         out = tmp_path / "out"
         code = main(
             ["--out", str(out), "trace-embed-l1", "--measure", str(nu_path), "--w", str(w_path),
@@ -313,13 +314,13 @@ class TestSubcommands:
     def test_trace_embed_p_and_constant(self, tmp_path, capsys):
         nu_path = tmp_path / "nu.json"
         assert main(["cascade", "--m", "3", "--depth", "7", "--alpha", "0.7", "--p", "2",
-                     "--out", str(nu_path)]) == 0
+                     "--measure", str(nu_path)]) == 0
         capsys.readouterr()
         assert main(["trace-constant", "--measure", str(nu_path), "--alpha", "0.7", "--p", "2"]) == 0
         value = float(capsys.readouterr().out.strip())
         assert value <= 1.0 + 1e-9
         w_path = tmp_path / "w.json"
-        main(["gen-w", "--kind", "random", "--m", "3", "--ell", "2", "--dim", "2", "--out", str(w_path)])
+        main(["gen-w", "--kind", "random", "--m", "3", "--ell", "2", "--dim", "2", "--w", str(w_path)])
         out = tmp_path / "out"
         code = main(
             ["--out", str(out), "trace-embed-p", "--measure", str(nu_path), "--w", str(w_path),
@@ -333,8 +334,8 @@ class TestSubcommands:
         nu = TreeMeasure(spec, np.full(spec.leaves, 1.0 / spec.leaves))
         nu_path = tmp_path / "nu.json"
         write_measure(nu_path, nu)
-        assert main(["norm", "--f", martingale_file, "--name", "lpnu", "--p", "2",
-                     "--nu", str(nu_path)]) == 0
+        assert main(["norm", "--martingale", martingale_file, "--name", "lpnu", "--p", "2",
+                     "--measure", str(nu_path)]) == 0
         value = float(capsys.readouterr().out.strip())
         F = read_martingale(martingale_file)
         from martree.norms import lp_norm, martingale_level
@@ -362,10 +363,10 @@ class TestExitCodes:
                 }
             )
         )
-        assert main(["norm", "--f", str(path), "--name", "lp", "--p", "2"]) == 3
+        assert main(["norm", "--martingale", str(path), "--name", "lp", "--p", "2"]) == 3
 
     def test_bad_norm_parameters(self, martingale_file, capsys):
-        assert main(["norm", "--f", martingale_file, "--name", "lorentz", "--p", "1.0"]) == 2
+        assert main(["norm", "--martingale", martingale_file, "--name", "lorentz", "--p", "1.0"]) == 2
 
     @pytest.mark.parametrize("eps", ["0", "nan", "inf"])
     def test_decompose_rejects_bad_eps(self, martingale_file, tmp_path, capsys, eps):
@@ -385,15 +386,7 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
 
-    @pytest.fixture(params=["jsonschema", "fallback"])
-    def validator(self, request, monkeypatch):
-        """Run each config test as installed and with jsonschema hidden: the
-        experiment table's check must not depend on that package."""
-        if request.param == "fallback":
-            monkeypatch.setitem(sys.modules, "jsonschema", None)
-        return request.param
-
-    def test_misspelt_param_is_rejected(self, validator, martingale_file, tmp_path, capsys):
+    def test_misspelt_param_is_rejected(self, martingale_file, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "decompose", "martingale_file": martingale_file,
@@ -411,7 +404,7 @@ class TestExitCodes:
         ["kappa"],
         {"params": {"grid": 5}},
     ])
-    def test_malformed_configs_exit_two_with_one_line(self, validator, doc, tmp_path, capsys):
+    def test_malformed_configs_exit_two_with_one_line(self, doc, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg)]) == 2
@@ -519,8 +512,8 @@ class TestExitCodes:
     def test_trace_embed_depth_is_the_default_top_depth(self, tmp_path, capsys):
         nu_path, w_path = tmp_path / "nu.json", tmp_path / "w.json"
         assert main(["cascade", "--m", "3", "--depth", "6", "--alpha", "0.9", "--p", "1",
-                     "--out", str(nu_path)]) == 0
-        assert main(["gen-w", "--kind", "span", "--m", "3", "--ell", "1", "--out", str(w_path)]) == 0
+                     "--measure", str(nu_path)]) == 0
+        assert main(["gen-w", "--kind", "span", "--m", "3", "--ell", "1", "--w", str(w_path)]) == 0
         out = tmp_path / "out"
         assert main(["--out", str(out), "trace-embed-l1", "--measure", str(nu_path),
                      "--w", str(w_path), "--trials", "2", "--depth", "6"]) == 0
@@ -534,11 +527,48 @@ class TestExitCodes:
                      "--ell", "1", "--depth", "4"]) == 0
         assert (out / "sharpness.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-w", "--kind", "delta", "--ell", "0"], "filtration.ell must be at least 1, got 0"),
+        (["gen-w", "--kind", "span", "--m", "1"], "filtration.m must be at least 2, got 1"),
+        (["gen-w", "--kind", "plane"], "params.kind must be zero, delta, span or random, got 'plane'"),
+        (["gen-w", "--kind", "random", "--m", "3", "--ell", "1", "--dim", "5"],
+         "dimension 5 outside [0, (m-1)*ell] = [0, 2]"),
+        (["cascade", "--alpha", "nan"], "params.alpha must be finite, got alpha=nan"),
+        (["cascade", "--alpha", "inf"], "params.alpha must be finite, got alpha=inf"),
+        (["cascade", "--alpha", "0.9", "--p", "nan"], "params.p must be finite, got p=nan"),
+        (["norm", "--name", "lp", "--p", "nan"], "params.p must be finite, got p=nan"),
+        (["norm", "--name", "lorentz", "--p", "inf"], "params.p must be finite, got p=inf"),
+        (["norm", "--name", "lp", "--p", "inf"], "params.p must be finite, got p=inf"),
+        (["norm", "--name", "lp", "--measure", str(GOLDEN / "cascade.json")], "norm lp reads no measure_file"),
+        (["norm", "--name", "lpnu"], "norm lpnu needs measure_file"),
+        (["norm", "--name", "l2"], "params.name must be one of lp, lorentz, weak, besov, h1, lpnu, got 'l2'"),
+    ])
+    def test_utility_inputs_exit_two_writing_nothing(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        target = {"gen-w": ["--w", "made.json"], "cascade": ["--measure", "made.json"],
+                  "norm": ["--martingale", str(GOLDEN / "martingale.json")]}[argv[0]]
+        assert main(["--out", "out", *argv, *target]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("beta", ["0.3", "0.9"])
+    def test_frostman_on_a_signed_measure_exits_two(self, beta, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "cascade.json").read_text())
+        doc["leaf_mass"][::3] = [-x for x in doc["leaf_mass"][::3]]
+        signed = tmp_path / "signed.json"
+        signed.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "frostman", "--measure", str(signed), "--beta", beta]) == 2
+        err = capsys.readouterr().err
+        assert "antichain DP requires a nonnegative measure" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestRunConfig:
     def test_kappa_config_on_zero_w(self, tmp_path, capsys):
         w_path = tmp_path / "w.json"
-        main(["gen-w", "--kind", "zero", "--m", "3", "--ell", "1", "--out", str(w_path)])
+        main(["gen-w", "--kind", "zero", "--m", "3", "--ell", "1", "--w", str(w_path)])
         out = tmp_path / "out"
         cfg = {
             "kind": "kappa",
@@ -573,7 +603,7 @@ class TestRunConfig:
     def test_rerun_byte_reproducible(self, tmp_path, capsys):
         w_path = tmp_path / "w.json"
         main(["gen-w", "--kind", "random", "--m", "3", "--ell", "2", "--dim", "2",
-              "--out", str(w_path)])
+              "--w", str(w_path)])
         outs = []
         for run in ("a", "b"):
             out = tmp_path / run

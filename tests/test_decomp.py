@@ -29,9 +29,10 @@ from martree.filtration import (
     measure_to_martingale,
 )
 from martree.kappa import kappa_of
-from martree.norms import lorentz_p1_from_distribution, lp_norm, lp_norm_weighted, martingale_level
+from martree.norms import lorentz_p1_from_distribution, lp_norm, martingale_level
 from martree.riesz import delta_martingale
 from martree.spacew import SubspaceW, delta_vector, random_w_martingale
+from oracles import lp_norm_weighted
 from tests.test_filtration import random_martingale
 
 

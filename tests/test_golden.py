@@ -10,11 +10,15 @@ bound (about 0.579): beta 0.53 is certified, beta 0.63 is violated.  A change th
 any of those bytes has changed the experiment's results.
 
 Each kind is also a subcommand; for one kind of each output shape (CSV, CSV
-plus a measure file, JSON, print-only) the subcommand must write the same
-bytes as ``martree run`` on a config holding the same fields.
+plus a measure file, JSON, print-only, and the ``gen-w``, ``cascade`` and
+``norm`` utilities, which write the file they are given or only print) the
+subcommand must write the same bytes as ``martree run`` on a config holding
+the same fields.  The utilities' own outputs are frozen too: ``gen-w`` made
+the golden W files, and the other outputs are pinned by their sha256.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -90,11 +94,24 @@ SUBCOMMANDS = {
         {"measure_file": "cascade.json", "params": {"alpha": 0.9, "p": 1.0}},
         ["--measure", "cascade.json", "--alpha", "0.9", "--p", "1"],
     ),
+    "gen-w": (
+        {"w_file": "w_new.json", "filtration": {"m": 3, "ell": 2}, "params": {"kind": "random", "dim": 2}},
+        ["--w", "w_new.json", "--m", "3", "--ell", "2", "--kind", "random", "--dim", "2"],
+    ),
+    "cascade": (
+        {"measure_file": "nu.json", "filtration": {"depth": 6}, "params": {"alpha": 0.9}},
+        ["--measure", "nu.json", "--depth", "6", "--alpha", "0.9"],
+    ),
+    "norm": (
+        {"martingale_file": "martingale.json", "measure_file": "cascade.json",
+         "params": {"name": "lpnu", "p": 1.0}},
+        ["--martingale", "martingale.json", "--measure", "cascade.json", "--name", "lpnu", "--p", "1"],
+    ),
 }
 
 
 def _run_in(directory: Path, argv: list[str], monkeypatch) -> tuple[str, dict]:
-    """Run ``martree <argv>`` in a copy of the inputs; its stdout and output files."""
+    """Run ``martree <argv>`` in a copy of the inputs; its stdout and every file there after."""
     directory.mkdir()
     for filename in INPUTS:
         shutil.copy(GOLDEN / filename, directory / filename)
@@ -102,8 +119,8 @@ def _run_in(directory: Path, argv: list[str], monkeypatch) -> tuple[str, dict]:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert cli.main(argv) == 0
-    out = directory / "out"
-    return stdout.getvalue(), {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    files = {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+    return stdout.getvalue(), files
 
 
 @pytest.mark.parametrize("kind", SUBCOMMANDS)
@@ -114,3 +131,28 @@ def test_subcommand_matches_run(kind, tmp_path, monkeypatch):
     via_run = _run_in(tmp_path / "run", ["--out", "out", "run", str(config)], monkeypatch)
     via_flags = _run_in(tmp_path / "flags", ["--out", "out", kind, *flags], monkeypatch)
     assert via_flags == via_run
+
+
+# utility flags -> the golden file they wrote, else the sha256 of their output
+UTILITIES = [
+    (["gen-w", "--kind", "span", "--w"], "w_span.json"),
+    (["gen-w", "--kind", "delta", "--w"], "w_delta.json"),
+    (["--seed", "7", "gen-w", "--kind", "random", "--m", "3", "--ell", "2", "--dim", "2", "--w"], "w_random.json"),
+    (["gen-w", "--kind", "zero", "--m", "4", "--ell", "2", "--w"],
+     "656ab5d65c9d4782ccfced317801f94c115ecdede995c0c4d3bc7f397aa14700"),
+    (["cascade", "--depth", "6", "--alpha", "0.9", "--measure"],
+     "94f13a34a29a5e9e435450b8c1d38ea122ad2ef5e2bf0e7e2c9a77e43a0bec1c"),
+    (["--seed", "3", "cascade", "--m", "4", "--depth", "5", "--alpha", "0.7", "--p", "2", "--measure"],
+     "5f40e22d06a54994b22c8f095d4b66e9e0110daca5bd82c877824ea1a3304a18"),
+]
+
+
+@pytest.mark.parametrize("argv, frozen", UTILITIES, ids=["w_span", "w_delta", "w_random", "w_zero", "cascade", "cascade_m4"])
+def test_utility_writes_frozen_bytes(argv, frozen, tmp_path, capsys):
+    made = tmp_path / "made.json"
+    assert cli.main([*argv, str(made)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {made}")
+    if frozen.endswith(".json"):
+        assert made.read_bytes() == (GOLDEN / frozen).read_bytes()
+    else:
+        assert hashlib.sha256(made.read_bytes()).hexdigest() == frozen

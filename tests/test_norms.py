@@ -16,12 +16,12 @@ from martree.norms import (
     lorentz_p1_segments,
     lp_norm,
     lp_norm_segments,
-    lp_norm_weighted,
     lp_nu_norm,
     martingale_difference,
     segment_sums,
     weak_lp_norm,
 )
+from oracles import lp_norm_weighted
 from tests.test_filtration import random_martingale
 
 

@@ -102,6 +102,12 @@ class TestSubspace:
         with pytest.raises(ValueError):
             project(np.zeros((4, 2)), W)
 
+    @pytest.mark.parametrize("m, ell, k", [(3, 1, 5), (3, 1, 3), (4, 2, 7), (3, 2, -1)])
+    def test_random_dimension_outside_v_ell(self, m, ell, k):
+        with pytest.raises(ValueError, match=rf"dimension {k} outside \[0, \(m-1\)\*ell\] = \[0, {(m - 1) * ell}\]"):
+            SubspaceW.random(m, ell, k, seed=0)
+        assert SubspaceW.random(m, ell, (m - 1) * ell, seed=0).dim == (m - 1) * ell
+
 
 def distances_oracle(W, blocks):
     """The per-block loop ``SubspaceW.residuals`` replaces: one distance each."""
