@@ -1,6 +1,7 @@
 """CLI surface: subcommands, file formats, exit codes, byte reproducibility."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -386,7 +387,15 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
 
-    def test_misspelt_param_is_rejected(self, martingale_file, tmp_path, capsys):
+    @pytest.fixture(params=["jsonschema", "fallback"])
+    def validator(self, request, monkeypatch):
+        """Run each config test as installed and with jsonschema hidden: the
+        experiment table's check must not depend on that package."""
+        if request.param == "fallback":
+            monkeypatch.setitem(sys.modules, "jsonschema", None)
+        return request.param
+
+    def test_misspelt_param_is_rejected(self, validator, martingale_file, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "decompose", "martingale_file": martingale_file,
@@ -404,7 +413,7 @@ class TestExitCodes:
         ["kappa"],
         {"params": {"grid": 5}},
     ])
-    def test_malformed_configs_exit_two_with_one_line(self, doc, tmp_path, capsys):
+    def test_malformed_configs_exit_two_with_one_line(self, validator, doc, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg)]) == 2
