@@ -290,10 +290,10 @@ def _trace_embed_p(c, out_dir, meta):
 
 
 def _trace_embed_l1(c, out_dir, meta):
-    """The p = 1 trace experiment with its per-flat-tree checks."""
+    """The limiting p = 1 trace embedding ratios for random W-martingales."""
     nu, W = fileio.read_measure(c.measure), fileio.read_subspace(c.w)
-    report = trace.trace_experiment_l1(
-        nu, W, alpha=c.alpha, trials=c.trials, seed=c.seed, depths=c.depths
+    report = trace.trace_experiment_p(
+        nu, W, alpha=c.alpha, p=1.0, trials=c.trials, seed=c.seed, depths=c.depths
     )
     _write_ratios(out_dir, "trace_embed_l1.csv", meta, report, alpha=c.alpha, p=1.0)
 
@@ -324,9 +324,11 @@ def _gen_w(c, out_dir, meta):
     elif c.kind == "span":
         W = SubspaceW.from_blocks([np.outer(np.eye(c.m)[0] - np.eye(c.m)[1], a)], c.m, c.ell)
     elif c.kind == "random":
-        W = SubspaceW.random(c.m, c.ell, c.dim, seed=c.seed)
+        W = SubspaceW.random(c.m, c.ell, 1 if c.dim is None else c.dim, seed=c.seed)
     else:
         raise ConfigError(f"config rejected: params.kind must be zero, delta, span or random, got {c.kind!r}")
+    if c.dim is not None and c.kind != "random":
+        raise ConfigError(f"config rejected: gen-w {c.kind} reads no params.dim")
     fileio.write_subspace(c.w, W)
     print(f"wrote {c.w} (dim {W.dim})")
 
@@ -341,11 +343,14 @@ def _norm(c, out_dir, meta):
         raise ConfigError(f"config rejected: params.name must be one of {', '.join(NORMS)}, got {c.name!r}")
     if c.name == "lpnu" and c.measure is None:
         raise ConfigError("config rejected: norm lpnu needs measure_file")
-    if c.name != "lpnu" and c.measure is not None:
-        raise ConfigError(f"config rejected: norm {c.name} reads no measure_file")
+    reads = {"measure_file": c.name == "lpnu", "params.p": c.name != "h1", "params.beta": c.name == "besov"}
+    for path, value in (("measure_file", c.measure), ("params.p", c.p), ("params.beta", c.beta)):
+        if value is not None and not reads[path]:
+            raise ConfigError(f"config rejected: norm {c.name} reads no {path}")
+    c.p = 2.0 if c.p is None else c.p
     F = fileio.read_martingale(c.martingale)
     if c.name == "besov":
-        value = norms.besov_norm(F, c.beta, c.p)
+        value = norms.besov_norm(F, 0.0 if c.beta is None else c.beta, c.p)
     elif c.name == "h1":
         value = norms.h1_norm(F)
     elif c.name == "lpnu":
@@ -424,7 +429,7 @@ EXPERIMENTS = {
         "params.kind": Field(str, shown="required: zero, delta, span or random"),
         "filtration.m": Field(int, 3, minimum=2),
         "filtration.ell": Field(int, 1, minimum=1),
-        "params.dim": Field(int, 1, minimum=1),
+        "params.dim": Field(int, None, "1; random only", minimum=1),
     }),
     "cascade": Experiment(_cascade, {
         **MEASURE, **SEED, "filtration.m": Field(int, 3), **DEPTH,
@@ -433,8 +438,8 @@ EXPERIMENTS = {
     "norm": Experiment(_norm, {
         "martingale_file": Field(str),
         "params.name": Field(str, shown="required: lp, lorentz, weak, besov, h1 or lpnu"),
-        **P,
-        "params.beta": Field(float, 0.0),
+        "params.p": Field(float, None, "2.0; all names but h1"),
+        "params.beta": Field(float, None, "0.0; besov only"),
         "measure_file": Field(str, None, "none; lpnu needs one"),
     }),
 }

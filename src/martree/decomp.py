@@ -17,9 +17,9 @@ and leaves.
 and the stepwise identity read.  The forest is built level by level, in time
 linear in the number of tree nodes: tree ids propagate from parents to flat
 children, and members, fruits and leaves are grouped by tree with one stable
-sort per level.  The per-tree checks run batched over all trees, with each
-tree's sums taken in the same order as a tree-by-tree loop would take them,
-so the reports are reproducible bit for bit.
+sort per level.  The per-tree checks, trace controls included, run batched
+over all trees, with each tree's sums taken in the same order as a
+tree-by-tree loop would take them, so the reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from .filtration import AtomId, Martingale, evaluate, evaluate_all
 from .norms import lorentz_p1_segments, lp_norm_segments
+from .spacew import _row_norms
 
 
 @dataclass
@@ -223,7 +224,7 @@ def verify_convex_lemma(F: Martingale, forest: FlatForest) -> ConvexLemmaReport:
     )
 
 
-def members_by_level(forest: FlatForest, depth: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _members_by_level(forest: FlatForest, depth: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per level n < N: the trees with members at n (ascending ids), their
     member counts, and the members themselves concatenated in that order."""
     ids: list[list[int]] = [[] for _ in range(depth)]
@@ -242,20 +243,22 @@ def members_by_level(forest: FlatForest, depth: int) -> list[tuple[np.ndarray, n
     ]
 
 
-def tree_roots(forest: FlatForest) -> tuple[np.ndarray, np.ndarray]:
+def _tree_roots(forest: FlatForest) -> tuple[np.ndarray, np.ndarray]:
     """Level and index of every tree root, in tree order."""
     level = np.array([t.root.level for t in forest.trees], dtype=np.int64)
     index = np.array([t.root.index for t in forest.trees], dtype=np.int64)
     return level, index
 
 
-def root_norms(levels: list[np.ndarray], forest: FlatForest) -> np.ndarray:
-    """|F_{n_0}| at each tree root omega_0, in tree order.
-
-    The norm of a single vector is a dot product, whose rounding can differ
-    from a row of a batched norm, so each root keeps its own call.
-    """
-    return np.array([np.linalg.norm(levels[t.root.level][t.root.index]) for t in forest.trees])
+def _root_masses(F: Martingale, levels: list[np.ndarray], forest: FlatForest, p: float = 1.0) -> np.ndarray:
+    """m^{-n_0/p} |F_{n_0}(omega_0)| at each tree root omega_0, in tree order.
+    The roots of one level share a batched norm, bit for bit each vector's."""
+    root_level, root_index = _tree_roots(forest)
+    norms = np.zeros(root_level.size)
+    for n in np.unique(root_level).tolist():
+        here = root_level == n
+        norms[here] = _row_norms(levels[n][root_index[here]])
+    return np.array([float(F.spec.m) ** (-n / p) for n in range(F.spec.depth + 1)])[root_level] * norms
 
 
 def tree_leaf_values(F: Martingale, forest: FlatForest, scales=None):
@@ -272,8 +275,8 @@ def tree_leaf_values(F: Martingale, forest: FlatForest, scales=None):
     """
     spec = F.spec
     m, ell = spec.m, spec.ell
-    by_level = members_by_level(forest, spec.depth)
-    root_level, _ = tree_roots(forest)
+    by_level = _members_by_level(forest, spec.depth)
+    root_level, _ = _tree_roots(forest)
     values = np.empty((spec.leaves, ell))
     for level in np.unique(root_level).tolist():
         rooted_here = root_level == level
@@ -287,6 +290,20 @@ def tree_leaf_values(F: Martingale, forest: FlatForest, scales=None):
             rep = m ** (spec.depth - n - 1)
             values.reshape(-1, rep, ell)[_children(atoms, m)] += block
         yield level, np.flatnonzero(rooted_here), values
+
+
+def _tree_leaf_sums(F: Martingale, forest: FlatForest, scales=None, weight=None) -> np.ndarray:
+    """Per tree, the sum over its root cylinder's leaves of |F_T| (times the
+    leaf's ``weight``, if given); F_T and ``scales`` as in ``tree_leaf_values``."""
+    spec = F.spec
+    _, root_index = _tree_roots(forest)
+    sums = np.zeros(len(forest.trees))
+    for level, ids, values in tree_leaf_values(F, forest, scales):
+        leaf = np.linalg.norm(values, axis=1)
+        if weight is not None:
+            leaf = leaf * weight
+        sums[ids] = leaf.reshape(-1, spec.m ** (spec.depth - level))[root_index[ids]].sum(axis=1)
+    return sums
 
 
 @dataclass
@@ -305,13 +322,12 @@ def verify_flat_tree_growth(
     m = spec.m
     alpha = kappa_at_inv_p + alpha_margin
     levels = evaluate_all(F)
-    root_level, _ = tree_roots(forest)
-    level_weight = np.array([float(m) ** (-n / p) for n in range(spec.depth + 1)])
-    root_norm = level_weight[root_level] * root_norms(levels, forest)
+    root_level, _ = _tree_roots(forest)
+    root_norm = _root_masses(F, levels, forest, p)
     envelope = np.array([np.exp(alpha * k) for k in range(spec.depth + 1)])
     rows: list[list] = [[] for _ in forest.trees]
     max_ratio = 0.0
-    for n, (ids, counts, atoms) in enumerate(members_by_level(forest, spec.depth)):
+    for n, (ids, counts, atoms) in enumerate(_members_by_level(forest, spec.depth)):
         live = root_norm[ids] != 0.0
         ids, counts, atoms = ids[live], counts[live], atoms[np.repeat(live, counts)]
         if ids.size == 0:
@@ -344,13 +360,11 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     m = spec.m
     levels = evaluate_all(F)
     total_l1 = float(np.linalg.norm(levels[-1], axis=1).mean())
-    root_level, root_index = tree_roots(forest)
-    level_weight = np.array([float(m) ** (-n) for n in range(spec.depth + 1)])
-    root_mass = level_weight[root_level] * root_norms(levels, forest)
+    root_mass = _root_masses(F, levels, forest)
 
     # Each tree's Lorentz sum accumulates in ascending level order.
     lorentz_sum = np.zeros(len(forest.trees))
-    for n, (ids, counts, atoms) in enumerate(members_by_level(forest, spec.depth)):
+    for n, (ids, counts, atoms) in enumerate(_members_by_level(forest, spec.depth)):
         if ids.size == 0:
             continue
         mags = np.linalg.norm(F.diffs[n][atoms].reshape(-1, spec.ell), axis=1)
@@ -358,11 +372,7 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
         lorentz_sum[ids] += float(m) ** (-(p - 1) / p * n) * norm
 
     # ||F_T||_{L_1}: F_T is supported on the root cylinder.
-    ft_l1 = np.zeros(len(forest.trees))
-    for level, ids, values in tree_leaf_values(F, forest):
-        span = m ** (spec.depth - level)
-        leaf_norms = np.linalg.norm(values, axis=1).reshape(-1, span)
-        ft_l1[ids] = float(m) ** (-spec.depth) * leaf_norms[root_index[ids]].sum(axis=1)
+    ft_l1 = float(m) ** (-spec.depth) * _tree_leaf_sums(F, forest)
 
     max_lorentz = 0.0
     max_stopping = 0.0
@@ -384,3 +394,32 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
         max_stopping_ratio=max_stopping,
         per_tree=per_tree,
     )
+
+
+def verify_tree_trace(F: Martingale, forest: FlatForest, nu, nu_levels, alpha, p, c_frostman):
+    """Per flat tree: the empirical C of ||I_alpha[F_T]||_{L_1(nu)} <= C m^{-n_0}
+    |F_{n_0}(omega_0)|, and the worst ratio of the interpolatory estimate (nu's
+    density on the root cylinder, exponent p) to the Frostman constant."""
+    spec = F.spec
+    m = spec.m
+    q = p / (p - 1.0)
+    root_level, root_index = _tree_roots(forest)
+    scales = [float(m) ** (-alpha * (n + 1)) for n in range(spec.depth)]
+    l1_nu = _tree_leaf_sums(F, forest, scales, nu.leaf_mass)
+    denom = _root_masses(F, evaluate_all(F), forest)
+    tree_constants = (l1_nu[denom > 0] / denom[denom > 0]).tolist()
+
+    # Interpolatory estimate of the restricted measure martingale: the nu
+    # density on the root cylinder at every level where the tree has members.
+    interp_max = 0.0
+    for n, (tree_ids, _, _) in enumerate(_members_by_level(forest, spec.depth)):
+        for n0 in np.unique(root_level[tree_ids]).tolist():
+            roots = root_index[tree_ids[root_level[tree_ids] == n0]]
+            dens = nu_levels[n].reshape(m**n0, m ** (n - n0))[roots] * float(m) ** n
+            sums = float(m) ** (-n) * (dens**q).sum(axis=1)
+            rhs = float(m) ** ((p - 1) / p * (alpha - 1) * n0 + alpha * n / p)
+            if rhs > 0:
+                for s in sums.tolist():
+                    lhs = s ** (1.0 / q)
+                    interp_max = max(interp_max, lhs / (c_frostman * rhs) if c_frostman > 0 else 0.0)
+    return tree_constants, interp_max

@@ -263,13 +263,16 @@ class FrostmanCertificate:
     details: dict = field(default_factory=dict)
 
 
-def _lambda_scan(mu, beta, gamma, grid):
+def _lambda_scan(mu, beta, gamma, lambda_grid_size):
     """One full-depth scan: witness ratios plus the dual envelope constant.
 
-    Returns the DP value per lambda, the best witness ratio, the grid index of
-    the lambda that achieved it (None when no witness has positive cost) and
-    the certified constant.
+    Returns the lambda grid (geometric, spanning m^{+-depth max(beta, 1/4)}
+    for mu's depth), the DP value per lambda, the best witness ratio, the grid
+    index of the lambda that achieved it (None when no witness has positive
+    cost) and the certified constant.
     """
+    span = float(mu.spec.m) ** (mu.spec.depth * max(beta, 0.25))
+    grid = np.geomspace(1.0 / span, span, lambda_grid_size)
     support = _support(_node_weights(mu), mu.spec.m)
     step = max(1, SLAB_ELEMENTS // support.width)
     roots = [_dp_pass(support, beta, grid[i : i + step])[:3] for i in range(0, len(grid), step)]
@@ -291,7 +294,7 @@ def _lambda_scan(mu, beta, gamma, grid):
     c_grid = np.unique(np.concatenate([np.geomspace(c_lo, c_hi, 257), witness_costs]))
     envelope = np.min(values[None, :] + np.outer(c_grid, grid), axis=1) / c_grid**gamma
     constant = float(max(envelope.max(), best_ratio))
-    return values, best_ratio, best, constant
+    return grid, values, best_ratio, best, constant
 
 
 def frostman_certify(
@@ -305,20 +308,14 @@ def frostman_certify(
     _require_nonnegative(mu)
     spec = mu.spec
     m = spec.m
-    span = float(m) ** (spec.depth * max(beta, 0.25))
-    grid = np.geomspace(1.0 / span, span, lambda_grid_size)
-    values, witness_ratio, best, constant = _lambda_scan(mu, beta, gamma, grid)
+    grid, values, witness_ratio, best, constant = _lambda_scan(mu, beta, gamma, lambda_grid_size)
 
     # The depth-D prefix is mu itself on the same grid: its ratio is the
     # full-depth witness ratio, so only the shorter prefixes are scanned.
     per_depth = np.zeros(spec.depth)
     per_depth[-1] = witness_ratio
     for d in range(1, spec.depth):
-        sub = mu.truncated(d)
-        span_d = float(m) ** (d * max(beta, 0.25))
-        grid_d = np.geomspace(1.0 / span_d, span_d, lambda_grid_size)
-        _, ratio_d, _, _ = _lambda_scan(sub, beta, gamma, grid_d)
-        per_depth[d - 1] = ratio_d
+        per_depth[d - 1] = _lambda_scan(mu.truncated(d), beta, gamma, lambda_grid_size)[2]
 
     depths = np.arange(1, spec.depth + 1, dtype=float)
     window = depths >= max(2, spec.depth // 2)

@@ -146,29 +146,22 @@ def lp_norm_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p: fl
     return np.array([s ** (1.0 / p) for s in sums.tolist()])
 
 
-def weak_lp_from_distribution(mags: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """sup_s s * mu{|g|>s}^{1/p}; the sup sits just below one of the values."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    keep = mags > 0
-    if not np.any(keep):
-        return 0.0
-    vals = mags[keep]
-    wts = weights[keep] if weights.shape == mags.shape else np.full(vals.shape, float(weights))
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    cum = np.cumsum(wts[order])
-    return float(np.max(vals * cum ** (1.0 / p)))
-
-
 def lorentz_p1_norm(g: SimpleFunction, p: float) -> float:
     mags = g.magnitudes()
     return lorentz_p1_from_distribution(mags, np.full(mags.shape, g.atom_weight), p)
 
 
 def weak_lp_norm(g: SimpleFunction, p: float) -> float:
-    mags = g.magnitudes()
-    return weak_lp_from_distribution(mags, np.full(mags.shape, g.atom_weight), p)
+    """sup_s s * mu{|g|>s}^{1/p}; the sup sits just below one of the values."""
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    vals = g.magnitudes()
+    vals = vals[vals > 0]
+    if vals.size == 0:
+        return 0.0
+    vals = vals[np.argsort(vals)[::-1]]
+    cum = np.cumsum(np.full(vals.shape, g.atom_weight))
+    return float(np.max(vals * cum ** (1.0 / p)))
 
 
 def besov_norm(F: Martingale, beta: float, p: float) -> float:

@@ -5,10 +5,11 @@ the continuity of the Riesz potential from the constrained martingale space
 into L_p(nu).  This module computes the exact Frostman constant, generates
 capped multiplicative cascades that satisfy it by construction, runs the
 positive embedding experiments, and builds the divergent example
-nu = F_0 + I_gamma[F] available when the kappa profile is linear.  The two
-embedding experiments share one private loop, ``_trace_report``, built on
-``riesz.ratio_trials``, and return ``riesz.EmbeddingReport`` with ``alpha``,
-``p`` and the per-depth ``frostman_constants`` in its details.
+nu = F_0 + I_gamma[F] available when the kappa profile is linear.  One ratio
+loop, ``trace_experiment_p`` on ``riesz.ratio_trials``, serves every p >= 1
+and returns ``riesz.EmbeddingReport`` with ``alpha``, ``p`` and the per-depth
+``frostman_constants`` in its details; ``trace_experiment_l1`` is its p = 1
+run plus the per-flat-tree controls of ``decomp.verify_tree_trace``.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import classify_atoms, members_by_level, root_norms, tree_leaf_values, tree_roots
+from .decomp import classify_atoms, verify_tree_trace
 from .filtration import (
     FiltrationSpec,
     Martingale,
     TreeMeasure,
     evaluate,
-    evaluate_all,
     martingale_to_measure,
     multiplicative_martingale,
 )
@@ -61,6 +61,8 @@ def capped_cascade_measure(
     to respect the cap at the next level, so the (alpha, p) Frostman constant
     is at most 1 while the cascade stays genuinely random.
     """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     if (alpha - 1.0) * p < -1.0:
         raise ValueError("cap decays faster than uniform splitting; no cascade fits")
     m = spec.m
@@ -80,8 +82,18 @@ def capped_cascade_measure(
     return TreeMeasure(spec, masses)
 
 
-def _trace_report(nu, W, alpha, p, trials, seed, depths, scale_profile) -> EmbeddingReport:
-    """||I_alpha F||_{L_p(nu)} / ||F||_{L_1} across depths for random W-martingales."""
+def trace_experiment_p(
+    nu: TreeMeasure,
+    W: SubspaceW,
+    alpha: float,
+    p: float,
+    trials: int = 20,
+    seed: int = 0,
+    depths=None,
+    scale_profile=None,
+) -> EmbeddingReport:
+    """||I_alpha F||_{L_p(nu)} / ||F||_{L_1} across depths for random
+    W-martingales; p >= 1, as ``frostman_constant`` checks before any trial."""
     if depths is None:
         depths = list(range(4, nu.spec.depth + 1))
     if max(depths) > nu.spec.depth:
@@ -107,22 +119,6 @@ def _trace_report(nu, W, alpha, p, trials, seed, depths, scale_profile) -> Embed
     return report
 
 
-def trace_experiment_p(
-    nu: TreeMeasure,
-    W: SubspaceW,
-    alpha: float,
-    p: float,
-    trials: int = 20,
-    seed: int = 0,
-    depths=None,
-    scale_profile=None,
-) -> EmbeddingReport:
-    """||I_alpha F||_{L_p(nu)} / ||F||_{L_1} across depths for W-martingales."""
-    if p <= 1:
-        raise ValueError(f"p must exceed 1, got {p}")
-    return _trace_report(nu, W, alpha, p, trials, seed, depths, scale_profile)
-
-
 def trace_experiment_l1(
     nu: TreeMeasure,
     W: SubspaceW,
@@ -142,7 +138,7 @@ def trace_experiment_l1(
     restricted measure martingale against the interpolatory bound with the
     Frostman constant, at the auxiliary exponent ``interp_p``.
     """
-    report = _trace_report(nu, W, alpha, 1.0, trials, seed, depths, scale_profile)
+    report = trace_experiment_p(nu, W, alpha, 1.0, trials, seed, depths, scale_profile)
     depth = max(report.depths)
     spec = FiltrationSpec(nu.spec.m, depth, W.ell)
     full_nu = nu.truncated(depth)
@@ -152,8 +148,8 @@ def trace_experiment_l1(
     interp_max_ratio = 0.0
     for t in range(min(trials, 3)):  # the same draws as the trials above
         F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
-        tree_c, interp_r = _per_tree_checks(
-            F, full_nu, nu_levels, alpha, epsilon, interp_p, c_frostman
+        tree_c, interp_r = verify_tree_trace(
+            F, classify_atoms(F, epsilon), full_nu, nu_levels, alpha, interp_p, c_frostman
         )
         tree_constants.extend(tree_c)
         interp_max_ratio = max(interp_max_ratio, interp_r)
@@ -163,42 +159,6 @@ def trace_experiment_l1(
         interp_max_ratio=interp_max_ratio,
     )
     return report
-
-
-def _per_tree_checks(F, nu, nu_levels, alpha, epsilon, p, c_frostman):
-    """Empirical constants of the individual-tree bound and the interpolatory
-    estimate for the measure martingale, per flat tree of F."""
-    spec = F.spec
-    m = spec.m
-    q = p / (p - 1.0)
-    forest = classify_atoms(F, epsilon)
-    root_level, root_index = tree_roots(forest)
-
-    # ||I_alpha[F_T]||_{L_1(nu)} for every tree, one root level at a time.
-    l1_nu = np.zeros(len(forest.trees))
-    scales = [float(m) ** (-alpha * (n + 1)) for n in range(spec.depth)]
-    for level, ids, values in tree_leaf_values(F, forest, scales):
-        span = m ** (spec.depth - level)
-        weighted = (np.linalg.norm(values, axis=1) * nu.leaf_mass).reshape(-1, span)
-        l1_nu[ids] = weighted[root_index[ids]].sum(axis=1)
-    level_weight = np.array([float(m) ** (-n) for n in range(spec.depth + 1)])
-    denom = level_weight[root_level] * root_norms(evaluate_all(F), forest)
-    tree_constants = (l1_nu[denom > 0] / denom[denom > 0]).tolist()
-
-    # Interpolatory estimate of the restricted measure martingale: the nu
-    # density on the root cylinder at every level where the tree has members.
-    interp_max = 0.0
-    for n, (tree_ids, _, _) in enumerate(members_by_level(forest, spec.depth)):
-        for n0 in np.unique(root_level[tree_ids]).tolist():
-            roots = root_index[tree_ids[root_level[tree_ids] == n0]]
-            dens = nu_levels[n].reshape(m**n0, m ** (n - n0))[roots] * float(m) ** n
-            sums = float(m) ** (-n) * (dens**q).sum(axis=1)
-            rhs = float(m) ** ((p - 1) / p * (alpha - 1) * n0 + alpha * n / p)
-            if rhs > 0:
-                for s in sums.tolist():
-                    lhs = s ** (1.0 / q)
-                    interp_max = max(interp_max, lhs / (c_frostman * rhs) if c_frostman > 0 else 0.0)
-    return tree_constants, interp_max
 
 
 @dataclass

@@ -551,6 +551,12 @@ class TestExitCodes:
         (["norm", "--name", "lp", "--measure", str(GOLDEN / "cascade.json")], "norm lp reads no measure_file"),
         (["norm", "--name", "lpnu"], "norm lpnu needs measure_file"),
         (["norm", "--name", "l2"], "params.name must be one of lp, lorentz, weak, besov, h1, lpnu, got 'l2'"),
+        (["cascade", "--depth", "4", "--alpha", "0.5", "--p", "0"], "p must be >= 1, got 0.0"),
+        (["cascade", "--depth", "4", "--alpha", "0.5", "--p", "-2"], "p must be >= 1, got -2.0"),
+        (["cascade", "--depth", "4", "--alpha", "0.5", "--p", "0.5"], "p must be >= 1, got 0.5"),
+        (["gen-w", "--kind", "zero", "--dim", "5"], "gen-w zero reads no params.dim"),
+        (["norm", "--name", "h1", "--p", "7"], "norm h1 reads no params.p"),
+        (["norm", "--name", "lp", "--beta", "3"], "norm lp reads no params.beta"),
     ])
     def test_utility_inputs_exit_two_writing_nothing(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

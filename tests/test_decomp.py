@@ -18,6 +18,7 @@ from martree.decomp import (
     verify_flat_tree_growth,
     verify_stepwise_identity,
     verify_tree_summation,
+    verify_tree_trace,
 )
 from martree.filtration import (
     AtomId,
@@ -489,8 +490,8 @@ def assert_checks_identical(F, epsilon, p=2.0, alpha=0.9):
     nu = trace.capped_cascade_measure(FiltrationSpec(spec.m, spec.depth, 1), alpha, 1.0, seed=spec.depth)
     nu_levels = [nu.level_mass(n) for n in range(spec.depth + 1)]
     c_frostman = trace.frostman_constant(nu, alpha, 1.0)
-    args = (F, nu, nu_levels, alpha, epsilon, p, c_frostman)
-    assert trace._per_tree_checks(*args) == per_tree_checks_oracle(*args)
+    expected = per_tree_checks_oracle(F, nu, nu_levels, alpha, epsilon, p, c_frostman)
+    assert verify_tree_trace(F, forest, nu, nu_levels, alpha, p, c_frostman) == expected
 
 
 def growing_martingale(spec, seed, growth):

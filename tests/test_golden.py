@@ -156,3 +156,24 @@ def test_utility_writes_frozen_bytes(argv, frozen, tmp_path, capsys):
         assert made.read_bytes() == (GOLDEN / frozen).read_bytes()
     else:
         assert hashlib.sha256(made.read_bytes()).hexdigest() == frozen
+
+
+def test_trace_embed_l1_builds_no_forest(tmp_path, monkeypatch):
+    # The CSV holds the ratios only, so the flat-tree controls are not run.
+    def no_forest(*args, **kwargs):
+        raise AssertionError("trace-embed-l1 classified a forest")
+
+    monkeypatch.setattr("martree.trace.classify_atoms", no_forest)
+    test_run_reproduces_golden_bytes("trace_embed_l1", tmp_path, monkeypatch)
+
+
+def test_trace_embed_p_at_one_writes_the_l1_rows(tmp_path, monkeypatch):
+    flags = ["--measure", "cascade.json", "--w", "w_span.json", "--alpha", "0.9",
+             "--trials", "4", "--depths", "4", "6"]
+    rows = {}
+    for kind, extra in (("trace-embed-l1", []), ("trace-embed-p", ["--p", "1"])):
+        _, files = _run_in(tmp_path / kind, ["--out", "out", kind, *flags, *extra], monkeypatch)
+        (text,) = [data.decode() for path, data in files.items() if path.suffix == ".csv"]
+        rows[kind] = [line for line in text.splitlines() if not line.startswith("#")]
+    assert rows["trace-embed-p"] == rows["trace-embed-l1"]
+    assert len(rows["trace-embed-l1"]) == 1 + 3 * 4

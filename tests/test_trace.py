@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from martree.decomp import classify_atoms, verify_tree_trace
 from martree.filtration import (
     FiltrationSpec,
     TreeMeasure,
@@ -14,7 +15,6 @@ from martree.norms import lp_norm, lp_nu_norm, martingale_level
 from martree.riesz import riesz_potential
 from martree.spacew import SubspaceW, check_second_condition, delta_vector, random_w_martingale
 from martree.trace import (
-    _per_tree_checks,
     build_sharpness_trace_measure,
     capped_cascade_measure,
     frostman_constant,
@@ -277,8 +277,8 @@ def trace_experiment_l1_oracle(nu, W, alpha, trials=20, seed=0, depths=None, sca
             if den > 0:
                 per_trial[i, t] = num / den
         if t < 3:
-            tree_c, interp_r = _per_tree_checks(
-                F, full_nu, nu_levels, alpha, epsilon, interp_p, c_frostman
+            tree_c, interp_r = verify_tree_trace(
+                F, classify_atoms(F, epsilon), full_nu, nu_levels, alpha, interp_p, c_frostman
             )
             tree_constants.extend(tree_c)
             interp_max_ratio = max(interp_max_ratio, interp_r)
@@ -328,3 +328,25 @@ class TestParentOracles:
         nu = capped_cascade_measure(FiltrationSpec(3, 8, 1), alpha=0.9, p=1.0, seed=2)
         args = (nu, span_w(), 0.9, 4, 1, range(3, 9))
         assert_report_matches(trace_experiment_l1(*args), trace_experiment_l1_oracle(*args))
+
+
+@pytest.mark.parametrize("m, ell, dim, p, alpha, trials, depth, depths", TRACE_CASES)
+def test_l1_ratios_are_the_p_one_ratios(m, ell, dim, p, alpha, trials, depth, depths):
+    # martree trace-embed-l1 writes trace_experiment_p(p=1.0) in place of
+    # trace_experiment_l1, whose per-tree controls it never wrote.
+    nu = capped_cascade_measure(FiltrationSpec(m, depth, 1), alpha, 1.0, seed=m + 1)
+    W = SubspaceW.random(m, ell, dim, seed=ell + 1)
+    ours = trace_experiment_p(nu, W, alpha, 1.0, trials, 2, depths)
+    ref = trace_experiment_l1(nu, W, alpha, trials, 2, depths)
+    assert ours.depths == ref.depths and ours.verdict == ref.verdict
+    for a, b in [(ours.ratios, ref.ratios), (ours.details["per_trial"], ref.details["per_trial"]),
+                 (np.float64(ours.slope), np.float64(ref.slope))]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_p_below_one_rejected():
+    # the check is frostman_constant's, made before any trial is drawn
+    spec = FiltrationSpec(3, 4, 1)
+    nu = TreeMeasure(spec, np.full(spec.leaves, 1.0 / spec.leaves))
+    with pytest.raises(ValueError, match="p must be >= 1, got 0.5"):
+        trace_experiment_p(nu, span_w(), alpha=0.5, p=0.5, trials=1, depths=[4])
