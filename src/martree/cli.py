@@ -573,12 +573,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)
+    except (NumericFailure, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -14,17 +14,22 @@ atoms below a flat parent, so every tree root is partitioned by its fruits
 and leaves.
 
 ``atom_increments`` gives the per-atom growth and mass that both the labels
-and the stepwise identity read.  The forest is built level by level, in time
-linear in the number of tree nodes: tree ids propagate from parents to flat
-children, and members, fruits and leaves are grouped by tree with one stable
-sort per level.  The per-tree checks, trace controls included, run batched
-over all trees, with each tree's sums taken in the same order as a
-tree-by-tree loop would take them, so the reports are reproducible bit for bit.
+and the stepwise identity read.  The forest's layout lives in one columnar
+index, ``FlatForest.index``, derived once from the convex masks in time
+linear in the number of atoms: tree ids propagate from parents to flat
+children, new roots are numbered in index order, and each level's members
+are grouped by tree with one stable sort.  ``classify_atoms`` slices its
+trees out of that index, and the per-tree checks, trace controls included,
+read it directly and run batched over all trees, with each tree's sums taken
+in the same order as a tree-by-tree loop would take them, so the reports are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +46,55 @@ class FlatTree:
     leaf_atoms: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
 
 
+class ForestIndex(NamedTuple):
+    """The flat forest in columns, per level n < N and per tree; read-only."""
+
+    tree_of: list[np.ndarray]     # each atom's tree id, -1 on convex atoms
+    ids: list[np.ndarray]         # the trees with members at n, ascending
+    counts: list[np.ndarray]      # each of those trees' member count at n
+    members: list[np.ndarray]     # their members, tree by tree, each ascending
+    root_level: np.ndarray        # per tree, in tree order
+    root_index: np.ndarray
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of sorted nonnegative ``keys`` and each one's count."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.diff(starts, append=keys.size)
+
+
+def _index_forest(convex: list[np.ndarray]) -> ForestIndex:
+    """Tree ids from the convex masks: a flat atom takes its parent's tree id,
+    the other flat atoms root new trees numbered in index order."""
+    tree_of, ids, counts, members = [], [], [], []
+    root_level, root_index = [_EMPTY], [_EMPTY]
+    n_trees = 0
+    for n, mask in enumerate(convex):
+        flat = ~mask
+        of = np.full(mask.size, -1, dtype=np.int64)
+        if n > 0:  # each parent's id repeated over its m children
+            of[flat] = np.repeat(tree_of[n - 1], mask.size // convex[n - 1].size)[flat]
+        new_roots = np.flatnonzero(flat & (of < 0))
+        of[new_roots] = n_trees + np.arange(new_roots.size)
+        n_trees += new_roots.size
+        root_level.append(np.full(new_roots.size, n, dtype=np.int64))
+        root_index.append(new_roots)
+        flat_idx = np.flatnonzero(flat)
+        order = np.argsort(of[flat_idx], kind="stable")
+        level_ids, level_counts = _runs(of[flat_idx][order])
+        tree_of.append(of)
+        ids.append(level_ids)
+        counts.append(level_counts)
+        members.append(flat_idx[order])
+    root_level, root_index = np.concatenate(root_level), np.concatenate(root_index)
+    for a in [*tree_of, *ids, *counts, *members, root_level, root_index]:
+        a.flags.writeable = False
+    return ForestIndex(tree_of, ids, counts, members, root_level, root_index)
+
+
 @dataclass
 class FlatForest:
     epsilon: float
@@ -51,6 +105,14 @@ class FlatForest:
 
     def n_convex(self) -> int:
         return int(sum(mask.sum() for mask in self.convex))
+
+    @cached_property
+    def index(self) -> ForestIndex:
+        """The forest's columnar layout, derived from ``convex`` on first use
+        and kept.  It is not a dataclass field, so whatever walks a forest's
+        fields (equality, ``dataclasses.fields``, the benchmark's result
+        digests) sees the forest's outputs only."""
+        return _index_forest(self.convex)
 
 
 def atom_increments(
@@ -74,24 +136,23 @@ def _children(atoms: np.ndarray, m: int) -> np.ndarray:
     return (atoms[:, None] * m + np.arange(m)).ravel()
 
 
-def _group(keys: np.ndarray, values: np.ndarray):
-    """Yield (key, values with that key) in ascending key order; each group
-    keeps the order it had in ``values``."""
-    if keys.size == 0:
-        return []
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    bounds = np.flatnonzero(np.diff(keys)) + 1
-    return zip(keys[np.append(0, bounds)].tolist(), np.split(values, bounds))
+def _slices(ids: np.ndarray, counts: np.ndarray, width: int = 1):
+    """(tree, start, stop) of each tree's consecutive run of ``counts * width``."""
+    stops = np.cumsum(counts) * width
+    return zip(ids.tolist(), (stops - counts * width).tolist(), stops.tolist())
 
 
 def classify_atoms(F: Martingale, epsilon: float) -> FlatForest:
     """Label every internal atom convex or flat and assemble the flat forest.
 
-    The forest is built level by level: a flat atom takes its parent's tree
-    id, the other flat atoms root new trees numbered in index order, and each
-    level's members, fruits and leaves are grouped by tree with one stable
-    sort, so the work is linear in the number of atoms.
+    The trees are sliced out of the forest's index (``FlatForest.index``),
+    built here once from the convex masks: per level, every atom's tree id,
+    the trees with members there and their members; per tree, its root.
+    Fruits, the convex atoms whose parent is flat, are grouped by tree with
+    one stable sort; leaves, the bottom atoms whose parent is flat, are the
+    children of the bottom members.  The work is linear in the number of
+    atoms.  The index is cached on the forest rather than held in a field,
+    so the forest's fields stay its outputs.
     """
     if not np.isfinite(epsilon) or epsilon <= 0:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -102,41 +163,42 @@ def classify_atoms(F: Martingale, epsilon: float) -> FlatForest:
         (inc >= epsilon * base) & (child_mean > 0)
         for inc, base, child_mean in zip(increments, level_masses, child_means)
     ]
+    forest = FlatForest(epsilon, convex, [], increments, level_masses)
+    index = forest.index
 
-    trees: list[FlatTree] = []
-    tree_of: list[np.ndarray] = []
+    members: list[dict[int, np.ndarray]] = [{} for _ in range(index.root_level.size)]
     for n in range(spec.depth):
-        flat = ~convex[n]
-        ids = np.full(spec.atoms_at(n), -1, dtype=np.int64)
-        if n > 0:
-            ids[flat] = np.repeat(tree_of[n - 1], m)[flat]
-        new_roots = np.flatnonzero(flat & (ids < 0))
-        ids[new_roots] = len(trees) + np.arange(new_roots.size)
-        trees.extend(FlatTree(root=AtomId(n, i), members={}) for i in new_roots.tolist())
-        flat_idx = np.flatnonzero(flat)
-        for t, members in _group(ids[flat_idx], flat_idx):
-            trees[t].members[n] = members
-        tree_of.append(ids)
+        for t, start, stop in _slices(index.ids[n], index.counts[n]):
+            members[t][n] = index.members[n][start:stop]
 
-    # Fruits: convex atoms whose parent is flat.  Leaves: bottom atoms whose
-    # parent is flat.
+    fruit_tree, fruit_level, fruit_index = [_EMPTY], [_EMPTY], [_EMPTY]
     for n in range(1, spec.depth):
         conv_idx = np.flatnonzero(convex[n])
-        parent = tree_of[n - 1][conv_idx // m]
-        for t, fruits in _group(parent[parent >= 0], conv_idx[parent >= 0]):
-            trees[t].fruits.extend(AtomId(n, i) for i in fruits.tolist())
-    bottom = tree_of[spec.depth - 1]
-    bottom_idx = np.flatnonzero(bottom >= 0)
-    for t, atoms in _group(bottom[bottom_idx], bottom_idx):
-        trees[t].leaf_atoms = _children(atoms, m)
+        parent = index.tree_of[n - 1][conv_idx // m]
+        under_tree = parent >= 0
+        fruit_tree.append(parent[under_tree])
+        fruit_index.append(conv_idx[under_tree])
+        fruit_level.append(np.full(fruit_index[-1].size, n))
+    fruit_tree = np.concatenate(fruit_tree)
+    order = np.argsort(fruit_tree, kind="stable")
+    atoms = list(map(AtomId, np.concatenate(fruit_level)[order].tolist(),
+                     np.concatenate(fruit_index)[order].tolist()))
+    fruits: list[list[AtomId]] = [[] for _ in members]
+    for t, start, stop in _slices(*_runs(fruit_tree[order])):
+        fruits[t] = atoms[start:stop]
 
-    return FlatForest(
-        epsilon=epsilon,
-        convex=convex,
-        trees=trees,
-        increments=increments,
-        level_masses=level_masses,
-    )
+    leaves = [_EMPTY] * len(members)
+    leaf_atoms = _children(index.members[-1], m)
+    for t, start, stop in _slices(index.ids[-1], index.counts[-1], m):
+        leaves[t] = leaf_atoms[start:stop]
+
+    forest.trees = [
+        FlatTree(AtomId(n, i), tree_members, tree_fruits, tree_leaves)
+        for n, i, tree_members, tree_fruits, tree_leaves in zip(
+            index.root_level.tolist(), index.root_index.tolist(), members, fruits, leaves
+        )
+    ]
+    return forest
 
 
 def split_convex_flat(F: Martingale, forest: FlatForest) -> tuple[Martingale, Martingale]:
@@ -224,36 +286,10 @@ def verify_convex_lemma(F: Martingale, forest: FlatForest) -> ConvexLemmaReport:
     )
 
 
-def _members_by_level(forest: FlatForest, depth: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per level n < N: the trees with members at n (ascending ids), their
-    member counts, and the members themselves concatenated in that order."""
-    ids: list[list[int]] = [[] for _ in range(depth)]
-    parts: list[list[np.ndarray]] = [[] for _ in range(depth)]
-    for t, tree in enumerate(forest.trees):
-        for n, members in tree.members.items():
-            ids[n].append(t)
-            parts[n].append(members)
-    return [
-        (
-            np.array(ids[n], dtype=np.int64),
-            np.array([len(p) for p in parts[n]], dtype=np.int64),
-            np.concatenate(parts[n]) if parts[n] else np.zeros(0, dtype=np.int64),
-        )
-        for n in range(depth)
-    ]
-
-
-def _tree_roots(forest: FlatForest) -> tuple[np.ndarray, np.ndarray]:
-    """Level and index of every tree root, in tree order."""
-    level = np.array([t.root.level for t in forest.trees], dtype=np.int64)
-    index = np.array([t.root.index for t in forest.trees], dtype=np.int64)
-    return level, index
-
-
 def _root_masses(F: Martingale, levels: list[np.ndarray], forest: FlatForest, p: float = 1.0) -> np.ndarray:
     """m^{-n_0/p} |F_{n_0}(omega_0)| at each tree root omega_0, in tree order.
     The roots of one level share a batched norm, bit for bit each vector's."""
-    root_level, root_index = _tree_roots(forest)
+    root_level, root_index = forest.index.root_level, forest.index.root_index
     norms = np.zeros(root_level.size)
     for n in np.unique(root_level).tolist():
         here = root_level == n
@@ -275,15 +311,13 @@ def tree_leaf_values(F: Martingale, forest: FlatForest, scales=None):
     """
     spec = F.spec
     m, ell = spec.m, spec.ell
-    by_level = _members_by_level(forest, spec.depth)
-    root_level, _ = _tree_roots(forest)
+    index = forest.index
     values = np.empty((spec.leaves, ell))
-    for level in np.unique(root_level).tolist():
-        rooted_here = root_level == level
+    for level in np.unique(index.root_level).tolist():
+        rooted_here = index.root_level == level
         values.fill(0.0)
         for n in range(level, spec.depth):
-            ids, counts, atoms = by_level[n]
-            atoms = atoms[np.repeat(rooted_here[ids], counts)]
+            atoms = index.members[n][np.repeat(rooted_here[index.ids[n]], index.counts[n])]
             block = F.diffs[n][atoms].reshape(-1, 1, ell)
             if scales is not None:
                 block = scales[n] * block
@@ -296,14 +330,21 @@ def _tree_leaf_sums(F: Martingale, forest: FlatForest, scales=None, weight=None)
     """Per tree, the sum over its root cylinder's leaves of |F_T| (times the
     leaf's ``weight``, if given); F_T and ``scales`` as in ``tree_leaf_values``."""
     spec = F.spec
-    _, root_index = _tree_roots(forest)
-    sums = np.zeros(len(forest.trees))
+    root_index = forest.index.root_index
+    sums = np.zeros(root_index.size)
     for level, ids, values in tree_leaf_values(F, forest, scales):
-        leaf = np.linalg.norm(values, axis=1)
+        # leaf norms on the root cylinders only: one row per tree
+        span = spec.m ** (spec.depth - level)
+        leaf = np.linalg.norm(values.reshape(-1, span, spec.ell)[root_index[ids]], axis=2)
         if weight is not None:
-            leaf = leaf * weight
-        sums[ids] = leaf.reshape(-1, spec.m ** (spec.depth - level))[root_index[ids]].sum(axis=1)
+            leaf = leaf * weight.reshape(-1, span)[root_index[ids]]
+        sums[ids] = leaf.sum(axis=1)
     return sums
+
+
+def _running_max(start: float, values: np.ndarray) -> float:
+    """``max(start, *values)`` for ``start`` not NaN: NaN values never win."""
+    return float(np.fmax.reduce(values, initial=start))
 
 
 @dataclass
@@ -322,22 +363,22 @@ def verify_flat_tree_growth(
     m = spec.m
     alpha = kappa_at_inv_p + alpha_margin
     levels = evaluate_all(F)
-    root_level, _ = _tree_roots(forest)
+    index = forest.index
     root_norm = _root_masses(F, levels, forest, p)
     envelope = np.array([np.exp(alpha * k) for k in range(spec.depth + 1)])
     rows: list[list] = [[] for _ in forest.trees]
     max_ratio = 0.0
-    for n, (ids, counts, atoms) in enumerate(_members_by_level(forest, spec.depth)):
+    for n, (ids, counts, atoms) in enumerate(zip(index.ids, index.counts, index.members)):
         live = root_norm[ids] != 0.0
         ids, counts, atoms = ids[live], counts[live], atoms[np.repeat(live, counts)]
         if ids.size == 0:
             continue
         mags = np.linalg.norm(levels[n + 1][_children(atoms, m)], axis=1)
         lhs = lp_norm_segments(mags, counts * m, float(m) ** (-(n + 1)), p)
-        ratios = lhs / (envelope[n - root_level[ids]] * root_norm[ids])
+        ratios = lhs / (envelope[n - index.root_level[ids]] * root_norm[ids])
         for t, ratio in zip(ids.tolist(), ratios.tolist()):
             rows[t].append((n, ratio))
-        max_ratio = max(max_ratio, *ratios.tolist())
+        max_ratio = _running_max(max_ratio, ratios)
     per_tree = [
         {"root": tree.root, "ratios": tree_rows, "degenerate": bool(norm == 0.0)}
         for tree, tree_rows, norm in zip(forest.trees, rows, root_norm.tolist())
@@ -363,8 +404,9 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     root_mass = _root_masses(F, levels, forest)
 
     # Each tree's Lorentz sum accumulates in ascending level order.
+    index = forest.index
     lorentz_sum = np.zeros(len(forest.trees))
-    for n, (ids, counts, atoms) in enumerate(_members_by_level(forest, spec.depth)):
+    for n, (ids, counts, atoms) in enumerate(zip(index.ids, index.counts, index.members)):
         if ids.size == 0:
             continue
         mags = np.linalg.norm(F.diffs[n][atoms].reshape(-1, spec.ell), axis=1)
@@ -374,19 +416,20 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     # ||F_T||_{L_1}: F_T is supported on the root cylinder.
     ft_l1 = float(m) ** (-spec.depth) * _tree_leaf_sums(F, forest)
 
-    max_lorentz = 0.0
-    max_stopping = 0.0
+    # A degenerate root (no mass) with a Lorentz sum above round-off has an
+    # infinite ratio; one without has none.
+    positive = root_mass > 0
+    has_ratio = positive | (lorentz_sum > 1e-13)
+    ratios = np.full(lorentz_sum.size, np.inf)
+    np.divide(lorentz_sum, root_mass, out=ratios, where=positive)
+    max_lorentz = np.inf if np.any(has_ratio & ~positive) else _running_max(0.0, ratios[positive])
+    max_stopping = _running_max(0.0, ft_l1 / total_l1) if total_l1 > 0 else 0.0
     per_tree = []
-    for tree, lsum, mass, ft in zip(forest.trees, lorentz_sum.tolist(), root_mass.tolist(), ft_l1.tolist()):
+    columns = (lorentz_sum, root_mass, ft_l1, ratios, has_ratio)
+    for tree, lsum, mass, ft, ratio, has in zip(forest.trees, *(c.tolist() for c in columns)):
         entry = {"root": tree.root, "lorentz_sum": lsum, "root_mass": mass, "ft_l1": ft}
-        if mass > 0:
-            entry["lorentz_ratio"] = lsum / mass
-            max_lorentz = max(max_lorentz, entry["lorentz_ratio"])
-        elif lsum > 1e-13:
-            entry["lorentz_ratio"] = np.inf
-            max_lorentz = np.inf
-        if total_l1 > 0:
-            max_stopping = max(max_stopping, ft / total_l1)
+        if has:
+            entry["lorentz_ratio"] = ratio
         per_tree.append(entry)
     return TreeSummationReport(
         p=p,
@@ -400,10 +443,13 @@ def verify_tree_trace(F: Martingale, forest: FlatForest, nu, nu_levels, alpha, p
     """Per flat tree: the empirical C of ||I_alpha[F_T]||_{L_1(nu)} <= C m^{-n_0}
     |F_{n_0}(omega_0)|, and the worst ratio of the interpolatory estimate (nu's
     density on the root cylinder, exponent p) to the Frostman constant."""
+    if not np.isfinite(p) or p <= 1:
+        raise ValueError(f"p must be finite and > 1, got {p}")
     spec = F.spec
     m = spec.m
     q = p / (p - 1.0)
-    root_level, root_index = _tree_roots(forest)
+    index = forest.index
+    root_level, root_index = index.root_level, index.root_index
     scales = [float(m) ** (-alpha * (n + 1)) for n in range(spec.depth)]
     l1_nu = _tree_leaf_sums(F, forest, scales, nu.leaf_mass)
     denom = _root_masses(F, evaluate_all(F), forest)
@@ -412,14 +458,14 @@ def verify_tree_trace(F: Martingale, forest: FlatForest, nu, nu_levels, alpha, p
     # Interpolatory estimate of the restricted measure martingale: the nu
     # density on the root cylinder at every level where the tree has members.
     interp_max = 0.0
-    for n, (tree_ids, _, _) in enumerate(_members_by_level(forest, spec.depth)):
+    for n, tree_ids in enumerate(index.ids):
         for n0 in np.unique(root_level[tree_ids]).tolist():
             roots = root_index[tree_ids[root_level[tree_ids] == n0]]
             dens = nu_levels[n].reshape(m**n0, m ** (n - n0))[roots] * float(m) ** n
             sums = float(m) ** (-n) * (dens**q).sum(axis=1)
             rhs = float(m) ** ((p - 1) / p * (alpha - 1) * n0 + alpha * n / p)
-            if rhs > 0:
-                for s in sums.tolist():
-                    lhs = s ** (1.0 / q)
-                    interp_max = max(interp_max, lhs / (c_frostman * rhs) if c_frostman > 0 else 0.0)
+            if rhs > 0 and c_frostman > 0:
+                # one scalar libm pow per tree, as the tree-by-tree form takes it
+                lhs = np.array([s ** (1.0 / q) for s in sums.tolist()])
+                interp_max = _running_max(interp_max, lhs / (c_frostman * rhs))
     return tree_constants, interp_max

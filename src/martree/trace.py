@@ -136,8 +136,11 @@ def trace_experiment_l1(
     martingales is checked against
     ||I_alpha[F_T]||_{L_1(nu)} <= C m^{-n_0} |F_{n_0}(omega_0)| and the
     restricted measure martingale against the interpolatory bound with the
-    Frostman constant, at the auxiliary exponent ``interp_p``.
+    Frostman constant, at the auxiliary exponent ``interp_p``, finite and
+    > 1 (checked before any trial).
     """
+    if not np.isfinite(interp_p) or interp_p <= 1:
+        raise ValueError(f"interp_p must be finite and > 1, got {interp_p}")
     report = trace_experiment_p(nu, W, alpha, 1.0, trials, seed, depths, scale_profile)
     depth = max(report.depths)
     spec = FiltrationSpec(nu.spec.m, depth, W.ell)
@@ -184,6 +187,8 @@ def build_sharpness_trace_measure(
     F is the product martingale of the kappa(1/2) maximizer, nu is the measure
     of F_0 + I_gamma[F], and alpha = kappa(0)/log m - gamma.  Requires kappa
     linear on [0, 1] (checked on a grid) and 0 < gamma < kappa(0)/log m.
+    Raises ``FloatingPointError``, a numeric failure, when a leaf mass of nu
+    is negative beyond round-off (1e-12).
     """
     m = spec.m
     directions = rank_one_directions(W, seed=seed)
@@ -210,7 +215,7 @@ def build_sharpness_trace_measure(
     nu = martingale_to_measure(nu_mart)
     clamped = int(np.sum((nu.leaf_mass < 0) & (nu.leaf_mass >= -1e-12)))
     if np.any(nu.leaf_mass < -1e-12):
-        raise ValueError("construction produced genuinely negative masses")
+        raise FloatingPointError("construction produced genuinely negative masses")
     nu = TreeMeasure(scalar_spec, np.clip(nu.leaf_mass, 0.0, None))
 
     alpha = kappa_zero / np.log(m) - gamma

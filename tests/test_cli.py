@@ -366,6 +366,27 @@ class TestExitCodes:
         )
         assert main(["norm", "--martingale", str(path), "--name", "lp", "--p", "2"]) == 3
 
+    def test_linalg_error_is_exit_three(self, martingale_file, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, yet it is a numeric failure
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli.decomp, "verify_stepwise_identity", singular)
+        assert main(["--out", str(tmp_path), "decompose", "--martingale", martingale_file]) == 3
+        assert "numeric failure: Singular matrix" in capsys.readouterr().err
+
+    def test_negative_sharpness_masses_are_exit_three(self, w_file, tmp_path, monkeypatch, capsys):
+        real = cli.trace.martingale_to_measure
+
+        def negative_leaf(G):
+            nu = real(G)
+            return TreeMeasure(nu.spec, np.append(-1e-6, nu.leaf_mass[1:]))
+
+        monkeypatch.setattr(cli.trace, "martingale_to_measure", negative_leaf)
+        argv = ["--out", str(tmp_path), "trace-sharpness", "--w", w_file, "--gamma", "0.4", "--depth", "4"]
+        assert main(argv) == 3
+        assert "numeric failure: construction produced genuinely negative masses" in capsys.readouterr().err
+
     def test_bad_norm_parameters(self, martingale_file, capsys):
         assert main(["norm", "--martingale", martingale_file, "--name", "lorentz", "--p", "1.0"]) == 2
 

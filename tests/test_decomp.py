@@ -1,5 +1,7 @@
 """Convex/flat decomposition, the flat forest, and the combinatorial bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -474,24 +476,39 @@ def assert_forests_identical(ours, ref):
 
 
 def assert_checks_identical(F, epsilon, p=2.0, alpha=0.9):
-    """Every batched check equals its loop oracle exactly (==, no tolerance)."""
+    """Every batched check equals its loop oracle exactly (==, no tolerance),
+    on the forest ``classify_atoms`` builds and on the oracle's hand-built
+    one, whose index is derived on first use.  Each check then runs again on
+    the same forest after all the others and gives the same result, so no
+    check writes into the forest's cached index."""
     forest = classify_atoms(F, epsilon)
     ref = classify_atoms_oracle(F, epsilon)
     assert_forests_identical(forest, ref)
-
-    summation = verify_tree_summation(F, forest, p)
-    assert (summation.max_lorentz_ratio, summation.max_stopping_ratio, summation.per_tree) == (
-        tree_summation_oracle(F, ref, p)
-    )
-    growth = verify_flat_tree_growth(F, forest, p, kappa_at_inv_p=0.2, alpha_margin=0.1)
-    assert (growth.max_ratio, growth.per_tree) == flat_tree_growth_oracle(F, ref, p, 0.2 + 0.1)
 
     spec = F.spec
     nu = trace.capped_cascade_measure(FiltrationSpec(spec.m, spec.depth, 1), alpha, 1.0, seed=spec.depth)
     nu_levels = [nu.level_mass(n) for n in range(spec.depth + 1)]
     c_frostman = trace.frostman_constant(nu, alpha, 1.0)
-    expected = per_tree_checks_oracle(F, nu, nu_levels, alpha, epsilon, p, c_frostman)
-    assert verify_tree_trace(F, forest, nu, nu_levels, alpha, p, c_frostman) == expected
+
+    def summation(fo):
+        r = verify_tree_summation(F, fo, p)
+        return r.max_lorentz_ratio, r.max_stopping_ratio, r.per_tree
+
+    def growth(fo):
+        r = verify_flat_tree_growth(F, fo, p, kappa_at_inv_p=0.2, alpha_margin=0.1)
+        return r.max_ratio, r.per_tree
+
+    checks = [
+        (summation, tree_summation_oracle(F, ref, p)),
+        (growth, flat_tree_growth_oracle(F, ref, p, 0.2 + 0.1)),
+        (
+            lambda fo: verify_tree_trace(F, fo, nu, nu_levels, alpha, p, c_frostman),
+            per_tree_checks_oracle(F, nu, nu_levels, alpha, epsilon, p, c_frostman),
+        ),
+    ]
+    for fo in (forest, ref, forest, ref):
+        for check, expected in checks:
+            assert check(fo) == expected
 
 
 def growing_martingale(spec, seed, growth):
@@ -603,6 +620,17 @@ class TestBatchedHelpers:
             assert report.increment_sum == increment_sum
             assert report.final_l1 == final_l1
             assert report.min_atom_increment == float(min(inc.min() for inc in ref.increments))
+
+    def test_index_built_once_read_only_and_no_field(self):
+        F = random_martingale(FiltrationSpec(3, 4, 2), 23)
+        forest = classify_atoms(F, 0.2)
+        index = forest.index
+        verify_tree_summation(F, forest, 2.0)
+        verify_flat_tree_growth(F, forest, 2.0, kappa_at_inv_p=0.2, alpha_margin=0.1)
+        assert forest.index is index
+        arrays = [*index.tree_of, *index.ids, *index.counts, *index.members, index.root_level, index.root_index]
+        assert not any(a.flags.writeable for a in arrays)
+        assert "index" not in {f.name for f in dataclasses.fields(forest)}
 
     @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_non_finite_or_nonpositive_epsilon_rejected(self, epsilon):

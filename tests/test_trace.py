@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from martree import trace
 from martree.decomp import classify_atoms, verify_tree_trace
 from martree.filtration import (
     FiltrationSpec,
@@ -350,3 +351,21 @@ def test_p_below_one_rejected():
     nu = TreeMeasure(spec, np.full(spec.leaves, 1.0 / spec.leaves))
     with pytest.raises(ValueError, match="p must be >= 1, got 0.5"):
         trace_experiment_p(nu, span_w(), alpha=0.5, p=0.5, trials=1, depths=[4])
+
+
+@pytest.mark.parametrize("interp_p", [1.0, 0.5, np.nan])
+def test_bad_interp_p_rejected(interp_p, monkeypatch):
+    # 1.0 would divide by zero and 0.5 give q = -1; both checks run first
+    spec = FiltrationSpec(3, 4, 1)
+    nu = TreeMeasure(spec, np.full(spec.leaves, 1.0 / spec.leaves))
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before interp_p was checked")
+
+    monkeypatch.setattr(trace, "trace_experiment_p", no_trials)
+    with pytest.raises(ValueError, match="interp_p must be finite and > 1"):
+        trace_experiment_l1(nu, span_w(), alpha=0.5, trials=1, depths=[4], interp_p=interp_p)
+    F = random_w_martingale(span_w(), spec, seed=0)
+    nu_levels = [nu.level_mass(n) for n in range(spec.depth + 1)]
+    with pytest.raises(ValueError, match="p must be finite and > 1"):
+        verify_tree_trace(F, classify_atoms(F, 0.1), nu, nu_levels, 0.5, interp_p, 1.0)
