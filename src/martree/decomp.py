@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .filtration import AtomId, Martingale, evaluate, evaluate_all
-from .norms import lorentz_p1_segments, lp_norm_segments
+from .norms import lorentz_p1_segments, lp_norm_segments, vector_norms
 from .spacew import _row_norms
 
 
@@ -121,7 +121,7 @@ def atom_increments(
     """Per level n < N and atom omega: the growth E(|F_{n+1}| - |F_n|) chi_omega,
     the mass E|F_n| chi_omega, and the mean of |F_{n+1}| over omega's children."""
     m = F.spec.m
-    mags = [np.linalg.norm(v, axis=1) for v in evaluate_all(F)]
+    mags = [vector_norms(v) for v in evaluate_all(F)]
     increments, level_masses, child_means = [], [], []
     for n in range(F.spec.depth):
         weight = float(m) ** (-n)
@@ -215,6 +215,11 @@ def split_convex_flat(F: Martingale, forest: FlatForest) -> tuple[Martingale, Ma
     return F_co, F_fl
 
 
+def _end_l1_norms(F: Martingale) -> tuple[float, float]:
+    """E|F_N| and E|F_0|."""
+    return float(vector_norms(evaluate(F, F.spec.depth)).mean()), float(np.linalg.norm(F.f0))
+
+
 @dataclass
 class StepwiseReport:
     increment_sum: float        # sum of E(|F_{n+1}| - |F_n|)
@@ -233,8 +238,7 @@ def verify_stepwise_identity(F: Martingale) -> StepwiseReport:
     """
     increments = atom_increments(F)[0]
     increment_sum = float(sum(inc.sum() for inc in increments))
-    final_l1 = float(np.linalg.norm(evaluate(F, F.spec.depth), axis=1).mean())
-    initial_l1 = float(np.linalg.norm(F.f0))
+    final_l1, initial_l1 = _end_l1_norms(F)
     min_atom = float(min(inc.min() for inc in increments))
     return StepwiseReport(
         increment_sum=increment_sum,
@@ -263,7 +267,7 @@ def verify_convex_lemma(F: Martingale, forest: FlatForest) -> ConvexLemmaReport:
     max_ratio = 0.0
     besov_co = 0.0
     for n in range(spec.depth):
-        diff_mags = np.linalg.norm(F.diffs[n], axis=2)  # (atoms, m)
+        diff_mags = vector_norms(F.diffs[n])  # (atoms, m)
         atom_f_l1 = float(m) ** (-(n + 1)) * diff_mags.sum(axis=1)
         mask = forest.convex[n]
         besov_co += float(atom_f_l1[mask].sum())
@@ -275,8 +279,8 @@ def verify_convex_lemma(F: Martingale, forest: FlatForest) -> ConvexLemmaReport:
         if np.any(vals[~positive] > 1e-13):
             # convex atoms always have positive increment; flag if violated
             max_ratio = np.inf
-    report = verify_stepwise_identity(F)
-    telescoped = constant * (report.final_l1 - report.initial_l1)
+    final_l1, initial_l1 = _end_l1_norms(F)
+    telescoped = constant * (final_l1 - initial_l1)
     return ConvexLemmaReport(
         constant=constant,
         max_atom_ratio=max_ratio,
@@ -335,7 +339,7 @@ def _tree_leaf_sums(F: Martingale, forest: FlatForest, scales=None, weight=None)
     for level, ids, values in tree_leaf_values(F, forest, scales):
         # leaf norms on the root cylinders only: one row per tree
         span = spec.m ** (spec.depth - level)
-        leaf = np.linalg.norm(values.reshape(-1, span, spec.ell)[root_index[ids]], axis=2)
+        leaf = vector_norms(values.reshape(-1, span, spec.ell)[root_index[ids]])
         if weight is not None:
             leaf = leaf * weight.reshape(-1, span)[root_index[ids]]
         sums[ids] = leaf.sum(axis=1)
@@ -373,7 +377,7 @@ def verify_flat_tree_growth(
         ids, counts, atoms = ids[live], counts[live], atoms[np.repeat(live, counts)]
         if ids.size == 0:
             continue
-        mags = np.linalg.norm(levels[n + 1][_children(atoms, m)], axis=1)
+        mags = vector_norms(levels[n + 1][_children(atoms, m)])
         lhs = lp_norm_segments(mags, counts * m, float(m) ** (-(n + 1)), p)
         ratios = lhs / (envelope[n - index.root_level[ids]] * root_norm[ids])
         for t, ratio in zip(ids.tolist(), ratios.tolist()):
@@ -400,7 +404,7 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     spec = F.spec
     m = spec.m
     levels = evaluate_all(F)
-    total_l1 = float(np.linalg.norm(levels[-1], axis=1).mean())
+    total_l1 = float(vector_norms(levels[-1]).mean())
     root_mass = _root_masses(F, levels, forest)
 
     # Each tree's Lorentz sum accumulates in ascending level order.
@@ -409,7 +413,7 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     for n, (ids, counts, atoms) in enumerate(zip(index.ids, index.counts, index.members)):
         if ids.size == 0:
             continue
-        mags = np.linalg.norm(F.diffs[n][atoms].reshape(-1, spec.ell), axis=1)
+        mags = vector_norms(F.diffs[n][atoms].reshape(-1, spec.ell))
         norm = lorentz_p1_segments(mags, counts * m, float(m) ** (-(n + 1)), p)
         lorentz_sum[ids] += float(m) ** (-(p - 1) / p * n) * norm
 

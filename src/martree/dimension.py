@@ -44,6 +44,7 @@ from .filtration import (
     multiplicative_martingale,
 )
 from .kappa import kappa_prime_one
+from .norms import vector_norms
 from .spacew import SubspaceW
 
 # A fitted growth slope of log K(d) above gamma * SLOPE_FRACTION * log m
@@ -100,7 +101,7 @@ def _node_weights(mu: TreeMeasure) -> list[np.ndarray]:
     out = []
     for n in range(mu.spec.depth + 1):
         mass = mu.level_mass(n)
-        out.append(mass if mass.ndim == 1 else np.linalg.norm(mass, axis=1))
+        out.append(mass if mass.ndim == 1 else vector_norms(mass))
     return out
 
 

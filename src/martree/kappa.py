@@ -20,6 +20,11 @@ exact optimum of the induced one-parameter family (a full scaling ray stays
 inside W), and an SLSQP polish with explicit membership constraints explores
 curved parts of the variety from those starting points.  Every witness
 returned is re-snapped to an exactly feasible ray point.
+
+kappa_v is a log-mean-exp of log|1 + v_j| / theta, taken in numpy with the
+very float operations of scipy 1.17's ``logsumexp`` (scaled by b = 1/m), so
+its values are scipy's bit for bit without scipy.special's per-call
+dispatch, and do not change with the installed scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
 
 from .spacew import SubspaceW, _row_norms, project
 
@@ -58,7 +62,31 @@ def kappa_v_many(V: np.ndarray, theta: float) -> np.ndarray:
         return np.log(mags.max(axis=1))
     with np.errstate(divide="ignore"):
         logs = np.log(mags)
-    return theta * logsumexp(logs / theta, axis=1, b=1.0 / mags.shape[1])
+    return theta * _log_mean_exp(logs / theta)
+
+
+def _log_mean_exp(a: np.ndarray) -> np.ndarray:
+    """log((1/k) sum_j exp(a_j)) of each row of a (batch, k) array, bit for
+    bit as ``scipy.special.logsumexp(a, axis=1, b=1/k)`` on real input.
+
+    The row maxima are taken out of the sum: with M the weight at the
+    maximum, the result is log1p(s/M) + log(M) + max, s the weighted sum of
+    exp(a_j - max) over the other entries.  Rows where that is not finite
+    fall back to log(sum_j b exp(a_j)).
+    """
+    b = 1.0 / a.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=1, keepdims=True)
+        at_max = a == a_max
+        weight_at_max = np.sum(b * at_max, axis=1)
+        # scipy keeps s = 0 as is; s / M is 0 there too, as M > 0 unless s is NaN
+        s = np.sum(b * np.exp(np.where(at_max, -np.inf, a) - a_max), axis=1) / weight_at_max
+        out = np.log1p(s) + np.log(weight_at_max) + a_max[:, 0]
+    not_finite = ~np.isfinite(out)
+    if np.any(not_finite):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[not_finite] = np.log(np.sum(b * np.exp(a[not_finite]), axis=1))
+    return out
 
 
 def entropy_v(v: np.ndarray) -> float:

@@ -19,6 +19,23 @@ import numpy as np
 from .filtration import FiltrationSpec, Martingale, TreeMeasure, evaluate, evaluate_all
 
 
+def vector_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of float ``x``, bit for bit as
+    ``np.linalg.norm(x, axis=-1)``.
+
+    numpy sums fewer than 8 squares in order, so a short last axis is summed
+    column by column, without the reduction's per-call overhead; from 8 on
+    numpy sums pairwise, and its own norm is called.
+    """
+    x = np.asarray(x, dtype=float)
+    if not 0 < x.shape[-1] < 8:
+        return np.linalg.norm(x, axis=-1)
+    squares = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        squares += x[..., j] * x[..., j]
+    return np.sqrt(squares)
+
+
 @dataclass
 class SimpleFunction:
     """A function constant on the atoms of one level; values is (m^level, ell)."""
@@ -38,7 +55,7 @@ class SimpleFunction:
             )
 
     def magnitudes(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
+        return vector_norms(self.values)
 
     @property
     def atom_weight(self) -> float:
@@ -115,7 +132,14 @@ def lorentz_p1_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p:
     segment = np.repeat(np.arange(lengths.size), lengths)
     keep = mags > 0
     vals, segment = mags[keep], segment[keep]
-    vals = vals[np.lexsort((-vals, segment))]  # descending within each segment
+    # Descending within each segment: one descending order of all values,
+    # regrouped by segment with one sort of the distinct int64 keys
+    # (segment, position); ties are equal values, so their order is moot.
+    # ``segment`` is ascending, so it is the sorted keys' segment part.
+    order = np.argsort(vals)[::-1]
+    key = segment[order] * vals.size + np.arange(vals.size)
+    key.sort()
+    vals = vals[order[key - segment * vals.size]]
     counts = np.bincount(segment, minlength=lengths.size)
     ends = np.cumsum(counts)
     rank = np.arange(vals.size) - np.repeat(ends - counts, counts)
@@ -178,9 +202,9 @@ def h1_norm(F: Martingale) -> float:
     """E max_{0 <= n <= N} |F_n|, computed exactly over the leaves."""
     spec = F.spec
     levels = evaluate_all(F)
-    running = np.linalg.norm(levels[0], axis=1)
+    running = vector_norms(levels[0])
     for n in range(1, spec.depth + 1):
-        mags = np.linalg.norm(levels[n], axis=1)
+        mags = vector_norms(levels[n])
         running = np.maximum(np.repeat(running, spec.m), mags)
     return float(running.mean())
 

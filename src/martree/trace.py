@@ -28,7 +28,7 @@ from .filtration import (
     multiplicative_martingale,
 )
 from .kappa import kappa_of, rank_one_directions
-from .norms import lp_nu_norm, martingale_level
+from .norms import lp_nu_norm, martingale_level, vector_norms
 from .riesz import EmbeddingReport, ratio_trials, riesz_potential, trend_verdict
 from .spacew import SubspaceW, random_w_martingale
 
@@ -108,7 +108,7 @@ def trace_experiment_p(
     def parts(F, d):
         Fd = F.truncated(d)
         img = martingale_level(riesz_potential(Fd, alpha), d)
-        den = float(np.linalg.norm(evaluate(Fd, d), axis=1).mean())
+        den = float(vector_norms(evaluate(Fd, d)).mean())
         return den, lp_nu_norm(img, nu.truncated(d), p)
 
     (per_trial,) = ratio_trials(depths, draws, parts)

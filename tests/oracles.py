@@ -11,10 +11,13 @@ brute-forces one kappa ray.  The batched code must reproduce all but the
 last bit for bit.  ``antichain_score`` scores a given antichain, and
 ``lp_norm_weighted`` is the one-segment form of ``norms.lp_norm_segments``.
 ``shift_w`` builds a subspace on which those searches meet tied values.
+``log_mean_exp`` is scipy's ``logsumexp`` with weight 1/m, which the numpy
+log-mean-exp behind ``kappa.kappa_v_many`` reproduces.
 """
 
 import numpy as np
 from scipy import optimize
+from scipy.special import logsumexp
 
 from martree.dimension import _node_weights
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, build_shift_invariant_w
@@ -250,3 +253,8 @@ def lp_norm_weighted(mags: np.ndarray, weights: np.ndarray, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return float(np.sum(weights * mags**p) ** (1.0 / p))
+
+
+def log_mean_exp(a: np.ndarray) -> np.ndarray:
+    """log((1/m) sum_j exp(a_j)) of each row of a (batch, m) array, by scipy."""
+    return logsumexp(a, axis=1, b=1.0 / a.shape[1])

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from martree.kappa import (
+    _log_mean_exp,
     dimension_bound,
     entropy_v,
     entropy_v_many,
@@ -319,3 +321,40 @@ class TestLockstepDirections:
         k = data.draw(st.integers(1, (m - 1) * ell))
         W = SubspaceW.random(m, ell, k, seed=data.draw(st.integers(0, 10_000)))
         assert_same_directions(W, n_starts=data.draw(st.integers(0, 12)), seed=data.draw(st.integers(0, 100)))
+
+
+# The numpy log-mean-exp follows the steps of scipy 1.17's logsumexp.  Older
+# scipy releases took other steps (before 1.15: log(sum b exp(a - max)) +
+# max, no log1p), so there the bitwise comparison with the installed scipy
+# is expected to fail; the package's own values do not depend on scipy.
+SCIPY_BEFORE_1_17 = tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 17)
+
+
+def kappa_batch(m, rows, seed):
+    """V with ties (repeated entries, the maximum included), v_j = -1 (a zero
+    magnitude, -inf after the log) and one row of -1 everywhere."""
+    rng = np.random.default_rng(seed)
+    V = rng.choice([-1.0, -0.5, 0.0, 0.25, 2.0, *rng.uniform(-1.0, 3.0, 4)], size=(rows, m))
+    V[-1] = -1.0
+    return V
+
+
+@pytest.mark.xfail(SCIPY_BEFORE_1_17, reason="scipy < 1.17 computes logsumexp by other steps", strict=False)
+class TestLogMeanExp:
+    """kappa's numpy log-mean-exp against scipy's logsumexp, bit for bit."""
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5, 1e-3, 1e-9])
+    @pytest.mark.parametrize("rows", [1, 4001])
+    @pytest.mark.parametrize("m", [2, 3, 5, 9])
+    def test_matches_scipy(self, theta, rows, m):
+        V = kappa_batch(m, rows, seed=m * rows)
+        with np.errstate(divide="ignore"):
+            a = np.log(np.abs(1.0 + V)) / theta
+        expected = oracles.log_mean_exp(a)
+        assert _log_mean_exp(a).tobytes() == expected.tobytes()
+        assert kappa_v_many(V, theta).tobytes() == (theta * expected).tobytes()
+
+    def test_rows_with_infinite_or_nan_entries(self):
+        a = np.array([[np.inf, 0.0, 1.0], [np.inf, np.inf, 0.0], [-np.inf] * 3,
+                      [np.nan, 0.0, 1.0], [1e308, 1e308, 1e308]])
+        assert _log_mean_exp(a).tobytes() == oracles.log_mean_exp(a).tobytes()

@@ -19,6 +19,7 @@ from martree.norms import (
     lp_nu_norm,
     martingale_difference,
     segment_sums,
+    vector_norms,
     weak_lp_norm,
 )
 from oracles import lp_norm_weighted
@@ -330,6 +331,47 @@ class TestSegmentNorms:
                 lorentz_p1_from_distribution(seg, np.full(seg.shape, weight), p) for seg in segments
             ]
 
+    def test_lorentz_segments_at_forest_scale(self):
+        # more segments than a 16-bit id holds and one segment over 10^4
+        # atoms, placed past id 65,536, with ties and zeros throughout
+        rng = np.random.default_rng(34)
+        lengths = rng.integers(0, 4, 70_000)
+        lengths[66_000] = 12_000
+        total = int(lengths.sum())
+        mags = np.where(rng.random(total) < 0.5, rng.choice([0.0, 0.5, 1.0, 2.5], size=total), rng.random(total))
+        weight = 3.0 ** -9
+        starts = np.cumsum(lengths) - lengths
+        lorentz = lorentz_p1_segments(mags, lengths, weight, 2.0)
+        assert lorentz.tolist() == [
+            lorentz_p1_from_distribution(mags[s : s + n], np.full(n, weight), 2.0)
+            for s, n in zip(starts.tolist(), lengths.tolist())
+        ]
+
     def test_lorentz_segments_reject_p_one(self):
         with pytest.raises(ValueError):
             lorentz_p1_segments(np.ones(3), [3], 1.0, 1.0)
+
+
+def special_values(shape, seed):
+    """Normal draws mixed with zeros, subnormals, huge values, +-inf and NaN;
+    a 30% share, so short rows are often all zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1e200, -1e300, np.inf, -np.inf, np.nan])
+    pick = rng.random(shape) < 0.3
+    x[pick] = rng.choice(special, size=int(pick.sum()))
+    return x
+
+
+class TestVectorNorms:
+    """vector_norms against np.linalg.norm(x, axis=-1), bit for bit."""
+
+    @pytest.mark.parametrize("ell", range(11))
+    @pytest.mark.parametrize("shape", [(0,), (1,), (257,), (40, 7), (3, 0, 2)])
+    def test_matches_numpy(self, ell, shape):
+        x = special_values((*shape, ell), seed=ell)
+        for view in (x, np.asfortranarray(x), x[..., ::-1]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, expected = vector_norms(view), np.linalg.norm(view, axis=-1)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
