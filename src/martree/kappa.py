@@ -23,7 +23,7 @@ returned is re-snapped to an exactly feasible ray point.
 
 kappa_v is a log-mean-exp of log|1 + v_j| / theta, taken in numpy with the
 very float operations of scipy 1.17's ``logsumexp`` (scaled by b = 1/m), so
-its values are scipy's bit for bit without scipy.special's per-call
+its values are scipy's bit for bit without scipy's per-call array-API
 dispatch, and do not change with the installed scipy.
 """
 
@@ -67,7 +67,7 @@ def kappa_v_many(V: np.ndarray, theta: float) -> np.ndarray:
 
 def _log_mean_exp(a: np.ndarray) -> np.ndarray:
     """log((1/k) sum_j exp(a_j)) of each row of a (batch, k) array, bit for
-    bit as ``scipy.special.logsumexp(a, axis=1, b=1/k)`` on real input.
+    bit as scipy's ``logsumexp(a, axis=1, b=1/k)`` on real input.
 
     The row maxima are taken out of the sum: with M the weight at the
     maximum, the result is log1p(s/M) + log(M) + max, s the weighted sum of
