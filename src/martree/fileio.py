@@ -133,11 +133,35 @@ def write_martingale(path, F: Martingale) -> None:
 def read_martingale(path) -> Martingale:
     doc = _load(path, "martingale", ("m", "depth", "ell", "f0", "blocks"))
     spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
-    F = Martingale.zero(spec)
-    diffs = [d.copy() for d in F.diffs]
+    m, depth, ell = spec.m, spec.depth, spec.ell
+    starts = [(m**n - 1) // (m - 1) for n in range(depth + 1)]  # the first node of each level
+    nodes, values = [], []
     for row in doc["blocks"]:
         _require(row, ("level", "atom", "values"), path, "a blocks entry")
-        diffs[row["level"]][row["atom"]] = np.asarray(row["values"], dtype=float)
+        level, atom = row["level"], row["atom"]
+        # a bool passes for an int and a negative index picks another atom
+        if not (type(level) is int and type(atom) is int and 0 <= level < depth and 0 <= atom < m**level):
+            raise ValueError(f"{path}: blocks entry (level {level!r}, atom {atom!r}) names no atom; "
+                             f"want ints 0 <= level < {depth} and 0 <= atom < {m}^level")
+        nodes.append(starts[level] + atom)
+        values.append(row["values"])
+    if len(set(nodes)) < len(nodes):
+        seen = set()
+        for row, node in zip(doc["blocks"], nodes):
+            if node in seen:
+                raise ValueError(f"{path}: blocks entry (level {row['level']}, atom {row['atom']}) "
+                                 "repeats an earlier entry")
+            seen.add(node)
+    flat = np.zeros((starts[-1], m, ell))
+    if nodes:
+        try:
+            blocks = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            blocks = None
+        if blocks is None or blocks.shape[1:] != (m, ell):
+            raise ValueError(f"{path}: the values of a blocks entry are not {m} x {ell} numbers")
+        flat[nodes] = blocks
+    diffs = [flat[a:b] for a, b in zip(starts, starts[1:])]
     return Martingale(spec, np.asarray(doc["f0"], dtype=float), diffs)
 
 

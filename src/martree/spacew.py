@@ -10,7 +10,8 @@ rank-one blocks v (x) a; the second restricts v to the delta directions
 m*e_j - 1.  The second condition is a pure linear-algebra question (one
 null-space problem per coordinate j); the first is a nonconvex feasibility
 problem answered by multi-start descent, with INCONCLUSIVE as an honest third
-outcome.
+outcome; a descent start whose step leaves its simplex bit for bit unchanged
+is finished at once with the result that running on to ``maxiter`` would give.
 """
 
 from __future__ import annotations
@@ -231,6 +232,15 @@ def _nelder_mead_lockstep(f, X0: np.ndarray, xatol: float, fatol: float, maxiter
     the expansion or contraction points of those that need one, and one for
     the shrunk simplices.  Returns the per-start ``x``, ``fun``, ``nit`` and
     ``nfev``.
+
+    A start whose iteration gives back its ``sim`` and ``fsim`` bit for bit
+    (compared as uint64, so NaN equals itself and 0.0 stays apart from -0.0)
+    is at a fixed point: the step depends on nothing else, ``f`` values each
+    row alone and a row's argsort is deterministic, so every later iteration
+    repeats it with the same number of calls.  Such a start is finished there
+    with ``nit = maxiter`` and ``nfev`` counting the iterations it skips; scipy
+    would run them all and end with the same ``x``, ``fun``, ``nit`` and
+    ``nfev``.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
@@ -253,21 +263,23 @@ def _nelder_mead_lockstep(f, X0: np.ndarray, xatol: float, fatol: float, maxiter
     calls = np.full(S, N + 1)
     iterations = 1
 
-    def finish(done):
+    def finish(done, n):
+        """Record the starts in ``done`` as ending after n iterations; return the rest."""
         x[ids[done]] = sim[done, 0]
         fun[ids[done]] = fsim[done].min(axis=1)
-        nit[ids[done]], nfev[ids[done]] = iterations, calls[done]
+        nit[ids[done]], nfev[ids[done]] = n, calls[done]
+        return ids[~done], sim[~done], fsim[~done], calls[~done]
 
     while ids.size and iterations < maxiter:
         done = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
         if done.any():
             done &= np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
             if done.any():
-                finish(done)
-                ids, sim, fsim, calls = ids[~done], sim[~done], fsim[~done], calls[~done]
+                ids, sim, fsim, calls = finish(done, iterations)
                 if not ids.size:
                     break
         P = ids.size
+        sim_bits, fsim_bits = sim.view(np.uint64).copy(), fsim.view(np.uint64).copy()
         xbar = np.add.reduce(sim[:, :-1], 1) / N
         points = a * xbar[:, None, :] - b * sim[:, -1:, :]
         fp = np.full((P, 4), np.nan)
@@ -281,7 +293,8 @@ def _nelder_mead_lockstep(f, X0: np.ndarray, xatol: float, fatol: float, maxiter
         fp[need, second[need]] = f(points[need, second[need]])
         choice = np.where(expand & ~(fp[:, 1] < fxr), 0, second)
         shrink = (outside & ~(fp[:, 2] <= fxr)) | (inside & ~(fp[:, 3] < fsim[:, -1]))
-        calls += 1 + (second > 0) + N * shrink
+        step_calls = 1 + (second > 0) + N * shrink
+        calls += step_calls
         shrinking = shrink.any()
         if shrinking:
             best = sim[shrink, :1]
@@ -294,7 +307,13 @@ def _nelder_mead_lockstep(f, X0: np.ndarray, xatol: float, fatol: float, maxiter
         iterations += 1
         ind = np.argsort(fsim, axis=1)
         fsim, sim = fsim[rows[:P], ind], sim[rows[:P], ind]
-    finish(np.ones(ids.size, dtype=bool))
+        fixed = (sim.view(np.uint64) == sim_bits).all(axis=(1, 2))
+        fixed &= (fsim.view(np.uint64) == fsim_bits).all(axis=1)
+        if fixed.any():
+            # every later iteration repeats this one: same state, same calls
+            calls[fixed] += (maxiter - iterations) * step_calls[fixed]
+            ids, sim, fsim, calls = finish(fixed, maxiter)
+    finish(np.ones(ids.size, dtype=bool), iterations)
     return x, fun, nit, nfev
 
 

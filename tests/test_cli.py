@@ -211,6 +211,22 @@ class TestMalformedFiles:
         assert main(["--out", str(tmp_path / "out"), "check-w", "--w", str(path)]) == 2
         assert "'k'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, message", [
+        ({"level": -1}, "(level -1, atom 0) names no atom"),
+        ({"atom": True}, "(level 1, atom True) names no atom"),
+        ({"atom": 9}, "(level 1, atom 9) names no atom"),
+        ({"level": 1.0}, "(level 1.0, atom 0) names no atom"),
+        ({"level": 0}, "(level 0, atom 0) repeats an earlier entry"),
+    ], ids=["level-negative", "atom-bool", "atom-out-of-range", "level-float", "repeated"])
+    def test_bad_martingale_block_exits_two_naming_file(self, change, message, tmp_path, capsys):
+        doc = json.loads((Path(__file__).parent / "golden" / "martingale.json").read_text())
+        doc["blocks"][1].update(change)  # the entry of level 1, atom 0
+        broken = tmp_path / "bad.json"
+        broken.write_text(json.dumps(doc))
+        assert main(["norm", "--martingale", str(broken), "--name", "lp", "--p", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.json: blocks entry {message}" in err and err.count("\n") == 1
+
 
 class TestSubcommands:
     def test_gen_w_and_check_w(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """The file writers' bytes: the fast encoder against json.dumps(indent=1)."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,3 +99,59 @@ def test_floats_round_trip(tmp_path):
     mu = TreeMeasure(FiltrationSpec(3, 2, 1), np.resize(np.array(SPECIAL), 9))
     fileio.write_measure(path, mu)
     assert fileio.read_measure(path).leaf_mass.tobytes() == mu.leaf_mass.tobytes()
+
+
+GOLDEN_MARTINGALE = Path(__file__).parent / "golden" / "martingale.json"  # m 3, depth 6, ell 2
+
+
+@pytest.mark.parametrize("level, atom", [
+    (-1, 0),      # Python's indexing would write the block to the last level
+    (1, -1),      # ... or to atom 2 of level 1
+    (1, True),    # a bool is an int to Python, and True would be atom 1
+    (1, 3),       # level 1 has atoms 0, 1, 2
+    (6, 0),       # levels 0 to 5
+    (1.0, 0),
+    ("1", 0),
+], ids=["level-negative", "atom-negative", "atom-bool", "atom-out-of-range", "level-out-of-range",
+        "level-float", "level-string"])
+def test_martingale_block_index_names_file_and_entry(level, atom, tmp_path):
+    doc = json.loads(GOLDEN_MARTINGALE.read_text())
+    doc["blocks"][1].update(level=level, atom=atom)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    entry = f"blocks entry (level {level!r}, atom {atom!r}) names no atom"
+    with pytest.raises(ValueError, match=re.escape(f"f.json: {entry}")):
+        fileio.read_martingale(path)
+
+
+def test_repeated_martingale_block_names_file_and_entry(tmp_path):
+    doc = json.loads(GOLDEN_MARTINGALE.read_text())
+    doc["blocks"].append(dict(doc["blocks"][2]))  # level 1, atom 1 again
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape("f.json: blocks entry (level 1, atom 1) repeats an earlier entry")):
+        fileio.read_martingale(path)
+
+
+@pytest.mark.parametrize("values", [[[0.0, 0.0]] * 2, [[0.0, 0.0]] * 2 + [[0.0]], 0.0, [[0.0, {}]] * 3],
+                         ids=["two-rows", "ragged", "scalar", "not-a-number"])
+def test_martingale_block_values_must_be_m_by_ell(values, tmp_path):
+    doc = json.loads(GOLDEN_MARTINGALE.read_text())
+    doc["blocks"][1]["values"] = values
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape("f.json: the values of a blocks entry are not 3 x 2 numbers")):
+        fileio.read_martingale(path)
+
+
+def test_martingale_read_back_block_for_block(tmp_path):
+    doc = json.loads(GOLDEN_MARTINGALE.read_text())
+    doc["blocks"] = doc["blocks"][::-1]  # the order of the entries does not matter
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    F = fileio.read_martingale(path)
+    expected = [np.zeros((3**n, 3, 2)) for n in range(6)]
+    for row in doc["blocks"]:
+        expected[row["level"]][row["atom"]] = row["values"]
+    assert [d.tobytes() for d in F.diffs] == [d.tobytes() for d in expected]
+    assert F.f0.tobytes() == np.array(doc["f0"]).tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from martree.filtration import FiltrationSpec
 from martree.norms import lp_norm, martingale_difference
@@ -358,22 +359,35 @@ class TestProjectionAgainstScalar:
             assert witness[0] == expected_witness[0] and witness[1].tobytes() == expected_witness[1].tobytes()
 
 
-def lockstep_starts(W, n_starts, seed, maxiter):
+def lockstep_starts(W, n_starts, seed, maxiter, rows=None):
+    """The first-condition lockstep search; ``rows``, if given, gets the size of each stacked call."""
     rng = np.random.default_rng(seed)
     X0 = np.empty((n_starts, W.dim))
     for x0 in X0:
         x0[:] = rng.standard_normal(W.dim)
         x0 /= np.linalg.norm(x0)
-    return _nelder_mead_lockstep(lambda C: _second_singular_ratios(C, W), X0, 1e-12, 1e-15, maxiter)
+
+    def f(C):
+        if rows is not None:
+            rows.append(len(C))
+        return _second_singular_ratios(C, W)
+
+    return _nelder_mead_lockstep(f, X0, 1e-12, 1e-15, maxiter)
 
 
 def assert_same_starts(W, n_starts, seed, maxiter):
-    """Every start ends where scipy's Nelder-Mead ends it, bit for bit."""
-    x, fun, nit, nfev = lockstep_starts(W, n_starts, seed, maxiter)
+    """Every start ends where scipy's Nelder-Mead ends it, bit for bit.
+
+    Returns the lockstep's ``nit`` and ``nfev`` and the number of rows its
+    objective valued.
+    """
+    rows = []
+    x, fun, nit, nfev = lockstep_starts(W, n_starts, seed, maxiter, rows)
     for s, res in enumerate(oracles.nelder_mead_starts(W, n_starts, seed, maxiter)):
         assert x[s].tobytes() == res.x.tobytes(), s
         assert fun[s].tobytes() == np.float64(res.fun).tobytes(), s
         assert (nit[s], nfev[s]) == (res.nit, res.nfev), s
+    return nit, nfev, sum(rows)
 
 
 class TestLockstepAgainstScipy:
@@ -403,6 +417,33 @@ class TestLockstepAgainstScipy:
         k = data.draw(st.integers(1, (m - 1) * ell))
         W = SubspaceW.random(m, ell, k, seed=data.draw(st.integers(0, 10_000)))
         assert_same_starts(W, n_starts=3, seed=data.draw(st.integers(0, 100)), maxiter=60)
+
+    @pytest.mark.parametrize("value", [1.0, np.nan])
+    def test_constant_objective_finishes_at_its_fixed_point(self, value):
+        # A flat objective shrinks every simplex until the shrink stops moving
+        # it, signed zeros and subnormals included; from there each iteration
+        # repeats the last, and scipy goes on to maxiter.
+        X0 = np.array([[0.0, -0.0, 1e-300], [-0.0, 1e-300, 1.0], [1e-300, 0.0, -0.0], [-0.0, -0.0, 0.0]])
+        rows = []
+
+        def f(C):
+            rows.append(len(C))
+            return np.full(len(C), value)
+
+        x, fun, nit, nfev = _nelder_mead_lockstep(f, X0, -1.0, -1.0, 2000)
+        for s, x0 in enumerate(X0):
+            res = optimize.minimize(lambda v: value, x0, method="Nelder-Mead",
+                                    options={"xatol": -1.0, "fatol": -1.0, "maxiter": 2000})
+            assert x[s].tobytes() == res.x.tobytes(), s
+            assert fun[s].tobytes() == np.float64(res.fun).tobytes(), s
+            assert (nit[s], nfev[s]) == (res.nit, res.nfev) == (2000, 9999), s
+        assert sum(rows) < nfev.sum()  # the repeated iterations were not run
+
+    def test_fixed_point_on_the_ratio_objective(self):
+        # start 0 reaches a fixed point of the step well before maxiter
+        nit, nfev, rows = assert_same_starts(SubspaceW.random(5, 3, 4, seed=0), n_starts=3, seed=0, maxiter=2000)
+        assert nit[0] == 2000
+        assert rows < nfev.sum()
 
     def test_no_starts(self):
         x, fun, nit, nfev = lockstep_starts(SubspaceW.random(3, 2, 2, seed=0), 0, 0, 2000)
