@@ -145,15 +145,14 @@ def read_martingale(path) -> Martingale:
                              f"want ints 0 <= level < {depth} and 0 <= atom < {m}^level")
         nodes.append(starts[level] + atom)
         values.append(row["values"])
-    if len(set(nodes)) < len(nodes):
-        seen = set()
-        for row, node in zip(doc["blocks"], nodes):
-            if node in seen:
-                raise ValueError(f"{path}: blocks entry (level {row['level']}, atom {row['atom']}) "
-                                 "repeats an earlier entry")
-            seen.add(node)
+    nodes = np.array(nodes, dtype=np.int64)
+    if np.bincount(nodes).max(initial=0) > 1:
+        firsts = np.unique(nodes, return_index=True)[1]
+        row = doc["blocks"][np.setdiff1d(np.arange(nodes.size), firsts)[0]]
+        raise ValueError(f"{path}: blocks entry (level {row['level']}, atom {row['atom']}) "
+                         "repeats an earlier entry")
     flat = np.zeros((starts[-1], m, ell))
-    if nodes:
+    if nodes.size:
         try:
             blocks = np.asarray(values, dtype=float)
         except (TypeError, ValueError):

@@ -129,7 +129,8 @@ def test_repeated_martingale_block_names_file_and_entry(tmp_path):
     doc["blocks"].append(dict(doc["blocks"][2]))  # level 1, atom 1 again
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=re.escape("f.json: blocks entry (level 1, atom 1) repeats an earlier entry")):
+    message = "f.json: blocks entry (level 1, atom 1) repeats an earlier entry"
+    with pytest.raises(ValueError, match=re.escape(message)):
         fileio.read_martingale(path)
 
 
@@ -140,7 +141,8 @@ def test_martingale_block_values_must_be_m_by_ell(values, tmp_path):
     doc["blocks"][1]["values"] = values
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=re.escape("f.json: the values of a blocks entry are not 3 x 2 numbers")):
+    message = "f.json: the values of a blocks entry are not 3 x 2 numbers"
+    with pytest.raises(ValueError, match=re.escape(message)):
         fileio.read_martingale(path)
 
 

@@ -441,7 +441,8 @@ class TestLockstepAgainstScipy:
 
     def test_fixed_point_on_the_ratio_objective(self):
         # start 0 reaches a fixed point of the step well before maxiter
-        nit, nfev, rows = assert_same_starts(SubspaceW.random(5, 3, 4, seed=0), n_starts=3, seed=0, maxiter=2000)
+        W = SubspaceW.random(5, 3, 4, seed=0)
+        nit, nfev, rows = assert_same_starts(W, n_starts=3, seed=0, maxiter=2000)
         assert nit[0] == 2000
         assert rows < nfev.sum()
 
