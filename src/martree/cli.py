@@ -95,14 +95,10 @@ def _write_table(out_dir: Path, name: str, meta: dict, columns, rows, *summary: 
 
 
 def _rle(mask: np.ndarray) -> list[list[int]]:
-    runs = []
-    start = 0
+    """[[value, run length], ...] of ``mask`` as 0/1 ints, in order."""
     values = mask.astype(int)
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] != values[start]:
-            runs.append([int(values[start]), i - start])
-            start = i
-    return runs
+    starts = np.flatnonzero(np.diff(values, prepend=-1))
+    return np.column_stack((values[starts], np.diff(starts, append=values.size))).tolist()
 
 
 # ---------------------------------------------------------------- experiments

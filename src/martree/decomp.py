@@ -22,7 +22,11 @@ are grouped by tree with one stable sort.  ``classify_atoms`` slices its
 trees out of that index, and the per-tree checks, trace controls included,
 read it directly and run batched over all trees, with each tree's sums taken
 in the same order as a tree-by-tree loop would take them, so the reports are
-reproducible bit for bit.
+reproducible bit for bit.  The two sums over F_T, ||F_T||_{L_1} and
+||I_alpha[F_T]||_{L_1(nu)}, hold F_T only on the leaves of the root
+cylinders, one root level at a time, built top down from the members: the
+work is linear in the number of leaves under the roots, which counts each
+leaf at most once per root level, never trees x leaves.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .norms import lorentz_p1_segments, lp_norm_segments, vector_norms
 from .spacew import _row_norms
 
 
-@dataclass
+@dataclass(slots=True)
 class FlatTree:
     root: AtomId
     members: dict[int, np.ndarray]        # level -> sorted atom indices
@@ -307,27 +311,35 @@ def tree_leaf_values(F: Martingale, forest: FlatForest, scales=None):
     time.
 
     Yields ``(level, ids, values)``: the ids of the trees rooted at ``level``
-    (ascending) and an (m^N, ell) array that holds F_T on the cylinder of each
-    such tree's root and zero elsewhere.  Trees rooted at one level have
-    disjoint cylinders, so they share the array; the same array is refilled
-    for the next level, so read it before advancing.  Each leaf receives its
-    terms in ascending level order.  ``scales`` defaults to all ones.
+    (ascending) and a (len(ids) * m^(N - level), ell) array that holds F_T
+    on the leaves of each such tree's root cylinder only, tree after tree;
+    the leaves outside them, where F_T vanishes, are not stored.  The array
+    is built top down: from one zero row per tree it is repeated over the m
+    children at each level and takes that level's blocks at its members'
+    positions, so the work is linear in the size of the root cylinders.
+    Each leaf receives its terms in ascending level order.  ``scales``
+    defaults to all ones.
     """
     spec = F.spec
     m, ell = spec.m, spec.ell
     index = forest.index
-    values = np.empty((spec.leaves, ell))
     for level in np.unique(index.root_level).tolist():
         rooted_here = index.root_level == level
-        values.fill(0.0)
+        # A level-n atom of tree t sits at row (rank - root) * m^(n - level)
+        # past its index, rank being t's place among the trees rooted here.
+        shift = np.cumsum(rooted_here) - 1 - index.root_index
+        ids = np.flatnonzero(rooted_here)
+        values = np.zeros((ids.size, ell))
         for n in range(level, spec.depth):
-            atoms = index.members[n][np.repeat(rooted_here[index.ids[n]], index.counts[n])]
-            block = F.diffs[n][atoms].reshape(-1, 1, ell)
+            here = rooted_here[index.ids[n]]
+            atoms = index.members[n][np.repeat(here, index.counts[n])]
+            block = F.diffs[n][atoms]
             if scales is not None:
                 block = scales[n] * block
-            rep = m ** (spec.depth - n - 1)
-            values.reshape(-1, rep, ell)[_children(atoms, m)] += block
-        yield level, np.flatnonzero(rooted_here), values
+            rows = atoms + np.repeat(shift[index.ids[n][here]], index.counts[n][here]) * m ** (n - level)
+            values = np.repeat(values, m, axis=0)
+            values.reshape(-1, m, ell)[rows] += block
+        yield level, ids, values
 
 
 def _tree_leaf_sums(F: Martingale, forest: FlatForest, scales=None, weight=None) -> np.ndarray:
@@ -337,9 +349,9 @@ def _tree_leaf_sums(F: Martingale, forest: FlatForest, scales=None, weight=None)
     root_index = forest.index.root_index
     sums = np.zeros(root_index.size)
     for level, ids, values in tree_leaf_values(F, forest, scales):
-        # leaf norms on the root cylinders only: one row per tree
+        # one row per tree: the leaf norms of its root cylinder
         span = spec.m ** (spec.depth - level)
-        leaf = vector_norms(values.reshape(-1, span, spec.ell)[root_index[ids]])
+        leaf = vector_norms(values.reshape(-1, span, spec.ell))
         if weight is not None:
             leaf = leaf * weight.reshape(-1, span)[root_index[ids]]
         sums[ids] = leaf.sum(axis=1)

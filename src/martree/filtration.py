@@ -56,7 +56,7 @@ class FiltrationSpec:
         return FiltrationSpec(self.m, depth, self.ell)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomId:
     """Address of one atom: its level and its index in [0, m^level)."""
 

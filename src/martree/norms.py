@@ -125,24 +125,28 @@ def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def lorentz_p1_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p: float) -> np.ndarray:
     """``lorentz_p1_from_distribution`` of each consecutive segment of
-    ``mags``, every atom of mass ``weight``; bit for bit, in one pass."""
+    ``mags``, every atom of mass ``weight``; bit for bit, in one pass.
+
+    The positive values of each segment are sorted descending, one row sort
+    per count: the segments that keep the same number of values are
+    gathered as the rows of one 2-D array.  Ties are equal values, so their
+    order is moot.
+    """
     if p <= 1:
         raise ValueError(f"Lorentz L_(p,1) requires p > 1, got {p}")
     lengths = np.asarray(lengths, dtype=np.int64)
-    segment = np.repeat(np.arange(lengths.size), lengths)
     keep = mags > 0
-    vals, segment = mags[keep], segment[keep]
-    # Descending within each segment: one descending order of all values,
-    # regrouped by segment with one sort of the distinct int64 keys
-    # (segment, position); ties are equal values, so their order is moot.
-    # ``segment`` is ascending, so it is the sorted keys' segment part.
-    order = np.argsort(vals)[::-1]
-    key = segment[order] * vals.size + np.arange(vals.size)
-    key.sort()
-    vals = vals[order[key - segment * vals.size]]
-    counts = np.bincount(segment, minlength=lengths.size)
+    vals = mags[keep]
+    counts = np.bincount(np.repeat(np.arange(lengths.size), lengths)[keep], minlength=lengths.size)
     ends = np.cumsum(counts)
-    rank = np.arange(vals.size) - np.repeat(ends - counts, counts)
+    starts = ends - counts
+    order = np.argsort(counts, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        if group.size == 0 or counts[group[0]] < 2:  # no segments, or nothing to sort
+            continue
+        rows = starts[group, None] + np.arange(counts[group[0]])
+        vals[rows] = np.sort(vals[rows], axis=1)[:, ::-1]
+    rank = np.arange(vals.size) - np.repeat(starts, counts)
     # the cumulative masses of equal atoms are prefixes of one running sum
     cum = np.cumsum(np.full(int(counts.max(initial=0)), float(weight)))[rank]
     following = np.append(vals[1:], 0.0)

@@ -12,7 +12,10 @@ last bit for bit.  ``antichain_score`` scores a given antichain, and
 ``lp_norm_weighted`` is the one-segment form of ``norms.lp_norm_segments``.
 ``shift_w`` builds a subspace on which those searches meet tied values.
 ``log_mean_exp`` is scipy's ``logsumexp`` with weight 1/m, which the numpy
-log-mean-exp behind ``kappa.kappa_v_many`` reproduces.
+log-mean-exp behind ``kappa.kappa_v_many`` reproduces.  ``tree_leaf_values``
+is F_T on every leaf, the full-array form of ``decomp.tree_leaf_values``,
+and ``rle`` the atom-by-atom run-length code of a label mask that
+``cli._rle`` reproduces.
 """
 
 import numpy as np
@@ -258,3 +261,37 @@ def lp_norm_weighted(mags: np.ndarray, weights: np.ndarray, p: float) -> float:
 def log_mean_exp(a: np.ndarray) -> np.ndarray:
     """log((1/m) sum_j exp(a_j)) of each row of a (batch, m) array, by scipy."""
     return logsumexp(a, axis=1, b=1.0 / a.shape[1])
+
+
+def tree_leaf_values(F, forest, scales=None):
+    """Yields ``(level, ids, values)`` for each root level: the trees rooted
+    there and an (m^N, ell) array holding F_T on each one's root cylinder and
+    zero elsewhere, refilled for the next level.  Each member's block is
+    added to every leaf under it, in ascending level order."""
+    spec = F.spec
+    m, ell = spec.m, spec.ell
+    index = forest.index
+    values = np.empty((spec.leaves, ell))
+    for level in np.unique(index.root_level).tolist():
+        rooted_here = index.root_level == level
+        values.fill(0.0)
+        for n in range(level, spec.depth):
+            atoms = index.members[n][np.repeat(rooted_here[index.ids[n]], index.counts[n])]
+            block = F.diffs[n][atoms].reshape(-1, 1, ell)
+            if scales is not None:
+                block = scales[n] * block
+            rep = m ** (spec.depth - n - 1)
+            values.reshape(-1, rep, ell)[(atoms[:, None] * m + np.arange(m)).ravel()] += block
+        yield level, np.flatnonzero(rooted_here), values
+
+
+def rle(mask: np.ndarray) -> list:
+    """[[value, run length], ...] of a mask, one atom at a time."""
+    runs = []
+    start = 0
+    values = mask.astype(int)
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] != values[start]:
+            runs.append([int(values[start]), i - start])
+            start = i
+    return runs

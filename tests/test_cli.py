@@ -22,6 +22,7 @@ from martree.fileio import (
 from martree.filtration import FiltrationSpec, TreeMeasure
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup
 from martree.spacew import SubspaceW, delta_vector
+import oracles
 from tests.test_filtration import random_martingale
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -270,6 +271,15 @@ class TestSubcommands:
         forest = json.loads((out / "forest.json").read_text())
         assert "labels_rle" in forest
         assert (out / "decompose.csv").exists()
+
+    def test_rle_matches_the_loop(self):
+        rng = np.random.default_rng(11)
+        masks = [np.zeros(0, dtype=bool), np.ones(1, dtype=bool), np.zeros(5, dtype=bool)]
+        masks += [rng.random(size) < share for size in (2, 7, 100, 3**8) for share in (0.05, 0.5, 0.95)]
+        for mask in masks:
+            runs = cli._rle(mask)
+            assert runs == oracles.rle(mask)
+            assert all(type(x) is int for run in runs for x in run)
 
     def test_dimension_frostman(self, tmp_path, capsys):
         spec = FiltrationSpec(3, 6, 1)

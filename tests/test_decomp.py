@@ -35,6 +35,7 @@ from martree.kappa import kappa_of
 from martree.norms import lorentz_p1_from_distribution, lp_norm, martingale_level
 from martree.riesz import delta_martingale
 from martree.spacew import SubspaceW, delta_vector, random_w_martingale
+import oracles
 from oracles import lp_norm_weighted
 from tests.test_filtration import random_martingale
 
@@ -529,6 +530,19 @@ def sparse_martingale(spec, seed, keep):
     return Martingale(spec, f0, diffs, validate=False)
 
 
+def all_flat_martingale():
+    """A measure martingale: nonnegative, so every atom is flat."""
+    spec = FiltrationSpec(3, 6, 1)
+    return measure_to_martingale(TreeMeasure(spec, np.random.default_rng(2).random(spec.leaves)))
+
+
+def all_convex_martingale():
+    """Blocks (2, -1, -1) scaled by 10^n: every atom is convex at eps 1."""
+    spec = FiltrationSpec(3, 5, 1)
+    diffs = [10.0**n * np.tile([2.0, -1.0, -1.0], (3**n, 1))[:, :, None] for n in range(spec.depth)]
+    return Martingale(spec, np.zeros(1), diffs)
+
+
 class TestLoopOracles:
     @pytest.mark.parametrize("m", [3, 4, 5])
     @pytest.mark.parametrize("depth", [1, 2, 4])
@@ -554,15 +568,13 @@ class TestLoopOracles:
         assert len(classify_atoms(Martingale.zero(spec), 0.1).trees) == 1
 
     def test_all_flat(self):
-        spec = FiltrationSpec(3, 6, 1)
-        F = measure_to_martingale(TreeMeasure(spec, np.random.default_rng(2).random(spec.leaves)))
+        F = all_flat_martingale()
         assert classify_atoms(F, 0.05).n_convex() == 0
         assert_checks_identical(F, 0.05)
 
     def test_all_convex(self):
-        spec = FiltrationSpec(3, 5, 1)
-        diffs = [10.0**n * np.tile([2.0, -1.0, -1.0], (3**n, 1))[:, :, None] for n in range(spec.depth)]
-        F = Martingale(spec, np.zeros(1), diffs)
+        F = all_convex_martingale()
+        spec = F.spec
         forest = classify_atoms(F, 1.0)
         assert forest.n_convex() == sum(spec.atoms_at(n) for n in range(spec.depth))
         assert forest.trees == []
@@ -588,15 +600,69 @@ class TestLoopOracles:
         assert_checks_identical(F, epsilon, p=p, alpha=0.8)
 
 
+# The shapes of TestLoopOracles, as lists of (martingale, epsilon).
+LAYOUT_CASES = {
+    "random": lambda: [
+        (random_martingale(FiltrationSpec(m, depth, 2), seed), epsilon)
+        for m in (3, 4, 5) for depth in (1, 2, 4) for seed in range(2) for epsilon in (0.05, 0.3, 1.0)
+    ],
+    "deep-w": lambda: [
+        (random_w_martingale(SubspaceW.random(3, 2, 2, seed=4), FiltrationSpec(3, 7, 2), seed=5), epsilon)
+        for epsilon in (0.01, 0.1, 0.5)
+    ],
+    "wide-values": lambda: [(random_martingale(FiltrationSpec(3, 4, 9), 6), 0.2)],
+    "zero": lambda: [(Martingale.zero(FiltrationSpec(m, 4, 2)), 0.1) for m in (3, 4)],
+    "all-flat": lambda: [(all_flat_martingale(), 0.05)],
+    "all-convex": lambda: [(all_convex_martingale(), 1.0)],
+    "level-scaled": lambda: [
+        (growing_martingale(FiltrationSpec(m, 5, 2), 7, growth), 0.2) for growth in (0.3, 1.0, 3.0) for m in (3, 4)
+    ],
+    "sparse": lambda: [
+        (sparse_martingale(FiltrationSpec(m, 5, ell), seed, 0.5), 0.3)
+        for m in (3, 4) for ell in (1, 3) for seed in range(3)
+    ],
+}
+
+
+def assert_layout_matches_oracle(F, epsilon) -> int:
+    """Each block ``tree_leaf_values`` yields is the full-array oracle's
+    array on those trees' root cylinders, bit for bit, with and without
+    scales.  Returns the number of blocks."""
+    spec = F.spec
+    forest = classify_atoms(F, epsilon)
+    root_index = forest.index.root_index
+    scales = [float(spec.m) ** (-0.8 * (n + 1)) for n in range(spec.depth)]
+    blocks = 0
+    for sc in (None, scales):
+        pairs = zip(tree_leaf_values(F, forest, sc), oracles.tree_leaf_values(F, forest, sc), strict=True)
+        for (level, ids, values), (ref_level, ref_ids, full) in pairs:
+            assert level == ref_level and np.array_equal(ids, ref_ids)
+            span = spec.m ** (spec.depth - level)
+            expected = full.reshape(-1, span, spec.ell)[root_index[ids]].reshape(-1, spec.ell)
+            assert values.shape == expected.shape == (ids.size * span, spec.ell)
+            assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+            blocks += 1
+    assert blocks == 2 * np.unique(forest.index.root_level).size
+    return blocks
+
+
 class TestBatchedHelpers:
+    @pytest.mark.parametrize("case", list(LAYOUT_CASES))
+    def test_tree_leaf_values_on_root_cylinders_match_full_array(self, case):
+        blocks = [assert_layout_matches_oracle(F, epsilon) for F, epsilon in LAYOUT_CASES[case]()]
+        assert (sum(blocks) == 0) == (case == "all-convex")
+
     def test_tree_leaf_values_sum_to_flat_part(self):
         # Summing F_T over every tree gives F_fl - F_0 on the leaves.
         spec = FiltrationSpec(3, 5, 2)
         F = random_martingale(spec, 21)
         forest = classify_atoms(F, 0.2)
+        root_index = forest.index.root_index
         total = np.zeros((spec.leaves, spec.ell))
-        for _, _, values in tree_leaf_values(F, forest):
-            total += values
+        for level, ids, values in tree_leaf_values(F, forest):
+            # each block back at its trees' root cylinders
+            span = spec.m ** (spec.depth - level)
+            total.reshape(-1, span, spec.ell)[root_index[ids]] += values.reshape(-1, span, spec.ell)
         _, F_fl = split_convex_flat(F, forest)
         expected = evaluate(F_fl, spec.depth) - F.f0
         assert np.allclose(total, expected, atol=1e-12)

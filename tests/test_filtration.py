@@ -1,5 +1,9 @@
 """Tree, measure and martingale plumbing."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +70,16 @@ class TestSpecAndAtoms:
         for c in children:
             assert c.parent(m) == atom
         assert atom.digits(m) == (2, 1)
+
+    def test_atom_id_is_a_slotted_frozen_value(self):
+        atom = AtomId(3, 11)
+        assert atom == AtomId(3, 11) and atom != AtomId(3, 12)
+        assert hash(atom) == hash(AtomId(3, 11)) and len({atom, AtomId(3, 11)}) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            atom.level = 4
+        assert not hasattr(atom, "__dict__")
+        for copy_ in (pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom)):
+            assert type(copy_) is AtomId and copy_ == atom and hash(copy_) == hash(atom)
 
     def test_cylinders_nested_or_disjoint(self):
         # Ball geometry: descendant leaf ranges of two atoms at any levels

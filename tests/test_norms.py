@@ -347,6 +347,32 @@ class TestSegmentNorms:
             for s, n in zip(starts.tolist(), lengths.tolist())
         ]
 
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [],
+            [[], [], []],
+            [[0.0, 0.0], [], [0.0]],
+            [[1.5], [0.0, 2.0], [0.0, 0.0, 3.0], []],
+            [[2.0, 2.0, 2.0], [1.0, 2.0, 1.0, 2.0], [0.5, 0.0, 0.5]],
+            # 8 or more kept values: segment_sums' pairwise path
+            [[*np.linspace(0.1, 1.0, 8)], [0.0, *np.linspace(1.0, 0.1, 8)], [3.0] * 9,
+             [*np.random.default_rng(5).choice([0.0, 0.25, 1.0, 4.0], 40)], [0.0] * 8, [7.0]],
+        ],
+        ids=["no-segments", "zero-length", "all-zero", "one-value", "ties", "eight-or-more"],
+    )
+    def test_lorentz_segments_edge_cases(self, segments):
+        mags = np.array([v for seg in segments for v in seg], dtype=float)
+        lengths = [len(seg) for seg in segments]
+        weight = 3.0**-4
+        for p in (1.5, 2.0, 3.0):
+            lorentz = lorentz_p1_segments(mags, lengths, weight, p)
+            assert lorentz.shape == (len(segments),)
+            assert lorentz.tolist() == [
+                lorentz_p1_from_distribution(np.array(seg, dtype=float), np.full(len(seg), weight), p)
+                for seg in segments
+            ]
+
     def test_lorentz_segments_reject_p_one(self):
         with pytest.raises(ValueError):
             lorentz_p1_segments(np.ones(3), [3], 1.0, 1.0)
