@@ -379,36 +379,3 @@ def build_sharpness_measure(
         if worst > 1e-12 * scale:
             raise ValueError(f"lifted blocks left W at level {n} (residual {worst:.2e})")
     return mm, lifted
-
-
-@dataclass
-class DigitFrequencyReport:
-    weights: np.ndarray
-    frequencies: np.ndarray
-    max_deviation: float
-    samples: int
-    digits_per_sample: int
-
-
-def digit_frequency_test(
-    mm: MultiplicativeMeasure, samples: int, seed, digits_per_sample: int | None = None
-) -> DigitFrequencyReport:
-    """Pooled digit frequencies of sampled paths against the branch weights.
-
-    The digits of a product measure are i.i.d., so paths are sampled digitwise
-    and the tree never needs materializing; expected deviation is
-    O(1/sqrt(samples * digits)).
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    n_digits = digits_per_sample or mm.spec.depth
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(mm.spec.m, size=(samples, n_digits), p=mm.weights)
-    freqs = np.array([(draws == j).mean() for j in range(mm.spec.m)])
-    return DigitFrequencyReport(
-        weights=mm.weights,
-        frequencies=freqs,
-        max_deviation=float(np.max(np.abs(freqs - mm.weights))),
-        samples=samples,
-        digits_per_sample=n_digits,
-    )

@@ -74,6 +74,10 @@ def _require(obj, fields, path, what):
             raise ValueError(f"{path}: {what} lacks the field {name!r}")
 
 
+# header fields that size the arrays of a file
+_SIZE_FIELDS = frozenset({"m", "depth", "ell", "k"})
+
+
 def _load(path, expected_kind, fields):
     def constant(name):  # NaN names no value; an infinity loads and fails as a numeric failure
         if name == "NaN":
@@ -85,6 +89,10 @@ def _load(path, expected_kind, fields):
     if doc.get("kind") != expected_kind:
         raise ValueError(f"{path}: expected kind {expected_kind!r}, got {doc.get('kind')!r}")
     _require(doc, fields, path, f"the {expected_kind} file")
+    for name in _SIZE_FIELDS.intersection(fields):
+        # a float, string or null would fail later as a TypeError; a bool passes for an int
+        if type(doc[name]) is not int:
+            raise ValueError(f"{path}: the {expected_kind} file's {name!r} is {doc[name]!r}, not an integer")
     return doc
 
 
@@ -179,7 +187,14 @@ def write_subspace(path, W: SubspaceW) -> None:
 
 def read_subspace(path) -> SubspaceW:
     doc = _load(path, "subspace-w", ("m", "ell", "k", "basis"))
-    basis = np.asarray(doc["basis"], dtype=float).reshape(doc["k"], doc["m"], doc["ell"])
+    shape = (doc["k"], doc["m"], doc["ell"])
+    try:
+        basis = np.asarray(doc["basis"], dtype=float)
+    except (TypeError, ValueError):
+        basis = None
+    if basis is None or min(shape) < 0 or basis.size != np.prod(shape):
+        raise ValueError(f"{path}: the basis is not k x m x ell = {' x '.join(map(str, shape))} numbers")
+    basis = basis.reshape(shape)
     if not np.isfinite(basis).all():  # as read_measure does, name the file
         raise ValueError(f"{path}: basis holds a non-finite value")
     return SubspaceW(doc["m"], doc["ell"], basis)

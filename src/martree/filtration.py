@@ -275,39 +275,3 @@ def multiplicative_martingale(spec: FiltrationSpec, v: np.ndarray) -> Martingale
         diffs.append((values[:, None] * v)[:, :, None])
         values = (values[:, None] * factors).reshape(-1)
     return Martingale(spec, np.ones(1), diffs, validate=False)
-
-
-def sample_paths(mu: TreeMeasure, n_samples: int, seed) -> np.ndarray:
-    """Leaf indices drawn with probability proportional to their mass.
-
-    Deterministic given the seed.  Raises on negative masses or zero total.
-    """
-    if not mu.is_scalar:
-        raise ValueError("sampling requires a scalar measure")
-    mass = mu.leaf_mass
-    if np.any(mass < 0):
-        raise ValueError("sampling requires nonnegative masses")
-    total = float(mass.sum())
-    if total <= 0:
-        raise ValueError("sampling requires positive total mass")
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(mass)
-    u = rng.random(n_samples) * total
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, mu.spec.leaves - 1)
-
-
-def sample_path(mu: TreeMeasure, seed) -> AtomId:
-    """One leaf drawn with probability equal to its mass."""
-    return AtomId(mu.spec.depth, int(sample_paths(mu, 1, seed)[0]))
-
-
-def leaf_digit_matrix(indices: np.ndarray, m: int, depth: int) -> np.ndarray:
-    """Base-m digits (most significant first) of many leaf indices at once."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.empty((indices.size, depth), dtype=np.int64)
-    rem = indices.copy()
-    for pos in range(depth - 1, -1, -1):
-        out[:, pos] = rem % m
-        rem //= m
-    return out

@@ -94,17 +94,6 @@ class FiniteAbelianGroup:
         return closure
 
 
-def dft(f: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    """Unitary transform: f_hat(gamma) = m^{-1/2} sum_x f(x) conj(chi_gamma(x))."""
-    m = chars.shape[0]
-    return np.tensordot(chars.conj(), f, axes=(1, 0)) / np.sqrt(m)
-
-
-def idft(fhat: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    m = chars.shape[0]
-    return np.tensordot(chars.T, fhat, axes=(1, 0)) / np.sqrt(m)
-
-
 @dataclass
 class FiberFamily:
     """For each nonzero gamma an orthonormal complex basis of W_gamma (rows)."""
@@ -196,23 +185,6 @@ def build_shift_invariant_w(fibers: FiberFamily) -> ShiftInvariantW:
             blocks.append(np.outer(chars[gamma], b) / np.sqrt(m))
     basis = np.asarray(blocks, dtype=complex).reshape(-1, m, fibers.ell)
     return ShiftInvariantW(group=G, ell=fibers.ell, basis=basis)
-
-
-def shift_invariance_residual(w: ShiftInvariantW) -> float:
-    """max over basis f and z in G of dist(f(z + .), span W); should be ~0."""
-    G = w.group
-    m = G.order
-    flat = w.basis.reshape(w.dim, -1)
-    proj = flat.T @ flat.conj()
-    add = G.add_table()
-    worst = 0.0
-    for f in w.basis:
-        for z in range(m):
-            shifted = f[add[z]]
-            vec = shifted.reshape(-1)
-            residual = vec - proj @ vec
-            worst = max(worst, float(np.linalg.norm(residual)))
-    return worst
 
 
 def check_cancellation_fibers(fibers: FiberFamily) -> tuple[bool, np.ndarray | None]:

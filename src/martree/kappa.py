@@ -25,6 +25,10 @@ kappa_v is a log-mean-exp of log|1 + v_j| / theta, taken in numpy with the
 very float operations of scipy 1.17's ``logsumexp`` (scaled by b = 1/m), so
 its values are scipy's bit for bit without scipy's per-call array-API
 dispatch, and do not change with the installed scipy.
+
+The bounded ray polish and the SLSQP joint polish import scipy.optimize
+where they run, since loading it costs about half a second of start-up and
+only the experiment kinds that search kappa ever reach them.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .spacew import SubspaceW, _row_norms, project
 
@@ -195,6 +198,8 @@ def _optimize_ray(u, objective, objective_many, maximize):
     lo = ts[max(best_idx - 1, 0)]
     hi = ts[min(best_idx + 1, RAY_GRID_POINTS - 1)]
     sign = -1.0 if maximize else 1.0
+    from scipy import optimize
+
     res = optimize.minimize_scalar(
         lambda t: sign * objective(t * u),
         bounds=(lo, hi),
@@ -220,6 +225,8 @@ def _joint_polish(W, v0, a0, objective, maximize):
         v, a = z[:m], z[m:]
         X = np.outer(v, a)
         return np.concatenate([(X - project(X, W)).ravel(), [a @ a - 1.0]])
+
+    from scipy import optimize
 
     z0 = np.concatenate([v0, a0])
     try:

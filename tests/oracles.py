@@ -16,14 +16,22 @@ log-mean-exp behind ``kappa.kappa_v_many`` reproduces.  ``tree_leaf_values``
 is F_T on every leaf, the full-array form of ``decomp.tree_leaf_values``,
 and ``rle`` the atom-by-atom run-length code of a label mask that
 ``cli._rle`` reproduces.
+
+The rest are test-side tools the package never calls: mass-weighted leaf
+sampling with its base-m digits, the digit-frequency test of a product
+measure, the unitary DFT pair on a finite abelian group, and the
+shift-invariance residual of a subspace built from fibers.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
-from martree.dimension import _node_weights
-from martree.groupfourier import FiberFamily, FiniteAbelianGroup, build_shift_invariant_w
+from martree.dimension import MultiplicativeMeasure, _node_weights
+from martree.filtration import AtomId, TreeMeasure
+from martree.groupfourier import FiberFamily, FiniteAbelianGroup, ShiftInvariantW, build_shift_invariant_w
 from martree.kappa import feasible_interval
 from martree.spacew import (
     FIRST_CONDITION_HOLDS,
@@ -295,3 +303,100 @@ def rle(mask: np.ndarray) -> list:
             runs.append([int(values[start]), i - start])
             start = i
     return runs
+
+
+def sample_paths(mu: TreeMeasure, n_samples: int, seed) -> np.ndarray:
+    """Leaf indices drawn with probability proportional to their mass.
+
+    Deterministic given the seed.  Raises on negative masses or zero total.
+    """
+    if not mu.is_scalar:
+        raise ValueError("sampling requires a scalar measure")
+    mass = mu.leaf_mass
+    if np.any(mass < 0):
+        raise ValueError("sampling requires nonnegative masses")
+    total = float(mass.sum())
+    if total <= 0:
+        raise ValueError("sampling requires positive total mass")
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(mass)
+    u = rng.random(n_samples) * total
+    idx = np.searchsorted(cdf, u, side="right")
+    return np.minimum(idx, mu.spec.leaves - 1)
+
+
+def sample_path(mu: TreeMeasure, seed) -> AtomId:
+    """One leaf drawn with probability equal to its mass."""
+    return AtomId(mu.spec.depth, int(sample_paths(mu, 1, seed)[0]))
+
+
+def leaf_digit_matrix(indices: np.ndarray, m: int, depth: int) -> np.ndarray:
+    """Base-m digits (most significant first) of many leaf indices at once."""
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.empty((indices.size, depth), dtype=np.int64)
+    rem = indices.copy()
+    for pos in range(depth - 1, -1, -1):
+        out[:, pos] = rem % m
+        rem //= m
+    return out
+
+
+@dataclass
+class DigitFrequencyReport:
+    weights: np.ndarray
+    frequencies: np.ndarray
+    max_deviation: float
+    samples: int
+    digits_per_sample: int
+
+
+def digit_frequency_test(
+    mm: MultiplicativeMeasure, samples: int, seed, digits_per_sample: int | None = None
+) -> DigitFrequencyReport:
+    """Pooled digit frequencies of sampled paths against the branch weights.
+
+    The digits of a product measure are i.i.d., so paths are sampled digitwise
+    and the tree never needs materializing; expected deviation is
+    O(1/sqrt(samples * digits)).
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    n_digits = digits_per_sample or mm.spec.depth
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(mm.spec.m, size=(samples, n_digits), p=mm.weights)
+    freqs = np.array([(draws == j).mean() for j in range(mm.spec.m)])
+    return DigitFrequencyReport(
+        weights=mm.weights,
+        frequencies=freqs,
+        max_deviation=float(np.max(np.abs(freqs - mm.weights))),
+        samples=samples,
+        digits_per_sample=n_digits,
+    )
+
+
+def dft(f: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    """Unitary transform: f_hat(gamma) = m^{-1/2} sum_x f(x) conj(chi_gamma(x))."""
+    m = chars.shape[0]
+    return np.tensordot(chars.conj(), f, axes=(1, 0)) / np.sqrt(m)
+
+
+def idft(fhat: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    m = chars.shape[0]
+    return np.tensordot(chars.T, fhat, axes=(1, 0)) / np.sqrt(m)
+
+
+def shift_invariance_residual(w: ShiftInvariantW) -> float:
+    """max over basis f and z in G of dist(f(z + .), span W); should be ~0."""
+    G = w.group
+    m = G.order
+    flat = w.basis.reshape(w.dim, -1)
+    proj = flat.T @ flat.conj()
+    add = G.add_table()
+    worst = 0.0
+    for f in w.basis:
+        for z in range(m):
+            shifted = f[add[z]]
+            vec = shifted.reshape(-1)
+            residual = vec - proj @ vec
+            worst = max(worst, float(np.linalg.norm(residual)))
+    return worst

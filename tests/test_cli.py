@@ -1,6 +1,7 @@
 """CLI surface: subcommands, file formats, exit codes, byte reproducibility."""
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -111,6 +112,8 @@ READERS = [
     (read_subspace, "subspace-w", ["m", "ell", "k", "basis"]),
     (read_fibers, "fiber-family", ["factors", "ell", "fibers"]),
 ]
+# (reader, kind, field) for each header field that sizes a file's arrays
+SIZE_FIELDS = [(r, kind, f) for r, kind, fields in READERS for f in fields if f in ("m", "depth", "ell", "k")]
 
 
 class TestMalformedFiles:
@@ -211,6 +214,50 @@ class TestMalformedFiles:
         path.write_text(json.dumps(doc))
         assert main(["--out", str(tmp_path / "out"), "check-w", "--w", str(path)]) == 2
         assert "'k'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [10.0, "10", True, None], ids=["float", "string", "bool", "null"])
+    @pytest.mark.parametrize("reader, kind, field", SIZE_FIELDS, ids=[f"{k}-{f}" for _, k, f in SIZE_FIELDS])
+    def test_size_field_must_be_an_int(self, reader, kind, field, value, tmp_path):
+        path = tmp_path / "x.json"
+        _write_sample(kind, path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"x.json: the {kind} file's {field!r} is {value!r}, "
+                                                       "not an integer")):
+            reader(path)
+
+    @pytest.mark.parametrize("argv, golden, field, value", [
+        (["frostman", "--measure"], "span_measure.json", "depth", 6.0),
+        (["norm", "--name", "lp", "--p", "2", "--martingale"], "martingale.json", "m", 3.0),
+        (["check-w", "--w"], "w_random.json", "ell", 2.0),
+    ], ids=["frostman-depth", "norm-m", "check-w-ell"])
+    def test_float_size_field_exits_two_naming_file(self, argv, golden, field, value, tmp_path, capsys):
+        doc = json.loads((GOLDEN / golden).read_text())
+        doc[field] = value
+        broken = tmp_path / "float.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv, str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert f"float.json: the {doc['kind']} file's {field!r} is {value!r}, not an integer" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [{"m": 4}, {"k": 3}, {"k": -2}, {"basis": [[[0.0, 0.0]], [[0.0]]]}],
+                             ids=["m", "k", "k-negative", "ragged"])
+    def test_subspace_basis_must_match_its_header(self, change, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "w_random.json").read_text())  # m 3, ell 2, k 2
+        doc.update(change)
+        broken = tmp_path / "w.json"
+        broken.write_text(json.dumps(doc))
+        shape = " x ".join(str(doc[f]) for f in ("k", "m", "ell"))
+        message = f"w.json: the basis is not k x m x ell = {shape} numbers"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_subspace(broken)
+        assert main(["--out", str(tmp_path / "out"), "check-w", "--w", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("change, message", [
         ({"level": -1}, "(level -1, atom 0) names no atom"),

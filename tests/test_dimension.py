@@ -15,7 +15,6 @@ from martree.dimension import (
     _support,
     antichain_max,
     build_sharpness_measure,
-    digit_frequency_test,
     eggleston_dimension,
     frostman_certify,
     multiplicative_measure,
@@ -23,7 +22,7 @@ from martree.dimension import (
 from martree.filtration import FiltrationSpec, TreeMeasure
 from martree.kappa import dimension_bound
 from martree.spacew import SubspaceW, delta_vector
-from oracles import antichain_score
+from oracles import antichain_score, digit_frequency_test
 
 
 def enumerate_antichains(m, depth, level=0, index=0):

