@@ -89,9 +89,9 @@ def _load(path, expected_kind, fields):
     if doc.get("kind") != expected_kind:
         raise ValueError(f"{path}: expected kind {expected_kind!r}, got {doc.get('kind')!r}")
     _require(doc, fields, path, f"the {expected_kind} file")
-    for name in _SIZE_FIELDS.intersection(fields):
+    for name in fields:
         # a float, string or null would fail later as a TypeError; a bool passes for an int
-        if type(doc[name]) is not int:
+        if name in _SIZE_FIELDS and type(doc[name]) is not int:
             raise ValueError(f"{path}: the {expected_kind} file's {name!r} is {doc[name]!r}, not an integer")
     return doc
 
@@ -217,7 +217,10 @@ def write_fibers(path, fibers: FiberFamily) -> None:
 
 def read_fibers(path) -> FiberFamily:
     doc = _load(path, "fiber-family", ("factors", "ell", "fibers"))
-    group = FiniteAbelianGroup(tuple(doc["factors"]))
+    factors = doc["factors"]
+    if not (type(factors) is list and all(type(d) is int for d in factors)):
+        raise ValueError(f"{path}: the fiber-family file's 'factors' is {factors!r}, not a list of integers")
+    group = FiniteAbelianGroup(tuple(factors))
     fibers = {}
     for key, rows in doc["fibers"].items():
         arr = np.asarray(rows, dtype=float)

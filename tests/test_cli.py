@@ -227,6 +227,20 @@ class TestMalformedFiles:
                                                        "not an integer")):
             reader(path)
 
+    @pytest.mark.parametrize("value", [[4.0], [4, "2"], [True], 4, "4", None],
+                             ids=["float", "string", "bool", "not-a-list", "string-not-a-list", "null"])
+    def test_fiber_factors_must_be_ints(self, value, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "fibers.json").read_text())
+        doc["factors"] = value
+        broken = tmp_path / "bad.json"
+        broken.write_text(json.dumps(doc))
+        message = f"bad.json: the fiber-family file's 'factors' is {value!r}, not a list of integers"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_fibers(broken)
+        assert main(["--out", str(tmp_path / "out"), "group-cancel", "--fibers", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, golden, field, value", [
         (["frostman", "--measure"], "span_measure.json", "depth", 6.0),
         (["norm", "--name", "lp", "--p", "2", "--martingale"], "martingale.json", "m", 3.0),
