@@ -72,6 +72,16 @@ def _json_text(document) -> str:
     return json.dumps(document, indent=1, sort_keys=True, default=_json_default) + "\n"
 
 
+def _json_tree_records(columns: dict[str, np.ndarray]) -> str:
+    """The text ``_json_text`` gives the "trees" list of forest.json, whose
+    i-th record maps each key of ``columns`` to that column's i-th integer;
+    rendered from the columns, with no dict per tree."""
+    keys = sorted(columns)
+    record = "  {\n" + ",\n".join(f'   "{key}": %d' for key in keys) + "\n  }"
+    rows = list(zip(*(columns[key].tolist() for key in keys)))
+    return "[\n" + ",\n".join(record % row for row in rows) + "\n ]" if rows else "[]"
+
+
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -188,23 +198,25 @@ def _decompose(c, out_dir, meta):
     forest = decomp.classify_atoms(F, c.eps)
     stepwise = decomp.verify_stepwise_identity(F)
     lemma = decomp.verify_convex_lemma(F, forest)
+    index, columns = forest.index, forest.columns
+    n_trees = index.root_level.size
     doc = {
         "epsilon": c.eps,
         "labels_rle": {str(n): _rle(mask) for n, mask in enumerate(forest.convex)},
         "n_convex": forest.n_convex(),
-        "n_trees": len(forest.trees),
-        "trees": [
-            {
-                "root_level": t.root.level,
-                "root_index": t.root.index,
-                "n_members": int(sum(len(v) for v in t.members.values())),
-                "n_fruits": len(t.fruits),
-                "n_leaf_atoms": int(t.leaf_atoms.size),
-            }
-            for t in forest.trees
-        ],
+        "n_trees": n_trees,
+        "trees": "@trees@",
     }
-    _write(out_dir, "forest.json", _json_text(doc))
+    trees = _json_tree_records(
+        {
+            "root_level": index.root_level,
+            "root_index": index.root_index,
+            "n_members": columns.n_members,
+            "n_fruits": columns.n_fruits,
+            "n_leaf_atoms": columns.n_leaf_atoms,
+        }
+    )
+    _write(out_dir, "forest.json", _json_text(doc).replace('"@trees@"', trees, 1))
     steps = ("increment_sum", "final_l1", "initial_l1", "identity_gap", "min_atom_increment")
     rows = [[name, _fmt(getattr(stepwise, name))] for name in steps] + [
         ["convex_constant", _fmt(lemma.constant)],
@@ -214,7 +226,7 @@ def _decompose(c, out_dir, meta):
         ["convex_lemma_holds", str(lemma.holds)],
     ]
     meta.update(eps=c.eps, f=c.martingale)
-    summary = f"trees={len(forest.trees)} convex_atoms={forest.n_convex()}"
+    summary = f"trees={n_trees} convex_atoms={forest.n_convex()}"
     _write_table(out_dir, "decompose.csv", meta, ["quantity", "value"], rows, summary)
 
 

@@ -18,15 +18,23 @@ and the stepwise identity read.  The forest's layout lives in one columnar
 index, ``FlatForest.index``, derived once from the convex masks in time
 linear in the number of atoms: tree ids propagate from parents to flat
 children, new roots are numbered in index order, and each level's members
-are grouped by tree with one stable sort.  ``classify_atoms`` slices its
-trees out of that index, and the per-tree checks, trace controls included,
-read it directly and run batched over all trees, with each tree's sums taken
-in the same order as a tree-by-tree loop would take them, so the reports are
-reproducible bit for bit.  The two sums over F_T, ||F_T||_{L_1} and
-||I_alpha[F_T]||_{L_1(nu)}, hold F_T only on the leaves of the root
-cylinders, one root level at a time, built top down from the members: the
-work is linear in the number of leaves under the roots, which counts each
-leaf at most once per root level, never trees x leaves.
+are grouped by tree with one stable sort.  What each tree holds beyond its
+members (its fruits, its leaf atoms, its member, fruit and leaf counts)
+stays in arrays next to the index, ``FlatForest.columns``.  The per-tree
+checks, trace controls included, read the index directly and run batched
+over all trees, with each tree's sums taken in the same order as a
+tree-by-tree loop would take them, so the reports are reproducible bit for
+bit.  The two sums over F_T, ||F_T||_{L_1} and ||I_alpha[F_T]||_{L_1(nu)},
+hold F_T only on the leaves of the root cylinders, one root level at a time,
+built top down from the members: the work is linear in the number of leaves
+under the roots, which counts each leaf at most once per root level, never
+trees x leaves.
+
+Nothing is built per tree unless it is read.  ``FlatForest.trees`` and the
+``per_tree`` lists of ``TreeGrowthReport`` and ``TreeSummationReport`` are
+dataclass fields without a value until their first read, which builds them
+from the arrays their maker left (the same ``AtomId``s, ints and floats, in
+the same order, as an eager build) and keeps them.
 """
 
 from __future__ import annotations
@@ -50,7 +58,8 @@ class FlatTree:
     leaf_atoms: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
 
 
-class ForestIndex(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ForestIndex:
     """The flat forest in columns, per level n < N and per tree; read-only."""
 
     tree_of: list[np.ndarray]     # each atom's tree id, -1 on convex atoms
@@ -59,6 +68,12 @@ class ForestIndex(NamedTuple):
     members: list[np.ndarray]     # their members, tree by tree, each ascending
     root_level: np.ndarray        # per tree, in tree order
     root_index: np.ndarray
+
+    @cached_property
+    def roots(self) -> list[AtomId]:
+        """Each tree's root, in tree order, built on first use and kept, so
+        ``FlatForest.trees`` and the reports' ``per_tree`` lists share them."""
+        return list(map(AtomId, self.root_level.tolist(), self.root_index.tolist()))
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -99,11 +114,53 @@ def _index_forest(convex: list[np.ndarray]) -> ForestIndex:
     return ForestIndex(tree_of, ids, counts, members, root_level, root_index)
 
 
+class TreeColumns(NamedTuple):
+    """What each flat tree holds beyond its members, as arrays in tree order;
+    read-only, laid out by ``classify_atoms``."""
+
+    fruit_level: np.ndarray       # the fruits, tree by tree, each tree's by level, then index
+    fruit_index: np.ndarray
+    leaf_atoms: np.ndarray        # the leaf atoms, tree by tree, each tree's ascending
+    n_members: np.ndarray         # per tree
+    n_fruits: np.ndarray
+    n_leaf_atoms: np.ndarray
+
+
+class _BuiltOnRead:
+    """Base of a dataclass with one field declared ``field(init=False)`` and
+    built on its first read.  ``_defer(name, build, *args)`` keeps the builder
+    outside the fields; the first read of ``name`` reaches ``__getattr__``,
+    because the field has no value yet, which calls ``build(*args)`` once and
+    stores the result as the field's value.  Equality, ``repr`` and
+    ``dataclasses.fields`` then see an ordinary field."""
+
+    def _defer(self, name: str, build, *args):
+        vars(self)["_pending"] = (name, build, args)
+        return self
+
+    def __getattr__(self, name: str):
+        pending = vars(self).get("_pending")
+        if pending is None or pending[0] != name:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = pending[1](*pending[2])
+        setattr(self, name, value)
+        del self._pending
+        return value
+
+
 @dataclass
-class FlatForest:
+class FlatForest(_BuiltOnRead):
+    """The convex labels and the flat trees.
+
+    ``classify_atoms`` leaves ``trees`` unbuilt, and ``FlatForest.columns``
+    holds the trees' contents as arrays; the first read of ``trees`` builds
+    the ``FlatTree``s from ``index`` and ``columns``.  A forest built by hand
+    assigns its ``trees`` after construction and has no ``columns``.
+    """
+
     epsilon: float
     convex: list[np.ndarray]              # per level n < N, boolean mask
-    trees: list[FlatTree]
+    trees: list[FlatTree] = field(init=False)
     increments: list[np.ndarray]          # E(|F_{n+1}|-|F_n|) chi_omega per atom
     level_masses: list[np.ndarray]        # E|F_n| chi_omega per atom
 
@@ -140,22 +197,24 @@ def _children(atoms: np.ndarray, m: int) -> np.ndarray:
     return (atoms[:, None] * m + np.arange(m)).ravel()
 
 
-def _slices(ids: np.ndarray, counts: np.ndarray, width: int = 1):
-    """(tree, start, stop) of each tree's consecutive run of ``counts * width``."""
-    stops = np.cumsum(counts) * width
-    return zip(ids.tolist(), (stops - counts * width).tolist(), stops.tolist())
+def _slices(ids: np.ndarray, counts: np.ndarray):
+    """(tree, start, stop) of each tree's consecutive run of ``counts``."""
+    stops = np.cumsum(counts)
+    return zip(ids.tolist(), (stops - counts).tolist(), stops.tolist())
 
 
 def classify_atoms(F: Martingale, epsilon: float) -> FlatForest:
-    """Label every internal atom convex or flat and assemble the flat forest.
+    """Label every internal atom convex or flat and lay out the flat forest.
 
-    The trees are sliced out of the forest's index (``FlatForest.index``),
-    built here once from the convex masks: per level, every atom's tree id,
-    the trees with members there and their members; per tree, its root.
-    Fruits, the convex atoms whose parent is flat, are grouped by tree with
+    The forest's index (``FlatForest.index``) is built here once from the
+    convex masks: per level, every atom's tree id, the trees with members
+    there and their members; per tree, its root.  Its ``columns`` follow:
+    fruits, the convex atoms whose parent is flat, are grouped by tree with
     one stable sort; leaves, the bottom atoms whose parent is flat, are the
-    children of the bottom members.  The work is linear in the number of
-    atoms.  The index is cached on the forest rather than held in a field,
+    children of the bottom members; and each tree's member, fruit and leaf
+    counts.  The work is linear in the number of atoms, and no per-tree
+    object is built: ``trees`` is built from the index and the columns on
+    its first read.  The index and the columns are kept outside the fields,
     so the forest's fields stay its outputs.
     """
     if not np.isfinite(epsilon) or epsilon <= 0:
@@ -167,13 +226,13 @@ def classify_atoms(F: Martingale, epsilon: float) -> FlatForest:
         (inc >= epsilon * base) & (child_mean > 0)
         for inc, base, child_mean in zip(increments, level_masses, child_means)
     ]
-    forest = FlatForest(epsilon, convex, [], increments, level_masses)
+    forest = FlatForest(epsilon, convex, increments, level_masses)
     index = forest.index
+    n_trees = index.root_level.size
 
-    members: list[dict[int, np.ndarray]] = [{} for _ in range(index.root_level.size)]
-    for n in range(spec.depth):
-        for t, start, stop in _slices(index.ids[n], index.counts[n]):
-            members[t][n] = index.members[n][start:stop]
+    n_members = np.zeros(n_trees, dtype=np.int64)
+    for ids, counts in zip(index.ids, index.counts):
+        n_members[ids] += counts
 
     fruit_tree, fruit_level, fruit_index = [_EMPTY], [_EMPTY], [_EMPTY]
     for n in range(1, spec.depth):
@@ -185,24 +244,39 @@ def classify_atoms(F: Martingale, epsilon: float) -> FlatForest:
         fruit_level.append(np.full(fruit_index[-1].size, n))
     fruit_tree = np.concatenate(fruit_tree)
     order = np.argsort(fruit_tree, kind="stable")
-    atoms = list(map(AtomId, np.concatenate(fruit_level)[order].tolist(),
-                     np.concatenate(fruit_index)[order].tolist()))
-    fruits: list[list[AtomId]] = [[] for _ in members]
-    for t, start, stop in _slices(*_runs(fruit_tree[order])):
-        fruits[t] = atoms[start:stop]
+
+    n_leaf_atoms = np.zeros(n_trees, dtype=np.int64)
+    n_leaf_atoms[index.ids[-1]] = m * index.counts[-1]
+    forest.columns = TreeColumns(
+        fruit_level=np.concatenate(fruit_level)[order],
+        fruit_index=np.concatenate(fruit_index)[order],
+        leaf_atoms=_children(index.members[-1], m),
+        n_members=n_members,
+        n_fruits=np.bincount(fruit_tree, minlength=n_trees),
+        n_leaf_atoms=n_leaf_atoms,
+    )
+    for a in forest.columns:
+        a.flags.writeable = False
+    return forest._defer("trees", _flat_trees, index, forest.columns)
+
+
+def _flat_trees(index: ForestIndex, columns: TreeColumns) -> list[FlatTree]:
+    """The ``FlatTree``s that ``index`` and ``columns`` lay out, in tree order."""
+    members: list[dict[int, np.ndarray]] = [{} for _ in range(index.root_level.size)]
+    for n, (ids, counts, atoms) in enumerate(zip(index.ids, index.counts, index.members)):
+        for t, start, stop in _slices(ids, counts):
+            members[t][n] = atoms[start:stop]
+
+    atoms = list(map(AtomId, columns.fruit_level.tolist(), columns.fruit_index.tolist()))
+    stops = np.cumsum(columns.n_fruits).tolist()
+    fruits = [atoms[start:stop] for start, stop in zip([0, *stops], stops)]
 
     leaves = [_EMPTY] * len(members)
-    leaf_atoms = _children(index.members[-1], m)
-    for t, start, stop in _slices(index.ids[-1], index.counts[-1], m):
-        leaves[t] = leaf_atoms[start:stop]
+    bottom = index.ids[-1]
+    for t, start, stop in _slices(bottom, columns.n_leaf_atoms[bottom]):
+        leaves[t] = columns.leaf_atoms[start:stop]
 
-    forest.trees = [
-        FlatTree(AtomId(n, i), tree_members, tree_fruits, tree_leaves)
-        for n, i, tree_members, tree_fruits, tree_leaves in zip(
-            index.root_level.tolist(), index.root_index.tolist(), members, fruits, leaves
-        )
-    ]
-    return forest
+    return list(map(FlatTree, index.roots, members, fruits, leaves))
 
 
 def split_convex_flat(F: Martingale, forest: FlatForest) -> tuple[Martingale, Martingale]:
@@ -364,10 +438,26 @@ def _running_max(start: float, values: np.ndarray) -> float:
 
 
 @dataclass
-class TreeGrowthReport:
+class TreeGrowthReport(_BuiltOnRead):
+    """``per_tree`` holds, per tree, its root, its ``(level, ratio)`` rows and
+    whether its root is degenerate.  ``verify_flat_tree_growth`` leaves it
+    unbuilt: the first read builds it from the per-level ``(tree ids,
+    ratios)`` columns and keeps it."""
+
     alpha: float
     max_ratio: float
-    per_tree: list[dict]
+    per_tree: list[dict] = field(init=False)
+
+
+def _growth_rows(index: ForestIndex, degenerate: np.ndarray, level_rows) -> list[dict]:
+    rows: list[list] = [[] for _ in range(degenerate.size)]
+    for n, ids, ratios in level_rows:
+        for t, ratio in zip(ids.tolist(), ratios.tolist()):
+            rows[t].append((n, ratio))
+    return [
+        {"root": root, "ratios": tree_rows, "degenerate": flag}
+        for root, tree_rows, flag in zip(index.roots, rows, degenerate.tolist())
+    ]
 
 
 def verify_flat_tree_growth(
@@ -382,32 +472,46 @@ def verify_flat_tree_growth(
     index = forest.index
     root_norm = _root_masses(F, levels, forest, p)
     envelope = np.array([np.exp(alpha * k) for k in range(spec.depth + 1)])
-    rows: list[list] = [[] for _ in forest.trees]
+    level_rows = []
     max_ratio = 0.0
     for n, (ids, counts, atoms) in enumerate(zip(index.ids, index.counts, index.members)):
         live = root_norm[ids] != 0.0
-        ids, counts, atoms = ids[live], counts[live], atoms[np.repeat(live, counts)]
+        if not live.all():
+            ids, counts, atoms = ids[live], counts[live], atoms[np.repeat(live, counts)]
         if ids.size == 0:
             continue
-        mags = vector_norms(levels[n + 1][_children(atoms, m)])
+        # the members' children, block by block
+        mags = vector_norms(levels[n + 1].reshape(-1, m, spec.ell)[atoms].reshape(-1, spec.ell))
         lhs = lp_norm_segments(mags, counts * m, float(m) ** (-(n + 1)), p)
         ratios = lhs / (envelope[n - index.root_level[ids]] * root_norm[ids])
-        for t, ratio in zip(ids.tolist(), ratios.tolist()):
-            rows[t].append((n, ratio))
+        level_rows.append((n, ids, ratios))
         max_ratio = _running_max(max_ratio, ratios)
-    per_tree = [
-        {"root": tree.root, "ratios": tree_rows, "degenerate": bool(norm == 0.0)}
-        for tree, tree_rows, norm in zip(forest.trees, rows, root_norm.tolist())
-    ]
-    return TreeGrowthReport(alpha=alpha, max_ratio=max_ratio, per_tree=per_tree)
+    report = TreeGrowthReport(alpha=alpha, max_ratio=max_ratio)
+    return report._defer("per_tree", _growth_rows, index, root_norm == 0.0, level_rows)
 
 
 @dataclass
-class TreeSummationReport:
+class TreeSummationReport(_BuiltOnRead):
+    """``per_tree`` holds, per tree, its root, Lorentz sum, root mass,
+    ||F_T||_{L_1} and, where it has one, its Lorentz ratio.
+    ``verify_tree_summation`` leaves it unbuilt: the first read builds it
+    from those per-tree columns and keeps it."""
+
     p: float
     max_lorentz_ratio: float
     max_stopping_ratio: float
-    per_tree: list[dict]
+    per_tree: list[dict] = field(init=False)
+
+
+def _summation_rows(index: ForestIndex, lorentz_sum, root_mass, ft_l1, ratios, has_ratio) -> list[dict]:
+    per_tree = []
+    columns = (lorentz_sum, root_mass, ft_l1, ratios, has_ratio)
+    for root, lsum, mass, ft, ratio, has in zip(index.roots, *(c.tolist() for c in columns)):
+        entry = {"root": root, "lorentz_sum": lsum, "root_mass": mass, "ft_l1": ft}
+        if has:
+            entry["lorentz_ratio"] = ratio
+        per_tree.append(entry)
+    return per_tree
 
 
 def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSummationReport:
@@ -421,7 +525,7 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
 
     # Each tree's Lorentz sum accumulates in ascending level order.
     index = forest.index
-    lorentz_sum = np.zeros(len(forest.trees))
+    lorentz_sum = np.zeros(index.root_level.size)
     for n, (ids, counts, atoms) in enumerate(zip(index.ids, index.counts, index.members)):
         if ids.size == 0:
             continue
@@ -440,19 +544,8 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     np.divide(lorentz_sum, root_mass, out=ratios, where=positive)
     max_lorentz = np.inf if np.any(has_ratio & ~positive) else _running_max(0.0, ratios[positive])
     max_stopping = _running_max(0.0, ft_l1 / total_l1) if total_l1 > 0 else 0.0
-    per_tree = []
-    columns = (lorentz_sum, root_mass, ft_l1, ratios, has_ratio)
-    for tree, lsum, mass, ft, ratio, has in zip(forest.trees, *(c.tolist() for c in columns)):
-        entry = {"root": tree.root, "lorentz_sum": lsum, "root_mass": mass, "ft_l1": ft}
-        if has:
-            entry["lorentz_ratio"] = ratio
-        per_tree.append(entry)
-    return TreeSummationReport(
-        p=p,
-        max_lorentz_ratio=max_lorentz,
-        max_stopping_ratio=max_stopping,
-        per_tree=per_tree,
-    )
+    report = TreeSummationReport(p=p, max_lorentz_ratio=max_lorentz, max_stopping_ratio=max_stopping)
+    return report._defer("per_tree", _summation_rows, index, lorentz_sum, root_mass, ft_l1, ratios, has_ratio)
 
 
 def verify_tree_trace(F: Martingale, forest: FlatForest, nu, nu_levels, alpha, p, c_frostman):

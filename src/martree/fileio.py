@@ -9,6 +9,7 @@ as [re, im] pairs.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,17 @@ def _require(obj, fields, path, what):
             raise ValueError(f"{path}: {what} lacks the field {name!r}")
 
 
+@contextmanager
+def _named(path):
+    """Re-raise a ValueError or TypeError raised while building an object from
+    the file ``path`` (a range check of ``FiltrationSpec``, an array of the
+    wrong shape) as a ValueError naming the file."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 # header fields that size the arrays of a file
 _SIZE_FIELDS = frozenset({"m", "depth", "ell", "k"})
 
@@ -112,11 +124,13 @@ def write_measure(path, mu: TreeMeasure) -> None:
 
 def read_measure(path) -> TreeMeasure:
     doc = _load(path, "tree-measure", ("m", "depth", "ell", "leaf_mass"))
-    spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
-    leaf_mass = np.asarray(doc["leaf_mass"], dtype=float)
+    with _named(path):
+        spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
+        leaf_mass = np.asarray(doc["leaf_mass"], dtype=float)
     if not np.isfinite(leaf_mass).all():  # an infinite mass would pass for a certified measure
         raise ValueError(f"{path}: leaf_mass holds a non-finite value")
-    return TreeMeasure(spec, leaf_mass)
+    with _named(path):
+        return TreeMeasure(spec, leaf_mass)
 
 
 def write_martingale(path, F: Martingale) -> None:
@@ -140,7 +154,8 @@ def write_martingale(path, F: Martingale) -> None:
 
 def read_martingale(path) -> Martingale:
     doc = _load(path, "martingale", ("m", "depth", "ell", "f0", "blocks"))
-    spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
+    with _named(path):
+        spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
     m, depth, ell = spec.m, spec.depth, spec.ell
     starts = [(m**n - 1) // (m - 1) for n in range(depth + 1)]  # the first node of each level
     nodes, values = [], []
@@ -169,7 +184,8 @@ def read_martingale(path) -> Martingale:
             raise ValueError(f"{path}: the values of a blocks entry are not {m} x {ell} numbers")
         flat[nodes] = blocks
     diffs = [flat[a:b] for a, b in zip(starts, starts[1:])]
-    return Martingale(spec, np.asarray(doc["f0"], dtype=float), diffs)
+    with _named(path):
+        return Martingale(spec, np.asarray(doc["f0"], dtype=float), diffs)
 
 
 def write_subspace(path, W: SubspaceW) -> None:
@@ -197,7 +213,8 @@ def read_subspace(path) -> SubspaceW:
     basis = basis.reshape(shape)
     if not np.isfinite(basis).all():  # as read_measure does, name the file
         raise ValueError(f"{path}: basis holds a non-finite value")
-    return SubspaceW(doc["m"], doc["ell"], basis)
+    with _named(path):
+        return SubspaceW(doc["m"], doc["ell"], basis)
 
 
 def write_fibers(path, fibers: FiberFamily) -> None:
@@ -220,14 +237,21 @@ def read_fibers(path) -> FiberFamily:
     factors = doc["factors"]
     if not (type(factors) is list and all(type(d) is int for d in factors)):
         raise ValueError(f"{path}: the fiber-family file's 'factors' is {factors!r}, not a list of integers")
-    group = FiniteAbelianGroup(tuple(factors))
+    with _named(path):
+        group = FiniteAbelianGroup(tuple(factors))
     fibers = {}
     for key, rows in doc["fibers"].items():
-        arr = np.asarray(rows, dtype=float)
+        # a character's canonical decimal text: "01", " 1", "1.5" and "-1" name none
+        if not (key.isascii() and key.isdecimal() and str(int(key)) == key and 0 < int(key) < group.order):
+            raise ValueError(f"{path}: fiber key {key!r} names no character of the group; "
+                             f"want an integer in [1, {group.order}) in decimal")
+        with _named(path):
+            arr = np.asarray(rows, dtype=float)
         if not np.isfinite(arr).all():  # as read_measure does, name the file
             raise ValueError(f"{path}: fiber {key} holds a non-finite value")
         if arr.size == 0:
             fibers[int(key)] = np.zeros((0, doc["ell"]), dtype=complex)
         else:
             fibers[int(key)] = arr[..., 0] + 1j * arr[..., 1]
-    return FiberFamily(group=group, ell=doc["ell"], fibers=fibers)
+    with _named(path):
+        return FiberFamily(group=group, ell=doc["ell"], fibers=fibers)

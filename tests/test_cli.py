@@ -20,7 +20,7 @@ from martree.fileio import (
     write_measure,
     write_subspace,
 )
-from martree.filtration import FiltrationSpec, TreeMeasure
+from martree.filtration import FiltrationSpec, Martingale, TreeMeasure
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup
 from martree.spacew import SubspaceW, delta_vector
 import oracles
@@ -289,6 +289,51 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert f"bad.json: blocks entry {message}" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["9", "4", "0", "01", "1.5", "-1", " 1", ""],
+                             ids=["beyond", "order", "zero", "leading-zero", "fraction", "negative", "space", "empty"])
+    def test_fiber_key_must_name_a_character(self, key, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "fibers.json").read_text())  # Z_4, keys "1" to "3"
+        doc["fibers"][key] = []
+        broken = tmp_path / "bad.json"
+        broken.write_text(json.dumps(doc))
+        message = f"bad.json: fiber key {key!r} names no character of the group"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_fibers(broken)
+        assert main(["--out", str(tmp_path / "out"), "group-cancel", "--fibers", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change, message", [
+        ({"m": 2}, "branching factor must be >= 3, got 2"),
+        ({"depth": 7}, "leaf_mass shape (729,) does not match 2187 leaves"),
+        ({"ell": 0}, "value dimension must be >= 1, got 0"),
+        ({"leaf_mass": "heavy"}, "could not convert string to float"),
+    ], ids=["m", "depth", "ell", "leaf-mass-text"])
+    def test_measure_checks_name_the_file(self, change, message, tmp_path, monkeypatch, capsys):
+        doc = json.loads((GOLDEN / "cascade.json").read_text())  # m 3, depth 6, ell 1
+        doc.update(change)
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text(json.dumps(doc))
+        Path("frostman.json").write_text(json.dumps({"kind": "frostman", "measure_file": "bad.json",
+                                                     "out": "out", "params": {"beta": 0.5}}))
+        assert main(["run", "frostman.json"]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.json: {message}" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reader, golden, change, message", [
+        (read_martingale, "martingale.json", {"m": 2}, "branching factor must be >= 3, got 2"),
+        (read_martingale, "martingale.json", {"f0": [0.0]}, "cannot reshape array of size 1 into shape (2,)"),
+        (read_subspace, "w_random.json", {"m": 2, "k": 3}, "basis blocks leave V^ell"),
+    ], ids=["martingale-m", "martingale-f0", "subspace-blocks"])
+    def test_martingale_and_subspace_checks_name_the_file(self, reader, golden, change, message, tmp_path):
+        doc = json.loads((GOLDEN / golden).read_text())
+        doc.update(change)
+        broken = tmp_path / "bad.json"
+        broken.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"bad.json: {message}")):
+            reader(broken)
+
 
 class TestSubcommands:
     def test_gen_w_and_check_w(self, tmp_path, capsys):
@@ -332,6 +377,23 @@ class TestSubcommands:
         forest = json.loads((out / "forest.json").read_text())
         assert "labels_rle" in forest
         assert (out / "decompose.csv").exists()
+
+    @pytest.mark.parametrize("case, eps, n_trees", [("random", 0.1, 11), ("all-convex", 1.0, 0)])
+    def test_forest_json_is_the_json_text_of_its_document(self, case, eps, n_trees, tmp_path, capsys):
+        # the trees list is rendered from count arrays; json itself must give the same bytes
+        spec = FiltrationSpec(3, 4, 2)
+        if case == "random":
+            F = random_martingale(spec, seed=3)
+        else:  # blocks (2, -1, -1) scaled by 10^n: every atom is convex at eps 1
+            block = np.array([[2.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
+            F = Martingale(spec, np.zeros(2), [10.0**n * np.tile(block, (3**n, 1, 1)) for n in range(4)])
+        write_martingale(tmp_path / "f.json", F)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "decompose", "--martingale", str(tmp_path / "f.json"), "--eps", str(eps)]) == 0
+        text = (out / "forest.json").read_text()
+        doc = json.loads(text)
+        assert doc["n_trees"] == len(doc["trees"]) == n_trees
+        assert cli._json_text(doc) == text
 
     def test_rle_matches_the_loop(self):
         rng = np.random.default_rng(11)

@@ -1,6 +1,7 @@
 """Convex/flat decomposition, the flat forest, and the combinatorial bounds."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from martree import trace
+from martree import decomp, trace
 from martree.decomp import (
     FlatForest,
     FlatTree,
+    TreeGrowthReport,
+    TreeSummationReport,
     atom_increments,
     classify_atoms,
     split_convex_flat,
@@ -364,7 +367,9 @@ def classify_atoms_oracle(F, epsilon):
     parent_tree = tree_of[spec.depth - 1][leaf_indices // m]
     for t, tree in enumerate(trees):
         tree.leaf_atoms = leaf_indices[parent_tree == t]
-    return FlatForest(epsilon, convex, trees, increments, level_masses)
+    forest = FlatForest(epsilon, convex, increments, level_masses)
+    forest.trees = trees
+    return forest
 
 
 def tree_summation_oracle(F, forest, p):
@@ -479,12 +484,23 @@ def assert_forests_identical(ours, ref):
 def assert_checks_identical(F, epsilon, p=2.0, alpha=0.9):
     """Every batched check equals its loop oracle exactly (==, no tolerance),
     on the forest ``classify_atoms`` builds and on the oracle's hand-built
-    one, whose index is derived on first use.  Each check then runs again on
-    the same forest after all the others and gives the same result, so no
-    check writes into the forest's cached index."""
+    one, whose index is derived on first use.  The forest's trees and the
+    reports' per-tree lists stay unbuilt until read, and then equal the
+    oracle's eager ones.  Each check then runs again on the same forest after
+    all the others and gives the same result, so no check writes into the
+    forest's cached index."""
     forest = classify_atoms(F, epsilon)
+    first_summation = verify_tree_summation(F, forest, p)
+    first_growth = verify_flat_tree_growth(F, forest, p, kappa_at_inv_p=0.2, alpha_margin=0.1)
+    # nothing is built per tree until it is read
+    assert "trees" not in vars(forest)
+    assert "per_tree" not in vars(first_summation) and "per_tree" not in vars(first_growth)
     ref = classify_atoms_oracle(F, epsilon)
     assert_forests_identical(forest, ref)
+    columns = forest.columns
+    assert columns.n_members.tolist() == [sum(v.size for v in t.members.values()) for t in ref.trees]
+    assert columns.n_fruits.tolist() == [len(t.fruits) for t in ref.trees]
+    assert columns.n_leaf_atoms.tolist() == [t.leaf_atoms.size for t in ref.trees]
 
     spec = F.spec
     nu = trace.capped_cascade_measure(FiltrationSpec(spec.m, spec.depth, 1), alpha, 1.0, seed=spec.depth)
@@ -507,6 +523,10 @@ def assert_checks_identical(F, epsilon, p=2.0, alpha=0.9):
             per_tree_checks_oracle(F, nu, nu_levels, alpha, epsilon, p, c_frostman),
         ),
     ]
+    # the reports made before any tree was read build the oracle's lists
+    summation_fields = (first_summation.max_lorentz_ratio, first_summation.max_stopping_ratio)
+    assert (*summation_fields, first_summation.per_tree) == checks[0][1]
+    assert (first_growth.max_ratio, first_growth.per_tree) == checks[1][1]
     for fo in (forest, ref, forest, ref):
         for check, expected in checks:
             assert check(fo) == expected
@@ -697,6 +717,49 @@ class TestBatchedHelpers:
         arrays = [*index.tree_of, *index.ids, *index.counts, *index.members, index.root_level, index.root_index]
         assert not any(a.flags.writeable for a in arrays)
         assert "index" not in {f.name for f in dataclasses.fields(forest)}
+
+    def test_fields_built_on_read_keep_their_names_and_places(self):
+        # the benchmark's result digests walk these fields in this order
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        assert names(FlatForest) == ["epsilon", "convex", "trees", "increments", "level_masses"]
+        assert names(TreeGrowthReport) == ["alpha", "max_ratio", "per_tree"]
+        assert names(TreeSummationReport) == ["p", "max_lorentz_ratio", "max_stopping_ratio", "per_tree"]
+
+    def test_checks_build_no_tree_objects(self, monkeypatch):
+        spec = FiltrationSpec(3, 6, 2)
+        F = random_w_martingale(SubspaceW.random(3, 2, 2, seed=4), spec, seed=8)
+
+        def no_objects(*args, **kwargs):
+            raise AssertionError("a per-tree object was built")
+
+        monkeypatch.setattr(decomp, "FlatTree", no_objects)
+        monkeypatch.setattr(decomp, "AtomId", no_objects)
+        forest = classify_atoms(F, 0.1)
+        verify_tree_summation(F, forest, 2.0)
+        verify_flat_tree_growth(F, forest, 2.0, kappa_at_inv_p=0.2, alpha_margin=0.1)
+        nu = trace.capped_cascade_measure(FiltrationSpec(3, spec.depth, 1), 0.9, 1.0, seed=1)
+        verify_tree_trace(F, forest, nu, [nu.level_mass(n) for n in range(spec.depth + 1)], 0.9, 2.0, 1.0)
+        monkeypatch.undo()
+        assert len(forest.index.root_level) > 1
+        assert_forests_identical(forest, classify_atoms_oracle(F, 0.1))
+
+    def test_field_built_on_first_read_is_kept(self):
+        F = random_martingale(FiltrationSpec(3, 4, 2), 24)
+        forest = classify_atoms(F, 0.2)
+        copied = pickle.loads(pickle.dumps(forest))
+        trees = forest.trees
+        assert forest.trees is trees and "trees" in vars(forest)
+        assert_forests_identical(copied, forest)
+        report = verify_tree_summation(F, forest, 2.0)
+        assert report.per_tree is report.per_tree
+        assert report == verify_tree_summation(F, forest, 2.0)
+        with pytest.raises(AttributeError, match="no attribute 'tree'"):
+            forest.tree
+        by_hand = FlatForest(0.2, forest.convex, forest.increments, forest.level_masses)
+        with pytest.raises(AttributeError, match="no attribute 'trees'"):
+            by_hand.trees
 
     @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_non_finite_or_nonpositive_epsilon_rejected(self, epsilon):

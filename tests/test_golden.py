@@ -167,6 +167,16 @@ def test_trace_embed_l1_builds_no_forest(tmp_path, monkeypatch):
     test_run_reproduces_golden_bytes("trace_embed_l1", tmp_path, monkeypatch)
 
 
+def test_decompose_builds_no_tree_objects(tmp_path, monkeypatch):
+    # forest.json is written from the forest's count arrays, not its trees.
+    def no_objects(*args, **kwargs):
+        raise AssertionError("decompose built a per-tree object")
+
+    monkeypatch.setattr("martree.decomp.FlatTree", no_objects)
+    monkeypatch.setattr("martree.decomp.AtomId", no_objects)
+    test_run_reproduces_golden_bytes("decompose", tmp_path, monkeypatch)
+
+
 def test_trace_embed_p_at_one_writes_the_l1_rows(tmp_path, monkeypatch):
     flags = ["--measure", "cascade.json", "--w", "w_span.json", "--alpha", "0.9",
              "--trials", "4", "--depths", "4", "6"]
