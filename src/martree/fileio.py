@@ -4,12 +4,20 @@ Everything is JSON with an explicit ``kind`` tag and the (m, depth/ell)
 header, floats written through Python's shortest-roundtrip repr (at most 17
 significant digits, bit-exact on reload).  Complex fiber entries are stored
 as [re, im] pairs.
+
+Each file has the bytes of ``json.dumps(document, indent=1)``.  Each writer
+formats all its floats in one ``_float_texts`` pass and lays each array out
+with one join per row of its last axis; the martingale writer fills one text
+template per blocks entry.
+Readers take numbers only: a string, null or object where a number belongs
+is a ValueError naming the file and the field.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,29 +31,65 @@ def _dump(path, document):
     Path(path).write_text(_encode(document, "") + "\n")
 
 
+class _Laid(list):
+    """A list kept with its JSON text, laid out already for its place in a
+    document; ``_encode`` writes the text."""
+
+    def __init__(self, items, text: str):
+        super().__init__(items)
+        self.text = text
+
+
 def _encode(obj, indent: str) -> str:
     """``json.dumps(obj, indent=1)`` of a value nested at ``indent``, the same bytes.
 
-    Dicts (string keys) and lists are laid out as json lays them out; a flat
-    float64 array is laid out as the list of its floats; a flat list of
-    finite floats is written as one join of ``float.__repr__``, which is what
-    json writes for each, and everything else goes to json itself.
+    Dicts (string keys) and lists are laid out as json lays them out; a
+    non-empty float64 array of any shape is laid out as its nested list, its
+    floats formatted in one ``_float_texts`` pass; a ``_Laid`` list is its
+    text, and everything else goes to json itself.
     """
     inner = indent + " "
+    if isinstance(obj, _Laid):
+        return obj.text
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
-            return f"[\n{inner}" + f",\n{inner}".join(_float_texts(obj)) + f"\n{indent}]"
+        if obj.dtype == np.float64 and obj.ndim and obj.size:
+            return _layout(obj.shape, indent, _float_texts(obj.ravel()))
         return _encode(obj.tolist(), indent)
     if isinstance(obj, list) and obj:
-        if all(type(v) is float for v in obj):
-            text = f",\n{inner}".join(map(float.__repr__, obj))
-            if "n" not in text:  # no inf or nan, which json spells Infinity and NaN
-                return f"[\n{inner}{text}\n{indent}]"
         return f"[\n{inner}" + f",\n{inner}".join(_encode(v, inner) for v in obj) + f"\n{indent}]"
     if isinstance(obj, dict) and obj:
         items = (f"{json.dumps(key)}: {_encode(value, inner)}" for key, value in obj.items())
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     return json.dumps(obj)
+
+
+def _layout(shape: tuple, indent: str, texts: list[str]) -> str:
+    """json's layout, nested at ``indent``, of a non-empty array of ``shape``
+    whose entries, in C order, have the texts ``texts``.
+
+    The text between two neighbouring entries depends only on how many
+    trailing axes end there: each row of the last axis is one join, and the
+    rows are joined with the text looked up for each gap between them.
+    """
+    ndim = len(shape)
+    opens = ["[\n" + indent + " " * (a + 1) for a in range(ndim)]
+    closes = ["\n" + indent + " " * a + "]" for a in range(ndim)]
+    between = []  # between two entries where the last ``ndim - going_on`` axes end
+    for going_on in range(ndim, 0, -1):
+        between.append("".join(reversed(closes[going_on:])) + ",\n" + indent + " " * going_on
+                       + "".join(opens[going_on:]))
+    width = shape[-1]
+    # a flat array is one row, joined without a copy of its texts
+    rows = [texts[i:i + width] for i in range(0, len(texts), width)] if ndim > 1 else [texts]
+    starts = np.arange(1, len(rows)) * width  # the C index of each row after the first
+    ended = np.ones(starts.size, dtype=np.intp)
+    for a in range(1, ndim - 1):
+        ended += starts % int(np.prod(shape[a:])) == 0
+    parts = [""] * (2 * len(rows) + 1)
+    parts[0], parts[-1] = "".join(opens), "".join(reversed(closes))
+    parts[1::2] = map(between[0].join, rows)
+    parts[2:-1:2] = np.array(between, dtype=object)[ended].tolist()
+    return "".join(parts)
 
 
 # json's spelling of the floats that float.__repr__ spells inf, -inf and nan
@@ -86,6 +130,49 @@ def _named(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _numbers(values, path, field: str, ndim: int) -> np.ndarray:
+    """The float64 array of the JSON numbers ``values``, read from ``path``,
+    nested at most ``ndim`` lists deep.
+
+    numpy's inferred dtype is the test, so numbers cost one conversion and
+    no pass of their own; a bool among them reads as 0/1.  Entries are looked
+    at one by one only when the dtype is not numeric: a string, null or
+    object is a ValueError naming the file and ``field``, and integers beyond
+    int64 still read as floats.  A ragged or deeper list is a ValueError too.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged list
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        reason = _non_number(values)
+        if reason is not None:
+            raise ValueError(f"{path}: could not convert {reason} in {field}")
+        try:
+            array = np.asarray(values, dtype=float)
+        except OverflowError:
+            raise ValueError(f"{path}: could not convert an integer beyond the float range in {field}") from None
+        except ValueError:
+            array = None
+    if array is None or array.ndim > ndim:
+        raise ValueError(f"{path}: {field} is not a rectangular array of numbers, nested at most {ndim} deep")
+    return array.astype(float, copy=False)
+
+
+def _non_number(value):
+    """What ``_numbers`` names for the first entry of ``value``, a JSON value
+    of nested lists, that is not a number; None if each is one."""
+    if isinstance(value, list):
+        return next(filter(None, map(_non_number, value)), None)
+    if isinstance(value, str):
+        return f"string to float: {value!r}"
+    if value is None:
+        return "null to float"
+    if isinstance(value, dict):
+        return "an object to float"
+    return None
+
+
 # header fields that size the arrays of a file
 _SIZE_FIELDS = frozenset({"m", "depth", "ell", "k"})
 
@@ -117,7 +204,7 @@ def write_measure(path, mu: TreeMeasure) -> None:
             "depth": mu.spec.depth,
             "ell": mu.spec.ell,
             "scalar": mu.is_scalar,
-            "leaf_mass": mu.leaf_mass if mu.is_scalar else mu.leaf_mass.tolist(),
+            "leaf_mass": mu.leaf_mass,
         },
     )
 
@@ -126,7 +213,7 @@ def read_measure(path) -> TreeMeasure:
     doc = _load(path, "tree-measure", ("m", "depth", "ell", "leaf_mass"))
     with _named(path):
         spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
-        leaf_mass = np.asarray(doc["leaf_mass"], dtype=float)
+    leaf_mass = _numbers(doc["leaf_mass"], path, "leaf_mass", 2)
     if not np.isfinite(leaf_mass).all():  # an infinite mass would pass for a certified measure
         raise ValueError(f"{path}: leaf_mass holds a non-finite value")
     with _named(path):
@@ -134,11 +221,28 @@ def read_measure(path) -> TreeMeasure:
 
 
 def write_martingale(path, F: Martingale) -> None:
+    """Write ``F`` with one blocks entry per block that is not all zero
+    (-0.0 counts as zero), level by level and atom by atom.
+
+    The kept blocks are gathered level by level, all their floats formatted
+    in one pass and filled into one text template per entry.
+    """
+    m, ell = F.spec.m, F.spec.ell
+    kept = [np.flatnonzero(np.any(level != 0, axis=(1, 2))) for level in F.diffs]
+    levels = np.repeat(np.arange(len(kept)), [ids.size for ids in kept])
+    atoms = np.concatenate(kept)
+    values = np.concatenate([level[ids] for level, ids in zip(F.diffs, kept)])
     blocks = []
-    for n, level in enumerate(F.diffs):
-        for i, block in enumerate(level):
-            if np.any(block != 0):
-                blocks.append({"level": n, "atom": i, "values": block.tolist()})
+    if atoms.size:
+        size = m * ell
+        # one entry, with %s where its level, atom and floats go
+        entry = '{\n   "level": %s,\n   "atom": %s,\n   "values": ' + _layout((m, ell), "   ", ["%s"] * size)
+        texts = _float_texts(values.ravel())
+        fields = zip(levels.tolist(), atoms.tolist(), *(texts[j::size] for j in range(size)))  # entry by entry
+        text = "[\n  " + "\n  },\n  ".join([entry] * atoms.size) % tuple(chain.from_iterable(fields)) + "\n  }\n ]"
+        # the document keeps the entries, so json.dumps(document, indent=1) still gives these bytes
+        items = [{"level": n, "atom": i, "values": v} for n, i, v in zip(levels.tolist(), atoms.tolist(), values)]
+        blocks = _Laid(items, text)
     _dump(
         path,
         {
@@ -146,7 +250,7 @@ def write_martingale(path, F: Martingale) -> None:
             "m": F.spec.m,
             "depth": F.spec.depth,
             "ell": F.spec.ell,
-            "f0": F.f0.tolist(),
+            "f0": F.f0,
             "blocks": blocks,
         },
     )
@@ -177,15 +281,16 @@ def read_martingale(path) -> Martingale:
     flat = np.zeros((starts[-1], m, ell))
     if nodes.size:
         try:
-            blocks = np.asarray(values, dtype=float)
-        except (TypeError, ValueError):
+            blocks = _numbers(values, path, "blocks", 3)
+        except ValueError:
             blocks = None
         if blocks is None or blocks.shape[1:] != (m, ell):
             raise ValueError(f"{path}: the values of a blocks entry are not {m} x {ell} numbers")
         flat[nodes] = blocks
     diffs = [flat[a:b] for a, b in zip(starts, starts[1:])]
+    f0 = _numbers(doc["f0"], path, "f0", 1)
     with _named(path):
-        return Martingale(spec, np.asarray(doc["f0"], dtype=float), diffs)
+        return Martingale(spec, f0, diffs)
 
 
 def write_subspace(path, W: SubspaceW) -> None:
@@ -196,7 +301,7 @@ def write_subspace(path, W: SubspaceW) -> None:
             "m": W.m,
             "ell": W.ell,
             "k": W.dim,
-            "basis": W.basis.tolist(),
+            "basis": W.basis,
         },
     )
 
@@ -205,8 +310,8 @@ def read_subspace(path) -> SubspaceW:
     doc = _load(path, "subspace-w", ("m", "ell", "k", "basis"))
     shape = (doc["k"], doc["m"], doc["ell"])
     try:
-        basis = np.asarray(doc["basis"], dtype=float)
-    except (TypeError, ValueError):
+        basis = _numbers(doc["basis"], path, "basis", 3)
+    except ValueError:
         basis = None
     if basis is None or min(shape) < 0 or basis.size != np.prod(shape):
         raise ValueError(f"{path}: the basis is not k x m x ell = {' x '.join(map(str, shape))} numbers")
@@ -220,7 +325,7 @@ def read_subspace(path) -> SubspaceW:
 def write_fibers(path, fibers: FiberFamily) -> None:
     packed = {}
     for gamma, basis in fibers.fibers.items():
-        packed[str(gamma)] = np.stack([basis.real, basis.imag], axis=-1).tolist()
+        packed[str(gamma)] = np.stack([basis.real, basis.imag], axis=-1)
     _dump(
         path,
         {
@@ -245,12 +350,13 @@ def read_fibers(path) -> FiberFamily:
         if not (key.isascii() and key.isdecimal() and str(int(key)) == key and 0 < int(key) < group.order):
             raise ValueError(f"{path}: fiber key {key!r} names no character of the group; "
                              f"want an integer in [1, {group.order}) in decimal")
-        with _named(path):
-            arr = np.asarray(rows, dtype=float)
+        arr = _numbers(rows, path, f"fiber {key}", 3)
         if not np.isfinite(arr).all():  # as read_measure does, name the file
             raise ValueError(f"{path}: fiber {key} holds a non-finite value")
         if arr.size == 0:
             fibers[int(key)] = np.zeros((0, doc["ell"]), dtype=complex)
+        elif arr.shape[-1:] != (2,):  # arr[..., 1] would be an IndexError, which names no file
+            raise ValueError(f"{path}: fiber {key} holds entries that are not [re, im] pairs")
         else:
             fibers[int(key)] = arr[..., 0] + 1j * arr[..., 1]
     with _named(path):

@@ -15,7 +15,9 @@ last bit for bit.  ``antichain_score`` scores a given antichain, and
 log-mean-exp behind ``kappa.kappa_v_many`` reproduces.  ``tree_leaf_values``
 is F_T on every leaf, the full-array form of ``decomp.tree_leaf_values``,
 and ``rle`` the atom-by-atom run-length code of a label mask that
-``cli._rle`` reproduces.
+``cli._rle`` reproduces.  ``write_martingale`` is the block-by-block writer,
+one dict per block walked by the recursive ``encode``, whose bytes the bulk
+``fileio.write_martingale`` reproduces.
 
 The rest are test-side tools the package never calls: mass-weighted leaf
 sampling with its base-m digits, the digit-frequency test of a product
@@ -23,14 +25,16 @@ measure, the unitary DFT pair on a finite abelian group, and the
 shift-invariance residual of a subspace built from fibers.
 """
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
 from martree.dimension import MultiplicativeMeasure, _node_weights
-from martree.filtration import AtomId, TreeMeasure
+from martree.filtration import AtomId, Martingale, TreeMeasure
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, ShiftInvariantW, build_shift_invariant_w
 from martree.kappa import feasible_interval
 from martree.spacew import (
@@ -303,6 +307,36 @@ def rle(mask: np.ndarray) -> list:
             runs.append([int(values[start]), i - start])
             start = i
     return runs
+
+
+def encode(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=1)`` of a value nested at ``indent``: dicts and
+    lists laid out one value at a time, a flat list of finite floats as one
+    join of ``float.__repr__``."""
+    inner = indent + " "
+    if isinstance(obj, list) and obj:
+        if all(type(v) is float for v in obj):
+            text = f",\n{inner}".join(map(float.__repr__, obj))
+            if "n" not in text:  # no inf or nan, which json spells Infinity and NaN
+                return f"[\n{inner}{text}\n{indent}]"
+        return f"[\n{inner}" + f",\n{inner}".join(encode(v, inner) for v in obj) + f"\n{indent}]"
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(key)}: {encode(value, inner)}" for key, value in obj.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(obj)
+
+
+def write_martingale(path, F: Martingale) -> None:
+    """One blocks entry per block that is not all zero, each a dict of its
+    level, atom and values."""
+    blocks = []
+    for n, level in enumerate(F.diffs):
+        for i, block in enumerate(level):
+            if np.any(block != 0):
+                blocks.append({"level": n, "atom": i, "values": block.tolist()})
+    document = {"kind": "martingale", "m": F.spec.m, "depth": F.spec.depth, "ell": F.spec.ell,
+                "f0": F.f0.tolist(), "blocks": blocks}
+    Path(path).write_text(encode(document, "") + "\n")
 
 
 def sample_paths(mu: TreeMeasure, n_samples: int, seed) -> np.ndarray:

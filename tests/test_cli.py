@@ -206,6 +206,20 @@ class TestMalformedFiles:
         assert "inf.json: fiber 1 holds a non-finite value" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows", [[[[0.5], [0.5]]], [[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]], [[0.5]], 0.5],
+                             ids=["one-number", "three-numbers", "flat", "a-number"])
+    def test_fiber_entries_must_be_pairs(self, rows, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "fibers.json").read_text())  # ell 2
+        doc["fibers"]["1"] = rows
+        broken = tmp_path / "bad.json"
+        broken.write_text(json.dumps(doc))
+        message = "bad.json: fiber 1 holds entries that are not [re, im] pairs"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_fibers(broken)
+        assert main(["--out", str(tmp_path / "out"), "group-cancel", "--fibers", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
     def test_check_w_without_k_exits_two(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         _write_sample("subspace-w", path)
@@ -320,6 +334,31 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert f"bad.json: {message}" in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_frostman_on_string_masses_exits_two(self, tmp_path, capsys):
+        # numpy would parse the strings, and the measure used to certify
+        doc = json.loads((GOLDEN / "cascade.json").read_text())
+        doc["leaf_mass"] = [repr(mass) for mass in doc["leaf_mass"]]
+        broken = tmp_path / "text.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "frostman", "--measure", str(broken), "--beta", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert f"text.json: could not convert string to float: {doc['leaf_mass'][0]!r} in leaf_mass" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_decompose_on_null_block_entry_exits_two(self, tmp_path, capsys):
+        # numpy would read null as NaN, and decompose used to write increment_sum,nan
+        doc = json.loads((GOLDEN / "martingale.json").read_text())
+        doc["blocks"][3]["values"][1][0] = None
+        broken = tmp_path / "null.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "decompose", "--martingale", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "null.json: the values of a blocks entry are not 3 x 2 numbers" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("reader, golden, change, message", [
         (read_martingale, "martingale.json", {"m": 2}, "branching factor must be >= 3, got 2"),

@@ -11,6 +11,7 @@ from martree import fileio
 from martree.filtration import FiltrationSpec, Martingale, TreeMeasure
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup
 from martree.spacew import SubspaceW
+import oracles
 
 # -0.0, subnormals, the least subnormal, a large power of ten, int-valued floats
 SPECIAL = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e16, 1e22, 3.0, -7.0, 0.1, 1 / 3, 123456789.0]
@@ -157,3 +158,164 @@ def test_martingale_read_back_block_for_block(tmp_path):
         expected[row["level"]][row["atom"]] = row["values"]
     assert [d.tobytes() for d in F.diffs] == [d.tobytes() for d in expected]
     assert F.f0.tobytes() == np.array(doc["f0"]).tobytes()
+
+
+def sparse_martingale(m, depth, ell, seed, kept=40):
+    """A martingale with at most ``kept`` non-zero blocks per level, each of
+    mean zero over its m children, at random atoms."""
+    rng = np.random.default_rng(seed)
+    diffs = []
+    for n in range(depth):
+        level = np.zeros((m**n, m, ell))
+        atoms = rng.choice(m**n, size=min(kept, m**n), replace=False)
+        blocks = rng.standard_normal((atoms.size, m, ell))
+        level[atoms] = blocks - blocks.mean(axis=1, keepdims=True)
+        diffs.append(level)
+    return Martingale(FiltrationSpec(m, depth, ell), rng.standard_normal(ell), diffs)
+
+
+def assert_martingale_bytes_match_oracle(F, tmp_path):
+    fileio.write_martingale(tmp_path / "bulk.json", F)
+    oracles.write_martingale(tmp_path / "blocks.json", F)
+    assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "blocks.json").read_bytes()
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+@pytest.mark.parametrize("ell", range(1, 4))
+@pytest.mark.parametrize("m", range(3, 10))
+def test_martingale_bytes_match_oracle(m, ell, depth, tmp_path):
+    assert_martingale_bytes_match_oracle(sparse_martingale(m, depth, ell, seed=m * 100 + ell * 10 + depth), tmp_path)
+
+
+def test_zero_martingale_bytes_match_oracle(tmp_path):
+    spec = FiltrationSpec(3, 3, 2)
+    F = Martingale(spec, np.zeros(2), [np.zeros((3**n, 3, 2)) for n in range(3)])
+    assert_martingale_bytes_match_oracle(F, tmp_path)
+    assert json.loads((tmp_path / "bulk.json").read_text())["blocks"] == []
+
+
+def test_zero_blocks_are_skipped_as_the_oracle_skips_them(tmp_path):
+    F = sparse_martingale(3, 4, 2, seed=1, kept=27)  # every block of levels 0 to 3 is kept
+    F.diffs[2][[0, 4]] = 0.0
+    F.diffs[3][[1, 26]] = -0.0
+    F.diffs[3][5, 0, 0] = -0.0  # a block with one zero entry stays
+    assert_martingale_bytes_match_oracle(F, tmp_path)
+    blocks = json.loads((tmp_path / "bulk.json").read_text())["blocks"]
+    assert len(blocks) == 1 + 3 + 9 + 27 - 4
+    assert [(b["level"], b["atom"]) for b in blocks if b["level"] >= 2][:3] == [(2, 1), (2, 2), (2, 3)]
+
+
+def test_special_floats_in_kept_blocks_match_oracle(tmp_path):
+    F = sparse_martingale(3, 3, 2, seed=2, kept=9)
+    values = np.concatenate([d.ravel() for d in F.diffs])
+    values[: len(SPECIAL)] = SPECIAL
+    F = Martingale(F.spec, np.array([1e22, -0.0]), [values[: d.size].reshape(d.shape) for d in F.diffs],
+                   validate=False)
+    F.diffs[1][1, 2] = 1e16
+    F.diffs[2][3, 0] = [5e-324, -0.0]
+    assert_martingale_bytes_match_oracle(F, tmp_path)
+
+
+def test_non_finite_floats_match_oracle(tmp_path):
+    F = sparse_martingale(4, 3, 2, seed=3, kept=16)
+    diffs = [d.copy() for d in F.diffs]
+    diffs[0][0, 1] = [INF, -INF]
+    diffs[2][7, 3, 0] = NAN
+    diffs[2][9] = NAN  # a block of nothing but NaN is not zero
+    F = Martingale(F.spec, np.array([INF, NAN]), diffs, validate=False)
+    assert_martingale_bytes_match_oracle(F, tmp_path)
+    text = (tmp_path / "bulk.json").read_text()
+    assert "Infinity" in text and "-Infinity" in text and "NaN" in text
+
+
+def test_golden_martingale_rewrites_to_its_bytes(tmp_path):
+    fileio.write_martingale(tmp_path / "f.json", fileio.read_martingale(GOLDEN_MARTINGALE))
+    assert (tmp_path / "f.json").read_bytes() == GOLDEN_MARTINGALE.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _set_measure(doc, entry):
+    doc["leaf_mass"][3] = entry(doc["leaf_mass"][3])
+
+
+def _set_f0(doc, entry):
+    doc["f0"][1] = entry(doc["f0"][1])
+
+
+def _set_values(doc, entry):
+    doc["blocks"][1]["values"][2][0] = entry(doc["blocks"][1]["values"][2][0])
+
+
+def _set_basis(doc, entry):
+    doc["basis"][1][2][0] = entry(doc["basis"][1][2][0])
+
+
+def _set_fiber(doc, entry):
+    doc["fibers"]["1"][0][0][1] = entry(doc["fibers"]["1"][0][0][1])
+
+
+# (reader, golden file, where one entry goes, how the error names the field)
+NUMBER_FIELDS = {
+    "measure": (fileio.read_measure, "cascade.json", _set_measure, "leaf_mass"),
+    "f0": (fileio.read_martingale, "martingale.json", _set_f0, "f0"),
+    "values": (fileio.read_martingale, "martingale.json", _set_values,
+               "the values of a blocks entry are not 3 x 2 numbers"),
+    "basis": (fileio.read_subspace, "w_random.json", _set_basis, "the basis is not k x m x ell = 2 x 3 x 2 numbers"),
+    "fiber": (fileio.read_fibers, "fibers.json", _set_fiber, "fiber 1"),
+}
+# (what replaces the entry, the reason a reader that names the entry gives)
+NON_NUMBERS = {
+    "string": (repr, "could not convert string to float: '"),
+    "null": (lambda x: None, "could not convert null to float"),
+    "object": (lambda x: {"value": x}, "could not convert an object to float"),
+    "nested": (lambda x: [x], "not a rectangular array of numbers"),
+}
+
+
+@pytest.mark.parametrize("non_number", NON_NUMBERS)
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_number_fields_reject_non_numbers(field, non_number, tmp_path):
+    reader, golden, put, names = NUMBER_FIELDS[field]
+    entry, reason = NON_NUMBERS[non_number]
+    doc = json.loads((GOLDEN / golden).read_text())
+    reader(GOLDEN / golden)
+    put(doc, entry)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as caught:
+        reader(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: ") and names in message
+    if field in ("measure", "f0", "fiber"):  # the error names the entry too
+        assert reason in message
+
+
+@pytest.mark.parametrize("field", ["f0", "basis", "fiber"])
+def test_number_fields_reject_a_uniformly_deeper_list(field, tmp_path):
+    reader, golden, _, names = NUMBER_FIELDS[field]
+    doc = json.loads((GOLDEN / golden).read_text())
+    key = {"f0": ("f0",), "basis": ("basis",), "fiber": ("fibers", "1")}[field]
+    parent = doc if len(key) == 1 else doc[key[0]]
+    parent[key[-1]] = [parent[key[-1]]]  # every entry one list deeper, the same size
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as caught:
+        reader(path)
+    assert names in str(caught.value)
+
+
+def test_numbers_beyond_int64_read_as_floats(tmp_path):
+    doc = json.loads((GOLDEN / "cascade.json").read_text())
+    doc["leaf_mass"][0] = 10**30
+    doc["leaf_mass"][1] = 2**64
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    mass = fileio.read_measure(path).leaf_mass
+    assert mass.dtype == np.float64 and mass[0] == 1e30 and mass[1] == 2.0**64
+    doc["leaf_mass"][0] = 10**400
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: could not convert an integer beyond the float range "
+                                                   "in leaf_mass")):
+        fileio.read_measure(path)
