@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -545,6 +546,7 @@ def _cmd_experiment(args):
 # ---------------------------------------------------------------- entry point
 
 
+@cache  # parsing mutates neither the parser nor EXPERIMENTS, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="martree",

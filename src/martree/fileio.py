@@ -6,9 +6,11 @@ significant digits, bit-exact on reload).  Complex fiber entries are stored
 as [re, im] pairs.
 
 Each file has the bytes of ``json.dumps(document, indent=1)``.  Each writer
-formats all its floats in one ``_float_texts`` pass and lays each array out
-with one join per row of its last axis; the martingale writer fills one text
-template per blocks entry.
+formats all its floats in one ``_texts`` pass and lays each array out with
+one join per row of its last axis.  A martingale is written in the columnar
+layout: ``nodes``, the level-order id of each block that is not all zero,
+and ``values``, those blocks' floats in one flat list.  Its reader also takes
+the older layout of one ``blocks`` entry per kept block.
 Readers take numbers only: a string, null or object where a number belongs
 is a ValueError naming the file and the field.
 """
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,29 +32,18 @@ def _dump(path, document):
     Path(path).write_text(_encode(document, "") + "\n")
 
 
-class _Laid(list):
-    """A list kept with its JSON text, laid out already for its place in a
-    document; ``_encode`` writes the text."""
-
-    def __init__(self, items, text: str):
-        super().__init__(items)
-        self.text = text
-
-
 def _encode(obj, indent: str) -> str:
     """``json.dumps(obj, indent=1)`` of a value nested at ``indent``, the same bytes.
 
     Dicts (string keys) and lists are laid out as json lays them out; a
-    non-empty float64 array of any shape is laid out as its nested list, its
-    floats formatted in one ``_float_texts`` pass; a ``_Laid`` list is its
-    text, and everything else goes to json itself.
+    non-empty numeric array of any shape is laid out as its nested list, its
+    entries formatted in one ``_texts`` pass, and everything else goes to
+    json itself.
     """
     inner = indent + " "
-    if isinstance(obj, _Laid):
-        return obj.text
     if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim and obj.size:
-            return _layout(obj.shape, indent, _float_texts(obj.ravel()))
+        if obj.dtype.kind in "biuf" and obj.ndim and obj.size:
+            return _layout(obj.shape, indent, _texts(obj.ravel()))
         return _encode(obj.tolist(), indent)
     if isinstance(obj, list) and obj:
         return f"[\n{inner}" + f",\n{inner}".join(_encode(v, inner) for v in obj) + f"\n{indent}]"
@@ -92,21 +82,14 @@ def _layout(shape: tuple, indent: str, texts: list[str]) -> str:
     return "".join(parts)
 
 
-# json's spelling of the floats that float.__repr__ spells inf, -inf and nan
-_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-
-
-def _float_texts(values: np.ndarray) -> list[str]:
-    """json's text of each float of a flat float64 array.
-
-    Each distinct bit pattern (so 0.0 and -0.0 stay apart) is formatted once
-    and mapped back.
-    """
+def _texts(values: np.ndarray) -> list[str]:
+    """json's text of each entry of a flat numeric array, from one json.dumps
+    of a list; each distinct float bit pattern (so 0.0 and -0.0 stay apart)
+    is formatted once and mapped back."""
+    if values.dtype != np.float64:
+        return json.dumps(values.tolist())[1:-1].split(", ")
     distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    floats = distinct.view(np.float64)
-    texts = list(map(float.__repr__, floats.tolist()))
-    if not np.isfinite(floats).all():
-        texts = [_NON_FINITE.get(t, t) for t in texts]
+    texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
@@ -173,8 +156,20 @@ def _non_number(value):
     return None
 
 
-# header fields that size the arrays of a file
-_SIZE_FIELDS = frozenset({"m", "depth", "ell", "k"})
+# the JSON type of each header field that sizes a file's arrays and of each collection field
+_FIELD_TYPES = dict(m=int, depth=int, ell=int, k=int, blocks=list, nodes=list, values=list, fibers=dict)
+_TYPE_NAMES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _fields(doc, fields, path, kind):
+    """ValueError naming the file and the first of ``fields`` that ``doc``
+    lacks or holds with the wrong JSON type, which would fail later as a
+    TypeError or AttributeError (a bool passes for an int)."""
+    _require(doc, fields, path, f"the {kind} file")
+    for name in fields:
+        want = _FIELD_TYPES.get(name)
+        if want is not None and type(doc[name]) is not want:
+            raise ValueError(f"{path}: the {kind} file's {name!r} is {doc[name]!r}, not {_TYPE_NAMES[want]}")
 
 
 def _load(path, expected_kind, fields):
@@ -187,11 +182,7 @@ def _load(path, expected_kind, fields):
     _require(doc, (), path, f"a {expected_kind} file")
     if doc.get("kind") != expected_kind:
         raise ValueError(f"{path}: expected kind {expected_kind!r}, got {doc.get('kind')!r}")
-    _require(doc, fields, path, f"the {expected_kind} file")
-    for name in fields:
-        # a float, string or null would fail later as a TypeError; a bool passes for an int
-        if name in _SIZE_FIELDS and type(doc[name]) is not int:
-            raise ValueError(f"{path}: the {expected_kind} file's {name!r} is {doc[name]!r}, not an integer")
+    _fields(doc, fields, path, expected_kind)
     return doc
 
 
@@ -221,72 +212,79 @@ def read_measure(path) -> TreeMeasure:
 
 
 def write_martingale(path, F: Martingale) -> None:
-    """Write ``F`` with one blocks entry per block that is not all zero
-    (-0.0 counts as zero), level by level and atom by atom.
-
-    The kept blocks are gathered level by level, all their floats formatted
-    in one pass and filled into one text template per entry.
-    """
-    m, ell = F.spec.m, F.spec.ell
-    kept = [np.flatnonzero(np.any(level != 0, axis=(1, 2))) for level in F.diffs]
-    levels = np.repeat(np.arange(len(kept)), [ids.size for ids in kept])
-    atoms = np.concatenate(kept)
-    values = np.concatenate([level[ids] for level, ids in zip(F.diffs, kept)])
-    blocks = []
-    if atoms.size:
-        size = m * ell
-        # one entry, with %s where its level, atom and floats go
-        entry = '{\n   "level": %s,\n   "atom": %s,\n   "values": ' + _layout((m, ell), "   ", ["%s"] * size)
-        texts = _float_texts(values.ravel())
-        fields = zip(levels.tolist(), atoms.tolist(), *(texts[j::size] for j in range(size)))  # entry by entry
-        text = "[\n  " + "\n  },\n  ".join([entry] * atoms.size) % tuple(chain.from_iterable(fields)) + "\n  }\n ]"
-        # the document keeps the entries, so json.dumps(document, indent=1) still gives these bytes
-        items = [{"level": n, "atom": i, "values": v} for n, i, v in zip(levels.tolist(), atoms.tolist(), values)]
-        blocks = _Laid(items, text)
-    _dump(
-        path,
-        {
-            "kind": "martingale",
-            "m": F.spec.m,
-            "depth": F.spec.depth,
-            "ell": F.spec.ell,
-            "f0": F.f0,
-            "blocks": blocks,
-        },
-    )
+    """Write ``F`` in the columnar layout: ``nodes``, the ascending
+    level-order id (m^n - 1) / (m - 1) + atom of each block that is not all
+    zero (-0.0 counts as zero), and ``values``, those blocks' m x ell floats
+    in one flat list in C order."""
+    flat = np.concatenate(F.diffs)  # every block, in level order
+    nodes = np.flatnonzero(np.any(flat != 0, axis=(1, 2)))
+    _dump(path, {"kind": "martingale", "m": F.spec.m, "depth": F.spec.depth, "ell": F.spec.ell, "f0": F.f0,
+                 "nodes": nodes, "values": flat[nodes].ravel()})
 
 
-def read_martingale(path) -> Martingale:
-    doc = _load(path, "martingale", ("m", "depth", "ell", "f0", "blocks"))
-    with _named(path):
-        spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
-    m, depth, ell = spec.m, spec.depth, spec.ell
-    starts = [(m**n - 1) // (m - 1) for n in range(depth + 1)]  # the first node of each level
-    nodes, values = [], []
-    for row in doc["blocks"]:
+def _block_columns(blocks, path, m, depth, starts):
+    """The ascending node ids and their values of the older layout's
+    ``blocks``, one entry per kept block; each entry's level and atom are
+    checked here, so that an error names the entry."""
+    values = {}
+    for row in blocks:
         _require(row, ("level", "atom", "values"), path, "a blocks entry")
         level, atom = row["level"], row["atom"]
         # a bool passes for an int and a negative index picks another atom
         if not (type(level) is int and type(atom) is int and 0 <= level < depth and 0 <= atom < m**level):
             raise ValueError(f"{path}: blocks entry (level {level!r}, atom {atom!r}) names no atom; "
                              f"want ints 0 <= level < {depth} and 0 <= atom < {m}^level")
-        nodes.append(starts[level] + atom)
-        values.append(row["values"])
-    nodes = np.array(nodes, dtype=np.int64)
-    if np.bincount(nodes).max(initial=0) > 1:
-        firsts = np.unique(nodes, return_index=True)[1]
-        row = doc["blocks"][np.setdiff1d(np.arange(nodes.size), firsts)[0]]
-        raise ValueError(f"{path}: blocks entry (level {row['level']}, atom {row['atom']}) "
-                         "repeats an earlier entry")
+        if starts[level] + atom in values:
+            raise ValueError(f"{path}: blocks entry (level {level}, atom {atom}) repeats an earlier entry")
+        values[starts[level] + atom] = row["values"]
+    nodes = sorted(values)
+    return nodes, [values[node] for node in nodes]
+
+
+def _node_ids(nodes: list, path, size: int) -> np.ndarray:
+    """The int64 array of ``nodes``, a list of ascending ids in [0, size)."""
+    if set(map(type, nodes)) - {int}:  # a bool would pass for an int, a float would truncate
+        wrong = next(node for node in nodes if type(node) is not int)
+        raise ValueError(f"{path}: nodes holds {wrong!r}, not an integer node id")
+    if nodes and not (min(nodes) >= 0 and max(nodes) < size):
+        raise ValueError(f"{path}: nodes holds an id outside [0, {size})")
+    ids = np.array(nodes, dtype=np.int64)
+    after = np.flatnonzero(ids[1:] <= ids[:-1])
+    if after.size:
+        raise ValueError(f"{path}: nodes is not ascending: {ids[after[0]]} comes before {ids[after[0] + 1]}")
+    return ids
+
+
+def read_martingale(path) -> Martingale:
+    """Read either layout: the columnar ``nodes`` and ``values``, or the
+    older ``blocks``, whose errors name the entry at fault."""
+    doc = _load(path, "martingale", ("m", "depth", "ell", "f0"))
+    with _named(path):
+        spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
+    m, depth, ell = spec.m, spec.depth, spec.ell
+    starts = [(m**n - 1) // (m - 1) for n in range(depth + 1)]  # the first node of each level
+    if "blocks" in doc:
+        if "nodes" in doc or "values" in doc:
+            raise ValueError(f"{path}: the martingale file holds both 'blocks' and 'nodes' or 'values'; "
+                             "want one layout")
+        _fields(doc, ("blocks",), path, "martingale")
+        nodes, values = _block_columns(doc["blocks"], path, m, depth, starts)
+        shape, wrong = (len(nodes), m, ell), f"the values of a blocks entry are not {m} x {ell} numbers"
+    else:
+        _fields(doc, ("nodes", "values"), path, "martingale")
+        nodes, values = doc["nodes"], doc["values"]
+        shape, wrong = (len(nodes) * m * ell,), None
+    ids = _node_ids(nodes, path, starts[-1])
+    try:
+        array = _numbers(values, path, "values", len(shape))
+    except ValueError:
+        if wrong is None:
+            raise
+        array = None
+    if array is None or array.shape != shape and (array.size or ids.size):  # blocks [] has shape (0,)
+        raise ValueError(f"{path}: {wrong or f'values holds {array.size} numbers, not {ids.size} x {m} x {ell}'}")
     flat = np.zeros((starts[-1], m, ell))
-    if nodes.size:
-        try:
-            blocks = _numbers(values, path, "blocks", 3)
-        except ValueError:
-            blocks = None
-        if blocks is None or blocks.shape[1:] != (m, ell):
-            raise ValueError(f"{path}: the values of a blocks entry are not {m} x {ell} numbers")
-        flat[nodes] = blocks
+    flat[ids] = array.reshape(-1, m, ell)
     diffs = [flat[a:b] for a, b in zip(starts, starts[1:])]
     f0 = _numbers(doc["f0"], path, "f0", 1)
     with _named(path):
@@ -339,6 +337,8 @@ def write_fibers(path, fibers: FiberFamily) -> None:
 
 def read_fibers(path) -> FiberFamily:
     doc = _load(path, "fiber-family", ("factors", "ell", "fibers"))
+    if doc["ell"] < 1:  # np.zeros would name no file
+        raise ValueError(f"{path}: the fiber-family file's 'ell' is {doc['ell']}, want at least 1")
     factors = doc["factors"]
     if not (type(factors) is list and all(type(d) is int for d in factors)):
         raise ValueError(f"{path}: the fiber-family file's 'factors' is {factors!r}, not a list of integers")

@@ -15,9 +15,9 @@ last bit for bit.  ``antichain_score`` scores a given antichain, and
 log-mean-exp behind ``kappa.kappa_v_many`` reproduces.  ``tree_leaf_values``
 is F_T on every leaf, the full-array form of ``decomp.tree_leaf_values``,
 and ``rle`` the atom-by-atom run-length code of a label mask that
-``cli._rle`` reproduces.  ``write_martingale`` is the block-by-block writer,
-one dict per block walked by the recursive ``encode``, whose bytes the bulk
-``fileio.write_martingale`` reproduces.
+``cli._rle`` reproduces.  ``write_martingale`` is the block-by-block writer
+of the older layout, one dict per block walked by the recursive ``encode``;
+the columnar file of ``fileio.write_martingale`` must hold the same bits.
 
 The rest are test-side tools the package never calls: mass-weighted leaf
 sampling with its base-m digits, the digit-frequency test of a product

@@ -108,7 +108,7 @@ def _write_sample(kind, path):
 
 READERS = [
     (read_measure, "tree-measure", ["m", "depth", "ell", "leaf_mass"]),
-    (read_martingale, "martingale", ["m", "depth", "ell", "f0", "blocks"]),
+    (read_martingale, "martingale", ["m", "depth", "ell", "f0", "nodes", "values"]),
     (read_subspace, "subspace-w", ["m", "ell", "k", "basis"]),
     (read_fibers, "fiber-family", ["factors", "ell", "fibers"]),
 ]
@@ -139,8 +139,7 @@ class TestMalformedFiles:
 
     def test_martingale_block_without_values(self, tmp_path):
         path = tmp_path / "f.json"
-        _write_sample("martingale", path)
-        doc = json.loads(path.read_text())
+        doc = json.loads((GOLDEN / "martingale.json").read_text())  # the block layout
         del doc["blocks"][0]["values"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="f.json.*blocks entry lacks the field 'values'"):
@@ -358,6 +357,34 @@ class TestMalformedFiles:
         assert main(["--out", str(out), "decompose", "--martingale", str(broken)]) == 2
         err = capsys.readouterr().err
         assert "null.json: the values of a blocks entry are not 3 x 2 numbers" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("golden, change, message", [
+        ("martingale.json", {"blocks": None}, "the martingale file's 'blocks' is None, not a list"),
+        ("martingale.json", {"blocks": 5}, "the martingale file's 'blocks' is 5, not a list"),
+        ("martingale_columnar.json", {"nodes": {}}, "the martingale file's 'nodes' is {}, not a list"),
+        ("martingale_columnar.json", {"values": None}, "the martingale file's 'values' is None, not a list"),
+        ("martingale_columnar.json", {"values": 0.5}, "the martingale file's 'values' is 0.5, not a list"),
+        ("fibers.json", {"fibers": None}, "the fiber-family file's 'fibers' is None, not an object"),
+        ("fibers.json", {"fibers": []}, "the fiber-family file's 'fibers' is [], not an object"),
+        ("fibers.json", {"ell": -1}, "the fiber-family file's 'ell' is -1, want at least 1"),
+        ("fibers.json", {"ell": 0}, "the fiber-family file's 'ell' is 0, want at least 1"),
+    ], ids=["blocks-null", "blocks-number", "nodes-object", "values-null", "values-number",
+            "fibers-null", "fibers-list", "fibers-ell-negative", "fibers-ell-zero"])
+    def test_wrongly_typed_field_exits_two_writing_nothing(self, golden, change, message, tmp_path, capsys):
+        # these used to escape as a TypeError, an AttributeError or a message naming no file
+        doc = json.loads((GOLDEN / golden).read_text())
+        doc.update(change)
+        broken = tmp_path / "bad.json"
+        broken.write_text(json.dumps(doc))
+        reader, argv = ((read_fibers, ["group-cancel", "--fibers"]) if golden == "fibers.json"
+                        else (read_martingale, ["decompose", "--martingale"]))
+        with pytest.raises(ValueError, match=re.escape(f"bad.json: {message}")):
+            reader(broken)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv, str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.json: {message}" in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("reader, golden, change, message", [
@@ -787,6 +814,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "antichain DP requires a nonnegative measure" in err and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_leak_into_the_next_call(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_run_document", lambda doc, args: seen.append((doc, args.seed, args.out)))
+        assert main(["--seed", "5", "--out", "o", "gen-w", "--kind", "random", "--m", "4", "--dim", "2",
+                     "--w", "w.json"]) == 0
+        assert main(["gen-w", "--kind", "span", "--w", "w.json"]) == 0
+        assert seen == [
+            ({"kind": "gen-w", "w_file": "w.json", "filtration": {"m": 4}, "params": {"kind": "random", "dim": 2}},
+             5, "o"),
+            ({"kind": "gen-w", "w_file": "w.json", "params": {"kind": "span"}}, 0, "."),
+        ]
+
+    def test_help_and_a_bad_flag_exit_as_before(self, capsys):
+        for _ in range(2):  # and again, on the parser the first calls used
+            with pytest.raises(SystemExit) as caught:
+                main(["--help"])
+            assert caught.value.code == 0 and "m-adic tree martingale laboratory" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as caught:
+                main(["decompose", "--no-such-flag"])
+            assert caught.value.code == 2 and "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
 
 
 class TestRunConfig:

@@ -102,7 +102,8 @@ def test_floats_round_trip(tmp_path):
     assert fileio.read_measure(path).leaf_mass.tobytes() == mu.leaf_mass.tobytes()
 
 
-GOLDEN_MARTINGALE = Path(__file__).parent / "golden" / "martingale.json"  # m 3, depth 6, ell 2
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MARTINGALE = GOLDEN / "martingale.json"  # m 3, depth 6, ell 2, block layout
 
 
 @pytest.mark.parametrize("level, atom", [
@@ -174,10 +175,44 @@ def sparse_martingale(m, depth, ell, seed, kept=40):
     return Martingale(FiltrationSpec(m, depth, ell), rng.standard_normal(ell), diffs)
 
 
-def assert_martingale_bytes_match_oracle(F, tmp_path):
+def columnar(blocks_doc):
+    """The columnar document of a block-layout one: its entries sorted by
+    level-order node id, their values in one flat list."""
+    m = blocks_doc["m"]
+    entries = sorted(((m**b["level"] - 1) // (m - 1) + b["atom"], b["values"]) for b in blocks_doc["blocks"])
+    return {**{key: blocks_doc[key] for key in ("kind", "m", "depth", "ell", "f0")},
+            "nodes": [node for node, _ in entries],
+            "values": [x for _, block in entries for row in block for x in row]}
+
+
+def read_back(path):
+    """The bytes of the diffs, level after level, and of f0 that a martingale
+    file of either layout holds, its numbers as json reads them (NaN too)."""
+    doc = json.loads(Path(path).read_text())
+    m, depth, ell = doc["m"], doc["depth"], doc["ell"]
+    flat = np.zeros(((m**depth - 1) // (m - 1), m, ell))
+    if "blocks" in doc:
+        for b in doc["blocks"]:
+            flat[(m**b["level"] - 1) // (m - 1) + b["atom"]] = b["values"]
+    else:
+        flat[doc["nodes"]] = np.reshape(doc["values"], (-1, m, ell))
+    return flat.tobytes(), np.array(doc["f0"], dtype=float).tobytes()
+
+
+def assert_martingale_bytes_match_oracle(F, tmp_path, package_reads=True):
+    """The columnar file and the block oracle's file hold the same diffs and
+    f0 bits, and the columnar file has the bytes of json.dumps of the
+    oracle's document made columnar.  ``package_reads``: read_martingale
+    reads the two files to the same bits too (it rejects NaN and non-martingales)."""
     fileio.write_martingale(tmp_path / "bulk.json", F)
     oracles.write_martingale(tmp_path / "blocks.json", F)
-    assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "blocks.json").read_bytes()
+    assert read_back(tmp_path / "bulk.json") == read_back(tmp_path / "blocks.json")
+    if package_reads:
+        new, old = (fileio.read_martingale(tmp_path / name) for name in ("bulk.json", "blocks.json"))
+        assert [d.tobytes() for d in new.diffs] == [d.tobytes() for d in old.diffs]
+        assert new.f0.tobytes() == old.f0.tobytes()
+    document = columnar(json.loads((tmp_path / "blocks.json").read_text()))
+    assert (tmp_path / "bulk.json").read_bytes() == (json.dumps(document, indent=1) + "\n").encode()
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
@@ -191,7 +226,8 @@ def test_zero_martingale_bytes_match_oracle(tmp_path):
     spec = FiltrationSpec(3, 3, 2)
     F = Martingale(spec, np.zeros(2), [np.zeros((3**n, 3, 2)) for n in range(3)])
     assert_martingale_bytes_match_oracle(F, tmp_path)
-    assert json.loads((tmp_path / "bulk.json").read_text())["blocks"] == []
+    doc = json.loads((tmp_path / "bulk.json").read_text())
+    assert doc["nodes"] == doc["values"] == []
 
 
 def test_zero_blocks_are_skipped_as_the_oracle_skips_them(tmp_path):
@@ -199,10 +235,11 @@ def test_zero_blocks_are_skipped_as_the_oracle_skips_them(tmp_path):
     F.diffs[2][[0, 4]] = 0.0
     F.diffs[3][[1, 26]] = -0.0
     F.diffs[3][5, 0, 0] = -0.0  # a block with one zero entry stays
-    assert_martingale_bytes_match_oracle(F, tmp_path)
-    blocks = json.loads((tmp_path / "bulk.json").read_text())["blocks"]
-    assert len(blocks) == 1 + 3 + 9 + 27 - 4
-    assert [(b["level"], b["atom"]) for b in blocks if b["level"] >= 2][:3] == [(2, 1), (2, 2), (2, 3)]
+    assert_martingale_bytes_match_oracle(F, tmp_path, package_reads=False)  # that block no longer sums to zero
+    nodes = json.loads((tmp_path / "bulk.json").read_text())["nodes"]
+    assert len(nodes) == 1 + 3 + 9 + 27 - 4
+    assert [node for node in nodes if node >= 4][:3] == [5, 6, 7]  # level 2 starts at node 4
+    assert 13 + 5 in nodes and 13 + 1 not in nodes and 13 + 26 not in nodes
 
 
 def test_special_floats_in_kept_blocks_match_oracle(tmp_path):
@@ -213,7 +250,7 @@ def test_special_floats_in_kept_blocks_match_oracle(tmp_path):
                    validate=False)
     F.diffs[1][1, 2] = 1e16
     F.diffs[2][3, 0] = [5e-324, -0.0]
-    assert_martingale_bytes_match_oracle(F, tmp_path)
+    assert_martingale_bytes_match_oracle(F, tmp_path, package_reads=False)  # its blocks do not sum to zero
 
 
 def test_non_finite_floats_match_oracle(tmp_path):
@@ -223,17 +260,74 @@ def test_non_finite_floats_match_oracle(tmp_path):
     diffs[2][7, 3, 0] = NAN
     diffs[2][9] = NAN  # a block of nothing but NaN is not zero
     F = Martingale(F.spec, np.array([INF, NAN]), diffs, validate=False)
-    assert_martingale_bytes_match_oracle(F, tmp_path)
+    assert_martingale_bytes_match_oracle(F, tmp_path, package_reads=False)  # NaN names no value
     text = (tmp_path / "bulk.json").read_text()
     assert "Infinity" in text and "-Infinity" in text and "NaN" in text
 
 
+GOLDEN_COLUMNAR = GOLDEN_MARTINGALE.with_name("martingale_columnar.json")
+
+
 def test_golden_martingale_rewrites_to_its_bytes(tmp_path):
-    fileio.write_martingale(tmp_path / "f.json", fileio.read_martingale(GOLDEN_MARTINGALE))
-    assert (tmp_path / "f.json").read_bytes() == GOLDEN_MARTINGALE.read_bytes()
+    # the block oracle gives the golden its bytes back, and the writer its columnar form
+    F = fileio.read_martingale(GOLDEN_MARTINGALE)
+    assert_martingale_bytes_match_oracle(F, tmp_path)
+    assert (tmp_path / "blocks.json").read_bytes() == GOLDEN_MARTINGALE.read_bytes()
+    assert (tmp_path / "bulk.json").read_bytes() == GOLDEN_COLUMNAR.read_bytes()
 
 
-GOLDEN = Path(__file__).parent / "golden"
+def test_golden_columnar_martingale_reads_as_the_block_golden(tmp_path):
+    old, new = fileio.read_martingale(GOLDEN_MARTINGALE), fileio.read_martingale(GOLDEN_COLUMNAR)
+    assert [d.tobytes() for d in new.diffs] == [d.tobytes() for d in old.diffs]
+    assert new.f0.tobytes() == old.f0.tobytes()
+    fileio.write_martingale(tmp_path / "f.json", new)
+    assert (tmp_path / "f.json").read_bytes() == GOLDEN_COLUMNAR.read_bytes()
+
+
+def _set_nodes(doc, i, j, value):
+    doc["nodes"][i:j] = value
+
+
+def _set_field(name, value):
+    return lambda doc: doc.update({name: value})
+
+
+# (how the columnar golden is broken, what the error says after the file name)
+COLUMNAR_PROBES = {
+    "nodes-float": (lambda doc: _set_nodes(doc, 3, 4, [3.0]), "nodes holds 3.0, not an integer node id"),
+    "nodes-bool": (lambda doc: _set_nodes(doc, 1, 2, [True]), "nodes holds True, not an integer node id"),
+    "nodes-string": (lambda doc: _set_nodes(doc, 0, 1, ["0"]), "nodes holds '0', not an integer node id"),
+    "nodes-negative": (lambda doc: _set_nodes(doc, 0, 1, [-1]), "nodes holds an id outside [0, 364)"),
+    "nodes-past-last": (lambda doc: _set_nodes(doc, -1, None, [364]), "nodes holds an id outside [0, 364)"),
+    "nodes-repeat": (lambda doc: _set_nodes(doc, 5, 6, [4]), "nodes is not ascending: 4 comes before 4"),
+    "nodes-descending": (lambda doc: _set_nodes(doc, 5, 7, [6, 5]), "nodes is not ascending: 6 comes before 5"),
+    "nodes-not-a-list": (_set_field("nodes", 5), "the martingale file's 'nodes' is 5, not a list"),
+    "nodes-null": (_set_field("nodes", None), "the martingale file's 'nodes' is None, not a list"),
+    "values-count": (lambda doc: doc["values"].pop(), "values holds 2183 numbers, not 364 x 3 x 2"),
+    "values-nested": (lambda doc: doc.update(values=[doc["values"]]), "values is not a rectangular array"),
+    "values-string": (lambda doc: doc["values"].__setitem__(7, "0.5"),
+                      "could not convert string to float: '0.5' in values"),
+    "values-null": (lambda doc: doc["values"].__setitem__(7, None), "could not convert null to float in values"),
+    "values-not-a-list": (_set_field("values", {}), "the martingale file's 'values' is {}, not a list"),
+    "both-layouts": (lambda doc: doc.update(blocks=[]), "the martingale file holds both 'blocks' and 'nodes'"),
+    "no-nodes": (lambda doc: doc.pop("nodes"), "the martingale file lacks the field 'nodes'"),
+    "neither-layout": (lambda doc: [doc.pop("nodes"), doc.pop("values")],
+                       "the martingale file lacks the field 'nodes'"),
+    "blocks-null": (lambda doc: [doc.pop("nodes"), doc.pop("values"), doc.update(blocks=None)],
+                    "the martingale file's 'blocks' is None, not a list"),
+}
+
+
+@pytest.mark.parametrize("probe", COLUMNAR_PROBES)
+def test_columnar_martingale_fields_are_checked(probe, tmp_path):
+    change, message = COLUMNAR_PROBES[probe]
+    doc = json.loads(GOLDEN_COLUMNAR.read_text())
+    assert len(doc["nodes"]) == 364 and doc["nodes"][:8] == list(range(8))  # depth 6: every block is kept
+    change(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        fileio.read_martingale(path)
 
 
 def _set_measure(doc, entry):

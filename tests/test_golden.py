@@ -1,6 +1,8 @@
 """Frozen `martree run` outputs: re-running a golden config reproduces its bytes.
 
-``tests/golden`` holds the inputs (a depth-6 W-martingale, a capped cascade,
+``tests/golden`` holds the inputs (a depth-6 W-martingale in the older block
+layout, with ``martingale_columnar.json`` the same martingale as
+``fileio.write_martingale`` writes it, a capped cascade,
 the span, delta and a random 2-dimensional subspace, the span subspace's
 depth-6 sharpness measure and a Z_4 fiber family), one config per kind, and
 the stdout and output files each config produced when it was frozen.
@@ -59,9 +61,9 @@ NAMES = (
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_run_reproduces_golden_bytes(name, tmp_path, monkeypatch):
+def test_run_reproduces_golden_bytes(name, tmp_path, monkeypatch, martingale="martingale.json"):
     for filename in (*INPUTS, f"{name}.json"):
-        shutil.copy(GOLDEN / filename, tmp_path / filename)
+        shutil.copy(GOLDEN / (martingale if filename == "martingale.json" else filename), tmp_path / filename)
     monkeypatch.chdir(tmp_path)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -175,6 +177,12 @@ def test_decompose_builds_no_tree_objects(tmp_path, monkeypatch):
     monkeypatch.setattr("martree.decomp.FlatTree", no_objects)
     monkeypatch.setattr("martree.decomp.AtomId", no_objects)
     test_run_reproduces_golden_bytes("decompose", tmp_path, monkeypatch)
+
+
+def test_decompose_reads_the_columnar_golden(tmp_path, monkeypatch):
+    # the same martingale in the columnar layout; decompose.csv echoes the
+    # file's name, so it goes in as martingale.json
+    test_run_reproduces_golden_bytes("decompose", tmp_path, monkeypatch, martingale="martingale_columnar.json")
 
 
 def test_trace_embed_p_at_one_writes_the_l1_rows(tmp_path, monkeypatch):
