@@ -73,14 +73,16 @@ def _json_text(document) -> str:
     return json.dumps(document, indent=1, sort_keys=True, default=_json_default) + "\n"
 
 
-def _json_tree_records(columns: dict[str, np.ndarray]) -> str:
-    """The text ``_json_text`` gives the "trees" list of forest.json, whose
-    i-th record maps each key of ``columns`` to that column's i-th integer;
-    rendered from the columns, with no dict per tree."""
-    keys = sorted(columns)
-    record = "  {\n" + ",\n".join(f'   "{key}": %d' for key in keys) + "\n  }"
-    rows = list(zip(*(columns[key].tolist() for key in keys)))
-    return "[\n" + ",\n".join(record % row for row in rows) + "\n ]" if rows else "[]"
+def _json_rows(rows: list, indent: int, keys: list[str] | None = None) -> str:
+    """The text ``_json_text`` gives a list of int rows whose items sit
+    ``indent`` spaces in: each row a list or, with ``keys``, an object over
+    them; rendered from the rows, with no dict or list per row."""
+    if not rows:
+        return "[]"
+    pad, (left, right) = " " * indent, "{}" if keys else "[]"
+    fields = [f' "{key}": %d' for key in keys] if keys else [" %d"] * len(rows[0])
+    row = f"{pad}{left}\n" + ",\n".join(pad + field for field in fields) + f"\n{pad}{right}"
+    return "[\n" + ",\n".join(row % tuple(r) for r in rows) + f"\n{pad[1:]}]"
 
 
 def _json_default(obj):
@@ -203,21 +205,20 @@ def _decompose(c, out_dir, meta):
     n_trees = index.root_level.size
     doc = {
         "epsilon": c.eps,
-        "labels_rle": {str(n): _rle(mask) for n, mask in enumerate(forest.convex)},
+        "labels_rle": "@labels@",
         "n_convex": forest.n_convex(),
         "n_trees": n_trees,
         "trees": "@trees@",
     }
-    trees = _json_tree_records(
-        {
-            "root_level": index.root_level,
-            "root_index": index.root_index,
-            "n_members": columns.n_members,
-            "n_fruits": columns.n_fruits,
-            "n_leaf_atoms": columns.n_leaf_atoms,
-        }
-    )
-    _write(out_dir, "forest.json", _json_text(doc).replace('"@trees@"', trees, 1))
+    levels = sorted(str(n) for n in range(len(forest.convex)))
+    runs = (f'  "{n}": ' + _json_rows(_rle(forest.convex[int(n)]), 3) for n in levels)
+    labels = "{\n" + ",\n".join(runs) + "\n }"
+    tree_columns = dict(root_level=index.root_level, root_index=index.root_index, n_members=columns.n_members,
+                        n_fruits=columns.n_fruits, n_leaf_atoms=columns.n_leaf_atoms)
+    keys = sorted(tree_columns)
+    trees = _json_rows(list(zip(*(tree_columns[key].tolist() for key in keys))), 2, keys)
+    text = _json_text(doc).replace('"@labels@"', labels, 1).replace('"@trees@"', trees, 1)
+    _write(out_dir, "forest.json", text)
     steps = ("increment_sum", "final_l1", "initial_l1", "identity_gap", "min_atom_increment")
     rows = [[name, _fmt(getattr(stepwise, name))] for name in steps] + [
         ["convex_constant", _fmt(lemma.constant)],

@@ -15,10 +15,15 @@ grid), so only the prefixes 1..D-1 get scans of their own.  A scalar
 measure with a negative mass is refused up front, by the certificate and by
 ``antichain_max`` alike.
 
-The DP runs over the support of the node weights: a node is kept iff some
-node of its subtree has a weight that is not <= 0.  Every other node has
-value = mass = cost = +0.0 for every lambda >= 0, so a pass visits the kept
-nodes only (13 of 797,161 for the depth-12 delta sharpness measure).
+The DP runs over the support, built once per certificate from the leaves: a
+node is kept iff some leaf below it is positive or NaN (for a vector
+measure, has a component that is not 0).  Every other node has value =
+mass = cost = +0.0 for every lambda >= 0, so a pass visits the kept nodes
+only (13 of 797,161 for the depth-12 delta sharpness measure).  A kept
+weight sums the node's own leaves as the dense level sum does, and a depth-d
+prefix takes the kept level-d masses, scattered into zeros, as its leaves:
+an unkept mass is +-0.0, which changes a kept sum at most in the sign of a
+zero vector component, dropped by the norm, so the bits stay the dense ones.
 A pass takes a slab of lambdas at once, as many as keep its widest array (a
 kept level, or the scatter slab of a child sum) within SLAB_ELEMENTS
 entries: the whole grid on a sparse support, one lambda at a time on a dense
@@ -96,31 +101,28 @@ def multiplicative_measure(spec: FiltrationSpec, v: np.ndarray) -> Multiplicativ
     )
 
 
-def _node_weights(mu: TreeMeasure) -> list[np.ndarray]:
-    """Per-level atom weights: masses for scalar mu, Euclidean sizes for vector."""
-    out = []
-    for n in range(mu.spec.depth + 1):
-        mass = mu.level_mass(n)
-        out.append(mass if mass.ndim == 1 else vector_norms(mass))
-    return out
-
-
 @dataclass
 class _Support:
     """The nodes a DP pass visits, level by level.
 
-    A node is kept iff some node of its subtree has a weight that is not
-    <= 0 (a NaN weight keeps it); the root is always kept.  ``nodes[n]`` holds
-    the kept indices of level n in order and ``weights[n]`` their weights.
-    ``slots[n]`` places the kept children of level n + 1 in the slab of the
-    kept parents of level n, m rows each; it is None when every child of a
-    kept parent is kept, as on a dense tree.
+    ``nodes[n]`` holds the kept indices of level n in order, ``masses[n]``
+    their masses and ``weights[n]`` their weights (the masses' Euclidean
+    sizes for a vector measure).  ``slots[n]`` places the kept children of
+    level n + 1 in the slab of the kept parents of level n, m rows each; it
+    is None when every child of a kept parent is kept, as on a dense tree.
     """
 
     m: int
     nodes: list[np.ndarray]
+    masses: list[np.ndarray]
     weights: list[np.ndarray]
-    slots: list[np.ndarray | None]
+    slots: list[np.ndarray | None] = field(init=False)
+
+    def __post_init__(self):
+        m, self.slots = self.m, []
+        for parents, children in zip(self.nodes, self.nodes[1:]):
+            full = children.size == parents.size * m
+            self.slots.append(None if full else np.searchsorted(parents, children // m) * m + children % m)
 
     @property
     def width(self) -> int:
@@ -129,20 +131,24 @@ class _Support:
         return max([idx.size for idx in self.nodes] + slabs)
 
 
-def _support(weights: list[np.ndarray], m: int) -> _Support:
-    kept = ~(weights[-1] <= 0.0)
-    masks = [kept]
-    for w in weights[-2::-1]:
-        kept = ~(w <= 0.0) | kept.reshape(-1, m).any(axis=1)
-        masks.append(kept)
-    masks[-1][0] = True
-    nodes = [np.flatnonzero(mask) for mask in masks[::-1]]
-    kept_weights = [w if idx.size == w.size else w[idx] for w, idx in zip(weights, nodes)]
-    slots = []
-    for parents, children in zip(nodes, nodes[1:]):
-        full = children.size == parents.size * m
-        slots.append(None if full else np.searchsorted(parents, children // m) * m + children % m)
-    return _Support(m, nodes, kept_weights, slots)
+def _support(leaves: np.ndarray, m: int, nodes: list[np.ndarray] | None = None) -> _Support:
+    """The support of the measure with these leaf masses, on ``nodes`` where given.
+
+    A node is kept iff some leaf below it is positive or NaN (for a vector
+    measure, has a component that is not 0); the root is always kept.  A kept
+    node's mass is its row of the dense level sum, summed from its own rows.
+    """
+    if nodes is None:
+        kept = ~(leaves <= 0.0) if leaves.ndim == 1 else (leaves != 0.0).any(axis=1)
+        masks = [kept]
+        while kept.size > 1:
+            kept = np.ascontiguousarray(kept.reshape(-1, m).T).any(axis=0)  # any(axis=1) is ~10x slower
+            masks.append(kept)
+        masks[-1][0] = True
+        nodes = [np.flatnonzero(mask) for mask in masks[::-1]]
+    levels = [leaves.reshape(m**n, -1, *leaves.shape[1:]) for n in range(len(nodes))]
+    masses = [(rows if idx.size == len(rows) else rows[idx]).sum(axis=1) for rows, idx in zip(levels, nodes)]
+    return _Support(m, nodes, masses, masses if leaves.ndim == 1 else [vector_norms(x) for x in masses])
 
 
 def _child_sum(a: np.ndarray, m: int, rows: int, slot: np.ndarray | None) -> np.ndarray:
@@ -224,16 +230,18 @@ def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list
 
     Bottom-up DP: value(omega) = max(score(omega), sum_children value(child))
     with empty choices floored at zero.  The witness is one optimal antichain
-    as (level, index) pairs; its walk enters only nodes of positive value,
-    all of them kept.
+    as (level, index) pairs.
     """
     _require_nonnegative(mu)
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    m = mu.spec.m
-    support = _support(_node_weights(mu), m)
+    return _antichain_max(_support(mu.leaf_mass, mu.spec.m), beta, lam)
+
+
+def _antichain_max(support: _Support, beta: float, lam: float) -> tuple[float, list[tuple[int, int]]]:
+    """``antichain_max`` on a support; its walk enters only kept nodes, those of positive value."""
+    m, nodes = support.m, support.nodes
     value, _, _, (values, take) = _dp_pass(support, beta, np.array([lam], dtype=float), keep_tables=True)
-    nodes = support.nodes
     witness: list[tuple[int, int]] = []
     stack = [(0, 0)]  # (level, position among the kept nodes of that level)
     while stack:
@@ -264,17 +272,15 @@ class FrostmanCertificate:
     details: dict = field(default_factory=dict)
 
 
-def _lambda_scan(mu, beta, gamma, lambda_grid_size):
-    """One full-depth scan: witness ratios plus the dual envelope constant.
-
-    Returns the lambda grid (geometric, spanning m^{+-depth max(beta, 1/4)}
-    for mu's depth), the DP value per lambda, the best witness ratio, the grid
-    index of the lambda that achieved it (None when no witness has positive
-    cost) and the certified constant.
-    """
-    span = float(mu.spec.m) ** (mu.spec.depth * max(beta, 0.25))
+def _lambda_scan(support, beta, gamma, lambda_grid_size):
+    """One scan of a support: its lambda grid (geometric, spanning
+    m^{+-depth max(beta, 1/4)} for the support's depth), the DP value per
+    lambda, the best witness ratio, the grid index of the lambda that
+    achieved it (None when no witness has positive cost) and the witness
+    costs that are positive."""
+    m, depth = support.m, len(support.nodes) - 1
+    span = float(m) ** (depth * max(beta, 0.25))
     grid = np.geomspace(1.0 / span, span, lambda_grid_size)
-    support = _support(_node_weights(mu), mu.spec.m)
     step = max(1, SLAB_ELEMENTS // support.width)
     roots = [_dp_pass(support, beta, grid[i : i + step])[:3] for i in range(0, len(grid), step)]
     values, masses, costs = (np.concatenate(parts) for parts in zip(*roots))
@@ -285,17 +291,7 @@ def _lambda_scan(mu, beta, gamma, lambda_grid_size):
             witness_costs.append(cost)
             if mass / cost**gamma > best_ratio:
                 best_ratio, best = mass / cost**gamma, i
-    # Dual bound: every antichain obeys mass <= g(lam) + lam * cost for all
-    # lam, hence ratio <= min_lam (g(lam) + lam c)/c^gamma at its own cost.
-    # The c-grid carries the witness costs so achieved ratios are never
-    # undercut, and the constant is floored at the best achieved ratio.
-    n_leaves = mu.spec.leaves
-    c_lo = float(mu.spec.m) ** (-mu.spec.depth * beta)
-    c_hi = max(n_leaves * float(mu.spec.m) ** (-mu.spec.depth * beta), 1.0)
-    c_grid = np.unique(np.concatenate([np.geomspace(c_lo, c_hi, 257), witness_costs]))
-    envelope = np.min(values[None, :] + np.outer(c_grid, grid), axis=1) / c_grid**gamma
-    constant = float(max(envelope.max(), best_ratio))
-    return grid, values, best_ratio, best, constant
+    return grid, values, best_ratio, best, witness_costs
 
 
 def frostman_certify(
@@ -309,14 +305,28 @@ def frostman_certify(
     _require_nonnegative(mu)
     spec = mu.spec
     m = spec.m
-    grid, values, witness_ratio, best, constant = _lambda_scan(mu, beta, gamma, lambda_grid_size)
+    support = _support(mu.leaf_mass, m)
+    grid, values, witness_ratio, best, witness_costs = _lambda_scan(support, beta, gamma, lambda_grid_size)
+    # Dual bound: every antichain obeys mass <= g(lam) + lam * cost for all
+    # lam, hence ratio <= min_lam (g(lam) + lam c)/c^gamma at its own cost.
+    # The c-grid carries the witness costs so achieved ratios are never
+    # undercut, and the constant is floored at the best achieved ratio.
+    c_lo = float(m) ** (-spec.depth * beta)
+    c_hi = max(spec.leaves * float(m) ** (-spec.depth * beta), 1.0)
+    c_grid = np.unique(np.concatenate([np.geomspace(c_lo, c_hi, 257), witness_costs]))
+    envelope = np.min(values[None, :] + np.outer(c_grid, grid), axis=1) / c_grid**gamma
+    constant = float(max(envelope.max(), witness_ratio))
 
     # The depth-D prefix is mu itself on the same grid: its ratio is the
     # full-depth witness ratio, so only the shorter prefixes are scanned.
     per_depth = np.zeros(spec.depth)
     per_depth[-1] = witness_ratio
     for d in range(1, spec.depth):
-        per_depth[d - 1] = _lambda_scan(mu.truncated(d), beta, gamma, lambda_grid_size)[2]
+        # the depth-d prefix: its leaves are the kept level-d masses in zeros
+        leaves = np.zeros((m**d, *support.masses[d].shape[1:]))
+        leaves[support.nodes[d]] = support.masses[d]
+        prefix = _support(leaves, m, support.nodes[: d + 1])
+        per_depth[d - 1] = _lambda_scan(prefix, beta, gamma, lambda_grid_size)[2]
 
     depths = np.arange(1, spec.depth + 1, dtype=float)
     window = depths >= max(2, spec.depth // 2)
@@ -328,7 +338,7 @@ def frostman_certify(
     violated = slope > SLOPE_FRACTION * gamma * np.log(m)
     witness = None
     if violated and best is not None:
-        _, witness = antichain_max(mu, beta, grid[best])
+        _, witness = _antichain_max(support, beta, grid[best])
     return FrostmanCertificate(
         beta=beta,
         gamma=gamma,

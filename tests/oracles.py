@@ -6,7 +6,9 @@ their combination, the distance to W), the per-column second-condition test,
 the per-start scipy Nelder-Mead loop of ``spacew.check_first_condition`` with
 its scalar objective, the per-start alternating projection of
 ``kappa.rank_one_directions``, the dense one-lambda antichain pass over
-every node of the tree with its child sum, and the dense ray grid that
+every node of the tree with its child sum, the per-level node weights from
+the measure's level sums with the support of any such weights (the package
+builds its support from the leaves), and the dense ray grid that
 brute-forces one kappa ray.  The batched code must reproduce all but the
 last bit for bit.  ``antichain_score`` scores a given antichain, and
 ``lp_norm_weighted`` is the one-segment form of ``norms.lp_norm_segments``.
@@ -33,10 +35,11 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
-from martree.dimension import MultiplicativeMeasure, _node_weights
+from martree.dimension import MultiplicativeMeasure, _Support
 from martree.filtration import AtomId, Martingale, TreeMeasure
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, ShiftInvariantW, build_shift_invariant_w
 from martree.kappa import feasible_interval
+from martree.norms import vector_norms
 from martree.spacew import (
     FIRST_CONDITION_HOLDS,
     FIRST_CONDITION_VIOLATED,
@@ -223,6 +226,30 @@ def child_sum(a: np.ndarray, m: int) -> np.ndarray:
     for j in range(2, m):
         total += a[j::m]
     return total
+
+
+def _node_weights(mu: TreeMeasure) -> list[np.ndarray]:
+    """Per-level atom weights: masses for scalar mu, Euclidean sizes for vector."""
+    out = []
+    for n in range(mu.spec.depth + 1):
+        mass = mu.level_mass(n)
+        out.append(mass if mass.ndim == 1 else vector_norms(mass))
+    return out
+
+
+def _support(weights: list[np.ndarray], m: int) -> _Support:
+    """The support of given node weights: a node is kept iff some node of its
+    subtree has a weight that is not <= 0 (a NaN weight keeps it); the root
+    is always kept."""
+    kept = ~(weights[-1] <= 0.0)
+    masks = [kept]
+    for w in weights[-2::-1]:
+        kept = ~(w <= 0.0) | kept.reshape(-1, m).any(axis=1)
+        masks.append(kept)
+    masks[-1][0] = True
+    nodes = [np.flatnonzero(mask) for mask in masks[::-1]]
+    kept_weights = [w if idx.size == w.size else w[idx] for w, idx in zip(weights, nodes)]
+    return _Support(m, nodes, kept_weights, kept_weights)
 
 
 def antichain_dp(weights: list, m: int, beta: float, lam: float):

@@ -276,7 +276,7 @@ def test_criterion_07_frostman_dp():
     # recursive-oracle check at depths 3 and 4 (see tests/test_dimension.py
     # for the standalone enumeration); here all 100 instances at N <= 4.
     from tests.test_dimension import enumerate_antichains, recursive_best
-    from martree.dimension import _node_weights
+    from oracles import _node_weights
 
     rng = np.random.default_rng(3)
     for instance in range(100):

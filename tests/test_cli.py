@@ -461,6 +461,16 @@ class TestSubcommands:
         assert doc["n_trees"] == len(doc["trees"]) == n_trees
         assert cli._json_text(doc) == text
 
+    def test_forest_json_labels_of_eleven_levels(self, tmp_path, capsys):
+        # json sorts the level keys as text: "10" comes between "1" and "2"
+        write_martingale(tmp_path / "f.json", random_martingale(FiltrationSpec(3, 11, 1), seed=3))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "decompose", "--martingale", str(tmp_path / "f.json"), "--eps", "0.1"]) == 0
+        text = (out / "forest.json").read_text()
+        doc = json.loads(text)
+        assert list(doc["labels_rle"])[:3] == ["0", "1", "10"]
+        assert cli._json_text(doc) == text
+
     def test_rle_matches_the_loop(self):
         rng = np.random.default_rng(11)
         masks = [np.zeros(0, dtype=bool), np.ones(1, dtype=bool), np.zeros(5, dtype=bool)]

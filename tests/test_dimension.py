@@ -11,8 +11,6 @@ from martree.dimension import (
     FrostmanCertificate,
     _child_sum,
     _dp_pass,
-    _node_weights,
-    _support,
     antichain_max,
     build_sharpness_measure,
     eggleston_dimension,
@@ -22,7 +20,7 @@ from martree.dimension import (
 from martree.filtration import FiltrationSpec, TreeMeasure
 from martree.kappa import dimension_bound
 from martree.spacew import SubspaceW, delta_vector
-from oracles import antichain_score, digit_frequency_test
+from oracles import _node_weights, _support, antichain_score, digit_frequency_test
 
 
 def enumerate_antichains(m, depth, level=0, index=0):
@@ -220,8 +218,6 @@ class TestAntichainMax:
                 assert antichain_score(mu, witness, beta, lam) == pytest.approx(value, abs=1e-12)
 
     def test_matches_recursive_oracle_depth_four(self):
-        from martree.dimension import _node_weights
-
         for seed in range(100):
             depth = 3 + seed % 2
             mu = random_measure(depth, seed=seed)
@@ -318,6 +314,14 @@ def same_bytes(a, b):
     if isinstance(b, float):
         return type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
     return repr(a) == repr(b)
+
+
+def outcome(f, *args):
+    """("ok", f(*args)), or ("raised", the exception's type name) where f raises."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return "raised", type(exc).__name__
 
 
 def assert_same_certificate_bytes(got, expected):
@@ -508,6 +512,76 @@ class TestSupportEngine:
             sizes.clear()
             assert_same_certificate_bytes(frostman_certify(mu, 0.8, 0.5), expected)
             assert 0 < max(sizes) <= max(elements, width)
+
+
+class TestSupportFromLeaves:
+    """The support is built from the leaves alone: no level sum of the measure
+    and no truncated copy, and still bit for bit the dense oracle."""
+
+    check_measure = TestSupportEngine.check_measure
+
+    def test_no_level_mass_or_truncated_call(self, monkeypatch):
+        cases = [
+            (skewed_measure(3, 5, seed=1, zeros=0.3), 0.6),
+            (skewed_measure(4, 3, seed=2, ell=2, zeros=0.2), 0.4),
+            (TestSupportEngine.sharpness_measure("span", 7)[0], 0.63),
+        ]
+        lams = (0.0, 0.05, 1.0)
+        expected = [
+            (oracle_frostman_certify(mu, beta, 0.5), [oracle_antichain_max(mu, beta, lam) for lam in lams])
+            for mu, beta in cases
+        ]
+        assert expected[-1][0].verdict == "VIOLATED"  # the witness walk runs too
+
+        def refuse(self, depth):
+            raise AssertionError("the certificate read a level sum or a truncated copy")
+
+        monkeypatch.setattr(TreeMeasure, "level_mass", refuse)
+        monkeypatch.setattr(TreeMeasure, "truncated", refuse)
+        for (mu, beta), (cert, maxima) in zip(cases, expected):
+            assert_same_certificate_bytes(frostman_certify(mu, beta, 0.5), cert)
+            for lam, best in zip(lams, maxima):
+                assert same_bytes(antichain_max(mu, beta, lam), best)
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf])
+    def test_non_finite_leaf(self, special):
+        # library use only: read_measure refuses non-finite masses
+        mu = skewed_measure(3, 4, seed=5, zeros=0.3)
+        mu.leaf_mass[[7, 40]] = special, 0.0
+        for beta in (0.3, 0.8):
+            assert_same_certificate_bytes(frostman_certify(mu, beta, 0.5), oracle_frostman_certify(mu, beta, 0.5))
+            for lam in (0.0, 1e-3, 0.1, 1.0, 30.0):
+                got, expected = outcome(antichain_max, mu, beta, lam), outcome(oracle_antichain_max, mu, beta, lam)
+                assert got[0] == expected[0] and same_bytes(got[1], expected[1])
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("scale", [1e-158, 1e-310])
+    def test_tiny_masses(self, ell, scale):
+        # at 1e-158 some vector leaves' squared norms underflow to 0 where their
+        # ancestors' do not; at 1e-310 the masses are subnormal
+        mu = skewed_measure(3, 5, seed=6, ell=ell, zeros=0.3)
+        mu.leaf_mass *= scale
+        self.check_measure(mu, (0.2, 0.9))
+
+    @pytest.mark.parametrize("m, depth", [(3, 4), (8, 2)])
+    def test_single_positive_leaf_at_every_position(self, m, depth):
+        spec = FiltrationSpec(m, depth, 1)
+        for leaf in range(spec.leaves):
+            mass = np.zeros(spec.leaves)
+            mass[leaf] = 0.5 + leaf / spec.leaves
+            mu, beta = TreeMeasure(spec, mass), (leaf % 5) / 4
+            expected = oracle_frostman_certify(mu, beta, 0.5, lambda_grid_size=8)
+            assert_same_certificate_bytes(frostman_certify(mu, beta, 0.5, lambda_grid_size=8), expected)
+            for lam in (0.0, 0.1):
+                assert same_bytes(antichain_max(mu, beta, lam), oracle_antichain_max(mu, beta, lam))
+
+    def test_all_negative_zero_vector_measure(self):
+        spec = FiltrationSpec(3, 4, 2)
+        mu = TreeMeasure(spec, np.full((spec.leaves, 2), -0.0))
+        self.check_measure(mu, (0.0, 0.5, 1.0))
+
+    def test_vector_measure_with_nine_children(self):
+        self.check_measure(skewed_measure(9, 3, seed=9, ell=3, zeros=0.3), (0.3, 0.7))
 
 
 class TestCertificateMatchesOracle:
