@@ -13,8 +13,13 @@ the convex atoms hanging off it, and its leaf cylinders are the bottom-level
 atoms below a flat parent, so every tree root is partitioned by its fruits
 and leaves.
 
-``atom_increments`` gives the per-atom growth and mass that both the labels
-and the stepwise identity read.  The forest's layout lives in one columnar
+Every checker reads the martingale's level data from its one owner,
+``Martingale.levels`` (see ``martree.filtration``): the values F_n, the
+magnitudes |F_n| and |f_{n+1}|, and the per-atom growth and mass that both
+the labels and the stepwise identity read (``atom_increments``).  The first
+checker to read a part computes it, read-only, and the others share it, so
+one martingale is swept once however many checks run on it; its ``diffs``
+must not be written after that.  The forest's layout lives in one columnar
 index, ``FlatForest.index``, derived once from the convex masks in time
 linear in the number of atoms: tree ids propagate from parents to flat
 children, new roots are numbered in index order, and each level's members
@@ -45,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filtration import AtomId, Martingale, evaluate, evaluate_all
+from .filtration import AtomId, Martingale, evaluate_at
 from .norms import lorentz_p1_segments, lp_norm_segments, vector_norms
 from .spacew import _row_norms
 
@@ -180,17 +185,9 @@ def atom_increments(
     F: Martingale,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Per level n < N and atom omega: the growth E(|F_{n+1}| - |F_n|) chi_omega,
-    the mass E|F_n| chi_omega, and the mean of |F_{n+1}| over omega's children."""
-    m = F.spec.m
-    mags = [vector_norms(v) for v in evaluate_all(F)]
-    increments, level_masses, child_means = [], [], []
-    for n in range(F.spec.depth):
-        weight = float(m) ** (-n)
-        child_mean = mags[n + 1].reshape(-1, m).mean(axis=1)
-        increments.append(weight * (child_mean - mags[n]))
-        level_masses.append(weight * mags[n])
-        child_means.append(child_mean)
-    return increments, level_masses, child_means
+    the mass E|F_n| chi_omega, and the mean of |F_{n+1}| over omega's
+    children; the read-only arrays of ``F.levels.increments``."""
+    return tuple(map(list, F.levels.increments))
 
 
 def _children(atoms: np.ndarray, m: int) -> np.ndarray:
@@ -295,7 +292,7 @@ def split_convex_flat(F: Martingale, forest: FlatForest) -> tuple[Martingale, Ma
 
 def _end_l1_norms(F: Martingale) -> tuple[float, float]:
     """E|F_N| and E|F_0|."""
-    return float(vector_norms(evaluate(F, F.spec.depth)).mean()), float(np.linalg.norm(F.f0))
+    return float(F.levels.norms[-1].mean()), float(np.linalg.norm(F.f0))
 
 
 @dataclass
@@ -314,7 +311,7 @@ def verify_stepwise_identity(F: Martingale) -> StepwiseReport:
     when F_0 = 0; the report carries E|F_0| so either convention can be read
     off.  Every atom increment is nonnegative because blocks sum to zero.
     """
-    increments = atom_increments(F)[0]
+    increments = F.levels.increments[0]
     increment_sum = float(sum(inc.sum() for inc in increments))
     final_l1, initial_l1 = _end_l1_norms(F)
     min_atom = float(min(inc.min() for inc in increments))
@@ -344,8 +341,7 @@ def verify_convex_lemma(F: Martingale, forest: FlatForest) -> ConvexLemmaReport:
     constant = (forest.epsilon + 2.0) / forest.epsilon
     max_ratio = 0.0
     besov_co = 0.0
-    for n in range(spec.depth):
-        diff_mags = vector_norms(F.diffs[n])  # (atoms, m)
+    for n, diff_mags in enumerate(F.levels.diff_norms):  # (atoms, m)
         atom_f_l1 = float(m) ** (-(n + 1)) * diff_mags.sum(axis=1)
         mask = forest.convex[n]
         besov_co += float(atom_f_l1[mask].sum())
@@ -368,14 +364,14 @@ def verify_convex_lemma(F: Martingale, forest: FlatForest) -> ConvexLemmaReport:
     )
 
 
-def _root_masses(F: Martingale, levels: list[np.ndarray], forest: FlatForest, p: float = 1.0) -> np.ndarray:
+def _root_masses(F: Martingale, forest: FlatForest, p: float = 1.0) -> np.ndarray:
     """m^{-n_0/p} |F_{n_0}(omega_0)| at each tree root omega_0, in tree order.
     The roots of one level share a batched norm, bit for bit each vector's."""
     root_level, root_index = forest.index.root_level, forest.index.root_index
     norms = np.zeros(root_level.size)
     for n in np.unique(root_level).tolist():
         here = root_level == n
-        norms[here] = _row_norms(levels[n][root_index[here]])
+        norms[here] = _row_norms(evaluate_at(F, n, root_index[here]))
     return np.array([float(F.spec.m) ** (-n / p) for n in range(F.spec.depth + 1)])[root_level] * norms
 
 
@@ -397,23 +393,28 @@ def tree_leaf_values(F: Martingale, forest: FlatForest, scales=None):
     spec = F.spec
     m, ell = spec.m, spec.ell
     index = forest.index
+    # Trees are numbered by root level, so at each level n the trees rooted
+    # at one level are one slice of ids[n], and their members one of members[n].
+    levels = np.arange(spec.depth + 1)
+    first_tree = np.searchsorted(index.root_level, levels)
+    tree_bounds = [np.searchsorted(index.root_level[ids], levels).tolist() for ids in index.ids]
+    member_bounds = [np.concatenate(([0], np.cumsum(counts))).tolist() for counts in index.counts]
     for level in np.unique(index.root_level).tolist():
-        rooted_here = index.root_level == level
-        # A level-n atom of tree t sits at row (rank - root) * m^(n - level)
-        # past its index, rank being t's place among the trees rooted here.
-        shift = np.cumsum(rooted_here) - 1 - index.root_index
-        ids = np.flatnonzero(rooted_here)
-        values = np.zeros((ids.size, ell))
+        t0, t1 = first_tree[level], first_tree[level + 1]
+        values = np.zeros((t1 - t0, ell))
         for n in range(level, spec.depth):
-            here = rooted_here[index.ids[n]]
-            atoms = index.members[n][np.repeat(here, index.counts[n])]
-            block = F.diffs[n][atoms]
+            a, b = tree_bounds[n][level : level + 2]
+            ids = index.ids[n][a:b]
+            atoms = index.members[n][member_bounds[n][a] : member_bounds[n][b]]
+            block = F.diffs[n].reshape(-1, m * ell).take(atoms, axis=0)
             if scales is not None:
                 block = scales[n] * block
-            rows = atoms + np.repeat(shift[index.ids[n][here]], index.counts[n][here]) * m ** (n - level)
+            # a level-n atom of tree t sits at row (t - t0 - root) * m^(n - level) past its index
+            rows = atoms + np.repeat((ids - t0 - index.root_index[ids]) * m ** (n - level), index.counts[n][a:b])
             values = np.repeat(values, m, axis=0)
-            values.reshape(-1, m, ell)[rows] += block
-        yield level, ids, values
+            children = values.reshape(-1, m * ell)
+            children[rows] = children.take(rows, axis=0) + block
+        yield level, np.arange(t0, t1), values
 
 
 def _tree_leaf_sums(F: Martingale, forest: FlatForest, scales=None, weight=None) -> np.ndarray:
@@ -468,9 +469,9 @@ def verify_flat_tree_growth(
     spec = F.spec
     m = spec.m
     alpha = kappa_at_inv_p + alpha_margin
-    levels = evaluate_all(F)
+    level_norms = F.levels.norms
     index = forest.index
-    root_norm = _root_masses(F, levels, forest, p)
+    root_norm = _root_masses(F, forest, p)
     envelope = np.array([np.exp(alpha * k) for k in range(spec.depth + 1)])
     level_rows = []
     max_ratio = 0.0
@@ -481,7 +482,7 @@ def verify_flat_tree_growth(
         if ids.size == 0:
             continue
         # the members' children, block by block
-        mags = vector_norms(levels[n + 1].reshape(-1, m, spec.ell)[atoms].reshape(-1, spec.ell))
+        mags = level_norms[n + 1].reshape(-1, m).take(atoms, axis=0).ravel()
         lhs = lp_norm_segments(mags, counts * m, float(m) ** (-(n + 1)), p)
         ratios = lhs / (envelope[n - index.root_level[ids]] * root_norm[ids])
         level_rows.append((n, ids, ratios))
@@ -519,9 +520,9 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     the stopping-time control ||F_T||_{L_1} <= C ||F||_{L_1}."""
     spec = F.spec
     m = spec.m
-    levels = evaluate_all(F)
-    total_l1 = float(vector_norms(levels[-1]).mean())
-    root_mass = _root_masses(F, levels, forest)
+    total_l1 = float(F.levels.norms[-1].mean())
+    root_mass = _root_masses(F, forest)
+    diff_norms = F.levels.diff_norms
 
     # Each tree's Lorentz sum accumulates in ascending level order.
     index = forest.index
@@ -529,7 +530,7 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     for n, (ids, counts, atoms) in enumerate(zip(index.ids, index.counts, index.members)):
         if ids.size == 0:
             continue
-        mags = vector_norms(F.diffs[n][atoms].reshape(-1, spec.ell))
+        mags = diff_norms[n].take(atoms, axis=0).ravel()
         norm = lorentz_p1_segments(mags, counts * m, float(m) ** (-(n + 1)), p)
         lorentz_sum[ids] += float(m) ** (-(p - 1) / p * n) * norm
 
@@ -561,7 +562,7 @@ def verify_tree_trace(F: Martingale, forest: FlatForest, nu, nu_levels, alpha, p
     root_level, root_index = index.root_level, index.root_index
     scales = [float(m) ** (-alpha * (n + 1)) for n in range(spec.depth)]
     l1_nu = _tree_leaf_sums(F, forest, scales, nu.leaf_mass)
-    denom = _root_masses(F, evaluate_all(F), forest)
+    denom = _root_masses(F, forest)
     tree_constants = (l1_nu[denom > 0] / denom[denom > 0]).tolist()
 
     # Interpolatory estimate of the restricted measure martingale: the nu

@@ -12,7 +12,8 @@ constant, and the verdict comes from the trend of the best ratio across
 depth prefixes, never from one depth alone.  The full-depth scan is also the
 depth-D prefix (truncating at the full depth keeps every node weight and the
 grid), so only the prefixes 1..D-1 get scans of their own.  A scalar
-measure with a negative mass is refused up front, by the certificate and by
+measure with a negative or NaN mass, and a vector measure with a NaN
+component, are refused up front, by the certificate and by
 ``antichain_max`` alike.
 
 The DP runs over the support, built once per certificate from the leaves: a
@@ -221,8 +222,13 @@ def _dp_pass(support: _Support, beta: float, lam: np.ndarray, keep_tables: bool 
 
 
 def _require_nonnegative(mu: TreeMeasure) -> None:
-    if mu.is_scalar and np.any(np.asarray(mu.leaf_mass) < 0):
-        raise ValueError("antichain DP requires a nonnegative measure")
+    """Scalar masses must be >= 0, so NaN fails too; vector masses must have
+    no NaN component."""
+    mass = np.asarray(mu.leaf_mass)
+    if mu.is_scalar and not (mass >= 0).all():
+        raise ValueError("antichain DP requires a nonnegative measure, without NaN masses")
+    if not mu.is_scalar and np.isnan(mass).any():
+        raise ValueError("antichain DP requires a measure without NaN masses")
 
 
 def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list[tuple[int, int]]]:

@@ -6,11 +6,25 @@ n has children with indices m*i + j, j in [0, m), at level n + 1; this fixed
 child ordering is the global identification between difference blocks and
 m-tuples used throughout the package.  All martingale data is stored as
 level-ordered contiguous arrays, so everything here is plain numpy.
+
+A martingale's derived level data has one owner, ``Martingale.levels``: the
+values F_0, ..., F_N of one prefix sweep, the magnitudes |F_n| and |f_{n+1}|,
+and the per-atom growth of |F| that the convex/flat labels read.  Each part
+is computed on its first read and kept as read-only arrays, so every checker
+of one martingale shares one sweep.  The values are kept only once something
+reads them (``evaluate_all``); the magnitudes alone take a sweep that keeps
+none.  The owner does not exist until the first ``evaluate_all``, norm or
+checker call that reads it, and a martingale's ``f0`` and ``diffs`` must not
+be written after that: the kept parts would no longer describe them.
+``evaluate`` and ``evaluate_at`` read kept values and never keep any.
+``copy``, ``truncated``, ``scaled`` and ``+`` return martingales without an
+owner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,12 +111,91 @@ def tree_distance(spec: FiltrationSpec, a: AtomId, b: AtomId) -> float:
     return float(spec.m) ** (-k)
 
 
+def vector_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of float ``x``, bit for bit as
+    ``np.linalg.norm(x, axis=-1)``.
+
+    numpy sums fewer than 8 squares in order, so a short last axis is summed
+    column by column, without the reduction's per-call overhead; from 8 on
+    numpy sums pairwise, and its own norm is called.
+    """
+    x = np.asarray(x, dtype=float)
+    if not 0 < x.shape[-1] < 8:
+        return np.linalg.norm(x, axis=-1)
+    squares = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        squares += x[..., j] * x[..., j]
+    return np.sqrt(squares)
+
+
+def _sweep(spec: FiltrationSpec, f0: np.ndarray, diffs: list[np.ndarray], n: int):
+    """F_0, ..., F_n from one prefix sweep, yielded level by level."""
+    values = f0.reshape(1, spec.ell)
+    yield values
+    for block in diffs[:n]:
+        values = np.repeat(values, spec.m, axis=0) + block.reshape(-1, spec.ell)
+        yield values
+
+
+def _read_only(arrays) -> tuple[np.ndarray, ...]:
+    arrays = tuple(arrays)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class LevelData:
+    """The derived level data of one martingale, each part computed on its
+    first read and kept as read-only arrays; ``Martingale.levels`` owns it.
+
+    It holds the martingale's ``spec``, ``f0`` and ``diffs`` (the same
+    objects, not copies), never the martingale itself.
+    """
+
+    def __init__(self, spec: FiltrationSpec, f0: np.ndarray, diffs: list[np.ndarray]):
+        self.spec, self._f0, self._diffs = spec, f0, diffs
+
+    @cached_property
+    def values(self) -> tuple[np.ndarray, ...]:
+        """F_0, ..., F_N, each of shape (m^n, ell), from one prefix sweep."""
+        return _read_only(_sweep(self.spec, self._f0, self._diffs, self.spec.depth))
+
+    @cached_property
+    def norms(self) -> tuple[np.ndarray, ...]:
+        """|F_n| on the level-n atoms, n = 0..N: from the kept values if
+        they are built, else from a sweep that keeps no level."""
+        values = vars(self).get("values") or _sweep(self.spec, self._f0, self._diffs, self.spec.depth)
+        return _read_only(map(vector_norms, values))
+
+    @cached_property
+    def diff_norms(self) -> tuple[np.ndarray, ...]:
+        """|f_{n+1}| per block entry, shape (m^n, m), n < N."""
+        return _read_only(map(vector_norms, self._diffs))
+
+    @cached_property
+    def increments(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per level n < N and atom omega: the growth E(|F_{n+1}| - |F_n|)
+        chi_omega, the mass E|F_n| chi_omega, and the mean of |F_{n+1}| over
+        omega's children."""
+        m, mags = self.spec.m, self.norms
+        increments, level_masses, child_means = [], [], []
+        for n in range(self.spec.depth):
+            weight = float(m) ** (-n)
+            child_mean = mags[n + 1].reshape(-1, m).mean(axis=1)
+            increments.append(weight * (child_mean - mags[n]))
+            level_masses.append(weight * mags[n])
+            child_means.append(child_mean)
+        return _read_only(increments), _read_only(level_masses), _read_only(child_means)
+
+
 class Martingale:
     """An R^ell-valued martingale stored as F_0 plus per-atom difference blocks.
 
     ``diffs[n]`` has shape (m^n, m, ell); row block ``diffs[n][i]`` holds the
     values of f_{n+1} on the children of atom i at level n and sums to zero
-    along its first axis (each block lies in V^ell).
+    along its first axis (each block lies in V^ell).  ``levels`` is built on
+    its first read (see the module docstring); ``f0`` and ``diffs`` must not
+    be written after it.
     """
 
     def __init__(self, spec: FiltrationSpec, f0: np.ndarray, diffs: list[np.ndarray], *, validate: bool = True):
@@ -161,23 +254,58 @@ class Martingale:
             return self.f0.reshape(1, self.spec.ell)
         return self.diffs[n - 1].reshape(self.spec.m**n, self.spec.ell)
 
+    @cached_property
+    def levels(self) -> LevelData:
+        """The one owner of this martingale's derived level data, made on
+        first read and kept."""
+        return LevelData(self.spec, self.f0, self.diffs)
+
+
+def _kept_values(F: Martingale) -> tuple[np.ndarray, ...] | None:
+    """``F.levels.values`` if they are built, else None; builds nothing."""
+    levels = vars(F).get("levels")
+    return None if levels is None else vars(levels).get("values")
+
 
 def evaluate(F: Martingale, n: int) -> np.ndarray:
-    """Values of F_n on the level-n atoms, shape (m^n, ell)."""
+    """Values of F_n on the level-n atoms, shape (m^n, ell).
+
+    If ``F.levels`` keeps its values, this is their read-only F_n; else F_n
+    is swept to level n and nothing is kept.
+    """
     if not 0 <= n <= F.spec.depth:
         raise ValueError(f"level {n} outside [0, {F.spec.depth}]")
-    values = F.f0.reshape(1, F.spec.ell)
-    for k in range(n):
-        values = np.repeat(values, F.spec.m, axis=0) + F.difference_values(k + 1)
+    kept = _kept_values(F)
+    if kept is not None:
+        return kept[n]
+    for values in _sweep(F.spec, F.f0, F.diffs, n):
+        pass
+    return values
+
+
+def evaluate_at(F: Martingale, n: int, atoms: np.ndarray) -> np.ndarray:
+    """Rows ``atoms`` of ``evaluate(F, n)``, bit for bit, without the level:
+    each row sums f_1, ..., f_n along its atom's path in the sweep's order.
+    Reads kept values if ``F.levels`` has them; keeps nothing."""
+    atoms = np.asarray(atoms, dtype=np.int64)
+    kept = _kept_values(F)
+    if kept is not None:
+        return kept[n][atoms]
+    m, ell = F.spec.m, F.spec.ell
+    ancestors = [atoms]  # at levels n, n - 1, ..., 1
+    for _ in range(n - 1):
+        ancestors.append(ancestors[-1] // m)
+    values = np.repeat(F.f0.reshape(1, ell), len(atoms), axis=0)
+    for block, at in zip(F.diffs[:n], reversed(ancestors)):
+        values += block.reshape(-1, ell).take(at, axis=0)
     return values
 
 
 def evaluate_all(F: Martingale) -> list[np.ndarray]:
-    """Values of F_0, ..., F_N in one prefix sweep."""
-    out = [F.f0.reshape(1, F.spec.ell)]
-    for k in range(F.spec.depth):
-        out.append(np.repeat(out[-1], F.spec.m, axis=0) + F.difference_values(k + 1))
-    return out
+    """Values of F_0, ..., F_N: the read-only ``F.levels.values``, built by
+    one prefix sweep on the first call and kept, so later calls share them.
+    ``F.f0`` and ``F.diffs`` must not be written after it."""
+    return list(F.levels.values)
 
 
 @dataclass

@@ -16,24 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import FiltrationSpec, Martingale, TreeMeasure, evaluate, evaluate_all
-
-
-def vector_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis of float ``x``, bit for bit as
-    ``np.linalg.norm(x, axis=-1)``.
-
-    numpy sums fewer than 8 squares in order, so a short last axis is summed
-    column by column, without the reduction's per-call overhead; from 8 on
-    numpy sums pairwise, and its own norm is called.
-    """
-    x = np.asarray(x, dtype=float)
-    if not 0 < x.shape[-1] < 8:
-        return np.linalg.norm(x, axis=-1)
-    squares = x[..., 0] * x[..., 0]
-    for j in range(1, x.shape[-1]):
-        squares += x[..., j] * x[..., j]
-    return np.sqrt(squares)
+from .filtration import FiltrationSpec, Martingale, TreeMeasure, evaluate, vector_norms
 
 
 @dataclass
@@ -127,32 +110,45 @@ def lorentz_p1_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p:
     """``lorentz_p1_from_distribution`` of each consecutive segment of
     ``mags``, every atom of mass ``weight``; bit for bit, in one pass.
 
-    The positive values of each segment are sorted descending, one row sort
-    per count: the segments that keep the same number of values are
-    gathered as the rows of one 2-D array.  Ties are equal values, so their
-    order is moot.
+    The positive values are laid out segment by segment in order of their
+    count (taken from a cumsum of the ``mags > 0`` mask), so the segments
+    that keep c values are the rows of one contiguous (segments, c) block:
+    each block is sorted row by row and, once every drop is known, its rows
+    of terms are summed with numpy's pairwise scheme for length c, as one
+    segment alone is.  Values are sorted negated, which puts them in
+    descending order; ties are equal values, so their order is moot.
     """
     if p <= 1:
         raise ValueError(f"Lorentz L_(p,1) requires p > 1, got {p}")
     lengths = np.asarray(lengths, dtype=np.int64)
     keep = mags > 0
-    vals = mags[keep]
-    counts = np.bincount(np.repeat(np.arange(lengths.size), lengths)[keep], minlength=lengths.size)
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    kept = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(lengths)]
+    counts = np.diff(kept, prepend=0)
     order = np.argsort(counts, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-        if group.size == 0 or counts[group[0]] < 2:  # no segments, or nothing to sort
-            continue
-        rows = starts[group, None] + np.arange(counts[group[0]])
-        vals[rows] = np.sort(vals[rows], axis=1)[:, ::-1]
-    rank = np.arange(vals.size) - np.repeat(starts, counts)
-    # the cumulative masses of equal atoms are prefixes of one running sum
-    cum = np.cumsum(np.full(int(counts.max(initial=0)), float(weight)))[rank]
-    following = np.append(vals[1:], 0.0)
-    following[ends[counts > 0] - 1] = 0.0
-    drops = vals - following
-    return p * segment_sums(cum ** (1.0 / p) * drops, counts)
+    by_count = counts[order]
+    ends = np.cumsum(by_count)
+    starts = ends - by_count
+    # the kept values of the segments in ``order``, negated
+    gather = np.arange(by_count.sum()) + np.repeat((kept - counts)[order] - starts, by_count)
+    vals = np.negative(mags[keep][gather])
+    # each nonzero count's first segment, the count, its first value and its rows
+    first = np.flatnonzero(np.diff(by_count, prepend=0))
+    blocks = list(zip(first.tolist(), by_count[first].tolist(), starts[first].tolist(),
+                      np.diff(first, append=by_count.size).tolist()))
+    for k, c, e, rows in blocks:
+        vals[e : e + rows * c].reshape(rows, c).sort(axis=1)
+    # drop = value - next value, and the last value of each segment itself
+    drops = np.empty_like(vals)
+    np.subtract(vals[1:], vals[:-1], out=drops[:-1])
+    last = ends[by_count > 0] - 1
+    drops[last] = -vals[last]
+    scale = np.cumsum(np.full(int(counts.max(initial=0)), float(weight))) ** (1.0 / p)
+    sums = np.zeros(by_count.size)
+    for k, c, e, rows in blocks:
+        sums[k : k + rows] = (drops[e : e + rows * c].reshape(rows, c) * scale[:c]).sum(axis=1)
+    out = np.empty(lengths.size)
+    out[order] = sums
+    return p * out
 
 
 def lp_norm_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p: float) -> np.ndarray:
@@ -203,13 +199,12 @@ def besov_norm(F: Martingale, beta: float, p: float) -> float:
 
 
 def h1_norm(F: Martingale) -> float:
-    """E max_{0 <= n <= N} |F_n|, computed exactly over the leaves."""
-    spec = F.spec
-    levels = evaluate_all(F)
-    running = vector_norms(levels[0])
-    for n in range(1, spec.depth + 1):
-        mags = vector_norms(levels[n])
-        running = np.maximum(np.repeat(running, spec.m), mags)
+    """E max_{0 <= n <= N} |F_n|, computed exactly over the leaves from
+    ``F.levels.norms``."""
+    mags = F.levels.norms
+    running = mags[0]
+    for n in range(1, F.spec.depth + 1):
+        running = np.maximum(np.repeat(running, F.spec.m), mags[n])
     return float(running.mean())
 
 

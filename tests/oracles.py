@@ -14,7 +14,10 @@ last bit for bit.  ``antichain_score`` scores a given antichain, and
 ``lp_norm_weighted`` is the one-segment form of ``norms.lp_norm_segments``.
 ``shift_w`` builds a subspace on which those searches meet tied values.
 ``log_mean_exp`` is scipy's ``logsumexp`` with weight 1/m, which the numpy
-log-mean-exp behind ``kappa.kappa_v_many`` reproduces.  ``tree_leaf_values``
+log-mean-exp behind ``kappa.kappa_v_many`` reproduces.  ``evaluate_all`` is
+the prefix sweep each checker ran for itself before ``Martingale.levels``
+kept one, and ``level_data`` every part that owner keeps, computed from that
+sweep with nothing kept.  ``tree_leaf_values``
 is F_T on every leaf, the full-array form of ``decomp.tree_leaf_values``,
 and ``rle`` the atom-by-atom run-length code of a label mask that
 ``cli._rle`` reproduces.  ``write_martingale`` is the block-by-block writer
@@ -300,6 +303,36 @@ def lp_norm_weighted(mags: np.ndarray, weights: np.ndarray, p: float) -> float:
 def log_mean_exp(a: np.ndarray) -> np.ndarray:
     """log((1/m) sum_j exp(a_j)) of each row of a (batch, m) array, by scipy."""
     return logsumexp(a, axis=1, b=1.0 / a.shape[1])
+
+
+def evaluate_all(F: Martingale) -> list[np.ndarray]:
+    """F_0, ..., F_N in one prefix sweep, kept nowhere."""
+    out = [F.f0.reshape(1, F.spec.ell)]
+    for k in range(F.spec.depth):
+        out.append(np.repeat(out[-1], F.spec.m, axis=0) + F.difference_values(k + 1))
+    return out
+
+
+def level_data(F: Martingale) -> dict:
+    """What ``F.levels`` keeps, each part by name, from ``evaluate_all``:
+    the values, |F_n|, |f_{n+1}| per block entry and the per-atom growth,
+    mass and child mean of ``decomp.atom_increments``."""
+    m = F.spec.m
+    values = evaluate_all(F)
+    mags = [np.linalg.norm(v, axis=-1) for v in values]
+    increments, level_masses, child_means = [], [], []
+    for n in range(F.spec.depth):
+        weight = float(m) ** (-n)
+        child_mean = mags[n + 1].reshape(-1, m).mean(axis=1)
+        increments.append(weight * (child_mean - mags[n]))
+        level_masses.append(weight * mags[n])
+        child_means.append(child_mean)
+    return {
+        "values": values,
+        "norms": mags,
+        "diff_norms": [np.linalg.norm(d, axis=-1) for d in F.diffs],
+        "increments": (increments, level_masses, child_means),
+    }
 
 
 def tree_leaf_values(F, forest, scales=None):

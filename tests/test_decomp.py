@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from martree import decomp, trace
+from martree import decomp, filtration, trace
 from martree.decomp import (
     FlatForest,
     FlatTree,
@@ -35,7 +35,7 @@ from martree.filtration import (
     measure_to_martingale,
 )
 from martree.kappa import kappa_of
-from martree.norms import lorentz_p1_from_distribution, lp_norm, martingale_level
+from martree.norms import h1_norm, lorentz_p1_from_distribution, lp_norm, martingale_level
 from martree.riesz import delta_martingale
 from martree.spacew import SubspaceW, delta_vector, random_w_martingale
 import oracles
@@ -766,3 +766,101 @@ class TestBatchedHelpers:
         F = random_martingale(FiltrationSpec(3, 2, 1), 0)
         with pytest.raises(ValueError, match="epsilon"):
             classify_atoms(F, epsilon)
+
+
+def same_bits(got, expected) -> bool:
+    got, expected = np.ascontiguousarray(got), np.ascontiguousarray(expected, dtype=float)
+    return got.shape == expected.shape and np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+FRESH_KEYS = {"spec", "f0", "diffs"}
+
+
+class TestLevelData:
+    """``Martingale.levels``: one owner of the level data every checker
+    reads, bit for bit the uncached sweep, read-only, made on first read."""
+
+    @pytest.mark.parametrize("case", LAYOUT_CASES)
+    def test_parts_match_the_uncached_sweep(self, case):
+        for F, _ in LAYOUT_CASES[case]():
+            expected = oracles.level_data(F)
+            levels = F.levels
+            for name in ("values", "norms", "diff_norms"):
+                got = getattr(levels, name)
+                assert len(got) == len(expected[name])
+                assert all(same_bits(a, b) for a, b in zip(got, expected[name])), name
+            for got, ref in zip(levels.increments, expected["increments"], strict=True):
+                assert len(got) == F.spec.depth and all(same_bits(a, b) for a, b in zip(got, ref))
+            assert all(same_bits(a, b) for a, b in zip(evaluate_all(F), expected["values"]))
+
+    @pytest.mark.parametrize("case", ["random", "wide-values", "sparse"])
+    def test_evaluate_and_evaluate_at_read_the_same_bits(self, case):
+        rng = np.random.default_rng(3)
+        for F, _ in LAYOUT_CASES[case]():
+            expected = oracles.evaluate_all(F)
+            for keep in (False, True):
+                if keep:
+                    F.levels.values
+                for n, ref in enumerate(expected):
+                    assert same_bits(evaluate(F, n), ref)
+                    atoms = rng.integers(0, ref.shape[0], 7)
+                    assert same_bits(filtration.evaluate_at(F, n, atoms), ref[atoms])
+
+    def test_kept_arrays_reject_writes(self):
+        F = random_martingale(FiltrationSpec(3, 3, 2), 1)
+        levels = F.levels
+        parts = [*levels.values, *levels.norms, *levels.diff_norms, *(a for part in levels.increments for a in part)]
+        parts += [*evaluate_all(F), evaluate(F, 2), *atom_increments(F)[0]]
+        for a in parts:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        assert F.levels is levels
+
+    def test_new_martingales_have_no_owner(self):
+        F = random_martingale(FiltrationSpec(3, 4, 2), 2)
+        assert set(vars(F)) == FRESH_KEYS
+        forest = classify_atoms(F, 0.2)
+        assert "levels" in vars(F)
+        for G in (F.copy(), F.truncated(2), F.scaled(np.full(4, 2.0)), F + F, *split_convex_flat(F, forest)):
+            assert set(vars(G)) == FRESH_KEYS
+        # the derived martingale's own sweep: a copy owns nothing of F's
+        G = F.copy()
+        G.diffs[0][0] = 0.0
+        assert not same_bits(G.levels.values[1], F.levels.values[1])
+
+    def test_evaluate_without_an_owner_keeps_nothing(self):
+        F = random_martingale(FiltrationSpec(3, 4, 2), 3)
+        for n in range(F.spec.depth + 1):
+            evaluate(F, n)
+            filtration.evaluate_at(F, n, np.arange(F.spec.m**n))
+        martingale_level(F, F.spec.depth)
+        assert set(vars(F)) == FRESH_KEYS
+        # the magnitudes take a sweep of their own and keep no values
+        F.levels.norms
+        evaluate(F, 2)
+        assert "values" not in vars(F.levels)
+
+    def test_one_sweep_per_martingale(self, monkeypatch):
+        spec = FiltrationSpec(3, 6, 2)
+        F = random_w_martingale(SubspaceW.random(3, 2, 2, seed=4), spec, seed=8)
+        sweeps = []
+        sweep = filtration._sweep
+
+        def counted(spec, f0, diffs, n):
+            sweeps.append(id(diffs))
+            return sweep(spec, f0, diffs, n)
+
+        monkeypatch.setattr(filtration, "_sweep", counted)
+        nu = trace.capped_cascade_measure(FiltrationSpec(3, spec.depth, 1), 0.9, 1.0, seed=1)
+        nu_levels = [nu.level_mass(n) for n in range(spec.depth + 1)]
+        _, F_fl = split_convex_flat(F, classify_atoms(F, 0.1))
+        for G in (F, F_fl):
+            forest = classify_atoms(G, 0.1)
+            verify_stepwise_identity(G)
+            verify_convex_lemma(G, forest)
+            verify_tree_summation(G, forest, 2.0)
+            verify_flat_tree_growth(G, forest, 2.0, kappa_at_inv_p=0.2, alpha_margin=0.1)
+            h1_norm(G)
+            verify_tree_trace(G, forest, nu, nu_levels, 0.9, 2.0, 1.0)
+        assert sweeps == [id(F.diffs), id(F_fl.diffs)]

@@ -548,11 +548,31 @@ class TestSupportFromLeaves:
         # library use only: read_measure refuses non-finite masses
         mu = skewed_measure(3, 4, seed=5, zeros=0.3)
         mu.leaf_mass[[7, 40]] = special, 0.0
+        if np.isnan(special):  # a NaN mass is not nonnegative: no certificate, no antichain
+            for beta in (0.3, 0.8):
+                with pytest.raises(ValueError, match="without NaN masses"):
+                    frostman_certify(mu, beta, 0.5)
+                with pytest.raises(ValueError, match="without NaN masses"):
+                    antichain_max(mu, beta, 0.1)
+            return
         for beta in (0.3, 0.8):
             assert_same_certificate_bytes(frostman_certify(mu, beta, 0.5), oracle_frostman_certify(mu, beta, 0.5))
             for lam in (0.0, 1e-3, 0.1, 1.0, 30.0):
                 got, expected = outcome(antichain_max, mu, beta, lam), outcome(oracle_antichain_max, mu, beta, lam)
                 assert got[0] == expected[0] and same_bytes(got[1], expected[1])
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_nan_component_is_refused(self, ell):
+        # a scalar NaN leaf once certified with constant nan, and the witness
+        # walk then raised IndexError; a vector leaf needs one NaN component
+        spec = FiltrationSpec(3, 3, ell)
+        mass = np.zeros((spec.leaves, ell))
+        mass[0, 0], mass[4, ell - 1] = 1.0, np.nan
+        mu = TreeMeasure(spec, mass[:, 0] if ell == 1 else mass)
+        with pytest.raises(ValueError, match="without NaN masses"):
+            frostman_certify(mu, 0.9, 0.5)
+        with pytest.raises(ValueError, match="without NaN masses"):
+            antichain_max(mu, 0.9, 0.1)
 
     @pytest.mark.parametrize("ell", [1, 2])
     @pytest.mark.parametrize("scale", [1e-158, 1e-310])

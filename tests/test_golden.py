@@ -195,3 +195,20 @@ def test_trace_embed_p_at_one_writes_the_l1_rows(tmp_path, monkeypatch):
         rows[kind] = [line for line in text.splitlines() if not line.startswith("#")]
     assert rows["trace-embed-p"] == rows["trace-embed-l1"]
     assert len(rows["trace-embed-l1"]) == 1 + 3 * 4
+
+
+# ``martree norm`` flags -> the text it printed on the golden martingale when
+# frozen; h1 reads the magnitudes its martingale's levels keep
+NORM_PINS = [
+    (["--name", "h1"], "1.8033723053780835\n"),
+    (["--name", "besov"], "4.2564229366276072\n"),
+    (["--name", "besov", "--beta", "0.5", "--p", "1"], "40.760949237949632\n"),
+    (["--name", "besov", "--beta", "-0.5", "--p", "3"], "0.84328269556906343\n"),
+]
+
+
+@pytest.mark.parametrize("martingale", ["martingale.json", "martingale_columnar.json"])
+@pytest.mark.parametrize("flags, printed", NORM_PINS, ids=["h1", "besov", "besov_beta_p1", "besov_beta_p3"])
+def test_norm_prints_frozen_text(flags, printed, martingale, capsys):
+    assert cli.main(["norm", "--martingale", str(GOLDEN / martingale), *flags]) == 0
+    assert capsys.readouterr().out == printed

@@ -355,11 +355,15 @@ class TestSegmentNorms:
             [[0.0, 0.0], [], [0.0]],
             [[1.5], [0.0, 2.0], [0.0, 0.0, 3.0], []],
             [[2.0, 2.0, 2.0], [1.0, 2.0, 1.0, 2.0], [0.5, 0.0, 0.5]],
-            # 8 or more kept values: segment_sums' pairwise path
+            # 8 or more kept values: numpy's pairwise path of a row sum
             [[*np.linspace(0.1, 1.0, 8)], [0.0, *np.linspace(1.0, 0.1, 8)], [3.0] * 9,
              [*np.random.default_rng(5).choice([0.0, 0.25, 1.0, 4.0], 40)], [0.0] * 8, [7.0]],
+            # random lengths from 0 to 20, so empty, all-zero and long segments
+            # meet many kept counts, with zeros and ties throughout
+            [[*np.random.default_rng(k).choice([0.0, 0.0, 0.5, 1.0, 3.0, *np.random.default_rng(k).random(3)], n)]
+             for k, n in enumerate(np.random.default_rng(9).integers(0, 21, 60).tolist())],
         ],
-        ids=["no-segments", "zero-length", "all-zero", "one-value", "ties", "eight-or-more"],
+        ids=["no-segments", "zero-length", "all-zero", "one-value", "ties", "eight-or-more", "random-mixed"],
     )
     def test_lorentz_segments_edge_cases(self, segments):
         mags = np.array([v for seg in segments for v in seg], dtype=float)
