@@ -13,13 +13,15 @@ the convex atoms hanging off it, and its leaf cylinders are the bottom-level
 atoms below a flat parent, so every tree root is partitioned by its fruits
 and leaves.
 
-Every checker reads the martingale's level data from its one owner,
-``Martingale.levels`` (see ``martree.filtration``): the values F_n, the
-magnitudes |F_n| and |f_{n+1}|, and the per-atom growth and mass that both
-the labels and the stepwise identity read (``atom_increments``).  The first
+Every checker reads the martingale's level data from the martingale itself
+(see ``martree.filtration``): the magnitudes |F_n| and |f_{n+1}|
+(``Martingale.norms``, ``Martingale.diff_norms``) and the per-atom growth and
+mass that both the labels and the stepwise identity read
+(``Martingale.increments``, returned by ``atom_increments``).  The first
 checker to read a part computes it, read-only, and the others share it, so
 one martingale is swept once however many checks run on it; its ``diffs``
-must not be written after that.  The forest's layout lives in one columnar
+must not be written after that.  A tree root's F_n is a path sum
+(``filtration.evaluate_at``), so no level of values is kept.  The forest's layout lives in one columnar
 index, ``FlatForest.index``, derived once from the convex masks in time
 linear in the number of atoms: tree ids propagate from parents to flat
 children, new roots are numbered in index order, and each level's members
@@ -186,8 +188,8 @@ def atom_increments(
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Per level n < N and atom omega: the growth E(|F_{n+1}| - |F_n|) chi_omega,
     the mass E|F_n| chi_omega, and the mean of |F_{n+1}| over omega's
-    children; the read-only arrays of ``F.levels.increments``."""
-    return tuple(map(list, F.levels.increments))
+    children; the read-only arrays of ``F.increments``."""
+    return tuple(map(list, F.increments))
 
 
 def _children(atoms: np.ndarray, m: int) -> np.ndarray:
@@ -292,7 +294,7 @@ def split_convex_flat(F: Martingale, forest: FlatForest) -> tuple[Martingale, Ma
 
 def _end_l1_norms(F: Martingale) -> tuple[float, float]:
     """E|F_N| and E|F_0|."""
-    return float(F.levels.norms[-1].mean()), float(np.linalg.norm(F.f0))
+    return float(F.norms[-1].mean()), float(np.linalg.norm(F.f0))
 
 
 @dataclass
@@ -311,7 +313,7 @@ def verify_stepwise_identity(F: Martingale) -> StepwiseReport:
     when F_0 = 0; the report carries E|F_0| so either convention can be read
     off.  Every atom increment is nonnegative because blocks sum to zero.
     """
-    increments = F.levels.increments[0]
+    increments = F.increments[0]
     increment_sum = float(sum(inc.sum() for inc in increments))
     final_l1, initial_l1 = _end_l1_norms(F)
     min_atom = float(min(inc.min() for inc in increments))
@@ -341,7 +343,7 @@ def verify_convex_lemma(F: Martingale, forest: FlatForest) -> ConvexLemmaReport:
     constant = (forest.epsilon + 2.0) / forest.epsilon
     max_ratio = 0.0
     besov_co = 0.0
-    for n, diff_mags in enumerate(F.levels.diff_norms):  # (atoms, m)
+    for n, diff_mags in enumerate(F.diff_norms):  # (atoms, m)
         atom_f_l1 = float(m) ** (-(n + 1)) * diff_mags.sum(axis=1)
         mask = forest.convex[n]
         besov_co += float(atom_f_l1[mask].sum())
@@ -469,7 +471,7 @@ def verify_flat_tree_growth(
     spec = F.spec
     m = spec.m
     alpha = kappa_at_inv_p + alpha_margin
-    level_norms = F.levels.norms
+    level_norms = F.norms
     index = forest.index
     root_norm = _root_masses(F, forest, p)
     envelope = np.array([np.exp(alpha * k) for k in range(spec.depth + 1)])
@@ -520,9 +522,9 @@ def verify_tree_summation(F: Martingale, forest: FlatForest, p: float) -> TreeSu
     the stopping-time control ||F_T||_{L_1} <= C ||F||_{L_1}."""
     spec = F.spec
     m = spec.m
-    total_l1 = float(F.levels.norms[-1].mean())
+    total_l1 = float(F.norms[-1].mean())
     root_mass = _root_masses(F, forest)
-    diff_norms = F.levels.diff_norms
+    diff_norms = F.diff_norms
 
     # Each tree's Lorentz sum accumulates in ascending level order.
     index = forest.index

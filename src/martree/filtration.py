@@ -7,18 +7,17 @@ child ordering is the global identification between difference blocks and
 m-tuples used throughout the package.  All martingale data is stored as
 level-ordered contiguous arrays, so everything here is plain numpy.
 
-A martingale's derived level data has one owner, ``Martingale.levels``: the
-values F_0, ..., F_N of one prefix sweep, the magnitudes |F_n| and |f_{n+1}|,
-and the per-atom growth of |F| that the convex/flat labels read.  Each part
-is computed on its first read and kept as read-only arrays, so every checker
-of one martingale shares one sweep.  The values are kept only once something
-reads them (``evaluate_all``); the magnitudes alone take a sweep that keeps
-none.  The owner does not exist until the first ``evaluate_all``, norm or
-checker call that reads it, and a martingale's ``f0`` and ``diffs`` must not
-be written after that: the kept parts would no longer describe them.
-``evaluate`` and ``evaluate_at`` read kept values and never keep any.
-``copy``, ``truncated``, ``scaled`` and ``+`` return martingales without an
-owner.
+A martingale's derived level data is kept on the martingale itself:
+``Martingale.norms`` (|F_n| per level), ``Martingale.diff_norms`` (|f_{n+1}|
+per block entry) and ``Martingale.increments`` (the per-atom growth of |F|
+that the convex/flat labels read).  Each is computed on its first read, from
+one prefix sweep that keeps no level, and kept as read-only arrays, so every
+checker of one martingale shares that sweep.  Nothing is kept until the
+first norm or checker call that reads them, and a martingale's ``f0`` and
+``diffs`` must not be written after that: the kept arrays would no longer
+describe them.  ``evaluate``, ``evaluate_at`` and ``evaluate_all`` sweep
+afresh and keep nothing.  ``copy``, ``truncated``, ``scaled`` and ``+``
+return martingales with nothing kept.
 """
 
 from __future__ import annotations
@@ -144,58 +143,15 @@ def _read_only(arrays) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-class LevelData:
-    """The derived level data of one martingale, each part computed on its
-    first read and kept as read-only arrays; ``Martingale.levels`` owns it.
-
-    It holds the martingale's ``spec``, ``f0`` and ``diffs`` (the same
-    objects, not copies), never the martingale itself.
-    """
-
-    def __init__(self, spec: FiltrationSpec, f0: np.ndarray, diffs: list[np.ndarray]):
-        self.spec, self._f0, self._diffs = spec, f0, diffs
-
-    @cached_property
-    def values(self) -> tuple[np.ndarray, ...]:
-        """F_0, ..., F_N, each of shape (m^n, ell), from one prefix sweep."""
-        return _read_only(_sweep(self.spec, self._f0, self._diffs, self.spec.depth))
-
-    @cached_property
-    def norms(self) -> tuple[np.ndarray, ...]:
-        """|F_n| on the level-n atoms, n = 0..N: from the kept values if
-        they are built, else from a sweep that keeps no level."""
-        values = vars(self).get("values") or _sweep(self.spec, self._f0, self._diffs, self.spec.depth)
-        return _read_only(map(vector_norms, values))
-
-    @cached_property
-    def diff_norms(self) -> tuple[np.ndarray, ...]:
-        """|f_{n+1}| per block entry, shape (m^n, m), n < N."""
-        return _read_only(map(vector_norms, self._diffs))
-
-    @cached_property
-    def increments(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per level n < N and atom omega: the growth E(|F_{n+1}| - |F_n|)
-        chi_omega, the mass E|F_n| chi_omega, and the mean of |F_{n+1}| over
-        omega's children."""
-        m, mags = self.spec.m, self.norms
-        increments, level_masses, child_means = [], [], []
-        for n in range(self.spec.depth):
-            weight = float(m) ** (-n)
-            child_mean = mags[n + 1].reshape(-1, m).mean(axis=1)
-            increments.append(weight * (child_mean - mags[n]))
-            level_masses.append(weight * mags[n])
-            child_means.append(child_mean)
-        return _read_only(increments), _read_only(level_masses), _read_only(child_means)
-
-
 class Martingale:
     """An R^ell-valued martingale stored as F_0 plus per-atom difference blocks.
 
     ``diffs[n]`` has shape (m^n, m, ell); row block ``diffs[n][i]`` holds the
     values of f_{n+1} on the children of atom i at level n and sums to zero
-    along its first axis (each block lies in V^ell).  ``levels`` is built on
-    its first read (see the module docstring); ``f0`` and ``diffs`` must not
-    be written after it.
+    along its first axis (each block lies in V^ell).  ``norms``,
+    ``diff_norms`` and ``increments`` are computed on their first read and
+    kept read-only (see the module docstring); ``f0`` and ``diffs`` must not
+    be written after that.
     """
 
     def __init__(self, spec: FiltrationSpec, f0: np.ndarray, diffs: list[np.ndarray], *, validate: bool = True):
@@ -255,29 +211,37 @@ class Martingale:
         return self.diffs[n - 1].reshape(self.spec.m**n, self.spec.ell)
 
     @cached_property
-    def levels(self) -> LevelData:
-        """The one owner of this martingale's derived level data, made on
-        first read and kept."""
-        return LevelData(self.spec, self.f0, self.diffs)
+    def norms(self) -> tuple[np.ndarray, ...]:
+        """|F_n| on the level-n atoms, n = 0..N, from a sweep that keeps no
+        level."""
+        return _read_only(map(vector_norms, _sweep(self.spec, self.f0, self.diffs, self.spec.depth)))
 
+    @cached_property
+    def diff_norms(self) -> tuple[np.ndarray, ...]:
+        """|f_{n+1}| per block entry, shape (m^n, m), n < N."""
+        return _read_only(map(vector_norms, self.diffs))
 
-def _kept_values(F: Martingale) -> tuple[np.ndarray, ...] | None:
-    """``F.levels.values`` if they are built, else None; builds nothing."""
-    levels = vars(F).get("levels")
-    return None if levels is None else vars(levels).get("values")
+    @cached_property
+    def increments(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per level n < N and atom omega: the growth E(|F_{n+1}| - |F_n|)
+        chi_omega, the mass E|F_n| chi_omega, and the mean of |F_{n+1}| over
+        omega's children."""
+        m, mags = self.spec.m, self.norms
+        increments, level_masses, child_means = [], [], []
+        for n in range(self.spec.depth):
+            weight = float(m) ** (-n)
+            child_mean = mags[n + 1].reshape(-1, m).mean(axis=1)
+            increments.append(weight * (child_mean - mags[n]))
+            level_masses.append(weight * mags[n])
+            child_means.append(child_mean)
+        return _read_only(increments), _read_only(level_masses), _read_only(child_means)
 
 
 def evaluate(F: Martingale, n: int) -> np.ndarray:
-    """Values of F_n on the level-n atoms, shape (m^n, ell).
-
-    If ``F.levels`` keeps its values, this is their read-only F_n; else F_n
-    is swept to level n and nothing is kept.
-    """
+    """Values of F_n on the level-n atoms, shape (m^n, ell), swept to level
+    n; nothing is kept."""
     if not 0 <= n <= F.spec.depth:
         raise ValueError(f"level {n} outside [0, {F.spec.depth}]")
-    kept = _kept_values(F)
-    if kept is not None:
-        return kept[n]
     for values in _sweep(F.spec, F.f0, F.diffs, n):
         pass
     return values
@@ -286,11 +250,8 @@ def evaluate(F: Martingale, n: int) -> np.ndarray:
 def evaluate_at(F: Martingale, n: int, atoms: np.ndarray) -> np.ndarray:
     """Rows ``atoms`` of ``evaluate(F, n)``, bit for bit, without the level:
     each row sums f_1, ..., f_n along its atom's path in the sweep's order.
-    Reads kept values if ``F.levels`` has them; keeps nothing."""
+    Nothing is kept."""
     atoms = np.asarray(atoms, dtype=np.int64)
-    kept = _kept_values(F)
-    if kept is not None:
-        return kept[n][atoms]
     m, ell = F.spec.m, F.spec.ell
     ancestors = [atoms]  # at levels n, n - 1, ..., 1
     for _ in range(n - 1):
@@ -302,10 +263,8 @@ def evaluate_at(F: Martingale, n: int, atoms: np.ndarray) -> np.ndarray:
 
 
 def evaluate_all(F: Martingale) -> list[np.ndarray]:
-    """Values of F_0, ..., F_N: the read-only ``F.levels.values``, built by
-    one prefix sweep on the first call and kept, so later calls share them.
-    ``F.f0`` and ``F.diffs`` must not be written after it."""
-    return list(F.levels.values)
+    """Values of F_0, ..., F_N from one prefix sweep; nothing is kept."""
+    return list(_sweep(F.spec, F.f0, F.diffs, F.spec.depth))
 
 
 @dataclass

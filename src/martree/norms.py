@@ -200,8 +200,8 @@ def besov_norm(F: Martingale, beta: float, p: float) -> float:
 
 def h1_norm(F: Martingale) -> float:
     """E max_{0 <= n <= N} |F_n|, computed exactly over the leaves from
-    ``F.levels.norms``."""
-    mags = F.levels.norms
+    ``F.norms``."""
+    mags = F.norms
     running = mags[0]
     for n in range(1, F.spec.depth + 1):
         running = np.maximum(np.repeat(running, F.spec.m), mags[n])

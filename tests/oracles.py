@@ -15,9 +15,9 @@ last bit for bit.  ``antichain_score`` scores a given antichain, and
 ``shift_w`` builds a subspace on which those searches meet tied values.
 ``log_mean_exp`` is scipy's ``logsumexp`` with weight 1/m, which the numpy
 log-mean-exp behind ``kappa.kappa_v_many`` reproduces.  ``evaluate_all`` is
-the prefix sweep each checker ran for itself before ``Martingale.levels``
-kept one, and ``level_data`` every part that owner keeps, computed from that
-sweep with nothing kept.  ``tree_leaf_values``
+the prefix sweep each checker ran for itself before the martingale kept its
+magnitudes, and ``level_data`` every part it keeps, computed from that sweep
+with nothing kept.  ``tree_leaf_values``
 is F_T on every leaf, the full-array form of ``decomp.tree_leaf_values``,
 and ``rle`` the atom-by-atom run-length code of a label mask that
 ``cli._rle`` reproduces.  ``write_martingale`` is the block-by-block writer
@@ -314,9 +314,9 @@ def evaluate_all(F: Martingale) -> list[np.ndarray]:
 
 
 def level_data(F: Martingale) -> dict:
-    """What ``F.levels`` keeps, each part by name, from ``evaluate_all``:
-    the values, |F_n|, |f_{n+1}| per block entry and the per-atom growth,
-    mass and child mean of ``decomp.atom_increments``."""
+    """What a martingale keeps, each part by name, from ``evaluate_all``:
+    |F_n|, |f_{n+1}| per block entry and the per-atom growth, mass and child
+    mean of ``decomp.atom_increments``."""
     m = F.spec.m
     values = evaluate_all(F)
     mags = [np.linalg.norm(v, axis=-1) for v in values]
@@ -328,7 +328,6 @@ def level_data(F: Martingale) -> dict:
         level_masses.append(weight * mags[n])
         child_means.append(child_mean)
     return {
-        "values": values,
         "norms": mags,
         "diff_norms": [np.linalg.norm(d, axis=-1) for d in F.diffs],
         "increments": (increments, level_masses, child_means),

@@ -31,7 +31,6 @@ from martree.filtration import (
     Martingale,
     TreeMeasure,
     evaluate,
-    evaluate_all,
     measure_to_martingale,
 )
 from martree.kappa import kappa_of
@@ -39,7 +38,7 @@ from martree.norms import h1_norm, lorentz_p1_from_distribution, lp_norm, martin
 from martree.riesz import delta_martingale
 from martree.spacew import SubspaceW, delta_vector, random_w_martingale
 import oracles
-from oracles import lp_norm_weighted
+from oracles import evaluate_all, lp_norm_weighted
 from tests.test_filtration import random_martingale
 
 
@@ -776,70 +775,63 @@ def same_bits(got, expected) -> bool:
 FRESH_KEYS = {"spec", "f0", "diffs"}
 
 
-class TestLevelData:
-    """``Martingale.levels``: one owner of the level data every checker
-    reads, bit for bit the uncached sweep, read-only, made on first read."""
+class TestKeptLevelData:
+    """``Martingale.norms``, ``diff_norms`` and ``increments``: the level
+    data every checker reads, bit for bit the uncached sweep, read-only,
+    kept on first read."""
 
     @pytest.mark.parametrize("case", LAYOUT_CASES)
     def test_parts_match_the_uncached_sweep(self, case):
         for F, _ in LAYOUT_CASES[case]():
             expected = oracles.level_data(F)
-            levels = F.levels
-            for name in ("values", "norms", "diff_norms"):
-                got = getattr(levels, name)
+            for name in ("norms", "diff_norms"):
+                got = getattr(F, name)
                 assert len(got) == len(expected[name])
                 assert all(same_bits(a, b) for a, b in zip(got, expected[name])), name
-            for got, ref in zip(levels.increments, expected["increments"], strict=True):
+            for got, ref in zip(F.increments, expected["increments"], strict=True):
                 assert len(got) == F.spec.depth and all(same_bits(a, b) for a, b in zip(got, ref))
-            assert all(same_bits(a, b) for a, b in zip(evaluate_all(F), expected["values"]))
 
     @pytest.mark.parametrize("case", ["random", "wide-values", "sparse"])
     def test_evaluate_and_evaluate_at_read_the_same_bits(self, case):
         rng = np.random.default_rng(3)
         for F, _ in LAYOUT_CASES[case]():
             expected = oracles.evaluate_all(F)
-            for keep in (False, True):
-                if keep:
-                    F.levels.values
-                for n, ref in enumerate(expected):
-                    assert same_bits(evaluate(F, n), ref)
-                    atoms = rng.integers(0, ref.shape[0], 7)
-                    assert same_bits(filtration.evaluate_at(F, n, atoms), ref[atoms])
+            assert all(same_bits(a, b) for a, b in zip(filtration.evaluate_all(F), expected, strict=True))
+            for n, ref in enumerate(expected):
+                assert same_bits(evaluate(F, n), ref)
+                atoms = rng.integers(0, ref.shape[0], 7)
+                assert same_bits(filtration.evaluate_at(F, n, atoms), ref[atoms])
 
     def test_kept_arrays_reject_writes(self):
         F = random_martingale(FiltrationSpec(3, 3, 2), 1)
-        levels = F.levels
-        parts = [*levels.values, *levels.norms, *levels.diff_norms, *(a for part in levels.increments for a in part)]
-        parts += [*evaluate_all(F), evaluate(F, 2), *atom_increments(F)[0]]
+        norms = F.norms
+        parts = [*norms, *F.diff_norms, *(a for part in F.increments for a in part), *atom_increments(F)[0]]
         for a in parts:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
-        assert F.levels is levels
+        assert F.norms is norms
 
-    def test_new_martingales_have_no_owner(self):
+    def test_new_martingales_keep_nothing(self):
         F = random_martingale(FiltrationSpec(3, 4, 2), 2)
         assert set(vars(F)) == FRESH_KEYS
         forest = classify_atoms(F, 0.2)
-        assert "levels" in vars(F)
+        assert "increments" in vars(F)
         for G in (F.copy(), F.truncated(2), F.scaled(np.full(4, 2.0)), F + F, *split_convex_flat(F, forest)):
             assert set(vars(G)) == FRESH_KEYS
-        # the derived martingale's own sweep: a copy owns nothing of F's
+        # the derived martingale's own sweep: a copy shares nothing kept on F
         G = F.copy()
         G.diffs[0][0] = 0.0
-        assert not same_bits(G.levels.values[1], F.levels.values[1])
+        assert not same_bits(G.norms[1], F.norms[1])
 
-    def test_evaluate_without_an_owner_keeps_nothing(self):
+    def test_evaluate_keeps_nothing(self):
         F = random_martingale(FiltrationSpec(3, 4, 2), 3)
         for n in range(F.spec.depth + 1):
             evaluate(F, n)
             filtration.evaluate_at(F, n, np.arange(F.spec.m**n))
+        filtration.evaluate_all(F)
         martingale_level(F, F.spec.depth)
         assert set(vars(F)) == FRESH_KEYS
-        # the magnitudes take a sweep of their own and keep no values
-        F.levels.norms
-        evaluate(F, 2)
-        assert "values" not in vars(F.levels)
 
     def test_one_sweep_per_martingale(self, monkeypatch):
         spec = FiltrationSpec(3, 6, 2)
