@@ -21,18 +21,26 @@ inside W), and an SLSQP polish with explicit membership constraints explores
 curved parts of the variety from those starting points.  Every witness
 returned is re-snapped to an exactly feasible ray point.
 
+Each ray's optimum is bracketed on a grid and polished by Brent's bounded
+minimizer (Brent 1973, ch. 5).  ``_brent_bounded`` is scipy 1.17's
+``minimize_scalar(method="bounded")`` statement for statement, as a
+generator, so all rays of a search are polished in lockstep with one
+batched evaluation per round, and each ends bit for bit where scipy's
+per-ray polish ends.
+
 kappa_v is a log-mean-exp of log|1 + v_j| / theta, taken in numpy with the
 very float operations of scipy 1.17's ``logsumexp`` (scaled by b = 1/m), so
 its values are scipy's bit for bit without scipy's per-call array-API
 dispatch, and do not change with the installed scipy.
 
-The bounded ray polish and the SLSQP joint polish import scipy.optimize
-where they run, since loading it costs about half a second of start-up and
-only the experiment kinds that search kappa ever reach them.
+Only the SLSQP joint polish imports scipy.optimize, where it runs: loading
+it costs about half a second of start-up, and the polish runs only on a W
+of dimension 2 or more, so a search on a line never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +56,11 @@ OPTIMIZER_TOL = 1e-6
 
 # Points of the grid that brackets each ray's optimum before the bounded polish.
 RAY_GRID_POINTS = 4001
+
+# The bounded polish's absolute tolerance in t and its cap on evaluations
+# (scipy's xatol and maxiter).
+BRENT_XATOL = 1e-13
+BRENT_MAXFUN = 500
 
 
 def kappa_v(v: np.ndarray, theta: float) -> float:
@@ -94,10 +107,14 @@ def _log_mean_exp(a: np.ndarray) -> np.ndarray:
 
 def entropy_v(v: np.ndarray) -> float:
     """-(1/m) sum (1+v_j) log(1+v_j) with 0 log 0 = 0."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < -1 - 1e-12):
+    return float(_entropy_rows(np.asarray(v, dtype=float)[None, :])[0])
+
+
+def _entropy_rows(V: np.ndarray) -> np.ndarray:
+    """entropy_v of each row of V, refusing as it does any entry below -1."""
+    if np.any(V < -1 - 1e-12):
         raise ValueError("entropy requires v_j >= -1")
-    return float(entropy_v_many(v[None, :])[0])
+    return entropy_v_many(V)
 
 
 def entropy_v_many(V: np.ndarray) -> np.ndarray:
@@ -185,34 +202,158 @@ def feasible_interval(u: np.ndarray) -> tuple[float, float]:
     return float(t_lo), float(t_hi)
 
 
-def _optimize_ray(u, objective, objective_many, maximize):
-    """Exact-ish optimum of objective(t * u) over the feasible t-interval."""
-    t_lo, t_hi = feasible_interval(u)
-    if not np.isfinite(t_lo) or not np.isfinite(t_hi):
-        # u in V always has entries of both signs, so this cannot trigger for
-        # genuine directions; guard anyway.
-        t_lo, t_hi = max(t_lo, -1e6), min(t_hi, 1e6)
-    ts = np.linspace(t_lo, t_hi, RAY_GRID_POINTS)
-    vals = objective_many(ts[:, None] * u[None, :])
-    best_idx = int(np.argmax(vals) if maximize else np.argmin(vals))
-    lo = ts[max(best_idx - 1, 0)]
-    hi = ts[min(best_idx + 1, RAY_GRID_POINTS - 1)]
-    sign = -1.0 if maximize else 1.0
-    from scipy import optimize
+def _np_sign(v: float) -> float:
+    """np.sign of a float: -1.0, 0.0 or 1.0, and v itself when v is NaN."""
+    return v if v != v else float((v > 0) - (v < 0))
 
-    res = optimize.minimize_scalar(
-        lambda t: sign * objective(t * u),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    candidates = [(vals[best_idx], ts[best_idx]), (sign * res.fun, float(res.x)),
-                  (vals[0], t_lo), (vals[-1], t_hi)]
-    if maximize:
-        value, t = max(candidates, key=lambda c: c[0])
-    else:
-        value, t = min(candidates, key=lambda c: c[0])
-    return float(value), float(t)
+
+def _np_maximum(v: float, w: float) -> float:
+    """np.maximum of two floats: the larger (w on a tie, as between 0.0 and
+    -0.0), and a NaN argument (the first if both are)."""
+    return v if v > w or v != v else w
+
+
+def _brent_bounded(a, b):
+    """Brent's bounded minimizer on [a, b] as a generator: scipy 1.17's
+    ``_minimize_scalar_bounded``, statement for statement.
+
+    It yields each point to evaluate, is sent that point's value, and
+    returns (x, f) at the end.  xatol is BRENT_XATOL and at most
+    BRENT_MAXFUN points are evaluated.  The arithmetic is on Python floats,
+    whose IEEE operations and comparisons round and order as numpy's float64
+    scalars do (NaN included) at a fraction of the per-operation cost; the
+    helpers stand in for ``np.sign`` and ``np.maximum`` with numpy's NaN
+    results.  So a search fed the values scipy's would see ends at scipy's
+    point bit for bit.
+    """
+    a, b = float(a), float(b)
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = yield x
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # Check for parabolic fit
+        if abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = _np_sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = _np_sign(rat) + (rat == 0)
+        x = xf + si * _np_maximum(abs(rat), tol1)
+        fu = yield x
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= BRENT_MAXFUN:
+            break
+    return xf, fx
+
+
+def _optimize_rays(us, objective_many, maximize):
+    """(value, t): the optimum of objective(t * u) over the feasible t-interval
+    of each ray u, optimizing every ray at once.
+
+    Each ray's grid brackets its optimum, and Brent's bounded search polishes
+    it.  The searches run in lockstep: each round evaluates the pending point
+    of every live search in one ``objective_many`` call.  Each value is the
+    one scipy's ``minimize_scalar(method="bounded")`` would be given, so every
+    ray ends as a per-ray scipy polish would end it, bit for bit.
+    """
+    if not us:
+        return []
+    sign = -1.0 if maximize else 1.0
+    grids, searches = [], []
+    for u in us:
+        t_lo, t_hi = feasible_interval(u)
+        if not np.isfinite(t_lo) or not np.isfinite(t_hi):
+            # u in V always has entries of both signs, so this cannot trigger for
+            # genuine directions; guard anyway.
+            t_lo, t_hi = max(t_lo, -1e6), min(t_hi, 1e6)
+        ts = np.linspace(t_lo, t_hi, RAY_GRID_POINTS)
+        vals = objective_many(ts[:, None] * u[None, :])
+        best = int(np.argmax(vals) if maximize else np.argmin(vals))
+        grids.append((t_lo, t_hi, ts[best], vals, best))
+        searches.append(_brent_bounded(ts[max(best - 1, 0)], ts[min(best + 1, RAY_GRID_POINTS - 1)]))
+    U = np.array(us, dtype=float)
+    points = [next(search) for search in searches]
+    polished = [None] * len(us)
+    live = list(range(len(us)))
+    while live:
+        values = sign * objective_many(np.array([points[i] for i in live])[:, None] * U[live])
+        running = []
+        for i, value in zip(live, values.tolist()):
+            try:
+                points[i] = searches[i].send(value)
+                running.append(i)
+            except StopIteration as done:
+                polished[i] = done.value
+        live = running
+    optima = []
+    for (t_lo, t_hi, t_best, vals, best), (x, f) in zip(grids, polished):
+        candidates = [(vals[best], t_best), (sign * f, x), (vals[0], t_lo), (vals[-1], t_hi)]
+        if maximize:
+            value, t = max(candidates, key=lambda c: c[0])
+        else:
+            value, t = min(candidates, key=lambda c: c[0])
+        optima.append((float(value), float(t)))
+    return optima
 
 
 def _joint_polish(W, v0, a0, objective, maximize):
@@ -245,8 +386,8 @@ def _joint_polish(W, v0, a0, objective, maximize):
     return res.x[:m], res.x[m:]
 
 
-def _snap_to_feasible_ray(W, v, a, objective, objective_many, maximize):
-    """Project (v, a) to an exactly feasible ray point and re-optimize the ray."""
+def _snap_to_rank_one(W, v, a):
+    """Project (v, a) to an exactly feasible rank-one direction (u, a) of W, or None."""
     X = project(np.outer(v, a), W)
     for _ in range(100):
         U, s, Vt = np.linalg.svd(X)
@@ -258,39 +399,43 @@ def _snap_to_feasible_ray(W, v, a, objective, objective_many, maximize):
     U, s, Vt = np.linalg.svd(X)
     if s[0] < 1e-12 or float(W.residuals(X / s[0])) > WITNESS_DISTANCE_TOL:
         return None
-    u, a_hat = U[:, 0], Vt[0]
-    value, t = _optimize_ray(u, objective, objective_many, maximize)
-    v_best = t * u
-    residual = float(W.residuals(np.outer(v_best, a_hat))) if t != 0 else 0.0
-    return KappaWitness(v=v_best, a=a_hat, value=value, residual=residual)
+    return U[:, 0], Vt[0]
+
+
+def _ray_witnesses(W, directions, objective_many, maximize):
+    """The optimum of each direction's ray, as a witness with its distance from W."""
+    witnesses = []
+    for (u, a), (value, t) in zip(directions, _optimize_rays([u for u, _ in directions], objective_many, maximize)):
+        v = t * u
+        witnesses.append(KappaWitness(v=v, a=a, value=value, residual=float(W.residuals(np.outer(v, a))) if t else 0.0))
+    return witnesses
 
 
 def _optimize_over_rank_ones(W, objective, objective_many, maximize, seed, directions=None):
-    zero = KappaWitness(v=np.zeros(W.m), a=np.zeros(W.ell), value=objective(np.zeros(W.m)), residual=0.0)
+    zero = KappaWitness(v=np.zeros(W.m), a=np.zeros(W.ell), value=float(objective_many(np.zeros((1, W.m)))[0]),
+                        residual=0.0)
     if W.dim == 0:
         return zero
     if directions is None:
         directions = rank_one_directions(W, seed=seed)
     best = zero
     better = (lambda x, y: x > y) if maximize else (lambda x, y: x < y)
-    ray_optima = []
-    for u, a in directions:
-        value, t = _optimize_ray(u, objective, objective_many, maximize)
-        witness = KappaWitness(v=t * u, a=a, value=value,
-                               residual=float(W.residuals(np.outer(t * u, a))) if t else 0.0)
-        ray_optima.append(witness)
+    ray_optima = _ray_witnesses(W, directions, objective_many, maximize)
+    for witness in ray_optima:
         if witness.residual <= WITNESS_DISTANCE_TOL and better(witness.value, best.value):
             best = witness
     if W.dim >= 2:
         # The rank-one slice of W may be curved; explore it from the ray optima.
+        snapped = []
         for witness in sorted(ray_optima, key=lambda w: w.value, reverse=maximize)[:4]:
             a0 = witness.a if np.linalg.norm(witness.a) else np.eye(W.ell)[0]
             out = _joint_polish(W, witness.v, a0, objective, maximize)
-            if out is None:
-                continue
-            snapped = _snap_to_feasible_ray(W, out[0], out[1], objective, objective_many, maximize)
-            if snapped is not None and better(snapped.value, best.value):
-                best = snapped
+            direction = None if out is None else _snap_to_rank_one(W, *out)
+            if direction is not None:
+                snapped.append(direction)
+        for witness in _ray_witnesses(W, snapped, objective_many, maximize):
+            if better(witness.value, best.value):
+                best = witness
     return best
 
 
@@ -315,7 +460,7 @@ def kappa_of(W: SubspaceW, theta: float, seed: int = 0, directions=None) -> Kapp
 def kappa_prime_one(W: SubspaceW, seed: int = 0, directions=None) -> KappaWitness:
     """kappa'(1): infimum of the negative-entropy functional; value in [-log m, 0]."""
     return _optimize_over_rank_ones(
-        W, entropy_v, entropy_v_many, maximize=False, seed=seed, directions=directions
+        W, entropy_v, _entropy_rows, maximize=False, seed=seed, directions=directions
     )
 
 

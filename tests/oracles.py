@@ -8,7 +8,8 @@ its scalar objective, the per-start alternating projection of
 ``kappa.rank_one_directions``, the dense one-lambda antichain pass over
 every node of the tree with its child sum, the per-level node weights from
 the measure's level sums with the support of any such weights (the package
-builds its support from the leaves), and the dense ray grid that
+builds its support from the leaves), the per-ray scipy bounded polish of
+``kappa._optimize_rays`` (``optimize_ray``), and the dense ray grid that
 brute-forces one kappa ray.  The batched code must reproduce all but the
 last bit for bit.  ``antichain_score`` scores a given antichain, and
 ``lp_norm_weighted`` is the one-segment form of ``norms.lp_norm_segments``.
@@ -41,7 +42,7 @@ from scipy.special import logsumexp
 from martree.dimension import MultiplicativeMeasure, _Support
 from martree.filtration import AtomId, Martingale, TreeMeasure
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, ShiftInvariantW, build_shift_invariant_w
-from martree.kappa import feasible_interval
+from martree.kappa import RAY_GRID_POINTS, feasible_interval
 from martree.norms import vector_norms
 from martree.spacew import (
     FIRST_CONDITION_HOLDS,
@@ -206,6 +207,44 @@ def ray_grid_oracle(u: np.ndarray, objective_many, maximize: bool, resolution: i
     ts = np.linspace(t_lo, t_hi, resolution)
     vals = objective_many(ts[:, None] * np.asarray(u, dtype=float)[None, :])
     return float(vals.max() if maximize else vals.min())
+
+
+def optimize_ray(u, objective, objective_many, maximize):
+    """One ray's optimum as ``kappa._optimize_rays`` finds it, one ray at a
+    time: the grid bracket, then scipy's bounded ``minimize_scalar`` on the
+    scalar objective."""
+    t_lo, t_hi = feasible_interval(u)
+    if not np.isfinite(t_lo) or not np.isfinite(t_hi):
+        t_lo, t_hi = max(t_lo, -1e6), min(t_hi, 1e6)
+    ts = np.linspace(t_lo, t_hi, RAY_GRID_POINTS)
+    vals = objective_many(ts[:, None] * u[None, :])
+    best_idx = int(np.argmax(vals) if maximize else np.argmin(vals))
+    lo = ts[max(best_idx - 1, 0)]
+    hi = ts[min(best_idx + 1, RAY_GRID_POINTS - 1)]
+    sign = -1.0 if maximize else 1.0
+    res = optimize.minimize_scalar(
+        lambda t: sign * objective(t * u),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-13},
+    )
+    candidates = [(vals[best_idx], ts[best_idx]), (sign * res.fun, float(res.x)),
+                  (vals[0], t_lo), (vals[-1], t_hi)]
+    if maximize:
+        value, t = max(candidates, key=lambda c: c[0])
+    else:
+        value, t = min(candidates, key=lambda c: c[0])
+    return float(value), float(t)
+
+
+def optimize_rays(us, objective_many, maximize):
+    """``kappa._optimize_rays`` ray by ray through ``optimize_ray``; the
+    scalar objective is ``objective_many`` on one row, as ``kappa_v`` and
+    ``entropy_v`` are."""
+    def objective(v):
+        return float(objective_many(v[None, :])[0])
+
+    return [optimize_ray(u, objective, objective_many, maximize) for u in us]
 
 
 def shift_w():

@@ -1,9 +1,10 @@
-"""Cold start: only the kappa searches load scipy.optimize.
+"""Cold start: only kappa's SLSQP polish loads scipy.optimize.
 
 Importing scipy.optimize takes about half a second of a process's start-up,
-and only kappa's ray and SLSQP polishes call it.  Each check runs in a fresh
-interpreter with ``PYTHONPATH=src``, since this test process has long since
-loaded scipy.optimize (the oracles use it).
+and only the joint SLSQP polish of a kappa search calls it, which runs on a
+W of dimension 2 or more; the ray polish is numpy's.  Each check runs in a
+fresh interpreter with ``PYTHONPATH=src``, since this test process has long
+since loaded scipy.optimize (the oracles use it).
 """
 
 import os
@@ -45,6 +46,27 @@ def test_run_without_kappa_search_leaves_scipy_optimize_out(name, inputs, tmp_pa
 
 
 def test_kappa_search_loads_scipy_optimize(tmp_path):
-    shutil.copy(GOLDEN / "w_span.json", tmp_path / "w_span.json")
-    code = "from martree import fileio, kappa\nkappa.kappa_of(fileio.read_subspace('w_span.json'), 0.5)"
+    # w_random has dim 2, so the search runs the SLSQP joint polish
+    shutil.copy(GOLDEN / "w_random.json", tmp_path / "w_random.json")
+    code = "from martree import fileio, kappa\nkappa.kappa_of(fileio.read_subspace('w_random.json'), 0.5)"
     assert loads_scipy_optimize(code, tmp_path)
+
+
+def test_kappa_search_on_a_line_leaves_scipy_optimize_out(tmp_path):
+    shutil.copy(GOLDEN / "w_span.json", tmp_path / "w_span.json")
+    code = ("from martree import fileio, kappa\nw = kappa.kappa_of(fileio.read_subspace('w_span.json'), 0.5)\n"
+            "assert w.value > 0")
+    assert not loads_scipy_optimize(code, tmp_path)
+
+
+@pytest.mark.parametrize("name, w_file", [
+    ("dimension_sharpness", "w_span.json"),
+    ("trace_sharpness", "w_delta.json"),
+])
+def test_sharpness_runs_leave_scipy_optimize_out(name, w_file, tmp_path):
+    for filename in (w_file, f"{name}.json"):
+        shutil.copy(GOLDEN / filename, tmp_path / filename)
+    code = f"from martree import cli\nassert cli.main(['run', '{name}.json']) == 0"
+    assert not loads_scipy_optimize(code, tmp_path)
+    for expected in sorted((GOLDEN / "out" / name).iterdir()):
+        assert (tmp_path / "out" / name / expected.name).read_bytes() == expected.read_bytes()

@@ -1,13 +1,22 @@
 """Kappa profile: closed forms, grid oracles, convexity, and the entropy slope."""
 
+import inspect
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from martree import fileio, kappa
 from martree.kappa import (
+    RAY_GRID_POINTS,
+    _brent_bounded,
+    _entropy_rows,
     _log_mean_exp,
+    _optimize_rays,
     dimension_bound,
     entropy_v,
     entropy_v_many,
@@ -358,3 +367,219 @@ class TestLogMeanExp:
         a = np.array([[np.inf, 0.0, 1.0], [np.inf, np.inf, 0.0], [-np.inf] * 3,
                       [np.nan, 0.0, 1.0], [1e308, 1e308, 1e308]])
         assert _log_mean_exp(a).tobytes() == oracles.log_mean_exp(a).tobytes()
+
+
+# ---------------------------------------------------------------- lockstep Brent
+
+# The seed of the benchmark's subspaces (BASE_SEED in bench/workloads.py); its
+# forest W has 32 rank-one directions.
+BENCH_SEED = 20181120
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def bits(x) -> int:
+    """The uint64 view of a float64, so that NaN payloads and signed zeros compare too."""
+    return int(np.array(x, dtype=np.float64).view(np.uint64))
+
+
+def assert_same_optima(found, expected):
+    assert [(bits(value), bits(t)) for value, t in found] == [(bits(value), bits(t)) for value, t in expected]
+
+
+def random_rays(m, count, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((count, m))
+    V -= V.mean(axis=1, keepdims=True)
+    return list(V / np.linalg.norm(V, axis=1, keepdims=True))
+
+
+def edge_branch_hits(run):
+    """How often Brent's parabolic step landed within tol2 of an end of its
+    bracket (the branch that steps tol1 towards the middle) while ``run()`` ran."""
+    lines, first = inspect.getsourcelines(_brent_bounded)
+    target = first + next(i for i, line in enumerate(lines) if "rat = tol1 * si" in line)
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hits.append(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is _brent_bounded.__code__ else None
+
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return len(hits)
+
+
+def quadratic_along(u, centre, nan_between=None):
+    """objective_many of (t - centre)^2 on the ray t * u (u a unit vector),
+    NaN where t lies strictly inside the interval ``nan_between``."""
+    def objective_many(V):
+        t = V @ u
+        out = (t - centre) ** 2
+        if nan_between is not None:
+            out = np.where((nan_between[0] < t) & (t < nan_between[1]), np.nan, out)
+        return out
+
+    return objective_many
+
+
+def configs_ws():
+    """The forest W and the six random W shapes of the benchmark's configs workload."""
+    shapes = ((3, 2, 2), (3, 3, 3), (4, 2, 3), (4, 3, 3), (5, 2, 3), (5, 3, 4))
+    named = [("forest", SubspaceW.random(3, 2, 3, seed=BENCH_SEED))]
+    named += [(f"r{i}", SubspaceW.random(m, ell, k, seed=BENCH_SEED + i)) for i, (m, ell, k) in enumerate(shapes)]
+    named.append(("w_random", fileio.read_subspace(GOLDEN / "w_random.json")))
+    return named
+
+
+def witness_bits(w):
+    return bits(w.value), w.v.tobytes(), w.a.tobytes(), bits(w.residual)
+
+
+class TestLockstepBrent:
+    """_optimize_rays against the per-ray grid and scipy bounded polish, bit for bit."""
+
+    @pytest.mark.parametrize("m, count", [(3, 68), (4, 66), (5, 66)])  # 200 rays in all
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 1.0, "entropy"])
+    def test_random_rays(self, m, count, theta):
+        us = random_rays(m, count, seed=m)
+        if theta == "entropy":
+            objective_many, maximize = _entropy_rows, False
+        else:
+            objective_many, maximize = (lambda V: kappa_v_many(V, theta)), True
+        assert_same_optima(_optimize_rays(us, objective_many, maximize),
+                           oracles.optimize_rays(us, objective_many, maximize))
+
+    def test_sign_and_maximum_follow_numpy(self):
+        values = [0.0, -0.0, 1.5, -2.0, 5e-324, np.inf, -np.inf, np.nan, -np.nan]
+        for v in values:
+            assert bits(kappa._np_sign(v)) == bits(np.sign(np.float64(v)))
+            for w in values:
+                assert bits(kappa._np_maximum(v, w)) == bits(np.maximum(np.float64(v), np.float64(w)))
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_parabolic_step_at_an_end_of_the_bracket(self, end):
+        # The minimum sits 3e-8 inside the feasible interval, about tol2 there, so
+        # the grid's best point is an end and parabolic steps land within tol2 of
+        # the bracket's end.
+        us = random_rays(3, 6, seed=11)
+        objectives = []
+        for u in us:
+            t_lo, t_hi = feasible_interval(u)
+            objectives.append(quadratic_along(u, t_lo + 3e-8 if end == "lo" else t_hi - 3e-8))
+        for u, objective_many in zip(us, objectives):
+            found = []
+            hits = edge_branch_hits(lambda: found.extend(_optimize_rays([u], objective_many, False)))
+            assert hits > 0
+            assert_same_optima(found, oracles.optimize_rays([u], objective_many, False))
+
+    @pytest.mark.parametrize("where", ["grid", "bracket"])
+    def test_objective_with_nan_values(self, where):
+        # "grid": NaN on the upper half of each ray, so the grid's argmin is NaN's
+        # first point; "bracket": NaN on a band just above the minimum that falls
+        # between two grid points, so only the polish meets it.
+        us = random_rays(4, 8, seed=3)
+        polish_nans = 0
+        for u in us:
+            t_lo, t_hi = feasible_interval(u)
+            step = (t_hi - t_lo) / (RAY_GRID_POINTS - 1)
+            centre = t_lo + 1200 * step
+            band = (t_lo + 0.5 * (t_hi - t_lo), np.inf) if where == "grid" else (centre + 0.1 * step, centre + 0.4 * step)
+            objective_many = quadratic_along(u, centre, band)
+
+            def counting(V):
+                nonlocal polish_nans
+                out = objective_many(V)
+                polish_nans += int(np.isnan(out).sum()) * (len(V) < RAY_GRID_POINTS)
+                return out
+
+            found = _optimize_rays([u], counting, False)
+            assert_same_optima(found, oracles.optimize_rays([u], objective_many, False))
+            assert np.isnan(found[0][0]) == (where == "grid")
+        assert polish_nans > 0
+
+    @pytest.mark.parametrize("name, W", configs_ws(), ids=[name for name, _ in configs_ws()])
+    def test_whole_searches_match_the_scipy_ray_step(self, name, W, monkeypatch):
+        def searches():
+            profile = kappa_profile(W, grid_size=5)
+            witnesses = [kappa_of(W, 0.3), kappa_prime_one(W, seed=1), *profile.witnesses, profile.prime_witness]
+            return [witness_bits(w) for w in witnesses]
+
+        found = searches()
+        monkeypatch.setattr(kappa, "_optimize_rays", oracles.optimize_rays)
+        assert found == searches()
+
+
+class TestRayStepWork:
+    def test_forest_kappa_of_makes_batched_calls_only(self, monkeypatch):
+        W = SubspaceW.random(3, 2, 3, seed=BENCH_SEED)
+        state = {"in_polish": False, "in_scalar": False}
+        counts = {"scalar": 0, "many": 0}
+        searches = []  # per _optimize_rays call: [rays, points of each of its searches]
+
+        def counting_kappa_v(v, theta):
+            counts["scalar"] += not state["in_polish"]
+            state["in_scalar"] = True
+            try:
+                return original["kappa_v"](v, theta)
+            finally:
+                state["in_scalar"] = False
+
+        def counting_kappa_v_many(V, theta):
+            counts["many"] += not (state["in_polish"] or state["in_scalar"])
+            return original["kappa_v_many"](V, theta)
+
+        def flagged_joint_polish(*args):
+            state["in_polish"] = True
+            try:
+                return original["_joint_polish"](*args)
+            finally:
+                state["in_polish"] = False
+
+        def counting_optimize_rays(us, objective_many, maximize):
+            searches.append([len(us)])
+            return original["_optimize_rays"](us, objective_many, maximize)
+
+        def counting_brent(a, b):
+            points = searches[-1]
+            points.append(0)
+            index = len(points) - 1
+            search = original["_brent_bounded"](a, b)
+            x = next(search)
+            while True:
+                points[index] += 1
+                value = yield x
+                try:
+                    x = search.send(value)
+                except StopIteration as done:
+                    return done.value
+
+        original = {name: getattr(kappa, name) for name in
+                    ("kappa_v", "kappa_v_many", "_joint_polish", "_optimize_rays", "_brent_bounded")}
+        for name, wrapper in (("kappa_v", counting_kappa_v), ("kappa_v_many", counting_kappa_v_many),
+                              ("_joint_polish", flagged_joint_polish), ("_optimize_rays", counting_optimize_rays),
+                              ("_brent_bounded", counting_brent)):
+            monkeypatch.setattr(kappa, name, wrapper)
+        kappa_of(W, 0.5)
+        assert counts["scalar"] == 0
+        rays = sum(call[0] for call in searches)
+        rounds = sum(max(call[1:], default=0) for call in searches)
+        assert rays >= 32 and len(searches) == 2
+        # the zero witness, one grid per ray and one call per lockstep round
+        assert counts["many"] == 1 + rays + rounds <= rays + rounds + 2
+        assert rounds < sum(sum(call[1:]) for call in searches) / 10
+
+    def test_lockstep_entropy_objective_refuses_entries_below_minus_one(self):
+        V = np.array([[0.5, -0.5, 0.0], [1.0, -1.0 - 2e-12, 0.0 + 2e-12]])
+        with pytest.raises(ValueError, match="entropy requires v_j >= -1"):
+            _entropy_rows(V)
+        with pytest.raises(ValueError, match="entropy requires v_j >= -1"):
+            entropy_v(V[1])
+        edge = np.array([[1.0, -1.0 - 1e-13, 1e-13]])
+        assert _entropy_rows(edge)[0] == entropy_v(edge[0]) == entropy_v_many(edge)[0]
