@@ -343,7 +343,7 @@ def _gen_w(c, out_dir, meta):
     print(f"wrote {c.w} (dim {W.dim})")
 
 
-LEVEL_NORMS = {"lp": norms.lp_norm, "lorentz": norms.lorentz_p1_norm, "weak": norms.weak_lp_norm}
+LEVEL_NORMS = {"lp": norms.lp_norm, "lorentz": norms.lorentz_p1_from_distribution, "weak": norms.weak_lp_norm}
 NORMS = (*LEVEL_NORMS, "besov", "h1", "lpnu")
 
 
@@ -365,9 +365,11 @@ def _norm(c, out_dir, meta):
         value = norms.h1_norm(F)
     elif c.name == "lpnu":
         nu = fileio.read_measure(c.measure)
-        value = norms.lp_nu_norm(norms.martingale_level(F, F.spec.depth), nu, c.p)
+        if nu.spec.m != F.spec.m:
+            raise ValueError(f"the measure's tree branches {nu.spec.m} ways, the martingale's {F.spec.m}")
+        value = norms.lp_nu_norm(F.norms[-1], nu, c.p)
     else:
-        value = LEVEL_NORMS[c.name](norms.martingale_level(F, F.spec.depth), c.p)
+        value = LEVEL_NORMS[c.name](F.norms[-1], float(F.spec.m) ** (-F.spec.depth), c.p)
     _require_finite([value], f"norm {c.name}")
     print(_fmt(value))
 

@@ -52,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filtration import AtomId, Martingale, evaluate_at
-from .norms import lorentz_p1_segments, lp_norm_segments, vector_norms
+from .filtration import AtomId, Martingale, evaluate_at, vector_norms
+from .norms import lorentz_p1_segments, lp_norm_segments
 from .spacew import _row_norms
 
 

@@ -48,9 +48,9 @@ from .filtration import (
     Martingale,
     TreeMeasure,
     multiplicative_martingale,
+    vector_norms,
 )
 from .kappa import kappa_prime_one
-from .norms import vector_norms
 from .spacew import SubspaceW
 
 # A fitted growth slope of log K(d) above gamma * SLOPE_FRACTION * log m

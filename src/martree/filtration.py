@@ -204,12 +204,6 @@ class Martingale:
         spec = self.spec.truncated(depth)
         return Martingale(spec, self.f0.copy(), [d.copy() for d in self.diffs[:depth]], validate=False)
 
-    def difference_values(self, n: int) -> np.ndarray:
-        """Values of f_n as an array over level-n atoms; f_0 is the constant F_0."""
-        if n == 0:
-            return self.f0.reshape(1, self.spec.ell)
-        return self.diffs[n - 1].reshape(self.spec.m**n, self.spec.ell)
-
     @cached_property
     def norms(self) -> tuple[np.ndarray, ...]:
         """|F_n| on the level-n atoms, n = 0..N, from a sweep that keeps no

@@ -356,11 +356,11 @@ def _optimize_rays(us, objective_many, maximize):
     return optima
 
 
-def _joint_polish(W, v0, a0, objective, maximize):
+def _joint_polish(W, v0, a0, objective_many, maximize):
     m, ell = W.m, W.ell
 
     def neg_obj(z):
-        return (-1.0 if maximize else 1.0) * objective(z[:m])
+        return (-1.0 if maximize else 1.0) * float(objective_many(z[None, :m])[0])
 
     def eq_resid(z):
         v, a = z[:m], z[m:]
@@ -411,7 +411,7 @@ def _ray_witnesses(W, directions, objective_many, maximize):
     return witnesses
 
 
-def _optimize_over_rank_ones(W, objective, objective_many, maximize, seed, directions=None):
+def _optimize_over_rank_ones(W, objective_many, maximize, seed, directions=None):
     zero = KappaWitness(v=np.zeros(W.m), a=np.zeros(W.ell), value=float(objective_many(np.zeros((1, W.m)))[0]),
                         residual=0.0)
     if W.dim == 0:
@@ -429,7 +429,7 @@ def _optimize_over_rank_ones(W, objective, objective_many, maximize, seed, direc
         snapped = []
         for witness in sorted(ray_optima, key=lambda w: w.value, reverse=maximize)[:4]:
             a0 = witness.a if np.linalg.norm(witness.a) else np.eye(W.ell)[0]
-            out = _joint_polish(W, witness.v, a0, objective, maximize)
+            out = _joint_polish(W, witness.v, a0, objective_many, maximize)
             direction = None if out is None else _snap_to_rank_one(W, *out)
             if direction is not None:
                 snapped.append(direction)
@@ -448,20 +448,13 @@ def kappa_of(W: SubspaceW, theta: float, seed: int = 0, directions=None) -> Kapp
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     return _optimize_over_rank_ones(
-        W,
-        lambda v: kappa_v(v, theta),
-        lambda V: kappa_v_many(V, theta),
-        maximize=True,
-        seed=seed,
-        directions=directions,
+        W, lambda V: kappa_v_many(V, theta), maximize=True, seed=seed, directions=directions
     )
 
 
 def kappa_prime_one(W: SubspaceW, seed: int = 0, directions=None) -> KappaWitness:
     """kappa'(1): infimum of the negative-entropy functional; value in [-log m, 0]."""
-    return _optimize_over_rank_ones(
-        W, entropy_v, _entropy_rows, maximize=False, seed=seed, directions=directions
-    )
+    return _optimize_over_rank_ones(W, _entropy_rows, maximize=False, seed=seed, directions=directions)
 
 
 def dimension_bound(W: SubspaceW, seed: int = 0) -> float:

@@ -1,8 +1,11 @@
 """Exact norms of simple tree functions: L_p, weak L_p, Lorentz L_{p,1}, Besov, H_1.
 
-All functions here are simple (constant on the atoms of one level), so every
-norm reduces to a finite sum over the distinct values of the pointwise
-Euclidean magnitude.  The Lorentz norm is fixed as
+A norm of a function constant on the atoms of one level takes its pointwise
+Euclidean magnitudes there and the mass of one atom, m^{-n} at level n.
+Callers read the magnitudes from the martingale that keeps them:
+``F.norms[n]`` is |F_n|, ``F.diff_norms[n - 1].ravel()`` is |f_n| for
+n >= 1, and |f_0| is ``F.norms[0]``.  Every norm then reduces to a finite sum
+over the distinct magnitudes.  The Lorentz norm is fixed as
 
     ||g||_{p,1} = p * int_0^inf mu{ |g| > s }^{1/p} ds
                = int_0^1 t^{1/p - 1} g*(t) dt,
@@ -12,63 +15,26 @@ which is exact on simple functions and, for p > 1, a genuine norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .filtration import FiltrationSpec, Martingale, TreeMeasure, evaluate, vector_norms
+from .filtration import Martingale, TreeMeasure
 
 
-@dataclass
-class SimpleFunction:
-    """A function constant on the atoms of one level; values is (m^level, ell)."""
-
-    spec: FiltrationSpec
-    level: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        n_atoms = self.spec.atoms_at(self.level)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.values.shape != (n_atoms, self.spec.ell):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match {(n_atoms, self.spec.ell)}"
-            )
-
-    def magnitudes(self) -> np.ndarray:
-        return vector_norms(self.values)
-
-    @property
-    def atom_weight(self) -> float:
-        return float(self.spec.m) ** (-self.level)
-
-
-def martingale_level(F: Martingale, n: int) -> SimpleFunction:
-    """F_n as a simple function."""
-    return SimpleFunction(F.spec, n, evaluate(F, n))
-
-
-def martingale_difference(F: Martingale, n: int) -> SimpleFunction:
-    """f_n as a simple function at level n (f_0 is the constant F_0)."""
-    return SimpleFunction(F.spec, n, F.difference_values(n))
-
-
-def lp_norm(g: SimpleFunction, p: float) -> float:
-    """(sum_atoms m^{-n} |g|^p)^{1/p}; exact max for p = inf."""
-    mags = g.magnitudes()
+def lp_norm(mags: np.ndarray, weight: float, p: float) -> float:
+    """(sum_atoms weight |g|^p)^{1/p} from the magnitudes |g| on atoms of
+    mass ``weight``; exact max for p = inf."""
     if p == np.inf:
         return float(mags.max()) if mags.size else 0.0
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return float((g.atom_weight * np.sum(mags**p)) ** (1.0 / p))
+    return float((weight * np.sum(mags**p)) ** (1.0 / p))
 
 
-def lorentz_p1_from_distribution(mags: np.ndarray, weights: np.ndarray, p: float) -> float:
+def lorentz_p1_from_distribution(mags: np.ndarray, weights: np.ndarray | float, p: float) -> float:
     """p * int mu{|g|>s}^{1/p} ds as a finite sum over the sorted values.
 
-    ``mags``/``weights`` describe the distribution of |g|; atoms where g
+    ``mags``/``weights`` describe the distribution of |g|: ``weights`` holds
+    each atom's mass, or one scalar mass for every atom.  Atoms where g
     vanishes may be omitted since they never enter the layer-cake integral.
     """
     if p <= 1:
@@ -77,7 +43,7 @@ def lorentz_p1_from_distribution(mags: np.ndarray, weights: np.ndarray, p: float
     if not np.any(keep):
         return 0.0
     vals = mags[keep]
-    wts = weights[keep] if weights.shape == mags.shape else np.full(vals.shape, float(weights))
+    wts = weights[keep] if np.ndim(weights) else np.full(vals.shape, float(weights))
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     cum = np.cumsum(wts[order])
@@ -170,32 +136,29 @@ def lp_norm_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p: fl
     return np.array([s ** (1.0 / p) for s in sums.tolist()])
 
 
-def lorentz_p1_norm(g: SimpleFunction, p: float) -> float:
-    mags = g.magnitudes()
-    return lorentz_p1_from_distribution(mags, np.full(mags.shape, g.atom_weight), p)
-
-
-def weak_lp_norm(g: SimpleFunction, p: float) -> float:
-    """sup_s s * mu{|g|>s}^{1/p}; the sup sits just below one of the values."""
+def weak_lp_norm(mags: np.ndarray, weight: float, p: float) -> float:
+    """sup_s s * mu{|g|>s}^{1/p} from the magnitudes |g| on atoms of mass
+    ``weight``; the sup sits just below one of the values."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    vals = g.magnitudes()
-    vals = vals[vals > 0]
+    vals = mags[mags > 0]
     if vals.size == 0:
         return 0.0
     vals = vals[np.argsort(vals)[::-1]]
-    cum = np.cumsum(np.full(vals.shape, g.atom_weight))
+    cum = np.cumsum(np.full(vals.shape, weight))
     return float(np.max(vals * cum ** (1.0 / p)))
 
 
+def besov_terms(F: Martingale, beta: float, p: float) -> np.ndarray:
+    """m^{beta n} ||f_n||_{L_p} for n = 0..N, with the convention f_0 = F_0."""
+    m = float(F.spec.m)
+    mags = [F.norms[0], *(d.ravel() for d in F.diff_norms)]
+    return np.array([m ** (beta * n) * lp_norm(g, m ** (-n), p) for n, g in enumerate(mags)])
+
+
 def besov_norm(F: Martingale, beta: float, p: float) -> float:
-    """sum_{n=0}^N m^{beta n} ||f_n||_{L_p}, with the convention f_0 = F_0."""
-    if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    total = 0.0
-    for n in range(F.spec.depth + 1):
-        total += float(F.spec.m) ** (beta * n) * lp_norm(martingale_difference(F, n), p)
-    return total
+    """sum_{n=0}^N m^{beta n} ||f_n||_{L_p}, added in order of n."""
+    return float(np.cumsum(besov_terms(F, beta, p))[-1])
 
 
 def h1_norm(F: Martingale) -> float:
@@ -208,16 +171,18 @@ def h1_norm(F: Martingale) -> float:
     return float(running.mean())
 
 
-def lp_nu_norm(g: SimpleFunction, nu: TreeMeasure, p: float) -> float:
-    """(sum_atoms |g|^p nu(atom))^{1/p} with nu aggregated to g's level."""
+def lp_nu_norm(mags: np.ndarray, nu: TreeMeasure, p: float) -> float:
+    """(sum_atoms |g|^p nu(atom))^{1/p} from the magnitudes |g| on the atoms
+    of one level, with nu aggregated to that level."""
     if not nu.is_scalar:
         raise ValueError("L_p(nu) norms require a scalar reference measure")
-    if np.any(nu.leaf_mass < 0):
-        raise ValueError("L_p(nu) norms require a nonnegative reference measure")
-    if g.level > nu.spec.depth:
-        raise ValueError("function level is finer than the reference measure")
-    mass = nu.level_mass(g.level)
-    mags = g.magnitudes()
+    if not (nu.leaf_mass >= 0).all():
+        raise ValueError("L_p(nu) norms require a nonnegative reference measure, without NaN masses")
+    level = next((n for n in range(nu.spec.depth + 1) if nu.spec.m**n == mags.size), None)
+    if level is None:
+        raise ValueError(f"{mags.size} atoms are no level of the reference measure, "
+                         f"whose levels hold {nu.spec.m}^n atoms for n <= {nu.spec.depth}")
+    mass = nu.level_mass(level)
     if p == np.inf:
         support = mass > 0
         return float(np.max(mags[support])) if np.any(support) else 0.0

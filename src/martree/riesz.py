@@ -2,7 +2,9 @@
 
 I_alpha scales the difference f_n by m^{-alpha n} and leaves F_0 alone.  The
 experiments here and in ``trace`` track ratios of norms across increasing
-depths: ``ratio_trials`` is their one loop over trials and depths, and
+depths: ``ratio_trials`` is their one loop over trials, each trial's parts
+coming back over all depths at once, read from the level magnitudes its
+martingale keeps (``F.norms``, ``F.diff_norms``) with no truncated copy; and
 ``trend_verdict`` turns the per-depth ratios into the one report type,
 ``EmbeddingReport``, with a BOUNDED or GROWING verdict.  Finite depths cannot
 observe true boundedness, so the verdict is a regression on at least five
@@ -18,14 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtration import FiltrationSpec, Martingale, multiplicative_martingale
-from .norms import (
-    besov_norm,
-    lorentz_p1_norm,
-    lp_norm,
-    martingale_difference,
-    martingale_level,
-)
+from .filtration import FiltrationSpec, Martingale, evaluate, multiplicative_martingale, vector_norms
+from .norms import besov_terms, lorentz_p1_from_distribution, lp_norm
 from .spacew import SubspaceW, delta_vector, random_w_martingale
 
 
@@ -64,15 +60,15 @@ def trend_verdict(depths, ratios) -> EmbeddingReport:
     return EmbeddingReport(list(depths), ratios, "GROWING" if growing else "BOUNDED", slope, predicted)
 
 
-def ratio_trials(depths, draws, parts) -> list[np.ndarray]:
+def ratio_trials(draws, parts) -> list[np.ndarray]:
     """The loop of every ratio experiment: for each numerator, its ratios to the
     denominator by depth (rows) and trial (columns).
 
-    ``draws`` yields one trial at a time and ``parts(trial, d)`` gives
-    (denominator, numerator, ...) at depth d; a ratio stays 0 where the
-    denominator is not positive.
+    ``draws`` yields one trial at a time and ``parts(trial)`` gives
+    (denominator, numerator, ...), each over all depths; a ratio stays 0
+    where the denominator is not positive.
     """
-    den, *nums = np.array([[parts(trial, d) for d in depths] for trial in draws]).T
+    den, *nums = np.array([parts(trial) for trial in draws]).transpose(1, 2, 0)
     return [np.divide(num, den, out=np.zeros_like(den), where=den > 0) for num in nums]
 
 
@@ -97,17 +93,14 @@ def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> Embeddi
         raise ValueError(f"p must exceed 1, got {p}")
     if depths is None:
         depths = list(range(4, spec.depth + 1))
-    m = spec.m
+    _require_levels(depths, spec.depth)
+    m = float(spec.m)
     F = delta_martingale(spec)
-    terms = []
-    for n in range(1, spec.depth + 1):
-        fn = martingale_difference(F, n)
-        terms.append(float(m) ** (-(p - 1) * n) * lp_norm(fn, p) ** p)
-    terms = np.array(terms)
+    terms = np.array([
+        m ** (-(p - 1) * n) * lp_norm(g.ravel(), m ** (-n), p) ** p for n, g in enumerate(F.diff_norms, start=1)
+    ])
     power_sums = np.array([terms[:d].sum() for d in depths])
-    l1_norms = np.array(
-        [lp_norm(martingale_level(F.truncated(d), d), 1.0) for d in depths]
-    )
+    l1_norms = np.array([lp_norm(F.norms[d], m ** (-d), 1.0) for d in depths])
     report = trend_verdict(depths, power_sums)
     report.details.update(
         per_level_terms=terms,
@@ -115,6 +108,13 @@ def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> Embeddi
         l1_bounded_by_two=bool(np.all(l1_norms <= 2.0 + 1e-12)),
     )
     return report
+
+
+def _require_levels(depths, depth: int) -> None:
+    """Refuse depths outside [1, depth], the levels a martingale of that
+    depth keeps beyond F_0."""
+    if not 1 <= min(depths) <= max(depths) <= depth:
+        raise ValueError(f"depths must lie in [1, {depth}], got {min(depths)} to {max(depths)}")
 
 
 def _random_martingale(spec, seed):
@@ -141,24 +141,34 @@ def hls_experiment(p: float, q: float, spec: FiltrationSpec, trials: int = 20, s
         depths = list(range(4, spec.depth + 1))
     alpha = (q - p) / (q * p)
 
-    def parts(t, d):  # a fresh martingale at every depth
-        F = _random_martingale(spec.truncated(d), seed=[seed, d, t])
-        return lp_norm(martingale_level(F, d), p), lp_norm(martingale_level(riesz_potential(F, alpha), d), q)
+    def parts(t):  # a fresh martingale at every depth, read at its last level only, so nothing is kept
+        norms = []
+        for d in depths:
+            F = _random_martingale(spec.truncated(d), seed=[seed, d, t])
+            top, image, weight = evaluate(F, d), evaluate(riesz_potential(F, alpha), d), float(spec.m) ** (-d)
+            norms.append((lp_norm(vector_norms(top), weight, p), lp_norm(vector_norms(image), weight, q)))
+        return np.transpose(norms)
 
-    (per_trial,) = ratio_trials(depths, range(trials), parts)
+    (per_trial,) = ratio_trials(range(trials), parts)
     report = trend_verdict(depths, per_trial.max(axis=1))
     report.details.update(alpha=alpha, trials=trials, per_trial=per_trial)
     return report
 
 
+def lorentz_terms(F: Martingale, p: float, depth: int) -> np.ndarray:
+    """m^{-((p-1)/p)n} ||f_n||_{L_{p,1}} for n = 1..depth."""
+    m = float(F.spec.m)
+    return np.array([
+        m ** (-(p - 1) / p * n) * lorentz_p1_from_distribution(F.diff_norms[n - 1].ravel(), m ** (-n), p)
+        for n in range(1, depth + 1)
+    ])
+
+
 def lorentz_sum_lhs(F: Martingale, p: float, depth: int | None = None) -> float:
-    """sum_{n=1}^N m^{-((p-1)/p)n} ||f_n||_{L_{p,1}}: the strengthened left side."""
-    depth = F.spec.depth if depth is None else depth
-    total = 0.0
-    for n in range(1, depth + 1):
-        fn = martingale_difference(F, n)
-        total += float(F.spec.m) ** (-(p - 1) / p * n) * lorentz_p1_norm(fn, p)
-    return total
+    """sum_{n=1}^N m^{-((p-1)/p)n} ||f_n||_{L_{p,1}}: the strengthened left
+    side, added in order of n."""
+    terms = lorentz_terms(F, p, F.spec.depth if depth is None else depth)
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def main_inequality_experiment(
@@ -181,16 +191,18 @@ def main_inequality_experiment(
         raise ValueError(f"p must exceed 1, got {p}")
     if depths is None:
         depths = list(range(4, spec.depth + 1))
+    _require_levels(depths, spec.depth)
     draws = [delta_martingale(spec)] if use_delta else (
         random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t]) for t in range(trials)
     )
+    levels = np.asarray(depths)
 
-    def parts(F, d):
-        Fd = F.truncated(d)
-        l1 = lp_norm(martingale_level(Fd, d), 1.0)
-        return l1, lorentz_sum_lhs(F, p, d), besov_norm(Fd, -(p - 1) / p, p)
+    def parts(F):  # the running sums reach depth d at index d - 1 (Lorentz, from n = 1) and d (Besov)
+        l1 = [lp_norm(F.norms[d], float(spec.m) ** (-d), 1.0) for d in depths]
+        lorentz = np.cumsum(lorentz_terms(F, p, max(depths)))[levels - 1]
+        return l1, lorentz, np.cumsum(besov_terms(F, -(p - 1) / p, p))[levels]
 
-    per_trial, besov = ratio_trials(depths, draws, parts)
+    per_trial, besov = ratio_trials(draws, parts)
     report = trend_verdict(depths, per_trial.max(axis=1))
     report.details.update(
         besov_ratios=besov.max(axis=1), trials=per_trial.shape[1], p=p, per_trial=per_trial

@@ -114,7 +114,7 @@ def _row_norms(flat: np.ndarray) -> np.ndarray:
     sqrt of the row's dot with itself, the 1-D norm's form.  Not the
     ``np.linalg.norm(flat, axis=1)`` form, which sums the squares in another
     order and differs in the last bit for some rows of two or more entries;
-    ``norms.vector_norms`` is that form."""
+    ``filtration.vector_norms`` is that form."""
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
 
 

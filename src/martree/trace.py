@@ -9,7 +9,9 @@ nu = F_0 + I_gamma[F] available when the kappa profile is linear.  One ratio
 loop, ``trace_experiment_p`` on ``riesz.ratio_trials``, serves every p >= 1
 and returns ``riesz.EmbeddingReport`` with ``alpha``, ``p`` and the per-depth
 ``frostman_constants`` in its details; ``trace_experiment_l1`` is its p = 1
-run plus the per-flat-tree controls of ``decomp.verify_tree_trace``.
+run plus the per-flat-tree controls of ``decomp.verify_tree_trace``.  Each
+trial's Riesz image is formed once, nu is truncated once per depth, and
+every depth's norms read the level magnitudes the martingales keep.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ from .filtration import (
     FiltrationSpec,
     Martingale,
     TreeMeasure,
-    evaluate,
     martingale_to_measure,
     multiplicative_martingale,
 )
 from .kappa import kappa_of, rank_one_directions
-from .norms import lp_nu_norm, martingale_level, vector_norms
+from .norms import lp_nu_norm
 from .riesz import EmbeddingReport, ratio_trials, riesz_potential, trend_verdict
 from .spacew import SubspaceW, random_w_martingale
 
@@ -40,8 +41,8 @@ CASCADE_CONCENTRATION = 0.6
 
 def frostman_constant(nu: TreeMeasure, alpha: float, p: float) -> float:
     """Smallest C with nu(omega)^{1/p} <= C m^{(alpha-1)n} over all atoms; exact."""
-    if not nu.is_scalar or np.any(nu.leaf_mass < 0):
-        raise ValueError("the Frostman condition applies to nonnegative scalar measures")
+    if not nu.is_scalar or not (nu.leaf_mass >= 0).all():
+        raise ValueError("the Frostman condition applies to nonnegative scalar measures, without NaN masses")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     m = float(nu.spec.m)
@@ -99,19 +100,19 @@ def trace_experiment_p(
     if max(depths) > nu.spec.depth:
         raise ValueError(f"depths end at {max(depths)}, beyond the measure's depth {nu.spec.depth}")
     spec = FiltrationSpec(nu.spec.m, max(depths), W.ell)
-    constants = np.array([frostman_constant(nu.truncated(d), alpha, p) for d in depths])
+    nus = [nu.truncated(d) for d in depths]
+    constants = np.array([frostman_constant(nu_d, alpha, p) for nu_d in nus])
     draws = (
         random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
         for t in range(trials)
     )
 
-    def parts(F, d):
-        Fd = F.truncated(d)
-        img = martingale_level(riesz_potential(Fd, alpha), d)
-        den = float(vector_norms(evaluate(Fd, d)).mean())
-        return den, lp_nu_norm(img, nu.truncated(d), p)
+    def parts(F):
+        image = riesz_potential(F, alpha)
+        dens = [float(F.norms[d].mean()) for d in depths]
+        return dens, [lp_nu_norm(image.norms[d], nu_d, p) for d, nu_d in zip(depths, nus)]
 
-    (per_trial,) = ratio_trials(depths, draws, parts)
+    (per_trial,) = ratio_trials(draws, parts)
     report = trend_verdict(depths, per_trial.max(axis=1))
     report.details.update(
         alpha=alpha, p=p, frostman_constants=constants, trials=trials, per_trial=per_trial
@@ -221,25 +222,15 @@ def build_sharpness_trace_measure(
     alpha = kappa_zero / np.log(m) - gamma
     if depths is None:
         depths = list(range(4, spec.depth + 1))
-    constants = np.array([frostman_constant(nu.truncated(d), alpha, 1.0) for d in depths])
-    terms = np.array(
-        [
-            float(m) ** (-(alpha + gamma) * n)
-            * float(np.mean(G.difference_values(n)[:, 0] ** 2))
-            for n in range(1, spec.depth + 1)
-        ]
-    )
+    nus = [nu.truncated(d) for d in depths]
+    constants = np.array([frostman_constant(nu_d, alpha, 1.0) for nu_d in nus])
+    terms = np.array([
+        float(m) ** (-(alpha + gamma) * n) * float(np.mean(block.ravel() ** 2))
+        for n, block in enumerate(G.diffs, start=1)
+    ])
     partial_sums = np.array([terms[:d].sum() for d in depths])
-    exact = np.array(
-        [
-            lp_nu_norm(
-                martingale_level(riesz_potential(G.truncated(d), alpha), d),
-                nu.truncated(d),
-                1.0,
-            )
-            for d in depths
-        ]
-    )
+    image = riesz_potential(G, alpha)
+    exact = np.array([lp_nu_norm(image.norms[d], nu_d, 1.0) for d, nu_d in zip(depths, nus)])
     s2 = float(np.mean(v**2))
     derived = s2 * np.exp(-kappa_zero)
     slope = float(np.polyfit(depths, partial_sums, 1)[0]) if len(depths) >= 2 else 0.0

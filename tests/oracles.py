@@ -24,6 +24,10 @@ and ``rle`` the atom-by-atom run-length code of a label mask that
 ``cli._rle`` reproduces.  ``write_martingale`` is the block-by-block writer
 of the older layout, one dict per block walked by the recursive ``encode``;
 the columnar file of ``fileio.write_martingale`` must hold the same bits.
+``level`` and ``difference`` are the magnitudes |F_n| and |f_n| with the
+atom mass m^{-n}, the arguments of the level norms, computed afresh as the
+norms computed them before each martingale kept its magnitudes; ``simple``
+is the same pair for given values on one level.
 
 The rest are test-side tools the package never calls: mass-weighted leaf
 sampling with its base-m digits, the digit-frequency test of a product
@@ -40,10 +44,9 @@ from scipy import optimize
 from scipy.special import logsumexp
 
 from martree.dimension import MultiplicativeMeasure, _Support
-from martree.filtration import AtomId, Martingale, TreeMeasure
+from martree.filtration import AtomId, Martingale, TreeMeasure, evaluate, vector_norms
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, ShiftInvariantW, build_shift_invariant_w
 from martree.kappa import RAY_GRID_POINTS, feasible_interval
-from martree.norms import vector_norms
 from martree.spacew import (
     FIRST_CONDITION_HOLDS,
     FIRST_CONDITION_VIOLATED,
@@ -347,9 +350,26 @@ def log_mean_exp(a: np.ndarray) -> np.ndarray:
 def evaluate_all(F: Martingale) -> list[np.ndarray]:
     """F_0, ..., F_N in one prefix sweep, kept nowhere."""
     out = [F.f0.reshape(1, F.spec.ell)]
-    for k in range(F.spec.depth):
-        out.append(np.repeat(out[-1], F.spec.m, axis=0) + F.difference_values(k + 1))
+    for block in F.diffs:
+        out.append(np.repeat(out[-1], F.spec.m, axis=0) + block.reshape(-1, F.spec.ell))
     return out
+
+
+def simple(values, level: int, m: int = 3) -> tuple[np.ndarray, float]:
+    """The magnitudes of ``values`` (one row, or one scalar, per atom of the
+    level) and the atom mass m^{-level}."""
+    values = np.asarray(values, dtype=float)
+    return vector_norms(values.reshape(values.shape[0], -1)), float(m) ** (-level)
+
+
+def level(F: Martingale, n: int) -> tuple[np.ndarray, float]:
+    """``simple`` of F_n, swept afresh."""
+    return simple(evaluate(F, n), n, F.spec.m)
+
+
+def difference(F: Martingale, n: int) -> tuple[np.ndarray, float]:
+    """``simple`` of f_n from its stored blocks; f_0 is F_0."""
+    return simple((F.f0 if n == 0 else F.diffs[n - 1]).reshape(F.spec.m**n, F.spec.ell), n, F.spec.m)
 
 
 def level_data(F: Martingale) -> dict:

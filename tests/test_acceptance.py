@@ -42,19 +42,12 @@ from martree.kappa import (
     kappa_profile,
     kappa_v_many,
 )
-from martree.norms import (
-    SimpleFunction,
-    besov_norm,
-    lorentz_p1_norm,
-    lp_norm,
-    martingale_level,
-    weak_lp_norm,
-)
+from martree.norms import besov_norm, lorentz_p1_from_distribution, lp_norm, weak_lp_norm
 from martree.riesz import delta_counterexample, delta_martingale, main_inequality_experiment, riesz_potential
 from martree.spacew import SubspaceW, check_second_condition, delta_vector
 from martree.trace import build_sharpness_trace_measure, capped_cascade_measure, trace_experiment_l1
 
-from oracles import antichain_score, ray_grid_oracle
+from oracles import antichain_score, level, ray_grid_oracle, simple
 
 LOG3 = np.log(3.0)
 
@@ -120,10 +113,10 @@ def test_criterion_01_exact_identities():
     for n in (1, 3, 5):
         vals = np.zeros(3**n)
         vals[n] = 1.7
-        g = SimpleFunction(FiltrationSpec(3, 5, 1), n, vals)
+        g = simple(vals, n)
         for p, q in ((1.0, 2.0), (1.5, 4.0)):
-            lhs = lp_norm(g, q)
-            rhs = 3.0 ** (n * (1 / p - 1 / q)) * lp_norm(g, p)
+            lhs = lp_norm(*g, q)
+            rhs = 3.0 ** (n * (1 / p - 1 / q)) * lp_norm(*g, p)
             ok &= abs(lhs - rhs) < 1e-12 * rhs
     _report(1, "exact identities", ok, started)
 
@@ -208,7 +201,7 @@ def test_criterion_04_delta_counterexample_growth():
     # every E|F_N| is at most 2, checked directly as well
     F = delta_martingale(spec)
     for d in depths:
-        ok &= lp_norm(martingale_level(F.truncated(d), d), 1.0) <= 2.0 + 1e-12
+        ok &= lp_norm(*level(F.truncated(d), d), 1.0) <= 2.0 + 1e-12
     slope = float(np.polyfit(depths, report.ratios, 1)[0])
     derived = report.details["per_level_constant"]
     ok &= abs(slope - derived) <= 0.2 * derived
@@ -262,7 +255,7 @@ def test_criterion_06_convex_part_besov_bound():
         ok &= report.max_atom_ratio <= 1.0 + 1e-12
         F_co, _ = split_convex_flat(F, forest)
         besov = besov_norm(F_co, 0.0, 1.0)
-        l1 = lp_norm(martingale_level(F, spec.depth), 1.0)
+        l1 = lp_norm(*level(F, spec.depth), 1.0)
         ok &= besov <= 21.0 * l1 * (1 + 1e-12)
         worst = max(worst, besov / l1)
     print(f"  worst ||F_co||_B / ||F||_1 = {worst:.3f} (bound 21)")
@@ -369,10 +362,9 @@ def test_criterion_10_norm_engine():
     started = time.monotonic()
     ok = True
     rng = np.random.default_rng(12)
-    spec = FiltrationSpec(3, 4, 2)
 
     def quad_lorentz(g, p):
-        mags, w = g.magnitudes(), g.atom_weight
+        mags, w = g
         top = float(mags.max(initial=0.0))
         if top == 0.0:
             return 0.0
@@ -387,7 +379,7 @@ def test_criterion_10_norm_engine():
         return p * val
 
     def scan_weak(g, p):
-        mags, w = g.magnitudes(), g.atom_weight
+        mags, w = g
         best = 0.0
         for v in np.unique(mags[mags > 0]):
             s = v * (1 - 1e-13)
@@ -399,13 +391,13 @@ def test_criterion_10_norm_engine():
         vals = rng.standard_normal((3**level, 2))
         if i % 3 == 0:
             vals[rng.random(vals.shape[0]) < 0.5] = 0.0
-        g = SimpleFunction(spec, level, vals)
+        g = simple(vals, level)
         p = float(rng.uniform(1.1, 4.0))
-        ours = lorentz_p1_norm(g, p)
+        ours = lorentz_p1_from_distribution(*g, p)
         oracle = quad_lorentz(g, p)
         if oracle > 0:
             ok &= abs(ours - oracle) <= 1e-10 * oracle
-        ours_w = weak_lp_norm(g, p)
+        ours_w = weak_lp_norm(*g, p)
         oracle_w = scan_weak(g, p)
         if oracle_w > 0:
             ok &= abs(ours_w - oracle_w) <= 1e-10 * oracle_w
@@ -413,17 +405,17 @@ def test_criterion_10_norm_engine():
     for i in range(1000):
         n = int(rng.integers(0, 4))
         vals = rng.standard_normal((3 ** (n + 1), 2)) * rng.uniform(0.1, 10)
-        g = SimpleFunction(spec, n + 1, vals)
+        g = simple(vals, n + 1)
         p = float(rng.uniform(1.1, 4.0))
-        bound = p * 3.0 ** ((p - 1) / p * (n + 1)) * lp_norm(g, 1.0)
-        ok &= lorentz_p1_norm(g, p) <= bound * (1 + 1e-12)
+        bound = p * 3.0 ** ((p - 1) / p * (n + 1)) * lp_norm(*g, 1.0)
+        ok &= lorentz_p1_from_distribution(*g, p) <= bound * (1 + 1e-12)
     # the indicator attains it exactly
     for n in (0, 2):
         vals = np.zeros(3 ** (n + 1))
         vals[0] = 1.0
-        g = SimpleFunction(FiltrationSpec(3, 4, 1), n + 1, vals)
+        g = simple(vals, n + 1)
         p = 2.0
-        ok &= lorentz_p1_norm(g, p) == pytest.approx(
-            p * 3.0 ** ((p - 1) / p * (n + 1)) * lp_norm(g, 1.0), rel=1e-12
+        ok &= lorentz_p1_from_distribution(*g, p) == pytest.approx(
+            p * 3.0 ** ((p - 1) / p * (n + 1)) * lp_norm(*g, 1.0), rel=1e-12
         )
     _report(10, "Lorentz/weak closed forms vs quadrature; local embedding constant", ok, started)

@@ -416,9 +416,9 @@ class TestSubcommands:
         assert main(["norm", "--martingale", martingale_file, "--name", "lp", "--p", "2"]) == 0
         value = float(capsys.readouterr().out.strip())
         F = read_martingale(martingale_file)
-        from martree.norms import lp_norm, martingale_level
+        from martree.norms import lp_norm
 
-        assert value == pytest.approx(lp_norm(martingale_level(F, 4), 2.0), rel=1e-15)
+        assert value == pytest.approx(lp_norm(*oracles.level(F, 4), 2.0), rel=1e-15)
 
     def test_kappa_writes_csv(self, w_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -564,9 +564,17 @@ class TestSubcommands:
                      "--measure", str(nu_path)]) == 0
         value = float(capsys.readouterr().out.strip())
         F = read_martingale(martingale_file)
-        from martree.norms import lp_norm, martingale_level
+        from martree.norms import lp_norm
 
-        assert value == pytest.approx(lp_norm(martingale_level(F, 4), 2.0), rel=1e-12)
+        assert value == pytest.approx(lp_norm(*oracles.level(F, 4), 2.0), rel=1e-12)
+
+    def test_norm_lpnu_refuses_another_branching(self, martingale_file, tmp_path, capsys):
+        # the 81 atoms of F_4 on the ternary tree are as many as the leaves of a depth-2 tree with m = 9
+        nu_path = tmp_path / "nu.json"
+        write_measure(nu_path, TreeMeasure(FiltrationSpec(9, 2, 1), np.full(81, 1.0 / 81)))
+        assert main(["norm", "--martingale", martingale_file, "--name", "lpnu", "--p", "2",
+                     "--measure", str(nu_path)]) == 2
+        assert "the measure's tree branches 9 ways, the martingale's 3" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -34,7 +34,7 @@ from martree.filtration import (
     measure_to_martingale,
 )
 from martree.kappa import kappa_of
-from martree.norms import h1_norm, lorentz_p1_from_distribution, lp_norm, martingale_level
+from martree.norms import h1_norm, lorentz_p1_from_distribution, lp_norm
 from martree.riesz import delta_martingale
 from martree.spacew import SubspaceW, delta_vector, random_w_martingale
 import oracles
@@ -317,7 +317,7 @@ class TestTreeSummation:
         total_ft_l1 = sum(e["ft_l1"] for e in report.per_tree)
         F_co, F_fl = split_convex_flat(F, forest)
         F_fl = Martingale(spec, np.zeros(2), F_fl.diffs)  # drop the constant
-        fl_l1 = lp_norm(martingale_level(F_fl, 4), 1.0)
+        fl_l1 = lp_norm(*oracles.level(F_fl, 4), 1.0)
         # triangle inequality across disjoint-rooted trees can only lose mass
         assert total_ft_l1 >= fl_l1 - 1e-12
 
@@ -830,7 +830,6 @@ class TestKeptLevelData:
             evaluate(F, n)
             filtration.evaluate_at(F, n, np.arange(F.spec.m**n))
         filtration.evaluate_all(F)
-        martingale_level(F, F.spec.depth)
         assert set(vars(F)) == FRESH_KEYS
 
     def test_one_sweep_per_martingale(self, monkeypatch):

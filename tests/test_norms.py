@@ -6,38 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from martree.filtration import FiltrationSpec, Martingale, TreeMeasure, multiplicative_martingale
+from martree.filtration import FiltrationSpec, Martingale, TreeMeasure, multiplicative_martingale, vector_norms
 from martree.norms import (
-    SimpleFunction,
     besov_norm,
     h1_norm,
     lorentz_p1_from_distribution,
-    lorentz_p1_norm,
     lorentz_p1_segments,
     lp_norm,
     lp_norm_segments,
     lp_nu_norm,
-    martingale_difference,
     segment_sums,
-    vector_norms,
     weak_lp_norm,
 )
-from oracles import lp_norm_weighted
+from oracles import difference, level, lp_norm_weighted, simple
 from tests.test_filtration import random_martingale
 
 
-def random_simple(spec, level, seed, sparse=False):
+def random_values(spec, level, seed, sparse=False):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((spec.atoms_at(level), spec.ell))
     if sparse:
         vals[rng.random(vals.shape[0]) < 0.5] = 0.0
-    return SimpleFunction(spec, level, vals)
+    return vals
+
+
+def random_simple(spec, level, seed, sparse=False):
+    return simple(random_values(spec, level, seed, sparse), level, spec.m)
 
 
 def lorentz_quadrature_oracle(g, p):
     """Direct numeric integration of p * int mu{|g|>s}^{1/p} ds."""
-    mags = g.magnitudes()
-    w = g.atom_weight
+    mags, w = g
 
     def dist(s):
         return (w * np.sum(mags > s)) ** (1.0 / p)
@@ -52,8 +51,7 @@ def lorentz_quadrature_oracle(g, p):
 
 def weak_scan_oracle(g, p):
     """Scan of s * mu{|g|>s}^{1/p} on thresholds just below each value."""
-    mags = g.magnitudes()
-    w = g.atom_weight
+    mags, w = g
     best = 0.0
     for v in np.unique(mags[mags > 0]):
         s = v * (1 - 1e-13)
@@ -63,8 +61,8 @@ def weak_scan_oracle(g, p):
 
 def rearrangement_oracle(g, p):
     """int_0^1 t^{1/p-1} g*(t) dt via exact piecewise integration."""
-    mags = np.sort(g.magnitudes())[::-1]
-    w = g.atom_weight
+    mags, w = g
+    mags = np.sort(mags)[::-1]
     t = w * np.arange(1, mags.size + 1)
     t0 = np.concatenate([[0.0], t[:-1]])
     return float(np.sum(mags * p * (t ** (1 / p) - t0 ** (1 / p))))
@@ -76,15 +74,15 @@ class TestLp:
         for level in (1, 2, 3):
             vals = np.zeros(3**level)
             vals[1] = 1.0
-            g = SimpleFunction(spec, level, vals)
+            g = simple(vals, level)
             for p in (1.0, 2.0, 3.5):
-                assert lp_norm(g, p) == pytest.approx(3.0 ** (-level / p), rel=1e-14)
+                assert lp_norm(*g, p) == pytest.approx(3.0 ** (-level / p), rel=1e-14)
 
     def test_constant(self):
         spec = FiltrationSpec(3, 3, 2)
-        g = SimpleFunction(spec, 2, np.tile([3.0, 4.0], (9, 1)))
+        g = simple(np.tile([3.0, 4.0], (9, 1)), 2)
         for p in (1.0, 2.0, np.inf):
-            assert lp_norm(g, p) == pytest.approx(5.0, rel=1e-14)
+            assert lp_norm(*g, p) == pytest.approx(5.0, rel=1e-14)
 
     def test_single_scale_identity(self):
         # On one scale the q-norm equals m^{n(1/p-1/q)} times the p-norm with
@@ -93,14 +91,14 @@ class TestLp:
         n, p, q = 3, 1.5, 4.0
         vals = np.zeros(27)
         vals[11] = 2.7
-        g = SimpleFunction(spec, n, vals)
-        assert lp_norm(g, q) == pytest.approx(3.0 ** (n * (1 / p - 1 / q)) * lp_norm(g, p), rel=1e-13)
+        g = simple(vals, n)
+        assert lp_norm(*g, q) == pytest.approx(3.0 ** (n * (1 / p - 1 / q)) * lp_norm(*g, p), rel=1e-13)
 
     def test_rejects_small_p(self):
         spec = FiltrationSpec(3, 2, 1)
         g = random_simple(spec, 1, 0)
         with pytest.raises(ValueError):
-            lp_norm(g, 0.5)
+            lp_norm(*g, 0.5)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.floats(1.0, 8.0), st.floats(0.0, 8.0))
@@ -108,19 +106,17 @@ class TestLp:
         spec = FiltrationSpec(3, 3, 2)
         g = random_simple(spec, 2, seed)
         q = p + dq
-        assert lp_norm(g, p) <= lp_norm(g, q) * (1 + 1e-12)
-        assert lp_norm(g, p) <= lp_norm(g, np.inf) * (1 + 1e-12)
+        assert lp_norm(*g, p) <= lp_norm(*g, q) * (1 + 1e-12)
+        assert lp_norm(*g, p) <= lp_norm(*g, np.inf) * (1 + 1e-12)
 
     def test_homogeneity_and_triangle(self):
         spec = FiltrationSpec(3, 3, 2)
-        g = random_simple(spec, 3, 1)
-        h = random_simple(spec, 3, 2)
+        g = random_values(spec, 3, 1)
+        h = random_values(spec, 3, 2)
         for p in (1.0, 2.0, 3.0):
-            assert lp_norm(SimpleFunction(spec, 3, 2.5 * g.values), p) == pytest.approx(
-                2.5 * lp_norm(g, p), rel=1e-12
-            )
-            s = SimpleFunction(spec, 3, g.values + h.values)
-            assert lp_norm(s, p) <= lp_norm(g, p) + lp_norm(h, p) + 1e-12
+            assert lp_norm(*simple(2.5 * g, 3), p) == pytest.approx(2.5 * lp_norm(*simple(g, 3), p), rel=1e-12)
+            s = simple(g + h, 3)
+            assert lp_norm(*s, p) <= lp_norm(*simple(g, 3), p) + lp_norm(*simple(h, 3), p) + 1e-12
 
 
 class TestLorentz:
@@ -128,42 +124,53 @@ class TestLorentz:
         spec = FiltrationSpec(3, 3, 1)
         vals = np.zeros(27)
         vals[:6] = 1.0  # measure 6/27
-        g = SimpleFunction(spec, 3, vals)
+        g = simple(vals, 3)
         for p in (1.5, 2.0, 4.0):
-            assert lorentz_p1_norm(g, p) == pytest.approx(p * (6 / 27) ** (1 / p), rel=1e-13)
+            assert lorentz_p1_from_distribution(*g, p) == pytest.approx(p * (6 / 27) ** (1 / p), rel=1e-13)
 
     def test_rejects_p_at_most_one(self):
         spec = FiltrationSpec(3, 2, 1)
         g = random_simple(spec, 1, 0)
         with pytest.raises(ValueError):
-            lorentz_p1_norm(g, 1.0)
+            lorentz_p1_from_distribution(*g, 1.0)
 
     def test_dominates_lp(self):
         spec = FiltrationSpec(3, 4, 2)
         for seed in range(30):
             g = random_simple(spec, 3, seed, sparse=seed % 2 == 0)
             for p in (1.5, 2.0, 3.0):
-                assert lorentz_p1_norm(g, p) >= lp_norm(g, p) * (1 - 1e-12)
+                assert lorentz_p1_from_distribution(*g, p) >= lp_norm(*g, p) * (1 - 1e-12)
 
     def test_matches_quadrature_and_rearrangement(self):
         spec = FiltrationSpec(3, 4, 2)
         for seed in range(20):
             g = random_simple(spec, 2, seed, sparse=seed % 3 == 0)
             for p in (1.5, 2.0, 3.7):
-                ours = lorentz_p1_norm(g, p)
+                ours = lorentz_p1_from_distribution(*g, p)
                 assert ours == pytest.approx(lorentz_quadrature_oracle(g, p), rel=1e-10)
                 assert ours == pytest.approx(rearrangement_oracle(g, p), rel=1e-12)
+
+    def test_scalar_weight_is_the_per_atom_weight(self):
+        for mags, p in ((np.array([1.0, 2.0]), 2.0), (random_simple(FiltrationSpec(3, 4, 2), 3, 4, True)[0], 3.7)):
+            scalar = lorentz_p1_from_distribution(mags, 0.5, p)
+            per_atom = lorentz_p1_from_distribution(mags, np.full(mags.shape, 0.5), p)
+            assert np.float64(scalar).tobytes() == np.float64(per_atom).tobytes()
+        assert lorentz_p1_from_distribution(np.array([1.0, 2.0]), 0.5, 2.0) == pytest.approx(
+            2.0 * (0.5**0.5 + 1.0), rel=1e-15
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_triangle_constant_at_most_two(self, seed):
         # With this normalization the quasi-norm is actually subadditive.
         spec = FiltrationSpec(3, 3, 1)
-        g = random_simple(spec, 3, seed)
-        h = random_simple(spec, 3, seed + 1)
-        s = SimpleFunction(spec, 3, g.values + h.values)
+        g = random_values(spec, 3, seed)
+        h = random_values(spec, 3, seed + 1)
+        s = simple(g + h, 3)
         p = 2.0
-        assert lorentz_p1_norm(s, p) <= 2.0 * (lorentz_p1_norm(g, p) + lorentz_p1_norm(h, p))
+        assert lorentz_p1_from_distribution(*s, p) <= 2.0 * (
+            lorentz_p1_from_distribution(*simple(g, 3), p) + lorentz_p1_from_distribution(*simple(h, 3), p)
+        )
 
 
 class TestWeakLp:
@@ -171,23 +178,23 @@ class TestWeakLp:
         spec = FiltrationSpec(3, 3, 1)
         vals = np.zeros(27)
         vals[5:14] = 1.0
-        g = SimpleFunction(spec, 3, vals)
+        g = simple(vals, 3)
         for p in (1.0, 2.0, 3.0):
-            assert weak_lp_norm(g, p) == pytest.approx((9 / 27) ** (1 / p), rel=1e-13)
+            assert weak_lp_norm(*g, p) == pytest.approx((9 / 27) ** (1 / p), rel=1e-13)
 
     def test_chebyshev(self):
         spec = FiltrationSpec(3, 4, 2)
         for seed in range(20):
             g = random_simple(spec, 3, seed)
             for p in (1.0, 2.0, 3.0):
-                assert weak_lp_norm(g, p) <= lp_norm(g, p) * (1 + 1e-12)
+                assert weak_lp_norm(*g, p) <= lp_norm(*g, p) * (1 + 1e-12)
 
     def test_matches_scan_oracle(self):
         spec = FiltrationSpec(3, 4, 1)
         for seed in range(20):
             g = random_simple(spec, 3, seed, sparse=True)
             for p in (1.0, 2.0, 2.5):
-                assert weak_lp_norm(g, p) == pytest.approx(weak_scan_oracle(g, p), rel=1e-10)
+                assert weak_lp_norm(*g, p) == pytest.approx(weak_scan_oracle(g, p), rel=1e-10)
 
     def test_delta_density_growth(self):
         # The delta-measure density at level n has weak norm m^{n(p-1)/p}.
@@ -198,8 +205,8 @@ class TestWeakLp:
             mass[0] = 1.0
             vals = np.zeros(spec.leaves)
             vals[0] = 3.0**depth
-            g = SimpleFunction(spec, depth, vals)
-            assert weak_lp_norm(g, p) == pytest.approx(3.0 ** (depth * (p - 1) / p), rel=1e-12)
+            g = simple(vals, depth)
+            assert weak_lp_norm(*g, p) == pytest.approx(3.0 ** (depth * (p - 1) / p), rel=1e-12)
 
 
 class TestBesovAndH1:
@@ -213,12 +220,21 @@ class TestBesovAndH1:
         diffs[2] = block
         F = Martingale(spec, np.zeros(1), diffs)
         beta, p = 0.3, 2.0
-        f3 = martingale_difference(F, 3)
-        assert besov_norm(F, beta, p) == pytest.approx(3.0 ** (3 * beta) * lp_norm(f3, p), rel=1e-12)
+        f3 = difference(F, 3)
+        assert besov_norm(F, beta, p) == pytest.approx(3.0 ** (3 * beta) * lp_norm(*f3, p), rel=1e-12)
 
     def test_zero(self):
         spec = FiltrationSpec(3, 3, 2)
         assert besov_norm(Martingale.zero(spec), 0.7, 2.0) == 0.0
+
+    @pytest.mark.parametrize("m, ell, p", [(3, 1, 1.0), (3, 2, 2.0), (4, 3, 3.5), (5, 2, np.inf)])
+    def test_is_the_loop_over_levels_bit_for_bit(self, m, ell, p):
+        # nonzero F_0: the n = 0 term counts; the loop adds in order of n
+        F = random_martingale(FiltrationSpec(m, 5, ell), m + ell)
+        total = 0.0
+        for n in range(F.spec.depth + 1):
+            total += float(m) ** (-0.4 * n) * lp_norm(*difference(F, n), p)
+        assert np.float64(besov_norm(F, -0.4, p)).tobytes() == np.float64(total).tobytes()
 
     def test_homogeneity_exact(self):
         spec = FiltrationSpec(3, 3, 2)
@@ -248,9 +264,7 @@ class TestBesovAndH1:
         spec = FiltrationSpec(3, 4, 2)
         for seed in range(10):
             F = random_martingale(spec, seed)
-            from martree.norms import martingale_level
-
-            assert h1_norm(F) >= lp_norm(martingale_level(F, 4), 1.0) * (1 - 1e-12)
+            assert h1_norm(F) >= lp_norm(*level(F, 4), 1.0) * (1 - 1e-12)
 
     def test_h1_linear_growth_of_delta_martingale(self):
         # The delta construction leaves L_1 bounded but H_1 grows like
@@ -271,35 +285,50 @@ class TestLpNu:
         nu = TreeMeasure(spec, np.full(27, 1 / 27))
         g = random_simple(spec, 2, 4)
         for p in (1.0, 2.0):
-            assert lp_nu_norm(g, nu, p) == pytest.approx(lp_norm(g, p), rel=1e-12)
+            assert lp_nu_norm(g[0], nu, p) == pytest.approx(lp_norm(*g, p), rel=1e-12)
 
     def test_point_mass_evaluates_ancestor(self):
         spec = FiltrationSpec(3, 3, 1)
         mass = np.zeros(27)
         mass[17] = 1.0
         nu = TreeMeasure(spec, mass)
-        g = random_simple(spec, 2, 5)
+        g = random_values(spec, 2, 5)
         ancestor = 17 // 3
-        assert lp_nu_norm(g, nu, 2.0) == pytest.approx(abs(g.values[ancestor, 0]), rel=1e-12)
+        assert lp_nu_norm(simple(g, 2)[0], nu, 2.0) == pytest.approx(abs(g[ancestor, 0]), rel=1e-12)
 
     def test_matches_leaf_summation_oracle(self):
         spec = FiltrationSpec(3, 3, 2)
         rng = np.random.default_rng(6)
         nu = TreeMeasure(spec, rng.random(27))
-        g = random_simple(spec, 2, 7)
+        g = random_values(spec, 2, 7)
         p = 2.0
         # Brute force: push g down to the leaves and sum leaf by leaf.
         acc = 0.0
         for leaf in range(27):
-            acc += np.linalg.norm(g.values[leaf // 3]) ** p * nu.leaf_mass[leaf]
-        assert lp_nu_norm(g, nu, p) == pytest.approx(acc ** (1 / p), rel=1e-12)
+            acc += np.linalg.norm(g[leaf // 3]) ** p * nu.leaf_mass[leaf]
+        assert lp_nu_norm(simple(g, 2)[0], nu, p) == pytest.approx(acc ** (1 / p), rel=1e-12)
 
     def test_rejects_signed_measure(self):
         spec = FiltrationSpec(3, 2, 1)
         nu = TreeMeasure(spec, np.linspace(-1, 1, 9))
         g = random_simple(spec, 1, 8)
         with pytest.raises(ValueError):
-            lp_nu_norm(g, nu, 2.0)
+            lp_nu_norm(g[0], nu, 2.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_rejects_a_nan_mass(self, p):
+        # a NaN passes a test for negative masses; at p = inf it would be skipped
+        spec = FiltrationSpec(3, 3, 1)
+        mass = np.full(spec.leaves, 1.0 / spec.leaves)
+        mass[4] = np.nan
+        with pytest.raises(ValueError, match="without NaN masses"):
+            lp_nu_norm(random_simple(spec, 2, 9)[0], TreeMeasure(spec, mass), p)
+
+    @pytest.mark.parametrize("atoms", [81, 5, 0])
+    def test_rejects_magnitudes_on_no_level_of_the_measure(self, atoms):
+        nu = TreeMeasure(FiltrationSpec(3, 3, 1), np.full(27, 1 / 27))
+        with pytest.raises(ValueError, match=f"{atoms} atoms are no level of the reference measure"):
+            lp_nu_norm(np.ones(atoms), nu, 2.0)
 
 
 class TestSegmentNorms:

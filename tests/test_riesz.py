@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from martree.filtration import FiltrationSpec, Martingale
-from martree.norms import (
-    lorentz_p1_norm,
-    lp_norm,
-    martingale_difference,
-    martingale_level,
-    weak_lp_norm,
-)
+from martree import filtration, riesz, trace
+from martree.filtration import FiltrationSpec, Martingale, evaluate
+from martree.norms import lorentz_p1_from_distribution, lp_norm, weak_lp_norm
 from martree.riesz import (
     _random_martingale,
     delta_counterexample,
@@ -21,6 +16,7 @@ from martree.riesz import (
     riesz_potential,
 )
 from martree.spacew import SubspaceW, delta_vector, random_w_martingale
+from oracles import difference, level, simple
 from tests.test_filtration import random_martingale
 
 
@@ -70,7 +66,7 @@ class TestDeltaConstruction:
             spec = FiltrationSpec(3, depth, 1)
             F = delta_martingale(spec)
             for n in range(1, depth + 1):
-                l1 = lp_norm(martingale_level(F.truncated(n), n), 1.0)
+                l1 = lp_norm(*level(F.truncated(n), n), 1.0)
                 assert l1 == pytest.approx(2.0 * (1.0 - 3.0 ** (-n)), rel=1e-12)
 
     def test_difference_norms_match_closed_form(self):
@@ -81,7 +77,7 @@ class TestDeltaConstruction:
         c = (3.0 ** (-p) * (2.0**p + 2.0)) ** (1 / p)
         for n in range(1, 9):
             expected = 3.0 ** ((p - 1) / p * n) * c
-            assert lp_norm(martingale_difference(F, n), p) == pytest.approx(expected, rel=1e-12)
+            assert lp_norm(*difference(F, n), p) == pytest.approx(expected, rel=1e-12)
 
     def test_counterexample_growth_report(self):
         spec = FiltrationSpec(3, 12, 1)
@@ -117,8 +113,8 @@ class TestHls:
             block[0, :, 0] = delta_vector(3)
             diffs[n] = block
             F = Martingale(spec, np.zeros(1), diffs)
-            num = lp_norm(martingale_level(riesz_potential(F, alpha), 6), q)
-            den = lp_norm(martingale_level(F, 6), p)
+            num = lp_norm(*level(riesz_potential(F, alpha), 6), q)
+            den = lp_norm(*level(F, 6), p)
             ratios.append(num / den)
         ratios = np.array(ratios)
         assert np.all(ratios <= 1.0 + 1e-12)
@@ -145,7 +141,7 @@ class TestMainInequality:
             diffs[n] = np.tensordot(coeffs, W.basis, axes=(1, 0))
             F = Martingale(spec, np.zeros(2), diffs)
             lhs = lorentz_sum_lhs(F, p)
-            l1 = lp_norm(martingale_level(F, 5), 1.0)
+            l1 = lp_norm(*level(F, 5), 1.0)
             assert lhs <= p * l1 * (1 + 1e-10)
 
     def test_triangle_route(self):
@@ -156,9 +152,9 @@ class TestMainInequality:
         W = SubspaceW.random(3, 2, 2, seed=3)
         for seed in range(5):
             F = random_w_martingale(W, spec, seed=seed)
-            img = martingale_level(riesz_potential(F, (p - 1) / p), 6)
-            img.values = img.values - img.values.mean(axis=0)  # drop F_0 = 0 anyway
-            assert lorentz_p1_norm(img, p) <= 2.0 * lorentz_sum_lhs(F, p) + 1e-12
+            img = evaluate(riesz_potential(F, (p - 1) / p), 6)
+            img = img - img.mean(axis=0)  # drop F_0 = 0 anyway
+            assert lorentz_p1_from_distribution(*simple(img, 6), p) <= 2.0 * lorentz_sum_lhs(F, p) + 1e-12
 
     def test_weak_type_endpoint(self):
         # I_{(p-1)/p} maps L_1 into weak L_p: ratios stay flat across depths.
@@ -175,8 +171,8 @@ class TestMainInequality:
                 mass = rng.random(sub.leaves)
                 mass /= mass.sum()
                 F = measure_to_martingale(TreeMeasure(sub, mass))
-                img = martingale_level(riesz_potential(F, (p - 1) / p), d)
-                worst = max(worst, weak_lp_norm(img, p))
+                img = level(riesz_potential(F, (p - 1) / p), d)
+                worst = max(worst, weak_lp_norm(*img, p))
             per_depth.append(worst)
         per_depth = np.array(per_depth)
         assert per_depth[-1] <= per_depth.max() * (1 + 1e-9)
@@ -200,6 +196,80 @@ class TestMainInequality:
         running_max = np.maximum.accumulate(report.ratios)
         # no new records at the deep end
         assert running_max[-1] <= running_max[2] * (1 + 1e-9)
+
+
+class TestOneSweepPerTrial:
+    """Every ratio experiment reads each depth from the levels its trial
+    martingales keep: one prefix sweep per martingale, no truncated copy."""
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        """The ``diffs`` of every sweep, in order, each kept alive so that
+        no two are told apart by a reused id."""
+        swept = []
+        sweep = filtration._sweep
+
+        def counted(spec, f0, diffs, n):
+            swept.append(diffs)
+            return sweep(spec, f0, diffs, n)
+
+        monkeypatch.setattr(filtration, "_sweep", counted)
+        return swept
+
+    @staticmethod
+    def drawn(monkeypatch, module, name):
+        """The martingales ``module.name`` returns, as it returns them."""
+        drawn = []
+        make = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            drawn.append(make(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(module, name, recorded)
+        return drawn
+
+    @pytest.mark.parametrize("use_delta", [False, True])
+    def test_main_inequality(self, swept, monkeypatch, use_delta):
+        spec, trials = FiltrationSpec(3, 7, 1 if use_delta else 2), 4
+        W = SubspaceW.random(3, spec.ell, 1, seed=1)
+        drawn = self.drawn(monkeypatch, riesz, "delta_martingale" if use_delta else "random_w_martingale")
+        lorentz_calls = []
+        lorentz = riesz.lorentz_p1_from_distribution
+
+        def counted_lorentz(*args):
+            lorentz_calls.append(args)
+            return lorentz(*args)
+
+        monkeypatch.setattr(riesz, "lorentz_p1_from_distribution", counted_lorentz)
+        report = main_inequality_experiment(W, 2.0, spec, trials=trials, seed=2, use_delta=use_delta)
+        assert [id(diffs) for diffs in swept] == [id(F.diffs) for F in drawn]
+        assert len(drawn) == report.details["trials"] == (1 if use_delta else trials)
+        # one Lorentz norm per trial and level, not one per trial, depth and level below it
+        assert len(lorentz_calls) == len(drawn) * spec.depth
+
+    def test_delta_counterexample(self, swept, monkeypatch):
+        drawn = self.drawn(monkeypatch, riesz, "delta_martingale")
+        delta_counterexample(2.0, FiltrationSpec(3, 8, 1))
+        assert len(drawn) == 1 and [id(diffs) for diffs in swept] == [id(drawn[0].diffs)]
+
+    def test_trace_experiment_p(self, swept, monkeypatch):
+        drawn = self.drawn(monkeypatch, trace, "random_w_martingale")
+        nu = trace.capped_cascade_measure(FiltrationSpec(3, 7, 1), 0.9, 2.0, seed=1)
+        trace.trace_experiment_p(nu, SubspaceW.random(3, 1, 1, seed=3), 0.9, 2.0, trials=3, seed=4)
+        # each trial and its Riesz image, one sweep each
+        assert len(drawn) == 3 and len(swept) == 6 and len({id(diffs) for diffs in swept}) == 6
+        assert [id(diffs) for diffs in swept[::2]] == [id(F.diffs) for F in drawn]
+
+
+@pytest.mark.parametrize("depths", [range(0, 6), range(2, 8)])
+def test_depths_outside_the_kept_levels_rejected(depths):
+    spec = FiltrationSpec(3, 6, 1)
+    W = SubspaceW.from_blocks([delta_vector(3)[:, None]], 3, 1)
+    for run in (lambda: delta_counterexample(2.0, spec, depths=depths),
+                lambda: main_inequality_experiment(W, 2.0, spec, trials=1, depths=depths)):
+        with pytest.raises(ValueError, match=rf"depths must lie in \[1, 6\], got {depths[0]} to {depths[-1]}"):
+            run()
 
 
 # ---------------------------------------------------------------- parent oracles
@@ -236,8 +306,8 @@ def hls_oracle(p, q, spec, trials=20, seed=0, depths=None):
         sub = spec.truncated(d)
         for t in range(trials):
             F = _random_martingale(sub, seed=[seed, d, t])
-            num = lp_norm(martingale_level(riesz_potential(F, alpha), d), q)
-            den = lp_norm(martingale_level(F, d), p)
+            num = lp_norm(*level(riesz_potential(F, alpha), d), q)
+            den = lp_norm(*level(F, d), p)
             if den > 0:
                 per_trial[i, t] = num / den
     ratios = per_trial.max(axis=1)
@@ -253,18 +323,18 @@ def main_inequality_oracle(W, p, spec, trials=20, seed=0, depths=None, scale_pro
 
     def ratios_for_martingale(F):
         lorentz_terms = [
-            weight(n) * lorentz_p1_norm(martingale_difference(F, n), p)
+            weight(n) * lorentz_p1_from_distribution(*difference(F, n), p)
             for n in range(1, spec.depth + 1)
         ]
         besov_terms = [
-            weight(n) * lp_norm(martingale_difference(F, n), p)
+            weight(n) * lp_norm(*difference(F, n), p)
             for n in range(1, spec.depth + 1)
         ]
         out = []
         for d in depths:
             lhs = sum(lorentz_terms[: d])
             besov = sum(besov_terms[: d])
-            l1 = lp_norm(martingale_level(F.truncated(d), d), 1.0)
+            l1 = lp_norm(*level(F.truncated(d), d), 1.0)
             out.append((lhs, besov, l1))
         return out
 

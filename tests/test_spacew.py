@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from martree.filtration import FiltrationSpec
-from martree.norms import lp_norm, martingale_difference
+from martree.norms import lp_norm
 from martree.spacew import (
     SubspaceW,
     _nelder_mead_lockstep,
@@ -189,7 +189,7 @@ class TestRandomWMartingale:
         for seed in range(100):
             F = random_w_martingale(W, spec, scale_profile=profile, seed=seed)
             means += np.array(
-                [lp_norm(martingale_difference(F, n), p) for n in range(1, spec.depth + 1)]
+                [lp_norm(*oracles.difference(F, n), p) for n in range(1, spec.depth + 1)]
             )
         means /= 100
         normalized = means / np.array([profile(n) for n in range(1, spec.depth + 1)])

@@ -12,7 +12,7 @@ from martree.filtration import (
     measure_to_martingale,
 )
 from martree.kappa import kappa_of
-from martree.norms import lp_norm, lp_nu_norm, martingale_level
+from martree.norms import lp_norm, lp_nu_norm
 from martree.riesz import riesz_potential
 from martree.spacew import SubspaceW, check_second_condition, delta_vector, random_w_martingale
 from martree.trace import (
@@ -22,6 +22,7 @@ from martree.trace import (
     trace_experiment_l1,
     trace_experiment_p,
 )
+import oracles
 from tests.test_riesz import assert_report_matches, oracle_report
 
 
@@ -63,6 +64,14 @@ class TestFrostmanConstant:
         spec = FiltrationSpec(3, 2, 1)
         with pytest.raises(ValueError):
             frostman_constant(TreeMeasure(spec, np.linspace(-1, 1, 9)), 0.5, 1.0)
+
+    def test_rejects_a_nan_mass(self):
+        # a NaN passes a test for negative masses, and the constant then read 0.0
+        spec = FiltrationSpec(3, 3, 1)
+        mass = np.full(spec.leaves, 1.0 / spec.leaves)
+        mass[4] = np.nan
+        with pytest.raises(ValueError, match="without NaN masses"):
+            frostman_constant(TreeMeasure(spec, mass), 0.5, 1.0)
 
     def test_root_atom_lower_bound(self):
         # the level-0 atom forces C >= nu(T)^{1/p}
@@ -116,8 +125,8 @@ class TestTraceP:
         from martree.spacew import random_w_martingale
 
         F = random_w_martingale(W, spec, seed=1)
-        img = martingale_level(riesz_potential(F, alpha), 6)
-        assert lp_nu_norm(img, nu, p) == pytest.approx(lp_norm(img, p), rel=1e-12)
+        img = oracles.level(riesz_potential(F, alpha), 6)
+        assert lp_nu_norm(img[0], nu, p) == pytest.approx(lp_norm(*img, p), rel=1e-12)
 
     def test_cascade_reference_bounded(self):
         p = 2.0
@@ -184,7 +193,7 @@ class TestNecessityWitness:
                 leaf = np.zeros(spec.leaves)
                 leaf[idx * span : (idx + 1) * span] = 1.0 / span
                 F = measure_to_martingale(TreeMeasure(spec, leaf))
-                img = martingale_level(riesz_potential(F, alpha), spec.depth)
+                img, _ = oracles.level(riesz_potential(F, alpha), spec.depth)
                 ratio = lp_nu_norm(img, nu, p) / 1.0  # ||F||_{L_1} = 1
                 quotient = level_mass[idx] ** (1 / p) * 3.0 ** ((1 - alpha) * level)
                 assert ratio >= (1 - 1 / 3) * quotient * (1 - 1e-9)
@@ -244,7 +253,7 @@ def trace_experiment_p_oracle(nu, W, alpha, p, trials=20, seed=0, depths=None, s
         F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
         for i, d in enumerate(depths):
             Fd = F.truncated(d)
-            img = martingale_level(riesz_potential(Fd, alpha), d)
+            img, _ = oracles.level(riesz_potential(Fd, alpha), d)
             num = lp_nu_norm(img, nu.truncated(d), p)
             den = float(np.linalg.norm(evaluate(Fd, d), axis=1).mean())
             if den > 0:
@@ -272,7 +281,7 @@ def trace_experiment_l1_oracle(nu, W, alpha, trials=20, seed=0, depths=None, sca
         F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
         for i, d in enumerate(depths):
             Fd = F.truncated(d)
-            img = martingale_level(riesz_potential(Fd, alpha), d)
+            img, _ = oracles.level(riesz_potential(Fd, alpha), d)
             num = lp_nu_norm(img, nu.truncated(d), 1.0)
             den = float(np.linalg.norm(evaluate(Fd, d), axis=1).mean())
             if den > 0:
