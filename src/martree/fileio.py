@@ -5,12 +5,15 @@ header, floats written through Python's shortest-roundtrip repr (at most 17
 significant digits, bit-exact on reload).  Complex fiber entries are stored
 as [re, im] pairs.
 
-Each file has the bytes of ``json.dumps(document, indent=1)``.  Each writer
-formats all its floats in one ``_texts`` pass and lays each array out with
-one join per row of its last axis.  A martingale is written in the columnar
-layout: ``nodes``, the level-order id of each block that is not all zero,
-and ``values``, those blocks' floats in one flat list.  Its reader also takes
-the older layout of one ``blocks`` entry per kept block.
+Each file has the bytes of ``json.dumps(document, indent=1)``, streamed to
+a temporary sibling that replaces the file once complete.  Arrays go
+``SLICE`` entries at a time, each slice formatted in one ``_texts`` pass, so
+a writer never holds the file's text.  Before any byte, a writer refuses
+what its reader refuses (a non-finite mass, basis or fiber entry; a NaN in
+a martingale).  A martingale is written in the columnar layout: ``nodes``,
+the level-order id of each block that is not all zero, and ``values``,
+those blocks' floats in one flat list.  Its reader also takes the older
+layout of one ``blocks`` entry per kept block.
 Readers take numbers only: a string, null or object where a number belongs
 is a ValueError naming the file and the field.
 """
@@ -18,6 +21,7 @@ is a ValueError naming the file and the field.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,59 +31,80 @@ from .filtration import FiltrationSpec, Martingale, TreeMeasure
 from .groupfourier import FiberFamily, FiniteAbelianGroup
 from .spacew import SubspaceW
 
+SLICE = 2_048  # entries of a numeric array formatted and written at once
+
 
 def _dump(path, document):
-    Path(path).write_text(_encode(document, "") + "\n")
+    """Write ``json.dumps(document, indent=1) + "\\n"`` to ``path`` piece by
+    piece, through a sibling that replaces ``path`` once the text is whole."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w") as out:
+            _write(out.write, document, "")
+            out.write("\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
-def _encode(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=1)`` of a value nested at ``indent``, the same bytes.
+def _write(write, obj, indent: str) -> None:
+    """Write ``json.dumps(obj, indent=1)`` of a value nested at ``indent``.
 
     Dicts (string keys) and lists are laid out as json lays them out; a
-    non-empty numeric array of any shape is laid out as its nested list, its
-    entries formatted in one ``_texts`` pass, and everything else goes to
-    json itself.
+    non-empty numeric array of any shape is laid out as its nested list by
+    ``_write_array``, and everything else goes to json itself.
     """
-    inner = indent + " "
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "biuf" and obj.ndim and obj.size:
-            return _layout(obj.shape, indent, _texts(obj.ravel()))
-        return _encode(obj.tolist(), indent)
-    if isinstance(obj, list) and obj:
-        return f"[\n{inner}" + f",\n{inner}".join(_encode(v, inner) for v in obj) + f"\n{indent}]"
-    if isinstance(obj, dict) and obj:
-        items = (f"{json.dumps(key)}: {_encode(value, inner)}" for key, value in obj.items())
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    return json.dumps(obj)
+            return _write_array(write, obj, indent)
+        obj = obj.tolist()
+    if isinstance(obj, (list, dict)) and obj:
+        brackets, items = ("{}", obj.items()) if isinstance(obj, dict) else ("[]", ((None, v) for v in obj))
+        inner = indent + " "
+        for i, (key, value) in enumerate(items):
+            write(("," if i else brackets[0]) + "\n" + inner + ("" if key is None else f"{json.dumps(key)}: "))
+            _write(write, value, inner)
+        write("\n" + indent + brackets[1])
+        return
+    write(json.dumps(obj))
 
 
-def _layout(shape: tuple, indent: str, texts: list[str]) -> str:
-    """json's layout, nested at ``indent``, of a non-empty array of ``shape``
-    whose entries, in C order, have the texts ``texts``.
+def _write_array(write, array: np.ndarray, indent: str) -> None:
+    """Write json's layout, nested at ``indent``, of a non-empty numeric array,
+    ``SLICE`` entries at a time, each slice's texts from one ``_texts`` pass.
 
     The text between two neighbouring entries depends only on how many
-    trailing axes end there: each row of the last axis is one join, and the
-    rows are joined with the text looked up for each gap between them.
+    trailing axes end there: each row of the last axis, or the part of it in
+    one slice, is one join, and the rows are joined with the text looked up
+    for each gap between them.
     """
-    ndim = len(shape)
+    shape, ndim = array.shape, array.ndim
     opens = ["[\n" + indent + " " * (a + 1) for a in range(ndim)]
     closes = ["\n" + indent + " " * a + "]" for a in range(ndim)]
     between = []  # between two entries where the last ``ndim - going_on`` axes end
     for going_on in range(ndim, 0, -1):
         between.append("".join(reversed(closes[going_on:])) + ",\n" + indent + " " * going_on
                        + "".join(opens[going_on:]))
-    width = shape[-1]
-    # a flat array is one row, joined without a copy of its texts
-    rows = [texts[i:i + width] for i in range(0, len(texts), width)] if ndim > 1 else [texts]
-    starts = np.arange(1, len(rows)) * width  # the C index of each row after the first
-    ended = np.ones(starts.size, dtype=np.intp)
-    for a in range(1, ndim - 1):
-        ended += starts % int(np.prod(shape[a:])) == 0
-    parts = [""] * (2 * len(rows) + 1)
-    parts[0], parts[-1] = "".join(opens), "".join(reversed(closes))
-    parts[1::2] = map(between[0].join, rows)
-    parts[2:-1:2] = np.array(between, dtype=object)[ended].tolist()
-    return "".join(parts)
+    between = np.array(between, dtype=object)
+    flat, width = array.ravel(), shape[-1]
+    sizes = [int(np.prod(shape[axis:])) for axis in range(1, ndim)]  # an axis ends where these divide the index
+    write("".join(opens))
+    for a in range(0, flat.size, SLICE):
+        texts = _texts(flat[a:a + SLICE])
+        if a:  # the gap before the slice's first entry
+            write(between[sum(a % size == 0 for size in sizes)])
+        starts = np.arange(a // width * width + width, a + len(texts), width)  # the rows begun in the slice
+        ended = np.zeros(starts.size, dtype=np.intp)
+        for size in sizes:
+            ended += starts % size == 0
+        bounds = [0, *(starts - a).tolist(), len(texts)]
+        parts = [""] * (2 * len(bounds) - 3)
+        parts[0::2] = (between[0].join(texts[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        parts[1::2] = between[ended].tolist()
+        write("".join(parts))
+    write("".join(reversed(closes)))
 
 
 def _texts(values: np.ndarray) -> list[str]:
@@ -186,18 +211,18 @@ def _load(path, expected_kind, fields):
     return doc
 
 
+def _refuse(path, field: str, values, finite: bool) -> None:
+    """ValueError naming the file and ``field`` when ``values`` holds what the
+    field's reader refuses, before any byte is written: a NaN, or with
+    ``finite`` any non-finite value."""
+    if not (np.isfinite(values) if finite else ~np.isnan(values)).all():
+        raise ValueError(f"{path}: {field} holds {'a non-finite value' if finite else 'a NaN'}")
+
+
 def write_measure(path, mu: TreeMeasure) -> None:
-    _dump(
-        path,
-        {
-            "kind": "tree-measure",
-            "m": mu.spec.m,
-            "depth": mu.spec.depth,
-            "ell": mu.spec.ell,
-            "scalar": mu.is_scalar,
-            "leaf_mass": mu.leaf_mass,
-        },
-    )
+    _refuse(path, "leaf_mass", mu.leaf_mass, finite=True)
+    _dump(path, {"kind": "tree-measure", "m": mu.spec.m, "depth": mu.spec.depth, "ell": mu.spec.ell,
+                 "scalar": mu.is_scalar, "leaf_mass": mu.leaf_mass})
 
 
 def read_measure(path) -> TreeMeasure:
@@ -218,8 +243,11 @@ def write_martingale(path, F: Martingale) -> None:
     in one flat list in C order."""
     flat = np.concatenate(F.diffs)  # every block, in level order
     nodes = np.flatnonzero(np.any(flat != 0, axis=(1, 2)))
+    values = flat[nodes].ravel()
+    _refuse(path, "f0", F.f0, finite=False)
+    _refuse(path, "values", values, finite=False)
     _dump(path, {"kind": "martingale", "m": F.spec.m, "depth": F.spec.depth, "ell": F.spec.ell, "f0": F.f0,
-                 "nodes": nodes, "values": flat[nodes].ravel()})
+                 "nodes": nodes, "values": values})
 
 
 def _block_columns(blocks, path, m, depth, starts):
@@ -292,16 +320,8 @@ def read_martingale(path) -> Martingale:
 
 
 def write_subspace(path, W: SubspaceW) -> None:
-    _dump(
-        path,
-        {
-            "kind": "subspace-w",
-            "m": W.m,
-            "ell": W.ell,
-            "k": W.dim,
-            "basis": W.basis,
-        },
-    )
+    _refuse(path, "basis", W.basis, finite=True)
+    _dump(path, {"kind": "subspace-w", "m": W.m, "ell": W.ell, "k": W.dim, "basis": W.basis})
 
 
 def read_subspace(path) -> SubspaceW:
@@ -323,16 +343,9 @@ def read_subspace(path) -> SubspaceW:
 def write_fibers(path, fibers: FiberFamily) -> None:
     packed = {}
     for gamma, basis in fibers.fibers.items():
+        _refuse(path, f"fiber {gamma}", basis, finite=True)
         packed[str(gamma)] = np.stack([basis.real, basis.imag], axis=-1)
-    _dump(
-        path,
-        {
-            "kind": "fiber-family",
-            "factors": list(fibers.group.factors),
-            "ell": fibers.ell,
-            "fibers": packed,
-        },
-    )
+    _dump(path, {"kind": "fiber-family", "factors": list(fibers.group.factors), "ell": fibers.ell, "fibers": packed})
 
 
 def read_fibers(path) -> FiberFamily:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -124,15 +125,18 @@ def vector_norms(x: np.ndarray) -> np.ndarray:
     squares = x[..., 0] * x[..., 0]
     for j in range(1, x.shape[-1]):
         squares += x[..., j] * x[..., j]
-    return np.sqrt(squares)
+    return np.sqrt(squares, out=squares)
 
 
-def _sweep(spec: FiltrationSpec, f0: np.ndarray, diffs: list[np.ndarray], n: int):
-    """F_0, ..., F_n from one prefix sweep, yielded level by level."""
+def _sweep(spec: FiltrationSpec, f0: np.ndarray, diffs, n: int):
+    """F_0, ..., F_n from one prefix sweep, yielded level by level; ``diffs``
+    may be any iterable of difference levels, read one at a time."""
     values = f0.reshape(1, spec.ell)
     yield values
-    for block in diffs[:n]:
-        values = np.repeat(values, spec.m, axis=0) + block.reshape(-1, spec.ell)
+    for block in islice(diffs, n):
+        values = np.repeat(values, spec.m, axis=0)
+        values += block.reshape(-1, spec.ell)
+        del block  # a level formed as it is read is dropped before the next level is
         yield values
 
 

@@ -37,10 +37,14 @@ class EmbeddingReport:
 
 def riesz_potential(F: Martingale, alpha: float) -> Martingale:
     """Scale f_n by m^{-alpha n}; F_0 passes through unchanged."""
+    return F.scaled(_riesz_factors(F.spec, alpha))
+
+
+def _riesz_factors(spec: FiltrationSpec, alpha: float) -> np.ndarray:
+    """m^{-alpha n} for n = 1..depth, the factors of I_alpha."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    factors = np.array([float(F.spec.m) ** (-alpha * n) for n in range(1, F.spec.depth + 1)])
-    return F.scaled(factors)
+    return np.array([float(spec.m) ** (-alpha * n) for n in range(1, spec.depth + 1)])
 
 
 def trend_verdict(depths, ratios) -> EmbeddingReport:
@@ -79,8 +83,9 @@ def delta_martingale(spec: FiltrationSpec) -> Martingale:
     the Riesz image escapes every L_p.
     """
     G = multiplicative_martingale(spec, delta_vector(spec.m))
-    minus_one = Martingale(spec, -np.ones(1), Martingale.zero(spec).diffs, validate=False)
-    return G + minus_one
+    for block in G.diffs:  # G - 1 adds the zero martingale's blocks to G's: each -0.0 becomes 0.0
+        block += 0.0
+    return Martingale(spec, G.f0 - 1.0, G.diffs, validate=False)
 
 
 def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> EmbeddingReport:

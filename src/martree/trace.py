@@ -9,9 +9,11 @@ nu = F_0 + I_gamma[F] available when the kappa profile is linear.  One ratio
 loop, ``trace_experiment_p`` on ``riesz.ratio_trials``, serves every p >= 1
 and returns ``riesz.EmbeddingReport`` with ``alpha``, ``p`` and the per-depth
 ``frostman_constants`` in its details; ``trace_experiment_l1`` is its p = 1
-run plus the per-flat-tree controls of ``decomp.verify_tree_trace``.  Each
-trial's Riesz image is formed once, nu is truncated once per depth, and
-every depth's norms read the level magnitudes the martingales keep.
+run plus the per-flat-tree controls of ``decomp.verify_tree_trace`` on the
+first three trials as drawn.  Each trial's Riesz image is formed once, nu
+is truncated once per depth, and every depth's norms read the level
+magnitudes the martingales keep; the sharpness construction sweeps its
+scaled levels, holding one level and one truncation of nu at a time.
 """
 
 from __future__ import annotations
@@ -21,16 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import classify_atoms, verify_tree_trace
-from .filtration import (
-    FiltrationSpec,
-    Martingale,
-    TreeMeasure,
-    martingale_to_measure,
-    multiplicative_martingale,
-)
+from .filtration import FiltrationSpec, Martingale, TreeMeasure, _sweep, multiplicative_martingale, vector_norms
 from .kappa import kappa_of, rank_one_directions
 from .norms import lp_nu_norm
-from .riesz import EmbeddingReport, ratio_trials, riesz_potential, trend_verdict
+from .riesz import EmbeddingReport, _require_levels, _riesz_factors, ratio_trials, riesz_potential, trend_verdict
 from .spacew import SubspaceW, random_w_martingale
 
 KAPPA_LINEARITY_TOL = 1e-6
@@ -95,6 +91,12 @@ def trace_experiment_p(
 ) -> EmbeddingReport:
     """||I_alpha F||_{L_p(nu)} / ||F||_{L_1} across depths for random
     W-martingales; p >= 1, as ``frostman_constant`` checks before any trial."""
+    return _trace_trials(nu, W, alpha, p, trials, seed, depths, scale_profile, keep=0)[0]
+
+
+def _trace_trials(nu, W, alpha, p, trials, seed, depths, scale_profile, keep: int):
+    """``trace_experiment_p``'s report and its first ``keep`` trial
+    martingales, as the ratio loop drew them."""
     if depths is None:
         depths = list(range(4, nu.spec.depth + 1))
     if max(depths) > nu.spec.depth:
@@ -106,8 +108,11 @@ def trace_experiment_p(
         random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
         for t in range(trials)
     )
+    kept = []
 
     def parts(F):
+        if len(kept) < keep:
+            kept.append(F)
         image = riesz_potential(F, alpha)
         dens = [float(F.norms[d].mean()) for d in depths]
         return dens, [lp_nu_norm(image.norms[d], nu_d, p) for d, nu_d in zip(depths, nus)]
@@ -117,7 +122,7 @@ def trace_experiment_p(
     report.details.update(
         alpha=alpha, p=p, frostman_constants=constants, trials=trials, per_trial=per_trial
     )
-    return report
+    return report, kept
 
 
 def trace_experiment_l1(
@@ -142,16 +147,14 @@ def trace_experiment_l1(
     """
     if not np.isfinite(interp_p) or interp_p <= 1:
         raise ValueError(f"interp_p must be finite and > 1, got {interp_p}")
-    report = trace_experiment_p(nu, W, alpha, 1.0, trials, seed, depths, scale_profile)
+    report, drawn = _trace_trials(nu, W, alpha, 1.0, trials, seed, depths, scale_profile, keep=3)
     depth = max(report.depths)
-    spec = FiltrationSpec(nu.spec.m, depth, W.ell)
     full_nu = nu.truncated(depth)
     nu_levels = [full_nu.level_mass(n) for n in range(depth + 1)]
     c_frostman = report.details["frostman_constants"][-1]
     tree_constants = []
     interp_max_ratio = 0.0
-    for t in range(min(trials, 3)):  # the same draws as the trials above
-        F = random_w_martingale(W, spec, scale_profile=scale_profile, seed=[seed, t])
+    for F in drawn:  # the first three trials above, their level magnitudes kept
         tree_c, interp_r = verify_tree_trace(
             F, classify_atoms(F, epsilon), full_nu, nu_levels, alpha, interp_p, c_frostman
         )
@@ -163,6 +166,12 @@ def trace_experiment_l1(
         interp_max_ratio=interp_max_ratio,
     )
     return report
+
+
+def _scaled_levels(G: Martingale, alpha: float):
+    """The difference levels of ``riesz_potential(G, alpha)``, bit for bit,
+    formed one at a time as a sweep reads them."""
+    return (f * d for f, d in zip(_riesz_factors(G.spec, alpha), G.diffs))
 
 
 @dataclass
@@ -212,25 +221,31 @@ def build_sharpness_trace_measure(
     v = half.v
     scalar_spec = FiltrationSpec(m, spec.depth, 1)
     G = multiplicative_martingale(scalar_spec, v)
-    nu_mart = riesz_potential(G, gamma)
-    nu = martingale_to_measure(nu_mart)
-    clamped = int(np.sum((nu.leaf_mass < 0) & (nu.leaf_mass >= -1e-12)))
-    if np.any(nu.leaf_mass < -1e-12):
+    depth = scalar_spec.depth
+    for leaves in _sweep(scalar_spec, G.f0, _scaled_levels(G, gamma), depth):
+        pass  # F_N of I_gamma[G], a fresh array
+    leaf_mass = np.divide(leaves, float(m) ** depth, out=leaves)[:, 0]  # m^{-N} F_N, as martingale_to_measure
+    clamped = int(np.sum((leaf_mass < 0) & (leaf_mass >= -1e-12)))
+    if np.any(leaf_mass < -1e-12):
         raise FloatingPointError("construction produced genuinely negative masses")
-    nu = TreeMeasure(scalar_spec, np.clip(nu.leaf_mass, 0.0, None))
+    nu = TreeMeasure(scalar_spec, np.clip(leaf_mass, 0.0, None, out=leaf_mass))
 
     alpha = kappa_zero / np.log(m) - gamma
     if depths is None:
         depths = list(range(4, spec.depth + 1))
-    nus = [nu.truncated(d) for d in depths]
-    constants = np.array([frostman_constant(nu_d, alpha, 1.0) for nu_d in nus])
+    if len(depths):  # no depths give empty rows
+        _require_levels(depths, depth)
+    per_depth = {}  # depth -> (Frostman constant, ||I_alpha G||_{L_1(nu)}), nu truncated once per depth
+    for n, values in enumerate(_sweep(scalar_spec, G.f0, _scaled_levels(G, alpha), depth)):
+        if n in depths:
+            nu_n = nu if n == depth else nu.truncated(n)
+            per_depth[n] = frostman_constant(nu_n, alpha, 1.0), lp_nu_norm(vector_norms(values), nu_n, 1.0)
+    constants, exact = (np.array([per_depth[d][i] for d in depths]) for i in (0, 1))
     terms = np.array([
         float(m) ** (-(alpha + gamma) * n) * float(np.mean(block.ravel() ** 2))
         for n, block in enumerate(G.diffs, start=1)
     ])
     partial_sums = np.array([terms[:d].sum() for d in depths])
-    image = riesz_potential(G, alpha)
-    exact = np.array([lp_nu_norm(image.norms[d], nu_d, 1.0) for d, nu_d in zip(depths, nus)])
     s2 = float(np.mean(v**2))
     derived = s2 * np.exp(-kappa_zero)
     slope = float(np.polyfit(depths, partial_sums, 1)[0]) if len(depths) >= 2 else 0.0

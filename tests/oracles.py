@@ -24,6 +24,11 @@ and ``rle`` the atom-by-atom run-length code of a label mask that
 ``cli._rle`` reproduces.  ``write_martingale`` is the block-by-block writer
 of the older layout, one dict per block walked by the recursive ``encode``;
 the columnar file of ``fileio.write_martingale`` must hold the same bits.
+``delta_martingale`` is the delta construction as the sum G + (-1) of two
+martingales, and ``sharpness_trace`` the leaves of nu and the per-depth
+numbers of the trace sharpness construction from whole martingales and
+every truncation of nu at once; the package forms both one level at a time
+and must match them bit for bit, signed zeros included.
 ``level`` and ``difference`` are the magnitudes |F_n| and |f_n| with the
 atom mass m^{-n}, the arguments of the level norms, computed afresh as the
 norms computed them before each martingale kept its magnitudes; ``simple``
@@ -44,9 +49,19 @@ from scipy import optimize
 from scipy.special import logsumexp
 
 from martree.dimension import MultiplicativeMeasure, _Support
-from martree.filtration import AtomId, Martingale, TreeMeasure, evaluate, vector_norms
+from martree.filtration import (
+    AtomId,
+    Martingale,
+    TreeMeasure,
+    evaluate,
+    martingale_to_measure,
+    multiplicative_martingale,
+    vector_norms,
+)
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, ShiftInvariantW, build_shift_invariant_w
 from martree.kappa import RAY_GRID_POINTS, feasible_interval
+from martree.norms import lp_nu_norm
+from martree.riesz import riesz_potential
 from martree.spacew import (
     FIRST_CONDITION_HOLDS,
     FIRST_CONDITION_VIOLATED,
@@ -54,6 +69,7 @@ from martree.spacew import (
     SubspaceW,
     delta_vector,
 )
+from martree.trace import frostman_constant
 
 
 def coefficients(block: np.ndarray, W: SubspaceW) -> np.ndarray:
@@ -455,6 +471,27 @@ def write_martingale(path, F: Martingale) -> None:
     document = {"kind": "martingale", "m": F.spec.m, "depth": F.spec.depth, "ell": F.spec.ell,
                 "f0": F.f0.tolist(), "blocks": blocks}
     Path(path).write_text(encode(document, "") + "\n")
+
+
+def delta_martingale(spec) -> Martingale:
+    """prod(1 + h_i) - 1 for the delta direction, as the sum of two
+    martingales: the product one and the constant -1 with zero blocks."""
+    G = multiplicative_martingale(spec, delta_vector(spec.m))
+    return G + Martingale(spec, -np.ones(1), Martingale.zero(spec).diffs, validate=False)
+
+
+def sharpness_trace(G: Martingale, gamma: float, alpha: float, depths) -> tuple:
+    """nu's leaf masses of the trace sharpness construction, from the whole
+    martingale I_gamma[G], and per depth the Frostman constant of nu and
+    ||I_alpha G||_{L_1(nu)}, from the whole image and every truncation of nu
+    held at once."""
+    nu = martingale_to_measure(riesz_potential(G, gamma))
+    nu = TreeMeasure(nu.spec, np.clip(nu.leaf_mass, 0.0, None))
+    nus = [nu.truncated(d) for d in depths]
+    constants = np.array([frostman_constant(nu_d, alpha, 1.0) for nu_d in nus])
+    image = riesz_potential(G, alpha)
+    exact = np.array([lp_nu_norm(image.norms[d], nu_d, 1.0) for d, nu_d in zip(depths, nus)])
+    return nu.leaf_mass, constants, exact
 
 
 def sample_paths(mu: TreeMeasure, n_samples: int, seed) -> np.ndarray:

@@ -609,13 +609,14 @@ class TestExitCodes:
         assert "numeric failure: Singular matrix" in capsys.readouterr().err
 
     def test_negative_sharpness_masses_are_exit_three(self, w_file, tmp_path, monkeypatch, capsys):
-        real = cli.trace.martingale_to_measure
+        real = cli.trace.multiplicative_martingale
 
-        def negative_leaf(G):
-            nu = real(G)
-            return TreeMeasure(nu.spec, np.append(-1e-6, nu.leaf_mass[1:]))
+        def negative_leaf(spec, v):  # G's last level moved, within its block, so that nu's first leaf is < 0
+            G = real(spec, v)
+            G.diffs[-1][0, :, 0] += [-1e6, 1e6] + [0.0] * (spec.m - 2)
+            return G
 
-        monkeypatch.setattr(cli.trace, "martingale_to_measure", negative_leaf)
+        monkeypatch.setattr(cli.trace, "multiplicative_martingale", negative_leaf)
         argv = ["--out", str(tmp_path), "trace-sharpness", "--w", w_file, "--gamma", "0.4", "--depth", "4"]
         assert main(argv) == 3
         assert "numeric failure: construction produced genuinely negative masses" in capsys.readouterr().err

@@ -254,15 +254,16 @@ def test_special_floats_in_kept_blocks_match_oracle(tmp_path):
 
 
 def test_non_finite_floats_match_oracle(tmp_path):
+    # infinities only: the writer refuses a NaN, as the reader does (test_writers_refuse_what_readers_refuse)
     F = sparse_martingale(4, 3, 2, seed=3, kept=16)
     diffs = [d.copy() for d in F.diffs]
     diffs[0][0, 1] = [INF, -INF]
-    diffs[2][7, 3, 0] = NAN
-    diffs[2][9] = NAN  # a block of nothing but NaN is not zero
-    F = Martingale(F.spec, np.array([INF, NAN]), diffs, validate=False)
-    assert_martingale_bytes_match_oracle(F, tmp_path, package_reads=False)  # NaN names no value
+    diffs[2][7, 3, 0] = -INF
+    diffs[2][9] = INF  # a block of nothing but infinities is not zero
+    F = Martingale(F.spec, np.array([INF, -0.0]), diffs, validate=False)
+    assert_martingale_bytes_match_oracle(F, tmp_path)  # the reader takes infinities
     text = (tmp_path / "bulk.json").read_text()
-    assert "Infinity" in text and "-Infinity" in text and "NaN" in text
+    assert "Infinity" in text and "-Infinity" in text
 
 
 GOLDEN_COLUMNAR = GOLDEN_MARTINGALE.with_name("martingale_columnar.json")
@@ -413,3 +414,128 @@ def test_numbers_beyond_int64_read_as_floats(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{path}: could not convert an integer beyond the float range "
                                                    "in leaf_mass")):
         fileio.read_measure(path)
+
+
+# ---------------------------------------------------------------- the streaming writer
+
+# around where repr turns to exponent form: from 1e16 up and below 1e-4
+BOUNDARIES = [1e16, np.nextafter(1e16, 0.0), 1e-4, np.nextafter(1e-4, 0.0), 1e-5, -1e16, -1e-5]
+
+
+def sliced_documents(size):
+    """Documents whose arrays end just before, at and just after a slice of
+    ``size`` entries, or hold several slices, in each array shape a writer
+    hands over."""
+    rng = np.random.default_rng(size)
+    special = np.array(SPECIAL + BOUNDARIES + [5e-324, -5e-324, 1e-310])
+    docs = [{"leaf_mass": rng.random(n)} for n in (size - 1, size, size + 1)]
+    docs.append({"leaf_mass": np.resize(special, 3 * size + 2)})
+    docs.append({"leaf_mass": np.resize(special, (4 * size + 1, 2))})   # a vector measure
+    docs.append({"nodes": np.arange(2 * size + 1), "values": np.resize(special, 6 * size + 3)})  # a martingale
+    docs.append({"basis": np.resize(special, (size + 1, 3, 2)), "fibers": {"1": np.resize(special, (2, 1, 2))}})
+    docs.append([np.resize(special, (2, size, 3)), {"a": np.array([-0.0])}, np.resize(special, (3, 1, 1, size))])
+    return docs
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_sliced_arrays_match_json(size, monkeypatch, tmp_path):
+    monkeypatch.setattr(fileio, "SLICE", size)
+    path = tmp_path / "doc.json"
+    for document in sliced_documents(size):
+        fileio._dump(path, document)
+        assert path.read_bytes() == (json.dumps(listed(document), indent=1) + "\n").encode()
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    # json.dumps refuses the second field, after the first is written
+    document = {"kind": "tree-measure", "unwritable": object(), "leaf_mass": np.ones(3)}
+    with pytest.raises(TypeError):
+        fileio._dump(tmp_path / "new.json", document)
+    assert list(tmp_path.iterdir()) == []
+    old = tmp_path / "old.json"
+    old.write_text("older bytes\n")
+    with pytest.raises(TypeError):
+        fileio._dump(old, document)
+    assert list(tmp_path.iterdir()) == [old] and old.read_text() == "older bytes\n"
+
+
+def test_failed_array_write_leaves_no_file(monkeypatch, tmp_path):
+    # an error in the second slice of an array, after the first slice is written
+    texts = fileio._texts
+    calls = []
+
+    def failing(values):
+        calls.append(values.size)
+        if len(calls) == 2:
+            raise MemoryError("second slice")
+        return texts(values)
+
+    monkeypatch.setattr(fileio, "_texts", failing)
+    monkeypatch.setattr(fileio, "SLICE", 5)
+    with pytest.raises(MemoryError):
+        fileio.write_measure(tmp_path / "mu.json", TreeMeasure(FiltrationSpec(3, 2, 1), np.full(9, 1 / 9)))
+    assert calls == [5, 4] and list(tmp_path.iterdir()) == []
+
+
+def test_writer_memory_is_one_slice_not_the_file(tmp_path):
+    # a depth-10 multiplicative measure, the kind of measure the sharpness experiments write
+    import tracemalloc
+
+    from martree.filtration import martingale_to_measure, multiplicative_martingale
+
+    mu = martingale_to_measure(multiplicative_martingale(FiltrationSpec(3, 10, 1), np.array([0.5, -0.25, -0.25])))
+    path = tmp_path / "mu.json"
+    fileio.write_measure(path, mu)  # imports and caches settle before the traced write
+    tracemalloc.start()
+    try:
+        fileio.write_measure(path, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000 and peak < size / 4
+    assert fileio.read_measure(path).leaf_mass.tobytes() == mu.leaf_mass.tobytes()
+
+
+def _nan_martingale(where):
+    F = sparse_martingale(3, 3, 2, seed=4, kept=9)
+    if where == "f0":
+        F.f0[1] = NAN
+    else:
+        F.diffs[2][5, 1, 0] = NAN
+    return F
+
+
+def _nan_subspace():
+    W = SubspaceW.random(3, 2, 2, seed=1)
+    W.basis[1, 2, 0] = NAN
+    return W
+
+
+def _nan_fibers(value):
+    fibers = FiberFamily(FiniteAbelianGroup.cyclic(5), 1, {1: np.array([[0.6 + 0.8j]]), 3: np.array([[1.0 + 0j]])})
+    fibers.fibers[3][0, 0] = value
+    return fibers
+
+
+# (writer, what it is handed, the field the error names)
+REFUSED = {
+    "measure-nan": (fileio.write_measure, lambda: TreeMeasure(FiltrationSpec(3, 2, 1), np.append(np.ones(8), NAN)),
+                    "leaf_mass holds a non-finite value"),
+    "measure-inf": (fileio.write_measure, lambda: TreeMeasure(FiltrationSpec(3, 2, 2), np.full((9, 2), INF)),
+                    "leaf_mass holds a non-finite value"),
+    "martingale-f0": (fileio.write_martingale, lambda: _nan_martingale("f0"), "f0 holds a NaN"),
+    "martingale-values": (fileio.write_martingale, lambda: _nan_martingale("values"), "values holds a NaN"),
+    "subspace": (fileio.write_subspace, _nan_subspace, "basis holds a non-finite value"),
+    "fibers-nan": (fileio.write_fibers, lambda: _nan_fibers(complex(1.0, NAN)), "fiber 3 holds a non-finite value"),
+    "fibers-inf": (fileio.write_fibers, lambda: _nan_fibers(complex(INF, 0.0)), "fiber 3 holds a non-finite value"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_writers_refuse_what_readers_refuse(case, tmp_path):
+    writer, value, message = REFUSED[case]
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        writer(path, value())
+    assert list(tmp_path.iterdir()) == []  # not a byte written

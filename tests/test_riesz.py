@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from martree import filtration, riesz, trace
-from martree.filtration import FiltrationSpec, Martingale, evaluate
+from martree.filtration import FiltrationSpec, Martingale, evaluate, multiplicative_martingale
 from martree.norms import lorentz_p1_from_distribution, lp_norm, weak_lp_norm
 from martree.riesz import (
     _random_martingale,
@@ -16,6 +16,7 @@ from martree.riesz import (
     riesz_potential,
 )
 from martree.spacew import SubspaceW, delta_vector, random_w_martingale
+import oracles
 from oracles import difference, level, simple
 from tests.test_filtration import random_martingale
 
@@ -260,6 +261,28 @@ class TestOneSweepPerTrial:
         # each trial and its Riesz image, one sweep each
         assert len(drawn) == 3 and len(swept) == 6 and len({id(diffs) for diffs in swept}) == 6
         assert [id(diffs) for diffs in swept[::2]] == [id(F.diffs) for F in drawn]
+
+    @pytest.mark.parametrize("trials", [2, 5])
+    def test_trace_experiment_l1(self, swept, monkeypatch, trials):
+        drawn = self.drawn(monkeypatch, trace, "random_w_martingale")
+        nu = trace.capped_cascade_measure(FiltrationSpec(3, 6, 1), 0.9, 1.0, seed=1)
+        report = trace.trace_experiment_l1(nu, SubspaceW.random(3, 1, 1, seed=3), 0.9, trials=trials, seed=4)
+        # the per-tree controls read the first trials as the ratio loop drew and swept them
+        assert len(drawn) == trials and len(swept) == 2 * trials and len({id(diffs) for diffs in swept}) == 2 * trials
+        assert [id(diffs) for diffs in swept[::2]] == [id(F.diffs) for F in drawn]
+        assert report.details["tree_constants"]
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_delta_martingale_matches_the_sum_oracle(depth):
+    spec = FiltrationSpec(3, depth, 1)
+    F, expected = delta_martingale(spec), oracles.delta_martingale(spec)
+    assert F.f0.tobytes() == expected.f0.tobytes()
+    assert [d.tobytes() for d in F.diffs] == [d.tobytes() for d in expected.diffs]
+    raw = np.concatenate([d.ravel() for d in multiplicative_martingale(spec, delta_vector(3)).diffs])
+    kept = np.concatenate([d.ravel() for d in F.diffs])
+    assert not np.signbit(kept[kept == 0]).any()  # the sum's +0.0, never -0.0 ...
+    assert np.signbit(raw[raw == 0]).any() == (depth >= 2)  # ... where the product martingale has -0.0
 
 
 @pytest.mark.parametrize("depths", [range(0, 6), range(2, 8)])

@@ -235,6 +235,20 @@ class TestSharpnessConstruction:
         # nu is a genuine probability-sized positive measure
         assert nu.total() == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("depth, depths", [(3, None), (4, None), (6, range(1, 7)), (8, None), (8, [7, 3, 8, 5, 3])])
+    def test_one_level_at_a_time_matches_whole_martingales(self, depth, depths):
+        nu, G, report = build_sharpness_trace_measure(delta_w(), gamma=0.4, spec=FiltrationSpec(3, depth, 1),
+                                                      depths=depths)
+        leaves, constants, exact = oracles.sharpness_trace(G, 0.4, report.alpha, report.depths)
+        assert nu.leaf_mass.tobytes() == leaves.tobytes()
+        assert report.frostman_constants.tobytes() == constants.tobytes()
+        assert report.exact_l1_nu.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("depths", [range(0, 5), range(3, 8)])
+    def test_depths_outside_the_measure_rejected(self, depths):
+        with pytest.raises(ValueError, match=r"depths must lie in \[1, 6\]"):
+            build_sharpness_trace_measure(delta_w(), gamma=0.4, spec=FiltrationSpec(3, 6, 1), depths=depths)
+
 
 # ---------------------------------------------------------------- parent oracles
 #
