@@ -43,13 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtration import (
-    FiltrationSpec,
-    Martingale,
-    TreeMeasure,
-    multiplicative_martingale,
-    vector_norms,
-)
+from .filtration import FiltrationSpec, TreeMeasure, _sweep, multiplicative_levels, vector_norms
 from .kappa import kappa_prime_one
 from .spacew import SubspaceW
 
@@ -66,6 +60,7 @@ SLOPE_FRACTION = 0.025
 # lambda at a time, so no array exceeds the larger of this budget and the
 # widest level of the dense one-lambda pass.
 SLAB_ELEMENTS = 2**16
+LIFT_ROWS = 4_096  # blocks of one level of the sharpness lift checked against W at once
 
 
 @dataclass
@@ -76,10 +71,10 @@ class MultiplicativeMeasure:
     weights: np.ndarray
     spec: FiltrationSpec
     measure: TreeMeasure
-    martingale: Martingale
 
 
 def multiplicative_measure(spec: FiltrationSpec, v: np.ndarray) -> MultiplicativeMeasure:
+    """Leaf masses m^{-N} G_N from one sweep over G's levels as they are formed."""
     v = np.asarray(v, dtype=float).reshape(spec.m).copy()
     # Optimizer witnesses sit on the boundary up to rounding; snap exact zeros
     # of 1 + v so the product measure carries exact zero masses, and restore
@@ -89,17 +84,11 @@ def multiplicative_measure(spec: FiltrationSpec, v: np.ndarray) -> Multiplicativ
         v[boundary] = -1.0
         v[np.argmax(v)] -= v.sum()
     scalar_spec = FiltrationSpec(spec.m, spec.depth, 1)
-    G = multiplicative_martingale(scalar_spec, v)
-    from .filtration import martingale_to_measure
-
-    mu = martingale_to_measure(G)
-    return MultiplicativeMeasure(
-        v=v,
-        weights=(1.0 + v) / spec.m,
-        spec=scalar_spec,
-        measure=mu,
-        martingale=G,
-    )
+    for values in _sweep(scalar_spec, np.ones(1), multiplicative_levels(scalar_spec, v), spec.depth):
+        pass
+    values /= float(spec.m) ** spec.depth
+    return MultiplicativeMeasure(v=v, weights=(1.0 + v) / spec.m, spec=scalar_spec,
+                                 measure=TreeMeasure(scalar_spec, values[:, 0]))
 
 
 @dataclass
@@ -374,24 +363,29 @@ def eggleston_dimension(weights) -> float:
 
 def build_sharpness_measure(
     W: SubspaceW, spec: FiltrationSpec, seed: int = 0
-) -> tuple[MultiplicativeMeasure, Martingale]:
-    """The extremal multiplicative measure of the dimension bound, lifted into W.
+) -> tuple[MultiplicativeMeasure, np.ndarray]:
+    """The extremal multiplicative measure of the dimension bound, and the direction a lifting it into W.
 
     Branch weights come from the entropy minimizer v of kappa'(1); the lift is
-    the product martingale times the witness direction a, whose blocks all lie
+    the product martingale G times a, whose blocks, level by level, must lie
     in W.  For W = {0} the witness is v = 0 and the measure is uniform.
     """
     witness = kappa_prime_one(W, seed=seed)
-    v = witness.v
-    mm = multiplicative_measure(spec, v)
+    mm = multiplicative_measure(spec, witness.v)
     a = witness.a if np.linalg.norm(witness.a) > 0 else np.eye(W.ell)[0]
-    lift_spec = FiltrationSpec(spec.m, spec.depth, W.ell)
-    G = mm.martingale
-    diffs = [G.diffs[n][:, :, 0][:, :, None] * a[None, None, :] for n in range(spec.depth)]
-    lifted = Martingale(lift_spec, a.copy(), diffs, validate=False)
-    for n in range(spec.depth):
-        worst = float(W.residuals(lifted.diffs[n]).max(initial=0.0))
-        scale = max(1.0, float(np.max(np.abs(lifted.diffs[n]))) if lifted.diffs[n].size else 1.0)
+    for n, level in enumerate(multiplicative_levels(mm.spec, mm.v)):
+        worst, scale = _lift_residual(W, level, a)
         if worst > 1e-12 * scale:
             raise ValueError(f"lifted blocks left W at level {n} (residual {worst:.2e})")
-    return mm, lifted
+    return mm, a
+
+
+def _lift_residual(W: SubspaceW, level: np.ndarray, a: np.ndarray) -> tuple[float, float]:
+    """Largest distance to W and max(1, largest entry) of the lifted blocks g (x) a
+    of one level of G, ``LIFT_ROWS`` blocks at a time (``project`` is bit-exact per block)."""
+    worst, scale = 0.0, 1.0
+    for rows in range(0, len(level), LIFT_ROWS):
+        lifted = level[rows : rows + LIFT_ROWS, :, 0][:, :, None] * a[None, None, :]
+        worst = max(worst, float(W.residuals(lifted).max(initial=0.0)))
+        scale = max(scale, float(np.max(np.abs(lifted))))
+    return worst, scale

@@ -14,15 +14,17 @@ a martingale).  A martingale is written in the columnar layout: ``nodes``,
 the level-order id of each block that is not all zero, and ``values``,
 those blocks' floats in one flat list.  Its reader also takes the older
 layout of one ``blocks`` entry per kept block.
-Readers take numbers only: a string, null or object where a number belongs
-is a ValueError naming the file and the field.
+A scalar measure's ``leaf_mass`` and a martingale's ``values``, when flat
+lists of numbers, are read ``SLICE`` entries at a time by json's own scanner
+into float64.  Readers take numbers only: a bool, string, null or object
+where a number belongs is a ValueError naming the file and the field.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .filtration import FiltrationSpec, Martingale, TreeMeasure
 from .groupfourier import FiberFamily, FiniteAbelianGroup
 from .spacew import SubspaceW
 
-SLICE = 2_048  # entries of a numeric array formatted and written at once
+SLICE = 2_048  # entries of a numeric array formatted and written, or parsed, at once
 
 
 def _dump(path, document):
@@ -142,29 +144,25 @@ def _numbers(values, path, field: str, ndim: int) -> np.ndarray:
     """The float64 array of the JSON numbers ``values``, read from ``path``,
     nested at most ``ndim`` lists deep.
 
-    numpy's inferred dtype is the test, so numbers cost one conversion and
-    no pass of their own; a bool among them reads as 0/1.  Entries are looked
-    at one by one only when the dtype is not numeric: a string, null or
-    object is a ValueError naming the file and ``field``, and integers beyond
-    int64 still read as floats.  A ragged or deeper list is a ValueError too.
+    A flat array that ``_load`` streamed is one already.  Otherwise each entry
+    is looked at: a bool, string, null or object is a ValueError naming the
+    file and ``field``, and integers beyond int64 still read as floats.  A
+    ragged or deeper list is a ValueError too.
     """
+    if isinstance(values, np.ndarray):
+        return values
+    reason = _non_number(values)
+    if reason is not None:
+        raise ValueError(f"{path}: could not convert {reason} in {field}")
     try:
-        array = np.asarray(values)
+        array = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{path}: could not convert an integer beyond the float range in {field}") from None
     except ValueError:  # a ragged list
         array = None
-    if array is None or array.dtype.kind not in "biuf":
-        reason = _non_number(values)
-        if reason is not None:
-            raise ValueError(f"{path}: could not convert {reason} in {field}")
-        try:
-            array = np.asarray(values, dtype=float)
-        except OverflowError:
-            raise ValueError(f"{path}: could not convert an integer beyond the float range in {field}") from None
-        except ValueError:
-            array = None
     if array is None or array.ndim > ndim:
         raise ValueError(f"{path}: {field} is not a rectangular array of numbers, nested at most {ndim} deep")
-    return array.astype(float, copy=False)
+    return array
 
 
 def _non_number(value):
@@ -172,6 +170,8 @@ def _non_number(value):
     of nested lists, that is not a number; None if each is one."""
     if isinstance(value, list):
         return next(filter(None, map(_non_number, value)), None)
+    if isinstance(value, bool):  # a bool passes for an int
+        return f"a bool to float: {json.dumps(value)}"
     if isinstance(value, str):
         return f"string to float: {value!r}"
     if value is None:
@@ -192,23 +192,58 @@ def _fields(doc, fields, path, kind):
     TypeError or AttributeError (a bool passes for an int)."""
     _require(doc, fields, path, f"the {kind} file")
     for name in fields:
-        want = _FIELD_TYPES.get(name)
-        if want is not None and type(doc[name]) is not want:
+        want, got = _FIELD_TYPES.get(name), type(doc[name])
+        if want is not None and got is not want and not (want is list and got is np.ndarray):  # a streamed list
             raise ValueError(f"{path}: the {kind} file's {name!r} is {doc[name]!r}, not {_TYPE_NAMES[want]}")
 
 
-def _load(path, expected_kind, fields):
+def _load(path, expected_kind, fields, flat=None):
+    """The document of ``path``, the top-level ``flat`` field read by ``_flat_array`` where it can be."""
     def constant(name):  # NaN names no value; an infinity loads and fails as a numeric failure
         if name == "NaN":
             raise ValueError(f"{path}: NaN is not a number")
         return float(name)
 
-    doc = json.loads(Path(path).read_text(), parse_constant=constant)
+    def value(s, at):  # a value of the top-level object, after its key's closing quote
+        return s.endswith(f'"{flat}"', 0, s.rfind('"', 0, at) + 1) and _flat_array(s, at, scan) or scan(s, at)
+
+    text, doc = Path(path).read_text(), None
+    scan, start = json.JSONDecoder(parse_constant=constant).scan_once, _SPACE(text).end()
+    if flat and text.startswith("{", start):  # json's own object parser, its values from ``value``
+        with suppress(json.JSONDecodeError, OverflowError):
+            doc, end = json.decoder.JSONObject((text, start + 1), True, value, None, None, {})
+            doc = doc if _SPACE(text, end).end() == len(text) else None
+    if doc is None:  # not one well-formed object: json says what is wrong, as it always did
+        doc = json.loads(text, parse_constant=constant)
     _require(doc, (), path, f"a {expected_kind} file")
     if doc.get("kind") != expected_kind:
         raise ValueError(f"{path}: expected kind {expected_kind!r}, got {doc.get('kind')!r}")
     _fields(doc, fields, path, expected_kind)
     return doc
+
+
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _flat_array(text: str, start: int, scan):
+    """(float64 array, end) of the flat list of numbers at ``text[start]``, each
+    slice of about ``SLICE`` entries parsed by ``scan`` as a list of its own; None
+    where it holds a string, object, list or literal (``"{[tfn``, Infinity too)."""
+    end = text.find("]", start)
+    if not text.startswith("[", start) or end < 0 or any(text.find(c, start + 1, end) >= 0 for c in '"{[tfn'):
+        return None
+    size = 0 if _SPACE(text, start + 1).end() == end else text.count(",", start, end) + 1
+    array, filled, at = np.empty(size), 0, start + 1
+    width = (end - at) * SLICE // max(size, 1)  # the characters of about SLICE entries
+    while at <= end:
+        cut = text.find(",", at + width, end)
+        cut = end if cut < 0 else cut
+        values = scan("[" + text[at:cut] + "]", 0)[0]
+        if size and not values:  # an empty entry, as in [1,,2]: json names it
+            raise json.JSONDecodeError("Expecting value", text, at)
+        array[filled:filled + len(values)] = values
+        filled, at = filled + len(values), cut + 1
+    return array, end + 1
 
 
 def _refuse(path, field: str, values, finite: bool) -> None:
@@ -226,7 +261,7 @@ def write_measure(path, mu: TreeMeasure) -> None:
 
 
 def read_measure(path) -> TreeMeasure:
-    doc = _load(path, "tree-measure", ("m", "depth", "ell", "leaf_mass"))
+    doc = _load(path, "tree-measure", ("m", "depth", "ell", "leaf_mass"), flat="leaf_mass")
     with _named(path):
         spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
     leaf_mass = _numbers(doc["leaf_mass"], path, "leaf_mass", 2)
@@ -286,7 +321,7 @@ def _node_ids(nodes: list, path, size: int) -> np.ndarray:
 def read_martingale(path) -> Martingale:
     """Read either layout: the columnar ``nodes`` and ``values``, or the
     older ``blocks``, whose errors name the entry at fault."""
-    doc = _load(path, "martingale", ("m", "depth", "ell", "f0"))
+    doc = _load(path, "martingale", ("m", "depth", "ell", "f0"), flat="values")
     with _named(path):
         spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
     m, depth, ell = spec.m, spec.depth, spec.ell

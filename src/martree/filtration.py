@@ -346,6 +346,11 @@ def multiplicative_martingale(spec: FiltrationSpec, v: np.ndarray) -> Martingale
     of the multiplicative measure with branch weights (1 + v_j)/m.  Scalar
     (ell = 1) by construction.
     """
+    return Martingale(spec, np.ones(1), list(multiplicative_levels(spec, v)), validate=False)
+
+
+def multiplicative_levels(spec: FiltrationSpec, v: np.ndarray):
+    """The difference levels of ``multiplicative_martingale(spec, v)``, formed one at a time; v is checked first."""
     v = np.asarray(v, dtype=float).reshape(spec.m)
     if abs(v.sum()) > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
         raise ValueError("v must have zero coordinate sum")
@@ -353,10 +358,8 @@ def multiplicative_martingale(spec: FiltrationSpec, v: np.ndarray) -> Martingale
         raise ValueError("v must satisfy v_j >= -1")
     if spec.ell != 1:
         raise ValueError("multiplicative martingales are scalar; lift afterwards")
-    factors = 1.0 + v
-    values = np.ones(1)
-    diffs = []
+    factors, values = 1.0 + v, np.ones(1)  # values: G_n on the level-n atoms
     for n in range(spec.depth):
-        diffs.append((values[:, None] * v)[:, :, None])
-        values = (values[:, None] * factors).reshape(-1)
-    return Martingale(spec, np.ones(1), diffs, validate=False)
+        if n:  # not past the last level read
+            values = (values[:, None] * factors).reshape(-1)
+        yield (values[:, None] * v)[:, :, None]

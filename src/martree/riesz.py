@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtration import FiltrationSpec, Martingale, evaluate, multiplicative_martingale, vector_norms
+from .filtration import FiltrationSpec, Martingale, _sweep, evaluate, multiplicative_levels, vector_norms
 from .norms import besov_terms, lorentz_p1_from_distribution, lp_norm
 from .spacew import SubspaceW, delta_vector, random_w_martingale
 
@@ -82,10 +82,12 @@ def delta_martingale(spec: FiltrationSpec) -> Martingale:
     density of a point mass minus its mean.  E|F_n| = 2(1 - m^{-n}) <= 2 while
     the Riesz image escapes every L_p.
     """
-    G = multiplicative_martingale(spec, delta_vector(spec.m))
-    for block in G.diffs:  # G - 1 adds the zero martingale's blocks to G's: each -0.0 becomes 0.0
-        block += 0.0
-    return Martingale(spec, G.f0 - 1.0, G.diffs, validate=False)
+    return Martingale(spec, np.zeros(1), list(_delta_levels(spec)), validate=False)
+
+
+def _delta_levels(spec: FiltrationSpec):
+    """G's levels plus 0.0, one at a time: G - 1 adds zero blocks, so each -0.0 becomes 0.0."""
+    return (np.add(block, 0.0, out=block) for block in multiplicative_levels(spec, delta_vector(spec.m)))
 
 
 def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> EmbeddingReport:
@@ -93,19 +95,25 @@ def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> Embeddi
 
     Tracks the p-th power sum sum_n ||m^{-((p-1)/p)n} f_n||_p^p, whose
     increments are exactly constant, so the partial sums grow linearly in N.
+    The terms and the L_1 norms come from one sweep over levels formed as read.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if depths is None:
         depths = list(range(4, spec.depth + 1))
     _require_levels(depths, spec.depth)
-    m = float(spec.m)
-    F = delta_martingale(spec)
-    terms = np.array([
-        m ** (-(p - 1) * n) * lp_norm(g.ravel(), m ** (-n), p) ** p for n, g in enumerate(F.diff_norms, start=1)
-    ])
+    m, terms = float(spec.m), []
+
+    def levels():  # each level's term, taken as the level passes into the sweep
+        for n, block in enumerate(_delta_levels(spec), start=1):
+            terms.append(m ** (-(p - 1) * n) * lp_norm(vector_norms(block).ravel(), m ** (-n), p) ** p)
+            yield block
+
+    swept = enumerate(_sweep(spec, np.zeros(1), levels(), spec.depth))
+    l1 = {d: lp_norm(vector_norms(values), m ** (-d), 1.0) for d, values in swept if d in depths}
+    terms = np.array(terms)
     power_sums = np.array([terms[:d].sum() for d in depths])
-    l1_norms = np.array([lp_norm(F.norms[d], m ** (-d), 1.0) for d in depths])
+    l1_norms = np.array([l1[d] for d in depths])
     report = trend_verdict(depths, power_sums)
     report.details.update(
         per_level_terms=terms,

@@ -25,10 +25,13 @@ and ``rle`` the atom-by-atom run-length code of a label mask that
 of the older layout, one dict per block walked by the recursive ``encode``;
 the columnar file of ``fileio.write_martingale`` must hold the same bits.
 ``delta_martingale`` is the delta construction as the sum G + (-1) of two
-martingales, and ``sharpness_trace`` the leaves of nu and the per-depth
-numbers of the trace sharpness construction from whole martingales and
-every truncation of nu at once; the package forms both one level at a time
-and must match them bit for bit, signed zeros included.
+martingales, ``delta_counterexample`` its per-level terms and L_1 norms
+from that whole martingale, ``sharpness_lift`` and ``lift_residuals`` the
+lifted martingale G (x) a of the dimension sharpness measure and the
+per-level residuals of its check, and ``sharpness_trace`` the leaves of nu
+and the per-depth numbers of the trace sharpness construction from whole
+martingales and every truncation of nu at once; the package forms each one
+level at a time and must match them bit for bit, signed zeros included.
 ``level`` and ``difference`` are the magnitudes |F_n| and |f_n| with the
 atom mass m^{-n}, the arguments of the level norms, computed afresh as the
 norms computed them before each martingale kept its magnitudes; ``simple``
@@ -51,6 +54,7 @@ from scipy.special import logsumexp
 from martree.dimension import MultiplicativeMeasure, _Support
 from martree.filtration import (
     AtomId,
+    FiltrationSpec,
     Martingale,
     TreeMeasure,
     evaluate,
@@ -60,7 +64,7 @@ from martree.filtration import (
 )
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, ShiftInvariantW, build_shift_invariant_w
 from martree.kappa import RAY_GRID_POINTS, feasible_interval
-from martree.norms import lp_nu_norm
+from martree.norms import lp_norm, lp_nu_norm
 from martree.riesz import riesz_potential
 from martree.spacew import (
     FIRST_CONDITION_HOLDS,
@@ -478,6 +482,31 @@ def delta_martingale(spec) -> Martingale:
     martingales: the product one and the constant -1 with zero blocks."""
     G = multiplicative_martingale(spec, delta_vector(spec.m))
     return G + Martingale(spec, -np.ones(1), Martingale.zero(spec).diffs, validate=False)
+
+
+def delta_counterexample(p: float, spec, depths) -> tuple:
+    """The per-level terms, their partial sums at ``depths`` and the L_1
+    norms there, from the whole delta martingale and the magnitudes it keeps."""
+    m, F = float(spec.m), delta_martingale(spec)
+    terms = np.array([
+        m ** (-(p - 1) * n) * lp_norm(g.ravel(), m ** (-n), p) ** p for n, g in enumerate(F.diff_norms, start=1)
+    ])
+    power_sums = np.array([terms[:d].sum() for d in depths])
+    return terms, power_sums, np.array([lp_norm(F.norms[d], m ** (-d), 1.0) for d in depths])
+
+
+def sharpness_lift(mm: MultiplicativeMeasure, a: np.ndarray) -> Martingale:
+    """G (x) a, the sharpness measure's lifted martingale formed whole from
+    G's kept levels."""
+    G = multiplicative_martingale(mm.spec, mm.v)
+    diffs = [d[:, :, 0][:, :, None] * a[None, None, :] for d in G.diffs]
+    return Martingale(FiltrationSpec(mm.spec.m, mm.spec.depth, a.size), a.copy(), diffs, validate=False)
+
+
+def lift_residuals(W: SubspaceW, lifted: Martingale) -> list[tuple[float, float]]:
+    """Per level, the largest distance to W of a whole level of lifted blocks
+    and max(1, its largest entry): what the lift check compares."""
+    return [(float(W.residuals(d).max(initial=0.0)), max(1.0, float(np.max(np.abs(d))))) for d in lifted.diffs]
 
 
 def sharpness_trace(G: Martingale, gamma: float, alpha: float, depths) -> tuple:

@@ -179,6 +179,18 @@ class TestMalformedFiles:
         assert "inf.json: leaf_mass holds a non-finite value" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_bool_leaf_mass_exits_two(self, tmp_path, capsys):
+        # true passes for a number to numpy, and used to read as a mass of 1
+        doc = json.loads((Path(__file__).parent / "golden" / "cascade.json").read_text())
+        doc["leaf_mass"][0] = True
+        broken = tmp_path / "bool.json"
+        broken.write_text(json.dumps(doc, indent=1))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "frostman", "--measure", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "bool.json: could not convert a bool to float: true in leaf_mass" in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["check-w", "kappa"])
     def test_infinite_basis_exits_two_naming_file(self, kind, tmp_path, capsys):
         # inf - inf is NaN, which no tolerance comparison of SubspaceW used to catch

@@ -268,6 +268,16 @@ class TestFrostmanCertify:
             assert cert.witness_constant >= 3.0 ** (0.1 * spec.depth) * (1 - 1e-9)
             assert cert.violating_antichain is not None
 
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_multiplicative_measure_matches_the_martingale_oracle(self, depth):
+        # the leaves swept from G's levels as they are formed are those of the whole G
+        spec = FiltrationSpec(3, depth, 2)
+        for v in ([1.0, -1.0, 0.0], [0.5, -0.25, -0.25], [2.0, -1.0, -1.0], [-1.0 + 1e-12, 0.5, 0.5 - 1e-12]):
+            mm = multiplicative_measure(spec, np.array(v))
+            expected = oracles.martingale_to_measure(oracles.multiplicative_martingale(mm.spec, mm.v))
+            assert mm.spec == FiltrationSpec(3, depth, 1) and mm.measure.spec == mm.spec
+            assert mm.measure.leaf_mass.tobytes() == expected.leaf_mass.tobytes()
+
     def test_multiplicative_flips_at_entropy_dimension(self):
         v = np.array([1.0, -1.0, 0.0])  # weights (2/3, 0, 1/3)
         h = eggleston_dimension((1.0 + v) / 3.0)
@@ -722,9 +732,30 @@ class TestSharpnessMeasure:
     def test_lift_blocks_live_in_w(self):
         spec = FiltrationSpec(3, 3, 2)
         W = SubspaceW.from_blocks([np.outer(delta_vector(3, 1), [0.6, 0.8])], 3, 2)
-        mm, lifted = build_sharpness_measure(W, spec)
+        mm, a = build_sharpness_measure(W, spec)
+        lifted = oracles.sharpness_lift(mm, a)
         for n in range(3):
             assert W.residuals(lifted.diffs[n]).max() <= 1e-10
+
+    @pytest.mark.parametrize("rows", [1, 7, dimension.LIFT_ROWS])
+    @pytest.mark.parametrize("depth", range(3, 9))
+    def test_lift_check_matches_the_whole_lift(self, depth, rows, monkeypatch):
+        # per level, the sliced check's residual and scale are the whole level's, bit for bit,
+        # for the witness direction (residuals at rounding level) and for another one
+        monkeypatch.setattr(dimension, "LIFT_ROWS", rows)
+        cases = [  # (W, another direction, whether its lift leaves W)
+            (SubspaceW.from_blocks([np.outer(delta_vector(3, 1), [0.6, 0.8])], 3, 2), np.array([0.8, -0.6]), True),
+            (SubspaceW.from_blocks([np.array([[1.0], [-1.0], [0.0]])], 3, 1), np.array([-3.0]), False),
+            (SubspaceW.random(3, 2, 3, seed=2), np.array([0.28, 0.96]), True),
+        ]
+        for W, other, leaves in cases:
+            mm, a = build_sharpness_measure(W, FiltrationSpec(3, depth, W.ell))
+            G = oracles.multiplicative_martingale(mm.spec, mm.v)
+            for direction in (a, other):
+                expected = oracles.lift_residuals(W, oracles.sharpness_lift(mm, direction))
+                got = [dimension._lift_residual(W, level, direction) for level in G.diffs]
+                assert np.array(got).tobytes() == np.array(expected).tobytes()
+            assert (max(worst for worst, _ in expected) > 1e-3) == leaves
 
     def test_corrupted_lift_direction_is_rejected(self, monkeypatch):
         spec = FiltrationSpec(3, 3, 2)

@@ -1,4 +1,5 @@
-"""The file writers' bytes: the fast encoder against json.dumps(indent=1)."""
+"""The file writers' bytes against json.dumps(indent=1), and the readers'
+numbers against json.load, bit for bit."""
 
 import json
 import re
@@ -309,6 +310,7 @@ COLUMNAR_PROBES = {
     "values-string": (lambda doc: doc["values"].__setitem__(7, "0.5"),
                       "could not convert string to float: '0.5' in values"),
     "values-null": (lambda doc: doc["values"].__setitem__(7, None), "could not convert null to float in values"),
+    "values-bool": (lambda doc: doc["values"].__setitem__(7, True), "could not convert a bool to float: true in values"),
     "values-not-a-list": (_set_field("values", {}), "the martingale file's 'values' is {}, not a list"),
     "both-layouts": (lambda doc: doc.update(blocks=[]), "the martingale file holds both 'blocks' and 'nodes'"),
     "no-nodes": (lambda doc: doc.pop("nodes"), "the martingale file lacks the field 'nodes'"),
@@ -366,6 +368,7 @@ NON_NUMBERS = {
     "null": (lambda x: None, "could not convert null to float"),
     "object": (lambda x: {"value": x}, "could not convert an object to float"),
     "nested": (lambda x: [x], "not a rectangular array of numbers"),
+    "bool": (lambda x: True, "could not convert a bool to float: true"),
 }
 
 
@@ -539,3 +542,167 @@ def test_writers_refuse_what_readers_refuse(case, tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         writer(path, value())
     assert list(tmp_path.iterdir()) == []  # not a byte written
+
+
+# ---------------------------------------------------------------- the streaming reader
+
+# number texts beyond a float's repr: exponent forms, integers (past int64 too) and signed zeros
+TOKENS = ["1E5", "1e+5", "1e5", "2.5E-3", "-0.0", "-0", "0", "12", "-7", "9223372036854775808",
+          "18446744073709551617", "123456789012345678901234567890", "4.9e-324", "1E-320"]
+TEXTS = [repr(float(x)) for x in SPECIAL + BOUNDARIES + list(np.random.default_rng(5).random(9))] + TOKENS
+
+
+def array_texts(entries):
+    """A flat JSON list of these entry texts, laid out as json.dumps, compactly
+    and as json.dumps(indent=1) lays out a field."""
+    if not entries:
+        return ["[]", "[ ]", "[\n ]"]
+    return ["[" + ", ".join(entries) + "]", "[" + ",".join(entries) + "]", "[\n  " + ",\n  ".join(entries) + "\n ]"]
+
+
+def as_json(path, field):
+    """The oracle: json.load's numbers of ``field``, as float64."""
+    return np.asarray(json.loads(Path(path).read_text())[field]).astype(float)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_sliced_reads_match_json(size, monkeypatch, tmp_path):
+    monkeypatch.setattr(fileio, "SLICE", size)
+    path = tmp_path / "doc.json"
+    for n in (size - 1, size, size + 1, 3 * size + 2, 45):
+        for first in (0, 1, 5):
+            entries = [TEXTS[(first + i) % len(TEXTS)] for i in range(n)]
+            for text in array_texts(entries):
+                path.write_text('{"kind": "martingale", "nested": {"values": [1, 2]}, "values": ' + text
+                                + ', "after": [0.5, {"a": "]"}]}')
+                doc = fileio._load(path, "martingale", (), flat="values")
+                assert isinstance(doc["values"], np.ndarray) and doc["nested"] == {"values": [1, 2]}
+                assert doc["values"].view(np.uint64).tolist() == as_json(path, "values").view(np.uint64).tolist()
+                assert doc["after"] == [0.5, {"a": "]"}]
+
+
+def _negated(text):
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+def _blocks(entries):
+    """Martingale values of one zero-sum block (x, -x, 0) per entry text x."""
+    return [text for entry in entries for text in (entry, _negated(entry), "0")]
+
+
+def reader_files(tmp_path, entry=None):
+    """A scalar measure and a martingale holding TEXTS, as the writers lay them
+    out and compactly, with ``entry`` as the measure's sixth mass and the
+    martingale's second block's first value where given: (reader, path,
+    field, where ``entry`` is, what the reader returns of the field)."""
+    leaves = [TEXTS[i % len(TEXTS)] for i in range(27)]
+    values = _blocks([TEXTS[(i + 7) % len(TEXTS)] for i in range(9)])
+    if entry is not None:  # the second block (entry, 0, 0) sums to +-inf, which the martingale check lets pass
+        leaves[5], values[3:6] = entry, [entry, "0", "0"]
+    cases = []
+    for i, text in enumerate(array_texts(leaves)):
+        path = tmp_path / f"mu{i}.json"
+        path.write_text(f'{{"kind": "tree-measure", "m": 3, "depth": 3, "ell": 1, "scalar": true, "leaf_mass": {text}}}')
+        cases.append((fileio.read_measure, path, "leaf_mass", 5, lambda mu: mu.leaf_mass))
+    nodes = [0, 1, 2, 3, 5, 8, 9, 11, 12]
+    for i, text in enumerate(array_texts(values)):
+        path = tmp_path / f"f{i}.json"
+        path.write_text(f'{{"kind": "martingale", "m": 3, "depth": 3, "ell": 1, "f0": [1E5], "nodes": {nodes}, '
+                        f'"values": {text}}}')
+        kept = lambda F: np.concatenate([d.reshape(-1, 3) for d in F.diffs])[nodes].ravel()  # noqa: E731
+        cases.append((fileio.read_martingale, path, "values", 3, kept))
+    return cases
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, fileio.SLICE])
+def test_readers_match_json(size, monkeypatch, tmp_path):
+    monkeypatch.setattr(fileio, "SLICE", size)
+    for reader, path, field, _, numbers in reader_files(tmp_path):
+        got = numbers(reader(path))
+        assert got.view(np.uint64).tolist() == as_json(path, field).view(np.uint64).tolist()
+    written = tmp_path / "written.json"
+    mu = TreeMeasure(FiltrationSpec(3, 4, 1), np.resize(np.array(SPECIAL + BOUNDARIES), 81))
+    fileio.write_measure(written, mu)
+    assert fileio.read_measure(written).leaf_mass.tobytes() == mu.leaf_mass.tobytes()
+
+
+BEYOND_FLOATS = "1" + "0" * 400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize("entry, measure_error, martingale_error", [
+    (BEYOND_FLOATS, "could not convert an integer beyond the float range in leaf_mass",
+     "could not convert an integer beyond the float range in values"),
+    ("NaN", "NaN is not a number", "NaN is not a number"),
+    ("Infinity", "leaf_mass holds a non-finite value", None),  # a martingale reads an infinity
+    ("-Infinity", "leaf_mass holds a non-finite value", None),
+], ids=["beyond-floats", "nan", "infinity", "minus-infinity"])
+def test_sliced_reads_refuse_as_json_reads(entry, measure_error, martingale_error, monkeypatch, tmp_path):
+    monkeypatch.setattr(fileio, "SLICE", 2)
+    for reader, path, field, where, numbers in reader_files(tmp_path, entry):
+        error = measure_error if field == "leaf_mass" else martingale_error
+        if error is None:
+            assert numbers(reader(path))[where] == as_json(path, field)[where] == float(entry)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+                reader(path)
+
+
+def test_empty_vector_and_repeated_fields_read_as_json(tmp_path):
+    path = tmp_path / "doc.json"
+    for empty in array_texts([]):  # a martingale of no kept block
+        path.write_text(f'{{"kind": "martingale", "m": 3, "depth": 2, "ell": 1, "f0": [0.5], "nodes": [], '
+                        f'"values": {empty}}}')
+        F = fileio.read_martingale(path)
+        assert F.f0.tolist() == [0.5] and not any(d.any() for d in F.diffs)
+    vector = np.resize(np.array(SPECIAL), (9, 2))  # a list of lists, read whole
+    fileio.write_measure(path, TreeMeasure(FiltrationSpec(3, 2, 2), vector))
+    assert fileio.read_measure(path).leaf_mass.tobytes() == vector.tobytes() == as_json(path, "leaf_mass").tobytes()
+    head = '{"kind": "tree-measure", "m": 3, "depth": 1, "ell": 1'
+    for first, last in (("[1, 2, 3]", "[0.5, 0.25, 0.25]"), ('"masses"', "[0.5, 0.25, 0.25]"),
+                        ("[1, 2, 3]", "[[0.5], [0.25], [0.25]]")):
+        path.write_text(f'{head}, "leaf_mass": {first}, "scalar": true, "leaf_mass": {last}}}')  # the last one wins
+        got = fileio.read_measure(path).leaf_mass
+        assert got.tobytes() == as_json(path, "leaf_mass").tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "[1,,2]", "[1,]", "[,1]", "[1 2]", "[1, 2", "[1, 2]]", "[1, -]", "[01]", "[1.]", "[.5]", "[1, 2] x", "[-NaN]",
+    "[1, 2], 3", "[0.5, 0.25,, 0.25]", "[0.5, 0.25, 0.25, ]", "[0.5 , , 0.25, 0.25]",
+])
+@pytest.mark.parametrize("size", [1, 2, fileio.SLICE])
+def test_malformed_arrays_fail_as_json_fails(text, size, monkeypatch, tmp_path):
+    monkeypatch.setattr(fileio, "SLICE", size)  # a slice may end at the fault
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "tree-measure", "m": 3, "depth": 1, "ell": 1, "leaf_mass": ' + text + "}")
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(path.read_text())
+    with pytest.raises(json.JSONDecodeError) as caught:
+        fileio.read_measure(path)
+    assert str(caught.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("v", [[1.0, -1.0, 0.0], [0.5, -0.25, -0.25]], ids=["sharpness", "dense"])
+def test_reader_memory_is_the_text_and_the_array(v, tmp_path):
+    # depth-10 product measures: the span sharpness measure the Frostman certificates read (a
+    # few characters a mass) and one of distinct masses (about 21 characters each).  Decoding
+    # holds the file's bytes and its text, parsing the text, the array and one slice; the
+    # half array covers the slice and the finiteness mask.  For the sharpness measure the
+    # bound is the file size plus 1.5 times the array's bytes.
+    import tracemalloc
+
+    from martree.dimension import multiplicative_measure
+
+    mu = multiplicative_measure(FiltrationSpec(3, 10, 1), np.array(v)).measure
+    path = tmp_path / "mu.json"
+    fileio.write_measure(path, mu)
+    fileio.read_measure(path)  # imports and caches settle before the traced read
+    tracemalloc.start()
+    try:
+        read = fileio.read_measure(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size, array = path.stat().st_size, mu.leaf_mass.nbytes
+    assert read.leaf_mass.tobytes() == mu.leaf_mass.tobytes()
+    assert peak < max(2 * size, size + array) + array / 2
+    assert (2 * size < size + array) == (v == [1.0, -1.0, 0.0])

@@ -250,9 +250,11 @@ class TestOneSweepPerTrial:
         assert len(lorentz_calls) == len(drawn) * spec.depth
 
     def test_delta_counterexample(self, swept, monkeypatch):
+        # one sweep, over the delta martingale's levels as they are formed: no martingale is built
         drawn = self.drawn(monkeypatch, riesz, "delta_martingale")
+        monkeypatch.setattr(riesz, "_sweep", filtration._sweep)  # the counted sweep, as riesz imports it
         delta_counterexample(2.0, FiltrationSpec(3, 8, 1))
-        assert len(drawn) == 1 and [id(diffs) for diffs in swept] == [id(drawn[0].diffs)]
+        assert drawn == [] and len(swept) == 1 and not isinstance(swept[0], (list, tuple))
 
     def test_trace_experiment_p(self, swept, monkeypatch):
         drawn = self.drawn(monkeypatch, trace, "random_w_martingale")
@@ -283,6 +285,18 @@ def test_delta_martingale_matches_the_sum_oracle(depth):
     kept = np.concatenate([d.ravel() for d in F.diffs])
     assert not np.signbit(kept[kept == 0]).any()  # the sum's +0.0, never -0.0 ...
     assert np.signbit(raw[raw == 0]).any() == (depth >= 2)  # ... where the product martingale has -0.0
+
+
+@pytest.mark.parametrize("depth", range(2, 10))
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_delta_counterexample_matches_the_whole_martingale_oracle(depth, p):
+    spec = FiltrationSpec(3, depth, 1)
+    for depths in (list(range(1, depth + 1)), [depth, 1], sorted({depth, 1, (depth + 1) // 2}, reverse=True)):
+        report = delta_counterexample(p, spec, depths=depths)
+        terms, power_sums, l1_norms = oracles.delta_counterexample(p, spec, depths)
+        assert report.details["per_level_terms"].tobytes() == terms.tobytes()
+        assert report.ratios.tobytes() == power_sums.tobytes()
+        assert report.details["l1_bounded_by_two"] == bool(np.all(l1_norms <= 2.0 + 1e-12))
 
 
 @pytest.mark.parametrize("depths", [range(0, 6), range(2, 8)])
