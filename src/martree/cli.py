@@ -311,7 +311,7 @@ def _trace_embed_l1(c, out_dir, meta):
 def _trace_sharpness(c, out_dir, meta):
     """The divergent (nu, F) pair of the linear-kappa trace construction."""
     W = fileio.read_subspace(c.w)
-    nu, _, report = trace.build_sharpness_trace_measure(
+    nu, report = trace.build_sharpness_trace_measure(
         W, c.gamma, _sharpness_spec(c, W), seed=c.seed, depths=c.depths
     )
     columns = ["depth", "frostman_constant", "partial_sum", "l1_nu"]

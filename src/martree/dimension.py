@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtration import FiltrationSpec, TreeMeasure, _sweep, multiplicative_levels, vector_norms
+from .filtration import FiltrationSpec, Product, TreeMeasure, _sweep, vector_norms
 from .kappa import kappa_prime_one
 from .spacew import SubspaceW
 
@@ -74,7 +74,7 @@ class MultiplicativeMeasure:
 
 
 def multiplicative_measure(spec: FiltrationSpec, v: np.ndarray) -> MultiplicativeMeasure:
-    """Leaf masses m^{-N} G_N from one sweep over G's levels as they are formed."""
+    """Leaf masses m^{-N} G_N from one sweep over ``Product(m, v)``'s levels as they are formed."""
     v = np.asarray(v, dtype=float).reshape(spec.m).copy()
     # Optimizer witnesses sit on the boundary up to rounding; snap exact zeros
     # of 1 + v so the product measure carries exact zero masses, and restore
@@ -83,11 +83,11 @@ def multiplicative_measure(spec: FiltrationSpec, v: np.ndarray) -> Multiplicativ
     if boundary.any():
         v[boundary] = -1.0
         v[np.argmax(v)] -= v.sum()
-    scalar_spec = FiltrationSpec(spec.m, spec.depth, 1)
-    for values in _sweep(scalar_spec, np.ones(1), multiplicative_levels(scalar_spec, v), spec.depth):
+    scalar_spec, G = FiltrationSpec(spec.m, spec.depth, 1), Product(spec.m, v)
+    for values in _sweep(scalar_spec, np.ones(1), G.levels(spec.depth), spec.depth):
         pass
     values /= float(spec.m) ** spec.depth
-    return MultiplicativeMeasure(v=v, weights=(1.0 + v) / spec.m, spec=scalar_spec,
+    return MultiplicativeMeasure(v=v, weights=G.weights, spec=scalar_spec,
                                  measure=TreeMeasure(scalar_spec, values[:, 0]))
 
 
@@ -373,7 +373,7 @@ def build_sharpness_measure(
     witness = kappa_prime_one(W, seed=seed)
     mm = multiplicative_measure(spec, witness.v)
     a = witness.a if np.linalg.norm(witness.a) > 0 else np.eye(W.ell)[0]
-    for n, level in enumerate(multiplicative_levels(mm.spec, mm.v)):
+    for n, level in enumerate(Product(mm.spec.m, mm.v).levels(mm.spec.depth)):
         worst, scale = _lift_residual(W, level, a)
         if worst > 1e-12 * scale:
             raise ValueError(f"lifted blocks left W at level {n} (residual {worst:.2e})")

@@ -17,7 +17,8 @@ first norm or checker call that reads them, and a martingale's ``f0`` and
 ``diffs`` must not be written after that: the kept arrays would no longer
 describe them.  ``evaluate``, ``evaluate_at`` and ``evaluate_all`` sweep
 afresh and keep nothing.  ``copy``, ``truncated``, ``scaled`` and ``+``
-return martingales with nothing kept.
+return martingales with nothing kept.  ``Product(m, v)``, the product
+martingale of v, is never a ``Martingale``: its levels are formed as read.
 """
 
 from __future__ import annotations
@@ -111,18 +112,18 @@ def tree_distance(spec: FiltrationSpec, a: AtomId, b: AtomId) -> float:
     return float(spec.m) ** (-k)
 
 
-def vector_norms(x: np.ndarray) -> np.ndarray:
+def vector_norms(x: np.ndarray, in_place: bool = False) -> np.ndarray:
     """Euclidean norm over the last axis of float ``x``, bit for bit as
     ``np.linalg.norm(x, axis=-1)``.
 
     numpy sums fewer than 8 squares in order, so a short last axis is summed
-    column by column, without the reduction's per-call overhead; from 8 on
-    numpy sums pairwise, and its own norm is called.
+    column by column, without the reduction's overhead (``in_place``: in x[..., 0],
+    which the norms are); from 8 on numpy sums pairwise, and its norm is called.
     """
     x = np.asarray(x, dtype=float)
     if not 0 < x.shape[-1] < 8:
         return np.linalg.norm(x, axis=-1)
-    squares = x[..., 0] * x[..., 0]
+    squares = np.multiply(x[..., 0], x[..., 0], out=x[..., 0] if in_place else None)
     for j in range(1, x.shape[-1]):
         squares += x[..., j] * x[..., j]
     return np.sqrt(squares, out=squares)
@@ -339,27 +340,36 @@ def martingale_to_measure(F: Martingale) -> TreeMeasure:
     return TreeMeasure(F.spec, mass)
 
 
-def multiplicative_martingale(spec: FiltrationSpec, v: np.ndarray) -> Martingale:
-    """The product martingale G_n = prod_{i <= n} (1 + h_i) with h_i = J[v].
+class Product:
+    """The product martingale G_n = prod_{i <= n} (1 + h_i), h_i = J[v], for v
+    in V with v_j >= -1 (checked once, here): the scalar density martingale
+    of the product measure with branch weights ``weights`` = (1 + v_j)/m."""
 
-    v must lie in V (zero sum) with v_j >= -1; G is then the density martingale
-    of the multiplicative measure with branch weights (1 + v_j)/m.  Scalar
-    (ell = 1) by construction.
-    """
-    return Martingale(spec, np.ones(1), list(multiplicative_levels(spec, v)), validate=False)
+    def __init__(self, m: int, v):
+        v = np.asarray(v, dtype=float).reshape(m)
+        if abs(v.sum()) > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
+            raise ValueError("v must have zero coordinate sum")
+        if np.any(v < -1 - 1e-12):
+            raise ValueError("v must satisfy v_j >= -1")
+        self.m, self.v = m, v
 
+    @property
+    def weights(self) -> np.ndarray:
+        return (1.0 + self.v) / self.m
 
-def multiplicative_levels(spec: FiltrationSpec, v: np.ndarray):
-    """The difference levels of ``multiplicative_martingale(spec, v)``, formed one at a time; v is checked first."""
-    v = np.asarray(v, dtype=float).reshape(spec.m)
-    if abs(v.sum()) > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
-        raise ValueError("v must have zero coordinate sum")
-    if np.any(v < -1 - 1e-12):
-        raise ValueError("v must satisfy v_j >= -1")
-    if spec.ell != 1:
-        raise ValueError("multiplicative martingales are scalar; lift afterwards")
-    factors, values = 1.0 + v, np.ones(1)  # values: G_n on the level-n atoms
-    for n in range(spec.depth):
-        if n:  # not past the last level read
-            values = (values[:, None] * factors).reshape(-1)
-        yield (values[:, None] * v)[:, :, None]
+    def levels(self, depth: int, scale: float | None = None):
+        """G's levels f_1, ..., f_depth, shape (m^{n-1}, m, 1), formed one at a
+        time (with ``scale`` = alpha, times m^{-alpha n} in place: those of
+        ``riesz_potential(G, alpha)``, bit for bit).  Only G_{n-1} is kept
+        between levels, and the last level takes it: a level's one reference is the reader's."""
+        held = [np.ones(1)]  # G_{n-1} on the level-(n-1) atoms
+        for n in range(1, depth + 1):
+            if n > 1:
+                held.append((held.pop()[:, None] * (1.0 + self.v)).reshape(-1))
+            yield self._level(held.pop() if n == depth else held[0], n, scale)
+
+    def _level(self, values: np.ndarray, n: int, scale: float | None) -> np.ndarray:
+        level = (values[:, None] * self.v)[:, :, None]
+        if scale is not None:
+            level *= float(self.m) ** (-scale * n)
+        return level

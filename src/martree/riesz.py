@@ -8,7 +8,7 @@ martingale keeps (``F.norms``, ``F.diff_norms``) with no truncated copy; and
 ``trend_verdict`` turns the per-depth ratios into the one report type,
 ``EmbeddingReport``, with a BOUNDED or GROWING verdict.  Finite depths cannot
 observe true boundedness, so the verdict is a regression on at least five
-depth points, never a single depth.  GROWING requires the least-squares slope
+depth points, and fewer than two distinct depths are refused.  GROWING requires the least-squares slope
 of log(ratio) against N to exceed half the predicted rate of the relevant
 divergence (for the linear divergences here: log(N_max/N_min)/(N_max - N_min)
 over the depth window).
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtration import FiltrationSpec, Martingale, _sweep, evaluate, multiplicative_levels, vector_norms
+from .filtration import FiltrationSpec, Martingale, Product, _sweep, evaluate, vector_norms
 from .norms import besov_terms, lorentz_p1_from_distribution, lp_norm
 from .spacew import SubspaceW, delta_vector, random_w_martingale
 
@@ -37,14 +37,9 @@ class EmbeddingReport:
 
 def riesz_potential(F: Martingale, alpha: float) -> Martingale:
     """Scale f_n by m^{-alpha n}; F_0 passes through unchanged."""
-    return F.scaled(_riesz_factors(F.spec, alpha))
-
-
-def _riesz_factors(spec: FiltrationSpec, alpha: float) -> np.ndarray:
-    """m^{-alpha n} for n = 1..depth, the factors of I_alpha."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return np.array([float(spec.m) ** (-alpha * n) for n in range(1, spec.depth + 1)])
+    return F.scaled([float(F.spec.m) ** (-alpha * n) for n in range(1, F.spec.depth + 1)])
 
 
 def trend_verdict(depths, ratios) -> EmbeddingReport:
@@ -52,8 +47,10 @@ def trend_verdict(depths, ratios) -> EmbeddingReport:
 
     The slope fits log(ratio) against depth over the positive ratios (0 when
     fewer than two); the predicted rate log(hi/lo)/(hi - lo) is the signature
-    of ratios growing like c*N.
+    of ratios growing like c*N, so at least two distinct depths are needed.
     """
+    if len(set(depths)) < 2:
+        raise ValueError(f"a trend needs at least two distinct depths, got {sorted(set(depths))}")
     lo, hi = min(depths), max(depths)
     predicted = float(np.log(hi / lo) / (hi - lo))
     x = np.asarray(depths, dtype=float)
@@ -82,12 +79,14 @@ def delta_martingale(spec: FiltrationSpec) -> Martingale:
     density of a point mass minus its mean.  E|F_n| = 2(1 - m^{-n}) <= 2 while
     the Riesz image escapes every L_p.
     """
-    return Martingale(spec, np.zeros(1), list(_delta_levels(spec)), validate=False)
+    G = _delta(spec)  # F = G - 1 adds 0.0 to G's levels, so each -0.0 becomes 0.0
+    return Martingale(spec, np.zeros(1), [np.add(d, 0.0, out=d) for d in G.levels(spec.depth)], validate=False)
 
 
-def _delta_levels(spec: FiltrationSpec):
-    """G's levels plus 0.0, one at a time: G - 1 adds zero blocks, so each -0.0 becomes 0.0."""
-    return (np.add(block, 0.0, out=block) for block in multiplicative_levels(spec, delta_vector(spec.m)))
+def _delta(spec: FiltrationSpec) -> Product:
+    if spec.ell != 1:
+        raise ValueError("multiplicative martingales are scalar; lift afterwards")
+    return Product(spec.m, delta_vector(spec.m))
 
 
 def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> EmbeddingReport:
@@ -95,7 +94,8 @@ def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> Embeddi
 
     Tracks the p-th power sum sum_n ||m^{-((p-1)/p)n} f_n||_p^p, whose
     increments are exactly constant, so the partial sums grow linearly in N.
-    The terms and the L_1 norms come from one sweep over levels formed as read.
+    The terms and the L_1 norms come from one sweep over levels formed as
+    read; each level's powers, and the last level's magnitudes, are in place.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -104,13 +104,15 @@ def delta_counterexample(p: float, spec: FiltrationSpec, depths=None) -> Embeddi
     _require_levels(depths, spec.depth)
     m, terms = float(spec.m), []
 
-    def levels():  # each level's term, taken as the level passes into the sweep
-        for n, block in enumerate(_delta_levels(spec), start=1):
-            terms.append(m ** (-(p - 1) * n) * lp_norm(vector_norms(block).ravel(), m ** (-n), p) ** p)
-            yield block
+    def level(block, n):  # F's level n (G's plus 0.0) and its term m^{-(p-1)n} lp_norm(|f_n|, m^{-n}, p)^p
+        mags = vector_norms(np.add(block, 0.0, out=block)).ravel()
+        mags **= p
+        terms.append(m ** (-(p - 1) * n) * float((m ** (-n) * np.sum(mags)) ** (1.0 / p)) ** p)
+        return block
 
-    swept = enumerate(_sweep(spec, np.zeros(1), levels(), spec.depth))
-    l1 = {d: lp_norm(vector_norms(values), m ** (-d), 1.0) for d, values in swept if d in depths}
+    levels = map(level, _delta(spec).levels(spec.depth), range(1, spec.depth + 1))
+    swept = enumerate(_sweep(spec, np.zeros(1), levels, spec.depth))  # the last level's magnitudes in its memory
+    l1 = {d: lp_norm(vector_norms(x, in_place=d == spec.depth), m ** (-d), 1.0) for d, x in swept if d in depths}
     terms = np.array(terms)
     power_sums = np.array([terms[:d].sum() for d in depths])
     l1_norms = np.array([l1[d] for d in depths])

@@ -12,8 +12,9 @@ and returns ``riesz.EmbeddingReport`` with ``alpha``, ``p`` and the per-depth
 run plus the per-flat-tree controls of ``decomp.verify_tree_trace`` on the
 first three trials as drawn.  Each trial's Riesz image is formed once, nu
 is truncated once per depth, and every depth's norms read the level
-magnitudes the martingales keep; the sharpness construction sweeps its
-scaled levels, holding one level and one truncation of nu at a time.
+magnitudes the martingales keep; the sharpness construction returns nu and
+its report from two sweeps over the scaled levels of a ``filtration.Product``,
+holding one level and one truncation of nu at a time.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import classify_atoms, verify_tree_trace
-from .filtration import FiltrationSpec, Martingale, TreeMeasure, _sweep, multiplicative_martingale, vector_norms
+from .filtration import FiltrationSpec, Product, TreeMeasure, _sweep, vector_norms
 from .kappa import kappa_of, rank_one_directions
 from .norms import lp_nu_norm
-from .riesz import EmbeddingReport, _require_levels, _riesz_factors, ratio_trials, riesz_potential, trend_verdict
+from .riesz import EmbeddingReport, _require_levels, ratio_trials, riesz_potential, trend_verdict
 from .spacew import SubspaceW, random_w_martingale
 
 KAPPA_LINEARITY_TOL = 1e-6
@@ -168,12 +169,6 @@ def trace_experiment_l1(
     return report
 
 
-def _scaled_levels(G: Martingale, alpha: float):
-    """The difference levels of ``riesz_potential(G, alpha)``, bit for bit,
-    formed one at a time as a sweep reads them."""
-    return (f * d for f, d in zip(_riesz_factors(G.spec, alpha), G.diffs))
-
-
 @dataclass
 class TraceSharpnessReport:
     gamma: float
@@ -191,14 +186,15 @@ class TraceSharpnessReport:
 
 def build_sharpness_trace_measure(
     W: SubspaceW, gamma: float, spec: FiltrationSpec, seed: int = 0, depths=None
-) -> tuple[TreeMeasure, Martingale, TraceSharpnessReport]:
-    """The divergent pair (nu, F) of the linear-kappa trace construction.
+) -> tuple[TreeMeasure, TraceSharpnessReport]:
+    """nu and the report of the divergent pair (nu, F) of the linear-kappa trace construction.
 
     F is the product martingale of the kappa(1/2) maximizer, nu is the measure
     of F_0 + I_gamma[F], and alpha = kappa(0)/log m - gamma.  Requires kappa
-    linear on [0, 1] (checked on a grid) and 0 < gamma < kappa(0)/log m.
-    Raises ``FloatingPointError``, a numeric failure, when a leaf mass of nu
-    is negative beyond round-off (1e-12).
+    linear on [0, 1] (checked on a grid) and 0 < gamma < kappa(0)/log m.  F's
+    levels are formed as two sweeps read them, never held.  Raises
+    ``FloatingPointError``, a numeric failure, when a leaf mass of nu is
+    negative beyond round-off (1e-12).
     """
     m = spec.m
     directions = rank_one_directions(W, seed=seed)
@@ -217,12 +213,9 @@ def build_sharpness_trace_measure(
             f"kappa profile deviates from linearity by {deviation:.3e}; "
             "the divergent construction needs 2 kappa(1/2) = kappa(0)"
         )
-    half = kappa_of(W, 0.5, directions=directions)
-    v = half.v
-    scalar_spec = FiltrationSpec(m, spec.depth, 1)
-    G = multiplicative_martingale(scalar_spec, v)
-    depth = scalar_spec.depth
-    for leaves in _sweep(scalar_spec, G.f0, _scaled_levels(G, gamma), depth):
+    G, depth = Product(m, kappa_of(W, 0.5, directions=directions).v), spec.depth
+    scalar_spec = FiltrationSpec(m, depth, 1)
+    for leaves in _sweep(scalar_spec, np.ones(1), G.levels(depth, scale=gamma), depth):
         pass  # F_N of I_gamma[G], a fresh array
     leaf_mass = np.divide(leaves, float(m) ** depth, out=leaves)[:, 0]  # m^{-N} F_N, as martingale_to_measure
     clamped = int(np.sum((leaf_mass < 0) & (leaf_mass >= -1e-12)))
@@ -235,31 +228,26 @@ def build_sharpness_trace_measure(
         depths = list(range(4, spec.depth + 1))
     if len(depths):  # no depths give empty rows
         _require_levels(depths, depth)
-    per_depth = {}  # depth -> (Frostman constant, ||I_alpha G||_{L_1(nu)}), nu truncated once per depth
-    for n, values in enumerate(_sweep(scalar_spec, G.f0, _scaled_levels(G, alpha), depth)):
-        if n in depths:
-            nu_n = nu if n == depth else nu.truncated(n)
-            per_depth[n] = frostman_constant(nu_n, alpha, 1.0), lp_nu_norm(vector_norms(values), nu_n, 1.0)
+    per_depth, terms = {}, []  # depth -> (Frostman constant, ||I_alpha G||_{L_1(nu)}), nu truncated once per depth
+
+    def scaled(level, n):  # G's level n gives its term m^{-(alpha+gamma)n} E f_n^2, then is scaled in place
+        terms.append(float(m) ** (-(alpha + gamma) * n) * float(np.mean(level.ravel() ** 2)))
+        level *= float(m) ** (-alpha * n)
+        return level
+
+    levels = map(scaled, G.levels(depth), range(1, depth + 1))
+    for n, values in enumerate(_sweep(scalar_spec, np.ones(1), levels, depth)):
+        if n in depths:  # the last level's magnitudes and their products with nu's masses are formed in its memory
+            nu_n, mags = nu if n == depth else nu.truncated(n), vector_norms(values, in_place=n == depth)
+            l1 = float(np.sum(np.multiply(nu_n.level_mass(n), mags, out=mags)))  # lp_nu_norm(mags, nu_n, 1.0)
+            per_depth[n] = frostman_constant(nu_n, alpha, 1.0), l1
+            del nu_n, mags  # not held while the next level is formed
     constants, exact = (np.array([per_depth[d][i] for d in depths]) for i in (0, 1))
-    terms = np.array([
-        float(m) ** (-(alpha + gamma) * n) * float(np.mean(block.ravel() ** 2))
-        for n, block in enumerate(G.diffs, start=1)
-    ])
+    terms = np.array(terms)
     partial_sums = np.array([terms[:d].sum() for d in depths])
-    s2 = float(np.mean(v**2))
-    derived = s2 * np.exp(-kappa_zero)
     slope = float(np.polyfit(depths, partial_sums, 1)[0]) if len(depths) >= 2 else 0.0
-    report = TraceSharpnessReport(
-        gamma=gamma,
-        alpha=alpha,
-        kappa_zero=kappa_zero,
-        linear_deviation=deviation,
-        depths=list(depths),
-        frostman_constants=constants,
-        partial_sums=partial_sums,
-        exact_l1_nu=exact,
-        slope=slope,
-        derived_constant=derived,
-        clamped_leaves=clamped,
+    return nu, TraceSharpnessReport(
+        gamma=gamma, alpha=alpha, kappa_zero=kappa_zero, linear_deviation=deviation, depths=list(depths),
+        frostman_constants=constants, partial_sums=partial_sums, exact_l1_nu=exact, slope=slope,
+        derived_constant=float(np.mean(G.v**2)) * np.exp(-kappa_zero), clamped_leaves=clamped,
     )
-    return nu, G, report

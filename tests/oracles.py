@@ -24,7 +24,9 @@ and ``rle`` the atom-by-atom run-length code of a label mask that
 ``cli._rle`` reproduces.  ``write_martingale`` is the block-by-block writer
 of the older layout, one dict per block walked by the recursive ``encode``;
 the columnar file of ``fileio.write_martingale`` must hold the same bits.
-``delta_martingale`` is the delta construction as the sum G + (-1) of two
+``multiplicative_martingale`` is the product martingale G with every level
+kept, each formed from the previous G_n as ``filtration.Product`` forms it,
+``delta_martingale`` the delta construction as the sum G + (-1) of two
 martingales, ``delta_counterexample`` its per-level terms and L_1 norms
 from that whole martingale, ``sharpness_lift`` and ``lift_residuals`` the
 lifted martingale G (x) a of the dimension sharpness measure and the
@@ -37,13 +39,15 @@ atom mass m^{-n}, the arguments of the level norms, computed afresh as the
 norms computed them before each martingale kept its magnitudes; ``simple``
 is the same pair for given values on one level.
 
-The rest are test-side tools the package never calls: mass-weighted leaf
-sampling with its base-m digits, the digit-frequency test of a product
+The rest are test-side tools the package never calls: tracemalloc's peak
+over one call (``traced_peak``), mass-weighted leaf sampling with its
+base-m digits, the digit-frequency test of a product
 measure, the unitary DFT pair on a finite abelian group, and the
 shift-invariance residual of a subspace built from fibers.
 """
 
 import json
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +63,6 @@ from martree.filtration import (
     TreeMeasure,
     evaluate,
     martingale_to_measure,
-    multiplicative_martingale,
     vector_norms,
 )
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, ShiftInvariantW, build_shift_invariant_w
@@ -477,6 +480,24 @@ def write_martingale(path, F: Martingale) -> None:
     Path(path).write_text(encode(document, "") + "\n")
 
 
+def multiplicative_martingale(spec, v) -> Martingale:
+    """The product martingale G_n = prod_{i <= n} (1 + h_i) with h_i = J[v],
+    every level formed from G_n on its atoms and kept, with the refusals of
+    ``filtration.Product`` and of a vector-valued spec."""
+    v = np.asarray(v, dtype=float).reshape(spec.m)
+    if abs(v.sum()) > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
+        raise ValueError("v must have zero coordinate sum")
+    if np.any(v < -1 - 1e-12):
+        raise ValueError("v must satisfy v_j >= -1")
+    if spec.ell != 1:
+        raise ValueError("multiplicative martingales are scalar; lift afterwards")
+    factors, values, diffs = 1.0 + v, np.ones(1), []
+    for _ in range(spec.depth):
+        diffs.append((values[:, None] * v)[:, :, None])
+        values = (values[:, None] * factors).reshape(-1)
+    return Martingale(spec, np.ones(1), diffs, validate=False)
+
+
 def delta_martingale(spec) -> Martingale:
     """prod(1 + h_i) - 1 for the delta direction, as the sum of two
     martingales: the product one and the constant -1 with zero blocks."""
@@ -511,16 +532,31 @@ def lift_residuals(W: SubspaceW, lifted: Martingale) -> list[tuple[float, float]
 
 def sharpness_trace(G: Martingale, gamma: float, alpha: float, depths) -> tuple:
     """nu's leaf masses of the trace sharpness construction, from the whole
-    martingale I_gamma[G], and per depth the Frostman constant of nu and
+    martingale I_gamma[G], and per depth the Frostman constant of nu,
     ||I_alpha G||_{L_1(nu)}, from the whole image and every truncation of nu
-    held at once."""
+    held at once, and the partial sum of m^{-(alpha+gamma)n} E f_n^2 over
+    G's kept levels."""
     nu = martingale_to_measure(riesz_potential(G, gamma))
     nu = TreeMeasure(nu.spec, np.clip(nu.leaf_mass, 0.0, None))
     nus = [nu.truncated(d) for d in depths]
     constants = np.array([frostman_constant(nu_d, alpha, 1.0) for nu_d in nus])
     image = riesz_potential(G, alpha)
     exact = np.array([lp_nu_norm(image.norms[d], nu_d, 1.0) for d, nu_d in zip(depths, nus)])
-    return nu.leaf_mass, constants, exact
+    m = float(G.spec.m)
+    terms = np.array([m ** (-(alpha + gamma) * n) * float(np.mean(d.ravel() ** 2)) for n, d in enumerate(G.diffs, 1)])
+    return nu.leaf_mass, constants, exact, np.array([terms[:d].sum() for d in depths])
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over a second ``call()``: the first lets
+    imports and caches settle."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sample_paths(mu: TreeMeasure, n_samples: int, seed) -> np.ndarray:

@@ -337,7 +337,7 @@ def test_criterion_09_trace_sharpness_and_positive():
     # divergent pair for the delta subspace at gamma = 0.4, alpha = 0.6
     W_delta = SubspaceW.from_blocks([np.outer(delta_vector(3), [1.0])], 3, 1)
     spec = FiltrationSpec(3, 12, 1)
-    nu, G, report = build_sharpness_trace_measure(W_delta, gamma=0.4, spec=spec, depths=range(4, 13))
+    nu, report = build_sharpness_trace_measure(W_delta, gamma=0.4, spec=spec, depths=range(4, 13))
     ok &= abs(report.alpha - 0.6) < 1e-9
     cs = report.frostman_constants
     ok &= cs.max() / cs.min() <= 2.0

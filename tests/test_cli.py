@@ -621,17 +621,37 @@ class TestExitCodes:
         assert "numeric failure: Singular matrix" in capsys.readouterr().err
 
     def test_negative_sharpness_masses_are_exit_three(self, w_file, tmp_path, monkeypatch, capsys):
-        real = cli.trace.multiplicative_martingale
+        class NegativeLeaf(cli.trace.Product):  # G's last level moved, within its block, so that nu's first leaf is < 0
+            def levels(self, depth, scale=None):
+                for n, level in enumerate(super().levels(depth, scale), start=1):
+                    if n == depth:
+                        level[0, :, 0] += [-1e6, 1e6] + [0.0] * (self.m - 2)
+                    yield level
 
-        def negative_leaf(spec, v):  # G's last level moved, within its block, so that nu's first leaf is < 0
-            G = real(spec, v)
-            G.diffs[-1][0, :, 0] += [-1e6, 1e6] + [0.0] * (spec.m - 2)
-            return G
-
-        monkeypatch.setattr(cli.trace, "multiplicative_martingale", negative_leaf)
+        monkeypatch.setattr(cli.trace, "Product", NegativeLeaf)
         argv = ["--out", str(tmp_path), "trace-sharpness", "--w", w_file, "--gamma", "0.4", "--depth", "4"]
         assert main(argv) == 3
         assert "numeric failure: construction produced genuinely negative masses" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind, flags", [
+        ("delta-counterexample", ["--p", "2"]),
+        ("hls", ["--p", "1.5", "--q", "3", "--trials", "1"]),
+        ("main-inequality", ["--w", "{w}", "--trials", "1"]),
+        ("trace-embed-p", ["--measure", "{nu}", "--w", "{w}", "--p", "2", "--trials", "1"]),
+        ("trace-embed-l1", ["--measure", "{nu}", "--w", "{w}", "--trials", "1"]),
+    ])
+    @pytest.mark.parametrize("depths", [["--depth", "4"], ["--depth", "5", "--depths", "5", "5"]])
+    def test_one_depth_is_exit_two_writing_nothing(self, w_file, tmp_path, capsys, kind, flags, depths):
+        # the trend of every ratio experiment needs two depths; one used to give predicted_rate=nan and exit 0
+        nu = tmp_path / "nu.json"
+        write_measure(nu, TreeMeasure(FiltrationSpec(3, 6, 1), np.full(3**6, 3.0**-6)))
+        out = tmp_path / "out"
+        argv = ["--out", str(out), kind, *(flag.format(w=w_file, nu=nu) for flag in flags), *depths]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a trend needs at least two distinct depths, got [")
+        assert not out.exists()
 
     def test_bad_norm_parameters(self, martingale_file, capsys):
         assert main(["norm", "--martingale", martingale_file, "--name", "lorentz", "--p", "1.0"]) == 2

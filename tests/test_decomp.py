@@ -242,9 +242,7 @@ class TestFlatTreeGrowth:
         spec = FiltrationSpec(3, 8, 1)
         G = delta_martingale(spec)
         # use the product part (positive measure) so everything is one flat tree
-        from martree.filtration import multiplicative_martingale
-
-        G = multiplicative_martingale(spec, delta_vector(3))
+        G = oracles.multiplicative_martingale(spec, delta_vector(3))
         forest = classify_atoms(G, 0.05)
         assert len(forest.trees) == 1
         kappa = (p - 1) / p * np.log(3)

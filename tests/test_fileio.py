@@ -484,9 +484,10 @@ def test_writer_memory_is_one_slice_not_the_file(tmp_path):
     # a depth-10 multiplicative measure, the kind of measure the sharpness experiments write
     import tracemalloc
 
-    from martree.filtration import martingale_to_measure, multiplicative_martingale
+    from martree.filtration import martingale_to_measure
 
-    mu = martingale_to_measure(multiplicative_martingale(FiltrationSpec(3, 10, 1), np.array([0.5, -0.25, -0.25])))
+    G = oracles.multiplicative_martingale(FiltrationSpec(3, 10, 1), np.array([0.5, -0.25, -0.25]))
+    mu = martingale_to_measure(G)
     path = tmp_path / "mu.json"
     fileio.write_measure(path, mu)  # imports and caches settle before the traced write
     tracemalloc.start()

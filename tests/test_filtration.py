@@ -13,15 +13,19 @@ from martree.filtration import (
     AtomId,
     FiltrationSpec,
     Martingale,
+    Product,
     TreeMeasure,
     atom_digits,
     evaluate,
     evaluate_all,
     martingale_to_measure,
     measure_to_martingale,
-    multiplicative_martingale,
     tree_distance,
 )
+from martree.dimension import multiplicative_measure
+from martree.riesz import riesz_potential
+from martree.spacew import delta_vector
+import oracles
 from oracles import leaf_digit_matrix, sample_path, sample_paths
 
 
@@ -33,6 +37,11 @@ def random_martingale(spec, seed, scale=1.0):
         block -= block.mean(axis=1, keepdims=True)
         diffs.append(block)
     return Martingale(spec, rng.standard_normal(spec.ell) * scale, diffs)
+
+
+def product_martingale(spec, v):
+    """G from ``Product.levels``, its blocks checked to sum to zero."""
+    return Martingale(spec, np.ones(1), list(Product(spec.m, v).levels(spec.depth)))
 
 
 def leaf_value_oracle(F, leaf_index):
@@ -213,7 +222,7 @@ class TestSampling:
         # Strong-law behaviour of the digit process of a product measure.
         spec = FiltrationSpec(3, 8, 1)
         v = np.array([1.0, -1.0, 0.0])
-        G = multiplicative_martingale(spec, v)
+        G = product_martingale(spec, v)
         mu = martingale_to_measure(G)
         weights = (1.0 + v) / 3.0
         idx = sample_paths(mu, 20_000, seed=7)
@@ -268,7 +277,7 @@ class TestTreeDistance:
 class TestMultiplicative:
     def test_delta_weights_concentrate_left(self):
         spec = FiltrationSpec(3, 3, 1)
-        G = multiplicative_martingale(spec, np.array([2.0, -1.0, -1.0]))
+        G = product_martingale(spec, np.array([2.0, -1.0, -1.0]))
         vals = evaluate(G, 3)[:, 0]
         expected = np.zeros(27)
         expected[0] = 27.0
@@ -276,13 +285,33 @@ class TestMultiplicative:
 
     def test_mean_one_at_every_level(self):
         spec = FiltrationSpec(3, 5, 1)
-        G = multiplicative_martingale(spec, np.array([0.5, 0.25, -0.75]))
+        G = product_martingale(spec, np.array([0.5, 0.25, -0.75]))
         for n in range(6):
             assert evaluate(G, n)[:, 0].mean() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("depth", range(1, 10))
+    def test_levels_match_the_whole_martingale_oracle(self, depth):
+        # bit for bit (uint64 views): v snapped to the boundary as multiplicative_measure snaps it, the delta's
+        # signed zeros, and the levels scaled in place against riesz_potential's f * d
+        snapped = multiplicative_measure(FiltrationSpec(3, depth, 1), np.array([-1.0 + 1e-12, 0.5, 0.5 - 1e-12])).v
+        cases = [(3, snapped), (3, delta_vector(3)), (4, np.array([0.5, -0.75, 0.25, 0.0])), (5, delta_vector(5, 2))]
+        for m, v in cases:
+            G = oracles.multiplicative_martingale(FiltrationSpec(m, depth, 1), v)
+            for scale in (None, 0.6, 1.7):
+                expected = G.diffs if scale is None else riesz_potential(G, scale).diffs
+                got = list(Product(m, v).levels(depth, scale))
+                assert [d.shape for d in got] == [(m**n, m, 1) for n in range(depth)]
+                assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(got, expected))
+        raw = np.concatenate([d.ravel() for d in Product(3, delta_vector(3)).levels(depth)])
+        assert np.signbit(raw[raw == 0]).any() == (depth >= 2)  # the delta's -0.0 are there to be matched
+
+    def test_weights_are_the_branch_weights(self):
+        v = np.array([2.0, -1.0, -0.5, -0.5])
+        assert Product(4, v).weights.tobytes() == ((1.0 + v) / 4).tobytes()
+        assert Product(4, v.tolist()).v.tobytes() == v.tobytes()
+
     def test_rejects_bad_v(self):
-        spec = FiltrationSpec(3, 2, 1)
-        with pytest.raises(ValueError):
-            multiplicative_martingale(spec, np.array([1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            multiplicative_martingale(spec, np.array([3.0, -1.5, -1.5]))
+        with pytest.raises(ValueError, match="zero coordinate sum"):
+            Product(3, np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="v_j >= -1"):
+            Product(3, np.array([3.0, -1.5, -1.5]))

@@ -1,12 +1,14 @@
 """Norm engine: closed forms against layer-cake quadrature and rearrangement oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from martree.filtration import FiltrationSpec, Martingale, TreeMeasure, multiplicative_martingale, vector_norms
+from martree.filtration import FiltrationSpec, Martingale, TreeMeasure, vector_norms
 from martree.norms import (
     besov_norm,
     h1_norm,
@@ -18,6 +20,7 @@ from martree.norms import (
     segment_sums,
     weak_lp_norm,
 )
+import oracles
 from oracles import difference, level, lp_norm_weighted, simple
 from tests.test_filtration import random_martingale
 
@@ -272,7 +275,7 @@ class TestBesovAndH1:
         values = {}
         for depth in (4, 8, 12):
             spec = FiltrationSpec(3, depth, 1)
-            G = multiplicative_martingale(spec, np.array([2.0, -1.0, -1.0]))
+            G = oracles.multiplicative_martingale(spec, np.array([2.0, -1.0, -1.0]))
             F = G + Martingale(spec, -np.ones(1), Martingale.zero(spec).diffs)
             values[depth] = h1_norm(F)
         slope = (values[12] - values[4]) / 8
@@ -429,8 +432,14 @@ class TestVectorNorms:
     @pytest.mark.parametrize("shape", [(0,), (1,), (257,), (40, 7), (3, 0, 2)])
     def test_matches_numpy(self, ell, shape):
         x = special_values((*shape, ell), seed=ell)
-        for view in (x, np.asfortranarray(x), x[..., ::-1]):
+        for view, in_place in itertools.product((x, np.asfortranarray(x), x[..., ::-1]), (False, True)):
+            before = view.copy()
             with np.errstate(over="ignore", invalid="ignore"):
-                got, expected = vector_norms(view), np.linalg.norm(view, axis=-1)
+                expected, got = np.linalg.norm(view, axis=-1), vector_norms(view, in_place=in_place)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+            # in place, a short last axis leaves the norms in its first column and the rest as it was
+            written = in_place and 0 < ell < 8 and view.size > 0
+            assert np.shares_memory(got, view) == written
+            assert view[..., written:].tobytes() == before[..., written:].tobytes()
+            view[...] = before

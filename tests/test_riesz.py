@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from martree import filtration, riesz, trace
-from martree.filtration import FiltrationSpec, Martingale, evaluate, multiplicative_martingale
+from martree.filtration import FiltrationSpec, Martingale, evaluate
 from martree.norms import lorentz_p1_from_distribution, lp_norm, weak_lp_norm
 from martree.riesz import (
     _random_martingale,
@@ -14,6 +14,7 @@ from martree.riesz import (
     lorentz_sum_lhs,
     main_inequality_experiment,
     riesz_potential,
+    trend_verdict,
 )
 from martree.spacew import SubspaceW, delta_vector, random_w_martingale
 import oracles
@@ -281,7 +282,7 @@ def test_delta_martingale_matches_the_sum_oracle(depth):
     F, expected = delta_martingale(spec), oracles.delta_martingale(spec)
     assert F.f0.tobytes() == expected.f0.tobytes()
     assert [d.tobytes() for d in F.diffs] == [d.tobytes() for d in expected.diffs]
-    raw = np.concatenate([d.ravel() for d in multiplicative_martingale(spec, delta_vector(3)).diffs])
+    raw = np.concatenate([d.ravel() for d in oracles.multiplicative_martingale(spec, delta_vector(3)).diffs])
     kept = np.concatenate([d.ravel() for d in F.diffs])
     assert not np.signbit(kept[kept == 0]).any()  # the sum's +0.0, never -0.0 ...
     assert np.signbit(raw[raw == 0]).any() == (depth >= 2)  # ... where the product martingale has -0.0
@@ -297,6 +298,27 @@ def test_delta_counterexample_matches_the_whole_martingale_oracle(depth, p):
         assert report.details["per_level_terms"].tobytes() == terms.tobytes()
         assert report.ratios.tobytes() == power_sums.tobytes()
         assert report.details["l1_bounded_by_two"] == bool(np.all(l1_norms <= 2.0 + 1e-12))
+
+
+# Bytes of one leaf-size float array at depth 10, and the small temporaries (kappa's search, numpy's
+# scalars, the report) a memory bound allows beyond the arrays it counts.
+LEAF_10 = 3**10 * 8
+ALLOWANCE = 96 * 1024
+
+
+def test_delta_counterexample_at_depth_ten_holds_two_leaf_arrays():
+    # the level read and its magnitudes, or the sweep's level and the L_1 norm's powers, plus G_9 or the sweep's
+    # previous level (a third of a leaf array each): a level kept by a generator, or G held, is one more
+    peak = oracles.traced_peak(lambda: delta_counterexample(2.0, FiltrationSpec(3, 10, 1)))
+    assert peak < 2 * LEAF_10 + LEAF_10 // 3 + ALLOWANCE
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("depths", [[4], [5, 5], (6,)])
+def test_trend_needs_two_distinct_depths(depths):
+    with pytest.raises(ValueError, match=r"a trend needs at least two distinct depths, got \[\d\]$"):
+        trend_verdict(depths, np.ones(len(depths)))
+    assert trend_verdict([5, 4, 5], np.ones(3)).predicted_rate == pytest.approx(np.log(5 / 4))
 
 
 @pytest.mark.parametrize("depths", [range(0, 6), range(2, 8)])

@@ -7,6 +7,7 @@ from martree import trace
 from martree.decomp import classify_atoms, verify_tree_trace
 from martree.filtration import (
     FiltrationSpec,
+    Product,
     TreeMeasure,
     evaluate,
     measure_to_martingale,
@@ -23,7 +24,7 @@ from martree.trace import (
     trace_experiment_p,
 )
 import oracles
-from tests.test_riesz import assert_report_matches, oracle_report
+from tests.test_riesz import ALLOWANCE, LEAF_10, assert_report_matches, oracle_report
 
 
 def delta_w():
@@ -222,7 +223,7 @@ class TestSharpnessConstruction:
 
     def test_delta_w_construction(self):
         spec = FiltrationSpec(3, 12, 1)
-        nu, G, report = build_sharpness_trace_measure(delta_w(), gamma=0.4, spec=spec, depths=range(4, 13))
+        nu, report = build_sharpness_trace_measure(delta_w(), gamma=0.4, spec=spec, depths=range(4, 13))
         assert report.alpha == pytest.approx(0.6, abs=1e-9)
         # the reference measure keeps a depth-stable Frostman constant
         cs = report.frostman_constants
@@ -236,13 +237,24 @@ class TestSharpnessConstruction:
         assert nu.total() == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("depth, depths", [(3, None), (4, None), (6, range(1, 7)), (8, None), (8, [7, 3, 8, 5, 3])])
-    def test_one_level_at_a_time_matches_whole_martingales(self, depth, depths):
-        nu, G, report = build_sharpness_trace_measure(delta_w(), gamma=0.4, spec=FiltrationSpec(3, depth, 1),
-                                                      depths=depths)
-        leaves, constants, exact = oracles.sharpness_trace(G, 0.4, report.alpha, report.depths)
+    def test_one_level_at_a_time_matches_whole_martingales(self, depth, depths, monkeypatch):
+        built = []  # the product the construction reads G's levels from
+        monkeypatch.setattr(trace, "Product", lambda m, v: built.append(Product(m, v)) or built[-1])
+        nu, report = build_sharpness_trace_measure(delta_w(), gamma=0.4, spec=FiltrationSpec(3, depth, 1),
+                                                   depths=depths)
+        G = oracles.multiplicative_martingale(FiltrationSpec(3, depth, 1), built[0].v)
+        leaves, constants, exact, partial_sums = oracles.sharpness_trace(G, 0.4, report.alpha, report.depths)
         assert nu.leaf_mass.tobytes() == leaves.tobytes()
         assert report.frostman_constants.tobytes() == constants.tobytes()
         assert report.exact_l1_nu.tobytes() == exact.tobytes()
+        assert len(built) == 1 and report.partial_sums.tobytes() == partial_sums.tobytes()
+
+    def test_depth_ten_holds_three_leaf_arrays(self):
+        # nu, the sweep's level and one more leaf-size array (the level read, its squares, or nu's last level
+        # mass), plus G_9 or the sweep's previous level (a third of a leaf array each) and small temporaries
+        spec = FiltrationSpec(3, 10, 1)
+        peak = oracles.traced_peak(lambda: build_sharpness_trace_measure(delta_w(), gamma=0.4, spec=spec))
+        assert peak < 3 * LEAF_10 + LEAF_10 // 3 + ALLOWANCE
 
     @pytest.mark.parametrize("depths", [range(0, 5), range(3, 8)])
     def test_depths_outside_the_measure_rejected(self, depths):
