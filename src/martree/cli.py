@@ -109,9 +109,7 @@ def _write_table(out_dir: Path, name: str, meta: dict, columns, rows, *summary: 
 
 def _rle(mask: np.ndarray) -> list[list[int]]:
     """[[value, run length], ...] of ``mask`` as 0/1 ints, in order."""
-    values = mask.astype(int)
-    starts = np.flatnonzero(np.diff(values, prepend=-1))
-    return np.column_stack((values[starts], np.diff(starts, append=values.size))).tolist()
+    return np.column_stack(decomp._runs(mask.astype(int))).tolist()
 
 
 # ---------------------------------------------------------------- experiments

@@ -17,11 +17,11 @@ Every checker reads the martingale's level data from the martingale itself
 (see ``martree.filtration``): the magnitudes |F_n| and |f_{n+1}|
 (``Martingale.norms``, ``Martingale.diff_norms``) and the per-atom growth and
 mass that both the labels and the stepwise identity read
-(``Martingale.increments``, returned by ``atom_increments``).  The first
-checker to read a part computes it, read-only, and the others share it, so
-one martingale is swept once however many checks run on it; its ``diffs``
-must not be written after that.  A tree root's F_n is a path sum
-(``filtration.evaluate_at``), so no level of values is kept.  The forest's layout lives in one columnar
+(``Martingale.increments``).  The first checker to read a part computes it,
+read-only, and the others share it, so one martingale is swept once however
+many checks run on it; its ``diffs`` must not be written after that.  A tree
+root's F_n is a path sum (``filtration.evaluate_at``), so no level of values
+is kept.  The forest's layout lives in one columnar
 index, ``FlatForest.index``, derived once from the convex masks in time
 linear in the number of atoms: tree ids propagate from parents to flat
 children, new roots are numbered in index order, and each level's members
@@ -87,7 +87,7 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of sorted nonnegative ``keys`` and each one's count."""
+    """Each run of equal values in nonnegative ``keys``: its value and its length."""
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return keys[starts], np.diff(starts, append=keys.size)
 
@@ -183,15 +183,6 @@ class FlatForest(_BuiltOnRead):
         return _index_forest(self.convex)
 
 
-def atom_increments(
-    F: Martingale,
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Per level n < N and atom omega: the growth E(|F_{n+1}| - |F_n|) chi_omega,
-    the mass E|F_n| chi_omega, and the mean of |F_{n+1}| over omega's
-    children; the read-only arrays of ``F.increments``."""
-    return tuple(map(list, F.increments))
-
-
 def _children(atoms: np.ndarray, m: int) -> np.ndarray:
     return (atoms[:, None] * m + np.arange(m)).ravel()
 
@@ -220,7 +211,7 @@ def classify_atoms(F: Martingale, epsilon: float) -> FlatForest:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     spec = F.spec
     m = spec.m
-    increments, level_masses, child_means = atom_increments(F)
+    increments, level_masses, child_means = map(list, F.increments)
     convex = [
         (inc >= epsilon * base) & (child_mean > 0)
         for inc, base, child_mean in zip(increments, level_masses, child_means)

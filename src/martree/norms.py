@@ -11,6 +11,11 @@ over the distinct magnitudes.  The Lorentz norm is fixed as
                = int_0^1 t^{1/p - 1} g*(t) dt,
 
 which is exact on simple functions and, for p > 1, a genuine norm.
+
+The per-segment forms (``lp_norm_segments``, ``lorentz_p1_segments``) take
+many consecutive segments of magnitudes in one pass and share one layout,
+the segments by count (``_by_count``), so each segment is reduced as a
+contiguous row of its own length, bit for bit as the segment alone.
 """
 
 from __future__ import annotations
@@ -51,24 +56,33 @@ def lorentz_p1_from_distribution(mags: np.ndarray, weights: np.ndarray | float, 
     return float(p * np.sum(cum ** (1.0 / p) * drops))
 
 
-def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sum of each consecutive segment of ``values``, bit for bit as ``np.sum``
-    of the segment alone.
+def _by_count(values: np.ndarray, counts: np.ndarray):
+    """The consecutive segments of ``values``, ``counts[i]`` of them in
+    segment i, laid out in order of their count.
 
-    numpy sums a 1-D array pairwise, so the rounding depends on the length.
-    Segments of one length are gathered as the rows of a 2-D array, which
-    numpy reduces row by row with the same pairwise scheme.
+    Returns the segments' stable order by count, their values gathered in
+    that order, each nonempty segment's last position there, and the
+    (first segment, count c, first value, rows) blocks: the segments of c
+    values are the rows of one contiguous (rows, c) array, which numpy
+    reduces row by row as each segment alone, pairwise for length c.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    out = np.zeros(lengths.size)
-    order = np.argsort(lengths, kind="stable")
-    bounds = np.flatnonzero(np.diff(lengths[order])) + 1
-    for group in np.split(order, bounds):
-        if group.size == 0 or lengths[group[0]] == 0:
-            continue
-        rows = starts[group, None] + np.arange(lengths[group[0]])
-        out[group] = values[rows].sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    by_count = counts[order]
+    ends = np.cumsum(by_count)
+    starts = ends - by_count
+    gather = np.arange(by_count.sum()) + np.repeat((np.cumsum(counts) - counts)[order] - starts, by_count)
+    first = np.flatnonzero(np.diff(by_count, prepend=0))
+    blocks = list(zip(first.tolist(), by_count[first].tolist(), starts[first].tolist(),
+                      np.diff(first, append=by_count.size).tolist()))
+    return order, values[gather], ends[by_count > 0] - 1, blocks
+
+
+def _reduce_rows(vals: np.ndarray, order: np.ndarray, blocks, reduce) -> np.ndarray:
+    """``reduce`` of each (rows, c) block of ``_by_count``, scattered back to
+    the segments' order; 0.0 for an empty segment."""
+    out = np.zeros(order.size)
+    for k, c, e, rows in blocks:
+        out[order[k : k + rows]] = reduce(vals[e : e + rows * c].reshape(rows, c))
     return out
 
 
@@ -76,62 +90,40 @@ def lorentz_p1_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p:
     """``lorentz_p1_from_distribution`` of each consecutive segment of
     ``mags``, every atom of mass ``weight``; bit for bit, in one pass.
 
-    The positive values are laid out segment by segment in order of their
-    count (taken from a cumsum of the ``mags > 0`` mask), so the segments
-    that keep c values are the rows of one contiguous (segments, c) block:
-    each block is sorted row by row and, once every drop is known, its rows
-    of terms are summed with numpy's pairwise scheme for length c, as one
-    segment alone is.  Values are sorted negated, which puts them in
-    descending order; ties are equal values, so their order is moot.
+    The positive values of each segment are laid out by count
+    (``_by_count``); each block is sorted row by row and, once every drop is
+    known, its rows of terms are summed as one segment alone is.  Values are
+    sorted negated, which puts them in descending order; ties are equal
+    values, so their order is moot.
     """
     if p <= 1:
         raise ValueError(f"Lorentz L_(p,1) requires p > 1, got {p}")
-    lengths = np.asarray(lengths, dtype=np.int64)
     keep = mags > 0
-    kept = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(lengths)]
+    kept = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(np.asarray(lengths, dtype=np.int64))]
     counts = np.diff(kept, prepend=0)
-    order = np.argsort(counts, kind="stable")
-    by_count = counts[order]
-    ends = np.cumsum(by_count)
-    starts = ends - by_count
-    # the kept values of the segments in ``order``, negated
-    gather = np.arange(by_count.sum()) + np.repeat((kept - counts)[order] - starts, by_count)
-    vals = np.negative(mags[keep][gather])
-    # each nonzero count's first segment, the count, its first value and its rows
-    first = np.flatnonzero(np.diff(by_count, prepend=0))
-    blocks = list(zip(first.tolist(), by_count[first].tolist(), starts[first].tolist(),
-                      np.diff(first, append=by_count.size).tolist()))
+    order, vals, last, blocks = _by_count(mags[keep], counts)
+    np.negative(vals, out=vals)
     for k, c, e, rows in blocks:
         vals[e : e + rows * c].reshape(rows, c).sort(axis=1)
     # drop = value - next value, and the last value of each segment itself
     drops = np.empty_like(vals)
     np.subtract(vals[1:], vals[:-1], out=drops[:-1])
-    last = ends[by_count > 0] - 1
     drops[last] = -vals[last]
     scale = np.cumsum(np.full(int(counts.max(initial=0)), float(weight))) ** (1.0 / p)
-    sums = np.zeros(by_count.size)
-    for k, c, e, rows in blocks:
-        sums[k : k + rows] = (drops[e : e + rows * c].reshape(rows, c) * scale[:c]).sum(axis=1)
-    out = np.empty(lengths.size)
-    out[order] = sums
-    return p * out
+    return p * _reduce_rows(drops, order, blocks, lambda terms: (terms * scale[: terms.shape[1]]).sum(axis=1))
 
 
 def lp_norm_segments(mags: np.ndarray, lengths: np.ndarray, weight: float, p: float) -> np.ndarray:
     """(sum weight * |mags|^p)^{1/p} of each consecutive segment of ``mags``,
-    every atom of mass ``weight > 0``; bit for bit as one segment alone, in
-    one pass."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if p == np.inf:
-        out = np.zeros(lengths.size)
-        nonempty = lengths > 0
-        starts = np.cumsum(lengths) - lengths
-        if np.any(nonempty):
-            out[nonempty] = np.maximum.reduceat(mags, starts[nonempty])
-        return out
+    every atom of mass ``weight > 0``, and the max for p = inf; bit for bit
+    as one segment alone, in one pass over the ``_by_count`` layout."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    sums = segment_sums(weight * mags**p, lengths)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order, vals, _, blocks = _by_count(mags if p == np.inf else weight * mags**p, lengths)
+    if p == np.inf:
+        return _reduce_rows(vals, order, blocks, lambda rows: rows.max(axis=1))
+    sums = _reduce_rows(vals, order, blocks, lambda rows: rows.sum(axis=1))
     # one scalar power per segment, the libm pow of the single-segment form
     return np.array([s ** (1.0 / p) for s in sums.tolist()])
 

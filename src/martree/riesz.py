@@ -154,6 +154,7 @@ def hls_experiment(p: float, q: float, spec: FiltrationSpec, trials: int = 20, s
         raise ValueError(f"need q > p > 1, got p={p}, q={q}")
     if depths is None:
         depths = list(range(4, spec.depth + 1))
+    _require_levels(depths, spec.depth)
     alpha = (q - p) / (q * p)
 
     def parts(t):  # a fresh martingale at every depth, read at its last level only, so nothing is kept

@@ -398,7 +398,7 @@ def difference(F: Martingale, n: int) -> tuple[np.ndarray, float]:
 def level_data(F: Martingale) -> dict:
     """What a martingale keeps, each part by name, from ``evaluate_all``:
     |F_n|, |f_{n+1}| per block entry and the per-atom growth, mass and child
-    mean of ``decomp.atom_increments``."""
+    mean of ``Martingale.increments``."""
     m = F.spec.m
     values = evaluate_all(F)
     mags = [np.linalg.norm(v, axis=-1) for v in values]

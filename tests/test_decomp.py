@@ -15,7 +15,6 @@ from martree.decomp import (
     FlatTree,
     TreeGrowthReport,
     TreeSummationReport,
-    atom_increments,
     classify_atoms,
     split_convex_flat,
     tree_leaf_values,
@@ -687,7 +686,7 @@ class TestBatchedHelpers:
     def test_atom_increments_are_the_forest_sums(self):
         spec = FiltrationSpec(4, 4, 2)
         F = random_martingale(spec, 22)
-        increments, level_masses, _ = atom_increments(F)
+        increments, level_masses, _ = F.increments
         forest = classify_atoms(F, 0.3)
         assert all(np.array_equal(a, b) for a, b in zip(increments, forest.increments))
         assert all(np.array_equal(a, b) for a, b in zip(level_masses, forest.level_masses))
@@ -803,7 +802,7 @@ class TestKeptLevelData:
     def test_kept_arrays_reject_writes(self):
         F = random_martingale(FiltrationSpec(3, 3, 2), 1)
         norms = F.norms
-        parts = [*norms, *F.diff_norms, *(a for part in F.increments for a in part), *atom_increments(F)[0]]
+        parts = [*norms, *F.diff_norms, *(a for part in F.increments for a in part), *F.increments[0]]
         for a in parts:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

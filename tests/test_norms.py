@@ -17,7 +17,6 @@ from martree.norms import (
     lp_norm,
     lp_norm_segments,
     lp_nu_norm,
-    segment_sums,
     weak_lp_norm,
 )
 import oracles
@@ -351,8 +350,6 @@ class TestSegmentNorms:
         starts = np.cumsum(lengths) - np.asarray(lengths, dtype=np.int64)
         segments = [mags[s : s + n] for s, n in zip(starts, lengths)]
         weight = 3.0 ** -rng.integers(1, 8)
-        sums = segment_sums(mags, lengths)
-        assert sums.tolist() == [float(np.sum(seg)) for seg in segments]
         lp = lp_norm_segments(mags, lengths, weight, p)
         assert lp.tolist() == [
             lp_norm_weighted(seg, np.full(seg.shape, weight), p) for seg in segments
@@ -378,6 +375,29 @@ class TestSegmentNorms:
             lorentz_p1_from_distribution(mags[s : s + n], np.full(n, weight), 2.0)
             for s, n in zip(starts.tolist(), lengths.tolist())
         ]
+
+    @pytest.mark.parametrize("p", [1.25, 2.0, 3.0, np.inf])
+    def test_lp_segments_at_forest_scale(self, p):
+        # more segments than a 16-bit id holds, one segment over 10^4 values
+        # placed past id 65,536 and many distinct lengths; at p = inf NaN,
+        # 0.0 and -0.0 too, each segment's max compared with its own np.max
+        rng = np.random.default_rng(35)
+        lengths = rng.integers(0, 4, 70_000)
+        lengths[66_000] = 12_000
+        lengths[rng.integers(0, 70_000, 300)] = rng.integers(4, 600, 300)
+        total = int(lengths.sum())
+        mags = np.where(rng.random(total) < 0.3, rng.choice([0.0, 0.5, 1.0, 2.5], size=total), rng.random(total))
+        if p == np.inf:
+            mags = np.where(rng.random(total) < 0.1, rng.choice([np.nan, 0.0, -0.0], size=total), mags - 0.5)
+        weight = 3.0 ** -9
+        starts = np.cumsum(lengths) - lengths
+        lp = lp_norm_segments(mags, lengths, weight, p)
+        expected = [
+            (float(np.max(mags[s : s + n])) if n else 0.0) if p == np.inf
+            else lp_norm_weighted(mags[s : s + n], np.full(n, weight), p)
+            for s, n in zip(starts.tolist(), lengths.tolist())
+        ]
+        assert np.array_equal(lp.view(np.uint64), np.array(expected).view(np.uint64))
 
     @pytest.mark.parametrize(
         "segments",

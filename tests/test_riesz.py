@@ -326,7 +326,8 @@ def test_depths_outside_the_kept_levels_rejected(depths):
     spec = FiltrationSpec(3, 6, 1)
     W = SubspaceW.from_blocks([delta_vector(3)[:, None]], 3, 1)
     for run in (lambda: delta_counterexample(2.0, spec, depths=depths),
-                lambda: main_inequality_experiment(W, 2.0, spec, trials=1, depths=depths)):
+                lambda: main_inequality_experiment(W, 2.0, spec, trials=1, depths=depths),
+                lambda: hls_experiment(2.0, 4.0, spec, trials=1, depths=depths)):
         with pytest.raises(ValueError, match=rf"depths must lie in \[1, 6\], got {depths[0]} to {depths[-1]}"):
             run()
 
