@@ -16,7 +16,9 @@ those blocks' floats in one flat list.  Its reader also takes the older
 layout of one ``blocks`` entry per kept block.
 A scalar measure's ``leaf_mass`` and a martingale's ``values``, when flat
 lists of numbers, are read ``SLICE`` entries at a time by json's own scanner
-into float64.  Readers take numbers only: a bool, string, null or object
+into float64.  A slice that repeats one entry's text (the zero runs of a
+product measure's emptied subtrees) is parsed, or one float is formatted,
+once.  Readers take numbers only: a bool, string, null or object
 where a number belongs is a ValueError naming the file and the field.
 """
 
@@ -112,10 +114,14 @@ def _write_array(write, array: np.ndarray, indent: str) -> None:
 def _texts(values: np.ndarray) -> list[str]:
     """json's text of each entry of a flat numeric array, from one json.dumps
     of a list; each distinct float bit pattern (so 0.0 and -0.0 stay apart)
-    is formatted once and mapped back."""
+    is formatted once and mapped back, and a slice of one bit pattern skips
+    the mapping."""
     if values.dtype != np.float64:
         return json.dumps(values.tolist())[1:-1].split(", ")
-    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    bits = values.view(np.uint64)
+    if (bits == bits[0]).all():  # one bit pattern repeated: one text
+        return [json.dumps(values[:1].tolist())[1:-1]] * values.size
+    distinct, inverse = np.unique(bits, return_inverse=True)
     texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
     return np.array(texts, dtype=object)[inverse].tolist()
 
@@ -228,7 +234,9 @@ _SPACE = json.decoder.WHITESPACE.match
 def _flat_array(text: str, start: int, scan):
     """(float64 array, end) of the flat list of numbers at ``text[start]``, each
     slice of about ``SLICE`` entries parsed by ``scan`` as a list of its own; None
-    where it holds a string, object, list or literal (``"{[tfn``, Infinity too)."""
+    where it holds a string, object, list or literal (``"{[tfn``, Infinity too).
+    A slice whose text is its first entry's repeated, comma-joined, is parsed as
+    that one entry, whose value fills it: equal texts parse, or fail, alike."""
     end = text.find("]", start)
     if not text.startswith("[", start) or end < 0 or any(text.find(c, start + 1, end) >= 0 for c in '"{[tfn'):
         return None
@@ -238,11 +246,16 @@ def _flat_array(text: str, start: int, scan):
     while at <= end:
         cut = text.find(",", at + width, end)
         cut = end if cut < 0 else cut
-        values = scan("[" + text[at:cut] + "]", 0)[0]
+        first = text.find(",", at, cut)
+        entry = text[at:cut if first < 0 else first]
+        repeats = (cut + 1 - at) // (len(entry) + 1)
+        if text[at:cut + 1] != (entry + ",") * repeats:  # not one entry text repeated
+            entry, repeats = text[at:cut], 1
+        values = scan("[" + entry + "]", 0)[0]
         if size and not values:  # an empty entry, as in [1,,2]: json names it
             raise json.JSONDecodeError("Expecting value", text, at)
-        array[filled:filled + len(values)] = values
-        filled, at = filled + len(values), cut + 1
+        array[filled:filled + len(values) * repeats] = values
+        filled, at = filled + len(values) * repeats, cut + 1
     return array, end + 1
 
 

@@ -661,6 +661,23 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), "decompose", "--martingale", martingale_file, "--eps", eps]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_unusable_paths_exit_two_with_one_line(self, tmp_path, capsys):
+        # a directory where a file is read, a file where a directory is made, and a file where the out
+        # directory goes; each used to end in a traceback and exit 1
+        measure, folder = tmp_path / "mu.json", tmp_path / "folder"
+        write_measure(measure, TreeMeasure(FiltrationSpec(3, 2, 1), np.full(9, 1 / 9)))
+        folder.mkdir()
+        certify = ["--beta", "0.5", "--gamma", "0.5"]
+        for argv in (["--out", str(tmp_path / "out"), "frostman", "--measure", str(folder), *certify],
+                     ["--out", str(measure / "sub"), "frostman", "--measure", str(measure), *certify],
+                     ["--out", str(measure), "frostman", "--measure", str(measure), *certify],
+                     ["run", str(folder)]):
+            before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+            assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
+
     def test_unknown_config_kind(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "does-not-exist"}))

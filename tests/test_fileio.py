@@ -449,6 +449,20 @@ def test_sliced_arrays_match_json(size, monkeypatch, tmp_path):
         assert path.read_bytes() == (json.dumps(listed(document), indent=1) + "\n").encode()
 
 
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_repeated_slices_write_json_bytes(size, monkeypatch, tmp_path):
+    monkeypatch.setattr(fileio, "SLICE", size)
+    path = tmp_path / "doc.json"
+    zeros = np.array([0.0] * (2 * size + 1) + [-0.0] * (3 * size) + [0.0] * size + [-0.0])  # bits keep them apart
+    infinities = np.array([INF] * (3 * size + 1) + [-INF] * (2 * size + 2) + [0.5] * size)
+    rows = np.full((3 * size + 2, 2), 0.25)  # equal slices crossing row ends of a vector measure
+    rows[-1] = [0.5, -0.0]
+    for document in ({"leaf_mass": zeros}, {"nodes": np.arange(3 * size + 1), "values": infinities},
+                     {"leaf_mass": rows}, {"nodes": np.full(2 * size + 1, 7, dtype=np.int64)}):
+        fileio._dump(path, document)
+        assert path.read_bytes() == (json.dumps(listed(document), indent=1) + "\n").encode()
+
+
 def test_failed_write_leaves_no_file(tmp_path):
     # json.dumps refuses the second field, after the first is written
     document = {"kind": "tree-measure", "unwritable": object(), "leaf_mass": np.ones(3)}
@@ -591,14 +605,17 @@ def _blocks(entries):
     return [text for entry in entries for text in (entry, _negated(entry), "0")]
 
 
-def reader_files(tmp_path, entry=None):
+def reader_files(tmp_path, entry=None, run=1):
     """A scalar measure and a martingale holding TEXTS, as the writers lay them
     out and compactly, with ``entry`` as the measure's sixth mass and the
-    martingale's second block's first value where given: (reader, path,
-    field, where ``entry`` is, what the reader returns of the field)."""
+    martingale's second block's first value where given, or as the first
+    ``run`` entries of each: (reader, path, field, where one ``entry`` is,
+    what the reader returns of the field)."""
     leaves = [TEXTS[i % len(TEXTS)] for i in range(27)]
     values = _blocks([TEXTS[(i + 7) % len(TEXTS)] for i in range(9)])
-    if entry is not None:  # the second block (entry, 0, 0) sums to +-inf, which the martingale check lets pass
+    if run > 1:  # the first slices repeat one entry, but for the first entry of json.dumps's ", " layout
+        leaves[:run], values[:run] = [entry] * run, [entry] * run
+    elif entry is not None:  # the second block (entry, 0, 0) sums to +-inf, which the martingale check lets pass
         leaves[5], values[3:6] = entry, [entry, "0", "0"]
     cases = []
     for i, text in enumerate(array_texts(leaves)):
@@ -627,19 +644,81 @@ def test_readers_match_json(size, monkeypatch, tmp_path):
     assert fileio.read_measure(written).leaf_mass.tobytes() == mu.leaf_mass.tobytes()
 
 
+# runs of equal entry texts, as a product measure's emptied subtrees leave them
+RUN_TOKENS = ["0.0", "-0.0", "0", "1E5", "18446744073709551617", repr(1 / 3)]
+
+
+def run_entries(size):
+    """Entry texts in runs of each of RUN_TOKENS, one slice of ``size``
+    entries long and one entry either side of that, and over three slices;
+    each run starts where the last one ended, inside a slice or at a cut.
+    Then equal numbers of different texts side by side, which must not be
+    merged, and a run whose whitespace changes partway."""
+    entries = []
+    for n in (size - 1, size, size + 1, 3 * size + 2):
+        for token in RUN_TOKENS:
+            entries += [token] * n
+    entries += ["0.0", "0", "0e0", "-0.0"] * size
+    return entries + ["0.5"] * (2 * size + 1) + [" 0.5"] * (2 * size + 1) + ["0.5 "] * (size + 1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, fileio.SLICE])
+def test_repeated_slices_read_as_json(size, monkeypatch, tmp_path):
+    monkeypatch.setattr(fileio, "SLICE", size)
+    path = tmp_path / "doc.json"
+    for text in array_texts(run_entries(size)):
+        path.write_text('{"kind": "martingale", "values": ' + text + "}")
+        doc = fileio._load(path, "martingale", (), flat="values")
+        assert isinstance(doc["values"], np.ndarray)
+        assert doc["values"].view(np.uint64).tolist() == as_json(path, "values").view(np.uint64).tolist()
+
+
+def counted_reads(v, path):
+    """(the entry count of each slice ``_flat_array`` scans, the array it reads,
+    the masses written to ``path``) for the depth-10 product measure of ``v``."""
+    from martree.dimension import multiplicative_measure
+
+    mu = multiplicative_measure(FiltrationSpec(3, 10, 1), np.array(v)).measure
+    fileio.write_measure(path, mu)
+    text, scan, counts = path.read_text(), json.JSONDecoder().scan_once, []
+
+    def counting(s, at):
+        values, end = scan(s, at)
+        counts.append(len(values))
+        return values, end
+
+    array, _ = fileio._flat_array(text, text.index("[", text.index('"leaf_mass"')), counting)
+    return counts, array, mu.leaf_mass
+
+
+def test_uniform_slices_parse_one_entry_each(tmp_path):
+    counts, array, masses = counted_reads([0.0, 0.0, 0.0], tmp_path / "mu.json")
+    assert array.tobytes() == masses.tobytes() and len(counts) > 20
+    assert max(counts[:-1]) == 1  # the last slice's final entry carries the closing whitespace
+
+
+def test_delta_measure_parses_few_entries(tmp_path):
+    counts, array, masses = counted_reads([2.0, -1.0, -1.0], tmp_path / "mu.json")  # one leaf holds all the mass
+    assert array.tobytes() == masses.tobytes() and np.count_nonzero(masses) == 1
+    assert sum(counts) < masses.size / 10
+
+
 BEYOND_FLOATS = "1" + "0" * 400  # an integer beyond the float range
 
 
-@pytest.mark.parametrize("entry, measure_error, martingale_error", [
-    (BEYOND_FLOATS, "could not convert an integer beyond the float range in leaf_mass",
+@pytest.mark.parametrize("entry, run, measure_error, martingale_error", [
+    (BEYOND_FLOATS, 1, "could not convert an integer beyond the float range in leaf_mass",
      "could not convert an integer beyond the float range in values"),
-    ("NaN", "NaN is not a number", "NaN is not a number"),
-    ("Infinity", "leaf_mass holds a non-finite value", None),  # a martingale reads an infinity
-    ("-Infinity", "leaf_mass holds a non-finite value", None),
-], ids=["beyond-floats", "nan", "infinity", "minus-infinity"])
-def test_sliced_reads_refuse_as_json_reads(entry, measure_error, martingale_error, monkeypatch, tmp_path):
+    ("NaN", 1, "NaN is not a number", "NaN is not a number"),
+    ("Infinity", 1, "leaf_mass holds a non-finite value", None),  # a martingale reads an infinity
+    ("-Infinity", 1, "leaf_mass holds a non-finite value", None),
+    ("NaN", 16, "NaN is not a number", "NaN is not a number"),  # runs, whose repeated slices parse once
+    (BEYOND_FLOATS, 16, "could not convert an integer beyond the float range in leaf_mass",
+     "could not convert an integer beyond the float range in values"),
+], ids=["beyond-floats", "nan", "infinity", "minus-infinity", "nan-run", "beyond-floats-run"])
+def test_sliced_reads_refuse_as_json_reads(entry, run, measure_error, martingale_error, monkeypatch, tmp_path):
     monkeypatch.setattr(fileio, "SLICE", 2)
-    for reader, path, field, where, numbers in reader_files(tmp_path, entry):
+    for reader, path, field, where, numbers in reader_files(tmp_path, entry, run):
         error = measure_error if field == "leaf_mass" else martingale_error
         if error is None:
             assert numbers(reader(path))[where] == as_json(path, field)[where] == float(entry)
@@ -669,6 +748,8 @@ def test_empty_vector_and_repeated_fields_read_as_json(tmp_path):
 @pytest.mark.parametrize("text", [
     "[1,,2]", "[1,]", "[,1]", "[1 2]", "[1, 2", "[1, 2]]", "[1, -]", "[01]", "[1.]", "[.5]", "[1, 2] x", "[-NaN]",
     "[1, 2], 3", "[0.5, 0.25,, 0.25]", "[0.5, 0.25, 0.25, ]", "[0.5 , , 0.25, 0.25]",
+    "[01, 01, 01]", "[1., 1., 1.]", "[,,,]", "[1,,,,2]", "[-, -, -]",  # a fault repeated through a slice
+    "[01,01,01]", "[1.,1.,1.]", "[-,-,-]",
 ])
 @pytest.mark.parametrize("size", [1, 2, fileio.SLICE])
 def test_malformed_arrays_fail_as_json_fails(text, size, monkeypatch, tmp_path):
@@ -682,10 +763,12 @@ def test_malformed_arrays_fail_as_json_fails(text, size, monkeypatch, tmp_path):
     assert str(caught.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("v", [[1.0, -1.0, 0.0], [0.5, -0.25, -0.25]], ids=["sharpness", "dense"])
+@pytest.mark.parametrize("v", [[1.0, -1.0, 0.0], [0.5, -0.25, -0.25], [0.0, 0.0, 0.0]],
+                         ids=["sharpness", "dense", "uniform"])
 def test_reader_memory_is_the_text_and_the_array(v, tmp_path):
     # depth-10 product measures: the span sharpness measure the Frostman certificates read (a
-    # few characters a mass) and one of distinct masses (about 21 characters each).  Decoding
+    # few characters a mass), one of distinct masses (about 21 characters each) and the uniform
+    # one, each of whose slices repeats one mass and is parsed once.  Decoding
     # holds the file's bytes and its text, parsing the text, the array and one slice; the
     # half array covers the slice and the finiteness mask.  For the sharpness measure the
     # bound is the file size plus 1.5 times the array's bytes.
