@@ -254,7 +254,7 @@ def _dimension_sharpness(c, out_dir, meta):
     W = fileio.read_subspace(c.w)
     mm, _ = dimension.build_sharpness_measure(W, _sharpness_spec(c, W), seed=c.seed)
     dim = dimension.eggleston_dimension(mm.weights)
-    bound = kappa.dimension_bound(W, seed=c.seed)
+    bound = kappa._bound_of(mm._prime, W.m)  # the build's kappa'(1) witness: no second search
     rows = [["eggleston_dimension", _fmt(dim)], ["dimension_bound", _fmt(bound)]]
     rows += [[f"weight_{j}", _fmt(wj)] for j, wj in enumerate(mm.weights)]
     meta.update(w=c.w, depth=c.depth)

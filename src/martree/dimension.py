@@ -34,7 +34,14 @@ the per-level tables for its witness walk.  Every entry is bit for bit the
 dense one-lambda pass over all nodes (kept in tests/oracles.py): the kept
 children go into a zero slab, whose child sums add each parent's children in
 the dense order, left to right for m <= 7 and as numpy's
-``reshape(-1, m).sum(axis=1)`` for m >= 8.
+``reshape(-1, m).sum(axis=1)`` for m >= 8.  The witness walk goes down the
+kept nodes a level at a time and lists the witness right to left.
+
+A sharpness measure is built and its lift checked in one sweep: each level
+of the product martingale G is formed once, its lift g (x) a is checked
+against W over the level's rows that are not all zero (a zero row lifts to
+the zero block, which moves neither the residual nor the scale), and the
+level is then added to the measure.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtration import FiltrationSpec, Product, TreeMeasure, _sweep, vector_norms
-from .kappa import kappa_prime_one
+from .kappa import KappaWitness, kappa_prime_one
 from .spacew import SubspaceW
 
 # A fitted growth slope of log K(d) above gamma * SLOPE_FRACTION * log m
@@ -71,23 +78,35 @@ class MultiplicativeMeasure:
     weights: np.ndarray
     spec: FiltrationSpec
     measure: TreeMeasure
+    # the kappa'(1) witness a sharpness build took v from, for the dimension bound it reports
+    _prime: KappaWitness | None = field(default=None, init=False, repr=False)
 
 
 def multiplicative_measure(spec: FiltrationSpec, v: np.ndarray) -> MultiplicativeMeasure:
     """Leaf masses m^{-N} G_N from one sweep over ``Product(m, v)``'s levels as they are formed."""
+    G = Product(spec.m, _snapped(spec, v))
+    return _swept(spec, G, G.levels(spec.depth))
+
+
+def _snapped(spec: FiltrationSpec, v: np.ndarray) -> np.ndarray:
+    """Optimizer witnesses sit on the boundary up to rounding; snap exact zeros
+    of 1 + v so the product measure carries exact zero masses, and restore
+    the zero sum on the largest coordinate."""
     v = np.asarray(v, dtype=float).reshape(spec.m).copy()
-    # Optimizer witnesses sit on the boundary up to rounding; snap exact zeros
-    # of 1 + v so the product measure carries exact zero masses, and restore
-    # the zero sum on the largest coordinate.
     boundary = np.abs(1.0 + v) < 1e-9
     if boundary.any():
         v[boundary] = -1.0
         v[np.argmax(v)] -= v.sum()
-    scalar_spec, G = FiltrationSpec(spec.m, spec.depth, 1), Product(spec.m, v)
-    for values in _sweep(scalar_spec, np.ones(1), G.levels(spec.depth), spec.depth):
+    return v
+
+
+def _swept(spec: FiltrationSpec, G: Product, levels) -> MultiplicativeMeasure:
+    """The product measure of G from one sweep over ``levels``, G's levels as they are formed."""
+    scalar_spec = FiltrationSpec(spec.m, spec.depth, 1)
+    for values in _sweep(scalar_spec, np.ones(1), levels, spec.depth):
         pass
     values /= float(spec.m) ** spec.depth
-    return MultiplicativeMeasure(v=v, weights=G.weights, spec=scalar_spec,
+    return MultiplicativeMeasure(v=G.v, weights=G.weights, spec=scalar_spec,
                                  measure=TreeMeasure(scalar_spec, values[:, 0]))
 
 
@@ -234,22 +253,32 @@ def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list
 
 
 def _antichain_max(support: _Support, beta: float, lam: float) -> tuple[float, list[tuple[int, int]]]:
-    """``antichain_max`` on a support; its walk enters only kept nodes, those of positive value."""
+    """``antichain_max`` on a support; its walk enters only kept nodes, those of positive value.
+
+    The walk goes down level by level: of the nodes entered, those of
+    positive value join the witness where taken and are opened otherwise, and
+    the kept children of the opened ones are entered next.  The witness
+    lists its nodes right to left, by the first leaf below each, as a
+    depth-first walk that enters the last child first lists them.
+    """
     m, nodes = support.m, support.nodes
+    depth = len(nodes) - 1
     value, _, _, (values, take) = _dp_pass(support, beta, np.array([lam], dtype=float), keep_tables=True)
-    witness: list[tuple[int, int]] = []
-    stack = [(0, 0)]  # (level, position among the kept nodes of that level)
-    while stack:
-        n, k = stack.pop()
-        if values[n][0, k] <= 0.0:
-            continue
-        i = int(nodes[n][k])
-        if take[n][0, k]:
-            witness.append((n, i))
-        else:
-            first, last = np.searchsorted(nodes[n + 1], (m * i, m * i + m))
-            stack.extend((n + 1, j) for j in range(first, last))
-    return float(value[0]), witness
+    levels, taken = [], []
+    entered = np.zeros(1, dtype=np.intp)  # positions among the kept nodes of level n
+    for n in range(depth + 1):
+        entered = entered[~(values[n][0, entered] <= 0.0)]
+        takes = take[n][0, entered]
+        taken.append(nodes[n][entered[takes]])
+        levels.append(np.full(taken[-1].size, n))
+        if n < depth:
+            opened = nodes[n][entered[~takes]] * m
+            first, last = np.searchsorted(nodes[n + 1], opened), np.searchsorted(nodes[n + 1], opened + m)
+            counts = last - first
+            entered = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    levels, taken = np.concatenate(levels), np.concatenate(taken)
+    order = np.argsort(-(taken * m ** (depth - levels)))
+    return float(value[0]), list(zip(levels[order].tolist(), taken[order].tolist()))
 
 
 @dataclass
@@ -354,7 +383,7 @@ def frostman_certify(
 def eggleston_dimension(weights) -> float:
     """Base-m entropy of the branch distribution: -sum p log p / log m."""
     p = np.asarray(weights, dtype=float)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+    if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails too
         raise ValueError("weights must be a probability distribution")
     p = np.clip(p, 0.0, None)
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
@@ -368,24 +397,41 @@ def build_sharpness_measure(
 
     Branch weights come from the entropy minimizer v of kappa'(1); the lift is
     the product martingale G times a, whose blocks, level by level, must lie
-    in W.  For W = {0} the witness is v = 0 and the measure is uniform.
+    in W.  For W = {0} the witness is v = 0 and the measure is uniform.  One
+    sweep forms each level of G once, checks its lift, then adds it to the
+    measure; the check reads only the level's rows that are not all zero.
     """
     witness = kappa_prime_one(W, seed=seed)
-    mm = multiplicative_measure(spec, witness.v)
     a = witness.a if np.linalg.norm(witness.a) > 0 else np.eye(W.ell)[0]
-    for n, level in enumerate(Product(mm.spec.m, mm.v).levels(mm.spec.depth)):
+    G = Product(spec.m, _snapped(spec, witness.v))
+
+    def checked(n, level):
         worst, scale = _lift_residual(W, level, a)
-        if worst > 1e-12 * scale:
+        if not worst <= 1e-12 * scale:  # NaN fails too
             raise ValueError(f"lifted blocks left W at level {n} (residual {worst:.2e})")
+        return level
+
+    mm = _swept(spec, G, map(checked, range(spec.depth), G.levels(spec.depth)))
+    mm._prime = witness
     return mm, a
 
 
 def _lift_residual(W: SubspaceW, level: np.ndarray, a: np.ndarray) -> tuple[float, float]:
     """Largest distance to W and max(1, largest entry) of the lifted blocks g (x) a
-    of one level of G, ``LIFT_ROWS`` blocks at a time (``project`` is bit-exact per block)."""
+    of one level of G, ``LIFT_ROWS`` blocks at a time (``project`` is bit-exact per block).
+
+    Only the rows that are not all zero are lifted: a zero row lifts to the
+    zero block, whose residual and entries are +0.0 and move neither number.
+    A NaN residual is kept, so that it fails the check.
+    """
+    level = level[:, :, 0]
+    nonzero = level[:, 0] != 0.0
+    for j in range(1, level.shape[1]):  # (level != 0).any(axis=1) is ~5x slower
+        nonzero |= level[:, j] != 0.0
+    level = level[nonzero]
     worst, scale = 0.0, 1.0
     for rows in range(0, len(level), LIFT_ROWS):
-        lifted = level[rows : rows + LIFT_ROWS, :, 0][:, :, None] * a[None, None, :]
-        worst = max(worst, float(W.residuals(lifted).max(initial=0.0)))
+        lifted = level[rows : rows + LIFT_ROWS, :, None] * a[None, None, :]
+        worst = np.maximum(worst, W.residuals(lifted).max(initial=0.0))
         scale = max(scale, float(np.max(np.abs(lifted))))
-    return worst, scale
+    return float(worst), scale

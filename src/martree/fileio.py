@@ -18,7 +18,8 @@ A scalar measure's ``leaf_mass`` and a martingale's ``values``, when flat
 lists of numbers, are read ``SLICE`` entries at a time by json's own scanner
 into float64.  A slice that repeats one entry's text (the zero runs of a
 product measure's emptied subtrees) is parsed, or one float is formatted,
-once.  Readers take numbers only: a bool, string, null or object
+once, and a written slice of one float is that text repeated by string
+repetition, not joined entry by entry.  Readers take numbers only: a bool, string, null or object
 where a number belongs is a ValueError naming the file and the field.
 """
 
@@ -81,8 +82,9 @@ def _write_array(write, array: np.ndarray, indent: str) -> None:
 
     The text between two neighbouring entries depends only on how many
     trailing axes end there: each row of the last axis, or the part of it in
-    one slice, is one join, and the rows are joined with the text looked up
-    for each gap between them.
+    one slice, is one join (one string repetition where the slice's entries
+    share one text), and the rows are joined with the text looked up for
+    each gap between them.
     """
     shape, ndim = array.shape, array.ndim
     opens = ["[\n" + indent + " " * (a + 1) for a in range(ndim)]
@@ -94,33 +96,38 @@ def _write_array(write, array: np.ndarray, indent: str) -> None:
     between = np.array(between, dtype=object)
     flat, width = array.ravel(), shape[-1]
     sizes = [int(np.prod(shape[axis:])) for axis in range(1, ndim)]  # an axis ends where these divide the index
+    sep = between[0]  # between two entries of a row
     write("".join(opens))
     for a in range(0, flat.size, SLICE):
-        texts = _texts(flat[a:a + SLICE])
+        chunk = flat[a:a + SLICE]
+        texts = _texts(chunk)
         if a:  # the gap before the slice's first entry
             write(between[sum(a % size == 0 for size in sizes)])
-        starts = np.arange(a // width * width + width, a + len(texts), width)  # the rows begun in the slice
+        starts = np.arange(a // width * width + width, a + chunk.size, width)  # the rows begun in the slice
         ended = np.zeros(starts.size, dtype=np.intp)
         for size in sizes:
             ended += starts % size == 0
-        bounds = [0, *(starts - a).tolist(), len(texts)]
+        bounds = [0, *(starts - a).tolist(), chunk.size]
         parts = [""] * (2 * len(bounds) - 3)
-        parts[0::2] = (between[0].join(texts[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        if isinstance(texts, str):  # every entry has this text: a row part repeats it
+            parts[0::2] = ((texts + sep) * (hi - lo - 1) + texts for lo, hi in zip(bounds, bounds[1:]))
+        else:
+            parts[0::2] = (sep.join(texts[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
         parts[1::2] = between[ended].tolist()
         write("".join(parts))
     write("".join(reversed(closes)))
 
 
-def _texts(values: np.ndarray) -> list[str]:
+def _texts(values: np.ndarray) -> list[str] | str:
     """json's text of each entry of a flat numeric array, from one json.dumps
     of a list; each distinct float bit pattern (so 0.0 and -0.0 stay apart)
-    is formatted once and mapped back, and a slice of one bit pattern skips
-    the mapping."""
+    is formatted once and mapped back.  A float slice of one bit pattern
+    gives that pattern's one text, which the writer repeats."""
     if values.dtype != np.float64:
         return json.dumps(values.tolist())[1:-1].split(", ")
     bits = values.view(np.uint64)
     if (bits == bits[0]).all():  # one bit pattern repeated: one text
-        return [json.dumps(values[:1].tolist())[1:-1]] * values.size
+        return json.dumps(values[:1].tolist())[1:-1]
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
     return np.array(texts, dtype=object)[inverse].tolist()

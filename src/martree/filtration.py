@@ -343,13 +343,14 @@ def martingale_to_measure(F: Martingale) -> TreeMeasure:
 class Product:
     """The product martingale G_n = prod_{i <= n} (1 + h_i), h_i = J[v], for v
     in V with v_j >= -1 (checked once, here): the scalar density martingale
-    of the product measure with branch weights ``weights`` = (1 + v_j)/m."""
+    of the product measure with branch weights ``weights`` = (1 + v_j)/m.
+    The checks are written so that NaN fails them."""
 
     def __init__(self, m: int, v):
         v = np.asarray(v, dtype=float).reshape(m)
-        if abs(v.sum()) > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
+        if not abs(v.sum()) <= 1e-9 * max(1.0, float(np.max(np.abs(v)))):
             raise ValueError("v must have zero coordinate sum")
-        if np.any(v < -1 - 1e-12):
+        if not np.all(v >= -1 - 1e-12):
             raise ValueError("v must satisfy v_j >= -1")
         self.m, self.v = m, v
 

@@ -459,8 +459,12 @@ def kappa_prime_one(W: SubspaceW, seed: int = 0, directions=None) -> KappaWitnes
 
 def dimension_bound(W: SubspaceW, seed: int = 0) -> float:
     """1 + kappa'(1)/log m, the lower Hausdorff dimension bound; in [0, 1]."""
-    kp = kappa_prime_one(W, seed=seed)
-    return float(np.clip(1.0 + kp.value / np.log(W.m), 0.0, 1.0))
+    return _bound_of(kappa_prime_one(W, seed=seed), W.m)
+
+
+def _bound_of(prime: KappaWitness, m: int) -> float:
+    """The dimension bound 1 + kappa'(1)/log m, clipped to [0, 1], of a kappa'(1) witness."""
+    return float(np.clip(1.0 + prime.value / np.log(m), 0.0, 1.0))
 
 
 def strict_gap_check(W: SubspaceW, p: float, seed: int = 0) -> tuple[bool, float]:
@@ -490,5 +494,5 @@ def kappa_profile(W: SubspaceW, grid_size: int = 21, seed: int = 0) -> KappaProf
         witnesses=witnesses,
         kappa_prime_one=prime.value,
         prime_witness=prime,
-        dimension_bound=float(np.clip(1.0 + prime.value / np.log(W.m), 0.0, 1.0)),
+        dimension_bound=_bound_of(prime, W.m),
     )

@@ -198,22 +198,21 @@ def build_sharpness_trace_measure(
     """
     m = spec.m
     directions = rank_one_directions(W, seed=seed)
-    kappa_zero = kappa_of(W, 0.0, directions=directions).value
+    thetas = np.linspace(0.0, 1.0, 11)  # holds 0.0 and 0.5 exactly: kappa(0) and kappa(1/2) are searched once
+    witnesses = [kappa_of(W, 0.0, directions=directions)]
+    kappa_zero = witnesses[0].value
     if not 0.0 < gamma < kappa_zero / np.log(m):
         raise ValueError(
             f"gamma must lie in (0, kappa(0)/log m) = (0, {kappa_zero / np.log(m):.6f}), got {gamma}"
         )
-    thetas = np.linspace(0.0, 1.0, 11)
-    deviation = max(
-        abs(kappa_of(W, float(t), directions=directions).value - (1.0 - t) * kappa_zero)
-        for t in thetas
-    )
+    witnesses += [kappa_of(W, float(t), directions=directions) for t in thetas[1:]]
+    deviation = max(abs(w.value - (1.0 - t) * kappa_zero) for w, t in zip(witnesses, thetas))
     if deviation > KAPPA_LINEARITY_TOL:
         raise ValueError(
             f"kappa profile deviates from linearity by {deviation:.3e}; "
             "the divergent construction needs 2 kappa(1/2) = kappa(0)"
         )
-    G, depth = Product(m, kappa_of(W, 0.5, directions=directions).v), spec.depth
+    G, depth = Product(m, witnesses[5].v), spec.depth  # thetas[5] is 0.5
     scalar_spec = FiltrationSpec(m, depth, 1)
     for leaves in _sweep(scalar_spec, np.ones(1), G.levels(depth, scale=gamma), depth):
         pass  # F_N of I_gamma[G], a fresh array

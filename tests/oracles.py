@@ -11,7 +11,10 @@ the measure's level sums with the support of any such weights (the package
 builds its support from the leaves), the per-ray scipy bounded polish of
 ``kappa._optimize_rays`` (``optimize_ray``), and the dense ray grid that
 brute-forces one kappa ray.  The batched code must reproduce all but the
-last bit for bit.  ``antichain_score`` scores a given antichain, and
+last bit for bit.  ``stack_walk`` is the per-node walk that read one optimal antichain
+off a support's tables before ``dimension._antichain_max`` walked them a
+level at a time; both must list the same nodes in the same order.
+``antichain_score`` scores a given antichain, and
 ``lp_norm_weighted`` is the one-segment form of ``norms.lp_norm_segments``.
 ``shift_w`` builds a subspace on which those searches meet tied values.
 ``log_mean_exp`` is scipy's ``logsumexp`` with weight 1/m, which the numpy
@@ -30,7 +33,9 @@ kept, each formed from the previous G_n as ``filtration.Product`` forms it,
 martingales, ``delta_counterexample`` its per-level terms and L_1 norms
 from that whole martingale, ``sharpness_lift`` and ``lift_residuals`` the
 lifted martingale G (x) a of the dimension sharpness measure and the
-per-level residuals of its check, and ``sharpness_trace`` the leaves of nu
+per-level residuals of its check, ``unfused_sharpness`` the sharpness
+measure and its lift check as two sweeps over G's levels, every block
+lifted, and ``sharpness_trace`` the leaves of nu
 and the per-depth numbers of the trace sharpness construction from whole
 martingales and every truncation of nu at once; the package forms each one
 level at a time and must match them bit for bit, signed zeros included.
@@ -55,18 +60,19 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
-from martree.dimension import MultiplicativeMeasure, _Support
+from martree.dimension import LIFT_ROWS, MultiplicativeMeasure, _dp_pass, _Support, multiplicative_measure
 from martree.filtration import (
     AtomId,
     FiltrationSpec,
     Martingale,
+    Product,
     TreeMeasure,
     evaluate,
     martingale_to_measure,
     vector_norms,
 )
 from martree.groupfourier import FiberFamily, FiniteAbelianGroup, ShiftInvariantW, build_shift_invariant_w
-from martree.kappa import RAY_GRID_POINTS, feasible_interval
+from martree.kappa import RAY_GRID_POINTS, feasible_interval, kappa_prime_one
 from martree.norms import lp_norm, lp_nu_norm
 from martree.riesz import riesz_potential
 from martree.spacew import (
@@ -348,6 +354,27 @@ def antichain_dp(weights: list, m: int, beta: float, lam: float):
     return float(value[0]), float(mass[0]), float(cost[0])
 
 
+def stack_walk(support: _Support, beta: float, lam: float) -> tuple[float, list[tuple[int, int]]]:
+    """``dimension._antichain_max`` as a per-node walk: a stack of (level,
+    position among the kept nodes), children pushed first to last, so popped
+    last to first."""
+    m, nodes = support.m, support.nodes
+    value, _, _, (values, take) = _dp_pass(support, beta, np.array([lam], dtype=float), keep_tables=True)
+    witness = []
+    stack = [(0, 0)]
+    while stack:
+        n, k = stack.pop()
+        if values[n][0, k] <= 0.0:
+            continue
+        i = int(nodes[n][k])
+        if take[n][0, k]:
+            witness.append((n, i))
+        else:
+            first, last = np.searchsorted(nodes[n + 1], (m * i, m * i + m))
+            stack.extend((n + 1, j) for j in range(first, last))
+    return float(value[0]), witness
+
+
 def antichain_score(mu, antichain, beta: float, lam: float) -> float:
     """sum over the antichain of (weight - lam m^{-n beta}), weights as the DP sees them."""
     weights = _node_weights(mu)
@@ -528,6 +555,25 @@ def lift_residuals(W: SubspaceW, lifted: Martingale) -> list[tuple[float, float]
     """Per level, the largest distance to W of a whole level of lifted blocks
     and max(1, its largest entry): what the lift check compares."""
     return [(float(W.residuals(d).max(initial=0.0)), max(1.0, float(np.max(np.abs(d))))) for d in lifted.diffs]
+
+
+def unfused_sharpness(W: SubspaceW, spec: FiltrationSpec, seed: int = 0) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """The dimension sharpness measure's leaf masses and the per-level
+    (residual, scale) of its lift check, as two sweeps: the measure from
+    ``multiplicative_measure``, then every block of G's levels, zero or not,
+    lifted and checked ``LIFT_ROWS`` at a time."""
+    witness = kappa_prime_one(W, seed=seed)
+    mm = multiplicative_measure(spec, witness.v)
+    a = witness.a if np.linalg.norm(witness.a) > 0 else np.eye(W.ell)[0]
+    checks = []
+    for level in Product(mm.spec.m, mm.v).levels(mm.spec.depth):
+        worst, scale = 0.0, 1.0
+        for rows in range(0, len(level), LIFT_ROWS):
+            lifted = level[rows : rows + LIFT_ROWS, :, 0][:, :, None] * a[None, None, :]
+            worst = max(worst, float(W.residuals(lifted).max(initial=0.0)))
+            scale = max(scale, float(np.max(np.abs(lifted))))
+        checks.append((worst, scale))
+    return mm.measure.leaf_mass, checks
 
 
 def sharpness_trace(G: Martingale, gamma: float, alpha: float, depths) -> tuple:

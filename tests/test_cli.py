@@ -511,6 +511,18 @@ class TestSubcommands:
         assert code == 0
         assert (out / "sharpness_measure.json").exists()
 
+    def test_dimension_sharpness_searches_kappa_prime_once(self, w_file, tmp_path, monkeypatch):
+        # the reported bound comes from the witness the build found
+        calls, search = [], cli.kappa.kappa_prime_one
+        counted = lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs)  # noqa: E731
+        monkeypatch.setattr(cli.kappa, "kappa_prime_one", counted)
+        monkeypatch.setattr(cli.dimension, "kappa_prime_one", counted)
+        config = {"kind": "dimension-sharpness", "filtration": {"depth": 6}, "w_file": w_file, "out": str(tmp_path)}
+        (tmp_path / "sharpness.json").write_text(json.dumps(config))
+        assert main(["run", str(tmp_path / "sharpness.json")]) == 0
+        assert len(calls) == 1
+        assert "\ndimension_bound,0\n" in (tmp_path / "sharpness.csv").read_text()
+
     def test_group_actions(self, tmp_path, capsys):
         G = FiniteAbelianGroup.cyclic(3)
         a = np.array([1.0 + 0j, 0.0])

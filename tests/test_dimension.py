@@ -17,10 +17,24 @@ from martree.dimension import (
     frostman_certify,
     multiplicative_measure,
 )
-from martree.filtration import FiltrationSpec, TreeMeasure
+from martree.filtration import FiltrationSpec, Product, TreeMeasure
 from martree.kappa import dimension_bound
 from martree.spacew import SubspaceW, delta_vector
 from oracles import _node_weights, _support, antichain_score, digit_frequency_test
+
+
+@pytest.fixture(autouse=True)
+def walks_match_the_stack_walk(monkeypatch):
+    """Every witness walk in this file, those of the VIOLATED certificates
+    included, lists the nodes of the per-node stack walk in its order."""
+    walk = dimension._antichain_max
+
+    def checked(support, beta, lam):
+        got = walk(support, beta, lam)
+        assert got == oracles.stack_walk(support, beta, lam)
+        return got
+
+    monkeypatch.setattr(dimension, "_antichain_max", checked)
 
 
 def enumerate_antichains(m, depth, level=0, index=0):
@@ -629,6 +643,15 @@ class TestCertificateMatchesOracle:
         assert cert.verdict == "VIOLATED" and cert.violating_antichain
         assert_same_certificate(cert, oracle_frostman_certify(mu, 0.9, 0.5))
 
+    def test_depth_twelve_span_witness_walk(self):
+        mm, _ = build_sharpness_measure(SubspaceW.from_blocks([np.array([[1.0], [-1.0], [0.0]])], 3, 1),
+                                        FiltrationSpec(3, 12, 1))
+        cert = frostman_certify(mm.measure, 0.63, 0.5)  # its walk is checked against the stack walk
+        assert cert.verdict == "VIOLATED" and len(cert.violating_antichain) == 220
+        support = dimension._support(mm.measure.leaf_mass, 3)
+        for lam in cert.lambda_grid[::7]:
+            assert dimension._antichain_max(support, 0.63, lam) == oracles.stack_walk(support, 0.63, lam)
+
     @pytest.mark.parametrize("m", [3, 4])
     def test_vector_measures(self, m):
         for seed in range(3):
@@ -704,6 +727,10 @@ class TestEggleston:
         with pytest.raises(ValueError):
             eggleston_dimension([1.5, -0.5, 0.0])
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="probability distribution"):
+            eggleston_dimension([np.nan, 0.5, 0.5])
+
 
 class TestSharpnessMeasure:
     def test_zero_subspace_uniform(self):
@@ -769,6 +796,46 @@ class TestSharpnessMeasure:
         monkeypatch.setattr(dimension, "kappa_prime_one", turned)
         with pytest.raises(ValueError, match="lifted blocks left W at level 0"):
             build_sharpness_measure(W, spec)
+
+    def test_nan_lift_fails_the_check(self, monkeypatch):
+        W = SubspaceW.from_blocks([np.outer(delta_vector(3, 1), [0.6, 0.8])], 3, 2)
+        level = np.zeros((5, 3, 1))
+        level[1, :, 0] = delta_vector(3, 1)
+        level[3, 0, 0] = np.nan
+        worst, _ = dimension._lift_residual(W, level, np.array([0.6, 0.8]))
+        assert np.isnan(worst)
+        monkeypatch.setattr(dimension, "_lift_residual", lambda W, level, a: (np.nan, 1.0))
+        with pytest.raises(ValueError, match="lifted blocks left W at level 0"):
+            build_sharpness_measure(W, FiltrationSpec(3, 3, 2))
+
+    def test_nan_branch_weight_is_refused(self):
+        with pytest.raises(ValueError):
+            multiplicative_measure(FiltrationSpec(3, 3, 1), np.array([np.nan, 0.0, 0.0]))
+
+    def test_one_sweep_forms_each_level_once(self, monkeypatch):
+        formed = []
+        level = Product._level
+        monkeypatch.setattr(Product, "_level", lambda self, *args: formed.append(args[1]) or level(self, *args))
+        W = SubspaceW.from_blocks([np.array([[1.0], [-1.0], [0.0]])], 3, 1)
+        build_sharpness_measure(W, FiltrationSpec(3, 7, 1))
+        assert formed == list(range(1, 8))
+
+    @pytest.mark.parametrize("which", ["delta", "span", "span-first-zero", "random"])
+    def test_depth_twelve_build_matches_the_unfused_build(self, which, monkeypatch):
+        # the measure's leaves and each level's (residual, scale) of the one checked sweep,
+        # against the measure's sweep followed by a check of every lifted block; with the span
+        # turned so that v_0 = 0, the blocks that are not all zero start with a zero
+        W = {"delta": SubspaceW.from_blocks([delta_vector(3)[:, None]], 3, 1),
+             "span": SubspaceW.from_blocks([np.array([[1.0], [-1.0], [0.0]])], 3, 1),
+             "span-first-zero": SubspaceW.from_blocks([np.array([[0.0], [1.0], [-1.0]])], 3, 1),
+             "random": SubspaceW.random(3, 2, 3, seed=2)}[which]
+        spec = FiltrationSpec(3, 12, W.ell)
+        checks, check = [], dimension._lift_residual
+        monkeypatch.setattr(dimension, "_lift_residual", lambda *args: checks.append(check(*args)) or checks[-1])
+        mm, _ = build_sharpness_measure(W, spec)
+        leaves, expected = oracles.unfused_sharpness(W, spec)
+        assert mm.measure.leaf_mass.tobytes() == leaves.tobytes()
+        assert np.array(checks).tobytes() == np.array(expected).tobytes()
 
 
 class TestDigitFrequencies:

@@ -457,8 +457,9 @@ def test_repeated_slices_write_json_bytes(size, monkeypatch, tmp_path):
     infinities = np.array([INF] * (3 * size + 1) + [-INF] * (2 * size + 2) + [0.5] * size)
     rows = np.full((3 * size + 2, 2), 0.25)  # equal slices crossing row ends of a vector measure
     rows[-1] = [0.5, -0.0]
+    planes = np.full((size + 2, 3, 2), -0.0)  # equal slices crossing the row and plane ends of a basis
     for document in ({"leaf_mass": zeros}, {"nodes": np.arange(3 * size + 1), "values": infinities},
-                     {"leaf_mass": rows}, {"nodes": np.full(2 * size + 1, 7, dtype=np.int64)}):
+                     {"leaf_mass": rows}, {"nodes": np.full(2 * size + 1, 7, dtype=np.int64)}, {"basis": planes}):
         fileio._dump(path, document)
         assert path.read_bytes() == (json.dumps(listed(document), indent=1) + "\n").encode()
 

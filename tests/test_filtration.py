@@ -315,3 +315,8 @@ class TestMultiplicative:
             Product(3, np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError, match="v_j >= -1"):
             Product(3, np.array([3.0, -1.5, -1.5]))
+
+    @pytest.mark.parametrize("v", [[np.nan, 0.0, 0.0], [0.5, np.nan, -0.5]])
+    def test_rejects_nan(self, v):
+        with pytest.raises(ValueError, match="zero coordinate sum"):
+            Product(3, v)

@@ -249,6 +249,20 @@ class TestSharpnessConstruction:
         assert report.exact_l1_nu.tobytes() == exact.tobytes()
         assert len(built) == 1 and report.partial_sums.tobytes() == partial_sums.tobytes()
 
+    def test_theta_loop_witnesses_are_reused(self, monkeypatch):
+        # kappa(0) and kappa(1/2) come from the theta grid's searches: 11 in all, the same bits as fresh ones
+        W, calls = delta_w(), []
+        real = trace.kappa_of
+        monkeypatch.setattr(trace, "kappa_of", lambda W, theta, **kw: calls.append((theta, real(W, theta, **kw)))
+                            or calls[-1][1])
+        monkeypatch.setattr(trace, "Product", lambda m, v: calls.append(("G", v)) or Product(m, v))
+        _, report = build_sharpness_trace_measure(W, gamma=0.4, spec=FiltrationSpec(3, 5, 1))
+        assert [theta for theta, _ in calls[:11]] == np.linspace(0.0, 1.0, 11).tolist() and len(calls) == 12
+        directions = trace.rank_one_directions(W, seed=0)
+        zero, half = (kappa_of(W, theta, directions=directions) for theta in (0.0, 0.5))
+        assert np.float64(report.kappa_zero).tobytes() == np.float64(zero.value).tobytes()
+        assert calls[-1][1].tobytes() == half.v.tobytes()
+
     def test_depth_ten_holds_three_leaf_arrays(self):
         # nu, the sweep's level and one more leaf-size array (the level read, its squares, or nu's last level
         # mass), plus G_9 or the sweep's previous level (a third of a leaf array each) and small temporaries
