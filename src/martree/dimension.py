@@ -22,7 +22,8 @@ measure, has a component that is not 0).  Every other node has value =
 mass = cost = +0.0 for every lambda >= 0, so a pass visits the kept nodes
 only (13 of 797,161 for the depth-12 delta sharpness measure).  A kept
 weight sums the node's own leaves as the dense level sum does, and a depth-d
-prefix takes the kept level-d masses, scattered into zeros, as its leaves:
+prefix takes the kept level-d masses, scattered into zeros, as its leaves
+(and the support's kept nodes and child layouts down to level d as its own):
 an unkept mass is +-0.0, which changes a kept sum at most in the sign of a
 zero vector component, dropped by the norm, so the bits stay the dense ones.
 A pass takes a slab of lambdas at once, as many as keep its widest array (a
@@ -31,11 +32,20 @@ entries: the whole grid on a sparse support, one lambda at a time on a dense
 depth-12 tree.  A lambda scan needs only the root's value and witness (mass,
 cost), so its passes hold one level at a time; only ``antichain_max`` keeps
 the per-level tables for its witness walk.  Every entry is bit for bit the
-dense one-lambda pass over all nodes (kept in tests/oracles.py): the kept
-children go into a zero slab, whose child sums add each parent's children in
-the dense order, left to right for m <= 7 and as numpy's
-``reshape(-1, m).sum(axis=1)`` for m >= 8.  The witness walk goes down the
-kept nodes a level at a time and lists the witness right to left.
+dense one-lambda pass over all nodes (kept in tests/oracles.py), whose child
+sums add each parent's m children left to right for m <= 7 and as numpy's
+``reshape(-1, m).sum(axis=1)`` for m >= 8.  Where every kept parent of a
+level keeps children at the same c offsets (c = m on a dense tree, 2 of 3
+under the depth-12 span sharpness measure), its kept children lie c to a
+parent and are added in place, left to right.  Otherwise, and for m >= 8
+unless c = m (numpy adds a row of 8 or more pairwise, so leaving its zeros
+out would change the order), they are first scattered into a zero slab, m
+to a parent.  Leaving the unkept children out moves no bit: each is +0.0,
+and no entry of a pass is -0.0 or NaN (kept scalar masses are > 0, vector
+weights are norms >= +0.0, a NaN measure is refused, values are clamped by
+``np.maximum(., 0.0)`` and zeros are written as +0.0), so x + (+0.0) = x at
+every step.  The witness walk goes down the kept nodes a level at a time and
+lists the witness right to left.
 
 A sharpness measure is built and its lift checked in one sweep: each level
 of the product martingale G is formed once, its lift g (x) a is checked
@@ -59,8 +69,8 @@ from .spacew import SubspaceW
 # sharpness experiments.
 SLOPE_FRACTION = 0.025
 
-# A DP pass holds (lambdas, kept nodes of a level) arrays and, where a kept
-# parent has a child left out, (lambdas, kept parents * m) scatter slabs.  The
+# A DP pass holds (lambdas, kept nodes of a level) arrays and, where a level's
+# kept children are scattered, (lambdas, kept parents * m) slabs.  The
 # lambda grid runs in slabs that keep each such array within this many
 # entries, one lambda at a time where one lambda's array alone is wider: a
 # sparse support takes the whole grid in one pass, a dense depth-12 tree one
@@ -116,32 +126,49 @@ class _Support:
 
     ``nodes[n]`` holds the kept indices of level n in order, ``masses[n]``
     their masses and ``weights[n]`` their weights (the masses' Euclidean
-    sizes for a vector measure).  ``slots[n]`` places the kept children of
-    level n + 1 in the slab of the kept parents of level n, m rows each; it
-    is None when every child of a kept parent is kept, as on a dense tree.
+    sizes for a vector measure).  ``layouts[n]`` says where the kept
+    children of level n + 1 sit under the kept parents of level n: an int c
+    where every kept parent keeps c children at the same offsets (c = m on a
+    dense tree), so that they lie c to a parent in order; otherwise, and for
+    m >= 8 unless c = m, the slots that place them in the slab of the kept
+    parents, m rows each.  Built from the nodes unless given.
     """
 
     m: int
     nodes: list[np.ndarray]
     masses: list[np.ndarray]
     weights: list[np.ndarray]
-    slots: list[np.ndarray | None] = field(init=False)
+    layouts: list[int | np.ndarray] | None = None
 
     def __post_init__(self):
-        m, self.slots = self.m, []
-        for parents, children in zip(self.nodes, self.nodes[1:]):
-            full = children.size == parents.size * m
-            self.slots.append(None if full else np.searchsorted(parents, children // m) * m + children % m)
+        if self.layouts is None:
+            self.layouts = [_layout(parents, children, self.m) for parents, children in zip(self.nodes, self.nodes[1:])]
 
     @property
     def width(self) -> int:
         """Entries per lambda of the widest array a pass builds: a kept level or a scatter slab."""
-        slabs = [idx.size * self.m for idx, slot in zip(self.nodes, self.slots) if slot is not None]
+        slabs = [idx.size * self.m for idx, layout in zip(self.nodes, self.layouts) if isinstance(layout, np.ndarray)]
         return max([idx.size for idx in self.nodes] + slabs)
 
 
-def _support(leaves: np.ndarray, m: int, nodes: list[np.ndarray] | None = None) -> _Support:
-    """The support of the measure with these leaf masses, on ``nodes`` where given.
+def _layout(parents: np.ndarray, children: np.ndarray, m: int) -> int | np.ndarray:
+    """The layout of the kept ``children`` under the kept ``parents``: c where
+    each parent keeps c children at the first parent's offsets (m where every
+    child is kept), else their slots in a slab of m rows a parent."""
+    if children.size == parents.size * m:
+        return m
+    c = children.size // max(parents.size, 1)
+    if 0 < c and m < 8 and children.size == parents.size * c:
+        rows = children.reshape(-1, c)
+        if (rows == parents[:, None] * m + rows[0] % m).all():
+            return c
+    return np.searchsorted(parents, children // m) * m + children % m
+
+
+def _support(leaves: np.ndarray, m: int, nodes: list[np.ndarray] | None = None,
+             layouts: list[int | np.ndarray] | None = None) -> _Support:
+    """The support of the measure with these leaf masses, on ``nodes`` and
+    their ``layouts`` where given.
 
     A node is kept iff some leaf below it is positive or NaN (for a vector
     measure, has a component that is not 0); the root is always kept.  A kept
@@ -157,29 +184,35 @@ def _support(leaves: np.ndarray, m: int, nodes: list[np.ndarray] | None = None) 
         nodes = [np.flatnonzero(mask) for mask in masks[::-1]]
     levels = [leaves.reshape(m**n, -1, *leaves.shape[1:]) for n in range(len(nodes))]
     masses = [(rows if idx.size == len(rows) else rows[idx]).sum(axis=1) for rows, idx in zip(levels, nodes)]
-    return _Support(m, nodes, masses, masses if leaves.ndim == 1 else [vector_norms(x) for x in masses])
+    weights = masses if leaves.ndim == 1 else [vector_norms(x) for x in masses]
+    return _Support(m, nodes, masses, weights, layouts)
 
 
-def _child_sum(a: np.ndarray, m: int, rows: int, slot: np.ndarray | None) -> np.ndarray:
+def _child_sum(a: np.ndarray, m: int, rows: int, layout: int | np.ndarray) -> np.ndarray:
     """Per lambda and kept parent, the sum of its m children, as the dense child sum.
 
-    ``a`` is (lambdas, kept children).  Unkept children are +0.0, so the kept
-    ones are scattered into a zero (lambdas, rows * m) slab in which each
-    parent's m children sit side by side, and the slab adds them in the
-    dense pass's order: left to right for m <= 7, and for m >= 8 as numpy's
+    ``a`` is (lambdas, kept children), laid out under the ``rows`` kept
+    parents as ``layout`` says.  The dense sum adds each parent's m children
+    left to right for m <= 7, and for m >= 8 as numpy's
     ``reshape(-1, m).sum(axis=1)``, which adds rows shorter than 8 in order
-    and longer rows in another order.
+    and longer rows in another order.  Unkept children are +0.0 and no entry
+    is -0.0, so leaving them out moves no bit of a left-to-right sum: c kept
+    children a parent are added in place, left to right (copied where c = 1).
+    Slots instead scatter the kept children into a zero (lambdas, rows * m)
+    slab in which each parent's m children sit side by side.
     """
     lams = a.shape[0]
-    if slot is not None:
+    if isinstance(layout, np.ndarray):
         slab = np.zeros((lams, rows * m))
-        slab[:, slot] = a
-        a = slab
-    a = a.reshape(lams, rows, m)
-    if m >= 8:
+        slab[:, layout] = a
+        a, layout = slab, m
+    a = a.reshape(lams, rows, layout)
+    if layout >= 8:
         return a.sum(axis=2)
+    if layout == 1:
+        return a[:, :, 0].copy()
     total = a[:, :, 0] + a[:, :, 1]
-    for j in range(2, m):
+    for j in range(2, layout):
         total += a[:, :, j]
     return total
 
@@ -209,17 +242,17 @@ def _dp_pass(support: _Support, beta: float, lam: np.ndarray, keep_tables: bool 
     values = [value] if keep_tables else None
     for n in range(depth - 1, -1, -1):
         w = support.weights[n]
-        rows, slot = w.size, support.slots[n]
+        rows, layout = w.size, support.layouts[n]
         score = w - lam * unit[n]
-        value = _child_sum(value, m, rows, slot)
+        value = _child_sum(value, m, rows, layout)
         take = score >= value
         np.copyto(value, score, where=take)
         np.maximum(value, 0.0, out=value)
         inactive = ~(value > 0.0)
-        mass = _child_sum(mass, m, rows, slot)
+        mass = _child_sum(mass, m, rows, layout)
         np.copyto(mass, w, where=take)
         np.copyto(mass, 0.0, where=inactive)
-        cost = _child_sum(cost, m, rows, slot)
+        cost = _child_sum(cost, m, rows, layout)
         np.copyto(cost, unit[n], where=take)
         np.copyto(cost, 0.0, where=inactive)
         if keep_tables:
@@ -247,8 +280,10 @@ def antichain_max(mu: TreeMeasure, beta: float, lam: float) -> tuple[float, list
     as (level, index) pairs.
     """
     _require_nonnegative(mu)
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise ValueError(f"lambda must be >= 0, got {lam}")
+    if np.isnan(beta):
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return _antichain_max(_support(mu.leaf_mass, mu.spec.m), beta, lam)
 
 
@@ -326,6 +361,9 @@ def frostman_certify(
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    n = lambda_grid_size
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:  # a bool passes for an int
+        raise ValueError(f"lambda_grid_size must be an integer >= 1, got {n!r}")
     _require_nonnegative(mu)
     spec = mu.spec
     m = spec.m
@@ -349,7 +387,7 @@ def frostman_certify(
         # the depth-d prefix: its leaves are the kept level-d masses in zeros
         leaves = np.zeros((m**d, *support.masses[d].shape[1:]))
         leaves[support.nodes[d]] = support.masses[d]
-        prefix = _support(leaves, m, support.nodes[: d + 1])
+        prefix = _support(leaves, m, support.nodes[: d + 1], support.layouts[:d])
         per_depth[d - 1] = _lambda_scan(prefix, beta, gamma, lambda_grid_size)[2]
 
     depths = np.arange(1, spec.depth + 1, dtype=float)

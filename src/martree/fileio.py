@@ -19,7 +19,10 @@ lists of numbers, are read ``SLICE`` entries at a time by json's own scanner
 into float64.  A slice that repeats one entry's text (the zero runs of a
 product measure's emptied subtrees) is parsed, or one float is formatted,
 once, and a written slice of one float is that text repeated by string
-repetition, not joined entry by entry.  Readers take numbers only: a bool, string, null or object
+repetition, not joined entry by entry.  A read slice that does not repeat
+one text, but whose first entry's text fills a quarter of it, is read in
+sixteen parts that each take that test, so that a run inside the slice is
+parsed once too.  Readers take numbers only: a bool, string, null or object
 where a number belongs is a ValueError naming the file and the field.
 """
 
@@ -243,7 +246,10 @@ def _flat_array(text: str, start: int, scan):
     slice of about ``SLICE`` entries parsed by ``scan`` as a list of its own; None
     where it holds a string, object, list or literal (``"{[tfn``, Infinity too).
     A slice whose text is its first entry's repeated, comma-joined, is parsed as
-    that one entry, whose value fills it: equal texts parse, or fail, alike."""
+    that one entry, whose value fills it: equal texts parse, or fail, alike.  A
+    slice that is not, but whose first entry's text fills at least a quarter of
+    it, is cut into sixteen parts that each take the same test, so that a run of
+    one entry inside the slice is parsed once too."""
     end = text.find("]", start)
     if not text.startswith("[", start) or end < 0 or any(text.find(c, start + 1, end) >= 0 for c in '"{[tfn'):
         return None
@@ -253,17 +259,32 @@ def _flat_array(text: str, start: int, scan):
     while at <= end:
         cut = text.find(",", at + width, end)
         cut = end if cut < 0 else cut
-        first = text.find(",", at, cut)
-        entry = text[at:cut if first < 0 else first]
-        repeats = (cut + 1 - at) // (len(entry) + 1)
-        if text[at:cut + 1] != (entry + ",") * repeats:  # not one entry text repeated
-            entry, repeats = text[at:cut], 1
-        values = scan("[" + entry + "]", 0)[0]
-        if size and not values:  # an empty entry, as in [1,,2]: json names it
-            raise json.JSONDecodeError("Expecting value", text, at)
-        array[filled:filled + len(values) * repeats] = values
-        filled, at = filled + len(values) * repeats, cut + 1
+        parts = [_repeated(text, at, cut)]
+        entry, repeats = parts[0][2:]
+        if not repeats and 4 * (len(entry) + 1) * text.count(entry + ",", at, cut) >= cut - at:
+            parts, lo, step = [], at, (cut - at) // 16  # a run may fill part of the slice
+            while lo <= cut:
+                hi = text.find(",", lo + step, cut)
+                parts.append(_repeated(text, lo, cut if hi < 0 else hi))
+                lo = parts[-1][1] + 1
+        for lo, hi, entry, repeats in parts:
+            values = scan("[" + (entry if repeats else text[lo:hi]) + "]", 0)[0]
+            if size and not values:  # an empty entry, as in [1,,2]: json names it
+                raise json.JSONDecodeError("Expecting value", text, lo)
+            repeats = max(repeats, 1)
+            array[filled:filled + len(values) * repeats] = values
+            filled += len(values) * repeats
+        at = cut + 1
     return array, end + 1
+
+
+def _repeated(text: str, at: int, cut: int) -> tuple[int, int, str, int]:
+    """(at, cut, the first entry's text of ``text[at:cut]``, and how many times
+    ``text[at:cut]`` is that text, comma-joined, or 0 where it is not)."""
+    first = text.find(",", at, cut)
+    entry = text[at:cut if first < 0 else first]
+    repeats = (cut + 1 - at) // (len(entry) + 1)
+    return at, cut, entry, repeats if text[at:cut + 1] == (entry + ",") * repeats else 0
 
 
 def _refuse(path, field: str, values, finite: bool) -> None:

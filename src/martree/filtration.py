@@ -348,6 +348,8 @@ class Product:
 
     def __init__(self, m: int, v):
         v = np.asarray(v, dtype=float).reshape(m)
+        if np.isinf(v).any():  # before the sum, where inf - inf would warn
+            raise ValueError("v must be finite")
         if not abs(v.sum()) <= 1e-9 * max(1.0, float(np.max(np.abs(v)))):
             raise ValueError("v must have zero coordinate sum")
         if not np.all(v >= -1 - 1e-12):

@@ -1,6 +1,7 @@
 """Antichain DP, Frostman certificates, Eggleston formula, sharpness measures."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,17 @@ class TestAntichainMax:
         with pytest.raises(ValueError):
             antichain_max(random_measure(2, 0), 0.5, -1.0)
 
+    def test_rejects_nan_lambda(self):
+        with pytest.raises(ValueError, match="lambda must be >= 0, got nan"):
+            antichain_max(random_measure(3, seed=0), 0.5, np.nan)
+
+    def test_rejects_nan_beta(self):
+        mu = random_measure(3, seed=0)
+        with pytest.raises(ValueError, match=re.escape("beta must lie in [0, 1], got nan")):
+            antichain_max(mu, np.nan, 1.0)
+        for beta in (-0.5, 1.5):  # any other beta still runs
+            assert antichain_max(mu, beta, 0.1) == oracle_antichain_max(mu, beta, 0.1)
+
     def test_matches_full_enumeration_depth_two(self):
         for seed in range(30):
             mu = random_measure(2, seed=seed)
@@ -317,6 +329,19 @@ class TestFrostmanCertify:
         with pytest.raises(ValueError):
             frostman_certify(mu, beta=0.5, gamma=0.0)
 
+    @pytest.mark.parametrize("size", [0, -3, 2.5, 64.0, True, False, "64", None])
+    def test_rejects_a_grid_size_that_is_no_positive_int(self, size):
+        with pytest.raises(ValueError, match=re.escape(f"lambda_grid_size must be an integer >= 1, got {size!r}")):
+            frostman_certify(random_measure(3, seed=0), 0.5, 0.5, lambda_grid_size=size)
+
+    @pytest.mark.parametrize("size", [1, 2, np.int64(3)])
+    def test_small_grid_sizes(self, size):
+        mu = random_measure(4, seed=3)
+        cert = frostman_certify(mu, 0.5, 0.5, lambda_grid_size=size)
+        assert_same_certificate_bytes(cert, oracle_frostman_certify(mu, 0.5, 0.5, lambda_grid_size=int(size)))
+        if size == 1:  # the one lambda is both edges
+            assert cert.details["best_lambda_at_grid_edge"] is True
+
 
 def skewed_measure(m, depth, seed, ell=1, zeros=0.0):
     """Random cascade: i.i.d. Dirichlet branch weights, some exact zero leaves."""
@@ -384,8 +409,18 @@ class TestRootOnlyDP:
             # every child kept, and only the nonzero ones scattered into the slab
             kept = np.flatnonzero(a[0])
             for lams in (1, 3):
-                assert same_bytes(_child_sum(a[:lams], m, rows, None), expected[:lams])
+                assert same_bytes(_child_sum(a[:lams], m, rows, m), expected[:lams])
                 assert same_bytes(_child_sum(a[:lams, kept], m, rows, kept), expected[:lams])
+            for c in range(1, m) if m <= 7 else ():  # c children at the same offsets under every parent
+                offsets = np.sort(rng.choice(m, c, replace=False))
+                left_out = np.ones(m, dtype=bool)
+                left_out[offsets] = False
+                b = a.copy()
+                b.reshape(3, rows, m)[:, :, left_out] = 0.0
+                expected = np.stack([row.reshape(-1, m).sum(axis=1) for row in b])
+                kept = (np.arange(rows)[:, None] * m + offsets).ravel()
+                for lams in (1, 3):
+                    assert same_bytes(_child_sum(b[:lams, kept], m, rows, c), expected[:lams])
 
     @pytest.mark.parametrize("m, depth", [(3, 5), (4, 4), (5, 3), (7, 3), (8, 2), (9, 3)])
     def test_pass_matches_tabled_oracle(self, m, depth):
@@ -525,9 +560,9 @@ class TestSupportEngine:
         width = _support(_node_weights(mu), 4).width
         sizes = []  # entries of each child-sum input and scatter slab
 
-        def recording_child_sum(a, m, rows, slot):
-            sizes.extend((a.size, a.shape[0] * rows * m if slot is not None else 0))
-            return child_sum(a, m, rows, slot)
+        def recording_child_sum(a, m, rows, layout):
+            sizes.extend((a.size, a.shape[0] * rows * m if isinstance(layout, np.ndarray) else 0))
+            return child_sum(a, m, rows, layout)
 
         child_sum = dimension._child_sum
         monkeypatch.setattr(dimension, "_child_sum", recording_child_sum)
@@ -536,6 +571,110 @@ class TestSupportEngine:
             sizes.clear()
             assert_same_certificate_bytes(frostman_certify(mu, 0.8, 0.5), expected)
             assert 0 < max(sizes) <= max(elements, width)
+
+
+def product_leaves(weights, depth):
+    """Leaf masses of the product measure with these branch weights, signed zeros as they multiply."""
+    mass = np.ones(1)
+    for _ in range(depth):
+        mass = (mass[:, None] * np.asarray(weights, dtype=float)).ravel()
+    return mass
+
+
+def layouts(mu):
+    """The support's child layout per level: c for a uniform level, "scatter" otherwise."""
+    support = dimension._support(np.asarray(mu.leaf_mass), mu.spec.m)
+    return [layout if isinstance(layout, int) else "scatter" for layout in support.layouts]
+
+
+class TestChildLayouts:
+    """Uniform levels, whose kept children are summed in place, and scattered
+    levels, each against the dense oracle, bit for bit."""
+
+    check_measure = TestSupportEngine.check_measure
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_product_measures_with_zero_weights(self, m):
+        depth = {3: 7, 4: 5, 5: 4, 6: 3, 7: 3}[m]
+        rng = np.random.default_rng(m)
+        verdicts = set()
+        for c in range(1, m):
+            for zeros in (np.arange(m - c), np.arange(c, m)):  # with c = 1, a zero at every position
+                weights = rng.random(m)
+                weights[zeros] = 0.0
+                mu = TreeMeasure(FiltrationSpec(m, depth, 1), product_leaves(weights / weights.sum(), depth))
+                assert layouts(mu) == [c] * depth
+                self.check_measure(mu, (0.3, 0.9))
+                verdicts |= {frostman_certify(mu, beta, 0.5).verdict for beta in (0.3, 0.9)}
+        assert verdicts == {"CERTIFIED", "VIOLATED"}
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_uniform_at_some_levels_only(self, m):
+        depth = {3: 6, 4: 4, 5: 4}[m]
+        weights = np.random.default_rng(m).random(m)
+        weights[1] = 0.0
+        mass = product_leaves(weights / weights.sum(), depth)
+        mass[m ** (depth - 2) * 2 : m ** (depth - 2) * 3] = 0.0  # one level-2 node, kept, emptied
+        mass[np.flatnonzero(mass)[-1]] = 0.0  # one kept leaf
+        mu = TreeMeasure(FiltrationSpec(m, depth, 1), mass)
+        assert layouts(mu) == [m - 1, "scatter"] + [m - 1] * (depth - 3) + ["scatter"]
+        self.check_measure(mu, (0.2, 0.6, 0.95))
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_eight_or_more_children_keep_the_scatter(self, m):
+        weights = np.random.default_rng(m).random(m)
+        weights[m // 2] = 0.0
+        mu = TreeMeasure(FiltrationSpec(m, 3, 1), product_leaves(weights / weights.sum(), 3))
+        assert layouts(mu) == ["scatter"] * 3
+        self.check_measure(mu, (0.3, 0.9))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_vector_measures(self, m):
+        rng = np.random.default_rng(m)
+        weights = rng.random(m)
+        weights[0] = 0.0
+        product = TreeMeasure(FiltrationSpec(m, 4, 2), product_leaves(weights, 4)[:, None] * np.array([0.6, -0.8]))
+        mass = rng.standard_normal((m**2, m, 2))
+        mass[:, 1] = 0.0
+        mass[:, -1] = -mass[:, :-1].sum(axis=1)  # every level-2 node sums to the zero vector
+        cancelling = TreeMeasure(FiltrationSpec(m, 3, 2), mass.reshape(-1, 2))
+        dense = cancelling_vector_measure(m, 3, seed=m)
+        assert [layouts(mu) for mu in (product, cancelling, dense)] == [[m - 1] * 4, [m, m, m - 1], [m] * 3]
+        for mu in (product, cancelling, dense):
+            self.check_measure(mu, (0.2, 0.6, 1.0))
+
+    def test_negative_zero_and_infinite_leaves(self):
+        mass = product_leaves([0.5, -0.0, 0.25, 0.25], 4)  # zero leaves of both signs
+        assert np.signbit(mass[mass == 0.0]).any() and not np.signbit(mass[mass == 0.0]).all()
+        mu = TreeMeasure(FiltrationSpec(4, 4, 1), mass)
+        assert layouts(mu) == [3] * 4
+        self.check_measure(mu, (0.3, 0.9))
+        mass = mass.copy()
+        mass[np.flatnonzero(mass)[5]] = np.inf  # a kept leaf: still uniform
+        self.check_measure(TreeMeasure(FiltrationSpec(4, 4, 1), mass), (0.3, 0.9))
+        mass[1] = np.inf  # a left-out leaf: its parent keeps all four children
+        assert layouts(TreeMeasure(FiltrationSpec(4, 4, 1), mass)) == [3] * 3 + ["scatter"]
+        self.check_measure(TreeMeasure(FiltrationSpec(4, 4, 1), mass), (0.3, 0.9))
+
+    def test_depth_twelve_span_certificate_scatters_nothing(self, monkeypatch):
+        mu, betas = TestSupportEngine.sharpness_measure("span", 12)
+        support = dimension._support(mu.leaf_mass, 3)
+        assert support.layouts == [2] * 12 and support.width == 4096
+        calls = []  # (lambdas, entries, kept parents, layout) of each child sum
+
+        def recording_child_sum(a, m, rows, layout):
+            calls.append((a.shape[0], a.size, rows, layout))
+            return child_sum(a, m, rows, layout)
+
+        child_sum = dimension._child_sum
+        monkeypatch.setattr(dimension, "_child_sum", recording_child_sum)
+        for beta in betas:
+            calls.clear()
+            frostman_certify(mu, beta, 0.5)
+            assert all(layout == 2 for *_, layout in calls)
+            # the deepest child sums of the full-depth scan: 4 slabs of 16 lambdas, 3 sums each
+            assert [lams for lams, _, rows, _ in calls if rows == 2048 and lams > 1] == [16] * 12
+            assert max(size for _, size, _, _ in calls) <= dimension.SLAB_ELEMENTS
 
 
 class TestSupportFromLeaves:

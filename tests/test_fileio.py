@@ -674,6 +674,30 @@ def test_repeated_slices_read_as_json(size, monkeypatch, tmp_path):
         assert doc["values"].view(np.uint64).tolist() == as_json(path, "values").view(np.uint64).tolist()
 
 
+def inner_run_entries(size):
+    """Runs of one entry text inside slices that do not repeat it throughout:
+    runs of each length up to a few slices between distinct entries, a run
+    at the list's start and at its end, and runs of -0.0 beside runs of 0.0."""
+    distinct = iter(repr(1 / k) for k in range(3, 10_000))
+    lengths = sorted({1, 2, 3, 5, 15, 16, 17, 40, max(size - 1, 1), size, size + 1, 3 * size + 2})
+    entries = ["0.0"] * (size + 3)
+    for n in lengths:
+        entries += [next(distinct)] + ["0.0"] * n + [next(distinct), next(distinct)] + ["1E5"] * n
+        entries += ["-0.0"] * n + ["0.0"] * n + ["0"] * n + [next(distinct)]
+    return entries + ["0.0"] * (size + 3)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, fileio.SLICE])
+def test_runs_inside_slices_read_as_json(size, monkeypatch, tmp_path):
+    monkeypatch.setattr(fileio, "SLICE", size)
+    path = tmp_path / "doc.json"
+    for text in array_texts(inner_run_entries(size)):
+        path.write_text('{"kind": "martingale", "values": ' + text + "}")
+        doc = fileio._load(path, "martingale", (), flat="values")
+        assert isinstance(doc["values"], np.ndarray)
+        assert doc["values"].view(np.uint64).tolist() == as_json(path, "values").view(np.uint64).tolist()
+
+
 def counted_reads(v, path):
     """(the entry count of each slice ``_flat_array`` scans, the array it reads,
     the masses written to ``path``) for the depth-10 product measure of ``v``."""
@@ -702,6 +726,14 @@ def test_delta_measure_parses_few_entries(tmp_path):
     counts, array, masses = counted_reads([2.0, -1.0, -1.0], tmp_path / "mu.json")  # one leaf holds all the mass
     assert array.tobytes() == masses.tobytes() and np.count_nonzero(masses) == 1
     assert sum(counts) < masses.size / 10
+
+
+def test_runs_inside_the_span_measure_parse_once(tmp_path):
+    # the span sharpness measure: 1,024 positive masses among runs of 0.0, few of
+    # which fill a slice; scanning each slice that is not one run whole reads 31,229 entries
+    counts, array, masses = counted_reads([1.0, -1.0, 0.0], tmp_path / "mu.json")
+    assert array.tobytes() == masses.tobytes() and np.count_nonzero(masses) == 1024
+    assert sum(counts) <= 31_229 // 2
 
 
 BEYOND_FLOATS = "1" + "0" * 400  # an integer beyond the float range
@@ -751,6 +783,8 @@ def test_empty_vector_and_repeated_fields_read_as_json(tmp_path):
     "[1, 2], 3", "[0.5, 0.25,, 0.25]", "[0.5, 0.25, 0.25, ]", "[0.5 , , 0.25, 0.25]",
     "[01, 01, 01]", "[1., 1., 1.]", "[,,,]", "[1,,,,2]", "[-, -, -]",  # a fault repeated through a slice
     "[01,01,01]", "[1.,1.,1.]", "[-,-,-]",
+    "[0.0,,0.0]", "[" + "0.0, " * 40 + ", 0.0" * 40 + ", 0.5]",  # an empty entry inside a run
+    "[0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,, 0.0]", "[0.0,0.0,0.0,0.0,01,0.0]",
 ])
 @pytest.mark.parametrize("size", [1, 2, fileio.SLICE])
 def test_malformed_arrays_fail_as_json_fails(text, size, monkeypatch, tmp_path):

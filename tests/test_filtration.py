@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -320,3 +321,10 @@ class TestMultiplicative:
     def test_rejects_nan(self, v):
         with pytest.raises(ValueError, match="zero coordinate sum"):
             Product(3, v)
+
+    @pytest.mark.parametrize("v", [[np.inf, -np.inf, 0.0], [0.0, -np.inf, np.inf]])
+    def test_rejects_infinite_v_before_its_sum(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # inf - inf would warn before the ValueError
+            with pytest.raises(ValueError, match="v must be finite"):
+                Product(3, v)
