@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, decomp, dimension, fileio, groupfourier, kappa, norms, riesz, trace
-from .filtration import FiltrationSpec
+from .filtration import MAX_LEAVES, FiltrationSpec
 from .spacew import SubspaceW, check_first_condition, check_second_condition, delta_vector
 
 EXIT_OK = 0
@@ -509,6 +509,9 @@ def _resolve(doc) -> tuple[Experiment, SimpleNamespace]:
             )
         if lo > hi:
             raise ConfigError(f"config rejected: params.depths [{lo}, {hi}] runs backwards")
+        if hi - lo >= MAX_LEAVES.bit_length():  # 2^(hi - lo) > MAX_LEAVES: more levels than any tree has
+            raise ConfigError(f"config rejected: params.depths [{lo}, {hi}] spans more levels than a tree "
+                              f"of at most {MAX_LEAVES} leaves has")
         values["depths"] = list(range(lo, hi + 1))
     namespace = {key.removesuffix("_file"): value for key, value in values.items()}
     return EXPERIMENTS[kind], SimpleNamespace(**namespace)

@@ -10,10 +10,9 @@ a temporary sibling that replaces the file once complete.  Arrays go
 ``SLICE`` entries at a time, each slice formatted in one ``_texts`` pass, so
 a writer never holds the file's text.  Before any byte, a writer refuses
 what its reader refuses (a non-finite mass, basis or fiber entry; a NaN in
-a martingale).  A martingale is written in the columnar layout: ``nodes``,
-the level-order id of each block that is not all zero, and ``values``,
-those blocks' floats in one flat list.  Its reader also takes the older
-layout of one ``blocks`` entry per kept block.
+a martingale), by the one rule ``_refuse`` that the readers apply too.  A
+martingale has one layout: ``nodes``, the level-order id of each block
+that is not all zero, and ``values``, those blocks' floats in one flat list.
 A scalar measure's ``leaf_mass`` and a martingale's ``values``, when flat
 lists of numbers, are read ``SLICE`` entries at a time by json's own scanner
 into float64.  A slice that repeats one entry's text (the zero runs of a
@@ -136,15 +135,6 @@ def _texts(values: np.ndarray) -> list[str] | str:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _require(obj, fields, path, what):
-    """ValueError naming the file and the first field ``obj`` lacks."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected {what} as a JSON object, got {type(obj).__name__}")
-    for name in fields:
-        if name not in obj:
-            raise ValueError(f"{path}: {what} lacks the field {name!r}")
-
-
 @contextmanager
 def _named(path):
     """Re-raise a ValueError or TypeError raised while building an object from
@@ -198,7 +188,7 @@ def _non_number(value):
 
 
 # the JSON type of each header field that sizes a file's arrays and of each collection field
-_FIELD_TYPES = dict(m=int, depth=int, ell=int, k=int, blocks=list, nodes=list, values=list, fibers=dict)
+_FIELD_TYPES = dict(m=int, depth=int, ell=int, k=int, nodes=list, values=list, fibers=dict)
 _TYPE_NAMES = {int: "an integer", list: "a list", dict: "an object"}
 
 
@@ -206,8 +196,9 @@ def _fields(doc, fields, path, kind):
     """ValueError naming the file and the first of ``fields`` that ``doc``
     lacks or holds with the wrong JSON type, which would fail later as a
     TypeError or AttributeError (a bool passes for an int)."""
-    _require(doc, fields, path, f"the {kind} file")
     for name in fields:
+        if name not in doc:
+            raise ValueError(f"{path}: the {kind} file lacks the field {name!r}")
         want, got = _FIELD_TYPES.get(name), type(doc[name])
         if want is not None and got is not want and not (want is list and got is np.ndarray):  # a streamed list
             raise ValueError(f"{path}: the {kind} file's {name!r} is {doc[name]!r}, not {_TYPE_NAMES[want]}")
@@ -231,7 +222,8 @@ def _load(path, expected_kind, fields, flat=None):
             doc = doc if _SPACE(text, end).end() == len(text) else None
     if doc is None:  # not one well-formed object: json says what is wrong, as it always did
         doc = json.loads(text, parse_constant=constant)
-    _require(doc, (), path, f"a {expected_kind} file")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a {expected_kind} file as a JSON object, got {type(doc).__name__}")
     if doc.get("kind") != expected_kind:
         raise ValueError(f"{path}: expected kind {expected_kind!r}, got {doc.get('kind')!r}")
     _fields(doc, fields, path, expected_kind)
@@ -289,8 +281,8 @@ def _repeated(text: str, at: int, cut: int) -> tuple[int, int, str, int]:
 
 def _refuse(path, field: str, values, finite: bool) -> None:
     """ValueError naming the file and ``field`` when ``values`` holds what the
-    field's reader refuses, before any byte is written: a NaN, or with
-    ``finite`` any non-finite value."""
+    field's reader refuses: a NaN, or with ``finite`` any non-finite value.
+    A writer calls it before any byte, a reader on the numbers it read."""
     if not (np.isfinite(values) if finite else ~np.isnan(values)).all():
         raise ValueError(f"{path}: {field} holds {'a non-finite value' if finite else 'a NaN'}")
 
@@ -306,8 +298,7 @@ def read_measure(path) -> TreeMeasure:
     with _named(path):
         spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
     leaf_mass = _numbers(doc["leaf_mass"], path, "leaf_mass", 2)
-    if not np.isfinite(leaf_mass).all():  # an infinite mass would pass for a certified measure
-        raise ValueError(f"{path}: leaf_mass holds a non-finite value")
+    _refuse(path, "leaf_mass", leaf_mass, finite=True)  # an infinite mass would pass for a certified measure
     with _named(path):
         return TreeMeasure(spec, leaf_mass)
 
@@ -326,25 +317,6 @@ def write_martingale(path, F: Martingale) -> None:
                  "nodes": nodes, "values": values})
 
 
-def _block_columns(blocks, path, m, depth, starts):
-    """The ascending node ids and their values of the older layout's
-    ``blocks``, one entry per kept block; each entry's level and atom are
-    checked here, so that an error names the entry."""
-    values = {}
-    for row in blocks:
-        _require(row, ("level", "atom", "values"), path, "a blocks entry")
-        level, atom = row["level"], row["atom"]
-        # a bool passes for an int and a negative index picks another atom
-        if not (type(level) is int and type(atom) is int and 0 <= level < depth and 0 <= atom < m**level):
-            raise ValueError(f"{path}: blocks entry (level {level!r}, atom {atom!r}) names no atom; "
-                             f"want ints 0 <= level < {depth} and 0 <= atom < {m}^level")
-        if starts[level] + atom in values:
-            raise ValueError(f"{path}: blocks entry (level {level}, atom {atom}) repeats an earlier entry")
-        values[starts[level] + atom] = row["values"]
-    nodes = sorted(values)
-    return nodes, [values[node] for node in nodes]
-
-
 def _node_ids(nodes: list, path, size: int) -> np.ndarray:
     """The int64 array of ``nodes``, a list of ascending ids in [0, size)."""
     if set(map(type, nodes)) - {int}:  # a bool would pass for an int, a float would truncate
@@ -360,35 +332,17 @@ def _node_ids(nodes: list, path, size: int) -> np.ndarray:
 
 
 def read_martingale(path) -> Martingale:
-    """Read either layout: the columnar ``nodes`` and ``values``, or the
-    older ``blocks``, whose errors name the entry at fault."""
-    doc = _load(path, "martingale", ("m", "depth", "ell", "f0"), flat="values")
+    doc = _load(path, "martingale", ("m", "depth", "ell", "f0", "nodes", "values"), flat="values")
     with _named(path):
         spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
     m, depth, ell = spec.m, spec.depth, spec.ell
     starts = [(m**n - 1) // (m - 1) for n in range(depth + 1)]  # the first node of each level
-    if "blocks" in doc:
-        if "nodes" in doc or "values" in doc:
-            raise ValueError(f"{path}: the martingale file holds both 'blocks' and 'nodes' or 'values'; "
-                             "want one layout")
-        _fields(doc, ("blocks",), path, "martingale")
-        nodes, values = _block_columns(doc["blocks"], path, m, depth, starts)
-        shape, wrong = (len(nodes), m, ell), f"the values of a blocks entry are not {m} x {ell} numbers"
-    else:
-        _fields(doc, ("nodes", "values"), path, "martingale")
-        nodes, values = doc["nodes"], doc["values"]
-        shape, wrong = (len(nodes) * m * ell,), None
-    ids = _node_ids(nodes, path, starts[-1])
-    try:
-        array = _numbers(values, path, "values", len(shape))
-    except ValueError:
-        if wrong is None:
-            raise
-        array = None
-    if array is None or array.shape != shape and (array.size or ids.size):  # blocks [] has shape (0,)
-        raise ValueError(f"{path}: {wrong or f'values holds {array.size} numbers, not {ids.size} x {m} x {ell}'}")
+    ids = _node_ids(doc["nodes"], path, starts[-1])
+    values = _numbers(doc["values"], path, "values", 1)
+    if values.size != ids.size * m * ell:
+        raise ValueError(f"{path}: values holds {values.size} numbers, not {ids.size} x {m} x {ell}")
     flat = np.zeros((starts[-1], m, ell))
-    flat[ids] = array.reshape(-1, m, ell)
+    flat[ids] = values.reshape(-1, m, ell)
     diffs = [flat[a:b] for a, b in zip(starts, starts[1:])]
     f0 = _numbers(doc["f0"], path, "f0", 1)
     with _named(path):
@@ -409,11 +363,9 @@ def read_subspace(path) -> SubspaceW:
         basis = None
     if basis is None or min(shape) < 0 or basis.size != np.prod(shape):
         raise ValueError(f"{path}: the basis is not k x m x ell = {' x '.join(map(str, shape))} numbers")
-    basis = basis.reshape(shape)
-    if not np.isfinite(basis).all():  # as read_measure does, name the file
-        raise ValueError(f"{path}: basis holds a non-finite value")
-    with _named(path):
-        return SubspaceW(doc["m"], doc["ell"], basis)
+    _refuse(path, "basis", basis, finite=True)
+    with _named(path):  # numpy's reshape to a huge m or ell names no file
+        return SubspaceW(doc["m"], doc["ell"], basis.reshape(shape))
 
 
 def write_fibers(path, fibers: FiberFamily) -> None:
@@ -426,7 +378,7 @@ def write_fibers(path, fibers: FiberFamily) -> None:
 
 def read_fibers(path) -> FiberFamily:
     doc = _load(path, "fiber-family", ("factors", "ell", "fibers"))
-    if doc["ell"] < 1:  # np.zeros would name no file
+    if doc["ell"] < 1:  # FiberFamily would take ell 0
         raise ValueError(f"{path}: the fiber-family file's 'ell' is {doc['ell']}, want at least 1")
     factors = doc["factors"]
     if not (type(factors) is list and all(type(d) is int for d in factors)):
@@ -440,13 +392,10 @@ def read_fibers(path) -> FiberFamily:
             raise ValueError(f"{path}: fiber key {key!r} names no character of the group; "
                              f"want an integer in [1, {group.order}) in decimal")
         arr = _numbers(rows, path, f"fiber {key}", 3)
-        if not np.isfinite(arr).all():  # as read_measure does, name the file
-            raise ValueError(f"{path}: fiber {key} holds a non-finite value")
-        if arr.size == 0:
-            fibers[int(key)] = np.zeros((0, doc["ell"]), dtype=complex)
-        elif arr.shape[-1:] != (2,):  # arr[..., 1] would be an IndexError, which names no file
+        _refuse(path, f"fiber {key}", arr, finite=True)
+        if arr.size and arr.shape[-1:] != (2,):  # arr[..., 1] would be an IndexError, which names no file
             raise ValueError(f"{path}: fiber {key} holds entries that are not [re, im] pairs")
-        else:
-            fibers[int(key)] = arr[..., 0] + 1j * arr[..., 1]
+        with _named(path):  # np.zeros of a huge ell names no file
+            fibers[int(key)] = arr[..., 0] + 1j * arr[..., 1] if arr.size else np.zeros((0, doc["ell"]), complex)
     with _named(path):
         return FiberFamily(group=group, ell=doc["ell"], fibers=fibers)

@@ -53,7 +53,8 @@ class FiltrationSpec:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.ell < 1:
             raise ValueError(f"value dimension must be >= 1, got {self.ell}")
-        if self.m**self.depth > MAX_LEAVES:
+        # m^depth >= 2^depth: past the cap's bit length no power need be computed
+        if self.depth >= MAX_LEAVES.bit_length() or self.m**self.depth > MAX_LEAVES:
             raise ValueError(
                 f"m^depth = {self.m}^{self.depth} exceeds the cap of {MAX_LEAVES} leaves"
             )

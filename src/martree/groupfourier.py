@@ -17,6 +17,7 @@ from itertools import product
 
 import numpy as np
 
+from .filtration import MAX_LEAVES
 from .spacew import SubspaceW
 
 INTERSECT_TOL = 1e-9
@@ -31,6 +32,9 @@ class FiniteAbelianGroup:
     def __post_init__(self):
         if not self.factors or any(d < 2 for d in self.factors):
             raise ValueError("factors must be integers >= 2")
+        if self.order > MAX_LEAVES:  # the group labels one node's m children; no tree has more leaves
+            raise ValueError(f"factors {list(self.factors)} make a group of order {self.order}, "
+                             f"beyond the cap of {MAX_LEAVES} leaves")
 
     @classmethod
     def cyclic(cls, m: int) -> "FiniteAbelianGroup":

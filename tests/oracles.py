@@ -24,9 +24,9 @@ magnitudes, and ``level_data`` every part it keeps, computed from that sweep
 with nothing kept.  ``tree_leaf_values``
 is F_T on every leaf, the full-array form of ``decomp.tree_leaf_values``,
 and ``rle`` the atom-by-atom run-length code of a label mask that
-``cli._rle`` reproduces.  ``write_martingale`` is the block-by-block writer
-of the older layout, one dict per block walked by the recursive ``encode``;
-the columnar file of ``fileio.write_martingale`` must hold the same bits.
+``cli._rle`` reproduces.  ``martingale_document`` is the columnar document
+of a martingale built block by block; ``fileio.write_martingale`` must
+write the bytes of its ``json.dumps(indent=1)``.
 ``multiplicative_martingale`` is the product martingale G with every level
 kept, each formed from the previous G_n as ``filtration.Product`` forms it,
 ``delta_martingale`` the delta construction as the sum G + (-1) of two
@@ -51,10 +51,8 @@ measure, the unitary DFT pair on a finite abelian group, and the
 shift-invariance residual of a subspace built from fibers.
 """
 
-import json
 import tracemalloc
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import optimize
@@ -477,34 +475,18 @@ def rle(mask: np.ndarray) -> list:
     return runs
 
 
-def encode(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=1)`` of a value nested at ``indent``: dicts and
-    lists laid out one value at a time, a flat list of finite floats as one
-    join of ``float.__repr__``."""
-    inner = indent + " "
-    if isinstance(obj, list) and obj:
-        if all(type(v) is float for v in obj):
-            text = f",\n{inner}".join(map(float.__repr__, obj))
-            if "n" not in text:  # no inf or nan, which json spells Infinity and NaN
-                return f"[\n{inner}{text}\n{indent}]"
-        return f"[\n{inner}" + f",\n{inner}".join(encode(v, inner) for v in obj) + f"\n{indent}]"
-    if isinstance(obj, dict) and obj:
-        items = (f"{json.dumps(key)}: {encode(value, inner)}" for key, value in obj.items())
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    return json.dumps(obj)
-
-
-def write_martingale(path, F: Martingale) -> None:
-    """One blocks entry per block that is not all zero, each a dict of its
-    level, atom and values."""
-    blocks = []
-    for n, level in enumerate(F.diffs):
-        for i, block in enumerate(level):
+def martingale_document(F: Martingale) -> dict:
+    """The columnar document of ``F``: the level-order id of each block that
+    is not all zero, and its values, appended one block at a time."""
+    nodes, values, node = [], [], 0
+    for level in F.diffs:
+        for block in level:
             if np.any(block != 0):
-                blocks.append({"level": n, "atom": i, "values": block.tolist()})
-    document = {"kind": "martingale", "m": F.spec.m, "depth": F.spec.depth, "ell": F.spec.ell,
-                "f0": F.f0.tolist(), "blocks": blocks}
-    Path(path).write_text(encode(document, "") + "\n")
+                nodes.append(node)
+                values.extend(block.ravel().tolist())
+            node += 1
+    return {"kind": "martingale", "m": F.spec.m, "depth": F.spec.depth, "ell": F.spec.ell,
+            "f0": F.f0.tolist(), "nodes": nodes, "values": values}
 
 
 def multiplicative_martingale(spec, v) -> Martingale:

@@ -1,7 +1,10 @@
 """CLI surface: subcommands, file formats, exit codes, byte reproducibility."""
 
 import json
+import os
 import re
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +30,19 @@ import oracles
 from tests.test_filtration import random_martingale
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _capped(args, cwd) -> tuple[int, str]:
+    """(exit code, stderr) of ``python <args>`` run with ``PYTHONPATH=src`` under
+    a 2 GB address-space cap and a 10 s timeout, so that a hang or a runaway
+    allocation fails the test at once and leaves the host's memory alone."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          preexec_fn=cap, capture_output=True, text=True, timeout=10)
+    return done.returncode, done.stderr
 
 
 @pytest.fixture
@@ -136,14 +152,6 @@ class TestMalformedFiles:
         path.write_text(json.dumps([kind]))
         with pytest.raises(ValueError, match="x.json.*JSON object, got list"):
             reader(path)
-
-    def test_martingale_block_without_values(self, tmp_path):
-        path = tmp_path / "f.json"
-        doc = json.loads((GOLDEN / "martingale.json").read_text())  # the block layout
-        del doc["blocks"][0]["values"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="f.json.*blocks entry lacks the field 'values'"):
-            read_martingale(path)
 
     @pytest.mark.parametrize("reader, kind, fields", READERS, ids=[r[1] for r in READERS])
     def test_nan_names_file(self, reader, kind, fields, tmp_path):
@@ -298,21 +306,15 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("change, message", [
-        ({"level": -1}, "(level -1, atom 0) names no atom"),
-        ({"atom": True}, "(level 1, atom True) names no atom"),
-        ({"atom": 9}, "(level 1, atom 9) names no atom"),
-        ({"level": 1.0}, "(level 1.0, atom 0) names no atom"),
-        ({"level": 0}, "(level 0, atom 0) repeats an earlier entry"),
-    ], ids=["level-negative", "atom-bool", "atom-out-of-range", "level-float", "repeated"])
-    def test_bad_martingale_block_exits_two_naming_file(self, change, message, tmp_path, capsys):
-        doc = json.loads((Path(__file__).parent / "golden" / "martingale.json").read_text())
-        doc["blocks"][1].update(change)  # the entry of level 1, atom 0
-        broken = tmp_path / "bad.json"
-        broken.write_text(json.dumps(doc))
-        assert main(["norm", "--martingale", str(broken), "--name", "lp", "--p", "2"]) == 2
+    def test_older_blocks_layout_exits_two_naming_file(self, tmp_path, capsys):
+        # one "blocks" entry of (level, atom, m x ell values) per kept block, as files were written before
+        doc = {"kind": "martingale", "m": 3, "depth": 1, "ell": 1, "f0": [0.0],
+               "blocks": [{"level": 0, "atom": 0, "values": [[1.0], [-1.0], [0.0]]}]}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert main(["norm", "--martingale", str(old), "--name", "lp", "--p", "2"]) == 2
         err = capsys.readouterr().err
-        assert f"bad.json: blocks entry {message}" in err and err.count("\n") == 1
+        assert "old.json: the martingale file lacks the field 'nodes'" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("key", ["9", "4", "0", "01", "1.5", "-1", " 1", ""],
                              ids=["beyond", "order", "zero", "leading-zero", "fraction", "negative", "space", "empty"])
@@ -362,26 +364,24 @@ class TestMalformedFiles:
     def test_decompose_on_null_block_entry_exits_two(self, tmp_path, capsys):
         # numpy would read null as NaN, and decompose used to write increment_sum,nan
         doc = json.loads((GOLDEN / "martingale.json").read_text())
-        doc["blocks"][3]["values"][1][0] = None
+        doc["values"][3 * 6 + 2] = None  # in the fourth block
         broken = tmp_path / "null.json"
         broken.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["--out", str(out), "decompose", "--martingale", str(broken)]) == 2
         err = capsys.readouterr().err
-        assert "null.json: the values of a blocks entry are not 3 x 2 numbers" in err and err.count("\n") == 1
+        assert "null.json: could not convert null to float in values" in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("golden, change, message", [
-        ("martingale.json", {"blocks": None}, "the martingale file's 'blocks' is None, not a list"),
-        ("martingale.json", {"blocks": 5}, "the martingale file's 'blocks' is 5, not a list"),
-        ("martingale_columnar.json", {"nodes": {}}, "the martingale file's 'nodes' is {}, not a list"),
-        ("martingale_columnar.json", {"values": None}, "the martingale file's 'values' is None, not a list"),
-        ("martingale_columnar.json", {"values": 0.5}, "the martingale file's 'values' is 0.5, not a list"),
+        ("martingale.json", {"nodes": {}}, "the martingale file's 'nodes' is {}, not a list"),
+        ("martingale.json", {"values": None}, "the martingale file's 'values' is None, not a list"),
+        ("martingale.json", {"values": 0.5}, "the martingale file's 'values' is 0.5, not a list"),
         ("fibers.json", {"fibers": None}, "the fiber-family file's 'fibers' is None, not an object"),
         ("fibers.json", {"fibers": []}, "the fiber-family file's 'fibers' is [], not an object"),
         ("fibers.json", {"ell": -1}, "the fiber-family file's 'ell' is -1, want at least 1"),
         ("fibers.json", {"ell": 0}, "the fiber-family file's 'ell' is 0, want at least 1"),
-    ], ids=["blocks-null", "blocks-number", "nodes-object", "values-null", "values-number",
+    ], ids=["nodes-object", "values-null", "values-number",
             "fibers-null", "fibers-list", "fibers-ell-negative", "fibers-ell-zero"])
     def test_wrongly_typed_field_exits_two_writing_nothing(self, golden, change, message, tmp_path, capsys):
         # these used to escape as a TypeError, an AttributeError or a message naming no file
@@ -617,7 +617,8 @@ class TestExitCodes:
                     "depth": 1,
                     "ell": 1,
                     "f0": [float("inf")],
-                    "blocks": [],
+                    "nodes": [],
+                    "values": [],
                 }
             )
         )
@@ -894,6 +895,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "antichain DP requires a nonnegative measure" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_huge_depth_spec_is_refused_without_the_power(self, tmp_path):
+        # computing 3^(10^9) before comparing it with the cap ran past the timeout
+        code = "from martree.filtration import FiltrationSpec; FiltrationSpec(3, 10**9)"
+        status, err = _capped(["-c", code], tmp_path)
+        assert status == 1 and err.endswith("ValueError: m^depth = 3^1000000000 exceeds the cap of 2000000 leaves\n")
+
+    HUGE = 10**20  # past numpy's largest array dimension
+
+    @pytest.mark.parametrize("argv, document, message", [
+        (["hls", "--q", "4", "--depth", "1000000000"], None,
+         "config rejected: params.depths [4, 1000000000] spans more levels than a tree of at most 2000000 leaves has"),
+        (["cascade", "--depth", "1000000000", "--alpha", "0.9", "--measure", "x.json"], None,
+         "m^depth = 3^1000000000 exceeds the cap"),
+        (["norm", "--name", "h1", "--martingale", "in.json"],
+         {"kind": "martingale", "m": 3, "depth": 10**9, "ell": 1, "f0": [0.0], "nodes": [], "values": []},
+         "in.json: m^depth = 3^1000000000 exceeds the cap"),
+        (["group-cancel", "--fibers", "in.json"],
+         {"kind": "fiber-family", "factors": [10**11], "ell": 1, "fibers": {}},
+         "in.json: factors [100000000000] make a group of order 100000000000, beyond the cap"),
+        (["check-w", "--w", "in.json"], {"kind": "subspace-w", "m": HUGE, "ell": 1, "k": 0, "basis": []},
+         "in.json: "),
+        (["group-cancel", "--fibers", "in.json"],
+         {"kind": "fiber-family", "factors": [3], "ell": HUGE, "fibers": {"1": []}}, "in.json: "),
+    ], ids=["hls-depth", "cascade-depth", "martingale-depth", "fiber-order", "subspace-m", "fiber-ell"])
+    def test_huge_size_exits_two_at_once(self, argv, document, message, tmp_path):
+        # each used to hang, die of a MemoryError traceback or print numpy's error naming no file
+        if document is not None:
+            (tmp_path / "in.json").write_text(json.dumps(document))
+        status, err = _capped(["-m", "martree.cli", "--out", "out", *argv], tmp_path)
+        assert status == 2 and err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["in.json"] if document else [])
 
 
 class TestParser:

@@ -104,62 +104,7 @@ def test_floats_round_trip(tmp_path):
 
 
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_MARTINGALE = GOLDEN / "martingale.json"  # m 3, depth 6, ell 2, block layout
-
-
-@pytest.mark.parametrize("level, atom", [
-    (-1, 0),      # Python's indexing would write the block to the last level
-    (1, -1),      # ... or to atom 2 of level 1
-    (1, True),    # a bool is an int to Python, and True would be atom 1
-    (1, 3),       # level 1 has atoms 0, 1, 2
-    (6, 0),       # levels 0 to 5
-    (1.0, 0),
-    ("1", 0),
-], ids=["level-negative", "atom-negative", "atom-bool", "atom-out-of-range", "level-out-of-range",
-        "level-float", "level-string"])
-def test_martingale_block_index_names_file_and_entry(level, atom, tmp_path):
-    doc = json.loads(GOLDEN_MARTINGALE.read_text())
-    doc["blocks"][1].update(level=level, atom=atom)
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps(doc))
-    entry = f"blocks entry (level {level!r}, atom {atom!r}) names no atom"
-    with pytest.raises(ValueError, match=re.escape(f"f.json: {entry}")):
-        fileio.read_martingale(path)
-
-
-def test_repeated_martingale_block_names_file_and_entry(tmp_path):
-    doc = json.loads(GOLDEN_MARTINGALE.read_text())
-    doc["blocks"].append(dict(doc["blocks"][2]))  # level 1, atom 1 again
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps(doc))
-    message = "f.json: blocks entry (level 1, atom 1) repeats an earlier entry"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        fileio.read_martingale(path)
-
-
-@pytest.mark.parametrize("values", [[[0.0, 0.0]] * 2, [[0.0, 0.0]] * 2 + [[0.0]], 0.0, [[0.0, {}]] * 3],
-                         ids=["two-rows", "ragged", "scalar", "not-a-number"])
-def test_martingale_block_values_must_be_m_by_ell(values, tmp_path):
-    doc = json.loads(GOLDEN_MARTINGALE.read_text())
-    doc["blocks"][1]["values"] = values
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps(doc))
-    message = "f.json: the values of a blocks entry are not 3 x 2 numbers"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        fileio.read_martingale(path)
-
-
-def test_martingale_read_back_block_for_block(tmp_path):
-    doc = json.loads(GOLDEN_MARTINGALE.read_text())
-    doc["blocks"] = doc["blocks"][::-1]  # the order of the entries does not matter
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps(doc))
-    F = fileio.read_martingale(path)
-    expected = [np.zeros((3**n, 3, 2)) for n in range(6)]
-    for row in doc["blocks"]:
-        expected[row["level"]][row["atom"]] = row["values"]
-    assert [d.tobytes() for d in F.diffs] == [d.tobytes() for d in expected]
-    assert F.f0.tobytes() == np.array(doc["f0"]).tobytes()
+GOLDEN_MARTINGALE = GOLDEN / "martingale.json"  # m 3, depth 6, ell 2, every block kept
 
 
 def sparse_martingale(m, depth, ell, seed, kept=40):
@@ -176,44 +121,19 @@ def sparse_martingale(m, depth, ell, seed, kept=40):
     return Martingale(FiltrationSpec(m, depth, ell), rng.standard_normal(ell), diffs)
 
 
-def columnar(blocks_doc):
-    """The columnar document of a block-layout one: its entries sorted by
-    level-order node id, their values in one flat list."""
-    m = blocks_doc["m"]
-    entries = sorted(((m**b["level"] - 1) // (m - 1) + b["atom"], b["values"]) for b in blocks_doc["blocks"])
-    return {**{key: blocks_doc[key] for key in ("kind", "m", "depth", "ell", "f0")},
-            "nodes": [node for node, _ in entries],
-            "values": [x for _, block in entries for row in block for x in row]}
-
-
-def read_back(path):
-    """The bytes of the diffs, level after level, and of f0 that a martingale
-    file of either layout holds, its numbers as json reads them (NaN too)."""
-    doc = json.loads(Path(path).read_text())
-    m, depth, ell = doc["m"], doc["depth"], doc["ell"]
-    flat = np.zeros(((m**depth - 1) // (m - 1), m, ell))
-    if "blocks" in doc:
-        for b in doc["blocks"]:
-            flat[(m**b["level"] - 1) // (m - 1) + b["atom"]] = b["values"]
-    else:
-        flat[doc["nodes"]] = np.reshape(doc["values"], (-1, m, ell))
-    return flat.tobytes(), np.array(doc["f0"], dtype=float).tobytes()
-
-
 def assert_martingale_bytes_match_oracle(F, tmp_path, package_reads=True):
-    """The columnar file and the block oracle's file hold the same diffs and
-    f0 bits, and the columnar file has the bytes of json.dumps of the
-    oracle's document made columnar.  ``package_reads``: read_martingale
-    reads the two files to the same bits too (it rejects NaN and non-martingales)."""
-    fileio.write_martingale(tmp_path / "bulk.json", F)
-    oracles.write_martingale(tmp_path / "blocks.json", F)
-    assert read_back(tmp_path / "bulk.json") == read_back(tmp_path / "blocks.json")
+    """write_martingale writes the bytes of json.dumps of the oracle's
+    columnar document of ``F``, which it returns.  ``package_reads``:
+    read_martingale reads back F's bits (it rejects NaN and non-martingales)."""
+    path = tmp_path / "f.json"
+    fileio.write_martingale(path, F)
+    document = oracles.martingale_document(F)
+    assert path.read_bytes() == (json.dumps(document, indent=1) + "\n").encode()
     if package_reads:
-        new, old = (fileio.read_martingale(tmp_path / name) for name in ("bulk.json", "blocks.json"))
-        assert [d.tobytes() for d in new.diffs] == [d.tobytes() for d in old.diffs]
-        assert new.f0.tobytes() == old.f0.tobytes()
-    document = columnar(json.loads((tmp_path / "blocks.json").read_text()))
-    assert (tmp_path / "bulk.json").read_bytes() == (json.dumps(document, indent=1) + "\n").encode()
+        back = fileio.read_martingale(path)
+        assert [d.tobytes() for d in back.diffs] == [d.tobytes() for d in F.diffs]
+        assert back.f0.tobytes() == F.f0.tobytes()
+    return document
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
@@ -226,8 +146,7 @@ def test_martingale_bytes_match_oracle(m, ell, depth, tmp_path):
 def test_zero_martingale_bytes_match_oracle(tmp_path):
     spec = FiltrationSpec(3, 3, 2)
     F = Martingale(spec, np.zeros(2), [np.zeros((3**n, 3, 2)) for n in range(3)])
-    assert_martingale_bytes_match_oracle(F, tmp_path)
-    doc = json.loads((tmp_path / "bulk.json").read_text())
+    doc = assert_martingale_bytes_match_oracle(F, tmp_path)
     assert doc["nodes"] == doc["values"] == []
 
 
@@ -235,9 +154,8 @@ def test_zero_blocks_are_skipped_as_the_oracle_skips_them(tmp_path):
     F = sparse_martingale(3, 4, 2, seed=1, kept=27)  # every block of levels 0 to 3 is kept
     F.diffs[2][[0, 4]] = 0.0
     F.diffs[3][[1, 26]] = -0.0
-    F.diffs[3][5, 0, 0] = -0.0  # a block with one zero entry stays
-    assert_martingale_bytes_match_oracle(F, tmp_path, package_reads=False)  # that block no longer sums to zero
-    nodes = json.loads((tmp_path / "bulk.json").read_text())["nodes"]
+    F.diffs[3][5, 0, 0] = -0.0  # a block with one zero entry stays, though it no longer sums to zero
+    nodes = assert_martingale_bytes_match_oracle(F, tmp_path, package_reads=False)["nodes"]
     assert len(nodes) == 1 + 3 + 9 + 27 - 4
     assert [node for node in nodes if node >= 4][:3] == [5, 6, 7]  # level 2 starts at node 4
     assert 13 + 5 in nodes and 13 + 1 not in nodes and 13 + 26 not in nodes
@@ -263,27 +181,14 @@ def test_non_finite_floats_match_oracle(tmp_path):
     diffs[2][9] = INF  # a block of nothing but infinities is not zero
     F = Martingale(F.spec, np.array([INF, -0.0]), diffs, validate=False)
     assert_martingale_bytes_match_oracle(F, tmp_path)  # the reader takes infinities
-    text = (tmp_path / "bulk.json").read_text()
+    text = (tmp_path / "f.json").read_text()
     assert "Infinity" in text and "-Infinity" in text
 
 
-GOLDEN_COLUMNAR = GOLDEN_MARTINGALE.with_name("martingale_columnar.json")
-
-
 def test_golden_martingale_rewrites_to_its_bytes(tmp_path):
-    # the block oracle gives the golden its bytes back, and the writer its columnar form
-    F = fileio.read_martingale(GOLDEN_MARTINGALE)
-    assert_martingale_bytes_match_oracle(F, tmp_path)
-    assert (tmp_path / "blocks.json").read_bytes() == GOLDEN_MARTINGALE.read_bytes()
-    assert (tmp_path / "bulk.json").read_bytes() == GOLDEN_COLUMNAR.read_bytes()
-
-
-def test_golden_columnar_martingale_reads_as_the_block_golden(tmp_path):
-    old, new = fileio.read_martingale(GOLDEN_MARTINGALE), fileio.read_martingale(GOLDEN_COLUMNAR)
-    assert [d.tobytes() for d in new.diffs] == [d.tobytes() for d in old.diffs]
-    assert new.f0.tobytes() == old.f0.tobytes()
-    fileio.write_martingale(tmp_path / "f.json", new)
-    assert (tmp_path / "f.json").read_bytes() == GOLDEN_COLUMNAR.read_bytes()
+    # the writer, and the oracle, give the golden its own bytes back
+    assert_martingale_bytes_match_oracle(fileio.read_martingale(GOLDEN_MARTINGALE), tmp_path)
+    assert (tmp_path / "f.json").read_bytes() == GOLDEN_MARTINGALE.read_bytes()
 
 
 def _set_nodes(doc, i, j, value):
@@ -294,7 +199,7 @@ def _set_field(name, value):
     return lambda doc: doc.update({name: value})
 
 
-# (how the columnar golden is broken, what the error says after the file name)
+# (how the golden martingale is broken, what the error says after the file name)
 COLUMNAR_PROBES = {
     "nodes-float": (lambda doc: _set_nodes(doc, 3, 4, [3.0]), "nodes holds 3.0, not an integer node id"),
     "nodes-bool": (lambda doc: _set_nodes(doc, 1, 2, [True]), "nodes holds True, not an integer node id"),
@@ -312,19 +217,16 @@ COLUMNAR_PROBES = {
     "values-null": (lambda doc: doc["values"].__setitem__(7, None), "could not convert null to float in values"),
     "values-bool": (lambda doc: doc["values"].__setitem__(7, True), "could not convert a bool to float: true in values"),
     "values-not-a-list": (_set_field("values", {}), "the martingale file's 'values' is {}, not a list"),
-    "both-layouts": (lambda doc: doc.update(blocks=[]), "the martingale file holds both 'blocks' and 'nodes'"),
     "no-nodes": (lambda doc: doc.pop("nodes"), "the martingale file lacks the field 'nodes'"),
     "neither-layout": (lambda doc: [doc.pop("nodes"), doc.pop("values")],
                        "the martingale file lacks the field 'nodes'"),
-    "blocks-null": (lambda doc: [doc.pop("nodes"), doc.pop("values"), doc.update(blocks=None)],
-                    "the martingale file's 'blocks' is None, not a list"),
 }
 
 
 @pytest.mark.parametrize("probe", COLUMNAR_PROBES)
 def test_columnar_martingale_fields_are_checked(probe, tmp_path):
     change, message = COLUMNAR_PROBES[probe]
-    doc = json.loads(GOLDEN_COLUMNAR.read_text())
+    doc = json.loads(GOLDEN_MARTINGALE.read_text())
     assert len(doc["nodes"]) == 364 and doc["nodes"][:8] == list(range(8))  # depth 6: every block is kept
     change(doc)
     path = tmp_path / "bad.json"
@@ -342,7 +244,7 @@ def _set_f0(doc, entry):
 
 
 def _set_values(doc, entry):
-    doc["blocks"][1]["values"][2][0] = entry(doc["blocks"][1]["values"][2][0])
+    doc["values"][7] = entry(doc["values"][7])
 
 
 def _set_basis(doc, entry):
@@ -357,8 +259,7 @@ def _set_fiber(doc, entry):
 NUMBER_FIELDS = {
     "measure": (fileio.read_measure, "cascade.json", _set_measure, "leaf_mass"),
     "f0": (fileio.read_martingale, "martingale.json", _set_f0, "f0"),
-    "values": (fileio.read_martingale, "martingale.json", _set_values,
-               "the values of a blocks entry are not 3 x 2 numbers"),
+    "values": (fileio.read_martingale, "martingale.json", _set_values, "values"),
     "basis": (fileio.read_subspace, "w_random.json", _set_basis, "the basis is not k x m x ell = 2 x 3 x 2 numbers"),
     "fiber": (fileio.read_fibers, "fibers.json", _set_fiber, "fiber 1"),
 }
@@ -386,7 +287,7 @@ def test_number_fields_reject_non_numbers(field, non_number, tmp_path):
         reader(path)
     message = str(caught.value)
     assert message.startswith(f"{path}: ") and names in message
-    if field in ("measure", "f0", "fiber"):  # the error names the entry too
+    if field in ("measure", "f0", "values", "fiber"):  # the error names the entry too
         assert reason in message
 
 

@@ -1,10 +1,9 @@
 """Frozen `martree run` outputs: re-running a golden config reproduces its bytes.
 
-``tests/golden`` holds the inputs (a depth-6 W-martingale in the older block
-layout, with ``martingale_columnar.json`` the same martingale as
-``fileio.write_martingale`` writes it, a capped cascade,
-the span, delta and a random 2-dimensional subspace, the span subspace's
-depth-6 sharpness measure and a Z_4 fiber family), one config per kind, and
+``tests/golden`` holds the inputs (a depth-6 W-martingale as
+``fileio.write_martingale`` writes it, a capped cascade, the span, delta
+and a random 2-dimensional subspace, the span subspace's depth-6 sharpness
+measure and a Z_4 fiber family), one config per kind, and
 the stdout and output files each config produced when it was frozen.
 ``trace_constant`` only prints, so it has no output directory.  The two
 ``frostman`` configs sit on either side of the span subspace's dimension
@@ -61,9 +60,9 @@ NAMES = (
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_run_reproduces_golden_bytes(name, tmp_path, monkeypatch, martingale="martingale.json"):
+def test_run_reproduces_golden_bytes(name, tmp_path, monkeypatch):
     for filename in (*INPUTS, f"{name}.json"):
-        shutil.copy(GOLDEN / (martingale if filename == "martingale.json" else filename), tmp_path / filename)
+        shutil.copy(GOLDEN / filename, tmp_path / filename)
     monkeypatch.chdir(tmp_path)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -179,12 +178,6 @@ def test_decompose_builds_no_tree_objects(tmp_path, monkeypatch):
     test_run_reproduces_golden_bytes("decompose", tmp_path, monkeypatch)
 
 
-def test_decompose_reads_the_columnar_golden(tmp_path, monkeypatch):
-    # the same martingale in the columnar layout; decompose.csv echoes the
-    # file's name, so it goes in as martingale.json
-    test_run_reproduces_golden_bytes("decompose", tmp_path, monkeypatch, martingale="martingale_columnar.json")
-
-
 def test_trace_embed_p_at_one_writes_the_l1_rows(tmp_path, monkeypatch):
     flags = ["--measure", "cascade.json", "--w", "w_span.json", "--alpha", "0.9",
              "--trials", "4", "--depths", "4", "6"]
@@ -207,8 +200,7 @@ NORM_PINS = [
 ]
 
 
-@pytest.mark.parametrize("martingale", ["martingale.json", "martingale_columnar.json"])
 @pytest.mark.parametrize("flags, printed", NORM_PINS, ids=["h1", "besov", "besov_beta_p1", "besov_beta_p3"])
-def test_norm_prints_frozen_text(flags, printed, martingale, capsys):
-    assert cli.main(["norm", "--martingale", str(GOLDEN / martingale), *flags]) == 0
+def test_norm_prints_frozen_text(flags, printed, capsys):
+    assert cli.main(["norm", "--martingale", str(GOLDEN / "martingale.json"), *flags]) == 0
     assert capsys.readouterr().out == printed
