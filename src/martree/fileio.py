@@ -1,28 +1,20 @@
 """On-disk formats: tree measures, martingales, subspaces, fiber families.
 
-Everything is JSON with an explicit ``kind`` tag and the (m, depth/ell)
-header, floats written through Python's shortest-roundtrip repr (at most 17
-significant digits, bit-exact on reload).  Complex fiber entries are stored
-as [re, im] pairs.
+``FILE_KINDS`` holds one entry per kind of file, under its ``kind`` tag, as
+``cli.EXPERIMENTS`` holds one per config kind: the fields in the order they
+are written, each header field's JSON type and least value, each numeric
+array's nesting depth and what it refuses (any non-finite value, or a NaN
+only), and the one flat array that ``_load`` streams.  ``_check`` applies it
+to what a reader read and to what a writer is about to write, so both refuse
+the same things, before any byte, with one ValueError naming the file and
+the field; ``read_*`` and ``write_*`` keep only their own object's rules
+(the martingale's node scatter, the subspace's k x m x ell shape, the
+fibers' [re, im] pairs and character keys).  A new kind, or a new layout of
+one, is one more entry.
 
-Each file has the bytes of ``json.dumps(document, indent=1)``, streamed to
-a temporary sibling that replaces the file once complete.  Arrays go
-``SLICE`` entries at a time, each slice formatted in one ``_texts`` pass, so
-a writer never holds the file's text.  Before any byte, a writer refuses
-what its reader refuses (a non-finite mass, basis or fiber entry; a NaN in
-a martingale), by the one rule ``_refuse`` that the readers apply too.  A
-martingale has one layout: ``nodes``, the level-order id of each block
-that is not all zero, and ``values``, those blocks' floats in one flat list.
-A scalar measure's ``leaf_mass`` and a martingale's ``values``, when flat
-lists of numbers, are read ``SLICE`` entries at a time by json's own scanner
-into float64.  A slice that repeats one entry's text (the zero runs of a
-product measure's emptied subtrees) is parsed, or one float is formatted,
-once, and a written slice of one float is that text repeated by string
-repetition, not joined entry by entry.  A read slice that does not repeat
-one text, but whose first entry's text fills a quarter of it, is read in
-sixteen parts that each take that test, so that a run inside the slice is
-parsed once too.  Readers take numbers only: a bool, string, null or object
-where a number belongs is a ValueError naming the file and the field.
+Each file has the bytes of ``json.dumps(document, indent=1)``, its arrays
+written (``_write_array``), and its flat array parsed (``_flat_array``),
+``SLICE`` entries at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +23,7 @@ import json
 import os
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +32,44 @@ from .groupfourier import FiberFamily, FiniteAbelianGroup
 from .spacew import SubspaceW
 
 SLICE = 2_048  # entries of a numeric array formatted and written, or parsed, at once
+
+
+class Field(NamedTuple):
+    """A field of a kind of file: the test of its JSON type, that type's name and its least value; for a
+    numeric array how deep its lists nest (0 for other fields) and whether it refuses every non-finite value
+    or a NaN only; for an object of such arrays, ``each``, what errors call one of them."""
+
+    is_type: Callable[[object], bool]
+    type_name: str
+    least: int | None = None
+    depth: int = 0
+    finite: bool = True
+    each: str | None = None
+
+
+class FileKind(NamedTuple):
+    fields: dict[str, Field]  # in the order they are written, after the kind tag
+    flat: str | None = None  # the flat array that ``_load`` streams
+
+
+INTEGER = Field(lambda v: type(v) is int, "an integer")  # a bool passes for an int in Python
+LIST = Field(lambda v: type(v) in (list, np.ndarray), "a list")  # a writer's or ``_load``'s array too
+FILE_KINDS = {
+    "tree-measure": FileKind({
+        "m": INTEGER, "depth": INTEGER, "ell": INTEGER, "scalar": Field(lambda v: type(v) is bool, "a bool"),
+        "leaf_mass": LIST._replace(depth=2),  # an infinite mass would pass for a certified measure
+    }, flat="leaf_mass"),
+    "martingale": FileKind({
+        "m": INTEGER, "depth": INTEGER, "ell": INTEGER, "f0": LIST._replace(depth=1, finite=False),
+        "nodes": LIST, "values": LIST._replace(depth=1, finite=False),
+    }, flat="values"),
+    "subspace-w": FileKind({"m": INTEGER, "ell": INTEGER, "k": INTEGER, "basis": LIST._replace(depth=3)}),
+    "fiber-family": FileKind({
+        "factors": Field(lambda v: type(v) is list and all(type(d) is int for d in v), "a list of integers"),
+        "ell": INTEGER._replace(least=1),  # FiberFamily would take ell 0
+        "fibers": Field(lambda v: type(v) is dict, "an object", depth=3, each="fiber"),
+    }),
+}
 
 
 def _dump(path, document):
@@ -146,29 +177,48 @@ def _named(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _numbers(values, path, field: str, ndim: int) -> np.ndarray:
-    """The float64 array of the JSON numbers ``values``, read from ``path``,
-    nested at most ``ndim`` lists deep.
+def _check(path, kind: str, doc: dict) -> dict:
+    """The fields of ``doc``, a ``kind`` document read from ``path`` or to be written there, as ``FILE_KINDS``
+    states them, each array as ``_numbers`` reads it: the one check of a reader and of a writer.  A field
+    missing, of another JSON type or below its least value is a ValueError naming the file and the field."""
+    checked = {}
+    for name, rule in FILE_KINDS[kind].fields.items():
+        if name not in doc:
+            raise ValueError(f"{path}: the {kind} file lacks the field {name!r}")
+        value = doc[name]
+        if not rule.is_type(value):
+            raise ValueError(f"{path}: the {kind} file's {name!r} is {value!r}, not {rule.type_name}")
+        if rule.least is not None and value < rule.least:
+            raise ValueError(f"{path}: the {kind} file's {name!r} is {value}, want at least {rule.least}")
+        if rule.each:
+            value = {key: _numbers(rows, path, f"{rule.each} {key}", rule) for key, rows in value.items()}
+        elif rule.depth:
+            value = _numbers(value, path, name, rule)
+        checked[name] = value
+    return checked
 
-    A flat array that ``_load`` streamed is one already.  Otherwise each entry
-    is looked at: a bool, string, null or object is a ValueError naming the
-    file and ``field``, and integers beyond int64 still read as floats.  A
-    ragged or deeper list is a ValueError too.
-    """
-    if isinstance(values, np.ndarray):
-        return values
-    reason = _non_number(values)
-    if reason is not None:
-        raise ValueError(f"{path}: could not convert {reason} in {field}")
-    try:
-        array = np.asarray(values, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{path}: could not convert an integer beyond the float range in {field}") from None
-    except ValueError:  # a ragged list
-        array = None
-    if array is None or array.ndim > ndim:
-        raise ValueError(f"{path}: {field} is not a rectangular array of numbers, nested at most {ndim} deep")
-    return array
+
+def _numbers(values, path, field: str, rule: Field) -> np.ndarray:
+    """The float64 array of the JSON numbers ``values`` of ``field``, nested at most ``rule.depth`` lists deep.
+    An array that ``_load`` streamed, or that a writer holds, is taken as it is; otherwise a bool, string, null
+    or object entry is a ValueError naming the file and ``field``, and integers beyond int64 read as floats.  A
+    ragged or deeper list is a ValueError too, and so is a NaN, or with ``rule.finite`` an infinity."""
+    if not isinstance(values, np.ndarray):
+        reason = _non_number(values)
+        if reason is not None:
+            raise ValueError(f"{path}: could not convert {reason} in {field}")
+        try:
+            values = np.asarray(values, dtype=float)
+        except OverflowError:
+            raise ValueError(f"{path}: could not convert an integer beyond the float range in {field}") from None
+        except ValueError:  # a ragged list
+            values = None
+    if values is None or values.ndim > rule.depth:
+        raise ValueError(f"{path}: {field} is not a rectangular array of numbers, nested at most {rule.depth} deep")
+    if not (np.isfinite(values) if rule.finite else ~np.isnan(values)).all():  # NaN names no value at all
+        raise ValueError(f"{path}: NaN is not a number in {field}" if np.isnan(values).any()
+                         else f"{path}: {field} holds a non-finite value")
+    return values
 
 
 def _non_number(value):
@@ -187,47 +237,35 @@ def _non_number(value):
     return None
 
 
-# the JSON type of each header field that sizes a file's arrays and of each collection field
-_FIELD_TYPES = dict(m=int, depth=int, ell=int, k=int, nodes=list, values=list, fibers=dict)
-_TYPE_NAMES = {int: "an integer", list: "a list", dict: "an object"}
-
-
-def _fields(doc, fields, path, kind):
-    """ValueError naming the file and the first of ``fields`` that ``doc``
-    lacks or holds with the wrong JSON type, which would fail later as a
-    TypeError or AttributeError (a bool passes for an int)."""
-    for name in fields:
-        if name not in doc:
-            raise ValueError(f"{path}: the {kind} file lacks the field {name!r}")
-        want, got = _FIELD_TYPES.get(name), type(doc[name])
-        if want is not None and got is not want and not (want is list and got is np.ndarray):  # a streamed list
-            raise ValueError(f"{path}: the {kind} file's {name!r} is {doc[name]!r}, not {_TYPE_NAMES[want]}")
-
-
-def _load(path, expected_kind, fields, flat=None):
-    """The document of ``path``, the top-level ``flat`` field read by ``_flat_array`` where it can be."""
-    def constant(name):  # NaN names no value; an infinity loads and fails as a numeric failure
-        if name == "NaN":
-            raise ValueError(f"{path}: NaN is not a number")
-        return float(name)
+def _load(path, kind: str) -> dict:
+    """The document of the ``kind`` file ``path``, its flat array (``FILE_KINDS``)
+    read by ``_flat_array`` where it can be; json reads NaN and the infinities."""
+    flat = FILE_KINDS[kind].flat
 
     def value(s, at):  # a value of the top-level object, after its key's closing quote
         return s.endswith(f'"{flat}"', 0, s.rfind('"', 0, at) + 1) and _flat_array(s, at, scan) or scan(s, at)
 
     text, doc = Path(path).read_text(), None
-    scan, start = json.JSONDecoder(parse_constant=constant).scan_once, _SPACE(text).end()
+    scan, start = json.JSONDecoder().scan_once, _SPACE(text).end()
     if flat and text.startswith("{", start):  # json's own object parser, its values from ``value``
         with suppress(json.JSONDecodeError, OverflowError):
             doc, end = json.decoder.JSONObject((text, start + 1), True, value, None, None, {})
             doc = doc if _SPACE(text, end).end() == len(text) else None
     if doc is None:  # not one well-formed object: json says what is wrong, as it always did
-        doc = json.loads(text, parse_constant=constant)
+        doc = json.loads(text)
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a {expected_kind} file as a JSON object, got {type(doc).__name__}")
-    if doc.get("kind") != expected_kind:
-        raise ValueError(f"{path}: expected kind {expected_kind!r}, got {doc.get('kind')!r}")
-    _fields(doc, fields, path, expected_kind)
+        raise ValueError(f"{path}: expected a {kind} file as a JSON object, got {type(doc).__name__}")
+    if doc.get("kind") != kind:
+        raise ValueError(f"{path}: expected kind {kind!r}, got {doc.get('kind')!r}")
     return doc
+
+
+def _read(path, kind: str) -> dict:  # the checked fields of the ``kind`` file ``path``
+    return _check(path, kind, _load(path, kind))
+
+
+def _save(path, kind: str, doc: dict) -> None:  # write ``doc`` as the ``kind`` file ``path``, checked first
+    _dump(path, {"kind": kind, **_check(path, kind, doc)})
 
 
 _SPACE = json.decoder.WHITESPACE.match
@@ -279,28 +317,15 @@ def _repeated(text: str, at: int, cut: int) -> tuple[int, int, str, int]:
     return at, cut, entry, repeats if text[at:cut + 1] == (entry + ",") * repeats else 0
 
 
-def _refuse(path, field: str, values, finite: bool) -> None:
-    """ValueError naming the file and ``field`` when ``values`` holds what the
-    field's reader refuses: a NaN, or with ``finite`` any non-finite value.
-    A writer calls it before any byte, a reader on the numbers it read."""
-    if not (np.isfinite(values) if finite else ~np.isnan(values)).all():
-        raise ValueError(f"{path}: {field} holds {'a non-finite value' if finite else 'a NaN'}")
-
-
 def write_measure(path, mu: TreeMeasure) -> None:
-    _refuse(path, "leaf_mass", mu.leaf_mass, finite=True)
-    _dump(path, {"kind": "tree-measure", "m": mu.spec.m, "depth": mu.spec.depth, "ell": mu.spec.ell,
-                 "scalar": mu.is_scalar, "leaf_mass": mu.leaf_mass})
+    _save(path, "tree-measure", {"m": mu.spec.m, "depth": mu.spec.depth, "ell": mu.spec.ell,
+                                 "scalar": mu.is_scalar, "leaf_mass": mu.leaf_mass})
 
 
 def read_measure(path) -> TreeMeasure:
-    doc = _load(path, "tree-measure", ("m", "depth", "ell", "leaf_mass"), flat="leaf_mass")
+    doc = _read(path, "tree-measure")
     with _named(path):
-        spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
-    leaf_mass = _numbers(doc["leaf_mass"], path, "leaf_mass", 2)
-    _refuse(path, "leaf_mass", leaf_mass, finite=True)  # an infinite mass would pass for a certified measure
-    with _named(path):
-        return TreeMeasure(spec, leaf_mass)
+        return TreeMeasure(FiltrationSpec(doc["m"], doc["depth"], doc["ell"]), doc["leaf_mass"])
 
 
 def write_martingale(path, F: Martingale) -> None:
@@ -310,89 +335,63 @@ def write_martingale(path, F: Martingale) -> None:
     in one flat list in C order."""
     flat = np.concatenate(F.diffs)  # every block, in level order
     nodes = np.flatnonzero(np.any(flat != 0, axis=(1, 2)))
-    values = flat[nodes].ravel()
-    _refuse(path, "f0", F.f0, finite=False)
-    _refuse(path, "values", values, finite=False)
-    _dump(path, {"kind": "martingale", "m": F.spec.m, "depth": F.spec.depth, "ell": F.spec.ell, "f0": F.f0,
-                 "nodes": nodes, "values": values})
+    _save(path, "martingale", {"m": F.spec.m, "depth": F.spec.depth, "ell": F.spec.ell, "f0": F.f0,
+                               "nodes": nodes, "values": flat[nodes].ravel()})
 
 
-def _node_ids(nodes: list, path, size: int) -> np.ndarray:
-    """The int64 array of ``nodes``, a list of ascending ids in [0, size)."""
+def read_martingale(path) -> Martingale:
+    doc = _read(path, "martingale")
+    with _named(path):
+        spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
+    m, depth, ell, nodes, values = spec.m, spec.depth, spec.ell, doc["nodes"], doc["values"]
+    starts = [(m**n - 1) // (m - 1) for n in range(depth + 1)]  # the first node of each level
     if set(map(type, nodes)) - {int}:  # a bool would pass for an int, a float would truncate
         wrong = next(node for node in nodes if type(node) is not int)
         raise ValueError(f"{path}: nodes holds {wrong!r}, not an integer node id")
-    if nodes and not (min(nodes) >= 0 and max(nodes) < size):
-        raise ValueError(f"{path}: nodes holds an id outside [0, {size})")
+    if nodes and not (min(nodes) >= 0 and max(nodes) < starts[-1]):
+        raise ValueError(f"{path}: nodes holds an id outside [0, {starts[-1]})")
     ids = np.array(nodes, dtype=np.int64)
     after = np.flatnonzero(ids[1:] <= ids[:-1])
     if after.size:
         raise ValueError(f"{path}: nodes is not ascending: {ids[after[0]]} comes before {ids[after[0] + 1]}")
-    return ids
-
-
-def read_martingale(path) -> Martingale:
-    doc = _load(path, "martingale", ("m", "depth", "ell", "f0", "nodes", "values"), flat="values")
-    with _named(path):
-        spec = FiltrationSpec(doc["m"], doc["depth"], doc["ell"])
-    m, depth, ell = spec.m, spec.depth, spec.ell
-    starts = [(m**n - 1) // (m - 1) for n in range(depth + 1)]  # the first node of each level
-    ids = _node_ids(doc["nodes"], path, starts[-1])
-    values = _numbers(doc["values"], path, "values", 1)
     if values.size != ids.size * m * ell:
         raise ValueError(f"{path}: values holds {values.size} numbers, not {ids.size} x {m} x {ell}")
     flat = np.zeros((starts[-1], m, ell))
     flat[ids] = values.reshape(-1, m, ell)
-    diffs = [flat[a:b] for a, b in zip(starts, starts[1:])]
-    f0 = _numbers(doc["f0"], path, "f0", 1)
     with _named(path):
-        return Martingale(spec, f0, diffs)
+        return Martingale(spec, doc["f0"], [flat[a:b] for a, b in zip(starts, starts[1:])])
 
 
 def write_subspace(path, W: SubspaceW) -> None:
-    _refuse(path, "basis", W.basis, finite=True)
-    _dump(path, {"kind": "subspace-w", "m": W.m, "ell": W.ell, "k": W.dim, "basis": W.basis})
+    _save(path, "subspace-w", {"m": W.m, "ell": W.ell, "k": W.dim, "basis": W.basis})
 
 
 def read_subspace(path) -> SubspaceW:
-    doc = _load(path, "subspace-w", ("m", "ell", "k", "basis"))
-    shape = (doc["k"], doc["m"], doc["ell"])
-    try:
-        basis = _numbers(doc["basis"], path, "basis", 3)
-    except ValueError:
-        basis = None
-    if basis is None or min(shape) < 0 or basis.size != np.prod(shape):
+    doc = _read(path, "subspace-w")
+    shape, basis = (doc["k"], doc["m"], doc["ell"]), doc["basis"]
+    if min(shape) < 0 or basis.size != np.prod(shape):
         raise ValueError(f"{path}: the basis is not k x m x ell = {' x '.join(map(str, shape))} numbers")
-    _refuse(path, "basis", basis, finite=True)
     with _named(path):  # numpy's reshape to a huge m or ell names no file
         return SubspaceW(doc["m"], doc["ell"], basis.reshape(shape))
 
 
-def write_fibers(path, fibers: FiberFamily) -> None:
-    packed = {}
-    for gamma, basis in fibers.fibers.items():
-        _refuse(path, f"fiber {gamma}", basis, finite=True)
-        packed[str(gamma)] = np.stack([basis.real, basis.imag], axis=-1)
-    _dump(path, {"kind": "fiber-family", "factors": list(fibers.group.factors), "ell": fibers.ell, "fibers": packed})
+def write_fibers(path, fibers: FiberFamily) -> None:  # every character, the named ones first in their order
+    gammas = [*fibers.fibers, *(gamma for gamma in range(1, fibers.group.order) if gamma not in fibers.fibers)]
+    packed = {str(gamma): np.stack([basis.real, basis.imag], axis=-1)  # [re, im] pairs
+              for gamma in gammas for basis in [fibers.fiber(gamma)]}
+    _save(path, "fiber-family", {"factors": list(fibers.group.factors), "ell": fibers.ell, "fibers": packed})
 
 
 def read_fibers(path) -> FiberFamily:
-    doc = _load(path, "fiber-family", ("factors", "ell", "fibers"))
-    if doc["ell"] < 1:  # FiberFamily would take ell 0
-        raise ValueError(f"{path}: the fiber-family file's 'ell' is {doc['ell']}, want at least 1")
-    factors = doc["factors"]
-    if not (type(factors) is list and all(type(d) is int for d in factors)):
-        raise ValueError(f"{path}: the fiber-family file's 'factors' is {factors!r}, not a list of integers")
+    doc = _read(path, "fiber-family")
     with _named(path):
-        group = FiniteAbelianGroup(tuple(factors))
+        group = FiniteAbelianGroup(tuple(doc["factors"]))
     fibers = {}
-    for key, rows in doc["fibers"].items():
+    for key, arr in doc["fibers"].items():
         # a character's canonical decimal text: "01", " 1", "1.5" and "-1" name none
         if not (key.isascii() and key.isdecimal() and str(int(key)) == key and 0 < int(key) < group.order):
             raise ValueError(f"{path}: fiber key {key!r} names no character of the group; "
                              f"want an integer in [1, {group.order}) in decimal")
-        arr = _numbers(rows, path, f"fiber {key}", 3)
-        _refuse(path, f"fiber {key}", arr, finite=True)
         if arr.size and arr.shape[-1:] != (2,):  # arr[..., 1] would be an IndexError, which names no file
             raise ValueError(f"{path}: fiber {key} holds entries that are not [re, im] pairs")
         with _named(path):  # np.zeros of a huge ell names no file

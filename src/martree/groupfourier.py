@@ -13,7 +13,6 @@ R^{2 ell}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -47,9 +46,6 @@ class FiniteAbelianGroup:
             out *= d
         return out
 
-    def elements(self) -> list[tuple[int, ...]]:
-        return list(product(*[range(d) for d in self.factors]))
-
     def index(self, element: tuple[int, ...]) -> int:
         idx = 0
         for x, d in zip(element, self.factors):
@@ -57,12 +53,13 @@ class FiniteAbelianGroup:
         return idx
 
     def add(self, a: int, b: int) -> int:
-        ea, eb = self.elements()[a], self.elements()[b]
-        return self.index(tuple(x + y for x, y in zip(ea, eb)))
+        return self.index(tuple(x + y for x, y in zip(self.element(a), self.element(b))))
 
     def negate(self, a: int) -> int:
-        ea = self.elements()[a]
-        return self.index(tuple(-x for x in ea))
+        return self.index(tuple(-x for x in self.element(a)))
+
+    def element(self, a: int) -> tuple[int, ...]:  # the digits that ``index`` reads, from a's own
+        return tuple(map(int, np.unravel_index(a, self.factors)))
 
     def add_table(self) -> np.ndarray:
         m = self.order
@@ -74,7 +71,7 @@ class FiniteAbelianGroup:
 
     def character_table(self) -> np.ndarray:
         """chars[gamma, x] = exp(2 pi i sum gamma_k x_k / d_k); rows orthogonal."""
-        elems = self.elements()
+        elems = [self.element(a) for a in range(self.order)]
         m = self.order
         table = np.empty((m, m), dtype=complex)
         for g_idx, gamma in enumerate(elems):
@@ -100,16 +97,18 @@ class FiniteAbelianGroup:
 
 @dataclass
 class FiberFamily:
-    """For each nonzero gamma an orthonormal complex basis of W_gamma (rows)."""
+    """For nonzero gammas an orthonormal complex basis of W_gamma (rows); absent ones are trivial."""
 
     group: FiniteAbelianGroup
     ell: int
     fibers: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        m = self.group.order
-        for gamma in range(1, m):
-            basis = np.asarray(self.fibers.get(gamma, np.zeros((0, self.ell))), dtype=complex)
+        self._trivial = np.zeros((0, self.ell), dtype=complex)  # an ell no array can have fails here
+        if not all(0 < gamma < self.group.order for gamma in self.fibers):
+            raise ValueError(f"fibers are indexed by nonzero gamma in [1, {self.group.order}) only")
+        for gamma, basis in self.fibers.items():
+            basis = np.asarray(basis, dtype=complex)
             if basis.ndim != 2 or basis.shape[1] != self.ell:
                 raise ValueError(f"fiber {gamma} must be (dim, {self.ell})")
             if basis.shape[0]:
@@ -117,11 +116,13 @@ class FiberFamily:
                 if not np.abs(gram - np.eye(basis.shape[0])).max() <= 1e-9:  # NaN fails too
                     raise ValueError(f"fiber {gamma} basis is not orthonormal")
             self.fibers[gamma] = basis
-        if 0 in self.fibers:
-            raise ValueError("fibers are indexed by nonzero gamma only")
 
-    def dim(self, gamma: int) -> int:
-        return self.fibers[gamma].shape[0]
+    def fiber(self, gamma: int) -> np.ndarray:
+        return self.fibers.get(gamma, self._trivial)
+
+    def nontrivial(self) -> list[int]:
+        """The gammas whose fiber is not trivial, ascending."""
+        return sorted(gamma for gamma, basis in self.fibers.items() if basis.shape[0])
 
 
 def _intersect(basis_a: np.ndarray, basis_b: np.ndarray, ell: int) -> np.ndarray:
@@ -184,7 +185,7 @@ def build_shift_invariant_w(fibers: FiberFamily) -> ShiftInvariantW:
     m = G.order
     chars = G.character_table()
     blocks = []
-    for gamma in range(1, m):
+    for gamma in fibers.nontrivial():
         for b in fibers.fibers[gamma]:
             blocks.append(np.outer(chars[gamma], b) / np.sqrt(m))
     basis = np.asarray(blocks, dtype=complex).reshape(-1, m, fibers.ell)
@@ -196,9 +197,10 @@ def check_cancellation_fibers(fibers: FiberFamily) -> tuple[bool, np.ndarray | N
 
     A common vector a yields the delta block (m delta_0 - 1) (x) a inside W.
     """
-    common = intersect_many(
-        [fibers.fibers[g] for g in range(1, fibers.group.order)], fibers.ell
-    )
+    nontrivial = fibers.nontrivial()
+    if len(nontrivial) < fibers.group.order - 1:  # a trivial fiber: the intersection is trivial
+        return True, None
+    common = intersect_many([fibers.fibers[g] for g in nontrivial], fibers.ell)
     if common.shape[0] == 0:
         return True, None
     return False, common[0]
@@ -209,10 +211,8 @@ def check_antisymmetry_fibers(fibers: FiberFamily) -> tuple[bool, tuple[int, np.
 
     Self-paired gamma (gamma = -gamma) must have a trivial fiber outright.
     """
-    G = fibers.group
-    for gamma in range(1, G.order):
-        neg = G.negate(gamma)
-        inter = _intersect(fibers.fibers[gamma], fibers.fibers[neg], fibers.ell)
+    for gamma in fibers.nontrivial():  # a trivial W_gamma meets W_{-gamma} trivially
+        inter = _intersect(fibers.fibers[gamma], fibers.fiber(fibers.group.negate(gamma)), fibers.ell)
         if inter.shape[0] > 0:
             return False, (gamma, inter[0])
     return True, None
@@ -230,7 +230,7 @@ def antisymmetry_subgroup_bound(fibers: FiberFamily, max_order: int = 16) -> tup
     if m > max_order:
         raise ValueError(f"group order {m} exceeds the enumeration budget {max_order}")
     pair = {
-        gamma: _intersect(fibers.fibers[gamma], fibers.fibers[G.negate(gamma)], fibers.ell)
+        gamma: _intersect(fibers.fiber(gamma), fibers.fiber(G.negate(gamma)), fibers.ell)
         for gamma in range(1, m)
     }
     nonzero = [g for g in range(1, m) if pair[g].shape[0] > 0]

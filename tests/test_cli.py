@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,8 @@ class TestMalformedFiles:
         broken.write_text(json.dumps(doc))
         shape = " x ".join(str(doc[f]) for f in ("k", "m", "ell"))
         message = f"w.json: the basis is not k x m x ell = {shape} numbers"
+        if "basis" in change:  # a ragged basis is no array of numbers at all
+            message = "w.json: basis is not a rectangular array of numbers, nested at most 3 deep"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_subspace(broken)
         assert main(["--out", str(tmp_path / "out"), "check-w", "--w", str(broken)]) == 2
@@ -334,7 +337,7 @@ class TestMalformedFiles:
         ({"m": 2}, "branching factor must be >= 3, got 2"),
         ({"depth": 7}, "leaf_mass shape (729,) does not match 2187 leaves"),
         ({"ell": 0}, "value dimension must be >= 1, got 0"),
-        ({"leaf_mass": "heavy"}, "could not convert string to float"),
+        ({"leaf_mass": "heavy"}, "the tree-measure file's 'leaf_mass' is 'heavy', not a list"),
     ], ids=["m", "depth", "ell", "leaf-mass-text"])
     def test_measure_checks_name_the_file(self, change, message, tmp_path, monkeypatch, capsys):
         doc = json.loads((GOLDEN / "cascade.json").read_text())  # m 3, depth 6, ell 1
@@ -927,6 +930,18 @@ class TestExitCodes:
         status, err = _capped(["-m", "martree.cli", "--out", "out", *argv], tmp_path)
         assert status == 2 and err.startswith(f"error: {message}") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == (["in.json"] if document else [])
+
+    @pytest.mark.parametrize("kind, printed", [("group-cancel", {"cancellation": True, "witness": None}),
+                                               ("group-antisym", {"antisymmetry": True, "witness": None})],
+                             ids=["group-cancel", "group-antisym"])
+    def test_empty_fiber_family_of_a_large_group_checks_at_once(self, kind, printed, tmp_path, capsys):
+        # one empty array per character, and a list of every element per negation, took seconds to minutes
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"kind": "fiber-family", "factors": [1999993], "ell": 1, "fibers": {}}))
+        start = time.perf_counter()
+        assert main(["--out", str(tmp_path / "out"), kind, "--fibers", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out) == printed
 
 
 class TestParser:

@@ -191,6 +191,24 @@ def test_golden_martingale_rewrites_to_its_bytes(tmp_path):
     assert (tmp_path / "f.json").read_bytes() == GOLDEN_MARTINGALE.read_bytes()
 
 
+# the reader and the writer of each kind of file
+READ_WRITE = {
+    "tree-measure": (fileio.read_measure, fileio.write_measure),
+    "martingale": (fileio.read_martingale, fileio.write_martingale),
+    "subspace-w": (fileio.read_subspace, fileio.write_subspace),
+    "fiber-family": (fileio.read_fibers, fileio.write_fibers),
+}
+GOLDEN_INPUTS = ["w_delta", "w_span", "w_random", "fibers", "span_measure", "cascade", "martingale"]
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_golden_inputs_rewrite_to_their_bytes(name, tmp_path):
+    golden = GOLDEN / f"{name}.json"
+    reader, writer = READ_WRITE[json.loads(golden.read_text())["kind"]]
+    writer(tmp_path / "x.json", reader(golden))
+    assert (tmp_path / "x.json").read_bytes() == golden.read_bytes()
+
+
 def _set_nodes(doc, i, j, value):
     doc["nodes"][i:j] = value
 
@@ -260,7 +278,7 @@ NUMBER_FIELDS = {
     "measure": (fileio.read_measure, "cascade.json", _set_measure, "leaf_mass"),
     "f0": (fileio.read_martingale, "martingale.json", _set_f0, "f0"),
     "values": (fileio.read_martingale, "martingale.json", _set_values, "values"),
-    "basis": (fileio.read_subspace, "w_random.json", _set_basis, "the basis is not k x m x ell = 2 x 3 x 2 numbers"),
+    "basis": (fileio.read_subspace, "w_random.json", _set_basis, "basis"),
     "fiber": (fileio.read_fibers, "fibers.json", _set_fiber, "fiber 1"),
 }
 # (what replaces the entry, the reason a reader that names the entry gives)
@@ -286,9 +304,7 @@ def test_number_fields_reject_non_numbers(field, non_number, tmp_path):
     with pytest.raises(ValueError) as caught:
         reader(path)
     message = str(caught.value)
-    assert message.startswith(f"{path}: ") and names in message
-    if field in ("measure", "f0", "values", "fiber"):  # the error names the entry too
-        assert reason in message
+    assert message.startswith(f"{path}: ") and names in message and reason in message  # the field and the entry
 
 
 @pytest.mark.parametrize("field", ["f0", "basis", "fiber"])
@@ -318,6 +334,74 @@ def test_numbers_beyond_int64_read_as_floats(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{path}: could not convert an integer beyond the float range "
                                                    "in leaf_mass")):
         fileio.read_measure(path)
+
+
+# ---------------------------------------------------------------- the table of file kinds
+
+# a golden file of each kind, whose fields the probes break one at a time
+KIND_GOLDENS = {"tree-measure": "cascade.json", "martingale": "martingale.json", "subspace-w": "w_random.json",
+                "fiber-family": "fibers.json"}
+# a JSON value of each type; a field is probed with each that its type test refuses
+JSON_VALUES = {"float": 2.5, "string": "2", "bool": True, "null": None, "list": [2], "object": {}, "integer": 2}
+
+
+def _set_first_number(value, number):
+    """Put ``number`` in place of the first number of ``value``, nested lists."""
+    while isinstance(value[0], list):
+        value = value[0]
+    value[0] = number
+
+
+def table_probes():
+    """(id, kind, field, how a golden document of the kind is broken, the error
+    after the file name) for each field that ``FILE_KINDS`` states: one per JSON
+    value its type test refuses, one below its least value, and for a numeric
+    array one per non-finite value it refuses."""
+    probes = []
+    for kind, entry in fileio.FILE_KINDS.items():
+        for name, rule in entry.fields.items():
+            wrong = {label: value for label, value in JSON_VALUES.items() if not rule.is_type(value)}
+            if rule.least is not None:
+                wrong["below-least"] = rule.least - 1
+            for label, value in wrong.items():
+                reason = (f"is {value}, want at least {rule.least}" if label == "below-least"
+                          else f"is {value!r}, not {rule.type_name}")
+                probes.append((f"{kind}-{name}-{label}", kind, name, lambda doc, n=name, v=value: doc.update({n: v}),
+                               f"the {kind} file's {name!r} {reason}"))
+            for label, number in {"nan": NAN, "inf": INF, "minus-inf": -INF}.items():
+                if rule.depth and (rule.finite or label == "nan"):
+                    field = f"{rule.each} 1" if rule.each else name  # the first fiber of an object of them
+                    put = lambda doc, n=name, x=number, e=rule.each: _set_first_number(doc[n]["1"] if e else doc[n], x)
+                    message = f"NaN is not a number in {field}" if label == "nan" else f"{field} holds a non-finite value"
+                    probes.append((f"{kind}-{name}-{label}", kind, name, put, message))
+    return probes
+
+
+TABLE_PROBES = {probe[0]: probe[1:] for probe in table_probes()}
+
+
+def test_table_probes_cover_every_field():
+    assert len(TABLE_PROBES) == len(table_probes())  # the ids are distinct
+    assert {probe[:2] for probe in TABLE_PROBES.values()} == {
+        (kind, name) for kind, entry in fileio.FILE_KINDS.items() for name in entry.fields}
+    assert {"fiber-family-ell-below-least", "martingale-f0-nan", "fiber-family-fibers-inf"} <= TABLE_PROBES.keys()
+
+
+@pytest.mark.parametrize("side", ["read", "write"])
+@pytest.mark.parametrize("probe", TABLE_PROBES)
+def test_readers_and_writers_refuse_what_the_table_refuses(probe, side, tmp_path):
+    kind, _, put, message = TABLE_PROBES[probe]
+    doc = json.loads((GOLDEN / KIND_GOLDENS[kind]).read_text())
+    put(doc)
+    path = tmp_path / "bad.json"
+    if side == "read":
+        path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        if side == "read":
+            READ_WRITE[kind][0](path)
+        else:  # the one writer path
+            fileio._save(path, kind, doc)
+    assert list(tmp_path.iterdir()) == ([path] if side == "read" else [])  # a writer refuses before any byte
 
 
 # ---------------------------------------------------------------- the streaming writer
@@ -441,13 +525,13 @@ def _nan_fibers(value):
 # (writer, what it is handed, the field the error names)
 REFUSED = {
     "measure-nan": (fileio.write_measure, lambda: TreeMeasure(FiltrationSpec(3, 2, 1), np.append(np.ones(8), NAN)),
-                    "leaf_mass holds a non-finite value"),
+                    "NaN is not a number in leaf_mass"),
     "measure-inf": (fileio.write_measure, lambda: TreeMeasure(FiltrationSpec(3, 2, 2), np.full((9, 2), INF)),
                     "leaf_mass holds a non-finite value"),
-    "martingale-f0": (fileio.write_martingale, lambda: _nan_martingale("f0"), "f0 holds a NaN"),
-    "martingale-values": (fileio.write_martingale, lambda: _nan_martingale("values"), "values holds a NaN"),
-    "subspace": (fileio.write_subspace, _nan_subspace, "basis holds a non-finite value"),
-    "fibers-nan": (fileio.write_fibers, lambda: _nan_fibers(complex(1.0, NAN)), "fiber 3 holds a non-finite value"),
+    "martingale-f0": (fileio.write_martingale, lambda: _nan_martingale("f0"), "NaN is not a number in f0"),
+    "martingale-values": (fileio.write_martingale, lambda: _nan_martingale("values"), "NaN is not a number in values"),
+    "subspace": (fileio.write_subspace, _nan_subspace, "NaN is not a number in basis"),
+    "fibers-nan": (fileio.write_fibers, lambda: _nan_fibers(complex(1.0, NAN)), "NaN is not a number in fiber 3"),
     "fibers-inf": (fileio.write_fibers, lambda: _nan_fibers(complex(INF, 0.0)), "fiber 3 holds a non-finite value"),
 }
 
@@ -492,7 +576,7 @@ def test_sliced_reads_match_json(size, monkeypatch, tmp_path):
             for text in array_texts(entries):
                 path.write_text('{"kind": "martingale", "nested": {"values": [1, 2]}, "values": ' + text
                                 + ', "after": [0.5, {"a": "]"}]}')
-                doc = fileio._load(path, "martingale", (), flat="values")
+                doc = fileio._load(path, "martingale")
                 assert isinstance(doc["values"], np.ndarray) and doc["nested"] == {"values": [1, 2]}
                 assert doc["values"].view(np.uint64).tolist() == as_json(path, "values").view(np.uint64).tolist()
                 assert doc["after"] == [0.5, {"a": "]"}]
@@ -570,7 +654,7 @@ def test_repeated_slices_read_as_json(size, monkeypatch, tmp_path):
     path = tmp_path / "doc.json"
     for text in array_texts(run_entries(size)):
         path.write_text('{"kind": "martingale", "values": ' + text + "}")
-        doc = fileio._load(path, "martingale", (), flat="values")
+        doc = fileio._load(path, "martingale")
         assert isinstance(doc["values"], np.ndarray)
         assert doc["values"].view(np.uint64).tolist() == as_json(path, "values").view(np.uint64).tolist()
 
@@ -594,7 +678,7 @@ def test_runs_inside_slices_read_as_json(size, monkeypatch, tmp_path):
     path = tmp_path / "doc.json"
     for text in array_texts(inner_run_entries(size)):
         path.write_text('{"kind": "martingale", "values": ' + text + "}")
-        doc = fileio._load(path, "martingale", (), flat="values")
+        doc = fileio._load(path, "martingale")
         assert isinstance(doc["values"], np.ndarray)
         assert doc["values"].view(np.uint64).tolist() == as_json(path, "values").view(np.uint64).tolist()
 

@@ -1,11 +1,14 @@
 """Group structure, DFT, shift-invariant subspaces, and the fiber conditions."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from martree.groupfourier import (
     FiberFamily,
     FiniteAbelianGroup,
+    _intersect,
     antisymmetry_subgroup_bound,
     build_shift_invariant_w,
     check_antisymmetry_fibers,
@@ -44,6 +47,16 @@ class TestGroup:
         G = FiniteAbelianGroup.cyclic(5)
         for a in range(5):
             assert G.add(a, G.negate(a)) == 0
+
+    @pytest.mark.parametrize("factors", [(5,), (2, 2), (2, 3), (3, 4), (2, 2, 3)])
+    def test_add_and_negate_match_the_element_list(self, factors):
+        # the elements in index order, as add and negate once looked them up
+        G = FiniteAbelianGroup(factors)
+        elements = list(product(*[range(d) for d in factors]))
+        for a, b in product(range(G.order), repeat=2):
+            assert G.add(a, b) == G.index(tuple(x + y for x, y in zip(elements[a], elements[b])))
+            assert G.negate(a) == G.index(tuple(-x for x in elements[a]))
+            assert type(G.add(a, b)) is int and type(G.negate(a)) is int
 
     def test_character_orthogonality(self):
         for factors in ((3,), (4,), (2, 2), (6,)):
@@ -153,6 +166,46 @@ class TestCancellation:
                 second, _, _ = check_second_condition(w.realify())
             agree += cancel == second
         assert agree == total
+
+
+def _over_every_gamma(fibers):
+    """Both checks as they were made over every gamma, trivial fibers too:
+    the reference for the checks that visit the non-trivial fibers only."""
+    G, ell = fibers.group, fibers.ell
+    common = intersect_many([fibers.fiber(g) for g in range(1, G.order)], ell)
+    cancel = (True, None) if common.shape[0] == 0 else (False, common[0])
+    antisym = True, None
+    for gamma in range(1, G.order):
+        inter = _intersect(fibers.fiber(gamma), fibers.fiber(G.negate(gamma)), ell)
+        if inter.shape[0] > 0:
+            antisym = False, (gamma, inter[0])
+            break
+    return cancel, antisym
+
+
+@pytest.mark.parametrize("factors", [(3,), (4,), (5,), (6,), (2, 2), (2, 3)])
+def test_checks_over_nontrivial_fibers_match_every_gamma(factors):
+    G = FiniteAbelianGroup(factors)
+    a = np.array([1.0, 1j]) / np.sqrt(2)
+    for seed in range(12):
+        fibers = random_fibers(G, 2, seed=seed, plant=a if seed % 3 == 0 else None)
+        if seed % 2:  # name only the non-trivial fibers; the others are trivial all the same
+            fibers = FiberFamily(G, 2, {g: b for g, b in fibers.fibers.items() if b.shape[0]})
+        (cancel, witness), (antisym, pair) = _over_every_gamma(fibers)
+        holds, got = check_cancellation_fibers(fibers)
+        assert holds == cancel and (got is None if witness is None else got.tobytes() == witness.tobytes())
+        holds, got = check_antisymmetry_fibers(fibers)
+        assert holds == antisym
+        assert got is None if pair is None else (got[0] == pair[0] and got[1].tobytes() == pair[1].tobytes())
+
+
+def test_absent_fibers_are_trivial_and_not_built():
+    G = FiniteAbelianGroup.cyclic(5)
+    fibers = FiberFamily(G, 1, {3: np.array([[1.0]])})
+    assert list(fibers.fibers) == [3] and fibers.nontrivial() == [3]
+    assert fibers.fiber(1).shape == (0, 1) and fibers.fiber(3).dtype == complex
+    with pytest.raises(ValueError, match="fibers are indexed by nonzero gamma"):
+        FiberFamily(G, 1, {5: np.zeros((0, 1))})
 
 
 class TestAntisymmetry:
